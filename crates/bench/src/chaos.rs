@@ -408,15 +408,8 @@ pub fn ext_chaos_zones(
             checkpoint_retention: 3,
             ..ExecOptions::default()
         };
-        let open = rubberband::execute_with(
-            &spec,
-            &out.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            options(),
-        )?;
+        let open =
+            rubberband::execute_with(&spec, &out.plan, &task, &physics, &cloud, &space, options())?;
         rows.push(ZoneChaosRow {
             name,
             switch: false,
@@ -514,10 +507,7 @@ pub fn print_ext_chaos_zones(deadline: SimDuration, rows: &[ZoneChaosRow]) {
     let recoveries = rows
         .iter()
         .filter(|r| r.switch && r.hit)
-        .filter(|r| {
-            rows.iter()
-                .any(|o| !o.switch && !o.hit && o.name == r.name)
-        })
+        .filter(|r| rows.iter().any(|o| !o.switch && !o.hit && o.name == r.name))
         .count();
     println!(
         "\next-chaos zones summary: cells={} open_hits={open_hits} \

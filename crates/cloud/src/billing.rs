@@ -150,7 +150,9 @@ impl BillingMeter {
         pricing: &CloudPricing,
         now: SimTime,
     ) -> Cost {
-        let dur = pricing.billing.billable(life.stopped.unwrap_or(now) - life.started);
+        let dur = pricing
+            .billing
+            .billable(life.stopped.unwrap_or(now) - life.started);
         let hourly = match self.tier_overrides.get(&id) {
             Some(&tier) => pricing.instance_type.hourly_price(tier),
             None => pricing.instance_hourly(),
@@ -352,7 +354,10 @@ mod tests {
         // One instance bought on-demand, then the run flips to spot.
         m.instance_started(InstanceId::new(0), SimTime::ZERO);
         assert_eq!(m.pin_existing_lifetimes(PricingTier::OnDemand), 1);
-        assert_eq!(m.pinned_tier(InstanceId::new(0)), Some(PricingTier::OnDemand));
+        assert_eq!(
+            m.pinned_tier(InstanceId::new(0)),
+            Some(PricingTier::OnDemand)
+        );
         // Re-pinning is a no-op for already-pinned lifetimes.
         assert_eq!(m.pin_existing_lifetimes(PricingTier::Spot), 0);
         // A second instance bought after the flip follows the profile.
@@ -362,8 +367,7 @@ mod tests {
         m.instance_stopped(InstanceId::new(1), hour).unwrap();
         let spot = pricing().with_spot();
         let bill = m.compute_cost(&spot, hour);
-        let expected =
-            P3_8XLARGE.on_demand_hourly + P3_8XLARGE.hourly_price(PricingTier::Spot);
+        let expected = P3_8XLARGE.on_demand_hourly + P3_8XLARGE.hourly_price(PricingTier::Spot);
         assert_eq!(bill, expected);
         // The timeline's final point agrees with the bill.
         let timeline = m.cost_timeline(&spot, hour);

@@ -67,7 +67,10 @@ impl ZoneWindow {
                 self.zone, zones
             )));
         }
-        for (name, v) in [("start_secs", self.start_secs), ("duration_secs", self.duration_secs)] {
+        for (name, v) in [
+            ("start_secs", self.start_secs),
+            ("duration_secs", self.duration_secs),
+        ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(RbError::InvalidConfig(format!(
                     "fault plan: {what}.{name} must be finite and non-negative, got {v}"
@@ -737,7 +740,11 @@ mod tests {
         );
         for i in 0..64 {
             let _ = zoned_inj.zone_denial(0, SimTime::from_secs(i));
-            assert_eq!(plain.capacity_fault(), zoned_inj.capacity_fault(), "req {i}");
+            assert_eq!(
+                plain.capacity_fault(),
+                zoned_inj.capacity_fault(),
+                "req {i}"
+            );
             assert_eq!(
                 plain.instance_faults(InstanceId::new(i)),
                 zoned_inj.instance_faults(InstanceId::new(i)),

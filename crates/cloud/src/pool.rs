@@ -579,12 +579,8 @@ mod tests {
         // the regular stage barrier both release instance 3 of job 7.
         let mut p = pool(4);
         let life = SimDuration::from_secs(5);
-        assert!(p
-            .offer(7, None, 3, SimTime::from_secs(50), life)
-            .unwrap());
-        assert!(!p
-            .offer(7, None, 3, SimTime::from_secs(55), life)
-            .unwrap());
+        assert!(p.offer(7, None, 3, SimTime::from_secs(50), life).unwrap());
+        assert!(!p.offer(7, None, 3, SimTime::from_secs(55), life).unwrap());
         assert_eq!(p.stats().double_releases, 1);
         assert_eq!(p.parked_count(), 1);
         // After the one real entry is handed off to job 9, custody
@@ -602,9 +598,7 @@ mod tests {
         assert_eq!(p.stats().min_charge_saved, one_premium);
         // The adopter itself re-parking the physical it was granted is
         // a new, legitimate release.
-        assert!(p
-            .offer(9, None, 3, SimTime::from_secs(70), life)
-            .unwrap());
+        assert!(p.offer(9, None, 3, SimTime::from_secs(70), life).unwrap());
         assert!(p.stats().balances(p.parked_count()));
     }
 
@@ -617,7 +611,9 @@ mod tests {
         let mut p = pool(4);
         let life = SimDuration::from_secs(5);
         assert!(p.offer(2, None, 3, SimTime::from_secs(10), life).unwrap());
-        let err = p.offer(1, None, 3, SimTime::from_secs(12), life).unwrap_err();
+        let err = p
+            .offer(1, None, 3, SimTime::from_secs(12), life)
+            .unwrap_err();
         assert!(matches!(err, RbError::PoolConflict(_)), "{err:?}");
         assert_eq!(p.stats().conflicts, 1);
         assert_eq!(p.parked_count(), 1, "conflicting offer must not re-park");
@@ -718,12 +714,12 @@ mod tests {
     fn acquire_ignores_future_releases() {
         let mut p = pool(4);
         let life = SimDuration::from_secs(10);
-        assert!(p
-            .offer(2, None, 0, SimTime::from_secs(500), life)
-            .unwrap());
+        assert!(p.offer(2, None, 0, SimTime::from_secs(500), life).unwrap());
         // A job whose clock is at t=100 must not adopt capacity that
         // will only exist at t=500.
-        assert!(p.acquire(3, SimTime::from_secs(100), 1, 0.0, None).is_empty());
+        assert!(p
+            .acquire(3, SimTime::from_secs(100), 1, 0.0, None)
+            .is_empty());
         assert_eq!(p.acquire(3, SimTime::from_secs(500), 1, 0.0, None).len(), 1);
     }
 
@@ -733,7 +729,9 @@ mod tests {
         let life = SimDuration::from_secs(10);
         assert!(p.offer(1, None, 0, SimTime::ZERO, life).unwrap());
         // 120 s hold window: gone by t=121.
-        assert!(p.acquire(2, SimTime::from_secs(121), 1, 0.0, None).is_empty());
+        assert!(p
+            .acquire(2, SimTime::from_secs(121), 1, 0.0, None)
+            .is_empty());
         let s = p.stats();
         assert_eq!(s.expirations, 1);
         assert_eq!(s.min_charge_saved, Cost::ZERO);
@@ -755,7 +753,9 @@ mod tests {
         assert!(p.offer(1, None, 0, SimTime::ZERO, life).unwrap());
         assert_eq!(p.eligible_count(SimTime::from_secs(119)), 1);
         assert_eq!(p.eligible_count(SimTime::from_secs(120)), 0);
-        assert!(p.acquire(2, SimTime::from_secs(120), 1, 0.0, None).is_empty());
+        assert!(p
+            .acquire(2, SimTime::from_secs(120), 1, 0.0, None)
+            .is_empty());
         let s = p.stats();
         assert_eq!(s.expirations, 1);
         assert_eq!(s.handoffs, 0);
@@ -793,10 +793,8 @@ mod tests {
     fn drain_terminates_everything() {
         let mut p = pool(4);
         let life = SimDuration::from_secs(10);
-        p.offer(1, None, 0, SimTime::from_secs(100), life)
-            .unwrap();
-        p.offer(1, None, 1, SimTime::from_secs(100), life)
-            .unwrap();
+        p.offer(1, None, 0, SimTime::from_secs(100), life).unwrap();
+        p.offer(1, None, 1, SimTime::from_secs(100), life).unwrap();
         p.drain(SimTime::from_secs(160));
         assert_eq!(p.parked_count(), 0);
         let s = p.stats();
@@ -853,14 +851,8 @@ mod tests {
         let p_cfg = PoolConfig::default();
         let mut p =
             InstancePool::new(p_cfg, pricing().with_data_price(Cost::from_dollars(0.01))).unwrap();
-        p.offer(
-            1,
-            None,
-            0,
-            SimTime::ZERO,
-            SimDuration::from_secs(10),
-        )
-        .unwrap();
+        p.offer(1, None, 0, SimTime::ZERO, SimDuration::from_secs(10))
+            .unwrap();
         p.acquire(2, SimTime::ZERO, 1, 150.0, None);
         let s = p.stats();
         assert_eq!(s.ingress_gb_saved, 150.0);
@@ -872,14 +864,8 @@ mod tests {
     fn shared_handle_round_trips() {
         let sp = SharedPool::new(pool(2));
         sp.with(|p| {
-            p.offer(
-                1,
-                None,
-                0,
-                SimTime::ZERO,
-                SimDuration::from_secs(5),
-            )
-            .unwrap()
+            p.offer(1, None, 0, SimTime::ZERO, SimDuration::from_secs(5))
+                .unwrap()
         });
         assert_eq!(sp.with(|p| p.parked_count()), 1);
         let cloned = sp.clone();

@@ -293,7 +293,10 @@ impl SimProvider {
                         "cloud",
                         "fault.zone_denied",
                         Lane::Cloud,
-                        vec![("zone", (zone as u64).into()), ("requested", (n as u64).into())],
+                        vec![
+                            ("zone", (zone as u64).into()),
+                            ("requested", (n as u64).into()),
+                        ],
                     );
                     self.recorder.counter_add("cloud", "zone_denied", 1);
                 }

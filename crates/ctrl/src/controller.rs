@@ -23,13 +23,11 @@
 use crate::drift::{DriftConfig, DriftMonitor, DriftObservation};
 use rb_cloud::catalog::PricingTier;
 use rb_core::{Cost, Result, SimDuration, SimTime};
-use rb_exec::{
-    BarrierHook, BarrierSnapshot, SwitchDirective, UnitObservation, WatchdogSnapshot,
-};
-use rb_profile::CapacityEvents;
+use rb_exec::{BarrierHook, BarrierSnapshot, SwitchDirective, UnitObservation, WatchdogSnapshot};
 use rb_hpo::ExperimentSpec;
 use rb_obs::Lane;
 use rb_planner::{plan_residual, PlannerConfig, ResidualOutcome};
+use rb_profile::CapacityEvents;
 use rb_scaling::{refit_least_squares, LatencyObservation, RefitScaling};
 use rb_sim::{AllocationPlan, Simulator};
 use std::sync::Arc;
@@ -1358,8 +1356,7 @@ mod tests {
                 ..ControllerConfig::default()
             };
             let sim = Simulator::new(physics(&task, 1.0), cloud());
-            let mut ctrl =
-                AdaptiveController::new(sim, spec(), &plan, deadline, config).unwrap();
+            let mut ctrl = AdaptiveController::new(sim, spec(), &plan, deadline, config).unwrap();
             let r = mk_exec().run_hooked(&configs(8, 3), &mut ctrl).unwrap();
             (r, ctrl.into_log())
         };

@@ -479,7 +479,11 @@ impl ClusterManager {
         // target zone (a retry round may have provisioned them there):
         // they are exactly where the directive wants capacity, and
         // re-buying them would pay a scale-up cycle for nothing.
-        let keep_zone = directive.market.is_none().then_some(directive.zone).flatten();
+        let keep_zone = directive
+            .market
+            .is_none()
+            .then_some(directive.zone)
+            .flatten();
         for (node, instance) in std::mem::take(&mut self.ready) {
             if keep_zone.is_some_and(|z| self.provider.instance_zone(instance) == z) {
                 self.ready.insert(node, instance);
@@ -1217,7 +1221,11 @@ mod tests {
         // Old fleet billed at the pinned spot rate 15..100 (85 s);
         // the new instance on-demand from 115 for an hour.
         let pr = CloudPricing::on_demand(P3_8XLARGE);
-        let expect = pr.clone().with_spot().instance_charge(SimDuration::from_secs(85)) * 2
+        let expect = pr
+            .clone()
+            .with_spot()
+            .instance_charge(SimDuration::from_secs(85))
+            * 2
             + pr.instance_charge(SimDuration::from_secs(3600));
         assert_eq!(cm.compute_cost(end), expect);
     }

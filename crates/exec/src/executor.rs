@@ -682,12 +682,7 @@ impl ExecutorCore {
     /// the pool's double-release guard can tell donors apart; `group`
     /// (e.g. one tenant's Hyperband bracket set) gives the job
     /// affinity for same-group parked capacity at acquisition.
-    pub fn attach_shared_pool(
-        &mut self,
-        pool: rb_cloud::SharedPool,
-        job: u64,
-        group: Option<u64>,
-    ) {
+    pub fn attach_shared_pool(&mut self, pool: rb_cloud::SharedPool, job: u64, group: Option<u64>) {
         self.cm.set_shared_pool(pool, job, group);
     }
 

@@ -730,7 +730,10 @@ pub fn hyperband_group_jobs(
                 seed: bracket_seed,
                 ..ExecOptions::default()
             });
-            Ok(rb_serve::JobRequest::new(executor, configs, arrival, tenant).with_bracket(i as u32))
+            Ok(
+                rb_serve::JobRequest::new(executor, configs, arrival, tenant)
+                    .with_bracket(i as u32),
+            )
         })
         .collect()
 }
