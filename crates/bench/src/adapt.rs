@@ -16,12 +16,14 @@
 use crate::tables::{e2e_cloud, physics_for, profiled_model, search_space};
 use rb_core::{Result, SimDuration};
 use rb_ctrl::{ControllerConfig, DriftConfig, ReplanTrigger, WatchdogConfig};
-use rb_exec::ExecOptions;
+use rb_exec::{ExecOptions, NoopHook};
 use rb_hpo::ShaParams;
+use rb_obs::RecorderHandle;
 use rb_planner::{plan_rubberband, PlannerConfig};
 use rb_profile::ModelProfile;
 use rb_scaling::{PlacementQuality, RefitScaling, RescaledScaling, ScalingModel};
 use rb_train::TaskModel;
+use rubberband::Run;
 use std::sync::Arc;
 
 /// One injected model-error scenario the planner never sees.
@@ -226,15 +228,16 @@ pub fn ext_adapt(
                 seed,
                 ..ExecOptions::default()
             };
-            let open = rubberband::execute_with(
-                &spec,
-                &out.plan,
-                &task,
-                &physics,
-                &cloud,
-                &space,
-                options(),
-            )?;
+            let open = Run {
+                spec: &spec,
+                plan: &out.plan,
+                task: &task,
+                physics: &physics,
+                cloud: &cloud,
+                space: &space,
+                options: options(),
+            }
+            .execute(&mut NoopHook, &RecorderHandle::noop())?;
             for &threshold in thresholds {
                 for &watchdog in watchdogs {
                     let config = ControllerConfig {

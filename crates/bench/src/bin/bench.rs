@@ -19,8 +19,9 @@
 //!
 //! Pass `--smoke` to run every section once with tiny workloads (used by
 //! `scripts/verify.sh` to keep the harness honest without burning CI
-//! time), and `--churn` to run only the planner + churn sections (writes
-//! only `BENCH_planner.json`). Built with `--features alloc-counter`,
+//! time); a smoke run prints both reports to stdout and writes no file.
+//! Pass `--churn` to run only the planner + churn sections (writes only
+//! `BENCH_planner.json`). Built with `--features alloc-counter`,
 //! the binary installs a counting global allocator and asserts the arena
 //! engine's zero-allocation warm prediction path before benchmarking.
 
@@ -454,22 +455,28 @@ fn bench_tracing(smoke: bool) -> String {
         rubberband::execute(&spec, &plan, &task, &physics, &cloud, &space, 7).unwrap();
     });
     let mut events = 0usize;
+    let run = rubberband::Run {
+        spec: &spec,
+        plan: &plan,
+        task: &task,
+        physics: &physics,
+        cloud: &cloud,
+        space: &space,
+        options: rb_exec::ExecOptions {
+            seed: 7,
+            ..rb_exec::ExecOptions::default()
+        },
+    };
     let recorded_ms = time_ms(iters, || {
-        let obs = rubberband::execute_observed(
-            &spec,
-            &plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            rb_exec::ExecOptions {
-                seed: 7,
-                ..rb_exec::ExecOptions::default()
-            },
+        let sink = Arc::new(rb_obs::MemoryRecorder::new());
+        run.execute(
+            &mut rb_exec::NoopHook,
+            &rb_obs::RecorderHandle::new(sink.clone()),
         )
         .unwrap();
-        events = obs.log.events.len();
-        std::hint::black_box(rb_obs::export::export_jsonl(&obs.log));
+        let log = sink.finish();
+        events = log.events.len();
+        std::hint::black_box(rb_obs::export::export_jsonl(&log));
     });
     let overhead = recorded_ms / noop_ms.max(1e-9);
     println!(
@@ -552,9 +559,8 @@ fn main() {
         planner_json.trim_end(),
         churn_json
     );
-    std::fs::write("BENCH_planner.json", &planner_file).expect("write BENCH_planner.json");
+    emit("BENCH_planner.json", &planner_file, smoke);
     if churn_only {
-        println!("wrote BENCH_planner.json");
         return;
     }
     let sim_json = bench_simulator(smoke);
@@ -570,6 +576,16 @@ fn main() {
         serve_json,
         tracing_json
     );
-    std::fs::write("BENCH_sim.json", &sim_file).expect("write BENCH_sim.json");
-    println!("wrote BENCH_planner.json, BENCH_sim.json");
+    emit("BENCH_sim.json", &sim_file, smoke);
+}
+
+/// Writes a report into the working directory. A smoke run prints it
+/// instead, so its 1-iteration numbers never replace a full run's.
+fn emit(path: &str, json: &str, smoke: bool) {
+    if smoke {
+        print!("{path} (smoke run, not written):\n{json}");
+    } else {
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
+    }
 }

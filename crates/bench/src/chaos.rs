@@ -19,12 +19,14 @@
 
 use crate::tables::{e2e_cloud, profiled_model, search_space};
 use rb_cloud::{FaultPlan, ZonePlan, ZoneWindow};
-use rb_core::{Prng, Result, SimDuration};
+use rb_core::{Result, SimDuration};
 use rb_ctrl::{AdaptiveController, ControllerConfig, MarketConfig, WatchdogConfig};
-use rb_exec::{ExecOptions, Executor, RetryPolicy};
+use rb_exec::{ExecOptions, NoopHook, RetryPolicy};
 use rb_hpo::ShaParams;
+use rb_obs::RecorderHandle;
 use rb_planner::{plan_rubberband, PlannerConfig};
 use rb_sim::{EngineConfig, Simulator};
+use rubberband::Run;
 
 /// One named fault scenario for the sweep.
 #[derive(Debug, Clone)]
@@ -156,43 +158,39 @@ pub fn ext_chaos(scenarios: &[ChaosScenario], seed: u64) -> Result<(SimDuration,
         &PlannerConfig::default(),
     )?;
 
+    let run = |options| {
+        Run {
+            spec: &spec,
+            plan: &out.plan,
+            task: &task,
+            physics: &physics,
+            cloud: &cloud,
+            space: &space,
+            options,
+        }
+        .execute(&mut NoopHook, &RecorderHandle::noop())
+    };
     let mut rows = Vec::new();
     for scenario in scenarios {
-        let baseline = rubberband::execute_with(
-            &spec,
-            &out.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            ExecOptions {
-                seed,
-                faults: scenario.faults.clone(),
-                ..ExecOptions::default()
-            },
-        );
-        let hardened = rubberband::execute_with(
-            &spec,
-            &out.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            ExecOptions {
-                seed,
-                faults: scenario.faults.clone(),
-                retry: Some(RetryPolicy {
-                    max_retries: 12,
-                    base_backoff_secs: 5.0,
-                    max_backoff_secs: 60.0,
-                    // Healthy hand-overs land in ~30 s here; a minute of
-                    // silence means a straggler worth abandoning.
-                    request_timeout_secs: 60.0,
-                }),
-                checkpoint_retention: 3,
-                ..ExecOptions::default()
-            },
-        );
+        let baseline = run(ExecOptions {
+            seed,
+            faults: scenario.faults.clone(),
+            ..ExecOptions::default()
+        });
+        let hardened = run(ExecOptions {
+            seed,
+            faults: scenario.faults.clone(),
+            retry: Some(RetryPolicy {
+                max_retries: 12,
+                base_backoff_secs: 5.0,
+                max_backoff_secs: 60.0,
+                // Healthy hand-overs land in ~30 s here; a minute of
+                // silence means a straggler worth abandoning.
+                request_timeout_secs: 60.0,
+            }),
+            checkpoint_retention: 3,
+            ..ExecOptions::default()
+        });
         let (baseline_jct_secs, baseline_cost, baseline_hit) = match &baseline {
             Ok(r) => (
                 Some(r.jct.as_secs_f64()),
@@ -401,15 +399,24 @@ pub fn ext_chaos_zones(
             },
             ..FaultPlan::none()
         };
-        let options = || ExecOptions {
-            seed,
-            faults: faults.clone(),
-            retry: Some(retry.clone()),
-            checkpoint_retention: 3,
-            ..ExecOptions::default()
+        // Both arms of a cell run the same `Run`, so they tune the same
+        // trials; only the barrier hook differs.
+        let run = Run {
+            spec: &spec,
+            plan: &out.plan,
+            task: &task,
+            physics: &physics,
+            cloud: &cloud,
+            space: &space,
+            options: ExecOptions {
+                seed,
+                faults,
+                retry: Some(retry.clone()),
+                checkpoint_retention: 3,
+                ..ExecOptions::default()
+            },
         };
-        let open =
-            rubberband::execute_with(&spec, &out.plan, &task, &physics, &cloud, &space, options())?;
+        let open = run.execute(&mut NoopHook, &RecorderHandle::noop())?;
         rows.push(ZoneChaosRow {
             name,
             switch: false,
@@ -439,19 +446,7 @@ pub fn ext_chaos_zones(
         let ctrl_sim = Simulator::new(model.clone(), cloud.clone()).with_engine(engine);
         let mut controller =
             AdaptiveController::new(ctrl_sim, spec.clone(), &out.plan, deadline, config)?;
-        // Identical config sampling to `execute_with`: both arms of a
-        // cell tune the same trials.
-        let mut rng = Prng::seed_from_u64(seed ^ 0x005A_3CE0_u64);
-        let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-        let switched = Executor::new(
-            spec.clone(),
-            out.plan.clone(),
-            task.clone(),
-            physics.clone(),
-            cloud.clone(),
-        )?
-        .with_options(options())
-        .run_hooked(&configs, &mut controller)?;
+        let switched = run.execute(&mut controller, &RecorderHandle::noop())?;
         let log = controller.into_log();
         rows.push(ZoneChaosRow {
             name,

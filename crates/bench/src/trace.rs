@@ -6,13 +6,14 @@
 
 use crate::adapt::slowed_physics;
 use crate::tables::{e2e_cloud, profiled_model, search_space};
-use rb_core::{Prng, RbError, Result, SimDuration};
+use rb_core::{RbError, Result, SimDuration};
 use rb_ctrl::{AdaptiveController, ControllerConfig};
-use rb_exec::{ExecOptions, ExecutionReport, Executor};
+use rb_exec::{ExecOptions, ExecutionReport};
 use rb_hpo::ShaParams;
 use rb_obs::{export, schema, MemoryRecorder, RecorderHandle, RunSummary};
 use rb_planner::{plan_rubberband, PlannerConfig};
 use rb_sim::{EngineConfig, Simulator};
+use rubberband::Run;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -75,29 +76,32 @@ pub fn run_trace(seed: u64) -> Result<TraceArtifact> {
         ControllerConfig::default(),
     )?;
 
-    // Identical config sampling to `rubberband::execute_with`.
-    let mut rng = Prng::seed_from_u64(seed ^ 0x005A_3CE0_u64);
-    let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-    let report = Executor::new(spec.clone(), out.plan.clone(), task.clone(), physics, cloud)?
-        .with_options(ExecOptions {
+    let report = Run {
+        spec: &spec,
+        plan: &out.plan,
+        task: &task,
+        physics: &physics,
+        cloud: &cloud,
+        space: &space,
+        options: ExecOptions {
             seed,
             ..ExecOptions::default()
-        })
-        .run_observed(&configs, &mut controller, recorder.clone())?;
+        },
+    }
+    .execute(&mut controller, &recorder)?;
     let adaptation = controller.into_log();
 
-    // Mirror the passive cache tallies onto the bus, as the facade does,
-    // so the exported trace is self-contained.
-    let caches = sim.cache_stats();
-    recorder.counter_add("sim", "plan_cache_hits", caches.plan.hits);
-    recorder.counter_add("sim", "plan_cache_misses", caches.plan.misses);
-    recorder.counter_add("sim", "plan_cache_evictions", caches.plan.evictions);
-    recorder.counter_add("sim", "stage_memo_hits", caches.stage_memo.hits);
-    recorder.counter_add("sim", "stage_memo_misses", caches.stage_memo.misses);
-    recorder.counter_add("sim", "stage_memo_evictions", caches.stage_memo.evictions);
-
+    // The cache tallies go onto the bus too, so the exported trace is
+    // self-contained.
+    let caches = sim.record_cache_stats();
     let log = sink.finish();
-    let summary = rubberband::summarize_run(&report, caches, Some(&adaptation), log.events.len());
+    let summary = report.summary(
+        caches.plan,
+        caches.stage_memo,
+        adaptation.applied(),
+        adaptation.events.len() - adaptation.applied(),
+        log.events.len(),
+    );
     let jsonl = export::export_jsonl(&log);
     let jsonl_stats = schema::validate_jsonl(&jsonl)
         .map_err(|e| RbError::Execution(format!("trace JSONL failed schema validation: {e}")))?;

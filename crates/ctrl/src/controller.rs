@@ -579,6 +579,7 @@ impl AdaptiveController {
     /// Returns the authoritative outcome (from the executing market)
     /// plus the preferred market and whether it differs from the
     /// executing one.
+    #[allow(clippy::too_many_arguments)] // The residual problem plus the barrier and watchdog observations.
     fn plan_residual_markets(
         &mut self,
         residual_spec: &ExperimentSpec,

@@ -2,7 +2,7 @@
 
 use rb_core::{Cost, NodeId, SimDuration, SimTime, TrialId};
 use rb_hpo::Config;
-use rb_obs::{Event, EventKind, Lane, Value};
+use rb_obs::{CacheStats, Event, EventKind, Lane, RunSummary, Value};
 use std::collections::BTreeMap;
 
 /// One observable event during execution, in virtual time.
@@ -392,6 +392,51 @@ impl ExecutionReport {
             return None;
         }
         Some(self.trial_throughput.values().sum::<f64>() / self.trial_throughput.len() as f64)
+    }
+
+    /// The [`RunSummary`] rollup of this run. The report supplies the
+    /// timing, billing, recovery and GPU busy/held figures; the caller
+    /// supplies what other layers know: the simulator's plan-cache and
+    /// stage-memo counters, the controller's applied and rejected
+    /// re-plans, and the number of recorded trace events. A live run and
+    /// its replayed trace both roll up through here, so the two agree.
+    pub fn summary(
+        &self,
+        plan_cache: CacheStats,
+        stage_memo: CacheStats,
+        replans_applied: usize,
+        replans_rejected: usize,
+        trace_events: usize,
+    ) -> RunSummary {
+        let gpu_busy_secs = self.trace.busy_gpu_seconds();
+        // The report keeps utilization = busy / held; invert it to
+        // recover held GPU-seconds (0 when nothing was held or
+        // utilization is unknown).
+        let gpu_held_secs = match self.utilization {
+            Some(u) if u > 0.0 => gpu_busy_secs / u,
+            _ => 0.0,
+        };
+        RunSummary {
+            jct: self.jct,
+            compute_cost: self.compute_cost,
+            data_cost: self.data_cost,
+            best_accuracy: self.best_accuracy,
+            stages: self.stages.len(),
+            migrations: self.migrations as usize,
+            preemptions: self.preemptions as usize,
+            instances_provisioned: self.instances_provisioned,
+            gpu_busy_secs,
+            gpu_held_secs,
+            plan_cache,
+            stage_memo,
+            replans_applied,
+            replans_rejected,
+            faults_injected: self.faults_injected,
+            provision_retries: self.provision_retries,
+            checkpoint_fallbacks: self.checkpoint_fallbacks,
+            degraded_stages: self.degraded_stages,
+            trace_events,
+        }
     }
 }
 

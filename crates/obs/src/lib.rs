@@ -17,8 +17,8 @@
 //!   loadable in `chrome://tracing` / Perfetto, with lanes per node,
 //!   trial, stage and controller.
 //! * [`RunSummary`] — the end-of-run rollup (JCT, cost, cache hit
-//!   rates, re-plan counts, GPU busy/idle split) surfaced through
-//!   `rubberband::execute*`.
+//!   rates, re-plan counts, GPU busy/idle split), built by
+//!   `rb_exec::ExecutionReport::summary` for live and replayed runs.
 //! * [`log`] — leveled stderr logging behind an `RB_LOG` env filter.
 //!
 //! Everything is stamped in **virtual time** and consumes no

@@ -1,8 +1,10 @@
 //! The [`RunSummary`] rollup: one screen of numbers answering "where
 //! did the time and money go" for a single execution.
 //!
-//! Built by the `rubberband` facade from the execution report, the
-//! simulator cache statistics, and the adaptation log. Every field is
+//! Built by `rb_exec::ExecutionReport::summary` from the execution
+//! report, the simulator cache statistics, and the controller's re-plan
+//! tallies; a live run and its replayed trace both roll up there. Every
+//! field is
 //! either an exact integer (virtual milliseconds, micro-dollars,
 //! counts) or an f64 computed in a deterministic order, so the rendered
 //! text is byte-stable across machines for a given seed and can be
@@ -40,8 +42,8 @@ impl CacheStats {
     }
 }
 
-/// End-of-run rollup surfaced by `rubberband::execute*` and printed by
-/// the `repro`/`bench` binaries.
+/// End-of-run rollup built by `rb_exec::ExecutionReport::summary` and
+/// printed by the `repro` binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Job completion time.

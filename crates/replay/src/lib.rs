@@ -324,42 +324,23 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
         trace,
     };
 
-    // The same rollup arithmetic as `rubberband::summarize_run`, fed
-    // from the reconstructed report and the trace's own metric lines.
-    let gpu_busy_secs = report.trace.busy_gpu_seconds();
-    let gpu_held_secs = match report.utilization {
-        Some(u) if u > 0.0 => gpu_busy_secs / u,
-        _ => 0.0,
-    };
-    let summary = RunSummary {
-        jct: report.jct,
-        compute_cost: report.compute_cost,
-        data_cost: report.data_cost,
-        best_accuracy: report.best_accuracy,
-        stages: report.stages.len(),
-        migrations: report.migrations as usize,
-        preemptions: report.preemptions as usize,
-        instances_provisioned: report.instances_provisioned,
-        gpu_busy_secs,
-        gpu_held_secs,
-        plan_cache: CacheStats {
+    // The live run's rollup, fed from the reconstructed report and the
+    // trace's own metric lines.
+    let summary = report.summary(
+        CacheStats {
             hits: counter("sim", "plan_cache_hits"),
             misses: counter("sim", "plan_cache_misses"),
             evictions: counter("sim", "plan_cache_evictions"),
         },
-        stage_memo: CacheStats {
+        CacheStats {
             hits: counter("sim", "stage_memo_hits"),
             misses: counter("sim", "stage_memo_misses"),
             evictions: counter("sim", "stage_memo_evictions"),
         },
-        replans_applied: counter("ctrl", "replans_applied") as usize,
-        replans_rejected: counter("ctrl", "replans_rejected") as usize,
-        faults_injected: report.faults_injected,
-        provision_retries: report.provision_retries,
-        checkpoint_fallbacks: report.checkpoint_fallbacks,
-        degraded_stages: report.degraded_stages,
-        trace_events: event_lines,
-    };
+        counter("ctrl", "replans_applied") as usize,
+        counter("ctrl", "replans_rejected") as usize,
+        event_lines,
+    );
 
     Ok(ReplayedRun { report, summary })
 }

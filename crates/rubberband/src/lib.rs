@@ -16,7 +16,9 @@
 //!
 //! The crate mirrors the paper's user-facing API (Fig. 6): build an
 //! [`ExperimentSpec`], [`compile_plan`] it against profiles and a
-//! deadline, then [`execute`] it.
+//! deadline, then [`execute`] it. Every run launches through one driver,
+//! [`Run::execute`], which takes a barrier hook (the adaptation
+//! controller, or none) and a recorder (a trace sink, or none).
 //!
 //! # Examples
 //!
@@ -52,6 +54,26 @@
 //!     rubberband::execute(&spec, &outcome.plan, &task, &physics, &cloud, &space, 7)
 //!         .unwrap();
 //! assert!(report.best_accuracy > 0.1);
+//!
+//! // The same run, recorded: the trace lands in memory and rolls up
+//! // into a byte-stable summary.
+//! let sink = Arc::new(MemoryRecorder::new());
+//! let run = Run {
+//!     spec: &spec,
+//!     plan: &outcome.plan,
+//!     task: &task,
+//!     physics: &physics,
+//!     cloud: &cloud,
+//!     space: &space,
+//!     options: ExecOptions { seed: 7, ..ExecOptions::default() },
+//! };
+//! let recorded = run
+//!     .execute(&mut rb_exec::NoopHook, &RecorderHandle::new(sink.clone()))
+//!     .unwrap();
+//! let log = sink.finish();
+//! let summary =
+//!     recorded.summary(CacheStats::default(), CacheStats::default(), 0, 0, log.events.len());
+//! assert_eq!(summary.jct, report.jct);
 //! ```
 
 pub use rb_cloud;
@@ -68,19 +90,21 @@ pub use rb_serve;
 pub use rb_sim;
 pub use rb_train;
 
-use rb_core::{Cost, Prng, Result, SimDuration};
+use rb_core::{Cost, Prng, Result, SimDuration, SimTime};
 use rb_ctrl::{AdaptationLog, AdaptiveController, ControllerConfig};
-use rb_exec::{ExecOptions, ExecutionReport, Executor, NoopHook};
-use rb_hpo::{ExperimentSpec, SearchSpace};
-use rb_obs::{MemoryRecorder, RecorderHandle, RunSummary, TraceLog};
-use rb_planner::{plan_with_policy, PlanOutcome, PlannerConfig, Policy};
+use rb_exec::{BarrierHook, ExecOptions, ExecutionReport, Executor, NoopHook};
+use rb_hpo::{Config, ExperimentSpec, SearchSpace};
+use rb_obs::{JobScopedRecorder, Lane, RecorderHandle, SpanTracker};
+use rb_planner::{plan_with_policy, MultiJobDiscipline, PlanOutcome, PlannerConfig, Policy};
 use rb_profile::{CloudProfile, ModelProfile};
-use rb_sim::{AllocationPlan, SimCacheStats, Simulator};
+use rb_serve::JobRequest;
+use rb_sim::{AllocationPlan, Simulator};
 use rb_train::TaskModel;
 use std::sync::Arc;
 
 /// Commonly used items, re-exported flat.
 pub mod prelude {
+    pub use crate::Run;
     pub use rb_cloud::{BillingModel, CloudPricing, FaultPlan, PricingTier, ZonePlan, ZoneWindow};
     pub use rb_core::{Cost, Distribution, Prng, RbError, Result, SimDuration, SimTime};
     pub use rb_ctrl::{
@@ -171,9 +195,103 @@ pub fn compile_plan_with(
     plan_with_policy(policy, &sim, spec, deadline, config)
 }
 
+/// One run of an experiment: everything needed to execute `spec` under
+/// `plan` except the barrier hook and the recorder. Every entry point in
+/// this crate launches through it, so configuration sampling and
+/// executor construction happen in one place.
+///
+/// `physics` provides the ground-truth training latencies and `task` the
+/// learning curves; `options.seed` seeds both the execution noise and
+/// the sampled configurations.
+#[derive(Debug, Clone)]
+pub struct Run<'a> {
+    /// The early-stopping experiment.
+    pub spec: &'a ExperimentSpec,
+    /// The per-stage allocation to execute.
+    pub plan: &'a AllocationPlan,
+    /// The training task (learning curves).
+    pub task: &'a TaskModel,
+    /// Ground-truth training latencies.
+    pub physics: &'a ModelProfile,
+    /// The cloud the run provisions from and bills against.
+    pub cloud: &'a CloudProfile,
+    /// The search space the initial trials are drawn from.
+    pub space: &'a SearchSpace,
+    /// Executor options, seed included.
+    pub options: ExecOptions,
+}
+
+impl Run<'_> {
+    /// One configuration per initial trial, drawn from `space` by seeded
+    /// random search. The salt keeps the draw independent of the
+    /// executor's noise streams; every run of one seed, open loop or
+    /// adaptive, recorded or not, tunes the same trials.
+    pub fn configs(&self) -> Vec<Config> {
+        let mut rng = Prng::seed_from_u64(self.options.seed ^ 0x005A_3CE0);
+        self.space
+            .sample_n(self.spec.initial_trials() as usize, &mut rng)
+    }
+
+    /// The executor for this run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`rb_core::RbError::InvalidPlan`] when the plan does not
+    /// match the spec.
+    pub fn executor(&self) -> Result<Executor> {
+        Ok(Executor::new(
+            self.spec.clone(),
+            self.plan.clone(),
+            self.task.clone(),
+            self.physics.clone(),
+            self.cloud.clone(),
+        )?
+        .with_options(self.options.clone()))
+    }
+
+    /// Executes the run over [`Run::configs`] (the paper's
+    /// `rb.execute(plan, trainer, search_space)`). `hook` observes every
+    /// stage barrier and may re-plan the remaining stages: pass
+    /// [`NoopHook`] for open loop or an [`AdaptiveController`] to close
+    /// the loop. `recorder` receives the structured trace; pass
+    /// [`RecorderHandle::noop`] to record nothing. Recording never
+    /// perturbs execution.
+    ///
+    /// # Errors
+    ///
+    /// Propagates executor errors (invalid plan, placement failure,
+    /// a hook's invalid re-plan, ...).
+    pub fn execute(
+        &self,
+        hook: &mut dyn BarrierHook,
+        recorder: &RecorderHandle,
+    ) -> Result<ExecutionReport> {
+        self.executor()?
+            .run_observed(&self.configs(), hook, recorder.clone())
+    }
+}
+
+/// The seed of the `k`-th (0-based) job derived from a root `seed`: the
+/// brackets of [`execute_multi_job`] and [`hyperband_group_jobs`], and
+/// the jobs of a [`ServeWorkload`]. Jobs draw independent noise and
+/// configurations while the whole set stays reproducible from `seed`.
+pub fn job_seed(seed: u64, k: usize) -> u64 {
+    seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9)
+}
+
+/// Default executor options with `seed`.
+fn seeded(seed: u64) -> ExecOptions {
+    ExecOptions {
+        seed,
+        ..ExecOptions::default()
+    }
+}
+
 /// Executes `spec` under `plan`: samples one configuration per initial
 /// trial from `space` (seeded random search) and runs the full elastic
-/// execution (the paper's `rb.execute(plan, trainer, search_space)`).
+/// execution, open loop and unrecorded (the paper's
+/// `rb.execute(plan, trainer, search_space)`). [`Run::execute`] is the
+/// same with executor options, a barrier hook, and a recorder.
 ///
 /// `physics` provides the ground-truth training latencies; `task` the
 /// learning curves.
@@ -190,46 +308,16 @@ pub fn execute(
     space: &SearchSpace,
     seed: u64,
 ) -> Result<ExecutionReport> {
-    execute_with(
+    Run {
         spec,
         plan,
         task,
         physics,
         cloud,
         space,
-        ExecOptions {
-            seed,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// [`execute`] with full executor options (placement ablation, sync
-/// overhead, checkpoint bandwidth).
-///
-/// # Errors
-///
-/// Propagates executor errors.
-pub fn execute_with(
-    spec: &ExperimentSpec,
-    plan: &AllocationPlan,
-    task: &TaskModel,
-    physics: &ModelProfile,
-    cloud: &CloudProfile,
-    space: &SearchSpace,
-    options: ExecOptions,
-) -> Result<ExecutionReport> {
-    let mut rng = Prng::seed_from_u64(options.seed ^ 0x005A_3CE0_u64);
-    let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-    Executor::new(
-        spec.clone(),
-        plan.clone(),
-        task.clone(),
-        physics.clone(),
-        cloud.clone(),
-    )?
-    .with_options(options)
-    .run(&configs)
+        options: seeded(seed),
+    }
+    .execute(&mut NoopHook, &RecorderHandle::noop())
 }
 
 /// The outcome of a closed-loop, adaptively executed experiment.
@@ -250,7 +338,7 @@ impl AdaptiveReport {
     }
 }
 
-/// [`execute_with`] wrapped in the online adaptation loop (rb-ctrl): the
+/// A [`Run`] wrapped in the online adaptation loop (rb-ctrl): the
 /// controller watches every stage barrier, compares observed stage spans
 /// with `model`'s Monte-Carlo envelope, and re-plans the remaining stages
 /// — through the executor's checkpoint-safe barrier splice — when drift
@@ -259,14 +347,19 @@ impl AdaptiveReport {
 /// `physics` is ground truth (what the executor runs); `model` is the
 /// planner's fitted view (what the plan and the drift envelope are
 /// computed from). With `physics == model`, no spot churn, and a sane
-/// deadline the controller never intervenes and the result equals
-/// [`execute_with`] bit for bit.
+/// deadline the controller never intervenes and the result equals the
+/// open-loop run bit for bit.
+///
+/// To record an adaptive run, build the controller over a simulator
+/// carrying the recorder ([`Simulator::with_recorder`]) and pass both to
+/// [`Run::execute`]; [`Simulator::record_cache_stats`] and
+/// [`ExecutionReport::summary`] then give the run's rollup.
 ///
 /// # Errors
 ///
 /// Propagates controller construction errors (a plan that does not match
 /// the spec) and executor errors.
-#[allow(clippy::too_many_arguments)] // Mirrors `execute_with` plus the control-loop inputs.
+#[allow(clippy::too_many_arguments)] // Mirrors `execute` plus the control-loop inputs.
 pub fn execute_adaptive(
     spec: &ExperimentSpec,
     plan: &AllocationPlan,
@@ -282,182 +375,20 @@ pub fn execute_adaptive(
     let sim = Simulator::new(model.clone(), cloud.clone());
     let mut controller =
         AdaptiveController::new(sim, spec.clone(), plan, deadline, config.clone())?;
-    // Identical config sampling to `execute_with`: the adaptive and
-    // open-loop runs of one seed tune the same trials.
-    let mut rng = Prng::seed_from_u64(options.seed ^ 0x005A_3CE0_u64);
-    let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-    let report = Executor::new(
-        spec.clone(),
-        plan.clone(),
-        task.clone(),
-        physics.clone(),
-        cloud.clone(),
-    )?
-    .with_options(options)
-    .run_hooked(&configs, &mut controller)?;
+    let run = Run {
+        spec,
+        plan,
+        task,
+        physics,
+        cloud,
+        space,
+        options,
+    };
+    let report = run.execute(&mut controller, &RecorderHandle::noop())?;
     Ok(AdaptiveReport {
         report,
         adaptation: controller.into_log(),
         deadline,
-    })
-}
-
-/// An execution report bundled with the run's observability artifacts:
-/// the [`RunSummary`] rollup and the full structured [`TraceLog`]
-/// (exportable as JSONL or a Chrome/Perfetto trace via [`rb_obs::export`]).
-#[derive(Debug, Clone)]
-pub struct ObservedReport {
-    /// The execution report (JCT, cost, winner, trace).
-    pub report: ExecutionReport,
-    /// Drift readings and re-planning decisions (adaptive runs only).
-    pub adaptation: Option<AdaptationLog>,
-    /// The end-of-run rollup (byte-stable `render()` for CI diffing).
-    pub summary: RunSummary,
-    /// Every structured event, counter, and histogram the run emitted.
-    pub log: TraceLog,
-}
-
-/// Builds the [`RunSummary`] rollup from an execution report, the
-/// simulator's cache counters, and (for adaptive runs) the adaptation
-/// log. Public so the `repro`/`bench` binaries can roll up runs they
-/// drive through lower-level APIs.
-pub fn summarize_run(
-    report: &ExecutionReport,
-    caches: SimCacheStats,
-    adaptation: Option<&AdaptationLog>,
-    trace_events: usize,
-) -> RunSummary {
-    let gpu_busy_secs = report.trace.busy_gpu_seconds();
-    // The report keeps utilization = busy / held; invert it to recover
-    // held GPU-seconds (0 when nothing was held or utilization is
-    // unknown).
-    let gpu_held_secs = match report.utilization {
-        Some(u) if u > 0.0 => gpu_busy_secs / u,
-        _ => 0.0,
-    };
-    RunSummary {
-        jct: report.jct,
-        compute_cost: report.compute_cost,
-        data_cost: report.data_cost,
-        best_accuracy: report.best_accuracy,
-        stages: report.stages.len(),
-        migrations: report.migrations as usize,
-        preemptions: report.preemptions as usize,
-        instances_provisioned: report.instances_provisioned,
-        gpu_busy_secs,
-        gpu_held_secs,
-        plan_cache: caches.plan,
-        stage_memo: caches.stage_memo,
-        replans_applied: adaptation.map_or(0, AdaptationLog::applied),
-        replans_rejected: adaptation.map_or(0, |log| log.events.len() - log.applied()),
-        faults_injected: report.faults_injected,
-        provision_retries: report.provision_retries,
-        checkpoint_fallbacks: report.checkpoint_fallbacks,
-        degraded_stages: report.degraded_stages,
-        trace_events,
-    }
-}
-
-/// [`execute_with`] with a recording observability sink: the executor
-/// and cloud provider emit structured events into an in-memory bus, and
-/// the result bundles the report with its [`RunSummary`] and
-/// [`TraceLog`]. The execution itself is bit-identical to
-/// [`execute_with`] — the recorder only ever receives values.
-///
-/// # Errors
-///
-/// Propagates executor errors.
-pub fn execute_observed(
-    spec: &ExperimentSpec,
-    plan: &AllocationPlan,
-    task: &TaskModel,
-    physics: &ModelProfile,
-    cloud: &CloudProfile,
-    space: &SearchSpace,
-    options: ExecOptions,
-) -> Result<ObservedReport> {
-    let sink = Arc::new(MemoryRecorder::new());
-    let recorder = RecorderHandle::new(sink.clone());
-    let mut rng = Prng::seed_from_u64(options.seed ^ 0x005A_3CE0_u64);
-    let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-    let report = Executor::new(
-        spec.clone(),
-        plan.clone(),
-        task.clone(),
-        physics.clone(),
-        cloud.clone(),
-    )?
-    .with_options(options)
-    .run_observed(&configs, &mut NoopHook, recorder)?;
-    let log = sink.finish();
-    let summary = summarize_run(&report, SimCacheStats::default(), None, log.events.len());
-    Ok(ObservedReport {
-        report,
-        adaptation: None,
-        summary,
-        log,
-    })
-}
-
-/// [`execute_adaptive`] with a recording observability sink. The same
-/// recorder is attached to the executor, the cloud provider, and the
-/// controller's simulator, so planner re-scoring, drift gauges, replan
-/// decisions, cloud lifecycle events, and the execution timeline all
-/// land on one bus stamped in virtual time. Execution is bit-identical
-/// to [`execute_adaptive`].
-///
-/// # Errors
-///
-/// Propagates controller construction errors and executor errors.
-#[allow(clippy::too_many_arguments)] // Mirrors `execute_adaptive`.
-pub fn execute_adaptive_observed(
-    spec: &ExperimentSpec,
-    plan: &AllocationPlan,
-    task: &TaskModel,
-    physics: &ModelProfile,
-    model: &ModelProfile,
-    cloud: &CloudProfile,
-    space: &SearchSpace,
-    deadline: SimDuration,
-    options: ExecOptions,
-    config: &ControllerConfig,
-) -> Result<ObservedReport> {
-    let sink = Arc::new(MemoryRecorder::new());
-    let recorder = RecorderHandle::new(sink.clone());
-    let sim = Simulator::new(model.clone(), cloud.clone()).with_recorder(recorder.clone());
-    // Clones share the cache counters; keep one to read totals after the
-    // controller consumes `sim`.
-    let cache_view = sim.clone();
-    let mut controller =
-        AdaptiveController::new(sim, spec.clone(), plan, deadline, config.clone())?;
-    let mut rng = Prng::seed_from_u64(options.seed ^ 0x005A_3CE0_u64);
-    let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-    let report = Executor::new(
-        spec.clone(),
-        plan.clone(),
-        task.clone(),
-        physics.clone(),
-        cloud.clone(),
-    )?
-    .with_options(options)
-    .run_observed(&configs, &mut controller, recorder.clone())?;
-    let adaptation = controller.into_log();
-    let caches = cache_view.cache_stats();
-    // Mirror the passive cache tallies onto the bus so exported traces
-    // carry them without a side channel.
-    recorder.counter_add("sim", "plan_cache_hits", caches.plan.hits);
-    recorder.counter_add("sim", "plan_cache_misses", caches.plan.misses);
-    recorder.counter_add("sim", "plan_cache_evictions", caches.plan.evictions);
-    recorder.counter_add("sim", "stage_memo_hits", caches.stage_memo.hits);
-    recorder.counter_add("sim", "stage_memo_misses", caches.stage_memo.misses);
-    recorder.counter_add("sim", "stage_memo_evictions", caches.stage_memo.evictions);
-    let log = sink.finish();
-    let summary = summarize_run(&report, caches, Some(&adaptation), log.events.len());
-    Ok(ObservedReport {
-        report,
-        adaptation: Some(adaptation),
-        summary,
-        log,
     })
 }
 
@@ -474,12 +405,21 @@ pub struct MultiJobReport {
     /// The best accuracy found across brackets.
     pub best_accuracy: f64,
     /// Its configuration.
-    pub best_config: rb_hpo::Config,
+    pub best_config: Config,
 }
 
 /// Plans and executes a Hyperband-style multi-job: every bracket is
 /// planned under the shared deadline (per the discipline) and executed on
-/// its own elastic cluster.
+/// its own elastic cluster, bracket `i` seeded with
+/// [`job_seed`]`(seed, i)`.
+///
+/// `recorder` receives one shared trace ([`RecorderHandle::noop`]
+/// records nothing). Every bracket gets its own lane: the facade
+/// brackets the bracket's whole execution in a `bracket` span pair on
+/// `Lane::Bracket(i)`, and the bracket's executor reports through a
+/// [`JobScopedRecorder`] (job `i + 1`) so trial/node/stage lanes and
+/// span ids from different brackets never collide in the shared stream.
+/// Recording never perturbs execution.
 ///
 /// # Errors
 ///
@@ -493,8 +433,9 @@ pub fn execute_multi_job(
     cloud: &CloudProfile,
     space: &SearchSpace,
     deadline: SimDuration,
-    discipline: rb_planner::MultiJobDiscipline,
+    discipline: MultiJobDiscipline,
     seed: u64,
+    recorder: &RecorderHandle,
 ) -> Result<MultiJobReport> {
     let sim = Simulator::new(physics.clone(), cloud.clone());
     let plan = rb_planner::plan_multi_job(
@@ -504,24 +445,59 @@ pub fn execute_multi_job(
         discipline,
         &PlannerConfig::default(),
     )?;
+    // The facade's own spans use the caller's recorder (job-0 id range);
+    // bracket executors are scoped to jobs 1..=n, so ids stay disjoint.
+    let mut spans = SpanTracker::new();
     let mut reports = Vec::with_capacity(brackets.len());
     let mut total_cost = Cost::ZERO;
     let mut jct = SimDuration::ZERO;
-    let mut best: Option<(f64, rb_hpo::Config)> = None;
+    let mut best: Option<(f64, Config)> = None;
     for (i, (spec, out)) in brackets.iter().zip(&plan.brackets).enumerate() {
-        let report = execute(
+        let lane = Lane::Bracket(i as u32);
+        let (bracket_span, parent) = spans.open();
+        recorder.span_start(
+            SimTime::ZERO,
+            "exec",
+            "bracket",
+            lane,
+            bracket_span,
+            parent,
+            vec![
+                ("bracket", (i as u64).into()),
+                ("trials", spec.initial_trials().into()),
+            ],
+        );
+        let scoped = RecorderHandle::new(Arc::new(JobScopedRecorder::new(
+            recorder.share(),
+            i as u64 + 1,
+        )));
+        let run = Run {
             spec,
-            &out.plan,
+            plan: &out.plan,
             task,
             physics,
             cloud,
             space,
-            seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9),
-        )?;
+            options: seeded(job_seed(seed, i)),
+        };
+        let report = run.execute(&mut NoopHook, &scoped)?;
+        recorder.span_end(
+            SimTime::ZERO + report.jct,
+            "exec",
+            "bracket",
+            lane,
+            spans.close(),
+            vec![
+                ("bracket", (i as u64).into()),
+                ("jct_ms", report.jct.as_millis().into()),
+                ("cost_micros", report.total_cost().as_micros().into()),
+                ("best_accuracy", report.best_accuracy.into()),
+            ],
+        );
         total_cost += report.total_cost();
         jct = match discipline {
-            rb_planner::MultiJobDiscipline::Concurrent => jct.max(report.jct),
-            rb_planner::MultiJobDiscipline::Sequential => jct + report.jct,
+            MultiJobDiscipline::Concurrent => jct.max(report.jct),
+            MultiJobDiscipline::Sequential => jct + report.jct,
         };
         if best
             .as_ref()
@@ -538,134 +514,6 @@ pub fn execute_multi_job(
         jct,
         best_accuracy,
         best_config,
-    })
-}
-
-/// The outcome of an observed Hyperband multi-job: the report plus one
-/// shared trace where every bracket has its own lane.
-#[derive(Debug, Clone)]
-pub struct MultiJobObservedReport {
-    /// The multi-job report (per-bracket reports, totals, winner).
-    pub multi: MultiJobReport,
-    /// The shared trace: a `bracket` span on [`rb_obs::Lane::Bracket`]
-    /// per bracket, with each bracket's executor events scoped to a
-    /// disjoint job-lane range by [`rb_obs::JobScopedRecorder`].
-    pub log: TraceLog,
-}
-
-/// [`execute_multi_job`] with a recording observability sink. Every
-/// bracket gets its own lane: the facade brackets the bracket's whole
-/// execution in a `bracket` span pair on `Lane::Bracket(i)`, and the
-/// bracket's executor reports through a [`rb_obs::JobScopedRecorder`]
-/// (job `i + 1`) so trial/node/stage lanes and span ids from different
-/// brackets never collide in the shared stream. Execution is
-/// bit-identical to [`execute_multi_job`] — the recorder only ever
-/// receives values.
-///
-/// # Errors
-///
-/// Propagates planning and execution errors.
-#[allow(clippy::too_many_arguments)] // Mirrors `execute_multi_job`.
-pub fn execute_multi_job_observed(
-    brackets: &[ExperimentSpec],
-    task: &TaskModel,
-    physics: &ModelProfile,
-    cloud: &CloudProfile,
-    space: &SearchSpace,
-    deadline: SimDuration,
-    discipline: rb_planner::MultiJobDiscipline,
-    seed: u64,
-) -> Result<MultiJobObservedReport> {
-    use rb_obs::Recorder as _;
-    let sim = Simulator::new(physics.clone(), cloud.clone());
-    let plan = rb_planner::plan_multi_job(
-        &sim,
-        brackets,
-        deadline,
-        discipline,
-        &PlannerConfig::default(),
-    )?;
-    let sink = Arc::new(MemoryRecorder::new());
-    // The facade's own spans use the raw sink (job-0 id range); bracket
-    // executors are scoped to jobs 1..=n, so ids stay disjoint.
-    let mut spans = rb_obs::SpanTracker::new();
-    let mut reports = Vec::with_capacity(brackets.len());
-    let mut total_cost = Cost::ZERO;
-    let mut jct = SimDuration::ZERO;
-    let mut best: Option<(f64, rb_hpo::Config)> = None;
-    for (i, (spec, out)) in brackets.iter().zip(&plan.brackets).enumerate() {
-        let lane = rb_obs::Lane::Bracket(i as u32);
-        let (bracket_span, parent) = spans.open();
-        sink.span_start(
-            rb_core::SimTime::ZERO,
-            "exec",
-            "bracket",
-            lane,
-            bracket_span,
-            parent,
-            vec![
-                ("bracket", (i as u64).into()),
-                ("trials", spec.initial_trials().into()),
-            ],
-        );
-        let scoped = RecorderHandle::new(Arc::new(rb_obs::JobScopedRecorder::new(
-            sink.clone(),
-            i as u64 + 1,
-        )));
-        let bracket_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9);
-        // Identical config sampling to `execute` so the observed and
-        // open-loop multi-jobs of one seed tune the same trials.
-        let mut rng = Prng::seed_from_u64(bracket_seed ^ 0x005A_3CE0_u64);
-        let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-        let report = Executor::new(
-            spec.clone(),
-            out.plan.clone(),
-            task.clone(),
-            physics.clone(),
-            cloud.clone(),
-        )?
-        .with_options(ExecOptions {
-            seed: bracket_seed,
-            ..ExecOptions::default()
-        })
-        .run_observed(&configs, &mut NoopHook, scoped)?;
-        sink.span_end(
-            rb_core::SimTime::ZERO + report.jct,
-            "exec",
-            "bracket",
-            lane,
-            spans.close(),
-            vec![
-                ("bracket", (i as u64).into()),
-                ("jct_ms", report.jct.as_millis().into()),
-                ("cost_micros", report.total_cost().as_micros().into()),
-                ("best_accuracy", report.best_accuracy.into()),
-            ],
-        );
-        total_cost += report.total_cost();
-        jct = match discipline {
-            rb_planner::MultiJobDiscipline::Concurrent => jct.max(report.jct),
-            rb_planner::MultiJobDiscipline::Sequential => jct + report.jct,
-        };
-        if best
-            .as_ref()
-            .map_or(true, |(a, _)| report.best_accuracy > *a)
-        {
-            best = Some((report.best_accuracy, report.best_config.clone()));
-        }
-        reports.push(report);
-    }
-    let (best_accuracy, best_config) = best.expect("at least one bracket");
-    let log = sink.finish();
-    Ok(MultiJobObservedReport {
-        multi: MultiJobReport {
-            reports,
-            total_cost,
-            jct,
-            best_accuracy,
-            best_config,
-        },
-        log,
     })
 }
 
@@ -698,9 +546,9 @@ pub fn hyperband_group_jobs(
     space: &SearchSpace,
     deadline: SimDuration,
     tenant: usize,
-    arrival: rb_core::SimTime,
+    arrival: SimTime,
     seed: u64,
-) -> Result<Vec<rb_serve::JobRequest>> {
+) -> Result<Vec<JobRequest>> {
     let brackets = rb_hpo::hyperband_brackets(r, big_r, eta)?;
     let specs: Vec<ExperimentSpec> = brackets.into_iter().map(|(_, s)| s).collect();
     let sim = Simulator::new(physics.clone(), cloud.clone());
@@ -708,7 +556,7 @@ pub fn hyperband_group_jobs(
         &sim,
         &specs,
         deadline,
-        rb_planner::MultiJobDiscipline::Concurrent,
+        MultiJobDiscipline::Concurrent,
         &PlannerConfig::default(),
     )?;
     specs
@@ -716,22 +564,17 @@ pub fn hyperband_group_jobs(
         .zip(&plan.brackets)
         .enumerate()
         .map(|(i, (spec, out))| {
-            let bracket_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9);
-            let mut rng = Prng::seed_from_u64(bracket_seed ^ 0x005A_3CE0_u64);
-            let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-            let executor = Executor::new(
-                spec.clone(),
-                out.plan.clone(),
-                task.clone(),
-                physics.clone(),
-                cloud.clone(),
-            )?
-            .with_options(ExecOptions {
-                seed: bracket_seed,
-                ..ExecOptions::default()
-            });
+            let run = Run {
+                spec,
+                plan: &out.plan,
+                task,
+                physics,
+                cloud,
+                space,
+                options: seeded(job_seed(seed, i)),
+            };
             Ok(
-                rb_serve::JobRequest::new(executor, configs, arrival, tenant)
+                JobRequest::new(run.executor()?, run.configs(), arrival, tenant)
                     .with_bracket(i as u32),
             )
         })
@@ -741,8 +584,8 @@ pub fn hyperband_group_jobs(
 /// A synthetic multi-tenant workload for [`serve`]: each tenant submits
 /// `jobs_per_tenant` copies of the experiment, arriving round-robin
 /// with seeded exponential inter-arrival gaps. Every job gets its own
-/// derived seed, so trials across jobs draw independent noise while the
-/// whole workload stays reproducible from `seed`.
+/// derived seed ([`job_seed`]), so trials across jobs draw independent
+/// noise while the whole workload stays reproducible from `seed`.
 #[derive(Debug, Clone)]
 pub struct ServeWorkload {
     /// The tenants (weights and budgets).
@@ -778,7 +621,7 @@ pub fn serve_workload_jobs(
     cloud: &CloudProfile,
     space: &SearchSpace,
     deadline: SimDuration,
-) -> Result<Vec<rb_serve::JobRequest>> {
+) -> Result<Vec<JobRequest>> {
     if !workload.mean_interarrival_secs.is_finite() || workload.mean_interarrival_secs <= 0.0 {
         return Err(rb_core::RbError::InvalidConfig(format!(
             "serve workload: mean_interarrival_secs must be finite and > 0, got {}",
@@ -791,25 +634,20 @@ pub fn serve_workload_jobs(
     let gap = rb_core::Distribution::Exponential {
         rate: 1.0 / workload.mean_interarrival_secs,
     };
-    let mut at = rb_core::SimTime::ZERO;
+    let mut at = SimTime::ZERO;
     let mut jobs = Vec::with_capacity(total);
     for k in 0..total {
+        let run = Run {
+            spec,
+            plan: &outcome.plan,
+            task,
+            physics,
+            cloud,
+            space,
+            options: seeded(job_seed(workload.seed, k)),
+        };
         let tenant = k % workload.tenants.len();
-        let job_seed = workload.seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9);
-        let mut rng = Prng::seed_from_u64(job_seed ^ 0x005A_3CE0_u64);
-        let configs = space.sample_n(spec.initial_trials() as usize, &mut rng);
-        let executor = Executor::new(
-            spec.clone(),
-            outcome.plan.clone(),
-            task.clone(),
-            physics.clone(),
-            cloud.clone(),
-        )?
-        .with_options(ExecOptions {
-            seed: job_seed,
-            ..ExecOptions::default()
-        });
-        jobs.push(rb_serve::JobRequest::new(executor, configs, at, tenant));
+        jobs.push(JobRequest::new(run.executor()?, run.configs(), at, tenant));
         at += SimDuration::from_secs_f64(gap.sample(&mut arrivals));
     }
     Ok(jobs)
@@ -819,7 +657,9 @@ pub fn serve_workload_jobs(
 /// concurrent jobs interleaved in one discrete-event loop, fair-share
 /// scheduled, optionally sharing an elastic instance pool
 /// ([`rb_serve::ServeOptions::pool`]). Per-job results ride inside the
-/// returned [`rb_serve::ServeReport`].
+/// returned [`rb_serve::ServeReport`]. To record the service trace, run
+/// [`serve_workload_jobs`] through
+/// [`rb_serve::TuningService::run_with_recorder`].
 ///
 /// # Errors
 ///
@@ -840,54 +680,130 @@ pub fn serve(
     rb_serve::TuningService::new(workload.tenants.clone(), options.clone())?.run(jobs)
 }
 
-/// [`serve`] with observability: service admission/dispatch events and
-/// every job's executor trace land in one [`TraceLog`], jobs lane-scoped
-/// so their timelines stay separable (`job:<n>` lanes in the exports).
-///
-/// # Errors
-///
-/// As [`serve`].
-#[allow(clippy::too_many_arguments)] // Mirrors `serve`.
-pub fn serve_observed(
-    workload: &ServeWorkload,
-    spec: &ExperimentSpec,
-    task: &TaskModel,
-    physics: &ModelProfile,
-    cloud: &CloudProfile,
-    space: &SearchSpace,
-    deadline: SimDuration,
-    options: &rb_serve::ServeOptions,
-) -> Result<(rb_serve::ServeReport, TraceLog)> {
-    let jobs = serve_workload_jobs(workload, spec, task, physics, cloud, space, deadline)?;
-    let sink = Arc::new(MemoryRecorder::new());
-    let recorder = RecorderHandle::new(sink.clone());
-    let report = rb_serve::TuningService::new(workload.tenants.clone(), options.clone())?
-        .run_with_recorder(jobs, &recorder)?;
-    Ok((report, sink.finish()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rb_cloud::catalog::P3_8XLARGE;
     use rb_cloud::CloudPricing;
     use rb_hpo::{Dim, ShaParams};
+    use rb_obs::{CacheStats, MemoryRecorder, RunSummary, TraceLog};
 
-    #[test]
-    fn compile_then_execute_round_trip() {
+    /// SHA(8, 1, 8) on ResNet-50 physics, planned under a 2-hour deadline.
+    struct Fixture {
+        spec: ExperimentSpec,
+        task: TaskModel,
+        physics: ModelProfile,
+        cloud: CloudProfile,
+        space: SearchSpace,
+        plan: AllocationPlan,
+    }
+
+    const DEADLINE: SimDuration = SimDuration::from_hours(2);
+
+    fn fixture() -> Fixture {
         let spec = ShaParams::new(8, 1, 8).generate().unwrap();
         let task = rb_train::task::resnet50_cifar10();
         let physics = ModelProfile::exact_for_task(&task, 512, 4);
         let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let outcome = compile_plan(&spec, &physics, &cloud, SimDuration::from_hours(2)).unwrap();
-        assert!(outcome.prediction.feasible(SimDuration::from_hours(2)));
         let space = SearchSpace::new()
             .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
             .build()
             .unwrap();
-        let report = execute(&spec, &outcome.plan, &task, &physics, &cloud, &space, 3).unwrap();
+        let plan = compile_plan(&spec, &physics, &cloud, DEADLINE)
+            .unwrap()
+            .plan;
+        Fixture {
+            spec,
+            task,
+            physics,
+            cloud,
+            space,
+            plan,
+        }
+    }
+
+    impl Fixture {
+        fn run(&self, options: ExecOptions) -> Run<'_> {
+            Run {
+                spec: &self.spec,
+                plan: &self.plan,
+                task: &self.task,
+                physics: &self.physics,
+                cloud: &self.cloud,
+                space: &self.space,
+                options,
+            }
+        }
+    }
+
+    /// An open-loop run recorded into memory, with its rollup.
+    fn recorded(run: &Run) -> (ExecutionReport, RunSummary, TraceLog) {
+        let sink = Arc::new(MemoryRecorder::new());
+        let report = run
+            .execute(&mut NoopHook, &RecorderHandle::new(sink.clone()))
+            .unwrap();
+        let log = sink.finish();
+        let summary = report.summary(
+            CacheStats::default(),
+            CacheStats::default(),
+            0,
+            0,
+            log.events.len(),
+        );
+        (report, summary, log)
+    }
+
+    /// An adaptive run (model == physics) with one recorder on the
+    /// executor and the controller's simulator, and its rollup.
+    fn recorded_adaptive(
+        run: &Run,
+        config: &ControllerConfig,
+    ) -> (ExecutionReport, AdaptationLog, RunSummary, TraceLog) {
+        let sink = Arc::new(MemoryRecorder::new());
+        let recorder = RecorderHandle::new(sink.clone());
+        // Clones share the cache counters; keep one to read totals after
+        // the controller consumes its simulator.
+        let sim =
+            Simulator::new(run.physics.clone(), run.cloud.clone()).with_recorder(recorder.clone());
+        let mut controller = AdaptiveController::new(
+            sim.clone(),
+            run.spec.clone(),
+            run.plan,
+            DEADLINE,
+            config.clone(),
+        )
+        .unwrap();
+        let report = run.execute(&mut controller, &recorder).unwrap();
+        let adaptation = controller.into_log();
+        let caches = sim.record_cache_stats();
+        let log = sink.finish();
+        let summary = report.summary(
+            caches.plan,
+            caches.stage_memo,
+            adaptation.applied(),
+            adaptation.events.len() - adaptation.applied(),
+            log.events.len(),
+        );
+        (report, adaptation, summary, log)
+    }
+
+    #[test]
+    fn compile_then_execute_round_trip() {
+        let fx = fixture();
+        let outcome = compile_plan(&fx.spec, &fx.physics, &fx.cloud, DEADLINE).unwrap();
+        assert!(outcome.prediction.feasible(DEADLINE));
+        let report = execute(
+            &fx.spec,
+            &outcome.plan,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            3,
+        )
+        .unwrap();
         assert!(report.jct > SimDuration::ZERO);
-        assert_eq!(report.stages.len(), spec.num_stages());
+        assert_eq!(report.stages.len(), fx.spec.num_stages());
     }
 
     #[test]
@@ -896,78 +812,170 @@ mod tests {
         let task = rb_train::task::resnet50_cifar10();
         let truth = rb_scaling::AnalyticScaling::for_arch(&task.arch, 512, 4);
         let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let (model, outcome) = profile_and_plan(
-            &spec,
-            &truth,
-            task.steps_per_iter(512),
-            &cloud,
-            SimDuration::from_hours(2),
+        let (model, outcome) =
+            profile_and_plan(&spec, &truth, task.steps_per_iter(512), &cloud, DEADLINE).unwrap();
+        assert!(model.steps_per_iter > 0);
+        assert!(outcome.prediction.feasible(DEADLINE));
+    }
+
+    #[test]
+    fn run_configs_follow_the_sampling_contract() {
+        // The salt is a compatibility contract: pinned fixtures and the
+        // perf benchmark sample the same trials from the same seed.
+        let fx = fixture();
+        for seed in [0, 1, 7, 0xDEAD_BEEF] {
+            let expected = fx.space.sample_n(
+                fx.spec.initial_trials() as usize,
+                &mut Prng::seed_from_u64(seed ^ 0x005A_3CE0),
+            );
+            assert_eq!(fx.run(seeded(seed)).configs(), expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn service_jobs_tune_run_configs_at_job_seeds() {
+        let fx = fixture();
+        let workload = ServeWorkload {
+            tenants: vec![rb_serve::TenantSpec::new("solo", 1.0)],
+            jobs_per_tenant: 3,
+            mean_interarrival_secs: 60.0,
+            seed: 17,
+        };
+        let jobs = serve_workload_jobs(
+            &workload,
+            &fx.spec,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            DEADLINE,
         )
         .unwrap();
-        assert!(model.steps_per_iter > 0);
-        assert!(outcome.prediction.feasible(SimDuration::from_hours(2)));
+        assert_eq!(jobs.len(), 3);
+        for (k, job) in jobs.iter().enumerate() {
+            assert_eq!(job.executor.options().seed, job_seed(17, k));
+            assert_eq!(job.configs, fx.run(seeded(job_seed(17, k))).configs());
+        }
+
+        let group = hyperband_group_jobs(
+            1,
+            9,
+            3,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            DEADLINE,
+            0,
+            SimTime::ZERO,
+            5,
+        )
+        .unwrap();
+        let specs = hyperband_1_9_3();
+        assert_eq!(group.len(), specs.len());
+        for (i, (job, spec)) in group.iter().zip(&specs).enumerate() {
+            assert_eq!(job.executor.spec(), spec);
+            assert_eq!(job.executor.options().seed, job_seed(5, i));
+            let run = Run {
+                spec,
+                ..fx.run(seeded(job_seed(5, i)))
+            };
+            assert_eq!(job.configs, run.configs());
+        }
+    }
+
+    fn hyperband_1_9_3() -> Vec<ExperimentSpec> {
+        rb_hpo::hyperband_brackets(1, 9, 3)
+            .unwrap()
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect()
     }
 
     #[test]
     fn multi_job_executes_all_brackets() {
-        use rb_planner::MultiJobDiscipline;
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
-        let brackets: Vec<_> = rb_hpo::hyperband_brackets(1, 9, 3)
-            .unwrap()
-            .into_iter()
-            .map(|(_, s)| s)
-            .collect();
-        let deadline = SimDuration::from_hours(2);
+        let fx = fixture();
+        let brackets = hyperband_1_9_3();
         let report = execute_multi_job(
             &brackets,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            deadline,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            DEADLINE,
             MultiJobDiscipline::Concurrent,
             1,
+            &RecorderHandle::noop(),
         )
         .unwrap();
         assert_eq!(report.reports.len(), brackets.len());
-        assert!(report.jct <= deadline);
+        assert!(report.jct <= DEADLINE);
         assert!(report.best_accuracy > 0.1);
         let sum: Cost = report.reports.iter().map(|r| r.total_cost()).sum();
         assert_eq!(report.total_cost, sum);
     }
 
     #[test]
+    fn recorded_multi_job_matches_and_traces_each_bracket() {
+        let fx = fixture();
+        let brackets = hyperband_1_9_3();
+        let multi = |recorder: &RecorderHandle| {
+            execute_multi_job(
+                &brackets,
+                &fx.task,
+                &fx.physics,
+                &fx.cloud,
+                &fx.space,
+                DEADLINE,
+                MultiJobDiscipline::Concurrent,
+                1,
+                recorder,
+            )
+            .unwrap()
+        };
+        let plain = multi(&RecorderHandle::noop());
+        let sink = Arc::new(MemoryRecorder::new());
+        let observed = multi(&RecorderHandle::new(sink.clone()));
+        // Recording must not perturb any bracket.
+        assert_eq!(format!("{observed:?}"), format!("{plain:?}"));
+        let log = sink.finish();
+        let jsonl = rb_obs::export::export_jsonl(&log);
+        rb_obs::schema::validate_jsonl(&jsonl).expect("multi-job trace validates");
+        for i in 0..brackets.len() {
+            let on_lane = |kind: fn(&rb_obs::EventKind) -> bool| {
+                log.events_named("exec", "bracket")
+                    .filter(|e| e.lane == Lane::Bracket(i as u32) && kind(&e.kind))
+                    .count()
+            };
+            let starts = on_lane(|k| matches!(k, rb_obs::EventKind::SpanStart { .. }));
+            let ends = on_lane(|k| matches!(k, rb_obs::EventKind::SpanEnd { .. }));
+            assert_eq!((starts, ends), (1, 1), "bracket {i}");
+        }
+    }
+
+    #[test]
     fn execute_adaptive_matches_execute_when_calibrated() {
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let deadline = SimDuration::from_hours(2);
-        let outcome = compile_plan(&spec, &physics, &cloud, deadline).unwrap();
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
-        let open = execute(&spec, &outcome.plan, &task, &physics, &cloud, &space, 3).unwrap();
+        let fx = fixture();
+        let open = execute(
+            &fx.spec,
+            &fx.plan,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            3,
+        )
+        .unwrap();
         let adaptive = execute_adaptive(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &physics, // model == physics: calibrated
-            &cloud,
-            &space,
-            deadline,
-            ExecOptions {
-                seed: 3,
-                ..ExecOptions::default()
-            },
+            &fx.spec,
+            &fx.plan,
+            &fx.task,
+            &fx.physics,
+            &fx.physics, // model == physics: calibrated
+            &fx.cloud,
+            &fx.space,
+            DEADLINE,
+            seeded(3),
             &ControllerConfig::default(),
         )
         .unwrap();
@@ -980,97 +988,57 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_execute() {
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let outcome = compile_plan(&spec, &physics, &cloud, SimDuration::from_hours(2)).unwrap();
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
-        let plain = execute(&spec, &outcome.plan, &task, &physics, &cloud, &space, 11).unwrap();
-        let observed = execute_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            ExecOptions {
-                seed: 11,
-                ..ExecOptions::default()
-            },
+        let fx = fixture();
+        let plain = execute(
+            &fx.spec,
+            &fx.plan,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            11,
         )
         .unwrap();
+        let (report, summary, log) = recorded(&fx.run(seeded(11)));
         // Recording must not perturb execution in any way.
-        assert_eq!(observed.report.jct, plain.jct);
-        assert_eq!(observed.report.compute_cost, plain.compute_cost);
-        assert_eq!(observed.report.data_cost, plain.data_cost);
-        assert_eq!(observed.report.best_accuracy, plain.best_accuracy);
-        assert_eq!(observed.report.trace, plain.trace);
+        assert_eq!(report.jct, plain.jct);
+        assert_eq!(report.compute_cost, plain.compute_cost);
+        assert_eq!(report.data_cost, plain.data_cost);
+        assert_eq!(report.best_accuracy, plain.best_accuracy);
+        assert_eq!(report.trace, plain.trace);
         // The summary is a faithful rollup of the report.
-        assert_eq!(observed.summary.jct, plain.jct);
-        assert_eq!(observed.summary.total_cost(), plain.total_cost());
-        assert_eq!(observed.summary.stages, plain.stages.len());
-        assert_eq!(observed.summary.trace_events, observed.log.events.len());
-        assert!(!observed.log.events.is_empty());
-        assert!(observed.summary.gpu_busy_secs > 0.0);
+        assert_eq!(summary.jct, plain.jct);
+        assert_eq!(summary.total_cost(), plain.total_cost());
+        assert_eq!(summary.stages, plain.stages.len());
+        assert_eq!(summary.trace_events, log.events.len());
+        assert!(!log.events.is_empty());
+        assert!(summary.gpu_busy_secs > 0.0);
     }
 
     #[test]
     fn disabled_fault_injector_is_bit_identical() {
         use rb_cloud::FaultPlan;
         use rb_exec::RetryPolicy;
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let outcome = compile_plan(&spec, &physics, &cloud, SimDuration::from_hours(2)).unwrap();
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
-        let plain = execute_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            ExecOptions {
-                seed: 7,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let fx = fixture();
+        let (plain, plain_summary, plain_log) = recorded(&fx.run(seeded(7)));
         // Hardening knobs set but the injector disabled: the run must be
         // indistinguishable from today's, down to the exported bytes.
-        let armed = execute_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            ExecOptions {
-                seed: 7,
-                faults: FaultPlan::none(),
-                retry: Some(RetryPolicy::default()),
-                checkpoint_retention: 1,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(armed.report.jct, plain.report.jct);
-        assert_eq!(armed.report.compute_cost, plain.report.compute_cost);
-        assert_eq!(armed.report.best_accuracy, plain.report.best_accuracy);
-        assert_eq!(armed.report.trace, plain.report.trace);
-        assert_eq!(armed.report.faults_injected, 0);
-        assert_eq!(armed.summary.render(), plain.summary.render());
+        let (armed, armed_summary, armed_log) = recorded(&fx.run(ExecOptions {
+            seed: 7,
+            faults: FaultPlan::none(),
+            retry: Some(RetryPolicy::default()),
+            checkpoint_retention: 1,
+            ..ExecOptions::default()
+        }));
+        assert_eq!(armed.jct, plain.jct);
+        assert_eq!(armed.compute_cost, plain.compute_cost);
+        assert_eq!(armed.best_accuracy, plain.best_accuracy);
+        assert_eq!(armed.trace, plain.trace);
+        assert_eq!(armed.faults_injected, 0);
+        assert_eq!(armed_summary.render(), plain_summary.render());
         assert_eq!(
-            rb_obs::export::export_jsonl(&armed.log),
-            rb_obs::export::export_jsonl(&plain.log),
+            rb_obs::export::export_jsonl(&armed_log),
+            rb_obs::export::export_jsonl(&plain_log),
             "disabled injector leaves the trace byte-identical"
         );
     }
@@ -1083,15 +1051,7 @@ mod tests {
         // invariant extended to correlated failure domains).
         use rb_cloud::{FaultPlan, ZonePlan};
         use rb_exec::RetryPolicy;
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let outcome = compile_plan(&spec, &physics, &cloud, SimDuration::from_hours(2)).unwrap();
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
+        let fx = fixture();
         let zoned = || ExecOptions {
             seed: 7,
             faults: FaultPlan {
@@ -1104,36 +1064,15 @@ mod tests {
             retry: Some(RetryPolicy::default()),
             ..ExecOptions::default()
         };
-        let plain = execute_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            ExecOptions {
-                seed: 7,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        let armed = execute_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            zoned(),
-        )
-        .unwrap();
-        assert_eq!(armed.report.jct, plain.report.jct);
-        assert_eq!(armed.report.compute_cost, plain.report.compute_cost);
-        assert_eq!(armed.report.trace, plain.report.trace);
-        assert_eq!(armed.report.faults_injected, 0);
+        let (plain, _, plain_log) = recorded(&fx.run(seeded(7)));
+        let (armed, _, armed_log) = recorded(&fx.run(zoned()));
+        assert_eq!(armed.jct, plain.jct);
+        assert_eq!(armed.compute_cost, plain.compute_cost);
+        assert_eq!(armed.trace, plain.trace);
+        assert_eq!(armed.faults_injected, 0);
         assert_eq!(
-            rb_obs::export::export_jsonl(&armed.log),
-            rb_obs::export::export_jsonl(&plain.log),
+            rb_obs::export::export_jsonl(&armed_log),
+            rb_obs::export::export_jsonl(&plain_log),
             "windowless zones leave the open-loop trace byte-identical"
         );
         // Adaptive, with execute-mode switching armed: the market probe
@@ -1147,46 +1086,18 @@ mod tests {
             },
             ..ControllerConfig::default()
         };
-        let deadline = SimDuration::from_hours(2);
-        let base = execute_adaptive_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &physics,
-            &cloud,
-            &space,
-            deadline,
-            ExecOptions {
-                seed: 7,
-                ..ExecOptions::default()
-            },
-            &config,
-        )
-        .unwrap();
-        let zoned_run = execute_adaptive_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &physics,
-            &cloud,
-            &space,
-            deadline,
-            zoned(),
-            &config,
-        )
-        .unwrap();
-        assert_eq!(zoned_run.report.jct, base.report.jct);
-        assert_eq!(zoned_run.report.compute_cost, base.report.compute_cost);
+        let (base, base_log, _, base_trace) = recorded_adaptive(&fx.run(seeded(7)), &config);
+        let (zoned_run, zoned_log, _, zoned_trace) = recorded_adaptive(&fx.run(zoned()), &config);
+        assert_eq!(zoned_run.jct, base.jct);
+        assert_eq!(zoned_run.compute_cost, base.compute_cost);
         assert_eq!(
-            zoned_run.adaptation.as_ref().unwrap().executed_switches(),
-            base.adaptation.as_ref().unwrap().executed_switches(),
+            zoned_log.executed_switches(),
+            base_log.executed_switches(),
             "inactive zone plan changed the controller's drain decisions"
         );
         assert_eq!(
-            rb_obs::export::export_jsonl(&zoned_run.log),
-            rb_obs::export::export_jsonl(&base.log),
+            rb_obs::export::export_jsonl(&zoned_trace),
+            rb_obs::export::export_jsonl(&base_trace),
             "windowless zones leave the adaptive trace byte-identical"
         );
     }
@@ -1195,15 +1106,7 @@ mod tests {
     fn hardened_run_survives_injected_faults() {
         use rb_cloud::FaultPlan;
         use rb_exec::RetryPolicy;
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let outcome = compile_plan(&spec, &physics, &cloud, SimDuration::from_hours(2)).unwrap();
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
+        let fx = fixture();
         let faults = FaultPlan {
             capacity_failure_prob: 0.8,
             straggler_prob: 0.2,
@@ -1213,129 +1116,86 @@ mod tests {
             checkpoint_corruption_prob: 0.1,
             ..FaultPlan::none()
         };
-        let run = execute_observed(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            ExecOptions {
-                seed: 5,
-                faults,
-                retry: Some(RetryPolicy {
-                    max_retries: 12,
-                    ..RetryPolicy::default()
-                }),
-                checkpoint_retention: 3,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(run.summary.faults_injected > 0, "the injector fired");
-        assert_eq!(run.summary.faults_injected, run.report.faults_injected);
+        let (report, summary, log) = recorded(&fx.run(ExecOptions {
+            seed: 5,
+            faults,
+            retry: Some(RetryPolicy {
+                max_retries: 12,
+                ..RetryPolicy::default()
+            }),
+            checkpoint_retention: 3,
+            ..ExecOptions::default()
+        }));
+        assert!(summary.faults_injected > 0, "the injector fired");
+        assert_eq!(summary.faults_injected, report.faults_injected);
         assert!(
-            run.summary.provision_retries > 0,
+            summary.provision_retries > 0,
             "capacity denials forced retries"
         );
-        assert!(run.report.best_accuracy > 0.1, "the run still finished");
+        assert!(report.best_accuracy > 0.1, "the run still finished");
         // Recovery counters surface on the bus only for faulty runs.
         assert_eq!(
-            run.log.counter("exec", "faults_injected"),
-            run.report.faults_injected
+            log.counter("exec", "faults_injected"),
+            report.faults_injected
         );
     }
 
     #[test]
     fn adaptive_observed_is_bit_identical_and_exports_deterministically() {
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let deadline = SimDuration::from_hours(2);
-        let outcome = compile_plan(&spec, &physics, &cloud, deadline).unwrap();
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
-        let opts = || ExecOptions {
-            seed: 5,
-            ..ExecOptions::default()
-        };
-        let run = || {
-            execute_adaptive_observed(
-                &spec,
-                &outcome.plan,
-                &task,
-                &physics,
-                &physics,
-                &cloud,
-                &space,
-                deadline,
-                opts(),
-                &ControllerConfig::default(),
-            )
-            .unwrap()
-        };
-        let a = run();
+        let fx = fixture();
+        let config = ControllerConfig::default();
+        let (a, a_adapt, a_summary, a_log) = recorded_adaptive(&fx.run(seeded(5)), &config);
         // The no-op-recorder adaptive run is the baseline; the recording
         // run must match it bit for bit.
         let noop = execute_adaptive(
-            &spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &physics,
-            &cloud,
-            &space,
-            deadline,
-            opts(),
-            &ControllerConfig::default(),
+            &fx.spec,
+            &fx.plan,
+            &fx.task,
+            &fx.physics,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            DEADLINE,
+            seeded(5),
+            &config,
         )
         .unwrap();
-        assert_eq!(a.report.jct, noop.report.jct);
-        assert_eq!(a.report.compute_cost, noop.report.compute_cost);
-        assert_eq!(a.report.trace, noop.report.trace);
-        assert_eq!(
-            a.adaptation.as_ref().unwrap().events.len(),
-            noop.adaptation.events.len()
-        );
+        assert_eq!(a.jct, noop.report.jct);
+        assert_eq!(a.compute_cost, noop.report.compute_cost);
+        assert_eq!(a.trace, noop.report.trace);
+        assert_eq!(a_adapt.events.len(), noop.adaptation.events.len());
         // Same seed -> byte-identical exports, and the JSONL passes the
         // schema validator.
-        let b = run();
-        let jsonl_a = rb_obs::export::export_jsonl(&a.log);
-        let jsonl_b = rb_obs::export::export_jsonl(&b.log);
-        assert_eq!(jsonl_a, jsonl_b);
+        let (_, _, b_summary, b_log) = recorded_adaptive(&fx.run(seeded(5)), &config);
+        let jsonl_a = rb_obs::export::export_jsonl(&a_log);
+        assert_eq!(jsonl_a, rb_obs::export::export_jsonl(&b_log));
         assert_eq!(
-            rb_obs::export::export_chrome(&a.log),
-            rb_obs::export::export_chrome(&b.log)
+            rb_obs::export::export_chrome(&a_log),
+            rb_obs::export::export_chrome(&b_log)
         );
         rb_obs::schema::validate_jsonl(&jsonl_a).expect("exported trace validates");
-        assert_eq!(a.summary.render(), b.summary.render());
+        assert_eq!(a_summary.render(), b_summary.render());
         // Building the drift envelope exercised the stage-sample memo
         // (the plan cache is only consulted when a replan is scored).
-        assert!(a.summary.stage_memo.hits + a.summary.stage_memo.misses > 0);
+        assert!(a_summary.stage_memo.hits + a_summary.stage_memo.misses > 0);
         assert_eq!(
-            a.log.counter("sim", "stage_memo_misses"),
-            a.summary.stage_memo.misses
+            a_log.counter("sim", "stage_memo_misses"),
+            a_summary.stage_memo.misses
         );
         // Drift gauges flow from the controller onto the same bus.
-        assert!(a.log.events_named("ctrl", "drift_factor").count() > 0);
+        assert!(a_log.events_named("ctrl", "drift_factor").count() > 0);
     }
 
     #[test]
     fn policies_are_selectable() {
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
+        let fx = fixture();
         for policy in [Policy::Static, Policy::NaiveElastic, Policy::RubberBand] {
             let out = compile_plan_with(
                 policy,
-                &spec,
-                &physics,
-                &cloud,
-                SimDuration::from_hours(2),
+                &fx.spec,
+                &fx.physics,
+                &fx.cloud,
+                DEADLINE,
                 &PlannerConfig::default(),
             )
             .unwrap();
@@ -1345,14 +1205,7 @@ mod tests {
 
     #[test]
     fn serve_runs_a_multi_tenant_workload() {
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let physics = ModelProfile::exact_for_task(&task, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let space = SearchSpace::new()
-            .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-            .build()
-            .unwrap();
+        let fx = fixture();
         let workload = ServeWorkload {
             tenants: vec![
                 rb_serve::TenantSpec::new("research", 2.0),
@@ -1368,17 +1221,22 @@ mod tests {
             pool: Some(rb_cloud::PoolConfig::default()),
             pool_admission: false,
         };
-        let (report, log) = serve_observed(
+        let jobs = serve_workload_jobs(
             &workload,
-            &spec,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            SimDuration::from_hours(2),
-            &options,
+            &fx.spec,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            DEADLINE,
         )
         .unwrap();
+        let sink = Arc::new(MemoryRecorder::new());
+        let report = rb_serve::TuningService::new(workload.tenants.clone(), options.clone())
+            .unwrap()
+            .run_with_recorder(jobs, &RecorderHandle::new(sink.clone()))
+            .unwrap();
+        let log = sink.finish();
         assert_eq!(report.outcomes.len(), 4);
         assert!(report.rejected.is_empty());
         assert!(report.billed_cost > Cost::ZERO);
@@ -1392,15 +1250,15 @@ mod tests {
         rb_obs::schema::validate_jsonl(&jsonl).expect("serve trace validates");
         assert!(jsonl.contains("\"lane\":\"job:0\""));
         assert!(jsonl.contains("job.dispatch"));
-        // Same workload, same seed: byte-identical report.
+        // Same workload, same seed, unrecorded: byte-identical report.
         let again = serve(
             &workload,
-            &spec,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            SimDuration::from_hours(2),
+            &fx.spec,
+            &fx.task,
+            &fx.physics,
+            &fx.cloud,
+            &fx.space,
+            DEADLINE,
             &options,
         )
         .unwrap();

@@ -405,6 +405,25 @@ impl Simulator {
         }
     }
 
+    /// [`Simulator::cache_stats`], with the plan-cache and stage-memo
+    /// tallies also mirrored onto the attached recorder as `sim`
+    /// counters, so an exported trace carries them without a side
+    /// channel. Call it once, after the run.
+    pub fn record_cache_stats(&self) -> SimCacheStats {
+        let caches = self.cache_stats();
+        for (name, value) in [
+            ("plan_cache_hits", caches.plan.hits),
+            ("plan_cache_misses", caches.plan.misses),
+            ("plan_cache_evictions", caches.plan.evictions),
+            ("stage_memo_hits", caches.stage_memo.hits),
+            ("stage_memo_misses", caches.stage_memo.misses),
+            ("stage_memo_evictions", caches.stage_memo.evictions),
+        ] {
+            self.recorder.counter_add("sim", name, value);
+        }
+        caches
+    }
+
     /// Overrides the Monte-Carlo configuration. Detaches this simulator
     /// from any caches shared with clones: cached templates and
     /// predictions embed the old seed/sample-count/overhead.

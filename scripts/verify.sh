@@ -42,9 +42,12 @@ echo "== tests =="
 cargo test -q --offline
 
 echo "== bench smoke =="
-cargo run -p rb-bench --release --offline --bin bench -- --smoke
-grep -q '"jobs_per_sec"' BENCH_sim.json \
-    || { echo "FAIL: BENCH_sim.json has no serve jobs_per_sec"; exit 1; }
+# Smoke runs print their reports instead of writing BENCH_*.json, so the
+# committed full-run numbers are never replaced by 1-iteration ones.
+bench_out=$(cargo run -p rb-bench --release --offline --bin bench -- --smoke)
+echo "$bench_out"
+echo "$bench_out" | grep -q '"jobs_per_sec"' \
+    || { echo "FAIL: bench smoke reported no serve jobs_per_sec"; exit 1; }
 
 echo "== churn smoke (alloc counter + thread-count determinism) =="
 churn_out=$(cargo run -p rb-bench --release --offline --features alloc-counter --bin bench -- --churn --smoke)
@@ -53,8 +56,8 @@ echo "$churn_out" | grep -q "alloc-counter: warm predict allocations over 32 cal
     || { echo "FAIL: warm predict path allocated"; exit 1; }
 echo "$churn_out" | grep -q "plan selection identical across thread counts: true" \
     || { echo "FAIL: churn selection diverged across thread counts"; exit 1; }
-grep -q '"plans_per_sec"' BENCH_planner.json \
-    || { echo "FAIL: BENCH_planner.json has no plans_per_sec"; exit 1; }
+echo "$churn_out" | grep -q '"plans_per_sec"' \
+    || { echo "FAIL: churn smoke reported no plans_per_sec"; exit 1; }
 
 echo "== ext-adapt smoke (seeded; summary must match the expectation) =="
 # The sweep is bit-reproducible per seed and the summary line is counts

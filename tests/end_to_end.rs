@@ -3,6 +3,7 @@
 
 use rubberband::prelude::*;
 use rubberband::rb_cloud::catalog::P3_8XLARGE;
+use rubberband::rb_exec::NoopHook;
 use rubberband::rb_hpo::{hyperband_brackets, Dim, ShaParams};
 use rubberband::rb_profile::{profile_training, ProfilerConfig};
 use rubberband::rb_train::task::resnet101_cifar10;
@@ -219,18 +220,19 @@ fn spot_interruptions_end_to_end() {
         if spot {
             c.pricing = c.pricing.with_spot();
         }
-        rubberband::execute_with(
-            &spec,
-            &AllocationPlan::new(vec![8, 4, 4, 4]),
-            &task,
-            &physics,
-            &c,
-            &space,
-            ExecOptions {
+        Run {
+            spec: &spec,
+            plan: &AllocationPlan::new(vec![8, 4, 4, 4]),
+            task: &task,
+            physics: &physics,
+            cloud: &c,
+            space: &space,
+            options: ExecOptions {
                 seed: 5,
                 ..ExecOptions::default()
             },
-        )
+        }
+        .execute(&mut NoopHook, &RecorderHandle::noop())
         .unwrap()
     };
     let od = run(0.0, false);
@@ -262,23 +264,25 @@ fn warm_pool_end_to_end() {
     let spec = rubberband::rb_hpo::ExperimentSpec::from_stages(&[(8, 2), (4, 4), (2, 8)]).unwrap();
     let plan = AllocationPlan::new(vec![8, 2, 8]);
     let space = search_space();
+    let cloud = cloud()
+        .with_provision_delay(SimDuration::from_secs(30))
+        .with_init_latency(SimDuration::from_secs(60));
     let run = |warm: usize| {
-        rubberband::execute_with(
-            &spec,
-            &plan,
-            &task,
-            &physics,
-            &cloud()
-                .with_provision_delay(SimDuration::from_secs(30))
-                .with_init_latency(SimDuration::from_secs(60)),
-            &space,
-            ExecOptions {
+        Run {
+            spec: &spec,
+            plan: &plan,
+            task: &task,
+            physics: &physics,
+            cloud: &cloud,
+            space: &space,
+            options: ExecOptions {
                 seed: 2,
                 warm_pool: warm,
                 warm_hold_secs: 3600.0,
                 ..ExecOptions::default()
             },
-        )
+        }
+        .execute(&mut NoopHook, &RecorderHandle::noop())
         .unwrap()
     };
     let cold = run(0);
