@@ -193,37 +193,49 @@ fn run_churn_cell(
 /// Sustained planner throughput over a churning multi-job workload: the
 /// plans/second figure, swept over warm/cold ratios at 1 thread and at
 /// the host's parallelism, asserting thread count never changes which
-/// plans get selected.
+/// plans get selected. A full run repeats every cell, interleaving the
+/// two thread counts so host drift hits both alike, and reports the
+/// median with the min–max range.
 fn bench_churn(smoke: bool) -> String {
     let specs = churn_specs();
     let config = PlannerConfig {
         beam_width: 4,
         ..PlannerConfig::default()
     };
-    let jobs = if smoke { 8 } else { 120 };
+    let (jobs, reps) = if smoke { (8, 1) } else { (120, 7) };
     let auto = auto_threads();
     println!(
-        "churn    : {jobs} jobs/cell over {} specs, beam width {}",
+        "churn    : {jobs} jobs/cell over {} specs, beam width {}, {reps} rep(s), median [min–max]",
         specs.len(),
         config.beam_width
     );
     let mut cells = Vec::new();
     let mut all_identical = true;
     for warm_pct in [0usize, 50, 90] {
-        let (el_1, sel_1) = run_churn_cell(1, warm_pct, jobs, &specs, &config);
-        let (el_n, sel_n) = run_churn_cell(auto, warm_pct, jobs, &specs, &config);
-        let pps_1 = jobs as f64 / el_1.max(1e-9);
-        let pps_n = jobs as f64 / el_n.max(1e-9);
-        all_identical &= sel_1 == sel_n;
-        println!(
-            "  warm {warm_pct:2}% : 1 thread {pps_1:8.1} plans/s | {auto} threads {pps_n:8.1} plans/s"
-        );
-        for (threads, el, pps) in [(1, el_1, pps_1), (auto, el_n, pps_n)] {
+        let mut pps = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+        for rep in 0..reps {
+            // Swap which thread count goes first every rep, so neither
+            // always inherits the other's warm host state.
+            let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
+            let mut sel: [Vec<Vec<u32>>; 2] = Default::default();
+            for k in order {
+                let threads = if k == 0 { 1 } else { auto };
+                let (elapsed, selected) = run_churn_cell(threads, warm_pct, jobs, &specs, &config);
+                pps[k].push(jobs as f64 / elapsed.max(1e-9));
+                sel[k] = selected;
+            }
+            all_identical &= sel[0] == sel[1];
+        }
+        let mut line = format!("  warm {warm_pct:2}% :");
+        for (threads, runs) in [1, auto].into_iter().zip(&mut pps) {
+            runs.sort_by(f64::total_cmp);
+            let (lo, mid, hi) = (runs[0], runs[reps / 2], runs[reps - 1]);
+            line += &format!(" {threads} thread(s) {mid:8.1} [{lo:.0}–{hi:.0}] plans/s |");
             cells.push(format!(
-                "    {{ \"warm_pct\": {warm_pct}, \"threads\": {threads}, \"elapsed_ms\": {:.1}, \"plans_per_sec\": {pps:.2} }}",
-                el * 1e3
+                "    {{ \"warm_pct\": {warm_pct}, \"threads\": {threads}, \"reps\": {reps}, \"plans_per_sec\": {mid:.2}, \"plans_per_sec_min\": {lo:.2}, \"plans_per_sec_max\": {hi:.2} }}"
             ));
         }
+        println!("{}", line.trim_end_matches(" |"));
     }
     println!("  plan selection identical across thread counts: {all_identical}");
     assert!(
@@ -239,31 +251,35 @@ fn bench_churn(smoke: bool) -> String {
 }
 
 /// Asserts the arena engine's allocation contract under the counting
-/// global allocator: a warmed-up sequential `predict` never touches the
-/// allocator, and an all-hit `predict_batch` allocates at most its
-/// output vector.
+/// global allocator: a warmed-up `predict` never touches the allocator at
+/// one thread or at the host's thread count, and an all-hit
+/// `predict_batch` allocates at most its output vector.
 #[cfg(feature = "alloc-counter")]
 fn assert_warm_path_zero_alloc() {
     use rb_sim::alloc_counter::allocations;
     let spec = bench_spec();
     let plan = AllocationPlan::new(vec![32, 16, 8, 4, 4]);
-    // Cache off so every predict exercises the full simulation path.
-    let sim = bench_sim().with_engine(EngineConfig {
-        threads: 1,
-        plan_cache: false,
-        dag_templates: true,
-        ..EngineConfig::default()
-    });
-    // Warm up: arena high-water marks, the DAG template, stage memos.
-    sim.predict(&spec, &plan).unwrap();
-    sim.predict(&spec, &plan).unwrap();
-    let before = allocations();
-    for _ in 0..32 {
-        std::hint::black_box(sim.predict(&spec, &plan).unwrap());
+    for (threads, label) in [(1, "1"), (0, "auto")] {
+        // Cache off so every predict exercises the full simulation path.
+        let sim = bench_sim().with_engine(EngineConfig {
+            threads,
+            plan_cache: false,
+            dag_templates: true,
+            ..EngineConfig::default()
+        });
+        // Warm up: arena high-water marks, the DAG template, stage memos.
+        sim.predict(&spec, &plan).unwrap();
+        sim.predict(&spec, &plan).unwrap();
+        let before = allocations();
+        for _ in 0..32 {
+            std::hint::black_box(sim.predict(&spec, &plan).unwrap());
+        }
+        let delta = allocations() - before;
+        println!(
+            "alloc-counter: warm predict allocations over 32 calls (threads={label}): {delta}"
+        );
+        assert_eq!(delta, 0, "warm predict must not allocate (threads={label})");
     }
-    let delta = allocations() - before;
-    println!("alloc-counter: warm predict allocations over 32 calls: {delta}");
-    assert_eq!(delta, 0, "warm sequential predict must not allocate");
 
     let sim = bench_sim().with_engine(EngineConfig::default().with_threads(1));
     let plans: Vec<AllocationPlan> = (0..8)

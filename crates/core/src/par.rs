@@ -197,6 +197,21 @@ mod tests {
     }
 
     #[test]
+    fn one_resolved_worker_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let ids = |r: Range<usize>| r.map(|_| std::thread::current().id()).collect::<Vec<_>>();
+        // One worker asked for, or one item whatever the request.
+        for (n, threads) in [(5, 1), (1, 4), (1, 0)] {
+            let ran_on = run_chunked(n, threads, ids);
+            assert_eq!(ran_on.len(), n);
+            assert!(
+                ran_on.iter().all(|&id| id == caller),
+                "n={n} threads={threads} left the caller's thread"
+            );
+        }
+    }
+
+    #[test]
     fn auto_threads_is_positive() {
         assert!(auto_threads() >= 1);
     }

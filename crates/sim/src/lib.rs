@@ -31,5 +31,5 @@ pub use dag::{DagNode, DagTemplate, ExecDag, Latency, NodeKind, StageSample};
 pub use plan::AllocationPlan;
 pub use simulate::{
     EngineConfig, Prediction, RunSample, SimCacheStats, SimConfig, Simulator, StageBreakdown,
-    StageQuantiles,
+    StageQuantiles, PAR_MIN_WORK,
 };

@@ -27,7 +27,7 @@ use crate::arena::{with_arena, PredictArena, ARENA_COUNTERS};
 use crate::counters::CacheCounters;
 use crate::dag::{DagTemplate, ExecDag, NodeKind};
 use crate::plan::AllocationPlan;
-use rb_core::par::{auto_threads, plan_chunks, run_chunked};
+use rb_core::par::{plan_chunks, run_chunked};
 use rb_core::{Cost, Prng, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_obs::{CacheStats, RecorderHandle};
@@ -148,7 +148,8 @@ pub struct StageBreakdown {
 /// seeds; see [`rb_core::mix_seed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for batch prediction and in-plan sampling;
+    /// Cap on worker threads when [`Simulator::predict_batch`] fans its
+    /// missed plans out (only batches of at least [`PAR_MIN_WORK`] do);
     /// `0` means "use the host's available parallelism".
     pub threads: usize,
     /// Memoize predictions per (spec, plan) so repeated plans — warm
@@ -174,6 +175,21 @@ pub struct EngineConfig {
 
 /// Default [`EngineConfig::plan_cache_cap`], in memoized predictions.
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 32_768;
+
+/// Work below which [`Simulator::predict_batch`] stays on the caller's
+/// thread, in stage samples: distinct missed plans × stages × Monte-Carlo
+/// samples. `rb_core::par::run_chunked` spawns fresh scoped threads per
+/// call, and on a 2-vCPU x86-64 host a spawn plus join costs more than
+/// predicting a controller-sized batch outright: fanning out every batch
+/// made the `perf` benchmark's `adaptive_drift` workload about 4× slower
+/// than one thread. At 2000 every re-planning batch of the Table 2 job
+/// (at most 24 plans × 4 stages × 20 samples = 1920) runs inline, while
+/// the 5–17-plan × 4–10-stage batches of cold planning on large specs
+/// still fan out, where the threads pay for themselves. Calibrated with
+/// `perf` over gates 0–8000 and "never": 2000 gave the lowest
+/// `plan_cold` p50 and p90, and every gate from 500 up gave the same
+/// `adaptive_drift` p50 (table in DESIGN.md).
+pub const PAR_MIN_WORK: usize = 2000;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -327,8 +343,8 @@ pub struct SimCacheStats {
 /// Prediction is served by a parallel, memoized engine (see
 /// [`EngineConfig`]): plans already predicted for a spec are returned from
 /// an interior cache, DAG construction reuses a per-spec [`DagTemplate`],
-/// and [`Simulator::predict_batch`] fans candidate plans out across
-/// threads. Clones share the caches (they are behind [`Arc`]), which is
+/// and [`Simulator::predict_batch`] fans large candidate batches out
+/// across threads. Clones share the caches (they are behind [`Arc`]), which is
 /// what the planner wants — warm-start descents re-visit each other's
 /// plans constantly.
 #[derive(Debug, Clone)]
@@ -543,23 +559,22 @@ impl Simulator {
     /// expensive sampling work and only pay for this cheap composition.
     ///
     /// Sample `i` everywhere derives from `Prng::for_stream(config.seed,
-    /// i)`, so the sample set is fixed by the configuration alone; workers
-    /// fill disjoint index-ordered array slices and aggregation runs
-    /// sequentially over them, making the result bit-identical at every
-    /// thread count and cache state.
+    /// i)`, so the sample set is fixed by the configuration alone, and
+    /// the result is bit-identical on every thread and in every cache
+    /// state. One prediction always runs on the calling thread: the
+    /// composition over memoized stage samples is far cheaper than a
+    /// thread spawn.
     ///
     /// All scratch lives in the calling thread's [`PredictArena`]
     /// (struct-of-arrays: `jct[i]`/`compute[i]` instead of the former
     /// `Vec<RunSample>`), so once the arena has served a working set at
-    /// least this large, the sequential path performs **zero heap
-    /// allocation** — the invariant the `alloc-counter` bench gate
-    /// asserts. The multi-thread path allocates only per-worker hand-over
-    /// buffers and thread stacks.
+    /// least this large, a prediction performs **zero heap allocation**
+    /// at any [`EngineConfig::threads`] — the invariant the
+    /// `alloc-counter` bench gate asserts.
     fn predict_with_template(
         &self,
         template: &DagTemplate,
         plan: &AllocationPlan,
-        threads: usize,
     ) -> Result<Prediction> {
         template.validate(plan)?;
         let n_stages = template.num_stages();
@@ -604,89 +619,43 @@ impl Simulator {
             if per_instance {
                 release_groups_into(needed, new_inst, release_stack, releases);
             }
-            let stage_arcs = &*stage_arcs;
-            let new_inst = &*new_inst;
-            let releases = &*releases;
-            // The per-sample kernel, writing a contiguous run of samples
-            // into its slice of the arena's SoA output arrays. `hand` is
-            // scratch: every entry read within a sample was written
-            // earlier in that same sample (releases reference stages
-            // `prov ≤ s` that provisioned), so reuse across samples and
-            // workers cannot leak state.
-            let fill = |range: std::ops::Range<usize>,
-                        jct_out: &mut [f64],
-                        comp_out: &mut [Cost],
-                        hand: &mut [f64]| {
-                for (off, i) in range.enumerate() {
-                    let mut now = 0.0_f64;
-                    let mut cc = Cost::ZERO;
-                    let mut next_release = 0;
-                    for s in 0..n_stages {
-                        let ss = stage_arcs[s][i];
-                        let stage_end = now + ss.dur;
-                        if per_instance {
-                            if new_inst[s] > 0 {
-                                hand[s] = now + ss.handover;
-                            }
-                            while let Some(&(at, prov, count)) = releases.get(next_release) {
-                                if at as usize != s {
-                                    break;
-                                }
-                                next_release += 1;
-                                let held = SimDuration::from_secs_f64(
-                                    (stage_end - hand[prov as usize]).max(0.0),
-                                );
-                                cc += pricing.instance_charge(held) * u64::from(count);
-                            }
-                        } else {
-                            cc += ss.fn_charge;
+            // The per-sample kernel, filling the arena's SoA output
+            // arrays in index order. `hand` is scratch: every entry read
+            // within a sample was written earlier in that same sample
+            // (releases reference stages `prov ≤ s` that provisioned), so
+            // reuse across samples cannot leak state.
+            for i in 0..n {
+                let mut now = 0.0_f64;
+                let mut cc = Cost::ZERO;
+                let mut next_release = 0;
+                for s in 0..n_stages {
+                    let ss = stage_arcs[s][i];
+                    let stage_end = now + ss.dur;
+                    if per_instance {
+                        if new_inst[s] > 0 {
+                            hand[s] = now + ss.handover;
                         }
-                        now = stage_end;
+                        while let Some(&(at, prov, count)) = releases.get(next_release) {
+                            if at as usize != s {
+                                break;
+                            }
+                            next_release += 1;
+                            let held = SimDuration::from_secs_f64(
+                                (stage_end - hand[prov as usize]).max(0.0),
+                            );
+                            cc += pricing.instance_charge(held) * u64::from(count);
+                        }
+                    } else {
+                        cc += ss.fn_charge;
                     }
-                    jct_out[off] = now;
-                    comp_out[off] = cc;
+                    now = stage_end;
                 }
-            };
-            let t = if threads == 0 {
-                auto_threads()
-            } else {
-                threads
-            }
-            .min(n.max(1));
-            if t <= 1 {
-                fill(0..n, jct, compute, hand);
-            } else {
-                // Contiguous even split, no stealing: samples of one plan
-                // are uniform work, so the finer chunking `plan_chunks`
-                // picks for skewed batches buys nothing here.
-                let chunk = n.div_ceil(t);
-                std::thread::scope(|scope| {
-                    let fill = &fill;
-                    let mut rest_j: &mut [f64] = jct;
-                    let mut rest_c: &mut [Cost] = compute;
-                    let mut lo = 0usize;
-                    while lo < n {
-                        let hi = (lo + chunk).min(n);
-                        let (head_j, tail_j) = rest_j.split_at_mut(hi - lo);
-                        let (head_c, tail_c) = rest_c.split_at_mut(hi - lo);
-                        rest_j = tail_j;
-                        rest_c = tail_c;
-                        scope.spawn(move || {
-                            // Workers get a local hand-over buffer; the
-                            // zero-allocation contract covers the
-                            // sequential path.
-                            let mut hand = vec![0.0_f64; n_stages];
-                            fill(lo..hi, head_j, head_c, &mut hand);
-                        });
-                        lo = hi;
-                    }
-                });
+                jct[i] = now;
+                compute[i] = cc;
             }
             if self.recorder.enabled() {
                 // Per-sample critical-path observations: each sampled JCT
-                // is the length of that sample's DAG critical path. The
-                // arrays are index-ordered regardless of thread count, and
-                // histogram statistics are order-insensitive anyway.
+                // is the length of that sample's DAG critical path.
                 for i in 0..n {
                     self.recorder.histogram("sim", "sample_jct_secs", jct[i]);
                     self.recorder.histogram(
@@ -736,14 +705,9 @@ impl Simulator {
     /// Predicts one plan without consulting or filling the prediction
     /// cache. With `dag_templates` off, a fresh template (and fresh stage
     /// samples) is built for every call — the cold baseline.
-    fn predict_uncached(
-        &self,
-        spec: &ExperimentSpec,
-        plan: &AllocationPlan,
-        threads: usize,
-    ) -> Result<Prediction> {
+    fn predict_uncached(&self, spec: &ExperimentSpec, plan: &AllocationPlan) -> Result<Prediction> {
         if self.engine.dag_templates {
-            self.predict_with_template(&self.template_for(spec), plan, threads)
+            self.predict_with_template(&self.template_for(spec), plan)
         } else {
             let template = DagTemplate::new(
                 spec,
@@ -751,7 +715,7 @@ impl Simulator {
                 &self.cloud,
                 self.config.sync_overhead_secs,
             );
-            self.predict_with_template(&template, plan, threads)
+            self.predict_with_template(&template, plan)
         }
     }
 
@@ -787,7 +751,7 @@ impl Simulator {
     /// validate against the spec.
     pub fn predict(&self, spec: &ExperimentSpec, plan: &AllocationPlan) -> Result<Prediction> {
         if !self.engine.plan_cache {
-            return self.predict_uncached(spec, plan, self.engine.threads);
+            return self.predict_uncached(spec, plan);
         }
         let fp = spec_fingerprint(spec);
         // Borrowed-key probe: the lookup hashes the plan's own `&[u32]`
@@ -805,7 +769,7 @@ impl Simulator {
             return Ok(*hit);
         }
         self.plan_counters.misses_add(1);
-        let pred = self.predict_uncached(spec, plan, self.engine.threads)?;
+        let pred = self.predict_uncached(spec, plan)?;
         let mut cache = self.predictions.lock().expect("prediction cache poisoned");
         let evicted = evict_generation(&mut cache, self.engine.plan_cache_cap, 1);
         self.plan_counters.evictions_add(evicted as u64);
@@ -821,9 +785,10 @@ impl Simulator {
     ///
     /// This is the planner's unit of work: a greedy step generates one or
     /// two candidates per stage and needs all of them evaluated. Cached
-    /// plans are served from memory; the misses are computed in parallel —
-    /// across plans when there are several, across Monte-Carlo samples
-    /// when only one plan misses. Results are bit-identical to calling
+    /// plans are served from memory; the distinct misses fan out across
+    /// up to [`EngineConfig::threads`] workers when they carry at least
+    /// [`PAR_MIN_WORK`] stage samples, and run on the caller's thread
+    /// otherwise. Results are bit-identical to calling
     /// [`Simulator::predict`] on each plan sequentially.
     ///
     /// An invalid plan yields an [`rb_core::RbError::InvalidPlan`] in its
@@ -893,36 +858,35 @@ impl Simulator {
         } else {
             None
         };
-        let predict_one = |plan: &AllocationPlan, threads: usize| match &template {
-            Some(t) => self.predict_with_template(t, plan, threads),
-            None => self.predict_uncached(spec, plan, threads),
+        let predict_one = |plan: &AllocationPlan| match &template {
+            Some(t) => self.predict_with_template(t, plan),
+            None => self.predict_uncached(spec, plan),
         };
-        if self.recorder.enabled() && sc.compute_idx.len() > 1 {
-            // Record the chunking the fan-out below will use, so benches
-            // and tests can assert the batch-size-aware granularity
-            // without re-deriving it.
-            let cp = plan_chunks(sc.compute_idx.len(), self.engine.threads);
+        // Fan out only when the batch outweighs a thread spawn; one
+        // resolved worker runs the whole batch on this thread.
+        let misses = sc.compute_idx.len();
+        let work = misses * spec.num_stages() * self.config.samples.max(1) as usize;
+        let threads = if work >= PAR_MIN_WORK {
+            self.engine.threads
+        } else {
+            1
+        };
+        if self.recorder.enabled() && misses > 1 {
+            // Record the chunking the fan-out below uses, so benches and
+            // tests can assert the gate and the batch-size-aware
+            // granularity without re-deriving them.
+            let cp = plan_chunks(misses, threads);
             self.recorder
-                .counter_add("sim", "batch_plans_computed", sc.compute_idx.len() as u64);
+                .counter_add("sim", "batch_plans_computed", misses as u64);
             self.recorder
                 .counter_add("sim", "batch_chunks", cp.num_chunks as u64);
             self.recorder
                 .counter_add("sim", "batch_chunk_items", cp.chunk_size as u64);
         }
-        let computed: Vec<Result<Prediction>> = if sc.compute_idx.len() <= 1 {
-            // A lone miss still gets the threads — across samples.
-            sc.compute_idx
-                .iter()
-                .map(|&i| predict_one(&plans[i], self.engine.threads))
-                .collect()
-        } else {
-            let compute_idx = &sc.compute_idx;
-            run_chunked(compute_idx.len(), self.engine.threads, |range| {
-                range
-                    .map(|k| predict_one(&plans[compute_idx[k]], 1))
-                    .collect()
-            })
-        };
+        let compute_idx = &sc.compute_idx;
+        let computed: Vec<Result<Prediction>> = run_chunked(misses, threads, |range| {
+            range.map(|k| predict_one(&plans[compute_idx[k]])).collect()
+        });
         if self.engine.plan_cache {
             let mut cache = self.predictions.lock().expect("prediction cache poisoned");
             let incoming = computed.iter().filter(|r| r.is_ok()).count();
@@ -948,7 +912,7 @@ impl Simulator {
                 // Slots still empty failed to compute. Re-derive each
                 // error (errors are not clonable): only invalid plans
                 // land here, and re-validation is cheap and exact.
-                None => self.predict_uncached(spec, &plans[i], 1),
+                None => self.predict_uncached(spec, &plans[i]),
             })
             .collect();
         BATCH_SCRATCH.with(|b| *b.borrow_mut() = sc);
@@ -976,7 +940,7 @@ impl Simulator {
             &self.cloud,
             self.config.sync_overhead_secs,
         );
-        self.predict_with_template(&template, plan, 1)
+        self.predict_with_template(&template, plan)
     }
 
     /// Exports per-stage span quantiles for `plan` — the prediction

@@ -7,12 +7,14 @@
 
 use rb_cloud::catalog::P3_8XLARGE;
 use rb_cloud::CloudPricing;
+use rb_core::par::plan_chunks;
 use rb_core::{RbError, SimDuration};
 use rb_hpo::ExperimentSpec;
+use rb_obs::{MemoryRecorder, RecorderHandle};
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::zoo::RESNET50;
 use rb_scaling::AnalyticScaling;
-use rb_sim::{AllocationPlan, EngineConfig, SimConfig, Simulator};
+use rb_sim::{AllocationPlan, EngineConfig, Prediction, SimConfig, Simulator, PAR_MIN_WORK};
 use std::sync::Arc;
 
 /// A noisy sublinear-scaling simulator: noise makes every sample distinct,
@@ -42,6 +44,22 @@ fn plans() -> Vec<AllocationPlan> {
         AllocationPlan::new(vec![16, 8, 4, 2, 1]),
         AllocationPlan::new(vec![48, 24, 12, 6, 3]),
     ]
+}
+
+/// `count` distinct valid plans for [`spec`].
+fn distinct_plans(count: usize) -> Vec<AllocationPlan> {
+    (0..count as u32)
+        .map(|k| AllocationPlan::new(vec![16 + k, 8, 4, 2, 1]))
+        .collect()
+}
+
+/// Batch sizes of distinct plans just below and just at-or-above
+/// [`PAR_MIN_WORK`] for [`sim`] on [`spec`].
+fn sizes_around_the_gate() -> (usize, usize) {
+    let per_plan = spec().num_stages() * sim().config().samples as usize;
+    let below = (PAR_MIN_WORK - 1) / per_plan;
+    assert!(below * per_plan < PAR_MIN_WORK && (below + 1) * per_plan >= PAR_MIN_WORK);
+    (below, below + 1)
 }
 
 #[test]
@@ -272,4 +290,65 @@ fn clones_share_the_prediction_cache_but_with_config_detaches() {
         sync_overhead_secs: 1.0,
     });
     assert_eq!(detached.cached_predictions(), 0);
+}
+
+#[test]
+fn batches_either_side_of_the_fan_out_gate_are_thread_count_independent() {
+    let (below, above) = sizes_around_the_gate();
+    for size in [below, above] {
+        let batch = distinct_plans(size);
+        let one_at_a_time = sim();
+        let expect: Vec<Prediction> = batch
+            .iter()
+            .map(|plan| one_at_a_time.predict(&spec(), plan).unwrap())
+            .collect();
+        for threads in [1, 2, 8, 0] {
+            let s = sim().with_engine(EngineConfig::default().with_threads(threads));
+            for pass in ["cold", "warm"] {
+                let got: Vec<Prediction> = s
+                    .predict_batch(&spec(), &batch)
+                    .into_iter()
+                    .map(Result::unwrap)
+                    .collect();
+                assert_eq!(got, expect, "{size} plans, {threads} threads, {pass}");
+            }
+            let plan_cache = s.cache_stats().plan;
+            assert_eq!(
+                (plan_cache.hits, plan_cache.misses),
+                (size as u64, size as u64),
+                "{size} plans, {threads} threads: plan-cache tallies"
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_chunk_counters_report_the_fan_out_that_ran() {
+    let (below, above) = sizes_around_the_gate();
+    let counters = |size: usize| {
+        let sink = Arc::new(MemoryRecorder::new());
+        let s = sim()
+            .with_engine(EngineConfig::default().with_threads(2))
+            .with_recorder(RecorderHandle::new(sink.clone()));
+        s.predict_batch(&spec(), &distinct_plans(size));
+        let log = sink.finish();
+        (
+            log.counter("sim", "batch_plans_computed"),
+            log.counter("sim", "batch_chunks"),
+            log.counter("sim", "batch_chunk_items"),
+        )
+    };
+    // Below the gate the batch runs inline: one chunk of every plan.
+    assert_eq!(counters(below), (below as u64, 1, below as u64));
+    // At the gate it fans out over the two workers' chunking.
+    let fanned = plan_chunks(above, 2);
+    assert!(fanned.num_chunks > 1, "{fanned:?}");
+    assert_eq!(
+        counters(above),
+        (
+            above as u64,
+            fanned.num_chunks as u64,
+            fanned.chunk_size as u64
+        )
+    );
 }

@@ -52,8 +52,10 @@ echo "$bench_out" | grep -q '"jobs_per_sec"' \
 echo "== churn smoke (alloc counter + thread-count determinism) =="
 churn_out=$(cargo run -p rb-bench --release --offline --features alloc-counter --bin bench -- --churn --smoke)
 echo "$churn_out"
-echo "$churn_out" | grep -q "alloc-counter: warm predict allocations over 32 calls: 0" \
-    || { echo "FAIL: warm predict path allocated"; exit 1; }
+for threads in 1 auto; do
+    echo "$churn_out" | grep -q "alloc-counter: warm predict allocations over 32 calls (threads=$threads): 0" \
+        || { echo "FAIL: warm predict path allocated (threads=$threads)"; exit 1; }
+done
 echo "$churn_out" | grep -q "plan selection identical across thread counts: true" \
     || { echo "FAIL: churn selection diverged across thread counts"; exit 1; }
 echo "$churn_out" | grep -q '"plans_per_sec"' \
