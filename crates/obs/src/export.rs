@@ -68,8 +68,9 @@ pub(crate) fn write_event_line(out: &mut String, seq: usize, event: &Event) {
     write_json_str(out, event.scope);
     out.push_str(",\"name\":");
     write_json_str(out, event.name);
-    out.push_str(",\"lane\":");
-    write_json_str(out, &event.lane.label());
+    // A lane label is a word or `word:digits`, so it needs no escaping
+    // and is written straight into the line.
+    let _ = write!(out, ",\"lane\":\"{}\"", event.lane);
     match &event.kind {
         EventKind::Instant => out.push_str(",\"kind\":\"instant\""),
         EventKind::Span { end } => {

@@ -9,7 +9,8 @@
 //!
 //! The parser is a small recursive-descent JSON reader sufficient to
 //! validate our own exports (objects, arrays, strings with `\uXXXX`
-//! escapes, numbers, booleans, null).
+//! escapes, numbers, booleans, null). Nesting is capped at
+//! [`MAX_DEPTH`], so hostile input is an error, never a stack overflow.
 
 use std::fmt::Write as _;
 
@@ -41,14 +42,25 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The value as an integer, if the document's number is one
+    /// exactly. Numbers are held as `f64`, which keeps every integer of
+    /// magnitude below 2^53 apart from its neighbours; from 2^53 up,
+    /// several decimal integers round to the same `f64`, so those
+    /// magnitudes are rejected rather than read back as a different
+    /// number.
+    pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
-                Some(*v as u64)
+            Json::Num(v) if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 => {
+                Some(*v as i64)
             }
             _ => None,
         }
+    }
+
+    /// The value as a non-negative integer, under the rule of
+    /// [`Json::as_i64`].
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|v| u64::try_from(v).ok())
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -80,19 +92,30 @@ impl Json {
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Copy each run between bytes that need escaping with one push, so a
+    // string without any is copied whole. Those bytes are all ASCII, so
+    // every run ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escaped {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -106,12 +129,17 @@ pub fn write_json_f64(out: &mut String, v: f64) {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts.
+/// Our own documents nest a few levels; the cap bounds the recursion,
+/// so a line of a million `[` is an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document. Trailing whitespace is allowed;
-/// trailing garbage is an error.
+/// trailing garbage and nesting deeper than [`MAX_DEPTH`] are errors.
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(input, bytes, &mut pos)?;
+    let value = parse_value(input, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -125,12 +153,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_obj(input, bytes, pos),
-        Some(b'[') => parse_arr(input, bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(input, bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(input, bytes, pos, depth + 1),
         Some(b'"') => parse_str(input, bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -158,7 +191,18 @@ fn parse_num(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
     {
         *pos += 1;
     }
-    input[start..*pos]
+    let token = &input[start..*pos];
+    // An integer of at most 15 digits is below 2^53, so accumulating it
+    // in a u64 and converting once is exact: the value the general
+    // decimal parser would give, without its cost.
+    let digits = token.strip_prefix('-').unwrap_or(token);
+    if (1..=15).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+        let n = digits
+            .bytes()
+            .fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64;
+        return Ok(Json::Num(if digits.len() < token.len() { -n } else { n }));
+    }
+    token
         .parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number at byte {start}"))
@@ -169,55 +213,56 @@ fn parse_str(input: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Strin
     *pos += 1;
     let mut out = String::new();
     loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".to_owned());
+        // Copy the run up to the next quote or backslash with one push.
+        // Both are ASCII, so the run ends on a char boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| "unterminated string".to_owned())?;
+        let text = &input[*pos..*pos + run];
+        *pos += run + 1;
+        if bytes[*pos - 1] == b'"' {
+            if out.is_empty() {
+                return Ok(text.to_owned());
+            }
+            out.push_str(text);
+            return Ok(out);
+        }
+        out.push_str(text);
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err("unterminated escape".to_owned());
         };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = input
+                    .get(*pos..*pos + 4)
+                    .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                // Exactly four hex digits: `from_str_radix` alone would
+                // also take a sign, reading `\u+041` as `A`.
+                let code = u32::from_str_radix(hex, 16)
+                    .ok()
+                    .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .ok_or_else(|| format!("bad \\u escape `{hex}`"))?;
+                *pos += 4;
+                // Surrogate pairs are not produced by our writer;
+                // map lone surrogates to the replacement char.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
             }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".to_owned());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = input
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        *pos += 4;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape `\\{}`", other as char)),
-                }
-            }
-            _ => {
-                // Consume one UTF-8 character.
-                let s = &input[*pos..];
-                let c = s.chars().next().ok_or_else(|| "bad utf8".to_owned())?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            other => return Err(format!("bad escape `\\{}`", other as char)),
         }
     }
 }
 
-fn parse_arr(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -226,7 +271,7 @@ fn parse_arr(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(input, bytes, pos)?);
+        items.push(parse_value(input, bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -239,7 +284,7 @@ fn parse_arr(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
     }
 }
 
-fn parse_obj(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -258,7 +303,7 @@ fn parse_obj(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(input, bytes, pos)?;
+        let value = parse_value(input, bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -276,12 +321,123 @@ fn parse_obj(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
 mod tests {
     use super::*;
 
+    /// The writer's escaping rule applied one char at a time: the run
+    /// copy in `write_json_str` must emit exactly these bytes.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
     #[test]
     fn round_trips_escaped_strings() {
-        let mut out = String::new();
-        write_json_str(&mut out, "a\"b\\c\nd\te\u{1}");
-        let parsed = parse_json(&out).unwrap();
-        assert_eq!(parsed, Json::Str("a\"b\\c\nd\te\u{1}".to_owned()));
+        let cases = [
+            "a\"b\\c\nd\te\u{1}",
+            "",
+            "a plain run with nothing to escape",
+            "héllo wörld — 日本語 🦀",
+            "\u{0}\u{1f}\u{7f}\r\u{8}\u{c}\u{1b}[0m",
+            "\"quoted at both ends\"",
+            "run\\\"run\nrun\u{1}run",
+            "🦀\n🦀\\🦀\"é",
+            "\\",
+        ];
+        for s in cases {
+            let mut out = String::new();
+            write_json_str(&mut out, s);
+            assert_eq!(out, escape_per_char(s), "writer bytes for {s:?}");
+            assert_eq!(parse_json(&out).unwrap(), Json::Str(s.to_owned()), "{s:?}");
+        }
+        // Escapes the writer never emits still decode; a lone surrogate
+        // maps to the replacement char.
+        assert_eq!(
+            parse_json(r#""a\/b\u00e9\u0041\b\f\ud800z""#).unwrap(),
+            Json::Str("a/béA\u{8}\u{c}\u{fffd}z".to_owned())
+        );
+        // A raw control char inside a string is accepted as it always was.
+        assert_eq!(
+            parse_json("\"a\u{1}b\"").unwrap(),
+            Json::Str("a\u{1}b".to_owned())
+        );
+    }
+
+    #[test]
+    fn numbers_parse_to_the_value_of_the_general_parser() {
+        let mut tokens: Vec<String> = [
+            "0",
+            "-0",
+            "00",
+            "007",
+            "-007",
+            "999999999999999",
+            "-999999999999999",
+            "000000000000001",
+            "0000000000000001",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+            "1.5",
+            "-2.5e3",
+            "1e999",
+            "+1",
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        for digits in 1..=17 {
+            let ten = 10u128.pow(digits);
+            for n in [ten / 10, ten - 1, ten / 3] {
+                tokens.push(n.to_string());
+                tokens.push(format!("-{n}"));
+            }
+        }
+        for t in &tokens {
+            let want = t.parse::<f64>().unwrap();
+            let got = parse_json(t).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{t}");
+        }
+        for t in ["-", "--1", "1-", "1e", ".", "-+1", "0x10", "1_000"] {
+            assert!(parse_json(t).is_err(), "{t}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            parse_json(r#""\u0041\u00Ff""#).unwrap(),
+            Json::Str("Aÿ".to_owned())
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            r#""\u004""#,
+            r#""\u00""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let e = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("nesting deeper than 128"), "{e}");
+        assert!(parse_json(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]
@@ -308,9 +464,35 @@ mod tests {
 
     #[test]
     fn u64_extraction_is_exact() {
-        assert_eq!(parse_json("42").unwrap().as_u64(), Some(42));
-        assert_eq!(parse_json("42.5").unwrap().as_u64(), None);
-        assert_eq!(parse_json("-1").unwrap().as_u64(), None);
+        let num = |t: &str| parse_json(t).unwrap();
+        assert_eq!(num("42").as_u64(), Some(42));
+        assert_eq!(num("42.5").as_u64(), None);
+        assert_eq!(num("-1").as_u64(), None);
+        assert_eq!(num("-1").as_i64(), Some(-1));
+        assert_eq!(num("-0").as_u64(), Some(0));
+        // 2^53 − 1 is the largest magnitude that no other integer
+        // rounds to, so it is the largest one read back.
+        assert_eq!(
+            num("9007199254740991").as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        assert_eq!(
+            num("-9007199254740991").as_i64(),
+            Some(-9_007_199_254_740_991)
+        );
+        // From 2^53 up the f64 is shared: 2^53 + 1 parses to 2^53, and
+        // 2^64 to a value that used to saturate to u64::MAX.
+        for t in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1e300",
+        ] {
+            assert_eq!(num(t).as_u64(), None, "{t}");
+            assert_eq!(num(t).as_i64(), None, "{t}");
+            assert_eq!(num(&format!("-{t}")).as_i64(), None, "-{t}");
+        }
     }
 
     #[test]

@@ -49,21 +49,20 @@ pub enum Lane {
     Bracket(u32),
 }
 
-impl Lane {
-    /// Stable textual form used by the JSONL export (`node:3`,
-    /// `trial:7`, `stage:2`, `global`, `controller`, `planner`,
-    /// `cloud`).
-    pub fn label(&self) -> String {
+/// The stable label used by the JSONL export (`node:3`, `trial:7`,
+/// `stage:2`, `global`, `controller`, `planner`, `cloud`).
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Lane::Global => "global".to_owned(),
-            Lane::Node(id) => format!("node:{id}"),
-            Lane::Trial(id) => format!("trial:{id}"),
-            Lane::Stage(s) => format!("stage:{s}"),
-            Lane::Controller => "controller".to_owned(),
-            Lane::Planner => "planner".to_owned(),
-            Lane::Cloud => "cloud".to_owned(),
-            Lane::Job(id) => format!("job:{id}"),
-            Lane::Bracket(b) => format!("bracket:{b}"),
+            Lane::Global => f.write_str("global"),
+            Lane::Node(id) => write!(f, "node:{id}"),
+            Lane::Trial(id) => write!(f, "trial:{id}"),
+            Lane::Stage(s) => write!(f, "stage:{s}"),
+            Lane::Controller => f.write_str("controller"),
+            Lane::Planner => f.write_str("planner"),
+            Lane::Cloud => f.write_str("cloud"),
+            Lane::Job(id) => write!(f, "job:{id}"),
+            Lane::Bracket(b) => write!(f, "bracket:{b}"),
         }
     }
 }
@@ -431,13 +430,13 @@ mod tests {
 
     #[test]
     fn lane_labels_are_stable() {
-        assert_eq!(Lane::Node(3).label(), "node:3");
-        assert_eq!(Lane::Trial(7).label(), "trial:7");
-        assert_eq!(Lane::Stage(2).label(), "stage:2");
-        assert_eq!(Lane::Global.label(), "global");
-        assert_eq!(Lane::Controller.label(), "controller");
-        assert_eq!(Lane::Job(5).label(), "job:5");
-        assert_eq!(Lane::Bracket(4).label(), "bracket:4");
+        assert_eq!(Lane::Node(3).to_string(), "node:3");
+        assert_eq!(Lane::Trial(7).to_string(), "trial:7");
+        assert_eq!(Lane::Stage(2).to_string(), "stage:2");
+        assert_eq!(Lane::Global.to_string(), "global");
+        assert_eq!(Lane::Controller.to_string(), "controller");
+        assert_eq!(Lane::Job(5).to_string(), "job:5");
+        assert_eq!(Lane::Bracket(4).to_string(), "bracket:4");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::json::{parse_json, Json};
 use std::collections::BTreeMap;
 
 /// Counts from a successful validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JsonlStats {
     pub events: usize,
     pub counters: usize,
@@ -49,11 +49,10 @@ fn lane_ok(lane: &str) -> bool {
     }
 }
 
-fn require_str(obj: &Json, key: &str, line_no: usize) -> Result<String, String> {
+fn require_str<'a>(obj: &'a Json, key: &str, line_no: usize) -> Result<&'a str, String> {
     obj.get(key)
         .and_then(Json::as_str)
         .filter(|s| !s.is_empty())
-        .map(str::to_owned)
         .ok_or_else(|| format!("line {line_no}: missing or empty string `{key}`"))
 }
 
@@ -105,11 +104,11 @@ fn validate_event_line(
     require_str(obj, "scope", line_no)?;
     let name = require_str(obj, "name", line_no)?;
     let lane = require_str(obj, "lane", line_no)?;
-    if !lane_ok(&lane) {
+    if !lane_ok(lane) {
         return Err(format!("line {line_no}: bad lane `{lane}`"));
     }
     if matches!(
-        name.as_str(),
+        name,
         "job.submit" | "job.queued" | "job.dispatch" | "job.reject" | "job.done"
     ) && !lane.starts_with("job:")
     {
@@ -120,8 +119,7 @@ fn validate_event_line(
     if !obj.get("fields").is_some_and(Json::is_obj) {
         return Err(format!("line {line_no}: `fields` must be an object"));
     }
-    let kind = require_str(obj, "kind", line_no)?;
-    match kind.as_str() {
+    match require_str(obj, "kind", line_no)? {
         "instant" => Ok(()),
         "span" => {
             let end_ms = require_u64(obj, "end_ms", line_no)?;
@@ -174,7 +172,7 @@ fn validate_metric_line(obj: &Json, line_no: usize) -> Result<bool, String> {
     let metric = require_str(obj, "metric", line_no)?;
     require_str(obj, "scope", line_no)?;
     require_str(obj, "name", line_no)?;
-    match metric.as_str() {
+    match metric {
         "counter" => {
             require_u64(obj, "value", line_no)?;
             Ok(true)
@@ -190,51 +188,84 @@ fn validate_metric_line(obj: &Json, line_no: usize) -> Result<bool, String> {
     }
 }
 
-/// Validates a JSONL trace export against the schema above.
-pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
-    let mut stats = JsonlStats {
-        events: 0,
-        counters: 0,
-        histograms: 0,
-    };
-    let mut in_metrics = false;
-    let mut spans = SpanState::default();
-    let mut dropped_noted = false;
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
+/// Validates a JSONL trace export one line at a time, so a reader
+/// that needs each parsed line (replay) validates and decodes in one
+/// pass. Feed every line to [`line`](Self::line), then call
+/// [`finish`](Self::finish) for the checks that need the whole stream.
+/// After an error the validator's state is unspecified; stop feeding it.
+#[derive(Debug, Default)]
+pub struct JsonlValidator {
+    stats: JsonlStats,
+    /// Lines fed so far (the 1-based number of the last one).
+    lines: usize,
+    in_metrics: bool,
+    spans: SpanState,
+    dropped_noted: bool,
+}
+
+impl JsonlValidator {
+    /// Parses and checks the next line, then hands back the parsed
+    /// document.
+    ///
+    /// # Errors
+    ///
+    /// Describes the line's first schema violation, prefixed with its
+    /// line number.
+    pub fn line(&mut self, line: &str) -> Result<Json, String> {
+        self.lines += 1;
+        let line_no = self.lines;
         if line.trim().is_empty() {
             return Err(format!("line {line_no}: blank line"));
         }
         let obj = parse_json(line).map_err(|e| format!("line {line_no}: {e}"))?;
         if obj.get("metric").is_some() {
-            in_metrics = true;
+            self.in_metrics = true;
             if validate_metric_line(&obj, line_no)? {
-                stats.counters += 1;
+                self.stats.counters += 1;
                 if obj.get("scope").and_then(Json::as_str) == Some("obs")
                     && obj.get("name").and_then(Json::as_str) == Some("dropped_events")
                 {
-                    dropped_noted = true;
+                    self.dropped_noted = true;
                 }
             } else {
-                stats.histograms += 1;
+                self.stats.histograms += 1;
             }
         } else {
-            if in_metrics {
+            if self.in_metrics {
                 return Err(format!("line {line_no}: event line after metric lines"));
             }
-            validate_event_line(&obj, line_no, stats.events, &mut spans)?;
-            stats.events += 1;
+            validate_event_line(&obj, line_no, self.stats.events, &mut self.spans)?;
+            self.stats.events += 1;
         }
+        Ok(obj)
     }
-    // Unpaired span_end lines are only legal in a bounded-ring tail,
-    // where the matching span_start may have been evicted (flagged by
-    // the trailing dropped-events note).
-    if !dropped_noted {
-        if let Some(&line_no) = spans.unpaired_ends.first() {
-            return Err(format!("line {line_no}: unpaired span_end"));
+
+    /// Runs the end-of-stream checks and returns the stream's counts.
+    ///
+    /// # Errors
+    ///
+    /// Names the first `span_end` whose start never appeared, unless
+    /// the stream is a bounded-ring tail.
+    pub fn finish(self) -> Result<JsonlStats, String> {
+        // Unpaired span_end lines are only legal in a bounded-ring tail,
+        // where the matching span_start may have been evicted (flagged by
+        // the trailing dropped-events note).
+        if !self.dropped_noted {
+            if let Some(&line_no) = self.spans.unpaired_ends.first() {
+                return Err(format!("line {line_no}: unpaired span_end"));
+            }
         }
+        Ok(self.stats)
     }
-    Ok(stats)
+}
+
+/// Validates a JSONL trace export against the schema above.
+pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
+    let mut validator = JsonlValidator::default();
+    for line in text.lines() {
+        validator.line(line)?;
+    }
+    validator.finish()
 }
 
 #[cfg(test)]

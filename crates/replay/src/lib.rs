@@ -34,7 +34,8 @@ pub mod rollup;
 use rb_core::{Cost, NodeId, SimTime, TrialId};
 use rb_exec::{ExecutionReport, ExecutionTrace, StageRecord, TraceEvent};
 use rb_hpo::{Config, ConfigValue};
-use rb_obs::json::{parse_json, Json};
+use rb_obs::json::Json;
+use rb_obs::schema::JsonlValidator;
 use rb_obs::{CacheStats, RunSummary};
 use std::collections::BTreeMap;
 
@@ -47,16 +48,6 @@ pub struct ReplayedRun {
     pub report: ExecutionReport,
     /// The reconstructed end-of-run rollup.
     pub summary: RunSummary,
-}
-
-/// The integer value of `j`, if it is one exactly. The JSON parser
-/// holds numbers as `f64`, which is exact for integers below 2^53 —
-/// far above any id, timestamp, or micro-dollar amount we emit.
-pub(crate) fn json_i64(j: &Json) -> Option<i64> {
-    match j {
-        Json::Num(v) if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 => Some(*v as i64),
-        _ => None,
-    }
 }
 
 /// Typed access to one event line's `fields` object.
@@ -75,7 +66,7 @@ impl Fields<'_> {
 
     fn i64(&self, key: &str) -> Result<i64, String> {
         self.get(key)
-            .and_then(json_i64)
+            .and_then(Json::as_i64)
             .ok_or_else(|| format!("missing or non-integer field `{key}`"))
     }
 
@@ -113,31 +104,54 @@ struct RunResult {
 }
 
 /// Replays a JSONL trace into the run's [`ExecutionReport`] and
-/// [`RunSummary`] without re-executing anything. The stream is schema
-/// validated first; the trace must contain exactly one `exec`/`run`
-/// span pair on the global lane (i.e. a single-job, recording-on run —
-/// the `repro trace` artifact's shape).
+/// [`RunSummary`] without re-executing anything. The trace must contain
+/// exactly one `exec`/`run` span pair on the global lane (i.e. a
+/// single-job, recording-on run — the `repro trace` artifact's shape).
+///
+/// Validation and decoding share one pass: each line is parsed once by
+/// the schema's [`JsonlValidator`], which hands the document on to the
+/// decoder. Schema errors still take precedence, as if the whole
+/// stream were validated first: a decode error is held back until
+/// every later line and the end-of-stream checks have passed.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first problem: schema
-/// violations, a missing or duplicated run span, or result fields that
-/// are absent or mistyped.
+/// violations (prefixed `schema: `), a missing or duplicated run span,
+/// or result fields that are absent or mistyped.
 pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
-    rb_obs::schema::validate_jsonl(text).map_err(|e| format!("schema: {e}"))?;
-
-    let mut trace = ExecutionTrace::default();
-    let mut stages: Vec<StageRecord> = Vec::new();
-    let mut run_start: Option<SimTime> = None;
-    let mut run_result: Option<RunResult> = None;
-    let mut trial_throughput: BTreeMap<TrialId, f64> = BTreeMap::new();
-    let mut best_config = Config::new();
-    let mut counters: BTreeMap<(String, String), u64> = BTreeMap::new();
-    let mut event_lines = 0usize;
-
+    let mut schema = JsonlValidator::default();
+    let mut decoder = RunDecoder::default();
+    let mut decode_error = None;
     for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let doc = parse_json(line).map_err(|e| format!("line {lineno}: {e}"))?;
+        let doc = schema.line(line).map_err(|e| format!("schema: {e}"))?;
+        if decode_error.is_none() {
+            decode_error = decoder.line(idx + 1, &doc).err();
+        }
+    }
+    schema.finish().map_err(|e| format!("schema: {e}"))?;
+    match decode_error {
+        Some(e) => Err(e),
+        None => decoder.finish(),
+    }
+}
+
+/// Replay's state, fed one schema-valid line at a time.
+#[derive(Default)]
+struct RunDecoder {
+    trace: ExecutionTrace,
+    stages: Vec<StageRecord>,
+    run_start: Option<SimTime>,
+    run_result: Option<RunResult>,
+    trial_throughput: BTreeMap<TrialId, f64>,
+    best_config: Config,
+    counters: BTreeMap<(String, String), u64>,
+    event_lines: usize,
+}
+
+impl RunDecoder {
+    /// Decodes line `lineno`, already parsed and schema-checked.
+    fn line(&mut self, lineno: usize, doc: &Json) -> Result<(), String> {
         if let Some(metric) = doc.get("metric").and_then(Json::as_str) {
             if metric == "counter" {
                 let scope = doc
@@ -152,11 +166,12 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
                     .get("value")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| format!("line {lineno}: counter without value"))?;
-                counters.insert((scope.to_owned(), name.to_owned()), value);
+                self.counters
+                    .insert((scope.to_owned(), name.to_owned()), value);
             }
-            continue; // Histograms carry no report state.
+            return Ok(()); // Histograms carry no report state.
         }
-        event_lines += 1;
+        self.event_lines += 1;
         let at = SimTime::from_millis(
             doc.get("t_ms")
                 .and_then(Json::as_u64)
@@ -164,7 +179,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
         );
         let scope = doc.get("scope").and_then(Json::as_str).unwrap_or("");
         if scope != "exec" {
-            continue;
+            return Ok(());
         }
         let name = doc.get("name").and_then(Json::as_str).unwrap_or("");
         let lane = doc.get("lane").and_then(Json::as_str).unwrap_or("");
@@ -176,7 +191,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
         match (name, kind) {
             ("node.up", "instant") => {
                 if let Some(node) = lane_id(lane, "node") {
-                    trace.events.push(TraceEvent::NodeUp {
+                    self.trace.events.push(TraceEvent::NodeUp {
                         node: NodeId::new(node),
                         at,
                     });
@@ -184,7 +199,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
             }
             ("node.down", "instant") => {
                 if let Some(node) = lane_id(lane, "node") {
-                    trace.events.push(TraceEvent::NodeDown {
+                    self.trace.events.push(TraceEvent::NodeDown {
                         node: NodeId::new(node),
                         at,
                         preempted: fields
@@ -200,7 +215,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
                         .get("end_ms")
                         .and_then(Json::as_u64)
                         .ok_or_else(|| err("span without end_ms".into()))?;
-                    trace.events.push(TraceEvent::TrialSegment {
+                    self.trace.events.push(TraceEvent::TrialSegment {
                         trial: TrialId::new(trial),
                         stage: fields.u64("stage").map_err(err)? as usize,
                         start: at,
@@ -211,20 +226,20 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
             }
             ("migration", "instant") => {
                 if let Some(trial) = lane_id(lane, "trial") {
-                    trace.events.push(TraceEvent::Migration {
+                    self.trace.events.push(TraceEvent::Migration {
                         trial: TrialId::new(trial),
                         at,
                     });
                 }
             }
             ("barrier", "instant") if lane == "global" => {
-                trace.events.push(TraceEvent::Barrier {
+                self.trace.events.push(TraceEvent::Barrier {
                     stage: fields.u64("stage").map_err(err)? as usize,
                     at,
                 });
             }
             ("stage", "span_end") => {
-                stages.push(StageRecord {
+                self.stages.push(StageRecord {
                     stage: fields.u64("stage").map_err(err)? as usize,
                     train_start: SimTime::from_millis(fields.u64("train_start_ms").map_err(err)?),
                     sync_end: at,
@@ -235,7 +250,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
                 });
             }
             ("run", "span_start") if lane == "global" => {
-                let previous = run_start.replace(at);
+                let previous = self.run_start.replace(at);
                 if previous.is_some() {
                     return Err(err(
                         "second run span (multi-job traces not replayable)".into()
@@ -261,13 +276,14 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
                     degraded_stages: fields.u64("degraded_stages").map_err(err)? as u32,
                     utilization: fields.get("utilization").and_then(Json::as_f64),
                 };
-                if run_result.replace(result).is_some() {
+                if self.run_result.replace(result).is_some() {
                     return Err(err("second run span end".into()));
                 }
             }
             ("trial.throughput", "instant") => {
                 if let Some(trial) = lane_id(lane, "trial") {
-                    trial_throughput.insert(TrialId::new(trial), fields.f64("sps").map_err(err)?);
+                    self.trial_throughput
+                        .insert(TrialId::new(trial), fields.f64("sps").map_err(err)?);
                 }
             }
             ("run.best_param", "instant") => {
@@ -279,7 +295,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
                 let value = if let Some(v) = fields.get("float") {
                     ConfigValue::Float(v.as_f64().ok_or_else(|| err("bad float".into()))?)
                 } else if let Some(v) = fields.get("int") {
-                    ConfigValue::Int(json_i64(v).ok_or_else(|| err("bad int".into()))?)
+                    ConfigValue::Int(v.as_i64().ok_or_else(|| err("bad int".into()))?)
                 } else if let Some(v) = fields.get("choice") {
                     ConfigValue::Choice(
                         v.as_str()
@@ -289,60 +305,68 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
                 } else {
                     return Err(err("param without a typed value".into()));
                 };
-                best_config.set(param, value);
+                self.best_config.set(param, value);
             }
             _ => {}
         }
+        Ok(())
     }
 
-    let start = run_start.ok_or("trace has no exec/run span start on the global lane")?;
-    let result = run_result.ok_or("trace has no exec/run span end on the global lane")?;
-    let counter = |scope: &str, name: &str| -> u64 {
-        counters
-            .get(&(scope.to_owned(), name.to_owned()))
-            .copied()
-            .unwrap_or(0)
-    };
+    /// Assembles the report and summary once every line is decoded.
+    fn finish(self) -> Result<ReplayedRun, String> {
+        let start = self
+            .run_start
+            .ok_or("trace has no exec/run span start on the global lane")?;
+        let result = self
+            .run_result
+            .ok_or("trace has no exec/run span end on the global lane")?;
+        let counter = |scope: &str, name: &str| -> u64 {
+            self.counters
+                .get(&(scope.to_owned(), name.to_owned()))
+                .copied()
+                .unwrap_or(0)
+        };
 
-    let report = ExecutionReport {
-        jct: result.end - start,
-        compute_cost: result.compute_cost,
-        data_cost: result.data_cost,
-        best_trial: result.best_trial,
-        best_config,
-        best_accuracy: result.best_accuracy,
-        stages,
-        migrations: result.migrations,
-        preemptions: result.preemptions,
-        instances_provisioned: result.instances_provisioned,
-        utilization: result.utilization,
-        trial_throughput,
-        faults_injected: result.faults_injected,
-        provision_retries: result.provision_retries,
-        checkpoint_fallbacks: result.checkpoint_fallbacks,
-        degraded_stages: result.degraded_stages,
-        trace,
-    };
+        let report = ExecutionReport {
+            jct: result.end - start,
+            compute_cost: result.compute_cost,
+            data_cost: result.data_cost,
+            best_trial: result.best_trial,
+            best_config: self.best_config,
+            best_accuracy: result.best_accuracy,
+            stages: self.stages,
+            migrations: result.migrations,
+            preemptions: result.preemptions,
+            instances_provisioned: result.instances_provisioned,
+            utilization: result.utilization,
+            trial_throughput: self.trial_throughput,
+            faults_injected: result.faults_injected,
+            provision_retries: result.provision_retries,
+            checkpoint_fallbacks: result.checkpoint_fallbacks,
+            degraded_stages: result.degraded_stages,
+            trace: self.trace,
+        };
 
-    // The live run's rollup, fed from the reconstructed report and the
-    // trace's own metric lines.
-    let summary = report.summary(
-        CacheStats {
-            hits: counter("sim", "plan_cache_hits"),
-            misses: counter("sim", "plan_cache_misses"),
-            evictions: counter("sim", "plan_cache_evictions"),
-        },
-        CacheStats {
-            hits: counter("sim", "stage_memo_hits"),
-            misses: counter("sim", "stage_memo_misses"),
-            evictions: counter("sim", "stage_memo_evictions"),
-        },
-        counter("ctrl", "replans_applied") as usize,
-        counter("ctrl", "replans_rejected") as usize,
-        event_lines,
-    );
+        // The live run's rollup, fed from the reconstructed report and the
+        // trace's own metric lines.
+        let summary = report.summary(
+            CacheStats {
+                hits: counter("sim", "plan_cache_hits"),
+                misses: counter("sim", "plan_cache_misses"),
+                evictions: counter("sim", "plan_cache_evictions"),
+            },
+            CacheStats {
+                hits: counter("sim", "stage_memo_hits"),
+                misses: counter("sim", "stage_memo_misses"),
+                evictions: counter("sim", "stage_memo_evictions"),
+            },
+            counter("ctrl", "replans_applied") as usize,
+            counter("ctrl", "replans_rejected") as usize,
+            self.event_lines,
+        );
 
-    Ok(ReplayedRun { report, summary })
+        Ok(ReplayedRun { report, summary })
+    }
 }
 
 #[cfg(test)]
@@ -500,6 +524,26 @@ mod tests {
         let jsonl = export_jsonl(&rec.finish());
         let e = replay_jsonl(&jsonl).unwrap_err();
         assert!(e.contains("no exec/run span start"), "{e}");
+    }
+
+    #[test]
+    fn schema_errors_outrank_earlier_decode_errors() {
+        let rec = MemoryRecorder::new();
+        record_mini_run(&rec);
+        let jsonl = export_jsonl(&rec.finish());
+        // Schema-valid, but the run span end lacks a result field.
+        let undecodable = jsonl.replace("\"best_trial\"", "\"best_trail\"");
+        let e = replay_jsonl(&undecodable).unwrap_err();
+        assert!(
+            e.contains("missing or non-integer field `best_trial`"),
+            "{e}"
+        );
+        // A blank line after it breaks the schema, which wins.
+        let e = replay_jsonl(&format!("{undecodable}\n")).unwrap_err();
+        assert!(
+            e.starts_with("schema: line ") && e.ends_with("blank line"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! averaging of floats), and money stays in integer micro-dollars until
 //! the final exact-decimal rendering.
 
-use crate::json_i64;
 use rb_obs::json::{parse_json, write_json_str, Json};
 use std::fmt::Write as _;
 
@@ -123,7 +122,7 @@ pub fn parse_run_record(text: &str) -> Result<RunRecord, String> {
         jct_ms: u64_field("jct_ms")?,
         cost_micros: doc
             .get("cost_micros")
-            .and_then(json_i64)
+            .and_then(Json::as_i64)
             .ok_or_else(|| "missing or non-integer `cost_micros`".to_owned())?,
         queue_wait_ms: u64_field("queue_wait_ms")?,
         faults: u64_field("faults")?,

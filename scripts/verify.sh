@@ -130,6 +130,23 @@ grep -q '^replay: .* bit-for-bit' "$trace_dir/replay.txt" \
     || { echo "FAIL: replay did not report bit-equality" >&2; exit 1; }
 sed -n '/^run summary:/,$p' "$trace_dir/replay.txt" > "$trace_dir/replay_summary.txt"
 diff -u scripts/expected_summary.txt "$trace_dir/replay_summary.txt"
+echo "ok"
+
+echo "== truncated trace (replay must fail with a schema error) =="
+# Cut the trace's last line in half, as a crash mid-write would. Replay
+# must refuse the stream, exit non-zero, and blame the schema.
+trace="$trace_dir/repro_out/trace.jsonl"
+last=$(tail -n 1 "$trace")
+head -n -1 "$trace" > "$trace_dir/cut.jsonl"
+printf '%s\n' "${last:0:${#last}/2}" >> "$trace_dir/cut.jsonl"
+mv "$trace_dir/cut.jsonl" "$trace"
+if (cd "$trace_dir" && cargo run --manifest-path "$repo/Cargo.toml" \
+    -p rb-bench --release --offline --bin repro -- replay) > "$trace_dir/cut.txt" 2>&1; then
+    echo "FAIL: replay accepted a truncated trace" >&2
+    exit 1
+fi
+grep -q 'replay: schema:' "$trace_dir/cut.txt" \
+    || { echo "FAIL: truncated trace did not fail with a schema error" >&2; cat "$trace_dir/cut.txt" >&2; exit 1; }
 rm -rf "$trace_dir"
 echo "ok"
 
