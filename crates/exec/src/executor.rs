@@ -9,6 +9,7 @@
 //! scheduling order and bit-reproducible from the seed.
 
 use crate::cluster::{ClusterManager, RetryPolicy, SwitchDirective};
+use crate::codec;
 use crate::report::{ExecutionReport, ExecutionTrace, StageRecord, TraceEvent};
 use rb_cloud::{FaultPlan, PricingTier};
 use rb_core::{mix_seed, Cost, Distribution, Prng, RbError, Result, SimDuration, SimTime, TrialId};
@@ -357,7 +358,7 @@ fn merge_unit_obs(
 /// Appends `ev` to the local trace and mirrors it onto the unified bus.
 /// The local [`ExecutionTrace`] stays the report's canonical event log;
 /// the recorder stream is a superset of it (tests assert
-/// [`ExecutionTrace::from_events`] recovers the trace exactly).
+/// [`codec::Decoder`] recovers the trace exactly).
 fn emit(trace: &mut ExecutionTrace, recorder: &RecorderHandle, ev: TraceEvent) {
     if recorder.enabled() {
         recorder.record(ev.to_obs());
@@ -961,7 +962,7 @@ impl ExecutorCore {
                 self.pc.confirm(tid);
             }
         }
-        self.stages.push(StageRecord {
+        let record = StageRecord {
             stage,
             train_start,
             sync_end: self.now,
@@ -969,7 +970,7 @@ impl ExecutorCore {
             gpus_per_trial: setup.allocations.values().next().copied().unwrap_or(1),
             instances: setup.needed as u32,
             migrations: stage_migrations,
-        });
+        };
         if self.recorder.enabled() {
             // The stage span closes with the full StageRecord payload,
             // so a replay can rebuild the per-stage timeline from the
@@ -980,27 +981,12 @@ impl ExecutorCore {
                 "stage",
                 Lane::Stage(stage as u32),
                 self.spans.close(),
-                vec![
-                    ("stage", (stage as u64).into()),
-                    ("train_start_ms", train_start.as_millis().into()),
-                    ("trials", stage_trials.into()),
-                    (
-                        "gpus_per_trial",
-                        setup
-                            .allocations
-                            .values()
-                            .next()
-                            .copied()
-                            .unwrap_or(1)
-                            .into(),
-                    ),
-                    ("instances", (setup.needed as u64).into()),
-                    ("migrations", stage_migrations.into()),
-                ],
+                codec::stage_fields(&record),
             );
             // Stage barriers are the stream's durability points.
             self.recorder.flush();
         }
+        self.stages.push(record);
         if stage_shortfall > 0 {
             self.degraded_stages += 1;
         }
@@ -1133,36 +1119,43 @@ impl ExecutorCore {
             )));
         }
         // --- Teardown and report ------------------------------------------------
-        let jct = self.now - self.t0;
+        // Utilization is read before teardown releases the held capacity.
         let utilization = self.cm.utilization(self.now);
-        let compute_cost;
-        let data_cost;
-        {
-            self.cm.terminate_all(self.now);
-            compute_cost = self.cm.compute_cost(self.now);
-            data_cost = self.cm.data_cost();
-        }
-        let faults_injected = self.cm.fault_counts().total() + self.store.corruptions_injected();
+        self.cm.terminate_all(self.now);
         let best_trial = *self
             .live
             .first()
             .ok_or_else(|| RbError::Execution("no surviving trial at job end".into()))?;
-        let best_config = self.trials[&best_trial].trial.config.clone();
-        let best_accuracy = self.trials[&best_trial]
-            .trial
-            .latest_accuracy()
-            .expect("winner has metrics");
+        let winner = &self.trials[&best_trial].trial;
         let batch = f64::from(self.exec.physics.scaling.batch_size());
-        let trial_throughput: BTreeMap<TrialId, f64> = self
-            .trials
-            .iter()
-            .filter(|(_, rt)| rt.busy_secs > 0.0 && rt.units_done > 0)
-            .map(|(&t, rt)| {
-                let samples =
-                    rt.units_done as f64 * self.exec.physics.steps_per_iter as f64 * batch;
-                (t, samples / rt.busy_secs)
-            })
-            .collect();
+        let report = ExecutionReport {
+            jct: self.now - self.t0,
+            compute_cost: self.cm.compute_cost(self.now),
+            data_cost: self.cm.data_cost(),
+            best_trial,
+            best_config: winner.config.clone(),
+            best_accuracy: winner.latest_accuracy().expect("winner has metrics"),
+            stages: self.stages,
+            migrations: self.total_migrations,
+            preemptions: self.total_preemptions,
+            instances_provisioned: self.cm.instances_provisioned(),
+            utilization,
+            trial_throughput: self
+                .trials
+                .iter()
+                .filter(|(_, rt)| rt.busy_secs > 0.0 && rt.units_done > 0)
+                .map(|(&t, rt)| {
+                    let samples =
+                        rt.units_done as f64 * self.exec.physics.steps_per_iter as f64 * batch;
+                    (t, samples / rt.busy_secs)
+                })
+                .collect(),
+            faults_injected: self.cm.fault_counts().total() + self.store.corruptions_injected(),
+            provision_retries: self.total_retries,
+            checkpoint_fallbacks: self.checkpoint_fallbacks,
+            degraded_stages: self.degraded_stages,
+            trace: self.trace,
+        };
         if self.recorder.enabled() {
             // The billing meter's spend curve: cumulative compute cost at
             // each instance release, on the cloud lane.
@@ -1170,102 +1163,35 @@ impl ExecutorCore {
                 self.recorder
                     .gauge(t, "cloud", "spend_usd", Lane::Cloud, c.as_dollars());
             }
-            // Result-carrying events: everything a replay needs to
-            // rebuild the report that only the executor knows. Costs
-            // travel as integer micros (exact), f64 metrics rely on the
-            // exporter's shortest-roundtrip formatting.
-            for (&t, &sps) in &trial_throughput {
-                self.recorder.instant(
-                    self.now,
-                    "exec",
-                    "trial.throughput",
-                    Lane::Trial(t.raw()),
-                    vec![("sps", sps.into())],
-                );
-            }
-            for (name, value) in best_config.iter() {
-                let mut fields: Vec<(&'static str, Value)> = vec![("param", name.clone().into())];
-                match value {
-                    rb_hpo::ConfigValue::Float(v) => fields.push(("float", (*v).into())),
-                    rb_hpo::ConfigValue::Int(v) => fields.push(("int", (*v).into())),
-                    rb_hpo::ConfigValue::Choice(s) => fields.push(("choice", s.clone().into())),
-                }
-                self.recorder
-                    .instant(self.now, "exec", "run.best_param", Lane::Global, fields);
-            }
-            let mut result: Vec<(&'static str, Value)> = vec![
-                ("compute_cost_micros", compute_cost.as_micros().into()),
-                ("data_cost_micros", data_cost.as_micros().into()),
-                ("best_trial", best_trial.raw().into()),
-                ("best_accuracy", best_accuracy.into()),
-                ("migrations", u64::from(self.total_migrations).into()),
-                ("preemptions", u64::from(self.total_preemptions).into()),
-                (
-                    "instances_provisioned",
-                    (self.cm.instances_provisioned() as u64).into(),
-                ),
-                ("faults_injected", faults_injected.into()),
-                ("provision_retries", self.total_retries.into()),
-                ("checkpoint_fallbacks", self.checkpoint_fallbacks.into()),
-                ("degraded_stages", u64::from(self.degraded_stages).into()),
-            ];
-            if let Some(u) = utilization {
-                result.push(("utilization", u.into()));
-            }
-            self.recorder.span_end(
-                self.now,
-                "exec",
-                "run",
-                Lane::Global,
-                self.spans.close(),
-                result,
-            );
+            codec::record_run(&self.recorder, self.now, self.spans.close(), &report);
             self.recorder.flush();
         }
         self.recorder
-            .counter_add("exec", "migrations", u64::from(self.total_migrations));
+            .counter_add("exec", "migrations", u64::from(report.migrations));
         self.recorder
-            .counter_add("exec", "preemptions", u64::from(self.total_preemptions));
+            .counter_add("exec", "preemptions", u64::from(report.preemptions));
         self.recorder.counter_add(
             "exec",
             "instances_provisioned",
-            self.cm.instances_provisioned() as u64,
+            report.instances_provisioned as u64,
         );
-        if faults_injected > 0 {
+        if report.faults_injected > 0 {
             // Recovery rollup, emitted only when the injector actually
             // fired so calm traces stay byte-stable.
             self.recorder
-                .counter_add("exec", "faults_injected", faults_injected);
+                .counter_add("exec", "faults_injected", report.faults_injected);
             self.recorder
-                .counter_add("exec", "provision_retries", self.total_retries);
+                .counter_add("exec", "provision_retries", report.provision_retries);
             self.recorder
-                .counter_add("exec", "checkpoint_fallbacks", self.checkpoint_fallbacks);
+                .counter_add("exec", "checkpoint_fallbacks", report.checkpoint_fallbacks);
             self.recorder
-                .counter_add("exec", "degraded_stages", u64::from(self.degraded_stages));
+                .counter_add("exec", "degraded_stages", u64::from(report.degraded_stages));
         }
         #[cfg(debug_assertions)]
-        if let Err(violation) = self.trace.check_invariants() {
+        if let Err(violation) = report.trace.check_invariants() {
             panic!("execution trace ordering contract violated: {violation}");
         }
-        Ok(ExecutionReport {
-            jct,
-            compute_cost,
-            data_cost,
-            best_trial,
-            best_config,
-            best_accuracy,
-            stages: self.stages,
-            migrations: self.total_migrations,
-            preemptions: self.total_preemptions,
-            instances_provisioned: self.cm.instances_provisioned(),
-            utilization,
-            trial_throughput,
-            faults_injected,
-            provision_retries: self.total_retries,
-            checkpoint_fallbacks: self.checkpoint_fallbacks,
-            degraded_stages: self.degraded_stages,
-            trace: self.trace,
-        })
+        Ok(report)
     }
 }
 
@@ -2487,7 +2413,7 @@ mod tests {
     #[test]
     fn execution_trace_is_a_derived_view_of_the_bus() {
         // Every local trace event also went over the unified bus, and the
-        // bus stream reconstructs the trace exactly.
+        // codec decodes the exported stream back to the whole report.
         let task = resnet101_cifar10();
         let sink = Arc::new(rb_obs::MemoryRecorder::new());
         let report = stormy_executor(&task)
@@ -2498,8 +2424,16 @@ mod tests {
             )
             .unwrap();
         let log = sink.finish();
-        let derived = ExecutionTrace::from_events(&log.events);
-        assert_eq!(derived, report.trace);
+        let mut decoder = codec::Decoder::default();
+        for (i, line) in rb_obs::export::export_jsonl(&log).lines().enumerate() {
+            let doc = rb_obs::json::parse_json(line).unwrap();
+            if doc.get("metric").is_none() {
+                decoder.event(i + 1, &doc).unwrap();
+            }
+        }
+        let decoded = decoder.finish().unwrap();
+        assert_eq!(decoded.trace, report.trace);
+        assert_eq!(format!("{decoded:?}"), format!("{report:?}"));
         // The bus carries more than the trace: stage span pairs, gauges,
         // and the cloud provider's own lifecycle events.
         assert!(log.events_named("exec", "stage").count() == 2 * report.stages.len());

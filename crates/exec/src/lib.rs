@@ -15,7 +15,10 @@
 //!   survivor promotion;
 //! * the **report** ([`report`]) collects what the paper's tables report:
 //!   JCT, dollar cost under the billing model, final accuracy, per-stage
-//!   timeline, migrations, utilization, and per-trial throughput.
+//!   timeline, migrations, utilization, and per-trial throughput;
+//! * the **codec** ([`codec`]) is the run's trace format in both
+//!   directions: what the executor records and the one decoder that
+//!   rebuilds the report from a trace.
 //!
 //! Because the executor samples its own noise independently of the
 //! planner's Monte-Carlo model, comparing a plan's predicted JCT/cost with
@@ -28,6 +31,7 @@
 
 pub mod asha;
 pub mod cluster;
+pub mod codec;
 pub mod executor;
 pub mod report;
 pub mod scheduler;

@@ -2,10 +2,11 @@
 
 use rb_core::{Cost, NodeId, SimDuration, SimTime, TrialId};
 use rb_hpo::Config;
-use rb_obs::{CacheStats, Event, EventKind, Lane, RunSummary, Value};
+use rb_obs::{CacheStats, RunSummary};
 use std::collections::BTreeMap;
 
-/// One observable event during execution, in virtual time.
+/// One observable event during execution, in virtual time. Its trace
+/// encoding, [`TraceEvent::to_obs`], lives in [`crate::codec`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A node finished initialization and joined the cluster.
@@ -53,70 +54,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The unified-bus form of this event (scope `"exec"`). The mapping
-    /// is lossless: [`ExecutionTrace::from_events`] inverts it, which is
-    /// what lets `ExecutionTrace` live on as a *derived view* of the
-    /// recorder stream.
-    pub fn to_obs(&self) -> Event {
-        match *self {
-            TraceEvent::NodeUp { node, at } => Event {
-                at,
-                scope: "exec",
-                name: "node.up",
-                lane: Lane::Node(node.raw()),
-                kind: EventKind::Instant,
-                fields: Vec::new(),
-            },
-            TraceEvent::NodeDown {
-                node,
-                at,
-                preempted,
-            } => Event {
-                at,
-                scope: "exec",
-                name: "node.down",
-                lane: Lane::Node(node.raw()),
-                kind: EventKind::Instant,
-                fields: vec![("preempted", Value::Bool(preempted))],
-            },
-            TraceEvent::TrialSegment {
-                trial,
-                stage,
-                start,
-                end,
-                gpus,
-            } => Event {
-                at: start,
-                scope: "exec",
-                name: "trial.segment",
-                lane: Lane::Trial(trial.raw()),
-                kind: EventKind::Span { end },
-                fields: vec![
-                    ("stage", Value::U64(stage as u64)),
-                    ("gpus", Value::U64(u64::from(gpus))),
-                ],
-            },
-            TraceEvent::Migration { trial, at } => Event {
-                at,
-                scope: "exec",
-                name: "migration",
-                lane: Lane::Trial(trial.raw()),
-                kind: EventKind::Instant,
-                fields: Vec::new(),
-            },
-            TraceEvent::Barrier { stage, at } => Event {
-                at,
-                scope: "exec",
-                name: "barrier",
-                lane: Lane::Global,
-                kind: EventKind::Instant,
-                fields: vec![("stage", Value::U64(stage as u64))],
-            },
-        }
-    }
-}
-
 /// The ordered event log of one execution (useful for visualization and
 /// for asserting runtime invariants in tests).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -157,72 +94,6 @@ impl ExecutionTrace {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Reconstructs the execution trace from a unified-bus event stream
-    /// (the inverse of [`TraceEvent::to_obs`]). Events from other scopes
-    /// or with unrecognized names are ignored, so the same stream can
-    /// carry planner, controller and cloud lanes alongside the
-    /// executor's.
-    pub fn from_events(events: &[Event]) -> ExecutionTrace {
-        fn field_u64(e: &Event, key: &str) -> Option<u64> {
-            e.fields
-                .iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, v)| match v {
-                    Value::U64(n) => Some(*n),
-                    Value::I64(n) => u64::try_from(*n).ok(),
-                    _ => None,
-                })
-        }
-        fn field_bool(e: &Event, key: &str) -> Option<bool> {
-            e.fields
-                .iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, v)| match v {
-                    Value::Bool(b) => Some(*b),
-                    _ => None,
-                })
-        }
-        let mut out = ExecutionTrace::default();
-        for e in events {
-            if e.scope != "exec" {
-                continue;
-            }
-            let ev = match (e.name, e.lane, e.kind) {
-                ("node.up", Lane::Node(id), EventKind::Instant) => Some(TraceEvent::NodeUp {
-                    node: NodeId::new(id),
-                    at: e.at,
-                }),
-                ("node.down", Lane::Node(id), EventKind::Instant) => Some(TraceEvent::NodeDown {
-                    node: NodeId::new(id),
-                    at: e.at,
-                    preempted: field_bool(e, "preempted").unwrap_or(false),
-                }),
-                ("trial.segment", Lane::Trial(id), EventKind::Span { end }) => {
-                    Some(TraceEvent::TrialSegment {
-                        trial: TrialId::new(id),
-                        stage: field_u64(e, "stage").unwrap_or(0) as usize,
-                        start: e.at,
-                        end,
-                        gpus: field_u64(e, "gpus").unwrap_or(0) as u32,
-                    })
-                }
-                ("migration", Lane::Trial(id), EventKind::Instant) => Some(TraceEvent::Migration {
-                    trial: TrialId::new(id),
-                    at: e.at,
-                }),
-                ("barrier", Lane::Global, EventKind::Instant) => Some(TraceEvent::Barrier {
-                    stage: field_u64(e, "stage").unwrap_or(0) as usize,
-                    at: e.at,
-                }),
-                _ => None,
-            };
-            if let Some(ev) = ev {
-                out.events.push(ev);
-            }
-        }
-        out
     }
 
     /// Checks the trace's ordering contract:

@@ -15,6 +15,7 @@
 
 use rb_core::SimTime;
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Which timeline an event belongs to. Lanes become rows ("threads") in
@@ -64,6 +65,43 @@ impl fmt::Display for Lane {
             Lane::Job(id) => write!(f, "job:{id}"),
             Lane::Bracket(b) => write!(f, "bracket:{b}"),
         }
+    }
+}
+
+/// A lane label that [`Lane`]'s `Display` could not have written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadLane;
+
+/// The exact inverse of `Display`: an id is canonical decimal (digits
+/// only, no sign, no leading zero except `0`) and must fit the
+/// variant's id type, so every accepted label prints back unchanged.
+impl FromStr for Lane {
+    type Err = BadLane;
+
+    fn from_str(s: &str) -> Result<Lane, BadLane> {
+        fn id<T: FromStr>(digits: &str) -> Result<T, BadLane> {
+            let canonical = digits.bytes().all(|b| b.is_ascii_digit())
+                && (digits == "0" || !digits.starts_with('0'));
+            // `parse` rejects the empty string and out-of-range values.
+            match digits.parse() {
+                Ok(id) if canonical => Ok(id),
+                _ => Err(BadLane),
+            }
+        }
+        Ok(match s {
+            "global" => Lane::Global,
+            "controller" => Lane::Controller,
+            "planner" => Lane::Planner,
+            "cloud" => Lane::Cloud,
+            _ => match s.split_once(':').ok_or(BadLane)? {
+                ("node", digits) => Lane::Node(id(digits)?),
+                ("trial", digits) => Lane::Trial(id(digits)?),
+                ("stage", digits) => Lane::Stage(id(digits)?),
+                ("job", digits) => Lane::Job(id(digits)?),
+                ("bracket", digits) => Lane::Bracket(id(digits)?),
+                _ => return Err(BadLane),
+            },
+        })
     }
 }
 
@@ -437,6 +475,47 @@ mod tests {
         assert_eq!(Lane::Controller.to_string(), "controller");
         assert_eq!(Lane::Job(5).to_string(), "job:5");
         assert_eq!(Lane::Bracket(4).to_string(), "bracket:4");
+    }
+
+    #[test]
+    fn lane_labels_parse_back_exactly() {
+        let lanes = [
+            Lane::Global,
+            Lane::Node(0),
+            Lane::Node(u64::MAX),
+            Lane::Trial(7),
+            Lane::Trial(u64::MAX),
+            Lane::Stage(2),
+            Lane::Stage(u32::MAX),
+            Lane::Controller,
+            Lane::Planner,
+            Lane::Cloud,
+            Lane::Job(5),
+            Lane::Job(u64::MAX),
+            Lane::Bracket(0),
+            Lane::Bracket(u32::MAX),
+        ];
+        for lane in lanes {
+            assert_eq!(lane.to_string().parse::<Lane>(), Ok(lane));
+        }
+        for bad in [
+            "node:18446744073709551616",
+            "stage:4294967296",
+            "bracket:4294967296",
+            "node:01",
+            "trial:00",
+            "node:+1",
+            "job:-1",
+            "node:",
+            "node:x",
+            "node:1:2",
+            "node",
+            "worker:1",
+            "Global",
+            "",
+        ] {
+            assert_eq!(bad.parse::<Lane>(), Err(BadLane), "{bad}");
+        }
     }
 
     #[test]

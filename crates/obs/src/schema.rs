@@ -6,7 +6,9 @@
 //! * **Event lines** carry `seq` (integer, strictly increasing from 0),
 //!   `t_ms` (non-negative integer virtual time), `scope`/`name`/`lane`
 //!   (non-empty strings, `lane` one of `global|controller|planner|cloud`
-//!   or `node:<n>|trial:<n>|stage:<n>|job:<n>|bracket:<n>`), `kind`
+//!   or `node:<n>|trial:<n>|stage:<n>|job:<n>|bracket:<n>` with `<n>` in
+//!   canonical decimal that fits the id type, i.e. what
+//!   [`Lane`]'s `FromStr` accepts), `kind`
 //!   (`instant`, `span`, `gauge`, `span_start`, or `span_end`), and
 //!   `fields` (object). `span` lines add `end_ms >= t_ms`; `gauge`
 //!   lines add a *finite* numeric or null `value` (non-finite readings
@@ -28,6 +30,7 @@
 //!   null rule).
 
 use crate::json::{parse_json, Json};
+use crate::recorder::Lane;
 use std::collections::BTreeMap;
 
 /// Counts from a successful validation.
@@ -36,17 +39,6 @@ pub struct JsonlStats {
     pub events: usize,
     pub counters: usize,
     pub histograms: usize,
-}
-
-fn lane_ok(lane: &str) -> bool {
-    match lane {
-        "global" | "controller" | "planner" | "cloud" => true,
-        _ => lane.split_once(':').is_some_and(|(kind, id)| {
-            matches!(kind, "node" | "trial" | "stage" | "job" | "bracket")
-                && !id.is_empty()
-                && id.bytes().all(|b| b.is_ascii_digit())
-        }),
-    }
 }
 
 fn require_str<'a>(obj: &'a Json, key: &str, line_no: usize) -> Result<&'a str, String> {
@@ -103,17 +95,17 @@ fn validate_event_line(
     let t_ms = require_u64(obj, "t_ms", line_no)?;
     require_str(obj, "scope", line_no)?;
     let name = require_str(obj, "name", line_no)?;
-    let lane = require_str(obj, "lane", line_no)?;
-    if !lane_ok(lane) {
-        return Err(format!("line {line_no}: bad lane `{lane}`"));
-    }
+    let label = require_str(obj, "lane", line_no)?;
+    let lane: Lane = label
+        .parse()
+        .map_err(|_| format!("line {line_no}: bad lane `{label}`"))?;
     if matches!(
         name,
         "job.submit" | "job.queued" | "job.dispatch" | "job.reject" | "job.done"
-    ) && !lane.starts_with("job:")
+    ) && !matches!(lane, Lane::Job(_))
     {
         return Err(format!(
-            "line {line_no}: service event `{name}` on non-job lane `{lane}`"
+            "line {line_no}: service event `{name}` on non-job lane `{label}`"
         ));
     }
     if !obj.get("fields").is_some_and(Json::is_obj) {
@@ -273,7 +265,7 @@ mod tests {
     use super::*;
     use crate::export::export_jsonl;
     use crate::memory::MemoryRecorder;
-    use crate::recorder::{Lane, Recorder};
+    use crate::recorder::Recorder;
     use rb_core::SimTime;
 
     fn sample_export() -> String {
@@ -378,13 +370,27 @@ mod tests {
 
     #[test]
     fn lane_grammar() {
-        assert!(lane_ok("node:12"));
-        assert!(lane_ok("global"));
-        assert!(lane_ok("bracket:0"));
-        assert!(!lane_ok("node:"));
-        assert!(!lane_ok("node:x"));
-        assert!(!lane_ok("worker:1"));
-        assert!(!lane_ok("bracket:"));
+        // The schema's lane grammar is `Lane`'s own label grammar.
+        let good = sample_export();
+        for bad in [
+            "node:",
+            "node:x",
+            "worker:1",
+            "node:01",
+            "node:+1",
+            "node:18446744073709551616",
+        ] {
+            let text = good.replace("\"lane\":\"node:1\"", &format!("\"lane\":\"{bad}\""));
+            assert!(
+                validate_jsonl(&text).unwrap_err().contains("bad lane"),
+                "{bad}"
+            );
+        }
+        let max = good.replace(
+            "\"lane\":\"node:1\"",
+            "\"lane\":\"node:18446744073709551615\"",
+        );
+        validate_jsonl(&max).expect("u64::MAX is a node id");
     }
 
     fn span_pair_export() -> String {

@@ -4,21 +4,19 @@
 //! result-bearing event the executor emits: the `run` span pair with
 //! the billing meters and winner, one `stage` span pair per executed
 //! stage, the node/trial lifecycle events that make up the
-//! [`ExecutionTrace`], per-trial throughput instants, and the winning
-//! hyperparameter configuration. This crate inverts that encoding:
-//! [`replay_jsonl`] parses a trace file **alone** — no planner, no
+//! [`ExecutionTrace`](rb_exec::ExecutionTrace), per-trial throughput
+//! instants, and the winning hyperparameter configuration.
+//! [`replay_jsonl`] reads a trace file **alone** — no planner, no
 //! simulator, no re-execution — and reconstructs the
 //! [`ExecutionReport`] and [`rb_obs::RunSummary`] of the run that
 //! produced it, bit for bit.
 //!
-//! Exactness is by construction, not luck:
-//!
-//! * virtual time is integer milliseconds, so `t_ms`/`end_ms` fields
-//!   round-trip timestamps exactly;
-//! * money travels as integer micro-dollars (`*_cost_micros` fields);
-//! * `f64` metrics (accuracy, throughput, utilization, float
-//!   hyperparameters) rely on the exporter's shortest-roundtrip
-//!   formatting, which `str::parse::<f64>` inverts exactly.
+//! There is one codec, in [`rb_exec::codec`]: the executor records
+//! through it and its decoder is the only reader of the format. Replay
+//! is the schema's [`JsonlValidator`] plus that decoder, plus the
+//! metric-counter tail that feeds [`ExecutionReport::summary`]; it then
+//! checks the rebuilt trace's ordering contract, so a dropped or renamed
+//! lifecycle event is an error rather than a different run.
 //!
 //! The `repro replay` subcommand uses this to close the provenance
 //! loop in CI: replay `repro_out/trace.jsonl`, re-run the live
@@ -31,9 +29,7 @@
 
 pub mod rollup;
 
-use rb_core::{Cost, NodeId, SimTime, TrialId};
-use rb_exec::{ExecutionReport, ExecutionTrace, StageRecord, TraceEvent};
-use rb_hpo::{Config, ConfigValue};
+use rb_exec::{codec, ExecutionReport};
 use rb_obs::json::Json;
 use rb_obs::schema::JsonlValidator;
 use rb_obs::{CacheStats, RunSummary};
@@ -48,59 +44,6 @@ pub struct ReplayedRun {
     pub report: ExecutionReport,
     /// The reconstructed end-of-run rollup.
     pub summary: RunSummary,
-}
-
-/// Typed access to one event line's `fields` object.
-struct Fields<'a>(&'a Json);
-
-impl Fields<'_> {
-    fn get(&self, key: &str) -> Option<&Json> {
-        self.0.get(key)
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        self.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-    }
-
-    fn i64(&self, key: &str) -> Result<i64, String> {
-        self.get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        self.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-    }
-}
-
-/// The numeric id of a `prefix:id` lane label.
-fn lane_id(label: &str, prefix: &str) -> Option<u64> {
-    label
-        .strip_prefix(prefix)
-        .and_then(|rest| rest.strip_prefix(':'))
-        .and_then(|id| id.parse::<u64>().ok())
-}
-
-/// What the `exec`/`run` span end carries: everything only the
-/// executor knew at teardown.
-struct RunResult {
-    end: SimTime,
-    compute_cost: Cost,
-    data_cost: Cost,
-    best_trial: TrialId,
-    best_accuracy: f64,
-    migrations: u32,
-    preemptions: u32,
-    instances_provisioned: usize,
-    faults_injected: u64,
-    provision_retries: u64,
-    checkpoint_fallbacks: u64,
-    degraded_stages: u32,
-    utilization: Option<f64>,
 }
 
 /// Replays a JSONL trace into the run's [`ExecutionReport`] and
@@ -118,261 +61,91 @@ struct RunResult {
 ///
 /// Returns a human-readable description of the first problem: schema
 /// violations (prefixed `schema: `), a missing or duplicated run span,
-/// or result fields that are absent or mistyped.
+/// result fields that are absent, mistyped or out of range, or a
+/// rebuilt trace that breaks its ordering contract (prefixed `trace: `).
 pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
     let mut schema = JsonlValidator::default();
-    let mut decoder = RunDecoder::default();
+    let mut decoder = codec::Decoder::default();
+    let mut counters = BTreeMap::new();
     let mut decode_error = None;
     for (idx, line) in text.lines().enumerate() {
         let doc = schema.line(line).map_err(|e| format!("schema: {e}"))?;
         if decode_error.is_none() {
-            decode_error = decoder.line(idx + 1, &doc).err();
+            decode_error = match doc.get("metric") {
+                None => decoder.event(idx + 1, &doc),
+                Some(_) => metric(idx + 1, &doc, &mut counters),
+            }
+            .err();
         }
     }
-    schema.finish().map_err(|e| format!("schema: {e}"))?;
-    match decode_error {
-        Some(e) => Err(e),
-        None => decoder.finish(),
+    let stats = schema.finish().map_err(|e| format!("schema: {e}"))?;
+    if let Some(e) = decode_error {
+        return Err(e);
     }
+    let report = decoder.finish()?;
+    report
+        .trace
+        .check_invariants()
+        .map_err(|e| format!("trace: {e}"))?;
+
+    // The live run's rollup, fed from the reconstructed report and the
+    // trace's own metric lines.
+    let counter = |scope: &str, name: &str| -> u64 {
+        counters
+            .get(&(scope.to_owned(), name.to_owned()))
+            .copied()
+            .unwrap_or(0)
+    };
+    let summary = report.summary(
+        CacheStats {
+            hits: counter("sim", "plan_cache_hits"),
+            misses: counter("sim", "plan_cache_misses"),
+            evictions: counter("sim", "plan_cache_evictions"),
+        },
+        CacheStats {
+            hits: counter("sim", "stage_memo_hits"),
+            misses: counter("sim", "stage_memo_misses"),
+            evictions: counter("sim", "stage_memo_evictions"),
+        },
+        counter("ctrl", "replans_applied") as usize,
+        counter("ctrl", "replans_rejected") as usize,
+        stats.events,
+    );
+    Ok(ReplayedRun { report, summary })
 }
 
-/// Replay's state, fed one schema-valid line at a time.
-#[derive(Default)]
-struct RunDecoder {
-    trace: ExecutionTrace,
-    stages: Vec<StageRecord>,
-    run_start: Option<SimTime>,
-    run_result: Option<RunResult>,
-    trial_throughput: BTreeMap<TrialId, f64>,
-    best_config: Config,
-    counters: BTreeMap<(String, String), u64>,
-    event_lines: usize,
-}
-
-impl RunDecoder {
-    /// Decodes line `lineno`, already parsed and schema-checked.
-    fn line(&mut self, lineno: usize, doc: &Json) -> Result<(), String> {
-        if let Some(metric) = doc.get("metric").and_then(Json::as_str) {
-            if metric == "counter" {
-                let scope = doc
-                    .get("scope")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {lineno}: counter without scope"))?;
-                let name = doc
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {lineno}: counter without name"))?;
-                let value = doc
-                    .get("value")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("line {lineno}: counter without value"))?;
-                self.counters
-                    .insert((scope.to_owned(), name.to_owned()), value);
-            }
-            return Ok(()); // Histograms carry no report state.
-        }
-        self.event_lines += 1;
-        let at = SimTime::from_millis(
-            doc.get("t_ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("line {lineno}: event without t_ms"))?,
-        );
-        let scope = doc.get("scope").and_then(Json::as_str).unwrap_or("");
-        if scope != "exec" {
-            return Ok(());
-        }
-        let name = doc.get("name").and_then(Json::as_str).unwrap_or("");
-        let lane = doc.get("lane").and_then(Json::as_str).unwrap_or("");
-        let kind = doc.get("kind").and_then(Json::as_str).unwrap_or("");
-        let empty = Json::Obj(Vec::new());
-        let fields = Fields(doc.get("fields").unwrap_or(&empty));
-        let err = |e: String| format!("line {lineno}: {name}: {e}");
-
-        match (name, kind) {
-            ("node.up", "instant") => {
-                if let Some(node) = lane_id(lane, "node") {
-                    self.trace.events.push(TraceEvent::NodeUp {
-                        node: NodeId::new(node),
-                        at,
-                    });
-                }
-            }
-            ("node.down", "instant") => {
-                if let Some(node) = lane_id(lane, "node") {
-                    self.trace.events.push(TraceEvent::NodeDown {
-                        node: NodeId::new(node),
-                        at,
-                        preempted: fields
-                            .get("preempted")
-                            .and_then(Json::as_bool)
-                            .unwrap_or(false),
-                    });
-                }
-            }
-            ("trial.segment", "span") => {
-                if let Some(trial) = lane_id(lane, "trial") {
-                    let end = doc
-                        .get("end_ms")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| err("span without end_ms".into()))?;
-                    self.trace.events.push(TraceEvent::TrialSegment {
-                        trial: TrialId::new(trial),
-                        stage: fields.u64("stage").map_err(err)? as usize,
-                        start: at,
-                        end: SimTime::from_millis(end),
-                        gpus: fields.u64("gpus").map_err(err)? as u32,
-                    });
-                }
-            }
-            ("migration", "instant") => {
-                if let Some(trial) = lane_id(lane, "trial") {
-                    self.trace.events.push(TraceEvent::Migration {
-                        trial: TrialId::new(trial),
-                        at,
-                    });
-                }
-            }
-            ("barrier", "instant") if lane == "global" => {
-                self.trace.events.push(TraceEvent::Barrier {
-                    stage: fields.u64("stage").map_err(err)? as usize,
-                    at,
-                });
-            }
-            ("stage", "span_end") => {
-                self.stages.push(StageRecord {
-                    stage: fields.u64("stage").map_err(err)? as usize,
-                    train_start: SimTime::from_millis(fields.u64("train_start_ms").map_err(err)?),
-                    sync_end: at,
-                    trials: fields.u64("trials").map_err(err)? as u32,
-                    gpus_per_trial: fields.u64("gpus_per_trial").map_err(err)? as u32,
-                    instances: fields.u64("instances").map_err(err)? as u32,
-                    migrations: fields.u64("migrations").map_err(err)? as u32,
-                });
-            }
-            ("run", "span_start") if lane == "global" => {
-                let previous = self.run_start.replace(at);
-                if previous.is_some() {
-                    return Err(err(
-                        "second run span (multi-job traces not replayable)".into()
-                    ));
-                }
-            }
-            ("run", "span_end") if lane == "global" => {
-                let result = RunResult {
-                    end: at,
-                    compute_cost: Cost::from_micros(
-                        fields.i64("compute_cost_micros").map_err(err)?,
-                    ),
-                    data_cost: Cost::from_micros(fields.i64("data_cost_micros").map_err(err)?),
-                    best_trial: TrialId::new(fields.u64("best_trial").map_err(err)?),
-                    best_accuracy: fields.f64("best_accuracy").map_err(err)?,
-                    migrations: fields.u64("migrations").map_err(err)? as u32,
-                    preemptions: fields.u64("preemptions").map_err(err)? as u32,
-                    instances_provisioned: fields.u64("instances_provisioned").map_err(err)?
-                        as usize,
-                    faults_injected: fields.u64("faults_injected").map_err(err)?,
-                    provision_retries: fields.u64("provision_retries").map_err(err)?,
-                    checkpoint_fallbacks: fields.u64("checkpoint_fallbacks").map_err(err)?,
-                    degraded_stages: fields.u64("degraded_stages").map_err(err)? as u32,
-                    utilization: fields.get("utilization").and_then(Json::as_f64),
-                };
-                if self.run_result.replace(result).is_some() {
-                    return Err(err("second run span end".into()));
-                }
-            }
-            ("trial.throughput", "instant") => {
-                if let Some(trial) = lane_id(lane, "trial") {
-                    self.trial_throughput
-                        .insert(TrialId::new(trial), fields.f64("sps").map_err(err)?);
-                }
-            }
-            ("run.best_param", "instant") => {
-                let param = fields
-                    .get("param")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| err("missing param name".into()))?
-                    .to_owned();
-                let value = if let Some(v) = fields.get("float") {
-                    ConfigValue::Float(v.as_f64().ok_or_else(|| err("bad float".into()))?)
-                } else if let Some(v) = fields.get("int") {
-                    ConfigValue::Int(v.as_i64().ok_or_else(|| err("bad int".into()))?)
-                } else if let Some(v) = fields.get("choice") {
-                    ConfigValue::Choice(
-                        v.as_str()
-                            .ok_or_else(|| err("bad choice".into()))?
-                            .to_owned(),
-                    )
-                } else {
-                    return Err(err("param without a typed value".into()));
-                };
-                self.best_config.set(param, value);
-            }
-            _ => {}
-        }
-        Ok(())
+/// Folds metric line `lineno` into `counters`; histograms carry no
+/// report state.
+fn metric(
+    lineno: usize,
+    doc: &Json,
+    counters: &mut BTreeMap<(String, String), u64>,
+) -> Result<(), String> {
+    if doc.get("metric").and_then(Json::as_str) != Some("counter") {
+        return Ok(());
     }
-
-    /// Assembles the report and summary once every line is decoded.
-    fn finish(self) -> Result<ReplayedRun, String> {
-        let start = self
-            .run_start
-            .ok_or("trace has no exec/run span start on the global lane")?;
-        let result = self
-            .run_result
-            .ok_or("trace has no exec/run span end on the global lane")?;
-        let counter = |scope: &str, name: &str| -> u64 {
-            self.counters
-                .get(&(scope.to_owned(), name.to_owned()))
-                .copied()
-                .unwrap_or(0)
-        };
-
-        let report = ExecutionReport {
-            jct: result.end - start,
-            compute_cost: result.compute_cost,
-            data_cost: result.data_cost,
-            best_trial: result.best_trial,
-            best_config: self.best_config,
-            best_accuracy: result.best_accuracy,
-            stages: self.stages,
-            migrations: result.migrations,
-            preemptions: result.preemptions,
-            instances_provisioned: result.instances_provisioned,
-            utilization: result.utilization,
-            trial_throughput: self.trial_throughput,
-            faults_injected: result.faults_injected,
-            provision_retries: result.provision_retries,
-            checkpoint_fallbacks: result.checkpoint_fallbacks,
-            degraded_stages: result.degraded_stages,
-            trace: self.trace,
-        };
-
-        // The live run's rollup, fed from the reconstructed report and the
-        // trace's own metric lines.
-        let summary = report.summary(
-            CacheStats {
-                hits: counter("sim", "plan_cache_hits"),
-                misses: counter("sim", "plan_cache_misses"),
-                evictions: counter("sim", "plan_cache_evictions"),
-            },
-            CacheStats {
-                hits: counter("sim", "stage_memo_hits"),
-                misses: counter("sim", "stage_memo_misses"),
-                evictions: counter("sim", "stage_memo_evictions"),
-            },
-            counter("ctrl", "replans_applied") as usize,
-            counter("ctrl", "replans_rejected") as usize,
-            self.event_lines,
-        );
-
-        Ok(ReplayedRun { report, summary })
-    }
+    let scope = doc
+        .get("scope")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("line {lineno}: counter without scope"))?;
+    let name = doc
+        .get("name")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("line {lineno}: counter without name"))?;
+    let value = doc
+        .get("value")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("line {lineno}: counter without value"))?;
+    counters.insert((scope.to_owned(), name.to_owned()), value);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rb_core::SimDuration;
+    use rb_core::{Cost, SimDuration, SimTime, TrialId};
+    use rb_exec::StageRecord;
+    use rb_hpo::ConfigValue;
     use rb_obs::{export::export_jsonl, Lane, MemoryRecorder, Recorder, SpanTracker, Value};
 
     /// Drives a miniature "executor run" over a recorder: run span,
@@ -544,6 +317,58 @@ mod tests {
             e.starts_with("schema: line ") && e.ends_with("blank line"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn repeated_or_misplaced_result_events_are_errors() {
+        let replay_with = |extra: &dyn Fn(&MemoryRecorder)| {
+            let rec = MemoryRecorder::new();
+            record_mini_run(&rec);
+            extra(&rec);
+            replay_jsonl(&export_jsonl(&rec.finish())).unwrap_err()
+        };
+        let t = SimTime::from_millis(110);
+        let e = replay_with(&|rec| {
+            let sps = vec![("sps", 1.0.into())];
+            rec.instant(t, "exec", "trial.throughput", Lane::Trial(3), sps);
+        });
+        assert!(
+            e.ends_with("trial.throughput: second throughput for `trial:3`"),
+            "{e}"
+        );
+        let e = replay_with(&|rec| {
+            let param = vec![("param", "lr".into()), ("float", 0.5.into())];
+            rec.instant(t, "exec", "run.best_param", Lane::Global, param);
+        });
+        assert!(
+            e.ends_with("run.best_param: second value for param `lr`"),
+            "{e}"
+        );
+        let e = replay_with(&|rec| {
+            rec.instant(
+                t,
+                "exec",
+                "barrier",
+                Lane::Stage(0),
+                vec![("stage", 1u64.into())],
+            );
+        });
+        assert!(
+            e.ends_with("barrier: unexpected instant on lane `stage:0`"),
+            "{e}"
+        );
+
+        // A stage span end must sit on its own stage's lane.
+        let rec = MemoryRecorder::new();
+        record_mini_run(&rec);
+        let jsonl = export_jsonl(&rec.finish());
+        let moved = jsonl.replace(
+            "\"lane\":\"stage:0\",\"kind\":\"span_end\"",
+            "\"lane\":\"stage:1\",\"kind\":\"span_end\"",
+        );
+        assert_ne!(moved, jsonl);
+        let e = replay_jsonl(&moved).unwrap_err();
+        assert!(e.ends_with("stage: stage 0 on lane `stage:1`"), "{e}");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! over a decode error, wherever the two sit in the stream. A faulted
 //! run's trace is mutated a few hundred ways from a fixed seed (byte
 //! flips, truncations, duplicated lines) and every mutant is checked
-//! against [`validate_jsonl`].
+//! against [`validate_jsonl`]. Hand-made mutants that each change one
+//! event the report depends on must fail rather than replay to a
+//! different run.
 
 use rb_obs::schema::validate_jsonl;
 use rb_replay::replay_jsonl;
@@ -154,4 +156,71 @@ fn hostile_nesting_is_an_error_for_every_reader() {
     assert!(e.starts_with("schema: line 1: nesting deeper"), "{e}");
     let e = rb_replay::rollup::parse_run_record(&line).unwrap_err();
     assert!(e.contains("nesting deeper"), "{e}");
+}
+
+/// `trace` with `edit` applied to the first line containing `marker`.
+fn edit_first(trace: &str, marker: &str, edit: impl Fn(&str) -> String) -> String {
+    let at = trace.find(marker).expect("marker present");
+    let start = trace[..at].rfind('\n').map_or(0, |i| i + 1);
+    let end = at + trace[at..].find('\n').expect("lines end in a newline");
+    format!(
+        "{}{}{}",
+        &trace[..start],
+        edit(&trace[start..end]),
+        &trace[end..]
+    )
+}
+
+/// `line` with the scalar value of `key` replaced by `value` (raw JSON).
+fn set(line: &str, key: &str, value: &str) -> String {
+    let tag = format!("\"{key}\":");
+    let start = line.find(&tag).expect("key present") + tag.len();
+    let end = start + line[start..].find([',', '}']).expect("value ends");
+    format!("{}{value}{}", &line[..start], &line[end..])
+}
+
+const NODE_UP: &str = "\"name\":\"node.up\"";
+
+#[test]
+fn corrupted_exec_events_are_errors_not_a_different_run() {
+    let trace = faulted_trace();
+    let mutants = [
+        (
+            "node id overflowing u64",
+            edit_first(&trace, NODE_UP, |l| {
+                set(l, "lane", "\"node:18446744073709551616\"")
+            }),
+            "bad lane `node:18446744073709551616`",
+        ),
+        (
+            "node.up on a trial lane",
+            edit_first(&trace, NODE_UP, |l| set(l, "lane", "\"trial:0\"")),
+            "node.up: unexpected instant on lane `trial:0`",
+        ),
+        (
+            "node.down without `preempted`",
+            edit_first(&trace, "\"name\":\"node.down\"", |l| {
+                l.replace("\"preempted\":true", "")
+                    .replace("\"preempted\":false", "")
+            }),
+            "node.down: missing or non-boolean field `preempted`",
+        ),
+        (
+            "segment gpus overflowing u32",
+            edit_first(&trace, "\"name\":\"trial.segment\"", |l| {
+                set(l, "gpus", "4294967297")
+            }),
+            "trial.segment: field `gpus` out of range",
+        ),
+        (
+            "node.up renamed",
+            edit_first(&trace, NODE_UP, |l| l.replace("node.up", "node.uq")),
+            "trace: event ",
+        ),
+    ];
+    for (what, mutant, expected) in mutants {
+        assert_ne!(mutant, trace, "{what}: the mutant differs");
+        let e = replay_jsonl(&mutant).map(|_| ()).unwrap_err();
+        assert!(e.contains(expected), "{what}: {e}");
+    }
 }

@@ -132,10 +132,31 @@ sed -n '/^run summary:/,$p' "$trace_dir/replay.txt" > "$trace_dir/replay_summary
 diff -u scripts/expected_summary.txt "$trace_dir/replay_summary.txt"
 echo "ok"
 
+echo "== misplaced event (replay must fail with a decode error) =="
+# Move the trace's first node.up onto lane trial:0. The line stays
+# schema-valid, so only the decoder can refuse it: replay must exit
+# non-zero and name the line, not drop the event.
+trace="$trace_dir/repro_out/trace.jsonl"
+cp "$trace" "$trace_dir/good.jsonl"
+sed '0,/"name":"node.up"/s/"name":"node.up","lane":"node:[0-9]*"/"name":"node.up","lane":"trial:0"/' \
+    "$trace_dir/good.jsonl" > "$trace"
+if cmp -s "$trace" "$trace_dir/good.jsonl"; then
+    echo "FAIL: the trace has no node.up to move" >&2
+    exit 1
+fi
+if (cd "$trace_dir" && cargo run --manifest-path "$repo/Cargo.toml" \
+    -p rb-bench --release --offline --bin repro -- replay) > "$trace_dir/moved.txt" 2>&1; then
+    echo "FAIL: replay accepted a node.up on a trial lane" >&2
+    exit 1
+fi
+grep -q 'replay: line' "$trace_dir/moved.txt" \
+    || { echo "FAIL: misplaced event did not fail with a decode error" >&2; cat "$trace_dir/moved.txt" >&2; exit 1; }
+cp "$trace_dir/good.jsonl" "$trace"
+echo "ok"
+
 echo "== truncated trace (replay must fail with a schema error) =="
 # Cut the trace's last line in half, as a crash mid-write would. Replay
 # must refuse the stream, exit non-zero, and blame the schema.
-trace="$trace_dir/repro_out/trace.jsonl"
 last=$(tail -n 1 "$trace")
 head -n -1 "$trace" > "$trace_dir/cut.jsonl"
 printf '%s\n' "${last:0:${#last}/2}" >> "$trace_dir/cut.jsonl"
