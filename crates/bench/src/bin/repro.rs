@@ -16,12 +16,25 @@ use rb_bench::figures::{self};
 use rb_bench::tables::{self};
 use rb_core::SimDuration;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set when any requested artifact fails; `main` then exits 1 after
+/// running the rest, so one failure neither hides nor stops the others.
+static FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Logs an artifact failure and marks the run as failed.
+macro_rules! fail {
+    ($($arg:tt)*) => {{
+        rb_obs::log_error!("repro", $($arg)*);
+        FAILED.store(true, Ordering::Relaxed);
+    }};
+}
 
 fn fig4(csv_dir: Option<&Path>) {
     let rows = figures::fig4(&[1, 2, 4, 8, 16]);
     figures::print_fig4(&rows);
     if let Some(dir) = csv_dir {
-        csv::export_fig4(dir, &rows).unwrap_or_else(|e| rb_obs::log_error!("repro", "{e}"));
+        csv::export_fig4(dir, &rows).unwrap_or_else(|e| fail!("{e}"));
     }
 }
 
@@ -34,7 +47,7 @@ fn fig9(quick: bool, csv_dir: Option<&Path>) {
     let rows = figures::fig9(&sigmas, SimDuration::from_mins(20));
     figures::print_fig9(&rows);
     if let Some(dir) = csv_dir {
-        csv::export_fig9(dir, &rows).unwrap_or_else(|e| rb_obs::log_error!("repro", "{e}"));
+        csv::export_fig9(dir, &rows).unwrap_or_else(|e| fail!("{e}"));
     }
 }
 
@@ -48,8 +61,7 @@ fn fig10(quick: bool, csv_dir: Option<&Path>) {
         let rows = figures::fig10(gb, prices, SimDuration::from_mins(20));
         figures::print_fig10(name, gb, &rows);
         if let Some(dir) = csv_dir {
-            csv::export_fig10(dir, name, &rows)
-                .unwrap_or_else(|e| rb_obs::log_error!("repro", "{e}"));
+            csv::export_fig10(dir, name, &rows).unwrap_or_else(|e| fail!("{e}"));
         }
         println!();
     }
@@ -68,8 +80,7 @@ fn fig11(quick: bool, csv_dir: Option<&Path>) {
         let rows = figures::fig11(ks, per_function, SimDuration::from_mins(20));
         figures::print_fig11(name, &rows);
         if let Some(dir) = csv_dir {
-            csv::export_fig11(dir, key, &rows)
-                .unwrap_or_else(|e| rb_obs::log_error!("repro", "{e}"));
+            csv::export_fig11(dir, key, &rows).unwrap_or_else(|e| fail!("{e}"));
         }
         println!();
     }
@@ -85,8 +96,7 @@ fn fig12(quick: bool, csv_dir: Option<&Path>) {
         let rows = figures::fig12(init, &deadlines);
         figures::print_fig12(init, &rows);
         if let Some(dir) = csv_dir {
-            csv::export_fig12(dir, init, &rows)
-                .unwrap_or_else(|e| rb_obs::log_error!("repro", "{e}"));
+            csv::export_fig12(dir, init, &rows).unwrap_or_else(|e| fail!("{e}"));
         }
         println!();
     }
@@ -103,7 +113,7 @@ fn seeds(quick: bool) -> Vec<u64> {
 fn table1(quick: bool) {
     match tables::table1(&seeds(quick)) {
         Ok(rows) => tables::print_table1(&rows),
-        Err(e) => rb_obs::log_error!("repro", "table1 failed: {e}"),
+        Err(e) => fail!("table1 failed: {e}"),
     }
 }
 
@@ -118,14 +128,14 @@ fn table2_and_3(quick: bool) {
                 None => rb_obs::log_warn!("repro", "table3: no feasible RubberBand plan"),
             }
         }
-        Err(e) => rb_obs::log_error!("repro", "table2 failed: {e}"),
+        Err(e) => fail!("table2 failed: {e}"),
     }
 }
 
 fn table4(quick: bool) {
     match tables::table4(&seeds(quick)) {
         Ok(rows) => tables::print_table4(&rows),
-        Err(e) => rb_obs::log_error!("repro", "table4 failed: {e}"),
+        Err(e) => fail!("table4 failed: {e}"),
     }
 }
 
@@ -137,7 +147,7 @@ fn ext_spot(quick: bool) {
     };
     match ext::ext_spot(rates, 1) {
         Ok((od, rows)) => ext::print_ext_spot(&od, &rows),
-        Err(e) => rb_obs::log_error!("repro", "ext-spot failed: {e}"),
+        Err(e) => fail!("ext-spot failed: {e}"),
     }
 }
 
@@ -172,7 +182,7 @@ fn ext_adapt(quick: bool) {
         };
     match rb_bench::adapt::ext_adapt(&scenarios, rates, thresholds, watchdogs, 1) {
         Ok((deadline, rows)) => rb_bench::adapt::print_ext_adapt(deadline, &rows),
-        Err(e) => rb_obs::log_error!("repro", "ext-adapt failed: {e}"),
+        Err(e) => fail!("ext-adapt failed: {e}"),
     }
 }
 
@@ -182,14 +192,14 @@ fn ext_chaos(_quick: bool) {
     let scenarios = rb_bench::chaos::ChaosScenario::default_sweep();
     match rb_bench::chaos::ext_chaos(&scenarios, 1) {
         Ok((deadline, rows)) => rb_bench::chaos::print_ext_chaos(deadline, &rows),
-        Err(e) => rb_obs::log_error!("repro", "ext-chaos failed: {e}"),
+        Err(e) => fail!("ext-chaos failed: {e}"),
     }
     // Correlated failure domains ride along: zone outage timing × the
     // controller's executed switch (0 = auto planner threads; rows are
     // thread-count invariant).
     match rb_bench::chaos::ext_chaos_zones(1, 0) {
         Ok((deadline, rows)) => rb_bench::chaos::print_ext_chaos_zones(deadline, &rows),
-        Err(e) => rb_obs::log_error!("repro", "ext-chaos zones failed: {e}"),
+        Err(e) => fail!("ext-chaos zones failed: {e}"),
     }
 }
 
@@ -201,15 +211,15 @@ fn ext_serve(quick: bool) {
     };
     match rb_bench::serve::ext_serve(tenant_counts, gaps, 1) {
         Ok(cells) => rb_bench::serve::print_ext_serve(&cells),
-        Err(e) => rb_obs::log_error!("repro", "ext-serve failed: {e}"),
+        Err(e) => fail!("ext-serve failed: {e}"),
     }
     match rb_bench::serve::ext_serve_contended(tenant_counts, &[0], 1) {
         Ok(cells) => rb_bench::serve::print_ext_serve_contended(&cells),
-        Err(e) => rb_obs::log_error!("repro", "ext-serve contended failed: {e}"),
+        Err(e) => fail!("ext-serve contended failed: {e}"),
     }
     match rb_bench::serve::ext_serve_hyperband(1) {
         Ok(cells) => rb_bench::serve::print_ext_serve_hyperband(&cells),
-        Err(e) => rb_obs::log_error!("repro", "ext-serve hyperband failed: {e}"),
+        Err(e) => fail!("ext-serve hyperband failed: {e}"),
     }
 }
 
@@ -221,21 +231,21 @@ fn ext_budget(quick: bool) {
     };
     match ext::ext_budget(budgets) {
         Ok(rows) => ext::print_ext_budget(&rows),
-        Err(e) => rb_obs::log_error!("repro", "ext-budget failed: {e}"),
+        Err(e) => fail!("ext-budget failed: {e}"),
     }
 }
 
 fn ext_asha(_quick: bool) {
     match ext::ext_asha(20, 1) {
         Ok(rows) => ext::print_ext_asha(20, &rows),
-        Err(e) => rb_obs::log_error!("repro", "ext-asha failed: {e}"),
+        Err(e) => fail!("ext-asha failed: {e}"),
     }
 }
 
 fn ext_instances(_quick: bool) {
     match ext::ext_instances(30) {
         Ok(rows) => ext::print_ext_instances(30, &rows),
-        Err(e) => rb_obs::log_error!("repro", "ext-instances failed: {e}"),
+        Err(e) => fail!("ext-instances failed: {e}"),
     }
 }
 
@@ -243,7 +253,7 @@ fn ablations() {
     let d = rb_core::SimDuration::from_mins(20);
     match ext::ablation_warm_starts(d) {
         Ok(rows) => ext::print_ablation("warm-start multipliers (SHA(64,4,508), 20 min)", &rows),
-        Err(e) => rb_obs::log_error!("repro", "ablation failed: {e}"),
+        Err(e) => fail!("ablation failed: {e}"),
     }
     println!();
     match ext::ablation_instance_jump(d) {
@@ -251,7 +261,7 @@ fn ablations() {
             "instance-boundary jump candidate (SHA(512,4,508), 20 min)",
             &rows,
         ),
-        Err(e) => rb_obs::log_error!("repro", "ablation failed: {e}"),
+        Err(e) => fail!("ablation failed: {e}"),
     }
     println!();
     match ext::ablation_mc_samples(d) {
@@ -259,12 +269,12 @@ fn ablations() {
             "Monte-Carlo samples vs plan quality (scored at 200 samples)",
             &rows,
         ),
-        Err(e) => rb_obs::log_error!("repro", "ablation failed: {e}"),
+        Err(e) => fail!("ablation failed: {e}"),
     }
     println!();
     match ext::ablation_warm_pool(1) {
         Ok(rows) => ext::print_warm_pool(&rows),
-        Err(e) => rb_obs::log_error!("repro", "ablation failed: {e}"),
+        Err(e) => fail!("ablation failed: {e}"),
     }
 }
 
@@ -331,10 +341,10 @@ fn fleet_artifact(seed: u64) {
                     );
                     println!("fleet: aggregate with `rollup repro_out/fleet`");
                 }
-                Err(e) => rb_obs::log_error!("repro", "fleet: writing manifests failed: {e}"),
+                Err(e) => fail!("fleet: writing manifests failed: {e}"),
             }
         }
-        Err(e) => rb_obs::log_error!("repro", "fleet failed: {e}"),
+        Err(e) => fail!("fleet failed: {e}"),
     }
 }
 
@@ -352,7 +362,7 @@ fn trace_artifact() {
                         "trace: wrote repro_out/trace.chrome.json (load in Perfetto or chrome://tracing)"
                     );
                 }
-                Err(e) => rb_obs::log_error!("repro", "trace: writing artifacts failed: {e}"),
+                Err(e) => fail!("trace: writing artifacts failed: {e}"),
             }
             println!(
                 "trace: {} preemptions absorbed, {} replans applied\n",
@@ -363,7 +373,7 @@ fn trace_artifact() {
             // scripts/expected_summary.txt.
             print!("{}", art.summary.render());
         }
-        Err(e) => rb_obs::log_error!("repro", "trace failed: {e}"),
+        Err(e) => fail!("trace failed: {e}"),
     }
 }
 
@@ -435,5 +445,8 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
     }
 }

@@ -14,11 +14,17 @@
 //!    objective: the chosen plan stays feasible (greedy) or within
 //!    budget (budget planner) and its objective value is never worse
 //!    than width 1's, at any thread count.
+//!
+//! A third contract covers the engine underneath: **the prediction
+//! engine never changes a selection.** `plan_rubberband` picks the same
+//! plan, prediction and step count under the sequential baseline engine
+//! as under the default one, and at one worker thread as at four.
 
 use rb_cloud::catalog::P3_8XLARGE;
 use rb_cloud::CloudPricing;
 use rb_core::{Cost, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
+use rb_obs::{MemoryRecorder, RecorderHandle};
 use rb_planner::{
     optimize_plan, plan_min_jct, plan_residual, plan_rubberband, plan_static_optimal,
     BudgetPlannerConfig, PlannerConfig,
@@ -29,13 +35,18 @@ use rb_scaling::AnalyticScaling;
 use rb_sim::{AllocationPlan, EngineConfig, Prediction, SimConfig, Simulator};
 use std::sync::Arc;
 
-fn sim_with(seed: u64, threads: usize) -> Simulator {
+/// Sublinear ResNet-50 scaling at the default `SimConfig` (20 samples).
+fn rn50_sim() -> Simulator {
     let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, 4));
     let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, 0.0);
     let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE))
         .with_provision_delay(SimDuration::from_secs(15))
         .with_init_latency(SimDuration::from_secs(15));
     Simulator::new(model, cloud)
+}
+
+fn sim_with(seed: u64, threads: usize) -> Simulator {
+    rn50_sim()
         .with_config(SimConfig {
             samples: 3,
             seed,
@@ -46,6 +57,25 @@ fn sim_with(seed: u64, threads: usize) -> Simulator {
 
 fn spec() -> ExperimentSpec {
     ExperimentSpec::from_stages(&[(16, 4), (8, 8), (4, 16), (2, 32), (1, 64)]).unwrap()
+}
+
+/// Four SHA jobs of different shapes and deadlines, as a tuning service
+/// planning a churn of submissions sees them.
+fn churn_specs() -> Vec<(ExperimentSpec, SimDuration)> {
+    [
+        (&[(16, 4), (8, 8), (4, 16), (2, 32), (1, 64)][..], 60),
+        (&[(27, 3), (9, 9), (3, 27), (1, 81)][..], 90),
+        (&[(8, 6), (4, 12), (2, 24), (1, 48)][..], 75),
+        (&[(32, 2), (16, 4), (8, 8), (4, 16)][..], 45),
+    ]
+    .into_iter()
+    .map(|(stages, mins)| {
+        (
+            ExperimentSpec::from_stages(stages).unwrap(),
+            SimDuration::from_mins(mins),
+        )
+    })
+    .collect()
 }
 
 /// The pre-beam `optimize_plan` loop, kept verbatim (observability
@@ -412,17 +442,53 @@ fn wider_budget_beams_respect_budget_and_never_slow_down() {
 }
 
 #[test]
+fn plan_rubberband_is_bit_identical_to_the_sequential_baseline() {
+    let deadline = SimDuration::from_mins(60);
+    let config = PlannerConfig::default();
+    let baseline = rn50_sim().with_engine(EngineConfig::sequential_baseline());
+    let a = plan_rubberband(&baseline, &spec(), deadline, &config).unwrap();
+    let b = plan_rubberband(&rn50_sim(), &spec(), deadline, &config).unwrap();
+    assert_eq!(a.plan, b.plan);
+    assert_eq!(a.prediction, b.prediction);
+    assert_eq!(a.steps, b.steps);
+}
+
+#[test]
 fn beam_selection_is_independent_of_engine_thread_count() {
-    let deadline = SimDuration::from_mins(30);
+    // At the default sample count the planner's batches are big enough
+    // to fan out; the chunk counter proves the threaded path ran.
+    let mut inputs = vec![(spec(), SimDuration::from_mins(30))];
+    inputs.extend(churn_specs());
     for width in [1, 4] {
         let config = PlannerConfig {
             beam_width: width,
             ..PlannerConfig::default()
         };
-        let a = plan_rubberband(&sim_with(11, 1), &spec(), deadline, &config).unwrap();
-        let b = plan_rubberband(&sim_with(11, 4), &spec(), deadline, &config).unwrap();
-        assert_eq!(a.plan, b.plan, "width {width}");
-        assert_eq!(a.prediction, b.prediction, "width {width}");
-        assert_eq!(a.steps, b.steps, "width {width}");
+        let runs = [1, 4].map(|threads| {
+            let sink = Arc::new(MemoryRecorder::new());
+            let sim = || {
+                rn50_sim()
+                    .with_engine(EngineConfig::default().with_threads(threads))
+                    .with_recorder(RecorderHandle::new(sink.clone()))
+            };
+            let plan = |sim: &Simulator, spec: &ExperimentSpec, deadline: SimDuration| {
+                let out = plan_rubberband(sim, spec, deadline, &config).unwrap();
+                (out.plan, out.prediction, out.steps)
+            };
+            // Each input on a cold simulator, then twice over one reused
+            // simulator: first touch, then with every cache warm.
+            let mut selections: Vec<_> = inputs.iter().map(|(s, d)| plan(&sim(), s, *d)).collect();
+            let warm = sim();
+            for _ in 0..2 {
+                selections.extend(inputs.iter().map(|(s, d)| plan(&warm, s, *d)));
+            }
+            (selections, sink.finish().counter("sim", "batch_chunks"))
+        });
+        let [(one, one_chunks), (four, four_chunks)] = runs;
+        assert_eq!(one, four, "width {width}");
+        assert!(
+            four_chunks > one_chunks,
+            "width {width}: threads 4 ran {four_chunks} chunks, threads 1 ran {one_chunks}"
+        );
     }
 }

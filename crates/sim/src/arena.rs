@@ -8,7 +8,7 @@
 //! re-filled per call but never shrunk, so once a thread has predicted a
 //! plan at least as large (stages × samples) as the current one, a
 //! prediction performs **zero heap allocation** — the invariant the
-//! feature-gated `alloc-counter` assertion in `rb-bench` enforces.
+//! `warm_path_alloc` test (`crates/sim/tests/`) enforces.
 //!
 //! Arenas are plain scratch: no prediction result ever lives in one
 //! beyond the call that computed it, so arena reuse can never change a

@@ -18,8 +18,6 @@
 //! instance lifetimes — including time held idle at barriers behind
 //! stragglers — with per-second granularity and a 60 s minimum charge.
 
-#[cfg(feature = "alloc-counter")]
-pub mod alloc_counter;
 pub(crate) mod arena;
 pub mod counters;
 pub mod dag;

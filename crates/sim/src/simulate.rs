@@ -206,8 +206,8 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The sequential baseline: one thread, no prediction cache, no
     /// template or stage-sample reuse — every prediction re-fits and
-    /// re-samples everything. Kept as the reference the engine is
-    /// benchmarked (and bit-compared) against.
+    /// re-samples everything. Kept as the reference the planner's
+    /// results are bit-compared against (`crates/planner/tests/beam.rs`).
     pub fn sequential_baseline() -> Self {
         EngineConfig {
             threads: 1,
@@ -570,7 +570,7 @@ impl Simulator {
     /// `Vec<RunSample>`), so once the arena has served a working set at
     /// least this large, a prediction performs **zero heap allocation**
     /// at any [`EngineConfig::threads`] — the invariant the
-    /// `alloc-counter` bench gate asserts.
+    /// `warm_path_alloc` test asserts.
     fn predict_with_template(
         &self,
         template: &DagTemplate,

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification gate: build, test, bench smoke, dependency guard.
+# Offline verification gate: dependency guard, build, tests, and the
+# seeded repro fixtures.
 #
 # The container has no network access to crates.io, so everything must
 # build with `--offline` and no workspace manifest may depend on
@@ -41,25 +42,17 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --offline
 
-echo "== bench smoke =="
-# Smoke runs print their reports instead of writing BENCH_*.json, so the
-# committed full-run numbers are never replaced by 1-iteration ones.
-bench_out=$(cargo run -p rb-bench --release --offline --bin bench -- --smoke)
-echo "$bench_out"
-echo "$bench_out" | grep -q '"jobs_per_sec"' \
-    || { echo "FAIL: bench smoke reported no serve jobs_per_sec"; exit 1; }
-
-echo "== churn smoke (alloc counter + thread-count determinism) =="
-churn_out=$(cargo run -p rb-bench --release --offline --features alloc-counter --bin bench -- --churn --smoke)
-echo "$churn_out"
-for threads in 1 auto; do
-    echo "$churn_out" | grep -q "alloc-counter: warm predict allocations over 32 calls (threads=$threads): 0" \
-        || { echo "FAIL: warm predict path allocated (threads=$threads)"; exit 1; }
-done
-echo "$churn_out" | grep -q "plan selection identical across thread counts: true" \
-    || { echo "FAIL: churn selection diverged across thread counts"; exit 1; }
-echo "$churn_out" | grep -q '"plans_per_sec"' \
-    || { echo "FAIL: churn smoke reported no plans_per_sec"; exit 1; }
+echo "== paper evidence (repro --csv all must match the pinned output) =="
+# Every table and figure of the evaluation, seeded and bit-reproducible
+# at any thread count. `repro` writes repro_out/ into its cwd, so it runs
+# in a scratch directory; a drift here means a paper artifact's numbers
+# moved, and a failed artifact makes repro exit non-zero.
+repro_dir=$(mktemp -d)
+(cd "$repro_dir" && cargo run --manifest-path "$repo/Cargo.toml" \
+    -p rb-bench --release --offline --bin repro -- --csv all) > "$repro_dir/all.txt"
+diff -u scripts/expected_repro_all.txt "$repro_dir/all.txt"
+rm -rf "$repro_dir"
+echo "ok"
 
 echo "== ext-adapt smoke (seeded; summary must match the expectation) =="
 # The sweep is bit-reproducible per seed and the summary line is counts
