@@ -719,7 +719,7 @@ impl AdaptiveController {
 impl BarrierHook for AdaptiveController {
     fn at_barrier(&mut self, snap: &BarrierSnapshot<'_>) -> Option<Vec<u32>> {
         self.monitor.observe(snap.stage, snap.stage_span);
-        self.push_observations(&snap.unit_obs);
+        self.push_observations(snap.unit_obs);
         let recorder = self.sim.recorder().clone();
         // The drift-factor time series: one gauge per barrier, whether or
         // not the controller intervenes.
@@ -886,7 +886,7 @@ impl BarrierHook for AdaptiveController {
         // interruption is not a barrier span, so this goes through
         // `nudge` rather than `observe`.
         let (mut num, mut den) = (0.0f64, 0.0f64);
-        for o in &snap.unit_obs {
+        for o in snap.unit_obs {
             if o.units == 0 || !o.mean_secs.is_finite() || o.mean_secs <= 0.0 {
                 continue;
             }
@@ -899,7 +899,7 @@ impl BarrierHook for AdaptiveController {
         if den > 0.0 {
             self.monitor.nudge(num / den);
         }
-        self.push_observations(&snap.unit_obs);
+        self.push_observations(snap.unit_obs);
         // Preemptions absorbed so far are part of this decision; don't
         // re-trigger on them at the next barrier.
         self.preemptions_seen = snap.preemptions;

@@ -661,7 +661,12 @@ impl ClusterManager {
 
     /// The usable nodes, in id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.ready.keys().copied().collect()
+        self.node_ids().collect()
+    }
+
+    /// [`ClusterManager::nodes`] without collecting them.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.ready.keys().copied()
     }
 
     /// Number of usable nodes.

@@ -12,7 +12,9 @@ use crate::cluster::{ClusterManager, RetryPolicy, SwitchDirective};
 use crate::codec;
 use crate::report::{ExecutionReport, ExecutionTrace, StageRecord, TraceEvent};
 use rb_cloud::{FaultPlan, PricingTier};
-use rb_core::{mix_seed, Cost, Distribution, Prng, RbError, Result, SimDuration, SimTime, TrialId};
+use rb_core::{
+    mix_seed, Cost, Distribution, NodeId, Prng, RbError, Result, SimDuration, SimTime, TrialId,
+};
 use rb_hpo::{select_survivors, Config, ExperimentSpec};
 use rb_obs::{Lane, RecorderHandle, SpanTracker, Value};
 use rb_placement::{scatter_placement, ClusterState, PlacementController, PlacementPlan};
@@ -20,8 +22,7 @@ use rb_profile::{CapacityEvents, CloudProfile, ModelProfile};
 use rb_scaling::PlacementQuality;
 use rb_sim::AllocationPlan;
 use rb_train::checkpoint::{CheckpointStore, VerifiedFetch};
-use rb_train::{TaskModel, Trial, TrialStatus};
-use std::collections::BTreeMap;
+use rb_train::{Curve, TaskModel, Trial, TrialStatus};
 
 /// Executor knobs.
 #[derive(Debug, Clone)]
@@ -135,7 +136,7 @@ pub struct BarrierSnapshot<'a> {
     pub gpus_per_trial: u32,
     /// Observed per-allocation work-unit latencies for the completed
     /// stage — the raw material for online profile refitting.
-    pub unit_obs: Vec<UnitObservation>,
+    pub unit_obs: &'a [UnitObservation],
     /// Total instance-seconds held (billed) so far. Dividing
     /// `preemptions` by this gives the observed spot interruption rate.
     pub instance_seconds: f64,
@@ -194,7 +195,7 @@ pub struct WatchdogSnapshot<'a> {
     /// The largest number of units any live trial still has to run.
     pub max_remaining_units: u64,
     /// Observed per-allocation unit latencies from the truncated round.
-    pub unit_obs: Vec<UnitObservation>,
+    pub unit_obs: &'a [UnitObservation],
     /// Compute + data bill accrued so far.
     pub cost_to_date: Cost,
     /// Spot preemptions absorbed so far.
@@ -288,18 +289,37 @@ pub struct Executor {
 
 struct RunningTrial {
     trial: Trial,
+    /// The trial's learning curve, resolved once from its configuration.
+    curve: Curve,
     rng: Prng,
     busy_secs: f64,
     units_done: u64,
 }
 
+/// Where a training round's trials find their hosts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Rotating waves of single-GPU workers: live trial `i` runs on
+    /// `wave_nodes[(i % slots) % wave_nodes.len()]`.
+    Waves,
+    /// The placement controller's plan.
+    Controller,
+    /// The placement-unaware baseline's plan (`StageSetup::scattered`).
+    Scattered,
+}
+
 /// Everything the scaling + placement pass produces for one training
 /// round: the cluster view, where every trial's workers sit, and the
 /// wave-scheduling shape. A watchdog-split stage runs this pass twice.
+/// The core keeps one and refills it, so its buffers are reused.
 struct StageSetup {
     cluster: ClusterState,
-    placement: PlacementPlan,
-    allocations: BTreeMap<TrialId, u32>,
+    layout: Layout,
+    /// The cluster's nodes when the waves were laid out.
+    wave_nodes: Vec<NodeId>,
+    scattered: PlacementPlan,
+    /// GPUs each trial runs on.
+    gpus_per_trial: u32,
     moved: Vec<TrialId>,
     slots: usize,
     needed: usize,
@@ -311,16 +331,31 @@ struct StageSetup {
     capacity_shortfall: usize,
 }
 
+impl StageSetup {
+    fn new(gpus_per_node: u32) -> Self {
+        StageSetup {
+            cluster: ClusterState::new(Vec::new(), gpus_per_node),
+            layout: Layout::Waves,
+            wave_nodes: Vec::new(),
+            scattered: PlacementPlan::new(),
+            gpus_per_trial: 1,
+            moved: Vec::new(),
+            slots: 0,
+            needed: 0,
+            migrations: 0,
+            retries: 0,
+            capacity_shortfall: 0,
+        }
+    }
+}
+
 /// The outcome of one training round over the live trials.
 struct RoundOutcome {
     /// When the last trial's last segment ended.
     stage_end: SimTime,
-    /// Units still owed per trial after a watchdog cut; empty when the
-    /// round ran to completion (the watchdog never fired).
-    remaining: BTreeMap<TrialId, u64>,
-    /// Completed-unit latency sums keyed by `(gpus, packed)`:
-    /// `(total_secs, units)`.
-    unit_obs: BTreeMap<(u32, bool), (f64, u64)>,
+    /// Whether the watchdog cut the round short (some trial owes units
+    /// in [`RoundBuffers::remaining`]).
+    cut: bool,
     /// Provisioning retry rounds issued while replacing preempted nodes.
     retries: u64,
     /// Checkpoint fetches that fell back to an older generation after
@@ -328,31 +363,85 @@ struct RoundOutcome {
     fallbacks: u64,
 }
 
-fn unit_obs_vec(obs: &BTreeMap<(u32, bool), (f64, u64)>) -> Vec<UnitObservation> {
-    obs.iter()
-        .filter(|&(_, &(_, n))| n > 0)
-        .map(|(&(gpus, packed), &(sum, n))| UnitObservation {
-            gpus,
-            placement: if packed {
-                PlacementQuality::Packed
-            } else {
-                PlacementQuality::Scattered
-            },
-            mean_secs: sum / n as f64,
-            units: n,
-        })
-        .collect()
+/// A training round's working storage, kept on the core so a round
+/// reuses it.
+#[derive(Default)]
+struct RoundBuffers {
+    /// Units each live trial still owes after a watchdog cut, by
+    /// position in `live` (zero when it finished).
+    remaining: Vec<u64>,
+    slot_free: Vec<SimTime>,
+    /// Spot interruption instants of the round's nodes.
+    node_preempt: Vec<(NodeId, SimTime)>,
+    hosting: Vec<NodeId>,
+    dead: Vec<NodeId>,
+    boundaries: Vec<f64>,
 }
 
-fn merge_unit_obs(
-    into: &mut BTreeMap<(u32, bool), (f64, u64)>,
-    from: BTreeMap<(u32, bool), (f64, u64)>,
-) {
-    for (k, (sum, n)) in from {
-        let e = into.entry(k).or_insert((0.0, 0));
-        e.0 += sum;
-        e.1 += n;
+/// Completed-unit latency sums keyed by `(gpus, packed)`:
+/// `(total_secs, units)`, ordered by key.
+#[derive(Default)]
+struct UnitObs(Vec<((u32, bool), (f64, u64))>);
+
+impl UnitObs {
+    fn clear(&mut self) {
+        self.0.clear();
     }
+
+    fn entry(&mut self, key: (u32, bool)) -> &mut (f64, u64) {
+        let i = match self.0.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => i,
+            Err(i) => {
+                self.0.insert(i, (key, (0.0, 0)));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    fn merge(&mut self, from: &UnitObs) {
+        for &(k, (sum, n)) in &from.0 {
+            let e = self.entry(k);
+            e.0 += sum;
+            e.1 += n;
+        }
+    }
+
+    /// The per-allocation means, into `out`.
+    fn observations(&self, out: &mut Vec<UnitObservation>) {
+        out.clear();
+        out.extend(self.0.iter().filter(|&&(_, (_, n))| n > 0).map(
+            |&((gpus, packed), (sum, n))| UnitObservation {
+                gpus,
+                placement: if packed {
+                    PlacementQuality::Packed
+                } else {
+                    PlacementQuality::Scattered
+                },
+                mean_secs: sum / n as f64,
+                units: n,
+            },
+        ));
+    }
+}
+
+/// Per-step working storage of an [`ExecutorCore`], reused from step to
+/// step.
+#[derive(Default)]
+struct Scratch {
+    round: RoundBuffers,
+    /// Units each live trial owes the next round, by position in `live`.
+    owed: Vec<u64>,
+    /// Latency sums of the stage's round, and of a watchdog's residual
+    /// round.
+    unit_obs: UnitObs,
+    resumed_obs: UnitObs,
+    observations: Vec<UnitObservation>,
+    /// `(trial, GPUs)` requests handed to the placement controller.
+    allocations: Vec<(TrialId, u32)>,
+    nodes: Vec<NodeId>,
+    results: Vec<(TrialId, f64)>,
+    survivors: Vec<TrialId>,
 }
 
 /// Appends `ev` to the local trace and mirrors it onto the unified bus.
@@ -520,7 +609,8 @@ pub struct ExecutorCore {
     cm: ClusterManager,
     pc: PlacementController,
     store: CheckpointStore,
-    trials: BTreeMap<TrialId, RunningTrial>,
+    /// Every trial of the run, indexed by trial id (ids are `0..n`).
+    trials: Vec<RunningTrial>,
     live: Vec<TrialId>,
     /// Virtual time the run started (admission time under a service;
     /// [`SimTime::ZERO`] for the legacy single-job drivers).
@@ -540,6 +630,8 @@ pub struct ExecutorCore {
     /// when a recording sink is attached; ids are trace data, not
     /// execution state).
     spans: SpanTracker,
+    setup: StageSetup,
+    scratch: Scratch,
 }
 
 impl ExecutorCore {
@@ -566,6 +658,23 @@ impl ExecutorCore {
     pub fn new_at(
         exec: &Executor,
         configs: &[Config],
+        recorder: RecorderHandle,
+        start: SimTime,
+    ) -> Result<Self> {
+        let n = (exec.spec.initial_trials() as usize).min(configs.len());
+        Self::from_parts(exec.clone(), configs[..n].to_vec(), recorder, start)
+    }
+
+    /// [`ExecutorCore::new_at`] taking the executor and the
+    /// configurations by value, for a caller that owns them (a service
+    /// dispatching a job it was handed) and need not copy them.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecutorCore::new_at`].
+    pub fn from_parts(
+        exec: Executor,
+        configs: Vec<Config>,
         recorder: RecorderHandle,
         start: SimTime,
     ) -> Result<Self> {
@@ -601,23 +710,34 @@ impl ExecutorCore {
             );
         }
 
-        let mut trials: BTreeMap<TrialId, RunningTrial> = BTreeMap::new();
-        for (i, cfg) in configs.iter().take(n).enumerate() {
-            let id = TrialId::new(i as u64);
-            let trial_seed = opts.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            trials.insert(
-                id,
+        let trials: Vec<RunningTrial> = configs
+            .into_iter()
+            .take(n)
+            .enumerate()
+            .map(|(i, cfg)| {
+                let id = TrialId::new(i as u64);
+                let trial_seed = opts.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 RunningTrial {
-                    trial: Trial::new(id, cfg.clone(), trial_seed),
+                    curve: exec.task.curve(&cfg),
+                    trial: Trial::new(id, cfg, trial_seed),
                     rng: Prng::seed_from_u64(trial_seed ^ 0x7A1A_11CE),
                     busy_secs: 0.0,
                     units_done: 0,
-                },
-            );
-        }
-        let live: Vec<TrialId> = trials.keys().copied().collect();
+                }
+            })
+            .collect();
+        let live: Vec<TrialId> = (0..n as u64).map(TrialId::new).collect();
+        // Room for one segment per trial and stage plus each stage's
+        // barrier and scaling events, so a calm run never regrows it.
+        let num_stages = exec.spec.num_stages();
+        let events = exec
+            .spec
+            .stages()
+            .map(|s| s.num_trials as usize)
+            .sum::<usize>()
+            + 2 * num_stages;
         let mut core = ExecutorCore {
-            exec: exec.clone(),
+            exec,
             plan,
             gpg,
             cm,
@@ -628,15 +748,19 @@ impl ExecutorCore {
             t0: start,
             now: start,
             stage: 0,
-            stages: Vec::new(),
+            stages: Vec::with_capacity(num_stages),
             total_migrations: 0,
             total_preemptions: 0,
             total_retries: 0,
             checkpoint_fallbacks: 0,
             degraded_stages: 0,
-            trace: ExecutionTrace::default(),
+            trace: ExecutionTrace {
+                events: Vec::with_capacity(events),
+            },
             recorder,
             spans: SpanTracker::new(),
+            setup: StageSetup::new(gpg),
+            scratch: Scratch::default(),
         };
         if core.recorder.enabled() {
             // The run span opens the moment the core exists (admission
@@ -729,7 +853,7 @@ impl ExecutorCore {
             );
         }
         let (stage_trials, units) = self.exec.spec.get_stage(stage)?;
-        let mut setup = self.exec.scale_and_place(
+        self.exec.scale_and_place(
             &self.plan,
             stage,
             &self.live,
@@ -739,11 +863,13 @@ impl ExecutorCore {
             &mut self.now,
             &mut self.trace,
             &self.recorder,
+            &mut self.setup,
+            &mut self.scratch.allocations,
         )?;
-        let mut stage_migrations = setup.migrations;
-        self.total_migrations += setup.migrations;
-        let mut stage_shortfall = setup.capacity_shortfall;
-        self.total_retries += setup.retries;
+        let mut stage_migrations = self.setup.migrations;
+        self.total_migrations += self.setup.migrations;
+        let mut stage_shortfall = self.setup.capacity_shortfall;
+        self.total_retries += self.setup.retries;
 
         // --- Training -------------------------------------------------------
         let train_start = self.now;
@@ -751,11 +877,14 @@ impl ExecutorCore {
         let watchdog_deadline = budget.and_then(|b| {
             (b.is_finite() && b > 0.0).then(|| train_start + SimDuration::from_secs_f64(b))
         });
-        let full_units: BTreeMap<TrialId, u64> = self.live.iter().map(|&t| (t, units)).collect();
-        let mut round = self.exec.train_round(
+        let scratch = &mut self.scratch;
+        scratch.owed.clear();
+        scratch.owed.resize(self.live.len(), units);
+        let round = self.exec.train_round(
             stage,
-            &full_units,
-            &mut setup,
+            &scratch.owed,
+            &mut self.setup,
+            self.pc.plan(),
             &self.live,
             &mut self.trials,
             &mut self.cm,
@@ -766,6 +895,8 @@ impl ExecutorCore {
             false,
             watchdog_deadline,
             &mut self.total_preemptions,
+            &mut scratch.round,
+            &mut scratch.unit_obs,
         )?;
         let mut stage_end = round.stage_end;
         self.total_retries += round.retries;
@@ -776,17 +907,24 @@ impl ExecutorCore {
         // everything at the next unit boundaries (already done inside
         // the round), let the hook re-plan from the *current* stage
         // onward, re-scale, and run the residual units.
-        if !round.remaining.is_empty() {
+        if round.cut {
             let wd_now =
                 stage_end + SimDuration::from_secs_f64(self.exec.options.sync_overhead_secs);
             for &tid in &self.live {
-                let rt = self.trials.get_mut(&tid).expect("live trial exists");
+                let rt = &mut self.trials[tid.raw() as usize];
                 if rt.trial.status() == TrialStatus::Running {
                     rt.trial.pause()?;
                     self.store.save(&rt.trial, &self.exec.task.arch);
                 }
             }
-            let max_remaining = round.remaining.values().copied().max().unwrap_or(0);
+            let max_remaining = self
+                .scratch
+                .round
+                .remaining
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0);
             self.recorder.counter_add("exec", "watchdog_fires", 1);
             if self.recorder.enabled() {
                 self.recorder.instant(
@@ -801,6 +939,8 @@ impl ExecutorCore {
                 );
             }
             let suffix = {
+                let scratch = &mut self.scratch;
+                scratch.unit_obs.observations(&mut scratch.observations);
                 let snapshot = WatchdogSnapshot {
                     stage,
                     num_stages: self.exec.spec.num_stages(),
@@ -809,7 +949,7 @@ impl ExecutorCore {
                     budget_secs: budget.unwrap_or(f64::INFINITY),
                     units,
                     max_remaining_units: max_remaining,
-                    unit_obs: unit_obs_vec(&round.unit_obs),
+                    unit_obs: &scratch.observations,
                     cost_to_date: self.cm.total_cost(wd_now),
                     preemptions: self.total_preemptions,
                     instances: self.cm.ready_count(),
@@ -843,7 +983,7 @@ impl ExecutorCore {
             // switch drains nothing that cannot restore; the re-scale
             // below provisions on the new market.
             self.apply_pending_switch(hook, stage)?;
-            setup = self.exec.scale_and_place(
+            self.exec.scale_and_place(
                 &self.plan,
                 stage,
                 &self.live,
@@ -853,20 +993,20 @@ impl ExecutorCore {
                 &mut self.now,
                 &mut self.trace,
                 &self.recorder,
+                &mut self.setup,
+                &mut self.scratch.allocations,
             )?;
-            stage_migrations += setup.migrations;
-            self.total_migrations += setup.migrations;
-            stage_shortfall = stage_shortfall.max(setup.capacity_shortfall);
-            self.total_retries += setup.retries;
-            let residual: BTreeMap<TrialId, u64> = self
-                .live
-                .iter()
-                .map(|&t| (t, round.remaining.get(&t).copied().unwrap_or(0)))
-                .collect();
+            stage_migrations += self.setup.migrations;
+            self.total_migrations += self.setup.migrations;
+            stage_shortfall = stage_shortfall.max(self.setup.capacity_shortfall);
+            self.total_retries += self.setup.retries;
+            let scratch = &mut self.scratch;
+            scratch.owed.clone_from(&scratch.round.remaining);
             let resumed = self.exec.train_round(
                 stage,
-                &residual,
-                &mut setup,
+                &scratch.owed,
+                &mut self.setup,
+                self.pc.plan(),
                 &self.live,
                 &mut self.trials,
                 &mut self.cm,
@@ -877,22 +1017,27 @@ impl ExecutorCore {
                 true,
                 None,
                 &mut self.total_preemptions,
+                &mut scratch.round,
+                &mut scratch.resumed_obs,
             )?;
             stage_end = resumed.stage_end;
             self.total_retries += resumed.retries;
             self.checkpoint_fallbacks += resumed.fallbacks;
-            merge_unit_obs(&mut round.unit_obs, resumed.unit_obs);
+            scratch.unit_obs.merge(&scratch.resumed_obs);
         }
         // Idle spot nodes reclaimed before the barrier stop billing at
         // their interruption instant and leave the cluster.
-        for node in setup.cluster.nodes().to_vec() {
+        let nodes = &mut self.scratch.nodes;
+        nodes.clear();
+        nodes.extend_from_slice(self.setup.cluster.nodes());
+        for &node in nodes.iter() {
             if self
                 .cm
                 .preemption_time(node)
                 .is_some_and(|t| t <= stage_end)
             {
                 let _ = self.cm.preempt_node(node);
-                setup.cluster.remove(node);
+                self.setup.cluster.remove(node);
             }
         }
         self.now = stage_end + SimDuration::from_secs_f64(self.exec.options.sync_overhead_secs);
@@ -922,27 +1067,28 @@ impl ExecutorCore {
         }
 
         // --- Synchronization barrier: rank, promote, terminate -------------
-        let results: Vec<(TrialId, f64)> = self
-            .live
-            .iter()
-            .map(|&t| {
-                let acc = self.trials[&t]
-                    .trial
-                    .latest_accuracy()
-                    .expect("trained trials have metrics");
-                (t, acc)
-            })
-            .collect();
+        let scratch = &mut self.scratch;
+        scratch.results.clear();
+        scratch.results.extend(self.live.iter().map(|&t| {
+            let acc = self.trials[t.raw() as usize]
+                .trial
+                .latest_accuracy()
+                .expect("trained trials have metrics");
+            (t, acc)
+        }));
         let keep = self
             .exec
             .spec
-            .get_stage(stage + 1)
-            .map(|(t, _)| t as usize)
-            .unwrap_or(0);
-        let survivors = select_survivors(&results, keep.max(1).min(self.live.len()));
+            .stages()
+            .nth(stage + 1)
+            .map_or(0, |s| s.num_trials as usize);
+        select_survivors(&mut scratch.results, keep.max(1).min(self.live.len()));
+        let survivors = &mut scratch.survivors;
+        survivors.clear();
+        survivors.extend(scratch.results.iter().map(|&(t, _)| t));
         let is_last = stage + 1 == self.exec.spec.num_stages();
         for &tid in &self.live {
-            let rt = self.trials.get_mut(&tid).expect("live trial exists");
+            let rt = &mut self.trials[tid.raw() as usize];
             if is_last || !survivors.contains(&tid) {
                 // Completed survivors and terminated losers both stop.
                 if is_last && survivors.contains(&tid) {
@@ -967,8 +1113,8 @@ impl ExecutorCore {
             train_start,
             sync_end: self.now,
             trials: stage_trials,
-            gpus_per_trial: setup.allocations.values().next().copied().unwrap_or(1),
-            instances: setup.needed as u32,
+            gpus_per_trial: self.setup.gpus_per_trial,
+            instances: self.setup.needed as u32,
             migrations: stage_migrations,
         };
         if self.recorder.enabled() {
@@ -990,13 +1136,14 @@ impl ExecutorCore {
         if stage_shortfall > 0 {
             self.degraded_stages += 1;
         }
-        self.live = survivors;
+        std::mem::swap(&mut self.live, survivors);
 
         // --- Barrier hook: observe, optionally re-plan the suffix ----------
         // Every survivor is paused with a fresh checkpoint and the
         // placement confirmed, so a plan splice here is transition-safe:
         // the next stage's scaling/placement machinery absorbs it.
         if stage + 1 < self.exec.spec.num_stages() {
+            scratch.unit_obs.observations(&mut scratch.observations);
             let snapshot = BarrierSnapshot {
                 stage,
                 num_stages: self.exec.spec.num_stages(),
@@ -1006,8 +1153,8 @@ impl ExecutorCore {
                 preemptions: self.total_preemptions,
                 instances: self.cm.ready_count(),
                 survivors: self.live.len(),
-                gpus_per_trial: setup.allocations.values().next().copied().unwrap_or(1),
-                unit_obs: unit_obs_vec(&round.unit_obs),
+                gpus_per_trial: self.setup.gpus_per_trial,
+                unit_obs: &scratch.observations,
                 instance_seconds: self.cm.held_instance_seconds(self.now),
                 capacity_shortfall: stage_shortfall as u32,
                 capacity_events: self.cm.capacity_events(),
@@ -1126,7 +1273,7 @@ impl ExecutorCore {
             .live
             .first()
             .ok_or_else(|| RbError::Execution("no surviving trial at job end".into()))?;
-        let winner = &self.trials[&best_trial].trial;
+        let winner = &self.trials[best_trial.raw() as usize].trial;
         let batch = f64::from(self.exec.physics.scaling.batch_size());
         let report = ExecutionReport {
             jct: self.now - self.t0,
@@ -1143,11 +1290,11 @@ impl ExecutorCore {
             trial_throughput: self
                 .trials
                 .iter()
-                .filter(|(_, rt)| rt.busy_secs > 0.0 && rt.units_done > 0)
-                .map(|(&t, rt)| {
+                .filter(|rt| rt.busy_secs > 0.0 && rt.units_done > 0)
+                .map(|rt| {
                     let samples =
                         rt.units_done as f64 * self.exec.physics.steps_per_iter as f64 * batch;
-                    (t, samples / rt.busy_secs)
+                    (rt.trial.id, samples / rt.busy_secs)
                 })
                 .collect(),
             faults_injected: self.cm.fault_counts().total() + self.store.corruptions_injected(),
@@ -1197,9 +1344,11 @@ impl ExecutorCore {
 
 impl Executor {
     /// Scales the cluster to the plan's allocation for `stage` and places
-    /// (or migrates) every live trial's workers. One stage normally runs
-    /// this once; a stage split by the watchdog runs it again for the
-    /// residual round, absorbing whatever the hook spliced in.
+    /// (or migrates) every live trial's workers, refilling `setup`. One
+    /// stage normally runs this once; a stage split by the watchdog runs
+    /// it again for the residual round, absorbing whatever the hook
+    /// spliced in. `allocations` is working storage for the controller's
+    /// requests.
     #[allow(clippy::too_many_arguments)]
     fn scale_and_place(
         &self,
@@ -1212,7 +1361,9 @@ impl Executor {
         now: &mut SimTime,
         trace: &mut ExecutionTrace,
         recorder: &RecorderHandle,
-    ) -> Result<StageSetup> {
+        setup: &mut StageSetup,
+        allocations: &mut Vec<(TrialId, u32)>,
+    ) -> Result<()> {
         let opts = &self.options;
         // The scheduler decides; the rest of the pass carries it out.
         let mut schedule = crate::scheduler::schedule_stage(&self.spec, plan, stage, live, gpg)?;
@@ -1260,20 +1411,23 @@ impl Executor {
                 cm.request_nodes(needed - current, *now)?;
             }
         }
-        let waves = schedule.waves;
-        let mut cluster = ClusterState::new(cm.nodes(), gpg);
-        let mut moved: Vec<TrialId> = Vec::new();
+        let cluster = &mut setup.cluster;
+        cluster.set_nodes(cm.node_ids());
+        let moved = &mut setup.moved;
+        moved.clear();
         if needed < current && capacity_shortfall == 0 {
             let k = current - needed;
             if opts.use_placement_controller && !pc.plan().is_empty() {
                 // Bin-pack survivors off the victim nodes, then release.
-                let allocations: BTreeMap<TrialId, u32> = live
-                    .iter()
-                    .map(|&t| (t, pc.plan().assigned_gpus(t).max(1)))
-                    .filter(|&(t, _)| pc.plan().get(t).is_some())
-                    .collect();
-                pc.update(&allocations, &cluster)?;
-                match pc.plan_scale_down(&cluster, k) {
+                allocations.clear();
+                allocations.extend(
+                    live.iter()
+                        .map(|&t| (t, pc.plan().assigned_gpus(t).max(1)))
+                        .filter(|&(t, _)| pc.plan().get(t).is_some()),
+                );
+                allocations.sort_unstable_by_key(|&(t, _)| t);
+                pc.update(allocations, cluster)?;
+                match pc.plan_scale_down(cluster, k) {
                     Ok((freed, relocated)) => {
                         moved.extend(relocated);
                         for nid in &freed {
@@ -1355,45 +1509,42 @@ impl Executor {
         // Wave-scheduled stages run single-GPU trials over the slots;
         // a 1-GPU worker is trivially packed, so the controller is
         // bypassed and trials rotate churn-free.
-        let placement: PlacementPlan;
-        let allocations = schedule.allocations.clone();
-        if waves {
-            let nodes = cluster.nodes().to_vec();
-            let mut p = PlacementPlan::new();
-            for (i, &t) in live.iter().enumerate() {
-                let node = nodes[(i % schedule.slots as usize) % nodes.len()];
-                p.assign(t, vec![rb_placement::Placement { node, gpus: 1 }]);
-            }
-            placement = p;
-        } else if opts.use_placement_controller {
-            let diff = pc.update(&allocations, &cluster)?;
-            moved.extend(diff.moved.iter().copied());
-            placement = pc.plan().clone();
+        if schedule.waves {
+            setup.layout = Layout::Waves;
+            setup.wave_nodes.clear();
+            setup.wave_nodes.extend_from_slice(cluster.nodes());
         } else {
-            placement = scatter_placement(&allocations, &cluster)
-                .ok_or_else(|| RbError::Placement("scatter baseline: cluster too small".into()))?;
+            allocations.clear();
+            allocations.extend(live.iter().map(|&t| (t, schedule.gpus_per_trial)));
+            allocations.sort_unstable_by_key(|&(t, _)| t);
+            if opts.use_placement_controller {
+                let diff = pc.update(allocations, cluster)?;
+                moved.extend(diff.moved.iter().copied());
+                setup.layout = Layout::Controller;
+            } else {
+                setup.scattered = scatter_placement(allocations, cluster).ok_or_else(|| {
+                    RbError::Placement("scatter baseline: cluster too small".into())
+                })?;
+                setup.layout = Layout::Scattered;
+            }
         }
         moved.sort();
         moved.dedup();
         let migrations = moved.len() as u32;
-        for &t in &moved {
+        for &t in moved.iter() {
             emit(
                 trace,
                 recorder,
                 TraceEvent::Migration { trial: t, at: *now },
             );
         }
-        Ok(StageSetup {
-            cluster,
-            placement,
-            allocations,
-            moved,
-            slots: schedule.slots as usize,
-            needed,
-            migrations,
-            retries,
-            capacity_shortfall,
-        })
+        setup.gpus_per_trial = schedule.gpus_per_trial;
+        setup.slots = schedule.slots as usize;
+        setup.needed = needed;
+        setup.migrations = migrations;
+        setup.retries = retries;
+        setup.capacity_shortfall = capacity_shortfall;
+        Ok(())
     }
 
     /// Shrinks `stage`'s allocation until it fits on `available`
@@ -1436,22 +1587,25 @@ impl Executor {
         }
     }
 
-    /// Runs every live trial for its share of the stage's work units and
-    /// returns when the last segment ends. With `watchdog_deadline` set,
-    /// a trial whose attempt would run past the deadline is stopped at
-    /// the end of the unit in flight (a spot preemption striking earlier
-    /// wins and is handled normally); its residual unit count is
-    /// reported in [`RoundOutcome::remaining`]. The deadline check
-    /// consumes no noise samples, so an armed watchdog that never fires
-    /// leaves the round bit-identical to an unarmed one.
+    /// Runs every live trial for its share of the stage's work units
+    /// (`owed`, by position in `live`) and returns when the last segment
+    /// ends. With `watchdog_deadline` set, a trial whose attempt would
+    /// run past the deadline is stopped at the end of the unit in flight
+    /// (a spot preemption striking earlier wins and is handled
+    /// normally); its residual unit count is left in
+    /// [`RoundBuffers::remaining`]. The deadline check consumes no noise
+    /// samples, so an armed watchdog that never fires leaves the round
+    /// bit-identical to an unarmed one. Completed-unit latencies are
+    /// summed into `unit_obs`, which the round clears first.
     #[allow(clippy::too_many_arguments)]
     fn train_round(
         &self,
         stage: usize,
-        units_for: &BTreeMap<TrialId, u64>,
+        owed: &[u64],
         setup: &mut StageSetup,
+        controller_plan: &PlacementPlan,
         live: &[TrialId],
-        trials: &mut BTreeMap<TrialId, RunningTrial>,
+        trials: &mut [RunningTrial],
         cm: &mut ClusterManager,
         store: &CheckpointStore,
         trace: &mut ExecutionTrace,
@@ -1460,15 +1614,43 @@ impl Executor {
         force_fetch: bool,
         watchdog_deadline: Option<SimTime>,
         total_preemptions: &mut u32,
+        buf: &mut RoundBuffers,
+        unit_obs: &mut UnitObs,
     ) -> Result<RoundOutcome> {
         let opts = &self.options;
         let gpg = self.cloud.gpus_per_instance().max(1);
-        let slots = setup.slots;
-        let mut slot_free: Vec<SimTime> = vec![train_start; slots.max(1)];
+        let StageSetup {
+            cluster,
+            layout,
+            wave_nodes,
+            scattered,
+            gpus_per_trial: gpus,
+            moved,
+            slots,
+            ..
+        } = setup;
+        let (gpus, slots) = (*gpus, *slots);
+        let placement = match layout {
+            Layout::Waves => None,
+            Layout::Controller => Some(controller_plan),
+            Layout::Scattered => Some(&*scattered),
+        };
+        let RoundBuffers {
+            remaining,
+            slot_free,
+            node_preempt,
+            hosting,
+            dead,
+            boundaries,
+        } = buf;
+        remaining.clear();
+        remaining.resize(live.len(), 0);
+        slot_free.clear();
+        slot_free.resize(slots.max(1), train_start);
+        unit_obs.clear();
         let mut outcome = RoundOutcome {
             stage_end: train_start,
-            remaining: BTreeMap::new(),
-            unit_obs: BTreeMap::new(),
+            cut: false,
             retries: 0,
             fallbacks: 0,
         };
@@ -1488,14 +1670,23 @@ impl Executor {
         // Spot interruption instants of the round's nodes, captured
         // up-front so that colocated trials observe the same event
         // even after the first of them reclaims the node.
-        let node_preempt: BTreeMap<rb_core::NodeId, SimTime> = setup
-            .cluster
-            .nodes()
-            .iter()
-            .filter_map(|&n| cm.preemption_time(n).map(|t| (n, t)))
-            .collect();
+        node_preempt.clear();
+        node_preempt.extend(
+            cluster
+                .nodes()
+                .iter()
+                .filter_map(|&n| cm.preemption_time(n).map(|t| (n, t))),
+        );
+        let node_preempt = &*node_preempt;
+        let preemption_time = |n: NodeId, cm: &ClusterManager| {
+            node_preempt
+                .iter()
+                .find(|&&(m, _)| m == n)
+                .map(|&(_, t)| t)
+                .or_else(|| cm.preemption_time(n))
+        };
         for (wave_idx, &tid) in live.iter().enumerate() {
-            let units = units_for.get(&tid).copied().unwrap_or(0);
+            let units = owed[wave_idx];
             if units == 0 {
                 // Nothing owed (residual round after a full first round).
                 continue;
@@ -1506,31 +1697,33 @@ impl Executor {
                 if start >= wd {
                     // A cut earlier in this wave slot pushed the start
                     // past the deadline: don't even begin the attempt.
-                    outcome.remaining.insert(tid, units);
+                    remaining[wave_idx] = units;
+                    outcome.cut = true;
                     continue;
                 }
             }
-            let rt = trials.get_mut(&tid).expect("live trial exists");
+            let rt = &mut trials[tid.raw() as usize];
             if rt.trial.status() != TrialStatus::Running {
                 rt.trial.start()?;
             }
-            let gpus = setup.allocations[&tid];
+            // One evaluation per unit: grow the history once per round.
+            rt.trial.reserve_history(units as usize);
             // Without placement control, even single-GPU workers lose
             // data locality and scheduler affinity (Table 1's 1-GPU
-            // rows differ); with it, quality comes from the plan.
+            // rows differ); with it, quality comes from the plan (a
+            // wave's single-GPU worker sits on one node: packed).
             let quality = if opts.use_placement_controller {
-                setup
-                    .placement
-                    .quality(tid, gpg)
+                placement
+                    .and_then(|p| p.quality(tid, gpg))
                     .unwrap_or(PlacementQuality::Packed)
             } else {
                 PlacementQuality::Scattered
             };
-            let mut hosting: Vec<rb_core::NodeId> = setup
-                .placement
-                .get(tid)
-                .map(|cs| cs.iter().map(|p| p.node).collect())
-                .unwrap_or_default();
+            hosting.clear();
+            match placement {
+                None => hosting.push(wave_nodes[(wave_idx % slots) % wave_nodes.len()]),
+                Some(p) => hosting.extend(p.get(tid).unwrap_or_default().iter().map(|c| c.node)),
+            }
             // A degraded node slows the whole gang: data-parallel steps
             // synchronize every iteration, so the slowest host sets the
             // pace. Healthy clusters report 1.0 and the multiply is
@@ -1549,7 +1742,7 @@ impl Executor {
             } else {
                 Distribution::Constant(unit_mean)
             };
-            let mut needs_fetch = force_fetch || stage > 0 || setup.moved.contains(&tid);
+            let mut needs_fetch = force_fetch || stage > 0 || moved.contains(&tid);
             let obs_key = (gpus, quality == PlacementQuality::Packed);
             // Attempt loop: a spot interruption of any hosting node
             // loses the attempt's progress (checkpoints happen only at
@@ -1601,7 +1794,7 @@ impl Executor {
                     }
                 }
                 let base = work;
-                let mut boundaries: Vec<f64> = Vec::new();
+                boundaries.clear();
                 for _ in 0..units {
                     work += dist.sample(&mut rt.rng);
                     if watchdog_deadline.is_some() {
@@ -1611,12 +1804,7 @@ impl Executor {
                 let end = start + SimDuration::from_secs_f64(work);
                 let preempt = hosting
                     .iter()
-                    .filter_map(|n| {
-                        node_preempt
-                            .get(n)
-                            .copied()
-                            .or_else(|| cm.preemption_time(*n))
-                    })
+                    .filter_map(|&n| preemption_time(n, cm))
                     .filter(|&t| t > start && t < end)
                     .min();
                 // Watchdog cut candidate: the end of the unit in flight
@@ -1661,15 +1849,16 @@ impl Executor {
                             },
                         );
                         if k > 0 {
-                            let e = outcome.unit_obs.entry(obs_key).or_insert((0.0, 0));
+                            let e = unit_obs.entry(obs_key);
                             e.0 += cut_work - base;
                             e.1 += k;
                         }
                         rt.units_done += k;
                         for _ in 0..k {
-                            rt.trial.advance(&self.task, 1)?;
+                            rt.trial.advance_on(&rt.curve, 1)?;
                         }
-                        outcome.remaining.insert(tid, units - k);
+                        remaining[wave_idx] = units - k;
+                        outcome.cut = true;
                         break t;
                     }
                     rt.busy_secs += work;
@@ -1685,12 +1874,12 @@ impl Executor {
                             gpus,
                         },
                     );
-                    let e = outcome.unit_obs.entry(obs_key).or_insert((0.0, 0));
+                    let e = unit_obs.entry(obs_key);
                     e.0 += work - base;
                     e.1 += units;
                     rt.units_done += units;
                     for _ in 0..units {
-                        rt.trial.advance(&self.task, 1)?;
+                        rt.trial.advance_on(&rt.curve, 1)?;
                     }
                     break end;
                 };
@@ -1711,18 +1900,14 @@ impl Executor {
                         gpus,
                     },
                 );
-                let dead: Vec<rb_core::NodeId> = hosting
-                    .iter()
-                    .copied()
-                    .filter(|n| {
-                        node_preempt
-                            .get(n)
-                            .copied()
-                            .or_else(|| cm.preemption_time(*n))
-                            .is_some_and(|t| t <= cut)
-                    })
-                    .collect();
-                for n in &dead {
+                dead.clear();
+                dead.extend(
+                    hosting
+                        .iter()
+                        .copied()
+                        .filter(|&n| preemption_time(n, cm).is_some_and(|t| t <= cut)),
+                );
+                for n in dead.iter() {
                     // Colocated trials race to reclaim; losing is fine.
                     if cm.preempt_node(*n).is_ok() {
                         emit(
@@ -1735,7 +1920,7 @@ impl Executor {
                             },
                         );
                     }
-                    setup.cluster.remove(*n);
+                    cluster.remove(*n);
                     hosting.retain(|h| h != n);
                 }
                 if let Some(policy) = retry_policy {
@@ -1746,7 +1931,7 @@ impl Executor {
                 }
                 let ready = cm.pending_ready_time().unwrap_or(cut);
                 for n in cm.absorb_ready(ready) {
-                    setup.cluster.add(n);
+                    cluster.add(n);
                     hosting.push(n);
                     emit(trace, recorder, TraceEvent::NodeUp { node: n, at: ready });
                 }
@@ -2619,7 +2804,7 @@ mod tests {
                 self.rows.push((
                     s.stage,
                     s.gpus_per_trial,
-                    s.unit_obs.clone(),
+                    s.unit_obs.to_vec(),
                     s.instance_seconds,
                 ));
                 None

@@ -14,7 +14,6 @@
 use rb_core::{RbError, Result, TrialId};
 use rb_hpo::ExperimentSpec;
 use rb_sim::AllocationPlan;
-use std::collections::BTreeMap;
 
 /// The scheduler's decisions for one stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,8 +22,9 @@ pub struct StageSchedule {
     pub stage: usize,
     /// Instances the cluster must hold (placement-fragmentation aware).
     pub target_instances: u32,
-    /// GPUs assigned to each live trial while it runs.
-    pub allocations: BTreeMap<TrialId, u32>,
+    /// GPUs each live trial runs on (every trial of a stage gets the
+    /// same share).
+    pub gpus_per_trial: u32,
     /// True when trials outnumber GPUs and run in rotating waves of
     /// single-GPU workers.
     pub waves: bool,
@@ -39,7 +39,7 @@ impl StageSchedule {
         if self.waves {
             self.slots
         } else {
-            self.allocations.values().sum()
+            self.gpus_per_trial * self.slots
         }
     }
 }
@@ -76,11 +76,10 @@ pub fn schedule_stage(
     } else {
         plan.gpus_per_trial(stage, spec)
     };
-    let allocations = live.iter().map(|&t| (t, gpt)).collect();
     Ok(StageSchedule {
         stage,
         target_instances: plan.instances_for_stage(stage, spec, gpus_per_instance),
-        allocations,
+        gpus_per_trial: gpt,
         waves,
         slots: if waves { alloc } else { trials },
     })
@@ -105,7 +104,7 @@ mod tests {
         assert!(!s.waves);
         assert_eq!(s.slots, 10);
         assert_eq!(s.target_instances, 5);
-        assert!(s.allocations.values().all(|&g| g == 2));
+        assert_eq!(s.gpus_per_trial, 2);
         assert_eq!(s.busy_gpus(), 20);
     }
 
@@ -116,7 +115,7 @@ mod tests {
         assert!(s.waves);
         assert_eq!(s.slots, 8);
         assert_eq!(s.target_instances, 2);
-        assert!(s.allocations.values().all(|&g| g == 1));
+        assert_eq!(s.gpus_per_trial, 1);
         assert_eq!(s.busy_gpus(), 8);
     }
 
@@ -126,7 +125,7 @@ mod tests {
         let spec = ExperimentSpec::from_stages(&[(8, 4)]).unwrap();
         let plan = AllocationPlan::new(vec![24]);
         let s = schedule_stage(&spec, &plan, 0, &trials(8), 4).unwrap();
-        assert_eq!(s.allocations[&TrialId::new(0)], 3);
+        assert_eq!(s.gpus_per_trial, 3);
         assert_eq!(s.target_instances, 8, "3-GPU trials cannot share nodes");
     }
 
@@ -150,7 +149,7 @@ mod tests {
     fn final_stage_single_trial_gets_everything() {
         let plan = AllocationPlan::new(vec![32, 20, 12, 8]);
         let s = schedule_stage(&spec(), &plan, 3, &trials(1), 4).unwrap();
-        assert_eq!(s.allocations[&TrialId::new(0)], 8);
+        assert_eq!(s.gpus_per_trial, 8);
         assert_eq!(s.target_instances, 2);
         assert!(!s.waves);
     }

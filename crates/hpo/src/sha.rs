@@ -175,21 +175,20 @@ pub fn hyperband_brackets(
     Ok(brackets)
 }
 
-/// Ranks stage results and returns the ids of the `keep` best trials
-/// (highest metric first). Ties break toward the lower trial id so that
-/// promotion is deterministic.
+/// Ranks stage results in place, best first, and keeps the `keep` best
+/// trials (highest metric first). Ties break toward the lower trial id
+/// so that promotion is deterministic. In place, so a caller that ranks
+/// every stage reuses one buffer.
 ///
 /// This is the synchronization-barrier step of Fig. 3: the top `1/η`
 /// fraction survives into the next stage.
-pub fn select_survivors(results: &[(TrialId, f64)], keep: usize) -> Vec<TrialId> {
-    let mut ranked: Vec<(TrialId, f64)> = results.to_vec();
-    ranked.sort_by(|a, b| {
+pub fn select_survivors(results: &mut Vec<(TrialId, f64)>, keep: usize) {
+    results.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.0.cmp(&b.0))
     });
-    ranked.truncate(keep);
-    ranked.into_iter().map(|(id, _)| id).collect()
+    results.truncate(keep);
 }
 
 #[cfg(test)]
@@ -319,6 +318,12 @@ mod tests {
         assert!(hyperband_brackets(1, 81, 1).is_err());
     }
 
+    /// The ids [`select_survivors`] keeps.
+    fn survivors(mut results: Vec<(TrialId, f64)>, keep: usize) -> Vec<TrialId> {
+        select_survivors(&mut results, keep);
+        results.into_iter().map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn survivors_are_top_k_by_metric() {
         let results = vec![
@@ -328,7 +333,7 @@ mod tests {
             (TrialId::new(3), 0.60),
         ];
         assert_eq!(
-            select_survivors(&results, 2),
+            survivors(results, 2),
             vec![TrialId::new(1), TrialId::new(2)]
         );
     }
@@ -341,7 +346,7 @@ mod tests {
             (TrialId::new(9), 0.8),
         ];
         assert_eq!(
-            select_survivors(&results, 2),
+            survivors(results, 2),
             vec![TrialId::new(2), TrialId::new(5)]
         );
     }
@@ -351,7 +356,7 @@ mod tests {
         let results = vec![(TrialId::new(0), f64::NAN), (TrialId::new(1), 0.5)];
         // NaN ranks as equal; selection still returns `keep` items
         // deterministically and never panics.
-        let s = select_survivors(&results, 5);
+        let s = survivors(results, 5);
         assert_eq!(s.len(), 2);
     }
 }

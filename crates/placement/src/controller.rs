@@ -43,6 +43,29 @@ impl PlacementDiff {
 pub struct PlacementController {
     plan: PlacementPlan,
     reserved: BTreeSet<TrialId>,
+    /// Kept between [`PlacementController::update`] calls for its
+    /// storage.
+    work: Work,
+}
+
+/// The working state of one [`PlacementController::update`].
+#[derive(Debug, Clone, Default)]
+struct Work {
+    /// The plan being built, swapped in on success so that a failed
+    /// update leaves the controller's plan untouched.
+    plan: PlacementPlan,
+    /// Trials waiting to be placed, largest allocation first.
+    queue: Vec<(u32, TrialId)>,
+    previously_placed: Vec<TrialId>,
+    placed_this_round: Vec<TrialId>,
+}
+
+/// The GPUs `allocations` (ordered by trial) requests for `trial`.
+fn allocation_of(allocations: &[(TrialId, u32)], trial: TrialId) -> Option<u32> {
+    allocations
+        .binary_search_by_key(&trial, |&(t, _)| t)
+        .ok()
+        .map(|i| allocations[i].1)
 }
 
 impl PlacementController {
@@ -73,7 +96,8 @@ impl PlacementController {
     }
 
     /// Runs the placement algorithm for the requested `allocations`
-    /// (trial → GPUs) over `cluster`, updating the plan in place.
+    /// (`(trial, GPUs)` ordered by trial, each trial once) over
+    /// `cluster`, updating the plan in place.
     ///
     /// # Errors
     ///
@@ -82,34 +106,63 @@ impl PlacementController {
     /// that displacement cannot fix). The plan is left unchanged on error.
     pub fn update(
         &mut self,
-        allocations: &BTreeMap<TrialId, u32>,
+        allocations: &[(TrialId, u32)],
         cluster: &ClusterState,
     ) -> Result<PlacementDiff> {
-        let total: u32 = allocations.values().sum();
+        debug_assert!(
+            allocations.windows(2).all(|w| w[0].0 < w[1].0),
+            "allocations must be ordered by trial, each trial once"
+        );
+        let total: u32 = allocations.iter().map(|&(_, g)| g).sum();
         if total > cluster.total_gpus() {
             return Err(RbError::Placement(format!(
                 "allocations need {total} GPUs, cluster has {}",
                 cluster.total_gpus()
             )));
         }
+        let mut work = std::mem::take(&mut self.work);
+        work.plan.clone_from(&self.plan);
+        let diff = self.replan(&mut work, allocations, cluster);
+        if diff.is_ok() {
+            std::mem::swap(&mut self.plan, &mut work.plan);
+        }
+        self.work = work;
+        diff
+    }
+
+    /// The body of [`PlacementController::update`], on `work.plan`, a
+    /// copy of the current plan.
+    fn replan(
+        &self,
+        work: &mut Work,
+        allocations: &[(TrialId, u32)],
+        cluster: &ClusterState,
+    ) -> Result<PlacementDiff> {
+        let Work {
+            plan,
+            queue,
+            previously_placed,
+            placed_this_round,
+        } = work;
         let cap = cluster.gpus_per_node();
-        let mut plan = self.plan.clone();
         let mut diff = PlacementDiff::default();
 
         // Drop trials that are gone.
-        for trial in plan.trials() {
-            if !allocations.contains_key(&trial) {
-                plan.remove(trial);
+        plan.retain_trials(|trial| {
+            let keep = allocation_of(allocations, trial).is_some();
+            if !keep {
                 diff.removed.push(trial);
             }
-        }
+            keep
+        });
 
         // Identify trials whose current placement is already satisfactory:
         // correct total, on live nodes, minimal node count. Reserved trials
         // are treated as satisfied by definition.
-        let mut queue: Vec<(u32, TrialId)> = Vec::new();
-        let mut previously_placed = BTreeSet::new();
-        for (&trial, &gpus) in allocations {
+        queue.clear();
+        previously_placed.clear();
+        placed_this_round.clear();
+        for &(trial, gpus) in allocations {
             if self.reserved.contains(&trial) && plan.get(trial).is_some() {
                 continue;
             }
@@ -122,27 +175,26 @@ impl PlacementController {
             if ok {
                 continue;
             }
-            if plan.remove(trial).is_some() {
-                previously_placed.insert(trial);
+            if plan.remove(trial) {
+                previously_placed.push(trial);
             }
             queue.push((gpus, trial));
         }
         if queue.is_empty() {
-            self.plan = plan;
             return Ok(diff);
         }
 
         // Largest allocation first; ties by trial id for determinism.
         queue.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut placed_this_round: BTreeSet<TrialId> = BTreeSet::new();
-
         while let Some((gpus, trial)) = queue.first().copied() {
             queue.remove(0);
-            let displaced = self.place_one(&mut plan, cluster, trial, gpus, &placed_this_round)?;
-            placed_this_round.insert(trial);
+            let displaced = self.place_one(plan, cluster, trial, gpus, placed_this_round)?;
+            placed_this_round.push(trial);
             for d in displaced {
-                let alloc = allocations[&d];
-                previously_placed.insert(d);
+                let alloc = allocation_of(allocations, d).expect("displaced trials are allocated");
+                if !previously_placed.contains(&d) {
+                    previously_placed.push(d);
+                }
                 // Re-insert maintaining descending-allocation order.
                 let pos = queue
                     .binary_search_by(|(a, t)| alloc.cmp(a).then(t.cmp(&d)))
@@ -151,7 +203,8 @@ impl PlacementController {
             }
         }
 
-        for &trial in &placed_this_round {
+        placed_this_round.sort_unstable();
+        for &trial in placed_this_round.iter() {
             if previously_placed.contains(&trial) {
                 diff.moved.push(trial);
             } else {
@@ -162,7 +215,6 @@ impl PlacementController {
             plan.is_valid_for(cluster),
             "controller produced invalid plan"
         );
-        self.plan = plan;
         Ok(diff)
     }
 
@@ -174,7 +226,7 @@ impl PlacementController {
         cluster: &ClusterState,
         trial: TrialId,
         gpus: u32,
-        placed_this_round: &BTreeSet<TrialId>,
+        placed_this_round: &[TrialId],
     ) -> Result<Vec<TrialId>> {
         let cap = cluster.gpus_per_node();
         if gpus <= cap {
@@ -189,7 +241,7 @@ impl PlacementController {
         plan: &PlacementPlan,
         node: NodeId,
         max_alloc: u32,
-        placed_this_round: &BTreeSet<TrialId>,
+        placed_this_round: &[TrialId],
     ) -> Vec<(u32, TrialId)> {
         let mut out: Vec<(u32, TrialId)> = plan
             .iter()
@@ -212,21 +264,20 @@ impl PlacementController {
         cluster: &ClusterState,
         trial: TrialId,
         gpus: u32,
-        placed_this_round: &BTreeSet<TrialId>,
+        placed_this_round: &[TrialId],
     ) -> Result<Vec<TrialId>> {
         // Best fit: the node with the least free space that still fits.
-        let free = plan.free_per_node(cluster);
-        let best = free
-            .iter()
-            .filter(|(_, &f)| f >= gpus)
-            .min_by_key(|(&n, &f)| (f, n));
-        if let Some((&node, _)) = best {
-            plan.assign(trial, vec![Placement { node, gpus }]);
+        let best = plan
+            .free_nodes(cluster)
+            .filter(|&(_, f)| f >= gpus)
+            .min_by_key(|&(n, f)| (f, n));
+        if let Some((node, _)) = best {
+            plan.assign(trial, [Placement { node, gpus }]);
             return Ok(Vec::new());
         }
         // Displacement: scan nodes by descending free space, evicting
         // strictly smaller victims until the trial fits.
-        let mut nodes: Vec<(NodeId, u32)> = free.into_iter().collect();
+        let mut nodes: Vec<(NodeId, u32)> = plan.free_nodes(cluster).collect();
         nodes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for (node, free_gpus) in nodes {
             let victims = self.evictable(plan, node, gpus, placed_this_round);
@@ -252,16 +303,18 @@ impl PlacementController {
                 if freed >= gpus {
                     break;
                 }
-                let chunks = plan.remove(victim).expect("victim is placed");
-                freed += chunks
+                freed += plan
+                    .get(victim)
+                    .expect("victim is placed")
                     .iter()
                     .filter(|p| p.node == node)
                     .map(|p| p.gpus)
                     .sum::<u32>();
+                plan.remove(victim);
                 displaced.push(victim);
             }
             debug_assert!(freed >= gpus);
-            plan.assign(trial, vec![Placement { node, gpus }]);
+            plan.assign(trial, [Placement { node, gpus }]);
             return Ok(displaced);
         }
         Err(RbError::Placement(format!(
@@ -275,7 +328,7 @@ impl PlacementController {
         cluster: &ClusterState,
         trial: TrialId,
         gpus: u32,
-        placed_this_round: &BTreeSet<TrialId>,
+        placed_this_round: &[TrialId],
     ) -> Result<Vec<TrialId>> {
         let cap = cluster.gpus_per_node();
         // Whole empty nodes needed for the full chunks; the remainder can
@@ -283,19 +336,18 @@ impl PlacementController {
         let needed_nodes = (gpus / cap) as usize;
         // Gather empty nodes first, then nodes that can be fully emptied
         // by displacing smaller unreserved trials (emptiest first).
-        let free = plan.free_per_node(cluster);
-        let mut empties: Vec<NodeId> = free
-            .iter()
-            .filter(|(_, &f)| f == cap)
-            .map(|(&n, _)| n)
+        let mut empties: Vec<NodeId> = plan
+            .free_nodes(cluster)
+            .filter(|&(_, f)| f == cap)
+            .map(|(n, _)| n)
             .collect();
         empties.sort();
         let mut displaced = Vec::new();
         if empties.len() < needed_nodes {
-            let mut candidates: Vec<(u32, NodeId)> = free
-                .iter()
-                .filter(|(_, &f)| f < cap)
-                .map(|(&n, &f)| (cap - f, n))
+            let mut candidates: Vec<(u32, NodeId)> = plan
+                .free_nodes(cluster)
+                .filter(|&(_, f)| f < cap)
+                .map(|(n, f)| (cap - f, n))
                 .collect();
             candidates.sort();
             for (_, node) in candidates {
@@ -339,14 +391,12 @@ impl PlacementController {
             .map(|&node| Placement { node, gpus: cap })
             .collect();
         if remainder > 0 {
-            let taken: Vec<NodeId> = chunks.iter().map(|p| p.node).collect();
-            let free_now = plan.free_per_node(cluster);
-            let best = free_now
-                .iter()
-                .filter(|(n, &f)| !taken.contains(n) && f >= remainder)
-                .min_by_key(|(&n, &f)| (f, n));
+            let best = plan
+                .free_nodes(cluster)
+                .filter(|&(n, f)| !chunks.iter().any(|p| p.node == n) && f >= remainder)
+                .min_by_key(|&(n, f)| (f, n));
             match best {
-                Some((&node, _)) => chunks.push(Placement {
+                Some((node, _)) => chunks.push(Placement {
                     node,
                     gpus: remainder,
                 }),
@@ -455,7 +505,7 @@ mod tests {
     use super::*;
     use rb_scaling::PlacementQuality;
 
-    fn alloc(pairs: &[(u64, u32)]) -> BTreeMap<TrialId, u32> {
+    fn alloc(pairs: &[(u64, u32)]) -> Vec<(TrialId, u32)> {
         pairs.iter().map(|&(t, g)| (TrialId::new(t), g)).collect()
     }
 

@@ -66,6 +66,12 @@ impl ClusterState {
         self.nodes.retain(|&n| n != node);
     }
 
+    /// Replaces the node list, keeping its storage.
+    pub fn set_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        self.nodes.clear();
+        self.nodes.extend(nodes);
+    }
+
     /// Adds a node (after provisioning).
     pub fn add(&mut self, node: NodeId) {
         debug_assert!(!self.contains(node), "node {node} added twice");
@@ -74,9 +80,29 @@ impl ClusterState {
 }
 
 /// The full mapping of trials to physical assignments.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Stored flat — one entry per chunk, ordered by trial, each trial's
+/// chunks contiguous in assignment order — so copying a plan into one
+/// that already has room ([`Clone::clone_from`]) and re-placing trials
+/// reuse its storage instead of allocating per trial.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct PlacementPlan {
-    assignments: BTreeMap<TrialId, Vec<Placement>>,
+    owners: Vec<TrialId>,
+    chunks: Vec<Placement>,
+}
+
+impl Clone for PlacementPlan {
+    fn clone(&self) -> Self {
+        PlacementPlan {
+            owners: self.owners.clone(),
+            chunks: self.chunks.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.owners.clone_from(&source.owners);
+        self.chunks.clone_from(&source.chunks);
+    }
 }
 
 impl PlacementPlan {
@@ -85,79 +111,124 @@ impl PlacementPlan {
         PlacementPlan::default()
     }
 
+    /// The chunk positions of `trial` (empty when unplaced; the start is
+    /// where its chunks would go).
+    fn range(&self, trial: TrialId) -> std::ops::Range<usize> {
+        let start = self.owners.partition_point(|&t| t < trial);
+        let len = self.owners[start..].partition_point(|&t| t == trial);
+        start..start + len
+    }
+
     /// The placement chunks of `trial`, if placed.
     pub fn get(&self, trial: TrialId) -> Option<&[Placement]> {
-        self.assignments.get(&trial).map(Vec::as_slice)
+        let r = self.range(trial);
+        (!r.is_empty()).then(|| &self.chunks[r])
     }
 
     /// Total GPUs assigned to `trial`.
     pub fn assigned_gpus(&self, trial: TrialId) -> u32 {
-        self.get(trial)
-            .map(|ps| ps.iter().map(|p| p.gpus).sum())
-            .unwrap_or(0)
+        self.chunks[self.range(trial)].iter().map(|p| p.gpus).sum()
     }
 
     /// Inserts or replaces a trial's assignment.
-    pub fn assign(&mut self, trial: TrialId, chunks: Vec<Placement>) {
-        debug_assert!(!chunks.is_empty(), "empty assignment for {trial}");
-        self.assignments.insert(trial, chunks);
+    pub fn assign(&mut self, trial: TrialId, chunks: impl IntoIterator<Item = Placement>) {
+        let r = self.range(trial);
+        let at = r.start;
+        self.owners.drain(r.clone());
+        self.chunks.drain(r);
+        let mut n = 0;
+        for p in chunks {
+            self.owners.insert(at + n, trial);
+            self.chunks.insert(at + n, p);
+            n += 1;
+        }
+        debug_assert!(n > 0, "empty assignment for {trial}");
     }
 
-    /// Removes a trial's assignment, returning it if present.
-    pub fn remove(&mut self, trial: TrialId) -> Option<Vec<Placement>> {
-        self.assignments.remove(&trial)
+    /// Removes a trial's assignment; returns whether it was placed.
+    pub fn remove(&mut self, trial: TrialId) -> bool {
+        let r = self.range(trial);
+        let placed = !r.is_empty();
+        self.owners.drain(r.clone());
+        self.chunks.drain(r);
+        placed
+    }
+
+    /// Keeps only the trials for which `keep` returns true; `keep` sees
+    /// each placed trial once, in trial order.
+    pub(crate) fn retain_trials(&mut self, mut keep: impl FnMut(TrialId) -> bool) {
+        let mut write = 0;
+        let mut read = 0;
+        while read < self.owners.len() {
+            let trial = self.owners[read];
+            let len = self.owners[read..].partition_point(|&t| t == trial);
+            if keep(trial) {
+                for k in read..read + len {
+                    self.owners[write] = self.owners[k];
+                    self.chunks[write] = self.chunks[k];
+                    write += 1;
+                }
+            }
+            read += len;
+        }
+        self.owners.truncate(write);
+        self.chunks.truncate(write);
     }
 
     /// Iterates over `(trial, chunks)` in trial order.
     pub fn iter(&self) -> impl Iterator<Item = (TrialId, &[Placement])> {
-        self.assignments.iter().map(|(&t, v)| (t, v.as_slice()))
-    }
-
-    /// Trials currently placed.
-    pub fn trials(&self) -> Vec<TrialId> {
-        self.assignments.keys().copied().collect()
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let trial = *self.owners.get(at)?;
+            let len = self.owners[at..].partition_point(|&t| t == trial);
+            let chunks = &self.chunks[at..at + len];
+            at += len;
+            Some((trial, chunks))
+        })
     }
 
     /// Number of placed trials.
     pub fn len(&self) -> usize {
-        self.assignments.len()
+        self.iter().count()
     }
 
     /// True when nothing is placed.
     pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
+        self.owners.is_empty()
     }
 
-    /// GPUs used per node under this plan.
-    pub fn used_per_node(&self) -> BTreeMap<NodeId, u32> {
-        let mut used = BTreeMap::new();
-        for chunks in self.assignments.values() {
-            for p in chunks {
-                *used.entry(p.node).or_insert(0) += p.gpus;
-            }
-        }
-        used
+    /// GPUs used on `node` under this plan.
+    fn used_on(&self, node: NodeId) -> u32 {
+        self.chunks
+            .iter()
+            .filter(|p| p.node == node)
+            .map(|p| p.gpus)
+            .sum()
+    }
+
+    /// Free GPUs on each node of `cluster`, in the cluster's node order
+    /// (nodes with no assignment included).
+    pub(crate) fn free_nodes<'a>(
+        &'a self,
+        cluster: &'a ClusterState,
+    ) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+        cluster
+            .nodes()
+            .iter()
+            .map(move |&n| (n, cluster.gpus_per_node().saturating_sub(self.used_on(n))))
     }
 
     /// Free GPUs per node of `cluster` (nodes with no assignment included).
     pub fn free_per_node(&self, cluster: &ClusterState) -> BTreeMap<NodeId, u32> {
-        let used = self.used_per_node();
-        cluster
-            .nodes()
-            .iter()
-            .map(|&n| {
-                let u = used.get(&n).copied().unwrap_or(0);
-                (n, cluster.gpus_per_node().saturating_sub(u))
-            })
-            .collect()
+        self.free_nodes(cluster).collect()
     }
 
     /// True when no node is over-subscribed and every chunk sits on a
     /// cluster node.
     pub fn is_valid_for(&self, cluster: &ClusterState) -> bool {
-        let used = self.used_per_node();
-        used.iter()
-            .all(|(&n, &u)| cluster.contains(n) && u <= cluster.gpus_per_node())
+        self.chunks
+            .iter()
+            .all(|p| cluster.contains(p.node) && self.used_on(p.node) <= cluster.gpus_per_node())
     }
 
     /// The placement quality of a trial as seen by the communication model
@@ -180,12 +251,13 @@ impl PlacementPlan {
 /// preference ("RubberBand delegates placement of workers to the
 /// underlying scheduler without indicating location preferences").
 ///
-/// Returns `None` when the cluster lacks capacity.
+/// `allocations` lists `(trial, GPUs)` ordered by trial. Returns `None`
+/// when the cluster lacks capacity.
 pub fn scatter_placement(
-    allocations: &BTreeMap<TrialId, u32>,
+    allocations: &[(TrialId, u32)],
     cluster: &ClusterState,
 ) -> Option<PlacementPlan> {
-    let total: u32 = allocations.values().sum();
+    let total: u32 = allocations.iter().map(|&(_, g)| g).sum();
     if total > cluster.total_gpus() {
         return None;
     }
@@ -196,7 +268,7 @@ pub fn scatter_placement(
         .collect();
     let mut plan = PlacementPlan::new();
     let mut cursor = 0usize;
-    for (&trial, &gpus) in allocations {
+    for &(trial, gpus) in allocations {
         let mut chunks: BTreeMap<NodeId, u32> = BTreeMap::new();
         let mut remaining = gpus;
         while remaining > 0 {
@@ -219,8 +291,7 @@ pub fn scatter_placement(
             trial,
             chunks
                 .into_iter()
-                .map(|(node, gpus)| Placement { node, gpus })
-                .collect(),
+                .map(|(node, gpus)| Placement { node, gpus }),
         );
     }
     Some(plan)
@@ -273,6 +344,37 @@ mod tests {
             }],
         );
         assert!(!plan.is_valid_for(&cluster));
+    }
+
+    #[test]
+    fn flat_storage_keeps_trials_ordered_and_contiguous() {
+        let p = |node: u64, gpus: u32| Placement {
+            node: NodeId::new(node),
+            gpus,
+        };
+        let mut plan = PlacementPlan::new();
+        plan.assign(TrialId::new(5), [p(0, 1)]);
+        plan.assign(TrialId::new(2), vec![p(1, 4), p(2, 2)]);
+        plan.assign(TrialId::new(9), [p(3, 1)]);
+        // Re-assigning replaces the chunks in place.
+        plan.assign(TrialId::new(5), vec![p(0, 2), p(4, 2)]);
+        let seen: Vec<(u64, usize)> = plan.iter().map(|(t, c)| (t.raw(), c.len())).collect();
+        assert_eq!(seen, vec![(2, 2), (5, 2), (9, 1)]);
+        assert_eq!(plan.get(TrialId::new(2)).unwrap(), &[p(1, 4), p(2, 2)][..]);
+        assert_eq!(plan.assigned_gpus(TrialId::new(5)), 4);
+        assert_eq!(plan.len(), 3);
+        let mut copy = PlacementPlan::new();
+        copy.clone_from(&plan);
+        assert_eq!(copy, plan);
+        plan.retain_trials(|t| t != TrialId::new(5));
+        let trials: Vec<TrialId> = plan.iter().map(|(t, _)| t).collect();
+        assert_eq!(trials, vec![TrialId::new(2), TrialId::new(9)]);
+        assert!(plan.remove(TrialId::new(9)));
+        assert!(!plan.remove(TrialId::new(9)));
+        assert_eq!(plan.get(TrialId::new(9)), None);
+        assert_eq!(plan.assigned_gpus(TrialId::new(9)), 0);
+        assert!(plan.remove(TrialId::new(2)));
+        assert!(plan.is_empty());
     }
 
     #[test]
@@ -332,8 +434,7 @@ mod tests {
     #[test]
     fn scatter_baseline_spreads_workers() {
         let cluster = ClusterState::with_n_nodes(4, 8);
-        let mut alloc = BTreeMap::new();
-        alloc.insert(TrialId::new(0), 4u32);
+        let alloc = [(TrialId::new(0), 4u32)];
         let plan = scatter_placement(&alloc, &cluster).unwrap();
         // 4 GPUs round-robin over 4 nodes → 4 chunks of 1.
         assert_eq!(plan.get(TrialId::new(0)).unwrap().len(), 4);
@@ -346,16 +447,14 @@ mod tests {
     #[test]
     fn scatter_respects_capacity() {
         let cluster = ClusterState::with_n_nodes(2, 2);
-        let mut alloc = BTreeMap::new();
-        alloc.insert(TrialId::new(0), 2u32);
-        alloc.insert(TrialId::new(1), 1u32);
+        let mut alloc = vec![(TrialId::new(0), 2u32), (TrialId::new(1), 1u32)];
         let plan = scatter_placement(&alloc, &cluster).unwrap();
         assert!(plan.is_valid_for(&cluster));
         assert_eq!(plan.assigned_gpus(TrialId::new(0)), 2);
         // Exactly full still works; over capacity → None.
-        alloc.insert(TrialId::new(2), 1u32);
+        alloc.push((TrialId::new(2), 1u32));
         assert!(scatter_placement(&alloc, &cluster).is_some());
-        alloc.insert(TrialId::new(3), 1u32);
+        alloc.push((TrialId::new(3), 1u32));
         assert!(scatter_placement(&alloc, &cluster).is_none());
     }
 }

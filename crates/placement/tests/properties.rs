@@ -6,11 +6,10 @@
 
 use rb_core::{Prng, TrialId};
 use rb_placement::{ClusterState, PlacementController};
-use std::collections::BTreeMap;
 
 const CASES: u64 = 128;
 
-fn allocations(gpus: &[u32]) -> BTreeMap<TrialId, u32> {
+fn allocations(gpus: &[u32]) -> Vec<(TrialId, u32)> {
     gpus.iter()
         .enumerate()
         .map(|(i, &g)| (TrialId::new(i as u64), g))
@@ -43,7 +42,7 @@ fn controller_survives_reallocation_churn() {
         let a2 = allocations(&second);
         pc.update(&a2, &cluster).unwrap();
         assert!(pc.plan().is_valid_for(&cluster));
-        for (&t, &g) in &a2 {
+        for &(t, g) in &a2 {
             assert_eq!(pc.plan().assigned_gpus(t), g);
             let chunks = pc.plan().get(t).unwrap();
             assert!(
@@ -75,7 +74,7 @@ fn scale_down_is_all_or_nothing() {
         match pc.plan_scale_down(&cluster, remove) {
             Ok((freed, _moved)) => {
                 assert_eq!(freed.len(), remove);
-                for (&t, &g) in &map {
+                for &(t, g) in &map {
                     assert_eq!(pc.plan().assigned_gpus(t), g);
                     let chunks = pc.plan().get(t).unwrap();
                     for c in chunks {

@@ -282,13 +282,15 @@ impl TuningService {
                 match reason {
                     Some(reason) => {
                         rejected_count[tenant] += 1;
-                        recorder.instant(
-                            arrival,
-                            "serve",
-                            "job.reject",
-                            Lane::Job(idx as u64),
-                            vec![("tenant", tenant.into()), ("reason", reason.label().into())],
-                        );
+                        if recorder.enabled() {
+                            recorder.instant(
+                                arrival,
+                                "serve",
+                                "job.reject",
+                                Lane::Job(idx as u64),
+                                vec![("tenant", tenant.into()), ("reason", reason.label().into())],
+                            );
+                        }
                         recorder.counter_add("serve", "jobs_rejected", 1);
                         rejected.push(RejectedJob {
                             job: idx as u64,
@@ -298,13 +300,15 @@ impl TuningService {
                         });
                     }
                     None => {
-                        recorder.instant(
-                            arrival,
-                            "serve",
-                            "job.submit",
-                            Lane::Job(idx as u64),
-                            vec![("tenant", tenant.into())],
-                        );
+                        if recorder.enabled() {
+                            recorder.instant(
+                                arrival,
+                                "serve",
+                                "job.submit",
+                                Lane::Job(idx as u64),
+                                vec![("tenant", tenant.into())],
+                            );
+                        }
                         queue.push(idx);
                     }
                 }
@@ -407,19 +411,21 @@ impl TuningService {
                 let dispatched = dispatched_at[idx];
                 spend[tenant] += report.total_cost();
                 completed[tenant] += 1;
-                recorder.instant(
-                    at,
-                    "serve",
-                    "job.done",
-                    Lane::Job(id),
-                    vec![
-                        ("tenant", tenant.into()),
-                        ("cost_usd", report.total_cost().as_dollars().into()),
-                        ("jct_s", report.jct.as_secs_f64().into()),
-                    ],
-                );
+                if recorder.enabled() {
+                    recorder.instant(
+                        at,
+                        "serve",
+                        "job.done",
+                        Lane::Job(id),
+                        vec![
+                            ("tenant", tenant.into()),
+                            ("cost_usd", report.total_cost().as_dollars().into()),
+                            ("jct_s", report.jct.as_secs_f64().into()),
+                        ],
+                    );
+                }
                 recorder.counter_add("serve", "jobs_completed", 1);
-                if let Some(b) = meta[idx].bracket {
+                if let Some(b) = meta[idx].bracket.filter(|_| recorder.enabled()) {
                     // Bracket-tagged jobs form one tenant's Hyperband
                     // job group: give each bracket a lane-scoped span
                     // so the group reads as parallel lanes in a trace.
@@ -522,26 +528,31 @@ impl TuningService {
         dispatched_at: &mut [SimTime],
         running: &mut BTreeMap<u64, ExecutorCore>,
     ) -> Result<()> {
-        let start = clock.max(req.arrival);
+        let JobRequest {
+            executor,
+            configs,
+            arrival,
+            tenant,
+            bracket,
+        } = req;
+        let start = clock.max(arrival);
         let job_id = idx as u64;
-        let wait = start.saturating_since(req.arrival);
+        let wait = start.saturating_since(arrival);
         let scoped: Arc<dyn Recorder> = Arc::new(JobScopedRecorder::new(recorder.share(), job_id));
-        let mut core = ExecutorCore::new_at(
-            &req.executor,
-            &req.configs,
-            RecorderHandle::new(scoped),
-            start,
-        )?;
+        // The request is consumed here, so the core takes its executor
+        // and configurations without copying them.
+        let mut core =
+            ExecutorCore::from_parts(executor, configs, RecorderHandle::new(scoped), start)?;
         if let Some(pool) = pool {
             // Bracket-tagged jobs share a group keyed by tenant, so
             // barrier-released capacity prefers siblings of the same
             // Hyperband run before flowing cross-tenant.
-            let group = req.bracket.map(|_| req.tenant as u64);
+            let group = bracket.map(|_| tenant as u64);
             core.attach_shared_pool(pool.clone(), job_id, group);
         }
-        if !wait.is_zero() {
+        if !wait.is_zero() && recorder.enabled() {
             recorder.span(
-                req.arrival,
+                arrival,
                 start,
                 "serve",
                 "job.queued",
@@ -549,28 +560,32 @@ impl TuningService {
                 vec![("wait_s", wait.as_secs_f64().into())],
             );
         }
-        recorder.instant(
-            start,
-            "serve",
-            "job.dispatch",
-            Lane::Job(job_id),
-            vec![
-                ("tenant", req.tenant.into()),
-                ("wait_s", wait.as_secs_f64().into()),
-            ],
-        );
-        if let Some((eligible, demand)) = from_pool {
+        if recorder.enabled() {
             recorder.instant(
                 start,
                 "serve",
-                "job.admit_from_pool",
+                "job.dispatch",
                 Lane::Job(job_id),
                 vec![
-                    ("tenant", req.tenant.into()),
-                    ("first_stage_demand", (demand as usize).into()),
-                    ("parked_eligible", eligible.into()),
+                    ("tenant", tenant.into()),
+                    ("wait_s", wait.as_secs_f64().into()),
                 ],
             );
+        }
+        if let Some((eligible, demand)) = from_pool {
+            if recorder.enabled() {
+                recorder.instant(
+                    start,
+                    "serve",
+                    "job.admit_from_pool",
+                    Lane::Job(job_id),
+                    vec![
+                        ("tenant", tenant.into()),
+                        ("first_stage_demand", (demand as usize).into()),
+                        ("parked_eligible", eligible.into()),
+                    ],
+                );
+            }
             recorder.counter_add("serve", "pool_admits", 1);
         }
         recorder.histogram("serve", "queue_wait_s", wait.as_secs_f64());

@@ -377,3 +377,79 @@ fn queue_waits_and_timelines_are_consistent() {
         .fold(Cost::ZERO, |acc, o| acc + o.report.total_cost());
     assert_eq!(report.billed_cost, billed, "no pool, no park cost");
 }
+
+/// A job run through the service reports what the same request reports
+/// run alone: the service moves the request's executor and
+/// configurations into its core instead of copying them, and without a
+/// pool nothing couples the jobs, so only the clock shifts — by the
+/// dispatch time (the service admits an arrival at its next event, so
+/// that can trail the arrival even with a slot free).
+#[test]
+fn a_job_through_the_service_equals_the_same_job_alone() {
+    let requests = || {
+        vec![
+            job(&[8, 8, 4, 4], 11, SimTime::ZERO, 0),
+            job(&[4, 4, 2, 2], 12, SimTime::from_secs(300), 1),
+            job(&[8, 4, 2, 1], 13, SimTime::from_secs(900), 0),
+            job(&[2, 4, 4, 2], 14, SimTime::from_secs(1_500), 1),
+        ]
+    };
+    let service = TuningService::new(
+        vec![TenantSpec::new("alpha", 1.0), TenantSpec::new("beta", 2.0)],
+        ServeOptions {
+            max_concurrent: 4,
+            max_queue: 16,
+            pool: None,
+            pool_admission: false,
+        },
+    )
+    .unwrap();
+    let served = service.run(requests()).unwrap();
+    assert_eq!(served.outcomes.len(), 4);
+    let alone = requests();
+    for o in &served.outcomes {
+        let req = &alone[o.job as usize];
+        let solo = req.executor.run(&req.configs).unwrap();
+        let got = &o.report;
+        let shift = o.dispatched - SimTime::ZERO;
+        assert_eq!(got.jct, solo.jct, "job {}", o.job);
+        assert_eq!(got.compute_cost, solo.compute_cost, "job {}", o.job);
+        assert_eq!(got.best_trial, solo.best_trial, "job {}", o.job);
+        assert_eq!(
+            got.best_accuracy.to_bits(),
+            solo.best_accuracy.to_bits(),
+            "job {}",
+            o.job
+        );
+        let bits = |r: &rb_exec::ExecutionReport| -> Vec<(u64, u64)> {
+            r.trial_throughput
+                .iter()
+                .map(|(t, v)| (t.raw(), v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(got), bits(&solo), "job {}", o.job);
+        assert_eq!(got.stages.len(), solo.stages.len());
+        for (g, s) in got.stages.iter().zip(&solo.stages) {
+            assert_eq!(g.train_start, s.train_start + shift, "job {}", o.job);
+            assert_eq!(g.sync_end, s.sync_end + shift, "job {}", o.job);
+            assert_eq!(
+                (
+                    g.stage,
+                    g.trials,
+                    g.gpus_per_trial,
+                    g.instances,
+                    g.migrations
+                ),
+                (
+                    s.stage,
+                    s.trials,
+                    s.gpus_per_trial,
+                    s.instances,
+                    s.migrations
+                ),
+                "job {}",
+                o.job
+            );
+        }
+    }
+}

@@ -11,7 +11,6 @@ use crate::trial::{MetricPoint, Trial, TrialStatus};
 use rb_core::{Prng, RbError, Result, TrialId};
 use rb_hpo::{Config, ConfigValue};
 use rb_scaling::zoo::ModelArch;
-use std::collections::BTreeMap;
 
 const MAGIC: &[u8; 4] = b"RBCK";
 const VERSION: u8 = 1;
@@ -112,38 +111,65 @@ impl<'a> Reader<'a> {
 
 /// Serializes a trial's resumable state (id, progress, config, history).
 pub fn encode_trial(trial: &Trial) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128);
+    let mut buf = Vec::new();
+    encode_trial_into(trial, &mut buf);
+    buf
+}
+
+/// Bytes [`encode_trial`] produces for `trial`.
+fn encoded_len(trial: &Trial) -> usize {
+    let config: usize = trial
+        .config
+        .iter()
+        .map(|(name, value)| {
+            8 + name.len()
+                + 1
+                + match value {
+                    ConfigValue::Float(_) | ConfigValue::Int(_) => 8,
+                    ConfigValue::Choice(s) => 8 + s.len(),
+                }
+        })
+        .sum();
+    MAGIC.len() + 1 + 3 * 8 + 8 + config + 8 + 16 * trial.history().len()
+}
+
+/// [`encode_trial`] into `buf`, replacing its contents and growing it at
+/// most once, so a caller that re-encodes into the same buffer reuses
+/// its allocation.
+fn encode_trial_into(trial: &Trial, buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.reserve(encoded_len(trial));
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
-    put_u64(&mut buf, trial.id.raw());
-    put_u64(&mut buf, trial.seed);
-    put_u64(&mut buf, trial.iters_done());
+    put_u64(buf, trial.id.raw());
+    put_u64(buf, trial.seed);
+    put_u64(buf, trial.iters_done());
     // Config.
-    put_u64(&mut buf, trial.config.len() as u64);
+    put_u64(buf, trial.config.len() as u64);
     for (name, value) in trial.config.iter() {
-        put_str(&mut buf, name);
+        put_str(buf, name);
         match value {
             ConfigValue::Float(v) => {
                 buf.push(0);
-                put_f64(&mut buf, *v);
+                put_f64(buf, *v);
             }
             ConfigValue::Int(v) => {
                 buf.push(1);
-                put_u64(&mut buf, *v as u64);
+                put_u64(buf, *v as u64);
             }
             ConfigValue::Choice(s) => {
                 buf.push(2);
-                put_str(&mut buf, s);
+                put_str(buf, s);
             }
         }
     }
     // History.
-    put_u64(&mut buf, trial.history().len() as u64);
+    put_u64(buf, trial.history().len() as u64);
     for p in trial.history() {
-        put_u64(&mut buf, p.iters);
-        put_f64(&mut buf, p.accuracy);
+        put_u64(buf, p.iters);
+        put_f64(buf, p.accuracy);
     }
-    buf
+    debug_assert_eq!(buf.len(), encoded_len(trial));
 }
 
 /// Decoded checkpoint contents.
@@ -215,12 +241,21 @@ pub fn decode_trial(blob: &[u8]) -> Result<TrialSnapshot> {
 #[derive(Debug, Clone, PartialEq)]
 struct Generation {
     ck: Checkpoint,
-    checksum: u64,
+    /// Captured only while corruption injection is armed: the store
+    /// alters no blob otherwise, so an unarmed generation's blob matches
+    /// its checksum by construction and `None` stands for that match.
+    checksum: Option<u64>,
 }
 
 impl Generation {
+    /// Whether the blob still matches the checksum taken at save time.
+    fn checksum_holds(&self) -> bool {
+        self.checksum
+            .map_or(true, |sum| sum == blob_checksum(&self.ck.blob))
+    }
+
     fn verifies(&self) -> bool {
-        self.checksum == blob_checksum(&self.ck.blob) && decode_trial(&self.ck.blob).is_ok()
+        self.checksum_holds() && decode_trial(&self.ck.blob).is_ok()
     }
 }
 
@@ -246,7 +281,9 @@ pub struct VerifiedFetch {
 /// 1 the store behaves bit-identically to the unhardened original.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    store: BTreeMap<TrialId, Vec<Generation>>,
+    /// Every retained generation, ordered by trial and, within a trial,
+    /// oldest first. Flat, so saving and evicting reuse its storage.
+    gens: Vec<Generation>,
     puts: u64,
     retain: usize,
     /// (probability, seed) for injected storage corruption.
@@ -257,7 +294,7 @@ pub struct CheckpointStore {
 impl Default for CheckpointStore {
     fn default() -> Self {
         CheckpointStore {
-            store: BTreeMap::new(),
+            gens: Vec::new(),
             puts: 0,
             retain: 1,
             corrupt: None,
@@ -270,6 +307,19 @@ impl CheckpointStore {
     /// Creates an empty store retaining one generation per trial.
     pub fn new() -> Self {
         CheckpointStore::default()
+    }
+
+    /// The positions of `id`'s generations in `gens` (empty when none
+    /// are stored; the start is where they would go).
+    fn range(&self, id: TrialId) -> std::ops::Range<usize> {
+        let start = self.gens.partition_point(|g| g.ck.trial_id < id);
+        let len = self.gens[start..].partition_point(|g| g.ck.trial_id == id);
+        start..start + len
+    }
+
+    /// `id`'s generations, oldest first.
+    fn generations(&self, id: TrialId) -> &[Generation] {
+        &self.gens[self.range(id)]
     }
 
     /// Sets how many generations to keep per trial (hardened mode uses
@@ -312,15 +362,25 @@ impl CheckpointStore {
     }
 
     /// Checkpoints a trial, retiring the oldest generation beyond the
-    /// retention limit.
+    /// retention limit. The retired generation's buffer is reused for
+    /// the new blob.
     pub fn save(&mut self, trial: &Trial, arch: &ModelArch) -> &Checkpoint {
+        let r = self.range(trial.id);
+        let mut blob = if r.len() >= self.retain {
+            self.gens.remove(r.start).ck.blob
+        } else {
+            // Room for the history to double before a later save of
+            // this trial regrows the buffer.
+            Vec::with_capacity(2 * encoded_len(trial))
+        };
+        encode_trial_into(trial, &mut blob);
         let mut ck = Checkpoint {
             trial_id: trial.id,
             iters_done: trial.iters_done(),
-            blob: encode_trial(trial),
+            blob,
             model_state_bytes: model_state_bytes(arch),
         };
-        let checksum = blob_checksum(&ck.blob);
+        let checksum = self.corrupt.map(|_| blob_checksum(&ck.blob));
         if let Some((prob, seed)) = self.corrupt {
             // Per-put counter stream: whether (and where) put #k corrupts
             // is a pure function of (seed, k), independent of which trial
@@ -333,19 +393,21 @@ impl CheckpointStore {
             }
         }
         self.puts += 1;
-        let gens = self.store.entry(trial.id).or_default();
-        gens.push(Generation { ck, checksum });
-        while gens.len() > self.retain {
-            gens.remove(0);
+        let mut r = self.range(trial.id);
+        self.gens.insert(r.end, Generation { ck, checksum });
+        r.end += 1;
+        while r.len() > self.retain {
+            self.gens.remove(r.start);
+            r.end -= 1;
         }
-        &gens.last().expect("just pushed").ck
+        &self.gens[r.end - 1].ck
     }
 
     /// Fetches the latest checkpoint for a trial (unverified — size and
     /// metadata lookups; reads that matter go through
     /// [`CheckpointStore::fetch_verified`]).
     pub fn get(&self, id: TrialId) -> Option<&Checkpoint> {
-        self.store.get(&id).and_then(|g| g.last()).map(|g| &g.ck)
+        self.generations(id).last().map(|g| &g.ck)
     }
 
     /// Verifies generations newest-first and reports the one a reader
@@ -357,9 +419,7 @@ impl CheckpointStore {
     /// Returns [`RbError::Execution`] if no checkpoint exists or every
     /// retained generation fails verification.
     pub fn fetch_verified(&self, id: TrialId) -> Result<VerifiedFetch> {
-        let gens = self
-            .store
-            .get(&id)
+        let gens = Some(self.generations(id))
             .filter(|g| !g.is_empty())
             .ok_or_else(|| RbError::Execution(format!("no checkpoint for {id}")))?;
         let latest_iters = gens.last().expect("non-empty").ck.iters_done;
@@ -391,9 +451,7 @@ impl CheckpointStore {
     /// generation fails verification, or the snapshot belongs to a
     /// different trial.
     pub fn restore(&self, trial: &mut Trial) -> Result<()> {
-        let gens = self
-            .store
-            .get(&trial.id)
+        let gens = Some(self.generations(trial.id))
             .filter(|g| !g.is_empty())
             .ok_or_else(|| RbError::Execution(format!("no checkpoint for {}", trial.id)))?;
         if trial.status() == TrialStatus::Running {
@@ -404,7 +462,7 @@ impl CheckpointStore {
         }
         let mut failed = 0;
         for gen in gens.iter().rev() {
-            if gen.checksum != blob_checksum(&gen.ck.blob) {
+            if !gen.checksum_holds() {
                 failed += 1;
                 continue;
             }
@@ -430,17 +488,22 @@ impl CheckpointStore {
 
     /// Drops a trial's checkpoints (e.g. after termination).
     pub fn evict(&mut self, id: TrialId) {
-        self.store.remove(&id);
+        let r = self.range(id);
+        self.gens.drain(r);
     }
 
     /// Number of trials with at least one stored checkpoint.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.gens
+            .iter()
+            .enumerate()
+            .filter(|&(i, g)| i == 0 || self.gens[i - 1].ck.trial_id != g.ck.trial_id)
+            .count()
     }
 
     /// True when no checkpoints are stored.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.gens.is_empty()
     }
 
     /// Total writes since creation.
@@ -451,11 +514,7 @@ impl CheckpointStore {
     /// Total bytes currently resident across all retained generations
     /// (metadata blobs only; model tensors are accounted virtually).
     pub fn resident_blob_bytes(&self) -> u64 {
-        self.store
-            .values()
-            .flat_map(|gens| gens.iter())
-            .map(|g| g.ck.blob.len() as u64)
-            .sum()
+        self.gens.iter().map(|g| g.ck.blob.len() as u64).sum()
     }
 }
 

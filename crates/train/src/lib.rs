@@ -24,5 +24,5 @@ pub mod trial;
 
 pub use checkpoint::{Checkpoint, CheckpointStore, VerifiedFetch};
 pub use dataset::Dataset;
-pub use task::TaskModel;
+pub use task::{Curve, TaskModel};
 pub use trial::{Trial, TrialStatus};

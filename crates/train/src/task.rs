@@ -72,9 +72,20 @@ impl TaskModel {
     /// workloads where the surface is irrelevant, e.g. the cost-model
     /// figures).
     pub fn asymptotic_accuracy(&self, config: &Config) -> f64 {
-        let chance = self.dataset.chance_accuracy();
+        self.asymptote(config, self.lr_decades(config))
+    }
+
+    /// Signed decades between the configuration's learning rate and
+    /// `lr_opt`: `log10(lr / lr_opt)`.
+    fn lr_decades(&self, config: &Config) -> f64 {
         let lr = config.get_f64_or("lr", self.lr_opt).max(1e-12);
-        let d_lr = (lr / self.lr_opt).log10();
+        (lr / self.lr_opt).log10()
+    }
+
+    /// [`TaskModel::asymptotic_accuracy`] given the configuration's
+    /// [`TaskModel::lr_decades`].
+    fn asymptote(&self, config: &Config, d_lr: f64) -> f64 {
+        let chance = self.dataset.chance_accuracy();
         let mut acc = self.peak_acc - self.lr_sensitivity * d_lr * d_lr;
         if self.wd_sensitivity > 0.0 {
             let wd = config.get_f64_or("weight_decay", self.wd_opt).max(1e-12);
@@ -98,32 +109,77 @@ impl TaskModel {
     /// The effective convergence half-life of a configuration, in work
     /// units.
     pub fn halflife(&self, config: &Config) -> f64 {
-        let lr = config.get_f64_or("lr", self.lr_opt).max(1e-12);
-        let d_lr = (lr / self.lr_opt).log10().abs();
-        self.halflife_iters * (1.0 + self.convergence_slowdown * d_lr)
+        self.halflife_at(self.lr_decades(config))
+    }
+
+    /// [`TaskModel::halflife`] given the configuration's
+    /// [`TaskModel::lr_decades`].
+    fn halflife_at(&self, d_lr: f64) -> f64 {
+        self.halflife_iters * (1.0 + self.convergence_slowdown * d_lr.abs())
+    }
+
+    /// The learning curve of one configuration: every per-config
+    /// constant of [`TaskModel::accuracy`] resolved once, so a trial that
+    /// evaluates after every work unit redoes no configuration lookups.
+    pub fn curve(&self, config: &Config) -> Curve {
+        let d_lr = self.lr_decades(config);
+        Curve {
+            chance: self.dataset.chance_accuracy(),
+            a_inf: self.asymptote(config, d_lr),
+            h: self.halflife_at(d_lr),
+            shape_p: self.shape_p,
+            noise_std: self.eval_noise_std,
+        }
     }
 
     /// Noise-free validation accuracy after `iters` work units.
     pub fn clean_accuracy(&self, config: &Config, iters: u64) -> f64 {
-        if iters == 0 {
-            return self.dataset.chance_accuracy();
-        }
-        let chance = self.dataset.chance_accuracy();
-        let a_inf = self.asymptotic_accuracy(config);
-        let h = self.halflife(config);
-        let x = (iters as f64 / h).powf(self.shape_p);
-        chance + (a_inf - chance) * x / (1.0 + x)
+        self.curve(config).clean(iters)
     }
 
     /// Observed validation accuracy after `iters` work units: the clean
     /// curve plus evaluation noise, deterministic in `(trial_seed, iters)`.
     pub fn accuracy(&self, config: &Config, iters: u64, trial_seed: u64) -> f64 {
-        let clean = self.clean_accuracy(config, iters);
-        if self.eval_noise_std == 0.0 || iters == 0 {
+        self.curve(config).accuracy(iters, trial_seed)
+    }
+}
+
+/// One configuration's learning curve under a [`TaskModel`]: a Hill
+/// curve from chance accuracy towards the configuration's asymptote,
+/// plus deterministic evaluation noise.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Curve {
+    /// Accuracy before any training (the dataset's chance level).
+    pub chance: f64,
+    /// Asymptotic (fully converged) accuracy of the configuration.
+    pub a_inf: f64,
+    /// Convergence half-life of the configuration, in work units.
+    pub h: f64,
+    /// Hill-curve exponent.
+    pub shape_p: f64,
+    /// Standard deviation of per-evaluation accuracy noise.
+    pub noise_std: f64,
+}
+
+impl Curve {
+    /// Noise-free validation accuracy after `iters` work units.
+    pub fn clean(&self, iters: u64) -> f64 {
+        if iters == 0 {
+            return self.chance;
+        }
+        let x = (iters as f64 / self.h).powf(self.shape_p);
+        self.chance + (self.a_inf - self.chance) * x / (1.0 + x)
+    }
+
+    /// Observed validation accuracy after `iters` work units: the clean
+    /// curve plus evaluation noise, deterministic in `(trial_seed, iters)`.
+    pub fn accuracy(&self, iters: u64, trial_seed: u64) -> f64 {
+        let clean = self.clean(iters);
+        if self.noise_std == 0.0 || iters == 0 {
             return clean;
         }
         let mut rng = Prng::seed_from_u64(trial_seed ^ iters.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        (clean + self.eval_noise_std * rng.standard_normal()).clamp(0.0, 1.0)
+        (clean + self.noise_std * rng.standard_normal()).clamp(0.0, 1.0)
     }
 }
 
@@ -408,6 +464,86 @@ mod tests {
         assert!(a_cos > a_base, "cosine should help: {a_cos} vs {a_base}");
         assert!(a_step > a_base && a_step < a_cos, "step in between");
         assert!(a_cos <= t.peak_acc + t.schedule_bonus + 1e-12);
+    }
+
+    /// The response surface and curve arithmetic, written out as
+    /// `TaskModel` computed them before per-config constants were
+    /// resolved once per trial.
+    fn reference_accuracy(t: &TaskModel, cfg: &Config, iters: u64, seed: u64) -> f64 {
+        use rb_hpo::ConfigValue;
+        let chance = t.dataset.chance_accuracy();
+        let clean = if iters == 0 {
+            chance
+        } else {
+            let lr = cfg.get_f64_or("lr", t.lr_opt).max(1e-12);
+            let d_lr = (lr / t.lr_opt).log10();
+            let mut a_inf = t.peak_acc - t.lr_sensitivity * d_lr * d_lr;
+            if t.wd_sensitivity > 0.0 {
+                let wd = cfg.get_f64_or("weight_decay", t.wd_opt).max(1e-12);
+                let d_wd = (wd / t.wd_opt.max(1e-12)).log10();
+                a_inf -= t.wd_sensitivity * d_wd * d_wd;
+            }
+            a_inf += match cfg.get("schedule") {
+                Some(ConfigValue::Choice(s)) if s == "cosine" => {
+                    t.schedule_bonus + 0.25 * t.lr_sensitivity * d_lr.max(0.0).powi(2)
+                }
+                Some(ConfigValue::Choice(s)) if s == "step" => 0.6 * t.schedule_bonus,
+                _ => 0.0,
+            };
+            let a_inf = a_inf.clamp(chance, t.peak_acc + t.schedule_bonus);
+            let lr = cfg.get_f64_or("lr", t.lr_opt).max(1e-12);
+            let h =
+                t.halflife_iters * (1.0 + t.convergence_slowdown * (lr / t.lr_opt).log10().abs());
+            let x = (iters as f64 / h).powf(t.shape_p);
+            chance + (a_inf - chance) * x / (1.0 + x)
+        };
+        if t.eval_noise_std == 0.0 || iters == 0 {
+            return clean;
+        }
+        let mut rng = Prng::seed_from_u64(seed ^ iters.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        (clean + t.eval_noise_std * rng.standard_normal()).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn curve_is_bit_identical_to_the_inline_formula() {
+        use rb_hpo::ConfigValue;
+        let noisy = resnet101_cifar10();
+        let quiet = TaskModel {
+            eval_noise_std: 0.0,
+            ..resnet152_cifar100()
+        };
+        for t in [noisy, quiet, bert_rte()] {
+            let mut cosine = Config::new().with_f64("lr", t.lr_opt * 3.0);
+            cosine.set("schedule", ConfigValue::Choice("cosine".into()));
+            let mut step = Config::new()
+                .with_f64("lr", t.lr_opt / 7.0)
+                .with_f64("weight_decay", 3e-3);
+            step.set("schedule", ConfigValue::Choice("step".into()));
+            let cfgs = [
+                Config::new(),
+                Config::new().with_f64("lr", 0.013),
+                Config::new()
+                    .with_f64("lr", 0.42)
+                    .with_f64("weight_decay", 2e-5),
+                cosine,
+                step,
+            ];
+            for cfg in &cfgs {
+                let curve = t.curve(cfg);
+                for seed in [0u64, 7, 0xDEAD_BEEF] {
+                    for iters in 0..=64u64 {
+                        let want = reference_accuracy(&t, cfg, iters, seed);
+                        assert_eq!(
+                            curve.accuracy(iters, seed).to_bits(),
+                            want.to_bits(),
+                            "{} {cfg:?} iters={iters} seed={seed}",
+                            t.name
+                        );
+                        assert_eq!(t.accuracy(cfg, iters, seed).to_bits(), want.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

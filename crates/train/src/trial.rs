@@ -6,7 +6,7 @@
 //! machine enforces those lifecycle rules; training progress itself is
 //! delegated to [`TaskModel`].
 
-use crate::task::TaskModel;
+use crate::task::{Curve, TaskModel};
 use rb_core::{RbError, Result, TrialId};
 use rb_hpo::Config;
 
@@ -179,6 +179,17 @@ impl Trial {
     ///
     /// Returns [`RbError::Execution`] unless the trial is running.
     pub fn advance(&mut self, task: &TaskModel, units: u64) -> Result<f64> {
+        self.advance_on(&task.curve(&self.config), units)
+    }
+
+    /// [`Trial::advance`] on this trial's already-resolved learning curve
+    /// ([`TaskModel::curve`] of its configuration), for callers that
+    /// advance one trial many times.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RbError::Execution`] unless the trial is running.
+    pub fn advance_on(&mut self, curve: &Curve, units: u64) -> Result<f64> {
         if self.status != TrialStatus::Running {
             return Err(RbError::Execution(format!(
                 "cannot train {}: status {:?}",
@@ -186,12 +197,19 @@ impl Trial {
             )));
         }
         self.iters_done += units;
-        let acc = task.accuracy(&self.config, self.iters_done, self.seed);
+        let acc = curve.accuracy(self.iters_done, self.seed);
         self.history.push(MetricPoint {
             iters: self.iters_done,
             accuracy: acc,
         });
         Ok(acc)
+    }
+
+    /// Reserves room for at least `additional` more metric observations,
+    /// so a caller that knows how many evaluations lie ahead grows the
+    /// history at most once for them.
+    pub fn reserve_history(&mut self, additional: usize) {
+        self.history.reserve(additional);
     }
 
     /// Restores progress and history from a checkpoint snapshot (used by

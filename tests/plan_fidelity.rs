@@ -218,7 +218,6 @@ fn prediction_invariants() {
 fn placement_controller_invariants() {
     use rubberband::rb_core::TrialId;
     use rubberband::rb_placement::{ClusterState, PlacementController};
-    use std::collections::BTreeMap;
 
     let mut rng = Prng::seed_from_u64(0xF1DE_0004);
     for _ in 0..64 {
@@ -228,7 +227,7 @@ fn placement_controller_invariants() {
         // Enough nodes: every trial padded to whole nodes.
         let nodes_needed: u32 = allocs.iter().map(|a| a.div_ceil(gpn)).sum();
         let cluster = ClusterState::with_n_nodes(nodes_needed.max(1), gpn);
-        let map: BTreeMap<TrialId, u32> = allocs
+        let map: Vec<(TrialId, u32)> = allocs
             .iter()
             .enumerate()
             .map(|(i, &a)| (TrialId::new(i as u64), a))
@@ -237,7 +236,7 @@ fn placement_controller_invariants() {
         let diff = pc.update(&map, &cluster).unwrap();
         assert_eq!(diff.started.len(), allocs.len());
         assert!(pc.plan().is_valid_for(&cluster));
-        for (&t, &a) in &map {
+        for &(t, a) in &map {
             assert_eq!(pc.plan().assigned_gpus(t), a);
             // Locality: minimal node count.
             let chunks = pc.plan().get(t).unwrap();
