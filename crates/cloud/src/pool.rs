@@ -461,6 +461,23 @@ impl InstancePool {
             .count()
     }
 
+    /// Park cost the instances still parked have run up by `now` and
+    /// that the ledger has not settled yet: each entry's idle time
+    /// since release, capped at the hold window (what an expiry would
+    /// bill). Read-only; settling happens at adoption, expiry or drain.
+    pub fn accrued_park_cost(&self, now: SimTime) -> Cost {
+        let hold = SimDuration::from_secs_f64(self.config.max_hold_secs);
+        self.parked
+            .iter()
+            .filter(|e| e.released_at <= now)
+            .map(|e| {
+                self.pricing
+                    .instance_hourly()
+                    .per_hour_for((now - e.released_at).min(hold))
+            })
+            .sum()
+    }
+
     /// Ends the pool's life at `now`: entries whose hold window has
     /// already ended expire normally (billed exactly the hold window —
     /// not up to this later drain call), and every instance still
@@ -810,6 +827,30 @@ mod tests {
                 * 2
         );
         assert!(s.balances(p.parked_count()));
+    }
+
+    #[test]
+    fn accrued_park_cost_is_what_drain_or_expiry_settles() {
+        // One entry inside its window at t=160 (60 s idle), one past it
+        // (capped at the 120 s hold); nothing accrues before a release.
+        let mut p = pool(4);
+        let life = SimDuration::from_secs(10);
+        p.offer(1, None, 0, SimTime::from_secs(100), life).unwrap();
+        p.offer(1, None, 1, SimTime::from_secs(20), life).unwrap();
+        assert_eq!(p.accrued_park_cost(SimTime::from_secs(10)), Cost::ZERO);
+        let now = SimTime::from_secs(160);
+        let accrued = p.accrued_park_cost(now);
+        assert_eq!(p.stats().park_cost, Cost::ZERO, "accrual settles nothing");
+        let hourly = pricing().instance_hourly();
+        assert_eq!(
+            accrued,
+            hourly.per_hour_for(SimDuration::from_secs(60))
+                + hourly.per_hour_for(SimDuration::from_secs(120))
+        );
+        p.drain(now);
+        assert_eq!((p.stats().drained, p.stats().expirations), (1, 1));
+        assert_eq!(p.stats().park_cost, accrued);
+        assert_eq!(p.accrued_park_cost(now), Cost::ZERO);
     }
 
     #[test]

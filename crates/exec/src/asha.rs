@@ -158,7 +158,7 @@ pub fn run_asha(
         rb_sim::AllocationPlan::effective_instances(cfg.cluster_gpus, slots as u32, gpg);
 
     let mut cm = ClusterManager::new(cloud.clone(), cfg.seed);
-    cm.request_nodes(instances as usize, SimTime::ZERO)?;
+    cm.request_nodes(instances as usize, SimTime::ZERO, None)?;
     let start = cm.pending_ready_time().unwrap_or(SimTime::ZERO);
     cm.absorb_ready(start);
     let end_at = SimTime::ZERO + cfg.deadline;

@@ -10,7 +10,8 @@
 //! "real" cost columns.
 
 use rb_cloud::{
-    FaultCounts, FaultPlan, PricingTier, ProviderConfig, SharedPool, SimProvider, UsageRecord,
+    FaultCounts, FaultPlan, InstancePool, PoolConfig, PricingTier, ProviderConfig, SharedPool,
+    SimProvider, UsageRecord,
 };
 use rb_core::{Cost, InstanceId, NodeId, Prng, RbError, Result, SimDuration, SimTime};
 use rb_profile::{CapacityEvents, CloudProfile};
@@ -88,8 +89,7 @@ pub struct SwitchDirective {
     /// switch (instances already holding a sampled interruption keep
     /// it).
     pub interruption_rate_per_hour: Option<f64>,
-    /// Zone future provisioning lands in. Setting this forces a full
-    /// drain: capacity cannot be parked across a zone move.
+    /// Zone future provisioning lands in.
     pub zone: Option<u32>,
 }
 
@@ -103,20 +103,17 @@ impl SwitchDirective {
 /// What executing a [`SwitchDirective`] did to the fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchOutcome {
-    /// Ready nodes terminated (offered to the shared pool when one is
-    /// attached).
+    /// Billed nodes terminated (ready, or handed over but still
+    /// initializing); none is offered to a pool.
     pub drained: usize,
-    /// Ready nodes parked warm instead of terminated (market-only
-    /// switch where holding is cheaper than re-provisioning).
-    pub parked: usize,
     /// In-flight provisioning requests cancelled, never billed.
     pub cancelled: usize,
 }
 
-/// What a resilient node request actually achieved.
+/// What a node request actually achieved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryOutcome {
-    /// Nodes acquired (warm reattaches plus fresh provisions kept).
+    /// Nodes acquired (pool adoptions plus fresh provisions kept).
     pub acquired: usize,
     /// Re-request rounds issued (capacity denials + straggler
     /// replacements).
@@ -134,13 +131,40 @@ struct PendingNode {
     usable_at: SimTime,
 }
 
-/// A deprovision-deferred instance kept initialized for fast reattach.
-#[derive(Debug, Clone, Copy)]
-struct WarmNode {
-    node: NodeId,
-    instance: InstanceId,
-    /// The instance is released for real if not reused by this time.
-    expires_at: SimTime,
+/// Where a manager parks released capacity.
+#[derive(Debug)]
+enum Pool {
+    /// A service's pool, shared with other jobs: `job` tags this
+    /// manager's offers, and `group` (e.g. one tenant's Hyperband
+    /// bracket set) gives it affinity for same-group parked capacity.
+    /// Its ledger is the service's, not the job's.
+    Shared {
+        pool: SharedPool,
+        job: u64,
+        group: Option<u64>,
+    },
+    /// This job's own warm pool (§6.3.1 runs with "a warm pool of
+    /// instances"): its ledger is part of the job's bill, and teardown
+    /// drains it. `retired` is the settled net cost of the pools an
+    /// executed market switch replaced.
+    Private { pool: SharedPool, retired: Cost },
+}
+
+impl Pool {
+    /// The pool with this manager's job id and group.
+    fn parts(&self) -> (&SharedPool, u64, Option<u64>) {
+        match self {
+            Pool::Shared { pool, job, group } => (pool, *job, *group),
+            Pool::Private { pool, .. } => (pool, 0, None),
+        }
+    }
+}
+
+/// A private pool's settled net cost: park cost minus the
+/// minimum-charge credit (the service's `net_cost` rule).
+fn settled_net(pool: &InstancePool) -> Cost {
+    let s = pool.stats();
+    s.park_cost - s.min_charge_saved
 }
 
 /// Elastic cluster of homogeneous GPU instances.
@@ -151,30 +175,19 @@ pub struct ClusterManager {
     rng: Prng,
     pending: Vec<PendingNode>,
     ready: BTreeMap<NodeId, InstanceId>,
-    /// Warm pool (§6.3.1 runs with "a warm pool of instances"): released
-    /// nodes are parked here — still billed — and reattached in
-    /// `warm_attach_secs` instead of a full provision+init cycle.
-    warm: Vec<WarmNode>,
-    warm_capacity: usize,
-    warm_hold: SimDuration,
-    warm_attach: SimDuration,
-    /// Cross-job elastic pool (multi-tenant serving): `(pool, job id,
-    /// job group)`. `None` — the default — leaves every code path
-    /// bit-identical to a pool-less manager; the executor's legacy
-    /// drivers never set it. The group (e.g. one tenant's Hyperband
-    /// bracket set) gives this job affinity for same-group parked
-    /// capacity at acquisition.
-    shared_pool: Option<(SharedPool, u64, Option<u64>)>,
-    /// Physical ids of instances adopted from the shared pool, keyed
+    /// The pool released capacity is parked in. `None` — the default —
+    /// leaves every code path bit-identical to a pool-less manager.
+    pool: Option<Pool>,
+    /// Physical ids of instances adopted from the pool, keyed
     /// by this provider's local instance id. A later release of an
     /// adopted instance must be offered under the physical id it
     /// arrived with, so pool ownership stays traceable across
     /// handoffs.
     adopted_physical: BTreeMap<u64, u64>,
-    /// Provisioning requests issued to the provider (both request
-    /// paths), for the observed capacity-event window.
+    /// Provisioning requests issued to the provider, for the observed
+    /// capacity-event window.
     provision_requests: u64,
-    /// Cumulative retry rounds across all resilient requests.
+    /// Cumulative retry rounds across all requests.
     provision_retries: u64,
 }
 
@@ -196,11 +209,7 @@ impl ClusterManager {
             rng: Prng::seed_from_u64(seed ^ 0x11D0_77E5),
             pending: Vec::new(),
             ready: BTreeMap::new(),
-            warm: Vec::new(),
-            warm_capacity: 0,
-            warm_hold: SimDuration::ZERO,
-            warm_attach: SimDuration::from_secs(2),
-            shared_pool: None,
+            pool: None,
             adopted_physical: BTreeMap::new(),
             provision_requests: 0,
             provision_retries: 0,
@@ -212,20 +221,45 @@ impl ClusterManager {
     /// and scale-ups adopt pooled capacity before provisioning fresh.
     /// `job` tags this manager's offers for the pool's double-release
     /// guard; `group` (e.g. one tenant's Hyperband bracket set) gives
-    /// the job affinity for same-group parked capacity.
+    /// the job affinity for same-group parked capacity. Replaces a
+    /// private pool, so attach before the first request.
     pub fn set_shared_pool(&mut self, pool: SharedPool, job: u64, group: Option<u64>) {
-        self.shared_pool = Some((pool, job, group));
+        self.pool = Some(Pool::Shared { pool, job, group });
     }
 
-    /// Offers a just-terminated instance to the shared pool (no-op
-    /// without one). The donor's bill — minimum-charge floor included —
+    /// Gives this job a warm pool of its own, priced like its capacity:
+    /// released instances park there exactly as under a shared pool,
+    /// and under per-instance billing the pool's park cost minus its
+    /// minimum-charge credit is added to the job's bill.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RbError::InvalidConfig`] if `config` fails
+    /// [`PoolConfig::validate`].
+    pub(crate) fn set_private_pool(&mut self, config: PoolConfig) -> Result<()> {
+        let pool = InstancePool::new(config, self.cloud.pricing.clone())?;
+        self.pool = Some(Pool::Private {
+            pool: SharedPool::new(pool),
+            retired: Cost::ZERO,
+        });
+        Ok(())
+    }
+
+    /// The pool this manager parks released capacity in, if any.
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> Option<&SharedPool> {
+        self.pool.as_ref().map(|p| p.parts().0)
+    }
+
+    /// Offers a just-terminated instance to the pool (no-op without
+    /// one). The donor's bill — minimum-charge floor included —
     /// already stands; the pool credits the premium back only if the
-    /// instance is actually handed to another job. A conflicting offer
+    /// instance is actually adopted again. A conflicting offer
     /// (the pool disputes this job's ownership) is dropped here — the
     /// pool has already counted it and the termination stands either
     /// way.
     fn offer_to_pool(&self, instance: InstanceId, now: SimTime) {
-        let Some((pool, job, group)) = &self.shared_pool else {
+        let Some((pool, job, group)) = self.pool.as_ref().map(Pool::parts) else {
             return;
         };
         let Some(started) = self.provider.meter().started_at(instance) else {
@@ -233,7 +267,6 @@ impl ClusterManager {
             return;
         };
         let lifetime = now.max(started) - started;
-        let (job, group) = (*job, *group);
         let physical = self
             .adopted_physical
             .get(&instance.raw())
@@ -244,18 +277,17 @@ impl ClusterManager {
         });
     }
 
-    /// Adopts up to `k` warm instances from the shared pool (no-op
-    /// without one). Adopted instances skip provisioning delay, the
+    /// Adopts up to `k` warm instances from the pool (no-op without
+    /// one). Adopted instances skip provisioning delay, the
     /// init-latency sample (zero RNG draws), and the dataset ingress —
     /// they arrive warm. Returns how many were adopted.
     fn adopt_from_pool(&mut self, k: usize, now: SimTime) -> usize {
         if k == 0 {
             return 0;
         }
-        let Some((pool, job, group)) = &self.shared_pool else {
+        let Some((pool, job, group)) = self.pool.as_ref().map(Pool::parts) else {
             return 0;
         };
-        let (job, group) = (*job, *group);
         let pool = pool.clone();
         let dataset_gb = self.cloud.dataset_gb;
         let grants = pool.with(|p| p.acquire(job, now, k, dataset_gb, group));
@@ -277,83 +309,9 @@ impl ClusterManager {
         self.provider.set_recorder(recorder);
     }
 
-    /// Enables a warm pool: up to `capacity` released nodes are held
-    /// (billed) for `hold`, and reattach in `attach` instead of a full
-    /// provision + initialization cycle.
-    pub fn with_warm_pool(
-        mut self,
-        capacity: usize,
-        hold: SimDuration,
-        attach: SimDuration,
-    ) -> Self {
-        self.warm_capacity = capacity;
-        self.warm_hold = hold;
-        self.warm_attach = attach;
-        self
-    }
-
-    /// Releases warm nodes whose hold expired by `now` back to the
-    /// provider (their billing stops at expiry).
-    fn expire_warm(&mut self, now: SimTime) {
-        let mut keep = Vec::with_capacity(self.warm.len());
-        for w in self.warm.drain(..) {
-            if w.expires_at <= now {
-                self.provider
-                    .terminate(w.instance, w.expires_at)
-                    .expect("warm instance is running");
-            } else {
-                keep.push(w);
-            }
-        }
-        self.warm = keep;
-    }
-
-    /// Number of instances currently parked warm.
-    pub fn warm_count(&self) -> usize {
-        self.warm.len()
-    }
-
     /// GPUs on each node.
     pub fn gpus_per_node(&self) -> u32 {
         self.cloud.gpus_per_instance()
-    }
-
-    /// Requests `k` new instances at `now`. Each becomes usable after its
-    /// provisioning delay plus a sampled initialization latency; its
-    /// dataset ingress is charged immediately on hand-over.
-    ///
-    /// # Errors
-    ///
-    /// Propagates provider errors (e.g. quota).
-    pub fn request_nodes(&mut self, k: usize, now: SimTime) -> Result<()> {
-        self.expire_warm(now);
-        // Reattach from the warm pool first (most recently parked first).
-        let mut k = k;
-        while k > 0 {
-            let Some(w) = self.warm.pop() else { break };
-            self.pending.push(PendingNode {
-                instance: w.instance,
-                usable_at: now + self.warm_attach,
-            });
-            k -= 1;
-        }
-        k -= self.adopt_from_pool(k, now);
-        if k == 0 {
-            return Ok(());
-        }
-        self.provision_requests += 1;
-        let handles = self.provider.provision(k, now)?;
-        for (instance, ready_at) in handles {
-            let init = SimDuration::from_secs_f64(self.cloud.init_latency.sample(&mut self.rng));
-            self.provider
-                .meter_mut()
-                .record_ingress(self.cloud.dataset_gb);
-            self.pending.push(PendingNode {
-                instance,
-                usable_at: ready_at + init,
-            });
-        }
-        Ok(())
     }
 
     /// Arms the embedded provider's fault injector (see
@@ -414,16 +372,16 @@ impl ClusterManager {
     /// next scale-up lands on the new market/zone.
     ///
     /// Drain policy: in-flight provisioning requests are cancelled
-    /// (free — billing never started). Ready nodes are *parked warm*
-    /// when the switch is market-only and holding them for the warm
-    /// window costs no more than re-provisioning on the new market
-    /// (`old_hourly × warm_hold ≤ new_hourly × mean_scale_up`);
-    /// otherwise they are terminated — offered to the shared pool when
-    /// one is attached, so pool custody survives the switch. A zone
-    /// move never parks (capacity cannot be parked across domains),
-    /// but a zone-only move keeps ready nodes already in the target
-    /// zone — re-buying capacity that is already where the directive
-    /// wants it would pay a scale-up cycle for nothing.
+    /// (free — billing never started), and every billed node is
+    /// terminated and offered to no pool. Adoption bills an instance at
+    /// the adopter's current tier and places it in the current home
+    /// zone, so pre-switch capacity must not come back through a pool;
+    /// for the same reason a private pool's parked capacity is drained
+    /// here too, and the pool is replaced by an empty one priced at the
+    /// new tier (the drained pool's settled cost stays on the bill). A
+    /// zone-only move keeps ready nodes already in the
+    /// target zone — re-buying capacity that is already where the
+    /// directive wants it would pay a scale-up cycle for nothing.
     ///
     /// The caller is responsible for checkpoint safety: pause and save
     /// before switching (the executor's forced-barrier path does).
@@ -441,7 +399,6 @@ impl ClusterManager {
             return Ok(outcome);
         }
         let old_tier = self.cloud.pricing.tier;
-        let old_hourly = self.cloud.pricing.instance_hourly();
         self.provider.meter_mut().pin_existing_lifetimes(old_tier);
         if let Some(tier) = directive.market {
             self.cloud.pricing = self.cloud.pricing.clone().with_tier(tier);
@@ -454,27 +411,16 @@ impl ClusterManager {
             self.provider.set_home_zone(zone);
         }
         // Cancel in-flight requests: they were aimed at the old
-        // market/zone and have not started billing.
+        // market/zone. One already handed over (e.g. a pool adoption)
+        // is billed, so it drains like a ready node.
         for p in std::mem::take(&mut self.pending) {
             if self.provider.meter().started_at(p.instance).is_none() {
-                self.provider.terminate(p.instance, now)?;
                 outcome.cancelled += 1;
             } else {
-                // Already handed over (e.g. a warm reattach): drain it
-                // like a ready node below.
-                self.provider.terminate(p.instance, now)?;
-                self.offer_to_pool(p.instance, now);
                 outcome.drained += 1;
             }
+            self.provider.terminate(p.instance, now)?;
         }
-        let park_ok = directive.zone.is_none()
-            && self.warm_capacity > 0
-            && old_hourly.per_hour_for(self.warm_hold)
-                <= self
-                    .cloud
-                    .pricing
-                    .instance_hourly()
-                    .per_hour_for(SimDuration::from_secs_f64(self.cloud.mean_scale_up_secs()));
         // A zone-only move keeps nodes that already escaped into the
         // target zone (a retry round may have provisioned them there):
         // they are exactly where the directive wants capacity, and
@@ -487,18 +433,16 @@ impl ClusterManager {
         for (node, instance) in std::mem::take(&mut self.ready) {
             if keep_zone.is_some_and(|z| self.provider.instance_zone(instance) == z) {
                 self.ready.insert(node, instance);
-            } else if park_ok && self.warm.len() < self.warm_capacity {
-                self.warm.push(WarmNode {
-                    node,
-                    instance,
-                    expires_at: now + self.warm_hold,
-                });
-                outcome.parked += 1;
             } else {
                 self.provider.terminate(instance, now)?;
-                self.offer_to_pool(instance, now);
                 outcome.drained += 1;
             }
+        }
+        self.drain_private_pool(now);
+        if let Some(Pool::Private { pool, retired }) = &mut self.pool {
+            let (net, config) = pool.with(|p| (settled_net(p), p.config().clone()));
+            *retired += net;
+            *pool = SharedPool::new(InstancePool::new(config, self.cloud.pricing.clone())?);
         }
         Ok(outcome)
     }
@@ -511,41 +455,41 @@ impl ClusterManager {
             .map_or(1.0, |i| self.provider.node_slowdown(*i))
     }
 
-    /// Like [`request_nodes`](Self::request_nodes), but survives a faulty
+    /// Requests `k` more nodes at `now`. Parked capacity is adopted from
+    /// the pool first (usable after the pool's handoff); the rest is
+    /// provisioned, each instance usable after its provisioning delay
+    /// plus a sampled initialization latency, with its dataset ingress
+    /// charged on hand-over.
+    ///
+    /// Without a `policy` the provider gets one attempt and a capacity
+    /// denial is the error. With one, the request survives a faulty
     /// provider: insufficient-capacity denials are retried under the
     /// policy's capped exponential backoff, and requests whose instance
-    /// has not been handed over by the per-request timeout are abandoned
-    /// (cancelled while still pending — never billed) and re-issued.
-    /// Never fails on capacity; instead reports what it could not get as
-    /// [`RetryOutcome::shortfall`].
+    /// has not been handed over by the per-request timeout are
+    /// abandoned (cancelled while still pending — never billed) and
+    /// re-issued. It never fails on capacity; instead it reports what
+    /// it could not get as [`RetryOutcome::shortfall`].
     ///
     /// # Errors
     ///
     /// Returns [`RbError::InvalidConfig`] for a malformed policy;
-    /// non-capacity provider errors (e.g. quota) propagate.
-    pub fn request_nodes_resilient(
+    /// provider errors (e.g. quota, or any capacity denial without a
+    /// policy) propagate.
+    pub fn request_nodes(
         &mut self,
         k: usize,
         now: SimTime,
-        policy: &RetryPolicy,
+        policy: Option<&RetryPolicy>,
     ) -> Result<RetryOutcome> {
-        policy.validate()?;
-        self.expire_warm(now);
-        let mut out = RetryOutcome::default();
-        let mut remaining = k;
-        // Warm reattaches cannot fail; take them first.
-        while remaining > 0 {
-            let Some(w) = self.warm.pop() else { break };
-            self.pending.push(PendingNode {
-                instance: w.instance,
-                usable_at: now + self.warm_attach,
-            });
-            remaining -= 1;
-            out.acquired += 1;
+        if let Some(policy) = policy {
+            policy.validate()?;
         }
-        let adopted = self.adopt_from_pool(remaining, now);
-        remaining -= adopted;
-        out.acquired += adopted;
+        let adopted = self.adopt_from_pool(k, now);
+        let mut out = RetryOutcome {
+            acquired: adopted,
+            ..RetryOutcome::default()
+        };
+        let mut remaining = k - adopted;
         let mut attempt: u32 = 0;
         let mut t = now;
         // Retries rotate through failure domains: a denial or abandoned
@@ -558,13 +502,14 @@ impl ClusterManager {
         let num_zones = self.provider.num_zones();
         while remaining > 0 {
             self.provision_requests += 1;
-            match self.provider.provision(remaining, t) {
-                Ok(handles) => {
-                    let deadline =
-                        t.saturating_add(SimDuration::from_secs_f64(policy.request_timeout_secs));
+            match (self.provider.provision(remaining, t), policy) {
+                (Ok(handles), _) => {
+                    let deadline = policy.map(|p| {
+                        t.saturating_add(SimDuration::from_secs_f64(p.request_timeout_secs))
+                    });
                     let mut kept = 0usize;
                     for (instance, ready_at) in handles {
-                        if ready_at > deadline {
+                        if let Some(deadline) = deadline.filter(|&d| ready_at > d) {
                             // Stuck on a straggler: cancel while still
                             // pending (free — billing only ever starts
                             // at hand-over, so the abandoned node is
@@ -588,6 +533,9 @@ impl ClusterManager {
                     }
                     remaining -= kept;
                     out.acquired += kept;
+                    let (Some(policy), Some(deadline)) = (policy, deadline) else {
+                        break;
+                    };
                     if remaining == 0 || attempt >= policy.max_retries {
                         break;
                     }
@@ -598,7 +546,7 @@ impl ClusterManager {
                     t = deadline;
                     self.rotate_zone(num_zones);
                 }
-                Err(RbError::Capacity(_)) => {
+                (Err(RbError::Capacity(_)), Some(policy)) => {
                     if attempt >= policy.max_retries {
                         break;
                     }
@@ -610,7 +558,7 @@ impl ClusterManager {
                     t = t.saturating_add(policy.backoff(attempt));
                     self.rotate_zone(num_zones);
                 }
-                Err(e) => {
+                (Err(e), _) => {
                     self.provider.set_home_zone(home_zone);
                     self.provision_retries += out.retries;
                     return Err(e);
@@ -679,54 +627,38 @@ impl ClusterManager {
         self.pending.len()
     }
 
-    /// Terminates the given nodes at `now`, ending their billing.
+    /// Terminates the given nodes at `now`, ending their billing, and
+    /// offers each to the pool when one is attached.
     ///
     /// # Errors
     ///
     /// Returns [`RbError::Execution`] if a node is unknown; provider
     /// errors propagate.
     pub fn terminate_nodes(&mut self, nodes: &[NodeId], now: SimTime) -> Result<()> {
-        self.expire_warm(now);
         for &node in nodes {
             let instance = self
                 .ready
                 .remove(&node)
                 .ok_or_else(|| RbError::Execution(format!("terminating unknown node {node}")))?;
-            if self.warm.len() < self.warm_capacity {
-                // Park instead of releasing: stays billed, reattaches fast.
-                self.warm.push(WarmNode {
-                    node,
-                    instance,
-                    expires_at: now + self.warm_hold,
-                });
-            } else {
-                self.provider.terminate(instance, now)?;
-                self.offer_to_pool(instance, now);
-            }
+            self.provider.terminate(instance, now)?;
+            self.offer_to_pool(instance, now);
         }
         Ok(())
     }
 
-    /// Terminates everything at `now` (job teardown), including warm
-    /// nodes (billed up to `now` or their earlier expiry).
+    /// Terminates everything at `now` (job teardown), and drains a
+    /// private pool at the same instant.
     pub fn terminate_all(&mut self, now: SimTime) {
-        for w in std::mem::take(&mut self.warm) {
-            let at = now.min(w.expires_at);
-            let _ = w.node;
-            self.provider
-                .terminate(w.instance, at)
-                .expect("warm instance is running");
-            self.offer_to_pool(w.instance, at);
-        }
         // Pending instances may still be mid-provisioning; release the
         // ready ones and let any pending ones be cancelled by marking them
         // ready first (their billing started at hand-over regardless).
         self.provider
             .poll_ready(now + SimDuration::from_hours(24 * 365));
         let end = now.max(self.latest_handover());
-        if self.shared_pool.is_some() {
-            // Under a shared pool, end-of-job capacity is donated rather
-            // than discarded: another queued job may be about to scale up.
+        if matches!(self.pool, Some(Pool::Shared { .. })) {
+            // Under a service's pool, end-of-job capacity is donated
+            // rather than discarded: another queued job may be about to
+            // scale up. A private pool has no later job to serve.
             for instance in self.provider.running_ids() {
                 self.provider
                     .terminate(instance, end)
@@ -734,9 +666,27 @@ impl ClusterManager {
                 self.offer_to_pool(instance, end);
             }
         }
+        self.drain_private_pool(end);
         self.provider.terminate_all(end);
         self.ready.clear();
         self.pending.clear();
+    }
+
+    /// Terminates everything a private pool holds at `at`, settling its
+    /// park cost (no-op for a shared pool, whose ledger the service
+    /// drains). After the drain nothing is parked, so the ledger must
+    /// balance exactly.
+    fn drain_private_pool(&self, at: SimTime) {
+        if let Some(Pool::Private { pool, .. }) = &self.pool {
+            pool.with(|p| {
+                p.drain(at);
+                debug_assert!(
+                    p.stats().balances(0),
+                    "private pool ledger out of balance after drain: {:?}",
+                    p.stats()
+                );
+            });
+        }
     }
 
     fn latest_handover(&self) -> SimTime {
@@ -778,14 +728,32 @@ impl ClusterManager {
     }
 
     /// The compute + data bill as of `now`, under the profile's billing
-    /// model.
+    /// model (see [`ClusterManager::compute_cost`]).
     pub fn total_cost(&self, now: SimTime) -> Cost {
-        self.provider.meter().total_cost(&self.cloud.pricing, now)
+        self.provider.meter().total_cost(&self.cloud.pricing, now) + self.private_pool_cost(now)
     }
 
-    /// The compute-only bill as of `now`.
+    /// The compute-only bill as of `now`: the meter, plus a private
+    /// pool's share (see below; a shared pool's ledger is the
+    /// service's, not the job's).
     pub fn compute_cost(&self, now: SimTime) -> Cost {
-        self.provider.meter().compute_cost(&self.cloud.pricing, now)
+        self.provider.meter().compute_cost(&self.cloud.pricing, now) + self.private_pool_cost(now)
+    }
+
+    /// A private pool's share of the job's bill as of `now`: the settled
+    /// park cost minus the minimum-charge credit of this pool and of any
+    /// a market switch retired (the service's `net_cost` rule), plus
+    /// the park time still-parked instances have run up. Zero under
+    /// per-function billing, which bills no held capacity, parked or not.
+    fn private_pool_cost(&self, now: SimTime) -> Cost {
+        match &self.pool {
+            Some(Pool::Private { pool, retired })
+                if self.cloud.pricing.billing.is_per_instance() =>
+            {
+                *retired + pool.with(|p| settled_net(p) + p.accrued_park_cost(now))
+            }
+            _ => Cost::ZERO,
+        }
     }
 
     /// The data-ingress bill.
@@ -805,17 +773,29 @@ impl ClusterManager {
         self.provider.meter().held_instance_seconds(now)
     }
 
-    /// Instances ever provisioned.
+    /// Instances ever provisioned from the provider (pool adoptions
+    /// start a meter lifetime but are not provisions).
     pub fn instances_provisioned(&self) -> usize {
-        self.provider.meter().instances_started()
+        self.provider.meter().instances_started() - self.adopted_physical.len()
     }
 
-    /// The billing meter's cumulative spend curve as of `now` (see
-    /// [`rb_cloud::BillingMeter::cost_timeline`]).
+    /// The job's cumulative spend curve as of `now`: the billing
+    /// meter's (see [`rb_cloud::BillingMeter::cost_timeline`]), closed
+    /// by one more point that adds a private pool's share, so under
+    /// per-instance billing it ends at [`ClusterManager::compute_cost`].
     pub fn cost_timeline(&self, now: SimTime) -> Vec<(SimTime, Cost)> {
-        self.provider
+        let mut curve = self
+            .provider
             .meter()
-            .cost_timeline(&self.cloud.pricing, now)
+            .cost_timeline(&self.cloud.pricing, now);
+        let pool = self.private_pool_cost(now);
+        if pool != Cost::ZERO {
+            let (t, total) = curve
+                .last()
+                .map_or((now, Cost::ZERO), |&(t, c)| (t.max(now), c));
+            curve.push((t, total + pool));
+        }
+        curve
     }
 }
 
@@ -834,7 +814,7 @@ mod tests {
     #[test]
     fn nodes_become_usable_after_provision_plus_init() {
         let mut cm = ClusterManager::new(cloud(), 1);
-        cm.request_nodes(2, SimTime::ZERO).unwrap();
+        cm.request_nodes(2, SimTime::ZERO, None).unwrap();
         assert_eq!(cm.pending_count(), 2);
         assert_eq!(cm.pending_ready_time(), Some(SimTime::from_secs(30)));
         assert!(cm.absorb_ready(SimTime::from_secs(29)).is_empty());
@@ -847,7 +827,7 @@ mod tests {
     #[test]
     fn billing_covers_init_but_not_queue_delay() {
         let mut cm = ClusterManager::new(cloud(), 1);
-        cm.request_nodes(1, SimTime::ZERO).unwrap();
+        cm.request_nodes(1, SimTime::ZERO, None).unwrap();
         let t = SimTime::from_secs(30);
         let nodes = cm.absorb_ready(t);
         // Hold for 1 hour after becoming usable, then terminate.
@@ -864,7 +844,7 @@ mod tests {
         let mut cloud = cloud().with_dataset_gb(150.0);
         cloud.pricing = cloud.pricing.with_data_price(Cost::from_dollars(0.01));
         let mut cm = ClusterManager::new(cloud, 1);
-        cm.request_nodes(3, SimTime::ZERO).unwrap();
+        cm.request_nodes(3, SimTime::ZERO, None).unwrap();
         assert_eq!(cm.data_cost(), Cost::from_dollars(4.50));
     }
 
@@ -881,7 +861,7 @@ mod tests {
         let mut profile = cloud();
         profile.pricing = profile.pricing.with_per_function_billing();
         let mut cm = ClusterManager::new(profile, 1);
-        cm.request_nodes(1, SimTime::ZERO).unwrap();
+        cm.request_nodes(1, SimTime::ZERO, None).unwrap();
         let t = SimTime::from_secs(30);
         cm.absorb_ready(t);
         cm.record_usage(2, SimDuration::from_secs(1800));
@@ -897,58 +877,89 @@ mod tests {
     #[test]
     fn terminate_all_cleans_up() {
         let mut cm = ClusterManager::new(cloud(), 1);
-        cm.request_nodes(2, SimTime::ZERO).unwrap();
+        cm.request_nodes(2, SimTime::ZERO, None).unwrap();
         cm.absorb_ready(SimTime::from_secs(30));
-        cm.request_nodes(1, SimTime::from_secs(40)).unwrap();
+        cm.request_nodes(1, SimTime::from_secs(40), None).unwrap();
         cm.terminate_all(SimTime::from_secs(100));
         assert_eq!(cm.ready_count(), 0);
         assert_eq!(cm.pending_count(), 0);
         assert_eq!(cm.instances_provisioned(), 3);
     }
 
+    fn warm_pool(capacity: usize, max_hold_secs: f64) -> PoolConfig {
+        PoolConfig {
+            capacity,
+            max_hold_secs,
+            ..PoolConfig::default()
+        }
+    }
+
+    fn parked(cm: &ClusterManager) -> usize {
+        cm.pool().unwrap().with(|p| p.parked_count())
+    }
+
     #[test]
     fn warm_pool_reattaches_quickly_and_keeps_billing() {
-        let mut cm = ClusterManager::new(cloud(), 1).with_warm_pool(
-            2,
-            SimDuration::from_secs(300),
-            SimDuration::from_secs(2),
-        );
-        cm.request_nodes(2, SimTime::ZERO).unwrap();
+        let mut cm = ClusterManager::new(cloud(), 1);
+        cm.set_private_pool(warm_pool(2, 300.0)).unwrap();
+        cm.request_nodes(2, SimTime::ZERO, None).unwrap();
         let nodes = cm.absorb_ready(SimTime::from_secs(30));
-        // Release both: they park warm instead of terminating.
+        // Release both: they park in the pool instead of vanishing.
         cm.terminate_nodes(&nodes, SimTime::from_secs(100)).unwrap();
         assert_eq!(cm.ready_count(), 0);
-        assert_eq!(cm.warm_count(), 2);
-        // Re-request within the hold: ready after 2 s, not 30 s.
-        cm.request_nodes(2, SimTime::from_secs(150)).unwrap();
+        assert_eq!(parked(&cm), 2);
+        // The bill to date carries the park time run up so far, before
+        // the pool settles it.
+        let pr = CloudPricing::on_demand(P3_8XLARGE);
+        let hourly = pr.instance_hourly();
+        assert_eq!(
+            cm.compute_cost(SimTime::from_secs(150)),
+            (pr.instance_charge(SimDuration::from_secs(85))
+                + hourly.per_hour_for(SimDuration::from_secs(50)))
+                * 2
+        );
+        // Re-request within the hold: ready after the 2 s handoff, not 30 s.
+        cm.request_nodes(2, SimTime::from_secs(150), None).unwrap();
         assert_eq!(cm.pending_ready_time(), Some(SimTime::from_secs(152)));
         cm.absorb_ready(SimTime::from_secs(152));
         assert_eq!(cm.ready_count(), 2);
-        assert_eq!(cm.warm_count(), 0);
+        assert_eq!(parked(&cm), 0);
         // No new instances were provisioned.
         assert_eq!(cm.instances_provisioned(), 2);
-        // Billing covered the warm interval: both instances still open.
+        // Billing covered the park. Each instance is billed in three
+        // pieces — donor lifetime 15..100, 50 s parked, adopter lifetime
+        // 150..252 — which add up to the single 15..252 lifetime up to
+        // per-piece rounding.
         let end = SimTime::from_secs(252);
         cm.terminate_all(end);
-        let expect =
-            CloudPricing::on_demand(P3_8XLARGE).instance_charge(SimDuration::from_secs(252 - 15));
-        assert_eq!(cm.compute_cost(end), expect * 2);
+        let piece = pr.instance_charge(SimDuration::from_secs(85))
+            + hourly.per_hour_for(SimDuration::from_secs(50))
+            + pr.instance_charge(SimDuration::from_secs(102));
+        assert_eq!(cm.compute_cost(end), piece * 2);
+        let whole = pr.instance_charge(SimDuration::from_secs(252 - 15)) * 2;
+        assert!((cm.compute_cost(end) - whole).as_dollars().abs() <= 2e-6);
+        // The spend curve ends at the bill.
+        assert_eq!(
+            cm.cost_timeline(end).last().map(|&(_, c)| c),
+            Some(cm.compute_cost(end))
+        );
+        // Teardown offers nothing to a private pool: it has no later job.
+        let stats = cm.pool().unwrap().with(|p| p.stats());
+        assert_eq!((stats.offers, stats.handoffs, stats.drained), (2, 2, 0));
+        assert!(stats.balances(0));
     }
 
     #[test]
     fn warm_pool_expires_and_stops_billing() {
-        let mut cm = ClusterManager::new(cloud(), 1).with_warm_pool(
-            1,
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(2),
-        );
-        cm.request_nodes(1, SimTime::ZERO).unwrap();
+        let mut cm = ClusterManager::new(cloud(), 1);
+        cm.set_private_pool(warm_pool(1, 60.0)).unwrap();
+        cm.request_nodes(1, SimTime::ZERO, None).unwrap();
         let nodes = cm.absorb_ready(SimTime::from_secs(30));
         cm.terminate_nodes(&nodes, SimTime::from_secs(100)).unwrap();
-        // Past the hold: the next request provisions fresh capacity and the
-        // warm instance's billing stopped at its expiry (t=160).
-        cm.request_nodes(1, SimTime::from_secs(400)).unwrap();
-        assert_eq!(cm.warm_count(), 0);
+        // Past the hold: the next request provisions fresh capacity and
+        // the parked instance was billed only to its expiry (t=160).
+        cm.request_nodes(1, SimTime::from_secs(400), None).unwrap();
+        assert_eq!(parked(&cm), 0);
         assert_eq!(
             cm.pending_ready_time(),
             Some(SimTime::from_secs(430)),
@@ -957,13 +968,93 @@ mod tests {
         let ready = cm.absorb_ready(SimTime::from_secs(430));
         assert_eq!(cm.instances_provisioned(), 2);
         cm.terminate_nodes(&ready, SimTime::from_secs(500)).unwrap();
-        // First instance billed 15..160 (145 s), second 415..500 (85 s)...
-        // but the second parks warm again (capacity 1), so bill to its end:
+        // The second parks again (capacity 1) until teardown drains it.
         cm.terminate_all(SimTime::from_secs(520));
+        // First instance: 15..100 on the meter + the 60 s hold (145 s);
+        // second: 415..500 on the meter + 20 s parked (105 s).
         let pr = CloudPricing::on_demand(P3_8XLARGE);
-        let expect = pr.instance_charge(SimDuration::from_secs(145))
-            + pr.instance_charge(SimDuration::from_secs(520 - 415));
+        let hourly = pr.instance_hourly();
+        let expect = pr.instance_charge(SimDuration::from_secs(85))
+            + hourly.per_hour_for(SimDuration::from_secs(60))
+            + pr.instance_charge(SimDuration::from_secs(85))
+            + hourly.per_hour_for(SimDuration::from_secs(20));
         assert_eq!(cm.compute_cost(SimTime::from_secs(520)), expect);
+        let stats = cm.pool().unwrap().with(|p| p.stats());
+        assert_eq!((stats.expirations, stats.drained), (1, 1));
+    }
+
+    #[test]
+    fn each_piece_of_a_pooled_lifetime_pays_its_own_minimum_charge() {
+        let pr = CloudPricing::on_demand(P3_8XLARGE);
+        let hourly = pr.instance_hourly();
+        // Adopter piece under the 60 s floor: donor 15..100, parked
+        // 100..110, adopted 110..130 (20 s, billed 60 s). One unbroken
+        // 15..130 lifetime would be billed its exact 115 s.
+        let mut cm = ClusterManager::new(cloud(), 1);
+        cm.set_private_pool(warm_pool(1, 300.0)).unwrap();
+        cm.request_nodes(1, SimTime::ZERO, None).unwrap();
+        let nodes = cm.absorb_ready(SimTime::from_secs(30));
+        cm.terminate_nodes(&nodes, SimTime::from_secs(100)).unwrap();
+        cm.request_nodes(1, SimTime::from_secs(110), None).unwrap();
+        cm.absorb_ready(SimTime::from_secs(112));
+        let end = SimTime::from_secs(130);
+        cm.terminate_all(end);
+        let bill = pr.instance_charge(SimDuration::from_secs(85))
+            + hourly.per_hour_for(SimDuration::from_secs(10))
+            + pr.instance_charge(SimDuration::from_secs(20));
+        assert_eq!(cm.compute_cost(end), bill);
+        let whole = pr.instance_charge(SimDuration::from_secs(115));
+        let floor_paid = hourly.per_hour_for(SimDuration::from_secs(40));
+        assert!(
+            (cm.compute_cost(end) - whole - floor_paid)
+                .as_dollars()
+                .abs()
+                <= 2e-6
+        );
+
+        // Donor piece under the floor that expires un-adopted: 15..25
+        // (10 s, billed 60 s) plus the 60 s hold, where one unbroken
+        // 15..85 lifetime would be billed its exact 70 s. The credit for
+        // the donor's floor comes only with an adoption.
+        let mut cm = ClusterManager::new(cloud(), 1);
+        cm.set_private_pool(warm_pool(1, 60.0)).unwrap();
+        cm.request_nodes(1, SimTime::ZERO, None).unwrap();
+        let nodes = cm.absorb_ready(SimTime::from_secs(30));
+        cm.terminate_nodes(&nodes, SimTime::from_secs(25)).unwrap();
+        let end = SimTime::from_secs(500);
+        cm.terminate_all(end);
+        assert_eq!(
+            cm.compute_cost(end),
+            pr.instance_charge(SimDuration::from_secs(10))
+                + hourly.per_hour_for(SimDuration::from_secs(60))
+        );
+        assert_eq!(cm.pool().unwrap().with(|p| p.stats().expirations), 1);
+    }
+
+    #[test]
+    fn warm_pool_parks_free_under_per_function_billing() {
+        // Per-function billing charges function usage only: held
+        // capacity is free on the meter, and parked capacity is too.
+        let mut cloud = cloud();
+        cloud.pricing = cloud.pricing.with_per_function_billing();
+        let mut cm = ClusterManager::new(cloud, 1);
+        cm.set_private_pool(warm_pool(2, 300.0)).unwrap();
+        cm.request_nodes(2, SimTime::ZERO, None).unwrap();
+        let nodes = cm.absorb_ready(SimTime::from_secs(30));
+        cm.terminate_nodes(&nodes, SimTime::from_secs(100)).unwrap();
+        cm.request_nodes(1, SimTime::from_secs(150), None).unwrap();
+        cm.absorb_ready(SimTime::from_secs(152));
+        assert_eq!(cm.compute_cost(SimTime::from_secs(200)), Cost::ZERO);
+        cm.record_usage(4, SimDuration::from_secs(30));
+        let end = SimTime::from_secs(350);
+        cm.terminate_all(end);
+        let stats = cm.pool().unwrap().with(|p| p.stats());
+        assert_eq!((stats.handoffs, stats.drained), (1, 1));
+        assert!(stats.park_cost > Cost::ZERO, "the pool's own ledger");
+        let usage = CloudPricing::on_demand(P3_8XLARGE)
+            .with_per_function_billing()
+            .function_charge(4, SimDuration::from_secs(30));
+        assert_eq!(cm.compute_cost(end), usage);
     }
 
     #[test]
@@ -989,11 +1080,13 @@ mod tests {
 
     #[test]
     fn resilient_requests_match_legacy_without_faults() {
+        // On a clean provider, no policy and the default policy make the
+        // same provider calls and the same init-latency draws.
         let mut legacy = ClusterManager::new(cloud(), 9);
-        legacy.request_nodes(3, SimTime::ZERO).unwrap();
+        let plain = legacy.request_nodes(3, SimTime::ZERO, None).unwrap();
         let mut resilient = ClusterManager::new(cloud(), 9);
         let out = resilient
-            .request_nodes_resilient(3, SimTime::ZERO, &RetryPolicy::default())
+            .request_nodes(3, SimTime::ZERO, Some(&RetryPolicy::default()))
             .unwrap();
         assert_eq!(
             out,
@@ -1002,7 +1095,9 @@ mod tests {
                 ..RetryOutcome::default()
             }
         );
+        assert_eq!(plain, out);
         assert_eq!(legacy.pending_ready_time(), resilient.pending_ready_time());
+        assert_eq!(legacy.capacity_events(), resilient.capacity_events());
     }
 
     #[test]
@@ -1019,9 +1114,7 @@ mod tests {
             max_retries: 20,
             ..RetryPolicy::default()
         };
-        let out = cm
-            .request_nodes_resilient(2, SimTime::ZERO, &policy)
-            .unwrap();
+        let out = cm.request_nodes(2, SimTime::ZERO, Some(&policy)).unwrap();
         assert_eq!(out.shortfall, 0);
         assert_eq!(out.acquired, 2);
         assert_eq!(out.retries, cm.fault_counts().capacity_failures);
@@ -1045,13 +1138,15 @@ mod tests {
             max_retries: 3,
             ..RetryPolicy::default()
         };
-        let out = cm
-            .request_nodes_resilient(2, SimTime::ZERO, &policy)
-            .unwrap();
+        let out = cm.request_nodes(2, SimTime::ZERO, Some(&policy)).unwrap();
         assert_eq!(out.shortfall, 2);
         assert_eq!(out.acquired, 0);
         assert_eq!(out.retries, 3);
         assert_eq!(cm.instances_provisioned(), 0);
+        // Without a policy there is one attempt, and the denial is the
+        // error.
+        let err = cm.request_nodes(2, SimTime::ZERO, None).unwrap_err();
+        assert!(matches!(err, RbError::Capacity(_)), "{err:?}");
     }
 
     #[test]
@@ -1071,9 +1166,7 @@ mod tests {
             max_retries: 2,
             ..RetryPolicy::default()
         };
-        let out = cm
-            .request_nodes_resilient(1, SimTime::ZERO, &policy)
-            .unwrap();
+        let out = cm.request_nodes(1, SimTime::ZERO, Some(&policy)).unwrap();
         assert_eq!(out.shortfall, 1);
         assert_eq!(out.abandoned, 3, "initial attempt + 2 retries");
         assert_eq!(out.retries, 2);
@@ -1101,9 +1194,7 @@ mod tests {
             max_backoff_secs: 1e18,
             request_timeout_secs: 240.0,
         };
-        let out = cm
-            .request_nodes_resilient(2, SimTime::ZERO, &policy)
-            .unwrap();
+        let out = cm.request_nodes(2, SimTime::ZERO, Some(&policy)).unwrap();
         assert_eq!(out.shortfall, 2);
         assert_eq!(out.retries, 40);
     }
@@ -1135,7 +1226,7 @@ mod tests {
         // and the retry rotates into healthy zone 1.
         cm.set_fault_plan(zoned_plan(100.0, false), 42);
         let out = cm
-            .request_nodes_resilient(1, SimTime::ZERO, &RetryPolicy::default())
+            .request_nodes(1, SimTime::ZERO, Some(&RetryPolicy::default()))
             .unwrap();
         assert_eq!(
             out,
@@ -1170,7 +1261,7 @@ mod tests {
         let mut cm = ClusterManager::new(cloud(), 7);
         cm.set_fault_plan(zoned_plan(1.0, true), 42);
         let out = cm
-            .request_nodes_resilient(2, SimTime::ZERO, &RetryPolicy::default())
+            .request_nodes(2, SimTime::ZERO, Some(&RetryPolicy::default()))
             .unwrap();
         assert_eq!(
             out,
@@ -1196,11 +1287,11 @@ mod tests {
         let mut spot = cloud();
         spot.pricing = spot.pricing.with_spot();
         let mut cm = ClusterManager::new(spot, 7);
-        cm.request_nodes(2, SimTime::ZERO).unwrap();
+        cm.request_nodes(2, SimTime::ZERO, None).unwrap();
         let t = SimTime::from_secs(30);
         assert_eq!(cm.absorb_ready(t).len(), 2);
         // One request still in flight when the switch lands.
-        cm.request_nodes(1, SimTime::from_secs(40)).unwrap();
+        cm.request_nodes(1, SimTime::from_secs(40), None).unwrap();
         let sw = SwitchDirective {
             market: Some(PricingTier::OnDemand),
             interruption_rate_per_hour: Some(0.0),
@@ -1212,14 +1303,13 @@ mod tests {
             outcome,
             SwitchOutcome {
                 drained: 2,
-                parked: 0,
                 cancelled: 1,
             }
         );
         assert_eq!(cm.ready_count(), 0);
         assert_eq!(cm.pending_count(), 0);
         // New capacity lands on the new market.
-        cm.request_nodes(1, at).unwrap();
+        cm.request_nodes(1, at, None).unwrap();
         cm.absorb_ready(SimTime::from_secs(130));
         let end = SimTime::from_secs(115 + 3600);
         cm.terminate_all(end);
@@ -1236,36 +1326,75 @@ mod tests {
     }
 
     #[test]
-    fn market_only_switch_parks_when_holding_is_cheaper() {
-        // Cheap spot fleet, short warm hold, expensive on-demand
-        // re-provision: holding the fleet across the switch beats
-        // buying it back, so the drain parks instead of terminating.
+    fn market_only_switch_hands_nothing_to_the_warm_pool() {
+        // A warm-pool manager on spot: one node parks at a scale-down
+        // just before a market-only switch to on-demand. Adoption would
+        // bill pre-switch capacity at the new tier, so the switch
+        // terminates the fleet, offers it to no pool, and drains what
+        // was already parked; later parks are billed at the new tier.
         let mut spot = cloud();
         spot.pricing = spot.pricing.with_spot();
-        let mut cm = ClusterManager::new(spot, 7).with_warm_pool(
-            2,
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(2),
-        );
-        cm.request_nodes(2, SimTime::ZERO).unwrap();
-        cm.absorb_ready(SimTime::from_secs(30));
+        let mut cm = ClusterManager::new(spot, 7);
+        cm.set_private_pool(warm_pool(2, 300.0)).unwrap();
+        cm.request_nodes(3, SimTime::ZERO, None).unwrap();
+        let nodes = cm.absorb_ready(SimTime::from_secs(30));
+        cm.terminate_nodes(&nodes[..1], SimTime::from_secs(95))
+            .unwrap();
         let sw = SwitchDirective {
             market: Some(PricingTier::OnDemand),
             ..SwitchDirective::default()
         };
-        let outcome = cm.switch_market(&sw, SimTime::from_secs(100)).unwrap();
-        assert_eq!(outcome.parked, 2);
-        assert_eq!(outcome.drained, 0);
-        assert_eq!(cm.warm_count(), 2);
-        // A zone move never parks, no matter the economics.
-        let mut cm2 = ClusterManager::new(cloud(), 7).with_warm_pool(
-            2,
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(2),
+        let at = SimTime::from_secs(100);
+        let spot_pool = cm.pool().unwrap().clone();
+        let outcome = cm.switch_market(&sw, at).unwrap();
+        assert_eq!(
+            outcome,
+            SwitchOutcome {
+                drained: 2,
+                cancelled: 0,
+            }
         );
+        let stats = spot_pool.with(|p| p.stats());
+        assert_eq!((stats.offers, stats.drained), (1, 1), "{stats:?}");
+        assert!(stats.balances(0));
+        assert_eq!(parked(&cm), 0);
+        // The next request provisions fresh capacity on the new tier.
+        cm.request_nodes(2, at, None).unwrap();
+        assert_eq!(cm.pending_ready_time(), Some(SimTime::from_secs(130)));
+        let fresh = cm.absorb_ready(SimTime::from_secs(130));
+        assert_eq!(cm.instances_provisioned(), 5);
+        // A node parked after the switch idles at the on-demand rate
+        // until teardown drains it.
+        cm.terminate_nodes(&fresh[..1], SimTime::from_secs(1000))
+            .unwrap();
+        let end = SimTime::from_secs(1200);
+        cm.terminate_all(end);
+        let od = CloudPricing::on_demand(P3_8XLARGE);
+        let spot = od.clone().with_spot();
+        let expect = spot.instance_charge(SimDuration::from_secs(80))
+            + spot
+                .instance_hourly()
+                .per_hour_for(SimDuration::from_secs(5))
+            + spot.instance_charge(SimDuration::from_secs(85)) * 2
+            + od.instance_charge(SimDuration::from_secs(1000 - 115))
+            + od.instance_hourly()
+                .per_hour_for(SimDuration::from_secs(200))
+            + od.instance_charge(SimDuration::from_secs(1200 - 115));
+        assert_eq!(cm.compute_cost(end), expect);
+        let stats = cm.pool().unwrap().with(|p| p.stats());
+        assert_eq!((stats.offers, stats.handoffs, stats.drained), (1, 0, 1));
+        assert_eq!(
+            stats.park_cost,
+            od.instance_hourly()
+                .per_hour_for(SimDuration::from_secs(200))
+        );
+
+        // A zone move drains too.
+        let mut cm2 = ClusterManager::new(cloud(), 7);
+        cm2.set_private_pool(warm_pool(2, 10.0)).unwrap();
         cm2.set_fault_plan(zoned_plan(1.0, true), 42);
         cm2.set_home_zone(1);
-        cm2.request_nodes(2, SimTime::ZERO).unwrap();
+        cm2.request_nodes(2, SimTime::ZERO, None).unwrap();
         cm2.absorb_ready(SimTime::from_secs(30));
         let outcome = cm2
             .switch_market(
@@ -1276,9 +1405,9 @@ mod tests {
                 SimTime::from_secs(2000),
             )
             .unwrap();
-        assert_eq!(outcome.parked, 0);
         assert_eq!(outcome.drained, 2);
         assert_eq!(cm2.home_zone(), 0);
+        assert_eq!(parked(&cm2), 0);
     }
 
     #[test]
@@ -1292,7 +1421,7 @@ mod tests {
             },
             42,
         );
-        cm.request_nodes(1, SimTime::ZERO).unwrap();
+        cm.request_nodes(1, SimTime::ZERO, None).unwrap();
         let nodes = cm.absorb_ready(SimTime::from_secs(30));
         assert_eq!(nodes.len(), 1);
         assert_eq!(cm.node_slowdown(nodes[0]), 2.5);
@@ -1301,15 +1430,13 @@ mod tests {
 
     #[test]
     fn warm_capacity_is_respected() {
-        let mut cm = ClusterManager::new(cloud(), 1).with_warm_pool(
-            1,
-            SimDuration::from_secs(300),
-            SimDuration::from_secs(2),
-        );
-        cm.request_nodes(3, SimTime::ZERO).unwrap();
+        let mut cm = ClusterManager::new(cloud(), 1);
+        cm.set_private_pool(warm_pool(1, 300.0)).unwrap();
+        cm.request_nodes(3, SimTime::ZERO, None).unwrap();
         let nodes = cm.absorb_ready(SimTime::from_secs(30));
         cm.terminate_nodes(&nodes, SimTime::from_secs(100)).unwrap();
         // Only one fits the pool; the other two released for real.
-        assert_eq!(cm.warm_count(), 1);
+        assert_eq!(parked(&cm), 1);
+        assert_eq!(cm.pool().unwrap().with(|p| p.stats().rejected_full), 2);
     }
 }

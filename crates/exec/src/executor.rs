@@ -11,7 +11,7 @@
 use crate::cluster::{ClusterManager, RetryPolicy, SwitchDirective};
 use crate::codec;
 use crate::report::{ExecutionReport, ExecutionTrace, StageRecord, TraceEvent};
-use rb_cloud::{FaultPlan, PricingTier};
+use rb_cloud::{FaultPlan, PoolConfig, PricingTier};
 use rb_core::{
     mix_seed, Cost, Distribution, NodeId, Prng, RbError, Result, SimDuration, SimTime, TrialId,
 };
@@ -36,12 +36,18 @@ pub struct ExecOptions {
     pub use_placement_controller: bool,
     /// Bandwidth for moving checkpoints during migration, in GB/s.
     pub checkpoint_bw_gbps: f64,
-    /// Warm-pool capacity (§6.3.1 runs with a warm pool): released
-    /// instances up to this count stay billed for `warm_hold_secs` and
-    /// reattach in seconds instead of a provision + init cycle. Zero
-    /// disables the pool.
+    /// Warm-pool capacity (§6.3.1 runs with a warm pool): a nonzero
+    /// value gives the job a private [`rb_cloud::InstancePool`] of this
+    /// capacity. Released instances leave the job's meter and park
+    /// there for up to `warm_hold_secs`, and a later scale-up adopts
+    /// them after the pool's 2 s handoff instead of a provision + init
+    /// cycle. Under per-instance billing the pool's park cost, less its
+    /// minimum-charge credit, is added to the job's bill (per-function
+    /// billing bills no held capacity, parked or not). Zero disables
+    /// the pool; a service's shared pool replaces it.
     pub warm_pool: usize,
-    /// How long a warm instance is held before being released for real.
+    /// How long the warm pool holds a parked instance before
+    /// terminating it (the pool's `max_hold_secs`).
     pub warm_hold_secs: f64,
     /// Fault-injection plan, seeded from `seed` like the spot stream. The
     /// default ([`FaultPlan::none`]) injects nothing and leaves execution
@@ -253,10 +259,10 @@ pub trait BarrierHook {
     /// point that just completed (a barrier or a watchdog splice). The
     /// executor drains the fleet through
     /// [`ClusterManager::switch_market`] — in-flight lifetimes pinned at
-    /// their contracted tier, ready nodes parked or terminated by
-    /// handoff cost — before the next scale-up provisions on the new
-    /// market. Polled after the corresponding re-plan callback, so a
-    /// hook can decide the switch and the suffix together. The default
+    /// their contracted tier, billed nodes terminated and offered to no
+    /// pool — before the next scale-up provisions on the new market.
+    /// Polled after the corresponding re-plan callback, so a hook can
+    /// decide the switch and the suffix together. The default
     /// never switches; returning `None` (or an empty directive)
     /// consumes no noise and leaves execution bit-identical.
     fn pending_switch(&mut self) -> Option<SwitchDirective> {
@@ -692,11 +698,11 @@ impl ExecutorCore {
         let mut cm = ClusterManager::new(exec.cloud.clone(), opts.seed);
         cm.set_recorder(recorder.clone());
         if opts.warm_pool > 0 {
-            cm = cm.with_warm_pool(
-                opts.warm_pool,
-                SimDuration::from_secs_f64(opts.warm_hold_secs),
-                SimDuration::from_secs(2),
-            );
+            cm.set_private_pool(PoolConfig {
+                capacity: opts.warm_pool,
+                max_hold_secs: opts.warm_hold_secs,
+                ..PoolConfig::default()
+            })?;
         }
         if opts.faults.is_active() {
             cm.set_fault_plan(opts.faults.clone(), opts.seed);
@@ -806,7 +812,9 @@ impl ExecutorCore {
     /// provisioning fresh instances. `job` tags this core's releases so
     /// the pool's double-release guard can tell donors apart; `group`
     /// (e.g. one tenant's Hyperband bracket set) gives the job
-    /// affinity for same-group parked capacity at acquisition.
+    /// affinity for same-group parked capacity at acquisition. The
+    /// shared pool replaces a private warm pool (`warm_pool`), so no
+    /// job runs two pools; attach before the first step.
     pub fn attach_shared_pool(&mut self, pool: rb_cloud::SharedPool, job: u64, group: Option<u64>) {
         self.cm.set_shared_pool(pool, job, group);
     }
@@ -1214,7 +1222,6 @@ impl ExecutorCore {
             let mut args: Vec<(&'static str, Value)> = vec![
                 ("stage", (stage as u64).into()),
                 ("drained", (outcome.drained as u64).into()),
-                ("parked", (outcome.parked as u64).into()),
                 ("cancelled", (outcome.cancelled as u64).into()),
             ];
             if let Some(tier) = directive.market {
@@ -1304,8 +1311,9 @@ impl ExecutorCore {
             trace: self.trace,
         };
         if self.recorder.enabled() {
-            // The billing meter's spend curve: cumulative compute cost at
-            // each instance release, on the cloud lane.
+            // The spend curve: cumulative compute cost at each instance
+            // release (and a private pool's share at the end), on the
+            // cloud lane.
             for (t, c) in self.cm.cost_timeline(self.now) {
                 self.recorder
                     .gauge(t, "cloud", "spend_usd", Lane::Cloud, c.as_dollars());
@@ -1375,40 +1383,36 @@ impl Executor {
         let mut capacity_shortfall = 0usize;
         let mut degraded_acquired = 0usize;
         if needed > current {
-            // The resilient path engages only under an active fault plan;
-            // on a clean provider the legacy fail-fast request keeps the
-            // run bit-identical.
+            // The retry policy engages only under an active fault plan;
+            // on a clean provider the fail-fast request keeps the run
+            // bit-identical.
             let policy = opts.retry.as_ref().filter(|_| opts.faults.is_active());
-            if let Some(policy) = policy {
-                let out = cm.request_nodes_resilient(needed - current, *now, policy)?;
-                retries = out.retries;
-                if out.shortfall > 0 {
-                    // Capacity stayed short after the retry budget: run
-                    // the stage degraded on what we actually hold instead
-                    // of aborting. The controller sees the shortfall at
-                    // the barrier and can re-plan the remaining stages.
-                    let available = current + out.acquired;
-                    capacity_shortfall = needed - available;
-                    degraded_acquired = out.acquired;
-                    schedule = self.degrade_schedule(plan, stage, live, gpg, available)?;
-                    needed = schedule.target_instances as usize;
-                    recorder.counter_add("exec", "capacity_shortfall", capacity_shortfall as u64);
-                    if recorder.enabled() {
-                        recorder.instant(
-                            *now,
-                            "exec",
-                            "capacity.degraded",
-                            Lane::Stage(stage as u32),
-                            vec![
-                                ("stage", (stage as u64).into()),
-                                ("shortfall", (capacity_shortfall as u64).into()),
-                                ("instances", (needed as u64).into()),
-                            ],
-                        );
-                    }
+            let out = cm.request_nodes(needed - current, *now, policy)?;
+            retries = out.retries;
+            if out.shortfall > 0 {
+                // Capacity stayed short after the retry budget: run
+                // the stage degraded on what we actually hold instead
+                // of aborting. The controller sees the shortfall at
+                // the barrier and can re-plan the remaining stages.
+                let available = current + out.acquired;
+                capacity_shortfall = needed - available;
+                degraded_acquired = out.acquired;
+                schedule = self.degrade_schedule(plan, stage, live, gpg, available)?;
+                needed = schedule.target_instances as usize;
+                recorder.counter_add("exec", "capacity_shortfall", capacity_shortfall as u64);
+                if recorder.enabled() {
+                    recorder.instant(
+                        *now,
+                        "exec",
+                        "capacity.degraded",
+                        Lane::Stage(stage as u32),
+                        vec![
+                            ("stage", (stage as u64).into()),
+                            ("shortfall", (capacity_shortfall as u64).into()),
+                            ("instances", (needed as u64).into()),
+                        ],
+                    );
                 }
-            } else {
-                cm.request_nodes(needed - current, *now)?;
             }
         }
         let cluster = &mut setup.cluster;
@@ -1923,12 +1927,7 @@ impl Executor {
                     cluster.remove(*n);
                     hosting.retain(|h| h != n);
                 }
-                if let Some(policy) = retry_policy {
-                    let out = cm.request_nodes_resilient(dead.len(), cut, policy)?;
-                    outcome.retries += out.retries;
-                } else {
-                    cm.request_nodes(dead.len(), cut)?;
-                }
+                outcome.retries += cm.request_nodes(dead.len(), cut, retry_policy)?.retries;
                 let ready = cm.pending_ready_time().unwrap_or(cut);
                 for n in cm.absorb_ready(ready) {
                     cluster.add(n);
@@ -2095,6 +2094,104 @@ mod tests {
         assert_eq!(report.stages[0].instances, 2);
         assert_eq!(report.stages[1].instances, 1);
         assert_eq!(report.instances_provisioned, 2);
+    }
+
+    #[test]
+    fn warm_pool_bills_a_private_ledger_that_a_service_pool_replaces() {
+        use rb_cloud::{InstancePool, SharedPool};
+        let task = resnet101_cifar10();
+        // A down-up plan (2/1/2/1 instances): each scale-down parks an
+        // instance that the next scale-up adopts back.
+        let mk = |warm_pool| {
+            Executor::new(
+                small_spec(),
+                AllocationPlan::new(vec![8, 4, 8, 4]),
+                task.clone(),
+                physics(&task, 1024),
+                cloud(),
+            )
+            .unwrap()
+            .with_options(ExecOptions {
+                seed: 40,
+                warm_pool,
+                ..ExecOptions::default()
+            })
+        };
+        let cfgs = configs(8, 100);
+        let run = |mut core: ExecutorCore| {
+            while !core.is_finished() {
+                let now = core.now();
+                core.step(now, &mut NoopHook).unwrap();
+            }
+            core.finish().unwrap()
+        };
+
+        // Alone, the job parks in its own pool, and teardown leaves that
+        // ledger drained and balanced.
+        let (warm_exec, cold_exec) = (mk(2), mk(0));
+        let core = ExecutorCore::new(&warm_exec, &cfgs, RecorderHandle::noop()).unwrap();
+        let private = core.cm.pool().expect("warm_pool > 0 gives a pool").clone();
+        let warm = run(core);
+        let cold = cold_exec.run(&cfgs).unwrap();
+        let stats = private.with(|p| p.stats());
+        assert!(stats.handoffs > 0, "{stats:?}");
+        assert_eq!(private.with(|p| p.parked_count()), 0);
+        assert!(stats.balances(0), "{stats:?}");
+        // Each adoption stands in for one provision of the cold run.
+        assert!(warm.jct < cold.jct);
+        assert_eq!(
+            warm.instances_provisioned + stats.handoffs as usize,
+            cold.instances_provisioned
+        );
+        // The spend curve on the trace bus ends at the reported bill,
+        // the private pool's share included.
+        let sink = Arc::new(rb_obs::MemoryRecorder::new());
+        let observed = warm_exec
+            .run_observed(&cfgs, &mut NoopHook, RecorderHandle::new(sink.clone()))
+            .unwrap();
+        assert_eq!(observed.compute_cost, warm.compute_cost);
+        let log = sink.finish();
+        let spend = log
+            .events_named("cloud", "spend_usd")
+            .last()
+            .map(|e| e.kind);
+        assert_eq!(
+            spend,
+            Some(rb_obs::EventKind::Gauge {
+                value: warm.compute_cost.as_dollars()
+            })
+        );
+
+        // Under a service the shared pool replaces the private one: the
+        // run is the warm_pool = 0 run on the same shared pool, and the
+        // private ledger never sees an offer.
+        let shared = || {
+            SharedPool::new(
+                InstancePool::new(
+                    PoolConfig {
+                        max_hold_secs: 1e7,
+                        ..PoolConfig::default()
+                    },
+                    CloudPricing::on_demand(P3_8XLARGE),
+                )
+                .unwrap(),
+            )
+        };
+        let served = |exec: &Executor| {
+            let pool = shared();
+            let mut core = ExecutorCore::new(exec, &cfgs, RecorderHandle::noop()).unwrap();
+            let private = core.cm.pool().cloned();
+            core.attach_shared_pool(pool.clone(), 0, None);
+            let report = run(core);
+            let private_offers = private.map_or(0, |p| p.with(|p| p.stats().offers));
+            (report, pool.with(|p| p.stats()), private_offers)
+        };
+        let (warm_served, warm_stats, private_offers) = served(&warm_exec);
+        let (cold_served, cold_stats, _) = served(&cold_exec);
+        assert_eq!(private_offers, 0);
+        assert!(warm_stats.handoffs > 0, "{warm_stats:?}");
+        assert_eq!(format!("{warm_served:?}"), format!("{cold_served:?}"));
+        assert_eq!(warm_stats, cold_stats);
     }
 
     #[test]

@@ -289,12 +289,15 @@ fn interleaved_cores_share_one_pool_and_the_ledger_balances() {
             })
             .collect();
         let cfg_sets: Vec<Vec<Config>> = (0..2u64).map(|k| configs(8, 100 + k)).collect();
+        let sinks: Vec<Arc<MemoryRecorder>> =
+            (0..2).map(|_| Arc::new(MemoryRecorder::new())).collect();
         let mut cores: Vec<ExecutorCore> = execs
             .iter()
             .zip(&cfg_sets)
             .enumerate()
             .map(|(k, (e, c))| {
-                let mut core = ExecutorCore::new(e, c, RecorderHandle::noop()).unwrap();
+                let recorder = RecorderHandle::new(sinks[k].clone());
+                let mut core = ExecutorCore::new(e, c, recorder).unwrap();
                 core.attach_shared_pool(pool.clone(), k as u64, None);
                 core
             })
@@ -318,10 +321,20 @@ fn interleaved_cores_share_one_pool_and_the_ledger_balances() {
             cores.into_iter().map(|c| c.finish().unwrap()).collect();
         pool.with(|p| p.drain(end));
         let stats = pool.with(|p| p.stats());
-        (reports, stats)
+        // Every meter lifetime starts at a hand-over from the provider
+        // or at an adoption from the pool.
+        let meter_starts: usize = sinks
+            .iter()
+            .map(|sink| {
+                let log = sink.finish();
+                log.events_named("cloud", "instance.running").count()
+                    + log.events_named("cloud", "instance.adopt").count()
+            })
+            .sum();
+        (reports, stats, meter_starts)
     };
 
-    let (reports, stats) = run();
+    let (reports, stats, meter_starts) = run();
     assert!(
         stats.handoffs > 0,
         "interleaved barriers must hand capacity across the pool: {stats:?}"
@@ -332,10 +345,14 @@ fn interleaved_cores_share_one_pool_and_the_ledger_balances() {
         stats.balances(0),
         "pool ledger out of balance after drain: {stats:?}"
     );
+    // `instances_provisioned` counts provider provisions only: the
+    // adopted lifetimes are the pool's handoffs.
+    let provisioned: usize = reports.iter().map(|r| r.instances_provisioned).sum();
+    assert_eq!(provisioned + stats.handoffs as usize, meter_starts);
 
     // The interleaving is a pure function of the workload: a second
     // run is bit-identical, reports and ledger alike.
-    let (again, stats_again) = run();
+    let (again, stats_again, _) = run();
     assert_eq!(format!("{reports:?}"), format!("{again:?}"));
     assert_eq!(format!("{stats:?}"), format!("{stats_again:?}"));
 }

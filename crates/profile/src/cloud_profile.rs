@@ -161,12 +161,6 @@ impl CloudProfile {
         Ok(())
     }
 
-    /// Mean seconds from requesting an instance to it being usable:
-    /// provisioning plus initialization.
-    pub fn mean_scale_up_secs(&self) -> f64 {
-        self.provision_delay.mean() + self.init_latency.mean()
-    }
-
     /// Re-prices provisioning risk from an observed event window: the
     /// provision-delay distribution is stretched by the expected number
     /// of attempts a request will need under the observed denial rate.
@@ -213,7 +207,6 @@ mod tests {
         assert_eq!(p.provision_delay.mean(), 15.0);
         assert_eq!(p.init_latency.mean(), 15.0);
         assert_eq!(p.dataset_gb, 150.0);
-        assert_eq!(p.mean_scale_up_secs(), 30.0);
         assert_eq!(p.gpus_per_instance(), 4);
     }
 
