@@ -27,7 +27,7 @@ use rb_exec::{BarrierHook, BarrierSnapshot, SwitchDirective, UnitObservation, Wa
 use rb_hpo::ExperimentSpec;
 use rb_obs::Lane;
 use rb_planner::{plan_residual, PlannerConfig, ResidualOutcome};
-use rb_profile::CapacityEvents;
+use rb_profile::{CapacityEvents, CloudProfile};
 use rb_scaling::{refit_least_squares, LatencyObservation, RefitScaling};
 use rb_sim::{AllocationPlan, Simulator};
 use std::sync::Arc;
@@ -316,6 +316,22 @@ pub struct AdaptiveController {
     pending: Option<SwitchDirective>,
 }
 
+/// What a re-plan decision reads from its snapshot, the same at a
+/// barrier and at a watchdog cut.
+struct ReplanPoint<'a> {
+    /// The completed (barrier) or interrupted (watchdog) stage.
+    stage: usize,
+    /// The first stage the residual covers: the next one at a barrier,
+    /// the interrupted one itself at a watchdog cut.
+    from: usize,
+    now: SimTime,
+    preemptions: u32,
+    instance_seconds: f64,
+    home_zone: u32,
+    num_zones: u32,
+    plan: &'a AllocationPlan,
+}
+
 impl AdaptiveController {
     /// Creates a controller for a job about to execute `plan` under
     /// `deadline`. `sim` must be the planner's view (fitted profile +
@@ -406,62 +422,65 @@ impl AdaptiveController {
         }
     }
 
-    /// A fresh simulator sharing this controller's model view and engine
-    /// configuration but running over `cloud` — used to price the
-    /// alternative market without touching the planning simulator.
-    fn sibling_sim(&self, cloud: rb_profile::CloudProfile) -> Simulator {
-        Simulator::new(self.sim.model().clone(), cloud)
+    /// A fresh simulator over `model` and `cloud` with this controller's
+    /// engine configuration and no recorder — used to price alternative
+    /// markets without touching the planning simulator, and to build
+    /// the planning simulator's replacement.
+    fn sibling_sim(&self, model: rb_profile::ModelProfile, cloud: CloudProfile) -> Simulator {
+        Simulator::new(model, cloud)
             .with_config(self.sim.config().clone())
             .with_engine(*self.sim.engine())
     }
 
-    /// Emits the replan-trigger counter and instant for `trigger`.
+    /// Emits the replan-trigger counter and instant for `trigger`. A
+    /// watchdog cut passes its `(budget_secs, remaining_units)`, which
+    /// the instant carries too.
     fn note_trigger(
         &self,
         trigger: ReplanTrigger,
         stage: usize,
         now: SimTime,
-        recorder: &rb_obs::RecorderHandle,
+        cut: Option<(f64, u64)>,
     ) {
+        let recorder = self.sim.recorder();
         recorder.counter_add("ctrl", "replans_triggered", 1);
         if recorder.enabled() {
-            recorder.instant(
-                now,
-                "ctrl",
-                "replan.trigger",
-                Lane::Controller,
-                vec![
-                    ("stage", stage.into()),
-                    (
-                        "trigger",
-                        match trigger {
-                            ReplanTrigger::Drift => "drift",
-                            ReplanTrigger::Preemption => "preemption",
-                            ReplanTrigger::Watchdog => "watchdog",
-                            ReplanTrigger::CapacityShortfall => "capacity_shortfall",
-                            ReplanTrigger::ZoneDegraded => "zone_degraded",
-                            ReplanTrigger::MarketSwitch => "market_switch",
-                        }
-                        .into(),
-                    ),
-                    ("drift_factor", self.monitor.drift_factor().into()),
-                ],
-            );
+            let mut args = vec![
+                ("stage", stage.into()),
+                (
+                    "trigger",
+                    match trigger {
+                        ReplanTrigger::Drift => "drift",
+                        ReplanTrigger::Preemption => "preemption",
+                        ReplanTrigger::Watchdog => "watchdog",
+                        ReplanTrigger::CapacityShortfall => "capacity_shortfall",
+                        ReplanTrigger::ZoneDegraded => "zone_degraded",
+                        ReplanTrigger::MarketSwitch => "market_switch",
+                    }
+                    .into(),
+                ),
+                ("drift_factor", self.monitor.drift_factor().into()),
+            ];
+            if let Some((budget_secs, remaining_units)) = cut {
+                args.push(("budget_secs", budget_secs.into()));
+                args.push(("remaining_units", remaining_units.into()));
+            }
+            recorder.instant(now, "ctrl", "replan.trigger", Lane::Controller, args);
         }
     }
 
     /// In execute mode, converts a decision into the [`SwitchDirective`]
     /// the executor will poll at this same safe point: the preferred
     /// market (with its interruption expectation for future capacity)
-    /// and/or the neighbor zone when the home zone degraded. Returns
-    /// whether a directive was armed.
+    /// and/or the neighbor zone when the capacity window on a multi-zone
+    /// cloud was not calm, whatever the trigger. Returns whether a
+    /// directive was armed.
     fn arm_switch(
         &mut self,
         market: MarketChoice,
         market_switched: bool,
-        zone_move: bool,
-        home_zone: u32,
-        num_zones: u32,
+        point: &ReplanPoint<'_>,
+        window: &CapacityEvents,
     ) -> bool {
         if !self.config.market.execute {
             return false;
@@ -474,8 +493,8 @@ impl AdaptiveController {
                 MarketChoice::OnDemand => 0.0,
             });
         }
-        if zone_move && num_zones > 1 {
-            directive.zone = Some((home_zone + 1) % num_zones);
+        if point.num_zones > 1 && !window.is_calm() {
+            directive.zone = Some((point.home_zone + 1) % point.num_zones);
         }
         if directive.is_empty() {
             return false;
@@ -484,11 +503,12 @@ impl AdaptiveController {
             // The planning view follows the executed market: without
             // this, every later barrier would score "current" against
             // the abandoned tier and re-advise the same switch forever.
-            let recorder = self.sim.recorder().clone();
             let mut cloud = self.sim.cloud().clone();
             cloud.pricing = cloud.pricing.with_tier(tier);
             cloud.spot_interruptions_per_hour = rate;
-            self.sim = self.sibling_sim(cloud).with_recorder(recorder);
+            self.sim = self
+                .sibling_sim(self.sim.model().clone(), cloud)
+                .with_recorder(self.sim.recorder().clone());
         }
         self.pending = Some(directive);
         true
@@ -533,13 +553,9 @@ impl AdaptiveController {
             alpha,
             beta,
         ));
-        let cloud = self.sim.cloud().clone();
-        let sim_config = self.sim.config().clone();
-        let engine = *self.sim.engine();
         let recorder = self.sim.recorder().clone();
-        self.sim = Simulator::new(model, cloud)
-            .with_config(sim_config)
-            .with_engine(engine)
+        self.sim = self
+            .sibling_sim(model, self.sim.cloud().clone())
             .with_recorder(recorder.clone());
         self.refit = Some((alpha, beta));
         self.refits.push(RefitEvent {
@@ -579,21 +595,18 @@ impl AdaptiveController {
     /// Returns the authoritative outcome (from the executing market)
     /// plus the preferred market and whether it differs from the
     /// executing one.
-    #[allow(clippy::too_many_arguments)] // The residual problem plus the barrier and watchdog observations.
     fn plan_residual_markets(
-        &mut self,
+        &self,
         residual_spec: &ExperimentSpec,
         residual_deadline: SimDuration,
         warm: &AllocationPlan,
-        now: SimTime,
-        preemptions: u32,
-        instance_seconds: f64,
+        point: &ReplanPoint<'_>,
         window: &CapacityEvents,
     ) -> Option<(ResidualOutcome, MarketChoice, bool)> {
-        let risky = window.requests > 0 && !window.is_calm();
         let base_cloud = self.sim.cloud().risk_from_events(window);
-        if risky {
-            let recorder = self.sim.recorder().clone();
+        let risk_sim;
+        let sim = if window.requests > 0 && !window.is_calm() {
+            let recorder = self.sim.recorder();
             if recorder.enabled() {
                 let stretch = if self.sim.cloud().provision_delay.mean() > 0.0 {
                     base_cloud.provision_delay.mean() / self.sim.cloud().provision_delay.mean()
@@ -601,7 +614,7 @@ impl AdaptiveController {
                     1.0
                 };
                 recorder.instant(
-                    now,
+                    point.now,
                     "ctrl",
                     "replan.risk_priced",
                     Lane::Controller,
@@ -614,26 +627,21 @@ impl AdaptiveController {
                     ],
                 );
             }
-        }
-        let out = if risky {
-            plan_residual(
-                &self.sibling_sim(base_cloud.clone()),
-                residual_spec,
-                residual_deadline,
-                warm,
-                &self.config.planner,
-            )
-            .ok()?
+            risk_sim = self.sibling_sim(self.sim.model().clone(), base_cloud.clone());
+            &risk_sim
         } else {
+            &self.sim
+        };
+        let plan = |sim: &Simulator| {
             plan_residual(
-                &self.sim,
+                sim,
                 residual_spec,
                 residual_deadline,
                 warm,
                 &self.config.planner,
             )
-            .ok()?
         };
+        let out = plan(sim).ok()?;
         let current = MarketChoice::of(self.sim.cloud().pricing.tier);
         if !self.config.market.enabled {
             return Some((out, current, false));
@@ -644,18 +652,12 @@ impl AdaptiveController {
         // one, so the comparison reflects the churn actually seen.
         let mut cur_feasible = out.feasible;
         let mut cur_cost = out.prediction.cost.as_dollars();
-        if current == MarketChoice::Spot && instance_seconds > 0.0 {
-            let observed_rate = f64::from(preemptions) / (instance_seconds / 3600.0);
+        if current == MarketChoice::Spot && point.instance_seconds > 0.0 {
+            let observed_rate = f64::from(point.preemptions) / (point.instance_seconds / 3600.0);
             if observed_rate.is_finite() {
                 let mut cur_cloud = base_cloud.clone();
                 cur_cloud.spot_interruptions_per_hour = observed_rate;
-                if let Ok(cur) = plan_residual(
-                    &self.sibling_sim(cur_cloud),
-                    residual_spec,
-                    residual_deadline,
-                    warm,
-                    &self.config.planner,
-                ) {
+                if let Ok(cur) = plan(&self.sibling_sim(self.sim.model().clone(), cur_cloud)) {
                     cur_feasible = cur.feasible;
                     cur_cost = cur.prediction.cost.as_dollars();
                 }
@@ -678,26 +680,19 @@ impl AdaptiveController {
                 MarketChoice::OnDemand
             }
         };
-        let alt = plan_residual(
-            &self.sibling_sim(alt_cloud),
-            residual_spec,
-            residual_deadline,
-            warm,
-            &self.config.planner,
-        )
-        .ok();
+        let alt = plan(&self.sibling_sim(self.sim.model().clone(), alt_cloud)).ok();
         let switched = alt.as_ref().is_some_and(|alt| {
             (alt.feasible && !cur_feasible)
                 || (alt.feasible == cur_feasible && alt.prediction.cost.as_dollars() < cur_cost)
         });
         let market = if switched { alt_market } else { current };
         if switched {
-            let recorder = self.sim.recorder().clone();
+            let recorder = self.sim.recorder();
             recorder.counter_add("ctrl", "market_switches_advised", 1);
             if recorder.enabled() {
                 let alt = alt.as_ref().expect("switched implies alt");
                 recorder.instant(
-                    now,
+                    point.now,
                     "ctrl",
                     "market.switch",
                     Lane::Controller,
@@ -714,16 +709,121 @@ impl AdaptiveController {
         }
         Some((out, market, switched))
     }
+
+    /// The one re-plan decision behind both hook callbacks: refit the
+    /// model, plan the residual under both markets, arm an executed
+    /// switch, record the outcome, keep the drift envelope on the plan
+    /// that will execute, and log the [`ReplanEvent`]. `trigger` is
+    /// `None` only for an execute-mode market probe, which becomes a
+    /// [`ReplanTrigger::MarketSwitch`] if the probe switches and is
+    /// dropped otherwise. Returns the suffix to splice from
+    /// `point.from` on, when it differs from the incumbent.
+    fn settle(
+        &mut self,
+        point: &ReplanPoint<'_>,
+        residual_spec: ExperimentSpec,
+        trigger: Option<ReplanTrigger>,
+        window: CapacityEvents,
+    ) -> Option<Vec<u32>> {
+        let drift_at_decision = self.monitor.drift_factor();
+        let old_suffix = point.plan.as_slice()[point.from..].to_vec();
+        let warm = AllocationPlan::new(old_suffix.clone());
+        let cut = trigger == Some(ReplanTrigger::Watchdog);
+        // Refit before planning so the residual is scored on the best
+        // available model. At a barrier the envelope tracks the refit
+        // view even if no new suffix is applied below; a watchdog cut
+        // retargets only with an applied suffix. The probe-only path
+        // skips the refit: with nothing wrong, swapping models on every
+        // barrier would churn the envelope for no cause.
+        if trigger.is_some() && self.try_refit(point.stage, point.now) && !cut {
+            if let Ok(qs) = self.sim.stage_quantiles(&residual_spec, &warm) {
+                self.monitor.retarget(point.from, qs);
+            }
+        }
+        let residual_deadline = self.dilated_residual_deadline(point.now);
+        // A planner failure must not kill the job; keep the incumbent.
+        let (out, market, market_switched) =
+            self.plan_residual_markets(&residual_spec, residual_deadline, &warm, point, &window)?;
+        let trigger = match trigger {
+            Some(t) => t,
+            None if market_switched => {
+                self.note_trigger(ReplanTrigger::MarketSwitch, point.stage, point.now, None);
+                ReplanTrigger::MarketSwitch
+            }
+            None => return None,
+        };
+        let market_executed = self.arm_switch(market, market_switched, point, &window);
+
+        let new_suffix = out.plan.as_slice().to_vec();
+        let applied = new_suffix != old_suffix;
+        let recorder = self.sim.recorder();
+        recorder.counter_add(
+            "ctrl",
+            if applied {
+                "replans_applied"
+            } else {
+                "replans_rejected"
+            },
+            1,
+        );
+        if recorder.enabled() {
+            recorder.instant(
+                point.now,
+                "ctrl",
+                if applied {
+                    "replan.apply"
+                } else {
+                    "replan.reject"
+                },
+                Lane::Controller,
+                vec![
+                    ("stage", point.stage.into()),
+                    ("feasible", out.feasible.into()),
+                    (
+                        "predicted_jct_secs",
+                        out.prediction.jct.as_secs_f64().into(),
+                    ),
+                    (
+                        "predicted_cost_usd",
+                        out.prediction.cost.as_dollars().into(),
+                    ),
+                    ("market", market.name().into()),
+                ],
+            );
+        }
+        if applied {
+            // The envelope must describe the plan actually executing.
+            if let Ok(qs) = self.sim.stage_quantiles(&residual_spec, &out.plan) {
+                self.monitor.retarget(point.from, qs);
+            }
+        }
+        self.events.push(ReplanEvent {
+            stage: point.stage,
+            at: point.now,
+            trigger,
+            drift_factor: drift_at_decision,
+            residual_deadline,
+            old_suffix,
+            new_suffix: new_suffix.clone(),
+            feasible: out.feasible,
+            predicted_jct: out.prediction.jct,
+            predicted_cost: out.prediction.cost,
+            applied,
+            market,
+            market_switched,
+            market_executed,
+        });
+        applied.then_some(new_suffix)
+    }
 }
 
 impl BarrierHook for AdaptiveController {
     fn at_barrier(&mut self, snap: &BarrierSnapshot<'_>) -> Option<Vec<u32>> {
         self.monitor.observe(snap.stage, snap.stage_span);
         self.push_observations(snap.unit_obs);
-        let recorder = self.sim.recorder().clone();
         // The drift-factor time series: one gauge per barrier, whether or
         // not the controller intervenes.
-        recorder.gauge(
+        self.sim.recorder().gauge(
             snap.now,
             "ctrl",
             "drift_factor",
@@ -756,114 +856,23 @@ impl BarrierHook for AdaptiveController {
             return None;
         };
         if let Some(trigger) = trigger {
-            self.note_trigger(trigger, snap.stage, snap.now, &recorder);
+            self.note_trigger(trigger, snap.stage, snap.now, None);
         }
-        let drift_at_decision = self.monitor.drift_factor();
-
-        let next = snap.stage + 1;
         // Residual job: the spec's suffix (survivor progress lives in
         // checkpoints), warm-started from the incumbent plan's suffix.
+        let next = snap.stage + 1;
         let residual_spec = self.spec.suffix(next).ok()?;
-        let old_suffix = snap.plan.as_slice()[next..].to_vec();
-        let warm = AllocationPlan::new(old_suffix.clone());
-        // Refit before planning so the residual is scored on the best
-        // available model; the envelope must track the refit view even if
-        // no new suffix is applied below. The probe-only path skips the
-        // refit: with nothing wrong, swapping models on every barrier
-        // would churn the envelope for no cause.
-        if trigger.is_some() && self.try_refit(snap.stage, snap.now) {
-            if let Ok(qs) = self.sim.stage_quantiles(&residual_spec, &warm) {
-                self.monitor.retarget(next, qs);
-            }
-        }
-        let residual_deadline = self.dilated_residual_deadline(snap.now);
-        // A planner failure must not kill the job; keep the incumbent.
-        let (out, market, market_switched) = self.plan_residual_markets(
-            &residual_spec,
-            residual_deadline,
-            &warm,
-            snap.now,
-            snap.preemptions,
-            snap.instance_seconds,
-            &window,
-        )?;
-        let trigger = match trigger {
-            Some(t) => t,
-            None => {
-                if !market_switched {
-                    return None;
-                }
-                self.note_trigger(ReplanTrigger::MarketSwitch, snap.stage, snap.now, &recorder);
-                ReplanTrigger::MarketSwitch
-            }
-        };
-        let market_executed = self.arm_switch(
-            market,
-            market_switched,
-            trigger == ReplanTrigger::ZoneDegraded,
-            snap.home_zone,
-            snap.num_zones,
-        );
-
-        let new_suffix = out.plan.as_slice().to_vec();
-        let applied = new_suffix != old_suffix;
-        recorder.counter_add(
-            "ctrl",
-            if applied {
-                "replans_applied"
-            } else {
-                "replans_rejected"
-            },
-            1,
-        );
-        if recorder.enabled() {
-            recorder.instant(
-                snap.now,
-                "ctrl",
-                if applied {
-                    "replan.apply"
-                } else {
-                    "replan.reject"
-                },
-                Lane::Controller,
-                vec![
-                    ("stage", snap.stage.into()),
-                    ("feasible", out.feasible.into()),
-                    (
-                        "predicted_jct_secs",
-                        out.prediction.jct.as_secs_f64().into(),
-                    ),
-                    (
-                        "predicted_cost_usd",
-                        out.prediction.cost.as_dollars().into(),
-                    ),
-                    ("market", market.name().into()),
-                ],
-            );
-        }
-        if applied {
-            // The envelope must describe the plan actually executing.
-            if let Ok(qs) = self.sim.stage_quantiles(&residual_spec, &out.plan) {
-                self.monitor.retarget(next, qs);
-            }
-        }
-        self.events.push(ReplanEvent {
+        let point = ReplanPoint {
             stage: snap.stage,
-            at: snap.now,
-            trigger,
-            drift_factor: drift_at_decision,
-            residual_deadline,
-            old_suffix,
-            new_suffix: new_suffix.clone(),
-            feasible: out.feasible,
-            predicted_jct: out.prediction.jct,
-            predicted_cost: out.prediction.cost,
-            applied,
-            market,
-            market_switched,
-            market_executed,
-        });
-        applied.then_some(new_suffix)
+            from: next,
+            now: snap.now,
+            preemptions: snap.preemptions,
+            instance_seconds: snap.instance_seconds,
+            home_zone: snap.home_zone,
+            num_zones: snap.num_zones,
+            plan: snap.plan,
+        };
+        self.settle(&point, residual_spec, trigger, window)
     }
 
     fn stage_budget_secs(&mut self, stage: usize) -> Option<f64> {
@@ -880,7 +889,6 @@ impl BarrierHook for AdaptiveController {
     }
 
     fn at_watchdog(&mut self, snap: &WatchdogSnapshot<'_>) -> Option<Vec<u32>> {
-        let recorder = self.sim.recorder().clone();
         // Fold the partial stage's evidence into the drift estimate: the
         // unit-weighted observed/predicted latency ratio. A watchdog
         // interruption is not a barrier span, so this goes through
@@ -904,124 +912,37 @@ impl BarrierHook for AdaptiveController {
         // re-trigger on them at the next barrier.
         self.preemptions_seen = snap.preemptions;
         let window = self.capacity_window(snap.capacity_events);
-
-        recorder.counter_add("ctrl", "replans_triggered", 1);
-        if recorder.enabled() {
-            recorder.instant(
-                snap.now,
-                "ctrl",
-                "replan.trigger",
-                Lane::Controller,
-                vec![
-                    ("stage", snap.stage.into()),
-                    ("trigger", "watchdog".into()),
-                    ("drift_factor", self.monitor.drift_factor().into()),
-                    ("budget_secs", snap.budget_secs.into()),
-                    ("remaining_units", snap.max_remaining_units.into()),
-                ],
-            );
-        }
-        let drift_at_decision = self.monitor.drift_factor();
+        self.note_trigger(
+            ReplanTrigger::Watchdog,
+            snap.stage,
+            snap.now,
+            Some((snap.budget_secs, snap.max_remaining_units)),
+        );
 
         // Residual spec: the interrupted stage's survivors with their
         // residual units, then the untouched tail of the original spec.
-        let mut stages: Vec<(u32, u64)> = Vec::new();
-        for s in snap.stage..self.spec.num_stages() {
-            let (trials, units) = self.spec.get_stage(s).ok()?;
-            stages.push(if s == snap.stage {
-                (trials, snap.max_remaining_units.max(1))
-            } else {
-                (trials, units)
-            });
-        }
+        let mut stages = (snap.stage..self.spec.num_stages())
+            .map(|s| self.spec.get_stage(s))
+            .collect::<Result<Vec<_>>>()
+            .ok()?;
+        stages[0].1 = snap.max_remaining_units.max(1);
         let residual_spec = ExperimentSpec::from_stages(&stages).ok()?;
-        let old_suffix = snap.plan.as_slice()[snap.stage..].to_vec();
-        let warm = AllocationPlan::new(old_suffix.clone());
-        self.try_refit(snap.stage, snap.now);
-        let residual_deadline = self.dilated_residual_deadline(snap.now);
-        let planned = self.plan_residual_markets(
-            &residual_spec,
-            residual_deadline,
-            &warm,
-            snap.now,
-            snap.preemptions,
-            snap.instance_seconds,
-            &window,
-        );
-        // Whatever happens below, this stage's eventual barrier span
-        // includes the checkpoint/re-plan detour and must not be read as
-        // drift again.
-        self.monitor.invalidate(snap.stage);
-        let (out, market, market_switched) = planned?;
-        let market_executed = self.arm_switch(
-            market,
-            market_switched,
-            snap.num_zones > 1 && !window.is_calm(),
-            snap.home_zone,
-            snap.num_zones,
-        );
-
-        let new_suffix = out.plan.as_slice().to_vec();
-        let applied = new_suffix != old_suffix;
-        recorder.counter_add(
-            "ctrl",
-            if applied {
-                "replans_applied"
-            } else {
-                "replans_rejected"
-            },
-            1,
-        );
-        if recorder.enabled() {
-            recorder.instant(
-                snap.now,
-                "ctrl",
-                if applied {
-                    "replan.apply"
-                } else {
-                    "replan.reject"
-                },
-                Lane::Controller,
-                vec![
-                    ("stage", snap.stage.into()),
-                    ("feasible", out.feasible.into()),
-                    (
-                        "predicted_jct_secs",
-                        out.prediction.jct.as_secs_f64().into(),
-                    ),
-                    (
-                        "predicted_cost_usd",
-                        out.prediction.cost.as_dollars().into(),
-                    ),
-                    ("market", market.name().into()),
-                ],
-            );
-        }
-        if applied {
-            if let Ok(qs) = self.sim.stage_quantiles(&residual_spec, &out.plan) {
-                self.monitor.retarget(snap.stage, qs);
-            }
-            // Retargeting restored the interrupted stage's envelope slot;
-            // its barrier span is still contaminated by the detour.
-            self.monitor.invalidate(snap.stage);
-        }
-        self.events.push(ReplanEvent {
+        let point = ReplanPoint {
             stage: snap.stage,
-            at: snap.now,
-            trigger: ReplanTrigger::Watchdog,
-            drift_factor: drift_at_decision,
-            residual_deadline,
-            old_suffix,
-            new_suffix: new_suffix.clone(),
-            feasible: out.feasible,
-            predicted_jct: out.prediction.jct,
-            predicted_cost: out.prediction.cost,
-            applied,
-            market,
-            market_switched,
-            market_executed,
-        });
-        applied.then_some(new_suffix)
+            from: snap.stage,
+            now: snap.now,
+            preemptions: snap.preemptions,
+            instance_seconds: snap.instance_seconds,
+            home_zone: snap.home_zone,
+            num_zones: snap.num_zones,
+            plan: snap.plan,
+        };
+        let suffix = self.settle(&point, residual_spec, Some(ReplanTrigger::Watchdog), window);
+        // Whatever was decided, this stage's eventual barrier span
+        // includes the checkpoint/re-plan detour and must not be read as
+        // drift again (a retarget above restored its envelope slot).
+        self.monitor.invalidate(snap.stage);
+        suffix
     }
 
     fn pending_switch(&mut self) -> Option<SwitchDirective> {
@@ -1210,6 +1131,22 @@ mod tests {
         p
     }
 
+    /// Nominal physics except that communication runs 6× slow.
+    fn contended_executor(task: &TaskModel, plan: &AllocationPlan) -> Executor {
+        Executor::new(
+            spec(),
+            plan.clone(),
+            task.clone(),
+            comm_physics(task, 6.0),
+            cloud(),
+        )
+        .unwrap()
+        .with_options(ExecOptions {
+            seed: 11,
+            ..ExecOptions::default()
+        })
+    }
+
     #[test]
     fn watchdog_recovers_a_hidden_final_stage_slowdown() {
         let task = resnet101_cifar10();
@@ -1219,18 +1156,7 @@ mod tests {
         // adaptation structurally cannot react to it.
         let plan = AllocationPlan::new(vec![2, 2, 2, 16]);
         let run = |config: Option<ControllerConfig>| {
-            let exec = Executor::new(
-                spec(),
-                plan.clone(),
-                task.clone(),
-                comm_physics(&task, 6.0),
-                cloud(),
-            )
-            .unwrap()
-            .with_options(ExecOptions {
-                seed: 11,
-                ..ExecOptions::default()
-            });
+            let exec = contended_executor(&task, &plan);
             match config {
                 None => (exec.run(&configs(8, 3)).unwrap(), None),
                 Some(config) => {
@@ -1299,14 +1225,11 @@ mod tests {
         assert_eq!(cut.best_accuracy, open.best_accuracy);
     }
 
-    #[test]
-    fn zone_outage_executed_switch_beats_the_advisory_controller() {
+    /// Two zones, the home zone dead from t = 60 s on, and a retry
+    /// policy patient enough to keep asking it.
+    fn zone_outage_executor(task: &TaskModel, plan: &AllocationPlan) -> Executor {
         use rb_cloud::{FaultPlan, ZonePlan, ZoneWindow};
         use rb_exec::RetryPolicy;
-        let task = resnet101_cifar10();
-        // Scale-ups at stages 2 and 3 keep asking the (dead) home zone
-        // for capacity.
-        let plan = AllocationPlan::new(vec![4, 4, 8, 16]);
         let faults = FaultPlan {
             zones: ZonePlan {
                 zones: 2,
@@ -1319,45 +1242,57 @@ mod tests {
             },
             ..FaultPlan::none()
         };
-        let mk_exec = || {
-            Executor::new(
-                spec(),
-                plan.clone(),
-                task.clone(),
-                physics(&task, 1.0),
-                cloud(),
-            )
-            .unwrap()
-            .with_options(ExecOptions {
-                seed: 11,
-                faults: faults.clone(),
-                retry: Some(RetryPolicy {
-                    max_retries: 6,
-                    base_backoff_secs: 120.0,
-                    max_backoff_secs: 240.0,
-                    request_timeout_secs: 480.0,
-                }),
-                ..ExecOptions::default()
-            })
-        };
+        Executor::new(
+            spec(),
+            plan.clone(),
+            task.clone(),
+            physics(task, 1.0),
+            cloud(),
+        )
+        .unwrap()
+        .with_options(ExecOptions {
+            seed: 11,
+            faults,
+            retry: Some(RetryPolicy {
+                max_retries: 6,
+                base_backoff_secs: 120.0,
+                max_backoff_secs: 240.0,
+                request_timeout_secs: 480.0,
+            }),
+            ..ExecOptions::default()
+        })
+    }
+
+    /// Market comparison off, so a zone scenario isolates the zone
+    /// behavior (the probe test covers market flips).
+    fn zone_config(execute: bool) -> ControllerConfig {
+        ControllerConfig {
+            watchdog: WatchdogConfig {
+                enabled: false,
+                ..WatchdogConfig::default()
+            },
+            market: MarketConfig {
+                enabled: false,
+                execute,
+                ..MarketConfig::default()
+            },
+            ..ControllerConfig::default()
+        }
+    }
+
+    #[test]
+    fn zone_outage_executed_switch_beats_the_advisory_controller() {
+        let task = resnet101_cifar10();
+        // Scale-ups at stages 2 and 3 keep asking the (dead) home zone
+        // for capacity.
+        let plan = AllocationPlan::new(vec![4, 4, 8, 16]);
+        let mk_exec = || zone_outage_executor(&task, &plan);
         let deadline = SimDuration::from_secs(27 * 60);
         let run = |execute: bool| {
-            // Market comparison off: this test isolates the zone
-            // behavior (the probe test below covers market flips).
-            let config = ControllerConfig {
-                watchdog: WatchdogConfig {
-                    enabled: false,
-                    ..WatchdogConfig::default()
-                },
-                market: MarketConfig {
-                    enabled: false,
-                    execute,
-                    ..MarketConfig::default()
-                },
-                ..ControllerConfig::default()
-            };
             let sim = Simulator::new(physics(&task, 1.0), cloud());
-            let mut ctrl = AdaptiveController::new(sim, spec(), &plan, deadline, config).unwrap();
+            let mut ctrl =
+                AdaptiveController::new(sim, spec(), &plan, deadline, zone_config(execute))
+                    .unwrap();
             let r = mk_exec().run_hooked(&configs(8, 3), &mut ctrl).unwrap();
             (r, ctrl.into_log())
         };
@@ -1393,15 +1328,10 @@ mod tests {
         assert_eq!(executed.best_accuracy, open.best_accuracy);
     }
 
-    #[test]
-    fn market_probe_executes_a_switch_to_cheaper_spot_capacity() {
-        let task = resnet101_cifar10();
-        let plan = AllocationPlan::new(vec![8, 8, 8, 8]);
-        let open = executor(&task, &plan, 1.0).run(&configs(8, 3)).unwrap();
-        // Calm run, generous deadline: nothing triggers except the
-        // execute-mode market probe, which finds spot feasible and far
-        // cheaper and drains the fleet onto it.
-        let config = ControllerConfig {
+    /// Drift and preemption triggers off and the watchdog disarmed:
+    /// only the execute-mode market probe can re-plan.
+    fn probe_config() -> ControllerConfig {
+        ControllerConfig {
             drift: DriftConfig {
                 replan_threshold: 100.0,
                 replan_on_preemption: false,
@@ -1416,8 +1346,18 @@ mod tests {
                 ..MarketConfig::default()
             },
             ..ControllerConfig::default()
-        };
-        let mut ctrl = controller(&plan, SimDuration::from_hours(4), config);
+        }
+    }
+
+    #[test]
+    fn market_probe_executes_a_switch_to_cheaper_spot_capacity() {
+        let task = resnet101_cifar10();
+        let plan = AllocationPlan::new(vec![8, 8, 8, 8]);
+        let open = executor(&task, &plan, 1.0).run(&configs(8, 3)).unwrap();
+        // Calm run, generous deadline: nothing triggers except the
+        // execute-mode market probe, which finds spot feasible and far
+        // cheaper and drains the fleet onto it.
+        let mut ctrl = controller(&plan, SimDuration::from_hours(4), probe_config());
         let switched = executor(&task, &plan, 1.0)
             .run_hooked(&configs(8, 3), &mut ctrl)
             .unwrap();
@@ -1476,5 +1416,233 @@ mod tests {
             assert_eq!(x.new_suffix, y.new_suffix);
             assert_eq!(x.drift_factor, y.drift_factor);
         }
+    }
+
+    /// A snapshot-level observation: `slowdown`× the nominal unit
+    /// latency on single-GPU packed gangs.
+    fn slowed_units(ctrl: &AdaptiveController, slowdown: f64, units: u64) -> [UnitObservation; 1] {
+        let nominal = ctrl
+            .sim
+            .model()
+            .unit_mean_secs(1, rb_scaling::PlacementQuality::Packed);
+        [UnitObservation {
+            gpus: 1,
+            placement: rb_scaling::PlacementQuality::Packed,
+            mean_secs: nominal * slowdown,
+            units,
+        }]
+    }
+
+    fn barrier_at<'a>(
+        stage: usize,
+        unit_obs: &'a [UnitObservation],
+        plan: &'a AllocationPlan,
+    ) -> BarrierSnapshot<'a> {
+        BarrierSnapshot {
+            stage,
+            num_stages: 4,
+            now: SimTime::ZERO + SimDuration::from_secs(300),
+            stage_span: SimDuration::from_secs(240),
+            cost_to_date: Cost::ZERO,
+            preemptions: 0,
+            instances: 2,
+            survivors: 4,
+            gpus_per_trial: 1,
+            unit_obs,
+            instance_seconds: 600.0,
+            capacity_shortfall: 0,
+            capacity_events: CapacityEvents::default(),
+            home_zone: 0,
+            num_zones: 1,
+            plan,
+        }
+    }
+
+    fn p90s(ctrl: &AdaptiveController) -> Vec<f64> {
+        ctrl.monitor()
+            .expected()
+            .iter()
+            .map(|q| q.p90_secs)
+            .collect()
+    }
+
+    /// A refit moves the envelope at a barrier even when the suffix is
+    /// kept, but not at a watchdog cut: there the stages after the cut
+    /// stay on the pre-refit envelope until a suffix is applied. Moving
+    /// them changes the watchdog budgets of later stages, so this pins
+    /// the current rule.
+    #[test]
+    fn refit_without_a_splice_retargets_at_a_barrier_but_not_at_a_watchdog() {
+        let plan = AllocationPlan::new(vec![8, 4, 4, 4]);
+        let mut cut = controller(
+            &plan,
+            SimDuration::from_hours(1),
+            ControllerConfig::default(),
+        );
+        let before = p90s(&cut);
+        let obs = slowed_units(&cut, 3.0, 8);
+        let snap = WatchdogSnapshot {
+            stage: 1,
+            num_stages: 4,
+            now: SimTime::ZERO + SimDuration::from_secs(300),
+            stage_start: SimTime::ZERO + SimDuration::from_secs(100),
+            budget_secs: 100.0,
+            units: 4,
+            max_remaining_units: 2,
+            unit_obs: &obs,
+            cost_to_date: Cost::ZERO,
+            preemptions: 0,
+            instances: 2,
+            instance_seconds: 600.0,
+            survivors: 4,
+            capacity_events: CapacityEvents::default(),
+            home_zone: 0,
+            num_zones: 1,
+            plan: &plan,
+        };
+        assert_eq!(cut.at_watchdog(&snap), None);
+        assert_eq!(cut.refits().len(), 1);
+        assert!(!cut.events()[0].applied);
+        let refit_view = cut
+            .sim
+            .stage_quantiles(&spec().suffix(2).unwrap(), &AllocationPlan::new(vec![4, 4]))
+            .unwrap();
+        assert_eq!(p90s(&cut)[2..], before[2..]);
+        assert!(refit_view[0].p90_secs > 2.0 * before[2]);
+
+        // The residual planner keeps this incumbent's suffix too.
+        let plan = AllocationPlan::new(vec![8, 8, 4, 4]);
+        let mut barrier = controller(
+            &plan,
+            SimDuration::from_hours(1),
+            ControllerConfig::default(),
+        );
+        let before = p90s(&barrier);
+        let obs = slowed_units(&barrier, 3.0, 16);
+        let snap = BarrierSnapshot {
+            capacity_shortfall: 1,
+            ..barrier_at(0, &obs, &plan)
+        };
+        assert_eq!(barrier.at_barrier(&snap), None);
+        assert_eq!(barrier.refits().len(), 1);
+        assert!(!barrier.events()[0].applied);
+        let refit_view = barrier
+            .sim
+            .stage_quantiles(
+                &spec().suffix(1).unwrap(),
+                &AllocationPlan::new(vec![8, 4, 4]),
+            )
+            .unwrap();
+        let moved = p90s(&barrier);
+        assert!(moved[3] > 2.0 * before[3]);
+        for q in &refit_view {
+            assert_eq!(moved[1 + q.stage], q.p90_secs);
+        }
+    }
+
+    /// In execute mode a troubled capacity window on a multi-zone cloud
+    /// moves future capacity to the neighbor zone whatever the trigger
+    /// was, a capacity shortfall included.
+    #[test]
+    fn a_shortfall_barrier_in_a_troubled_zone_moves_zones() {
+        let plan = AllocationPlan::new(vec![8, 4, 4, 4]);
+        let mut ctrl = controller(&plan, SimDuration::from_hours(1), zone_config(true));
+        let snap = BarrierSnapshot {
+            capacity_shortfall: 1,
+            capacity_events: CapacityEvents {
+                requests: 4,
+                denials: 3,
+                retries: 3,
+                outage_kills: 0,
+            },
+            num_zones: 2,
+            ..barrier_at(0, &[], &plan)
+        };
+        ctrl.at_barrier(&snap);
+        let event = &ctrl.events()[0];
+        assert_eq!(event.trigger, ReplanTrigger::CapacityShortfall);
+        assert!(event.market_executed);
+        let directive = ctrl.pending_switch().expect("a zone move was armed");
+        assert_eq!(directive.zone, Some(1));
+        assert_eq!(directive.market, None);
+    }
+
+    /// FNV-1a/64 of `bytes`.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Runs `exec` under a controller over the nominal model with one
+    /// recorder on the executor and the planning simulator, and returns
+    /// the digests of the JSONL export and of the adaptation log's
+    /// `Debug` form.
+    fn recorded_digests(
+        exec: &Executor,
+        plan: &AllocationPlan,
+        deadline: SimDuration,
+        config: ControllerConfig,
+    ) -> (u64, u64) {
+        let task = resnet101_cifar10();
+        let sink = Arc::new(rb_obs::MemoryRecorder::new());
+        let recorder = rb_obs::RecorderHandle::new(sink.clone());
+        // One prediction thread: the simulator's cache tallies on the
+        // bus must not depend on the host.
+        let sim = Simulator::new(physics(&task, 1.0), cloud())
+            .with_engine(rb_sim::EngineConfig {
+                threads: 1,
+                ..rb_sim::EngineConfig::default()
+            })
+            .with_recorder(recorder.clone());
+        let mut ctrl = AdaptiveController::new(sim, spec(), plan, deadline, config).unwrap();
+        exec.run_observed(&configs(8, 3), &mut ctrl, recorder)
+            .unwrap();
+        let jsonl = rb_obs::export::export_jsonl(&sink.finish());
+        let log = format!("{:?}", ctrl.into_log());
+        (fnv1a64(jsonl.as_bytes()), fnv1a64(log.as_bytes()))
+    }
+
+    /// Pins the bytes the controller and the executor write to the bus,
+    /// and the adaptation log, for one scenario per re-plan route: a
+    /// drift re-plan with a refit, a watchdog cut, an executed zone move
+    /// and an executed market probe.
+    #[test]
+    fn controller_event_streams_are_pinned() {
+        let task = resnet101_cifar10();
+        let flat = AllocationPlan::new(vec![8, 8, 8, 8]);
+        let slow = executor(&task, &flat, 1.6);
+        let open = slow.run(&configs(8, 3)).unwrap();
+        let drift_deadline = SimDuration::from_secs_f64(open.jct.as_secs_f64() * 0.85);
+        let contended = AllocationPlan::new(vec![2, 2, 2, 16]);
+        let zoned = AllocationPlan::new(vec![4, 4, 8, 16]);
+        let got = [
+            recorded_digests(&slow, &flat, drift_deadline, ControllerConfig::default()),
+            recorded_digests(
+                &contended_executor(&task, &contended),
+                &contended,
+                SimDuration::from_hours(1),
+                ControllerConfig::default(),
+            ),
+            recorded_digests(
+                &zone_outage_executor(&task, &zoned),
+                &zoned,
+                SimDuration::from_secs(27 * 60),
+                zone_config(true),
+            ),
+            recorded_digests(
+                &executor(&task, &flat, 1.0),
+                &flat,
+                SimDuration::from_hours(4),
+                probe_config(),
+            ),
+        ];
+        let pinned = [
+            (0x00b4_b057_eb02_2ada, 0xd977_6a4f_77b4_bba4),
+            (0x870a_23bc_5b6a_ccdb, 0x09e2_da8c_07ad_127d),
+            (0xea6c_1035_2eb8_a27e, 0x0f19_a7b4_6921_c399),
+            (0x16ab_0bf9_f1b0_6cc1, 0x5e71_1e31_8d06_b848),
+        ];
+        assert_eq!(got, pinned, "got {got:#x?}");
     }
 }

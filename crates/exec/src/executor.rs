@@ -330,8 +330,6 @@ struct StageSetup {
     slots: usize,
     needed: usize,
     migrations: u32,
-    /// Provisioning retry rounds the scaling pass issued.
-    retries: u64,
     /// Instances wanted but not acquired; when non-zero the stage runs
     /// degraded on a shrunken allocation.
     capacity_shortfall: usize,
@@ -349,7 +347,6 @@ impl StageSetup {
             slots: 0,
             needed: 0,
             migrations: 0,
-            retries: 0,
             capacity_shortfall: 0,
         }
     }
@@ -362,11 +359,6 @@ struct RoundOutcome {
     /// Whether the watchdog cut the round short (some trial owes units
     /// in [`RoundBuffers::remaining`]).
     cut: bool,
-    /// Provisioning retry rounds issued while replacing preempted nodes.
-    retries: u64,
-    /// Checkpoint fetches that fell back to an older generation after
-    /// the newest failed verification.
-    fallbacks: u64,
 }
 
 /// A training round's working storage, kept on the core so a round
@@ -861,63 +853,44 @@ impl ExecutorCore {
             );
         }
         let (stage_trials, units) = self.exec.spec.get_stage(stage)?;
-        self.exec.scale_and_place(
-            &self.plan,
-            stage,
-            &self.live,
-            self.gpg,
-            &mut self.cm,
-            &mut self.pc,
-            &mut self.now,
-            &mut self.trace,
-            &self.recorder,
-            &mut self.setup,
-            &mut self.scratch.allocations,
-        )?;
-        let mut stage_migrations = self.setup.migrations;
-        self.total_migrations += self.setup.migrations;
-        let mut stage_shortfall = self.setup.capacity_shortfall;
-        self.total_retries += self.setup.retries;
 
-        // --- Training -------------------------------------------------------
-        let train_start = self.now;
-        let budget = hook.stage_budget_secs(stage);
-        let watchdog_deadline = budget.and_then(|b| {
-            (b.is_finite() && b > 0.0).then(|| train_start + SimDuration::from_secs_f64(b))
-        });
-        let scratch = &mut self.scratch;
-        scratch.owed.clear();
-        scratch.owed.resize(self.live.len(), units);
-        let round = self.exec.train_round(
-            stage,
-            &scratch.owed,
-            &mut self.setup,
-            self.pc.plan(),
-            &self.live,
-            &mut self.trials,
-            &mut self.cm,
-            &self.store,
-            &mut self.trace,
-            &self.recorder,
-            train_start,
-            false,
-            watchdog_deadline,
-            &mut self.total_preemptions,
-            &mut scratch.round,
-            &mut scratch.unit_obs,
-        )?;
-        let mut stage_end = round.stage_end;
-        self.total_retries += round.retries;
-        self.checkpoint_fallbacks += round.fallbacks;
+        // --- Training rounds ------------------------------------------------
+        // A stage normally trains in one round. A round that overruns the
+        // hook's watchdog budget is cut at the next unit boundaries; the
+        // hook re-plans from this stage on, and the residual units run
+        // as a second, unwatched round through the same scale, place and
+        // train path.
+        let mut stage_migrations = 0;
+        let mut stage_shortfall = 0;
+        let mut train_start = stage_start;
+        let mut resumed = false;
+        self.scratch.owed.clear();
+        self.scratch.owed.resize(self.live.len(), units);
+        let stage_end = loop {
+            self.scale_and_place(stage)?;
+            stage_migrations += self.setup.migrations;
+            stage_shortfall = stage_shortfall.max(self.setup.capacity_shortfall);
+            // The first round starts the stage's training and is the
+            // only one watched.
+            let budget = if resumed {
+                None
+            } else {
+                train_start = self.now;
+                hook.stage_budget_secs(stage)
+            };
+            let watchdog_deadline = budget.and_then(|b| {
+                (b.is_finite() && b > 0.0).then(|| self.now + SimDuration::from_secs_f64(b))
+            });
+            let round = self.train_round(stage, resumed, watchdog_deadline)?;
+            if !round.cut {
+                break round.stage_end;
+            }
 
-        // --- Watchdog: forced early barrier on a budget overrun -------------
-        // The stage ran past its virtual-time envelope. Checkpoint
-        // everything at the next unit boundaries (already done inside
-        // the round), let the hook re-plan from the *current* stage
-        // onward, re-scale, and run the residual units.
-        if round.cut {
-            let wd_now =
-                stage_end + SimDuration::from_secs_f64(self.exec.options.sync_overhead_secs);
+            // --- Watchdog: forced early barrier on a budget overrun ---------
+            // Every trial stopped at a unit boundary inside the round;
+            // checkpoint them all before the hook may re-plan.
+            self.now =
+                round.stage_end + SimDuration::from_secs_f64(self.exec.options.sync_overhead_secs);
             for &tid in &self.live {
                 let rt = &mut self.trials[tid.raw() as usize];
                 if rt.trial.status() == TrialStatus::Running {
@@ -925,18 +898,12 @@ impl ExecutorCore {
                     self.store.save(&rt.trial, &self.exec.task.arch);
                 }
             }
-            let max_remaining = self
-                .scratch
-                .round
-                .remaining
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
+            let scratch = &mut self.scratch;
+            let max_remaining = scratch.round.remaining.iter().copied().max().unwrap_or(0);
             self.recorder.counter_add("exec", "watchdog_fires", 1);
             if self.recorder.enabled() {
                 self.recorder.instant(
-                    wd_now,
+                    self.now,
                     "exec",
                     "watchdog.barrier",
                     Lane::Stage(stage as u32),
@@ -946,93 +913,35 @@ impl ExecutorCore {
                     ],
                 );
             }
-            let suffix = {
-                let scratch = &mut self.scratch;
-                scratch.unit_obs.observations(&mut scratch.observations);
-                let snapshot = WatchdogSnapshot {
-                    stage,
-                    num_stages: self.exec.spec.num_stages(),
-                    now: wd_now,
-                    stage_start,
-                    budget_secs: budget.unwrap_or(f64::INFINITY),
-                    units,
-                    max_remaining_units: max_remaining,
-                    unit_obs: &scratch.observations,
-                    cost_to_date: self.cm.total_cost(wd_now),
-                    preemptions: self.total_preemptions,
-                    instances: self.cm.ready_count(),
-                    instance_seconds: self.cm.held_instance_seconds(wd_now),
-                    survivors: self.live.len(),
-                    capacity_events: self.cm.capacity_events(),
-                    home_zone: self.cm.home_zone(),
-                    num_zones: self.cm.num_zones(),
-                    plan: &self.plan,
-                };
-                hook.at_watchdog(&snapshot)
-            };
-            if let Some(suffix) = suffix {
-                let remaining_stages = self.exec.spec.num_stages() - stage;
-                if suffix.len() != remaining_stages {
-                    return Err(RbError::InvalidPlan(format!(
-                        "watchdog hook returned {} stage allocations; \
-                         {remaining_stages} stages remain (current included)",
-                        suffix.len()
-                    )));
-                }
-                let mut next = self.plan.clone();
-                for (j, &gpus) in suffix.iter().enumerate() {
-                    next.set_gpus(stage + j, gpus);
-                }
-                next.validate(&self.exec.spec)?;
-                self.plan = next;
-            }
-            self.now = wd_now;
-            // Every live trial is paused and checkpointed, so a market
-            // switch drains nothing that cannot restore; the re-scale
-            // below provisions on the new market.
-            self.apply_pending_switch(hook, stage)?;
-            self.exec.scale_and_place(
-                &self.plan,
+            scratch.unit_obs.observations(&mut scratch.observations);
+            let snapshot = WatchdogSnapshot {
                 stage,
-                &self.live,
-                self.gpg,
-                &mut self.cm,
-                &mut self.pc,
-                &mut self.now,
-                &mut self.trace,
-                &self.recorder,
-                &mut self.setup,
-                &mut self.scratch.allocations,
-            )?;
-            stage_migrations += self.setup.migrations;
-            self.total_migrations += self.setup.migrations;
-            stage_shortfall = stage_shortfall.max(self.setup.capacity_shortfall);
-            self.total_retries += self.setup.retries;
+                num_stages: self.exec.spec.num_stages(),
+                now: self.now,
+                stage_start,
+                budget_secs: budget.unwrap_or(f64::INFINITY),
+                units,
+                max_remaining_units: max_remaining,
+                unit_obs: &scratch.observations,
+                cost_to_date: self.cm.total_cost(self.now),
+                preemptions: self.total_preemptions,
+                instances: self.cm.ready_count(),
+                instance_seconds: self.cm.held_instance_seconds(self.now),
+                survivors: self.live.len(),
+                capacity_events: self.cm.capacity_events(),
+                home_zone: self.cm.home_zone(),
+                num_zones: self.cm.num_zones(),
+                plan: &self.plan,
+            };
+            let suffix = hook.at_watchdog(&snapshot);
+            // Every live trial is paused and checkpointed, so a market
+            // switch drains nothing that cannot restore; the re-scale of
+            // the residual round provisions on the new market.
+            self.splice(hook, stage, stage, suffix)?;
             let scratch = &mut self.scratch;
             scratch.owed.clone_from(&scratch.round.remaining);
-            let resumed = self.exec.train_round(
-                stage,
-                &scratch.owed,
-                &mut self.setup,
-                self.pc.plan(),
-                &self.live,
-                &mut self.trials,
-                &mut self.cm,
-                &self.store,
-                &mut self.trace,
-                &self.recorder,
-                self.now,
-                true,
-                None,
-                &mut self.total_preemptions,
-                &mut scratch.round,
-                &mut scratch.resumed_obs,
-            )?;
-            stage_end = resumed.stage_end;
-            self.total_retries += resumed.retries;
-            self.checkpoint_fallbacks += resumed.fallbacks;
-            scratch.unit_obs.merge(&scratch.resumed_obs);
-        }
+            resumed = true;
+        };
         // Idle spot nodes reclaimed before the barrier stop billing at
         // their interruption instant and leave the cluster.
         let nodes = &mut self.scratch.nodes;
@@ -1170,25 +1079,11 @@ impl ExecutorCore {
                 num_zones: self.cm.num_zones(),
                 plan: &self.plan,
             };
-            if let Some(suffix) = hook.at_barrier(&snapshot) {
-                let remaining = self.exec.spec.num_stages() - (stage + 1);
-                if suffix.len() != remaining {
-                    return Err(RbError::InvalidPlan(format!(
-                        "barrier hook returned {} stage allocations; {remaining} stages remain",
-                        suffix.len()
-                    )));
-                }
-                let mut next = self.plan.clone();
-                for (j, &gpus) in suffix.iter().enumerate() {
-                    next.set_gpus(stage + 1 + j, gpus);
-                }
-                next.validate(&self.exec.spec)?;
-                self.plan = next;
-            }
+            let suffix = hook.at_barrier(&snapshot);
             // The switch executes after the suffix splice so the next
             // stage's scale-up — which absorbs both — provisions on the
             // new market in one pass.
-            self.apply_pending_switch(hook, stage)?;
+            self.splice(hook, stage, stage + 1, suffix)?;
         }
 
         self.stage += 1;
@@ -1200,6 +1095,45 @@ impl ExecutorCore {
                 at: self.now,
             })
         }
+    }
+
+    /// Splices a hook's re-planned allocations into the plan from stage
+    /// `from` on — the next stage at a barrier, the interrupted `stage`
+    /// itself after a watchdog cut — then executes any switch the hook
+    /// armed for this safe point. `None` keeps the plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RbError::InvalidPlan`] for a suffix of the wrong length
+    /// or one that fails plan validation; switch errors propagate.
+    fn splice(
+        &mut self,
+        hook: &mut dyn BarrierHook,
+        stage: usize,
+        from: usize,
+        suffix: Option<Vec<u32>>,
+    ) -> Result<()> {
+        if let Some(suffix) = suffix {
+            let remaining = self.exec.spec.num_stages() - from;
+            if suffix.len() != remaining {
+                let (caller, current) = if from == stage {
+                    ("watchdog", " (current included)")
+                } else {
+                    ("barrier", "")
+                };
+                return Err(RbError::InvalidPlan(format!(
+                    "{caller} hook returned {} stage allocations; {remaining} stages remain{current}",
+                    suffix.len()
+                )));
+            }
+            let mut next = self.plan.clone();
+            for (j, &gpus) in suffix.iter().enumerate() {
+                next.set_gpus(from + j, gpus);
+            }
+            next.validate(&self.exec.spec)?;
+            self.plan = next;
+        }
+        self.apply_pending_switch(hook, stage)
     }
 
     /// Polls the hook for an executed market/zone switch and drains the
@@ -1350,36 +1284,37 @@ impl ExecutorCore {
     }
 }
 
-impl Executor {
+impl ExecutorCore {
     /// Scales the cluster to the plan's allocation for `stage` and places
-    /// (or migrates) every live trial's workers, refilling `setup`. One
-    /// stage normally runs this once; a stage split by the watchdog runs
-    /// it again for the residual round, absorbing whatever the hook
-    /// spliced in. `allocations` is working storage for the controller's
-    /// requests.
-    #[allow(clippy::too_many_arguments)]
-    fn scale_and_place(
-        &self,
-        plan: &AllocationPlan,
-        stage: usize,
-        live: &[TrialId],
-        gpg: u32,
-        cm: &mut ClusterManager,
-        pc: &mut PlacementController,
-        now: &mut SimTime,
-        trace: &mut ExecutionTrace,
-        recorder: &RecorderHandle,
-        setup: &mut StageSetup,
-        allocations: &mut Vec<(TrialId, u32)>,
-    ) -> Result<()> {
-        let opts = &self.options;
+    /// (or migrates) every live trial's workers, refilling `setup`. Every
+    /// training round runs this first; after a watchdog cut it absorbs
+    /// whatever the hook spliced in.
+    fn scale_and_place(&mut self, stage: usize) -> Result<()> {
+        let ExecutorCore {
+            exec,
+            plan,
+            gpg,
+            cm,
+            pc,
+            live,
+            now,
+            total_migrations,
+            total_retries,
+            trace,
+            recorder,
+            setup,
+            scratch,
+            ..
+        } = self;
+        let (plan, live, gpg, recorder) = (&*plan, &*live, *gpg, &*recorder);
+        let allocations = &mut scratch.allocations;
+        let opts = &exec.options;
         // The scheduler decides; the rest of the pass carries it out.
-        let mut schedule = crate::scheduler::schedule_stage(&self.spec, plan, stage, live, gpg)?;
+        let mut schedule = crate::scheduler::schedule_stage(&exec.spec, plan, stage, live, gpg)?;
         let mut needed = schedule.target_instances as usize;
 
         // --- Cluster scaling ------------------------------------------------
         let current = cm.ready_count();
-        let mut retries = 0u64;
         let mut capacity_shortfall = 0usize;
         let mut degraded_acquired = 0usize;
         if needed > current {
@@ -1388,7 +1323,7 @@ impl Executor {
             // bit-identical.
             let policy = opts.retry.as_ref().filter(|_| opts.faults.is_active());
             let out = cm.request_nodes(needed - current, *now, policy)?;
-            retries = out.retries;
+            *total_retries += out.retries;
             if out.shortfall > 0 {
                 // Capacity stayed short after the retry budget: run
                 // the stage degraded on what we actually hold instead
@@ -1397,7 +1332,7 @@ impl Executor {
                 let available = current + out.acquired;
                 capacity_shortfall = needed - available;
                 degraded_acquired = out.acquired;
-                schedule = self.degrade_schedule(plan, stage, live, gpg, available)?;
+                schedule = exec.degrade_schedule(plan, stage, live, gpg, available)?;
                 needed = schedule.target_instances as usize;
                 recorder.counter_add("exec", "capacity_shortfall", capacity_shortfall as u64);
                 if recorder.enabled() {
@@ -1546,83 +1481,61 @@ impl Executor {
         setup.slots = schedule.slots as usize;
         setup.needed = needed;
         setup.migrations = migrations;
-        setup.retries = retries;
         setup.capacity_shortfall = capacity_shortfall;
+        *total_migrations += migrations;
         Ok(())
     }
 
-    /// Shrinks `stage`'s allocation until it fits on `available`
-    /// instances: the largest valid GPU count whose fragmentation-aware
-    /// instance demand is within what the cluster actually holds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RbError::Execution`] when no allocation fits (no
-    /// capacity at all after retries).
-    fn degrade_schedule(
-        &self,
-        plan: &AllocationPlan,
-        stage: usize,
-        live: &[TrialId],
-        gpg: u32,
-        available: usize,
-    ) -> Result<crate::scheduler::StageSchedule> {
-        let trials = live.len() as u32;
-        let mut g = (available as u32 * gpg).min(plan.gpus(stage));
-        loop {
-            if g == 0 {
-                return Err(RbError::Execution(format!(
-                    "stage {stage}: no capacity available after provisioning retries"
-                )));
-            }
-            if g > trials {
-                // Keep trial allocations even: round down to a multiple.
-                g -= g % trials;
-            }
-            let mut degraded = plan.clone();
-            degraded.set_gpus(stage, g);
-            if degraded.validate(&self.spec).is_ok() {
-                let s = crate::scheduler::schedule_stage(&self.spec, &degraded, stage, live, gpg)?;
-                if (s.target_instances as usize) <= available {
-                    return Ok(s);
-                }
-            }
-            g -= 1;
-        }
-    }
-
     /// Runs every live trial for its share of the stage's work units
-    /// (`owed`, by position in `live`) and returns when the last segment
-    /// ends. With `watchdog_deadline` set, a trial whose attempt would
-    /// run past the deadline is stopped at the end of the unit in flight
-    /// (a spot preemption striking earlier wins and is handled
-    /// normally); its residual unit count is left in
+    /// (`scratch.owed`, by position in `live`) from `now` on and returns
+    /// when the last segment ends. With `watchdog_deadline` set, a trial
+    /// whose attempt would run past the deadline is stopped at the end
+    /// of the unit in flight (a spot preemption striking earlier wins
+    /// and is handled normally); its residual unit count is left in
     /// [`RoundBuffers::remaining`]. The deadline check consumes no noise
     /// samples, so an armed watchdog that never fires leaves the round
-    /// bit-identical to an unarmed one. Completed-unit latencies are
-    /// summed into `unit_obs`, which the round clears first.
-    #[allow(clippy::too_many_arguments)]
+    /// bit-identical to an unarmed one. A `resumed` round (the residual
+    /// round after a cut) fetches every checkpoint. Completed-unit
+    /// latencies become the stage's `unit_obs`; a resumed round sums
+    /// them apart and merges them in.
     fn train_round(
-        &self,
+        &mut self,
         stage: usize,
-        owed: &[u64],
-        setup: &mut StageSetup,
-        controller_plan: &PlacementPlan,
-        live: &[TrialId],
-        trials: &mut [RunningTrial],
-        cm: &mut ClusterManager,
-        store: &CheckpointStore,
-        trace: &mut ExecutionTrace,
-        recorder: &RecorderHandle,
-        train_start: SimTime,
-        force_fetch: bool,
+        resumed: bool,
         watchdog_deadline: Option<SimTime>,
-        total_preemptions: &mut u32,
-        buf: &mut RoundBuffers,
-        unit_obs: &mut UnitObs,
     ) -> Result<RoundOutcome> {
-        let opts = &self.options;
-        let gpg = self.cloud.gpus_per_instance().max(1);
+        let ExecutorCore {
+            exec,
+            gpg,
+            cm,
+            pc,
+            store,
+            trials,
+            live,
+            now,
+            total_preemptions,
+            total_retries,
+            checkpoint_fallbacks,
+            trace,
+            recorder,
+            setup,
+            scratch,
+            ..
+        } = self;
+        let (gpg, train_start, live, store, recorder) = (*gpg, *now, &*live, &*store, &*recorder);
+        let Scratch {
+            round: buf,
+            owed,
+            unit_obs: stage_obs,
+            resumed_obs,
+            ..
+        } = scratch;
+        let unit_obs = if resumed {
+            &mut *resumed_obs
+        } else {
+            &mut *stage_obs
+        };
+        let opts = &exec.options;
         let StageSetup {
             cluster,
             layout,
@@ -1636,7 +1549,7 @@ impl Executor {
         let (gpus, slots) = (*gpus, *slots);
         let placement = match layout {
             Layout::Waves => None,
-            Layout::Controller => Some(controller_plan),
+            Layout::Controller => Some(pc.plan()),
             Layout::Scattered => Some(&*scattered),
         };
         let RoundBuffers {
@@ -1655,8 +1568,6 @@ impl Executor {
         let mut outcome = RoundOutcome {
             stage_end: train_start,
             cut: false,
-            retries: 0,
-            fallbacks: 0,
         };
         // Verified fetches engage only when the store can actually do
         // something with them (corruption armed or >1 generation kept);
@@ -1736,23 +1647,23 @@ impl Executor {
                 .iter()
                 .map(|n| cm.node_slowdown(*n))
                 .fold(1.0, f64::max);
-            let unit_mean = self.physics.unit_mean_secs(gpus, quality) * slowdown;
-            let dist = if self.physics.unit_noise_frac > 0.0 {
+            let unit_mean = exec.physics.unit_mean_secs(gpus, quality) * slowdown;
+            let dist = if exec.physics.unit_noise_frac > 0.0 {
                 Distribution::Normal {
                     mean: unit_mean,
-                    std: self.physics.unit_noise_frac * unit_mean,
+                    std: exec.physics.unit_noise_frac * unit_mean,
                     floor: 0.05 * unit_mean,
                 }
             } else {
                 Distribution::Constant(unit_mean)
             };
-            let mut needs_fetch = force_fetch || stage > 0 || moved.contains(&tid);
+            let mut needs_fetch = resumed || stage > 0 || moved.contains(&tid);
             let obs_key = (gpus, quality == PlacementQuality::Packed);
             // Attempt loop: a spot interruption of any hosting node
             // loses the attempt's progress (checkpoints happen only at
             // stage barriers); the trial restarts on a replacement.
             let finish = loop {
-                let mut work = self.physics.train_startup_secs;
+                let mut work = exec.physics.train_startup_secs;
                 if needs_fetch {
                     if verify_fetch && store.get(tid).is_some() {
                         // Hardened fetch: verify generations newest-first,
@@ -1776,7 +1687,7 @@ impl Executor {
                         };
                         work += vf.bytes as f64 / (opts.checkpoint_bw_gbps * 1e9);
                         if vf.fallbacks > 0 {
-                            outcome.fallbacks += 1;
+                            *checkpoint_fallbacks += 1;
                             work += vf.redo_iters as f64 * unit_mean;
                             recorder.counter_add("train", "checkpoint_fallbacks", 1);
                             if recorder.enabled() {
@@ -1927,7 +1838,7 @@ impl Executor {
                     cluster.remove(*n);
                     hosting.retain(|h| h != n);
                 }
-                outcome.retries += cm.request_nodes(dead.len(), cut, retry_policy)?.retries;
+                *total_retries += cm.request_nodes(dead.len(), cut, retry_policy)?.retries;
                 let ready = cm.pending_ready_time().unwrap_or(cut);
                 for n in cm.absorb_ready(ready) {
                     cluster.add(n);
@@ -1940,7 +1851,52 @@ impl Executor {
             slot_free[slot] = finish;
             outcome.stage_end = outcome.stage_end.max(finish);
         }
+        if resumed {
+            stage_obs.merge(resumed_obs);
+        }
         Ok(outcome)
+    }
+}
+
+impl Executor {
+    /// Shrinks `stage`'s allocation until it fits on `available`
+    /// instances: the largest valid GPU count whose fragmentation-aware
+    /// instance demand is within what the cluster actually holds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RbError::Execution`] when no allocation fits (no
+    /// capacity at all after retries).
+    fn degrade_schedule(
+        &self,
+        plan: &AllocationPlan,
+        stage: usize,
+        live: &[TrialId],
+        gpg: u32,
+        available: usize,
+    ) -> Result<crate::scheduler::StageSchedule> {
+        let trials = live.len() as u32;
+        let mut g = (available as u32 * gpg).min(plan.gpus(stage));
+        loop {
+            if g == 0 {
+                return Err(RbError::Execution(format!(
+                    "stage {stage}: no capacity available after provisioning retries"
+                )));
+            }
+            if g > trials {
+                // Keep trial allocations even: round down to a multiple.
+                g -= g % trials;
+            }
+            let mut degraded = plan.clone();
+            degraded.set_gpus(stage, g);
+            if degraded.validate(&self.spec).is_ok() {
+                let s = crate::scheduler::schedule_stage(&self.spec, &degraded, stage, live, gpg)?;
+                if (s.target_instances as usize) <= available {
+                    return Ok(s);
+                }
+            }
+            g -= 1;
+        }
     }
 }
 

@@ -104,19 +104,18 @@ pub fn export_jsonl(log: &TraceLog) -> String {
         write_event_line(&mut out, seq, event);
         out.push('\n');
     }
-    write_metric_lines(&mut out, &log.counters, &log.histograms, log.dropped_events);
+    write_metric_lines(&mut out, &log.counters, &log.histograms);
     out
 }
 
-/// Renders the trailing metric lines (counters sorted, then histograms,
-/// then the dropped-events note). Shared by [`export_jsonl`] and the
+/// Renders the trailing metric lines (counters sorted, then
+/// histograms). Shared by [`export_jsonl`] and the
 /// streaming sink's `finish`, so the metric tail is byte-identical
 /// regardless of which sink produced the stream.
 pub(crate) fn write_metric_lines(
     out: &mut String,
     counters: &[CounterEntry],
     histograms: &[HistogramEntry],
-    dropped_events: u64,
 ) {
     for counter in counters {
         let _ = write!(out, "{{\"metric\":\"counter\",\"scope\":");
@@ -141,14 +140,6 @@ pub(crate) fn write_metric_lines(
         out.push_str(",\"p90\":");
         write_json_f64(out, hist.p90);
         out.push_str("}\n");
-    }
-    if dropped_events > 0 {
-        // A bounded recorder evicted events; note the count as a
-        // synthetic counter so readers know the stream is a tail.
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"counter\",\"scope\":\"obs\",\"name\":\"dropped_events\",\"value\":{dropped_events}}}",
-        );
     }
 }
 
@@ -209,16 +200,6 @@ pub fn export_chrome(log: &TraceLog) -> String {
         (6, "brackets"),
     ] {
         push_metadata(&mut entries, "process_name", pid, None, name);
-    }
-    if log.dropped_events > 0 {
-        // Flag truncated streams from a bounded recorder ring.
-        let mut line = String::new();
-        let _ = write!(
-            line,
-            "{{\"name\":\"dropped_events\",\"ph\":\"M\",\"pid\":3,\"args\":{{\"count\":{}}}}}",
-            log.dropped_events
-        );
-        entries.push(line);
     }
     let mut lanes: Vec<Lane> = log.events.iter().map(|e| e.lane).collect();
     lanes.sort();
@@ -388,77 +369,6 @@ mod tests {
         assert_eq!(
             counter.get("args").unwrap().get("value").unwrap().as_f64(),
             Some(1.25)
-        );
-    }
-
-    #[test]
-    fn bounded_ring_exports_note_dropped_events() {
-        let rec = MemoryRecorder::new().with_capacity(1);
-        for i in 0..3u64 {
-            rec.instant(SimTime::from_millis(i), "t", "e", Lane::Global, Vec::new());
-        }
-        let log = rec.finish();
-        let jsonl = export_jsonl(&log);
-        let note = jsonl.lines().last().expect("export has lines");
-        assert_eq!(
-            note,
-            "{\"metric\":\"counter\",\"scope\":\"obs\",\"name\":\"dropped_events\",\"value\":2}"
-        );
-        crate::schema::validate_jsonl(&jsonl).expect("noted export still validates");
-        let chrome = export_chrome(&log);
-        let parsed = parse_json(&chrome).expect("chrome export parses");
-        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
-        let meta = events
-            .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("dropped_events"))
-            .expect("chrome export carries a dropped_events metadata entry");
-        assert_eq!(
-            meta.get("args").unwrap().get("count").unwrap().as_u64(),
-            Some(2)
-        );
-        // Unbounded logs carry no note (existing exact-count tests
-        // double as the regression guard).
-        assert!(!export_jsonl(&sample_log()).contains("dropped_events"));
-        assert!(!export_chrome(&sample_log()).contains("dropped_events"));
-    }
-
-    #[test]
-    fn drops_after_a_snapshot_still_reach_both_exports_consistently() {
-        // Regression: eviction bookkeeping is live state, not snapshot
-        // state. Drops that happen *after* an earlier finish() (e.g. a
-        // mid-run flush for progress reporting) must still be counted
-        // in later exports, and JSONL and Chrome must agree on the
-        // number.
-        let rec = MemoryRecorder::new().with_capacity(2);
-        for i in 0..3u64 {
-            rec.instant(SimTime::from_millis(i), "t", "e", Lane::Global, Vec::new());
-        }
-        let early = rec.finish();
-        assert_eq!(early.dropped_events, 1);
-        // Two more events after the snapshot, both evicting.
-        for i in 3..5u64 {
-            rec.instant(SimTime::from_millis(i), "t", "e", Lane::Global, Vec::new());
-        }
-        let log = rec.finish();
-        assert_eq!(log.dropped_events, 3, "post-snapshot drops accumulate");
-        let jsonl = export_jsonl(&log);
-        let note = jsonl.lines().last().unwrap();
-        assert_eq!(
-            note,
-            "{\"metric\":\"counter\",\"scope\":\"obs\",\"name\":\"dropped_events\",\"value\":3}"
-        );
-        crate::schema::validate_jsonl(&jsonl).expect("tail export validates");
-        let chrome = export_chrome(&log);
-        let parsed = parse_json(&chrome).expect("chrome export parses");
-        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
-        let meta = events
-            .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("dropped_events"))
-            .expect("chrome carries the drop note");
-        assert_eq!(
-            meta.get("args").unwrap().get("count").unwrap().as_u64(),
-            Some(3),
-            "JSONL and Chrome agree on dropped_count"
         );
     }
 

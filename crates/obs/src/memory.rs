@@ -130,9 +130,6 @@ pub struct TraceLog {
     pub events: Vec<Event>,
     pub counters: Vec<CounterEntry>,
     pub histograms: Vec<HistogramEntry>,
-    /// Events evicted by a bounded recorder's ring (0 when unbounded or
-    /// the buffer never filled). `events` holds the most recent ones.
-    pub dropped_events: u64,
 }
 
 impl TraceLog {
@@ -163,19 +160,14 @@ impl TraceLog {
     }
 }
 
-/// The standard recording sink: buffers events and metrics in memory
-/// for export once the run completes. By default the event buffer is
-/// unbounded; [`with_capacity`](Self::with_capacity) turns it into a
-/// ring that keeps only the most recent events and counts the rest as
-/// dropped — for long chaos sweeps where the full stream would swamp
-/// memory but the tail (and the metrics) still matter.
+/// The standard recording sink: buffers every event and metric in
+/// memory for export once the run completes. A run too long to buffer
+/// streams to a [`StreamingRecorder`](crate::StreamingRecorder)
+/// instead.
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     events: Mutex<Vec<Event>>,
     metrics: MetricsRegistry,
-    /// Ring capacity; `None` = unbounded.
-    capacity: Option<usize>,
-    dropped: Mutex<u64>,
 }
 
 impl MemoryRecorder {
@@ -183,27 +175,9 @@ impl MemoryRecorder {
         Self::default()
     }
 
-    /// Bounds the event buffer to the most recent `capacity` events
-    /// (metrics stay exact). Evicted events are tallied in
-    /// [`TraceLog::dropped_events`] and noted by the exporters.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "event ring needs room for at least 1 event");
-        self.capacity = Some(capacity);
-        self
-    }
-
     /// Number of events buffered so far.
     pub fn event_count(&self) -> usize {
         self.events.lock().expect("event lock poisoned").len()
-    }
-
-    /// Events evicted by the ring so far (always 0 when unbounded).
-    pub fn dropped_count(&self) -> u64 {
-        *self.dropped.lock().expect("event lock poisoned")
     }
 
     /// Snapshots everything captured so far into an exportable log.
@@ -211,13 +185,11 @@ impl MemoryRecorder {
     /// histogram quantiles are computed here, over sorted values.
     pub fn finish(&self) -> TraceLog {
         let events = self.events.lock().expect("event lock poisoned").clone();
-        let dropped_events = self.dropped_count();
         let (counters, histograms) = self.metrics.snapshot();
         TraceLog {
             events,
             counters,
             histograms,
-            dropped_events,
         }
     }
 }
@@ -237,15 +209,7 @@ impl Recorder for MemoryRecorder {
     }
 
     fn record(&self, event: Event) {
-        let mut events = self.events.lock().expect("event lock poisoned");
-        if let Some(cap) = self.capacity {
-            if events.len() >= cap {
-                // Ring semantics: drop the oldest, keep the tail.
-                events.remove(0);
-                *self.dropped.lock().expect("event lock poisoned") += 1;
-            }
-        }
-        events.push(event);
+        self.events.lock().expect("event lock poisoned").push(event);
     }
 
     fn counter_add(&self, scope: &'static str, name: &'static str, delta: u64) {
@@ -305,37 +269,6 @@ mod tests {
         rec.histogram("s", "h", 1.0);
         let h = rec.finish();
         assert_eq!(h.histogram("s", "h").unwrap().count, 1);
-    }
-
-    #[test]
-    fn bounded_ring_keeps_the_tail_and_counts_drops() {
-        let rec = MemoryRecorder::new().with_capacity(3);
-        for i in 0..5u64 {
-            rec.instant(
-                SimTime::from_millis(i),
-                "t",
-                if i % 2 == 0 { "even" } else { "odd" },
-                Lane::Global,
-                Vec::new(),
-            );
-        }
-        rec.counter_add("t", "c", 5);
-        assert_eq!(rec.event_count(), 3);
-        assert_eq!(rec.dropped_count(), 2);
-        let log = rec.finish();
-        assert_eq!(log.dropped_events, 2);
-        assert_eq!(log.events.len(), 3);
-        assert_eq!(log.events[0].at, SimTime::from_millis(2), "tail survives");
-        // Metrics are exact regardless of event eviction.
-        assert_eq!(log.counter("t", "c"), 5);
-        // The unbounded default never drops.
-        assert_eq!(MemoryRecorder::new().finish().dropped_events, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 event")]
-    fn zero_capacity_is_rejected() {
-        let _ = MemoryRecorder::new().with_capacity(0);
     }
 
     #[test]

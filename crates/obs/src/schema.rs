@@ -19,9 +19,8 @@
 //!   earlier `span_id`); `span_end` lines carry the `span_id` of an
 //!   open span and must not be stamped earlier than its start
 //!   (non-monotone span timestamps are rejected). A `span_end` whose
-//!   start was never seen is *unpaired* and rejected — unless the
-//!   stream is a bounded-ring tail (a trailing `obs.dropped_events`
-//!   note), where the start may legitimately have been evicted.
+//!   start was never seen is *unpaired* and rejected: every sink keeps
+//!   the whole stream, so no start can be missing.
 //! * **Service job events** (`job.submit`/`job.queued`/`job.dispatch`/
 //!   `job.reject`/`job.done`) must sit on a `job:<n>` lane.
 //! * **Metric lines** carry `metric` (`counter` or `histogram`) and
@@ -74,10 +73,6 @@ struct SpanState {
     open: BTreeMap<u64, u64>,
     /// Every `span_id` ever opened (ids must never be reused).
     seen: std::collections::BTreeSet<u64>,
-    /// `span_end` lines whose start was never seen. Only legal when the
-    /// stream turns out to be a bounded-ring tail (checked at the end,
-    /// once the `dropped_events` note is visible).
-    unpaired_ends: Vec<usize>,
 }
 
 fn validate_event_line(
@@ -150,10 +145,7 @@ fn validate_event_line(
                 None if spans.seen.contains(&id) => {
                     Err(format!("line {line_no}: span_id {id} closed twice"))
                 }
-                None => {
-                    spans.unpaired_ends.push(line_no);
-                    Ok(())
-                }
+                None => Err(format!("line {line_no}: unpaired span_end")),
             }
         }
         other => Err(format!("line {line_no}: unknown kind `{other}`")),
@@ -183,8 +175,7 @@ fn validate_metric_line(obj: &Json, line_no: usize) -> Result<bool, String> {
 /// Validates a JSONL trace export one line at a time, so a reader
 /// that needs each parsed line (replay) validates and decodes in one
 /// pass. Feed every line to [`line`](Self::line), then call
-/// [`finish`](Self::finish) for the checks that need the whole stream.
-/// After an error the validator's state is unspecified; stop feeding it.
+/// [`finish`](Self::finish) for the counts. After an error the validator's state is unspecified; stop feeding it.
 #[derive(Debug, Default)]
 pub struct JsonlValidator {
     stats: JsonlStats,
@@ -192,7 +183,6 @@ pub struct JsonlValidator {
     lines: usize,
     in_metrics: bool,
     spans: SpanState,
-    dropped_noted: bool,
 }
 
 impl JsonlValidator {
@@ -214,11 +204,6 @@ impl JsonlValidator {
             self.in_metrics = true;
             if validate_metric_line(&obj, line_no)? {
                 self.stats.counters += 1;
-                if obj.get("scope").and_then(Json::as_str) == Some("obs")
-                    && obj.get("name").and_then(Json::as_str) == Some("dropped_events")
-                {
-                    self.dropped_noted = true;
-                }
             } else {
                 self.stats.histograms += 1;
             }
@@ -232,22 +217,10 @@ impl JsonlValidator {
         Ok(obj)
     }
 
-    /// Runs the end-of-stream checks and returns the stream's counts.
-    ///
-    /// # Errors
-    ///
-    /// Names the first `span_end` whose start never appeared, unless
-    /// the stream is a bounded-ring tail.
-    pub fn finish(self) -> Result<JsonlStats, String> {
-        // Unpaired span_end lines are only legal in a bounded-ring tail,
-        // where the matching span_start may have been evicted (flagged by
-        // the trailing dropped-events note).
-        if !self.dropped_noted {
-            if let Some(&line_no) = self.spans.unpaired_ends.first() {
-                return Err(format!("line {line_no}: unpaired span_end"));
-            }
-        }
-        Ok(self.stats)
+    /// The counts of the stream fed so far. Every check runs per line,
+    /// so a stream whose lines all passed is valid.
+    pub fn finish(self) -> JsonlStats {
+        self.stats
     }
 }
 
@@ -257,7 +230,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
     for line in text.lines() {
         validator.line(line)?;
     }
-    validator.finish()
+    Ok(validator.finish())
 }
 
 #[cfg(test)]
@@ -445,7 +418,7 @@ mod tests {
     #[test]
     fn rejects_span_pairing_violations() {
         let good = span_pair_export();
-        // An end whose start was never emitted (and no drop note).
+        // An end whose start was never emitted.
         let unpaired: String = good
             .lines()
             .filter(|l| !(l.contains("span_start") && l.contains("\"span_id\":1")))
@@ -456,11 +429,14 @@ mod tests {
         assert!(validate_jsonl(&unpaired)
             .unwrap_err()
             .contains("unpaired span_end"));
-        // The same tail is legal when the stream is a bounded-ring tail.
-        let tail = format!(
+        // A trailing `obs.dropped_events` counter does not excuse it.
+        let noted = format!(
             "{unpaired}\n{{\"metric\":\"counter\",\"scope\":\"obs\",\"name\":\"dropped_events\",\"value\":1}}"
         );
-        validate_jsonl(&tail).expect("ring tails may open mid-span");
+        assert_eq!(
+            validate_jsonl(&noted).unwrap_err(),
+            "line 2: unpaired span_end"
+        );
         // Reused span id.
         let reused = good.replace("\"span_id\":1,\"parent_id\":0", "\"span_id\":0");
         assert!(validate_jsonl(&reused).unwrap_err().contains("reused"));

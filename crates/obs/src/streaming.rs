@@ -1,12 +1,11 @@
 //! The streaming sink: schema-valid JSONL written incrementally.
 //!
 //! [`MemoryRecorder`](crate::memory::MemoryRecorder) buffers everything
-//! and exports once the run completes; a bounded ring caps its memory
-//! by *dropping* the oldest events. [`StreamingRecorder`] is the other
-//! side of that trade: every event is rendered to its JSONL line the
-//! moment it is recorded and pushed into the writer, so the sink keeps
-//! **full fidelity past any ring capacity** while holding only one
-//! line in memory at a time. The rendering is shared byte-for-byte with
+//! and exports once the run completes. [`StreamingRecorder`] is the
+//! other side of that trade: every event is rendered to its JSONL line
+//! the moment it is recorded and pushed into the writer, so the sink
+//! keeps **full fidelity** while holding only one line in memory at a
+//! time. The rendering is shared byte-for-byte with
 //! [`crate::export::export_jsonl`], so a streamed trace of a run is
 //! identical to the batch export of the same run's `TraceLog` — the
 //! round-trip tests in `rubberband` pin this.
@@ -15,8 +14,7 @@
 //! the explicit durability points (the executor calls it at stage
 //! barriers), so a crash loses at most the current stage's tail.
 //! [`finish`](StreamingRecorder::finish) appends the metric lines
-//! (counters, histograms, and the dropped-events note — always 0 for
-//! this sink, kept for format parity) and returns the writer.
+//! (counters, then histograms) and returns the writer.
 //!
 //! Like every recorder, the sink only *receives* data: it consumes no
 //! randomness and never influences the computation it observes.
@@ -123,9 +121,7 @@ impl<W: Write + Send> StreamingRecorder<W> {
         }
         let (counters, histograms) = self.metrics.snapshot();
         let mut tail = String::new();
-        // A streaming sink never evicts, so the drop note is always
-        // absent — exactly what export_jsonl writes for dropped = 0.
-        write_metric_lines(&mut tail, &counters, &histograms, 0);
+        write_metric_lines(&mut tail, &counters, &histograms);
         out.write_all(tail.as_bytes())?;
         out.flush()?;
         out.into_inner().map_err(|e| e.into_error())
@@ -255,26 +251,5 @@ mod tests {
         );
         assert_eq!(rec.event_count(), 1);
         rec.finish().expect("finish succeeds");
-    }
-
-    #[test]
-    fn streaming_keeps_full_fidelity_past_ring_capacity() {
-        // The same 100-event run through a 10-slot ring and the stream:
-        // the ring keeps a tail, the stream keeps everything.
-        let ring = MemoryRecorder::new().with_capacity(10);
-        let stream = StreamingRecorder::in_memory();
-        for i in 0..100u64 {
-            for rec in [&ring as &dyn Recorder, &stream as &dyn Recorder] {
-                rec.instant(SimTime::from_millis(i), "t", "e", Lane::Global, Vec::new());
-            }
-        }
-        assert_eq!(ring.finish().events.len(), 10);
-        let streamed = stream.into_jsonl();
-        let stats = validate_jsonl(&streamed).expect("validates");
-        assert_eq!(stats.events, 100);
-        assert!(
-            !streamed.contains("dropped_events"),
-            "streams never drop, so no note"
-        );
     }
 }

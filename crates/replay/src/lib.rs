@@ -55,7 +55,7 @@ pub struct ReplayedRun {
 /// the schema's [`JsonlValidator`], which hands the document on to the
 /// decoder. Schema errors still take precedence, as if the whole
 /// stream were validated first: a decode error is held back until
-/// every later line and the end-of-stream checks have passed.
+/// every later line has passed.
 ///
 /// # Errors
 ///
@@ -78,7 +78,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
             .err();
         }
     }
-    let stats = schema.finish().map_err(|e| format!("schema: {e}"))?;
+    let stats = schema.finish();
     if let Some(e) = decode_error {
         return Err(e);
     }

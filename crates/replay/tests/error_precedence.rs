@@ -224,3 +224,34 @@ fn corrupted_exec_events_are_errors_not_a_different_run() {
         assert!(e.contains(expected), "{what}: {e}");
     }
 }
+
+#[test]
+fn an_unpaired_span_end_is_a_schema_error_even_with_a_drop_note() {
+    let trace = faulted_trace();
+    // Drop the last stage's span start and renumber the events after
+    // it, so only the pairing is wrong; then append the counter a
+    // bounded recorder ring once noted evicted events with.
+    let is_start =
+        |l: &str| l.contains("\"lane\":\"stage:2\"") && l.contains("\"kind\":\"span_start\"");
+    let mut edited = String::new();
+    let mut unpaired = None;
+    for (seq, line) in trace.lines().filter(|l| !is_start(l)).enumerate() {
+        if line.starts_with("{\"metric\"") {
+            edited.push_str(line);
+        } else {
+            edited.push_str(&set(line, "seq", &seq.to_string()));
+            if line.contains("\"lane\":\"stage:2\"") && line.contains("\"kind\":\"span_end\"") {
+                unpaired = Some(seq + 1);
+            }
+        }
+        edited.push('\n');
+    }
+    edited.push_str(
+        "{\"metric\":\"counter\",\"scope\":\"obs\",\"name\":\"dropped_events\",\"value\":1}\n",
+    );
+    let line = unpaired.expect("the trace closes the last stage's span");
+    assert_eq!(
+        replay_jsonl(&edited).map(|_| ()),
+        Err(format!("schema: line {line}: unpaired span_end"))
+    );
+}

@@ -42,6 +42,19 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --offline
 
+echo "== benchmark pins (perf workloads must reproduce their pinned digests) =="
+# One short run of each benchmark workload that drives the executor,
+# the controller or the trace codec. A run is correct only when every
+# operation's digest matches the one pinned in the benchmark, so a
+# behaviour change fails here instead of when the benchmark next runs.
+# `plan_cold` (about 18 s for one short run) is left to the benchmark.
+for workload in adaptive_drift serve_fleet trace_replay; do
+    out=$(target/release/perf --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    grep -q '"correct": true' <<<"$out" \
+        || { echo "FAIL: perf $workload missed its pinned digest" >&2; echo "$out" >&2; exit 1; }
+done
+echo "ok"
+
 echo "== paper evidence (repro --csv all must match the pinned output) =="
 # Every table and figure of the evaluation, seeded and bit-reproducible
 # at any thread count. `repro` writes repro_out/ into its cwd, so it runs
