@@ -14,7 +14,8 @@
 use crate::report::{ExecutionReport, ExecutionTrace, StageRecord, TraceEvent};
 use rb_core::{Cost, NodeId, SimDuration, SimTime, TrialId};
 use rb_hpo::{Config, ConfigValue};
-use rb_obs::json::Json;
+use rb_obs::json::JsonView;
+use rb_obs::schema::EventLine;
 use rb_obs::{Event, EventKind, Lane, RecorderHandle, SpanId, Value};
 use std::collections::BTreeMap;
 
@@ -145,16 +146,16 @@ pub fn record_run(recorder: &RecorderHandle, at: SimTime, span: SpanId, report: 
 }
 
 /// Typed access to one event line's `fields` object.
-struct Fields<'a>(Option<&'a Json>);
+struct Fields<'a>(JsonView<'a>);
 
-impl Fields<'_> {
-    fn get(&self, key: &str) -> Option<&Json> {
-        self.0.and_then(|fields| fields.get(key))
+impl<'a> Fields<'a> {
+    fn get(&self, key: &str) -> Option<JsonView<'a>> {
+        self.0.get(key)
     }
 
     fn u64(&self, key: &str) -> Result<u64, String> {
         self.get(key)
-            .and_then(Json::as_u64)
+            .and_then(JsonView::as_u64)
             .ok_or_else(|| format!("missing or non-integer field `{key}`"))
     }
 
@@ -165,28 +166,28 @@ impl Fields<'_> {
 
     fn i64(&self, key: &str) -> Result<i64, String> {
         self.get(key)
-            .and_then(Json::as_i64)
+            .and_then(JsonView::as_i64)
             .ok_or_else(|| format!("missing or non-integer field `{key}`"))
     }
 
     fn f64(&self, key: &str) -> Result<f64, String> {
         self.get(key)
-            .and_then(Json::as_f64)
+            .and_then(JsonView::as_f64)
             .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
     }
 
     fn bool(&self, key: &str) -> Result<bool, String> {
         self.get(key)
-            .and_then(Json::as_bool)
+            .and_then(JsonView::as_bool)
             .ok_or_else(|| format!("missing or non-boolean field `{key}`"))
     }
 }
 
 /// Rebuilds a run's [`ExecutionReport`] from its trace's event lines,
-/// fed one parsed line at a time. Events of other scopes, and `exec`
-/// events that carry no report state, are skipped. The trace must hold
-/// exactly one `run` span pair on the global lane: a single-job,
-/// recording-on run.
+/// fed one line at a time as [`rb_obs::schema::JsonlValidator`] read
+/// it. Events of other scopes, and `exec` events that carry no report
+/// state, are skipped. The trace must hold exactly one `run` span pair
+/// on the global lane: a single-job, recording-on run.
 #[derive(Debug, Default)]
 pub struct Decoder {
     trace: ExecutionTrace,
@@ -200,47 +201,48 @@ pub struct Decoder {
 }
 
 impl Decoder {
-    /// Decodes event line `lineno` (1-based, for error messages).
+    /// Decodes event line `lineno` (1-based, for error messages), as
+    /// the schema validator read it.
     ///
     /// # Errors
     ///
     /// `line N: <name>: …` for an `exec` event off its encoder's kind or
     /// lane, with a field missing, mistyped or out of range, or
     /// repeating what a run records once.
-    pub fn event(&mut self, lineno: usize, doc: &Json) -> Result<(), String> {
-        let at = SimTime::from_millis(
-            doc.get("t_ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("line {lineno}: event without t_ms"))?,
-        );
-        if doc.get("scope").and_then(Json::as_str) != Some("exec") {
+    pub fn event(&mut self, lineno: usize, event: &EventLine<'_>) -> Result<(), String> {
+        let &EventLine {
+            t_ms,
+            scope,
+            name,
+            label,
+            lane,
+            kind,
+            end_ms,
+            fields,
+        } = event;
+        if scope != "exec" {
             return Ok(());
         }
-        let name = doc.get("name").and_then(Json::as_str).unwrap_or("");
-        let label = doc.get("lane").and_then(Json::as_str).unwrap_or("");
-        let kind = doc.get("kind").and_then(Json::as_str).unwrap_or("");
-        let fields = Fields(doc.get("fields"));
+        let at = SimTime::from_millis(t_ms);
+        let fields = Fields(fields);
         let err = |e: String| format!("line {lineno}: {name}: {e}");
 
-        match (name, kind, label.parse::<Lane>()) {
-            ("node.up", "instant", Ok(Lane::Node(node))) => {
+        match (name, kind, lane) {
+            ("node.up", "instant", Lane::Node(node)) => {
                 self.trace.events.push(TraceEvent::NodeUp {
                     node: NodeId::new(node),
                     at,
                 });
             }
-            ("node.down", "instant", Ok(Lane::Node(node))) => {
+            ("node.down", "instant", Lane::Node(node)) => {
                 self.trace.events.push(TraceEvent::NodeDown {
                     node: NodeId::new(node),
                     at,
                     preempted: fields.bool("preempted").map_err(err)?,
                 });
             }
-            ("trial.segment", "span", Ok(Lane::Trial(trial))) => {
-                let end = doc
-                    .get("end_ms")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("span without end_ms".into()))?;
+            ("trial.segment", "span", Lane::Trial(trial)) => {
+                let end = end_ms.ok_or_else(|| err("span without end_ms".into()))?;
                 self.trace.events.push(TraceEvent::TrialSegment {
                     trial: TrialId::new(trial),
                     stage: fields.narrow("stage").map_err(err)?,
@@ -249,20 +251,20 @@ impl Decoder {
                     gpus: fields.narrow("gpus").map_err(err)?,
                 });
             }
-            ("migration", "instant", Ok(Lane::Trial(trial))) => {
+            ("migration", "instant", Lane::Trial(trial)) => {
                 self.trace.events.push(TraceEvent::Migration {
                     trial: TrialId::new(trial),
                     at,
                 });
             }
-            ("barrier", "instant", Ok(Lane::Global)) => {
+            ("barrier", "instant", Lane::Global) => {
                 self.trace.events.push(TraceEvent::Barrier {
                     stage: fields.narrow("stage").map_err(err)?,
                     at,
                 });
             }
-            ("stage", "span_start", Ok(Lane::Stage(_))) => {}
-            ("stage", "span_end", Ok(Lane::Stage(lane_stage))) => {
+            ("stage", "span_start", Lane::Stage(_)) => {}
+            ("stage", "span_end", Lane::Stage(lane_stage)) => {
                 let record = StageRecord {
                     stage: fields.narrow("stage").map_err(err)?,
                     train_start: SimTime::from_millis(fields.u64("train_start_ms").map_err(err)?),
@@ -277,7 +279,7 @@ impl Decoder {
                 }
                 self.stages.push(record);
             }
-            ("run", "span_start", Ok(Lane::Global)) => {
+            ("run", "span_start", Lane::Global) => {
                 let previous = self.run_start.replace(at);
                 if previous.is_some() {
                     return Err(err(
@@ -285,7 +287,7 @@ impl Decoder {
                     ));
                 }
             }
-            ("run", "span_end", Ok(Lane::Global)) => {
+            ("run", "span_end", Lane::Global) => {
                 let utilization = match fields.get("utilization") {
                     None => None,
                     Some(_) => Some(fields.f64("utilization").map_err(err)?),
@@ -315,7 +317,7 @@ impl Decoder {
                     return Err(err("second run span end".into()));
                 }
             }
-            ("trial.throughput", "instant", Ok(Lane::Trial(trial))) => {
+            ("trial.throughput", "instant", Lane::Trial(trial)) => {
                 let sps = fields.f64("sps").map_err(err)?;
                 if self
                     .trial_throughput
@@ -325,10 +327,10 @@ impl Decoder {
                     return Err(err(format!("second throughput for `{label}`")));
                 }
             }
-            ("run.best_param", "instant", Ok(Lane::Global)) => {
+            ("run.best_param", "instant", Lane::Global) => {
                 let param = fields
                     .get("param")
-                    .and_then(Json::as_str)
+                    .and_then(JsonView::as_str)
                     .ok_or_else(|| err("missing param name".into()))?;
                 let value = if let Some(v) = fields.get("float") {
                     ConfigValue::Float(v.as_f64().ok_or_else(|| err("bad float".into()))?)

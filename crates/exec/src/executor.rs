@@ -2663,10 +2663,11 @@ mod tests {
             .unwrap();
         let log = sink.finish();
         let mut decoder = codec::Decoder::default();
+        let mut schema = rb_obs::schema::JsonlValidator::default();
         for (i, line) in rb_obs::export::export_jsonl(&log).lines().enumerate() {
-            let doc = rb_obs::json::parse_json(line).unwrap();
-            if doc.get("metric").is_none() {
-                decoder.event(i + 1, &doc).unwrap();
+            let line = schema.line(line).unwrap();
+            if let rb_obs::schema::LineKind::Event(event) = line.kind {
+                decoder.event(i + 1, &event).unwrap();
             }
         }
         let decoded = decoder.finish().unwrap();

@@ -7,10 +7,16 @@
 //! JSON has no representation for them and the recorders drop them
 //! before they get here anyway.
 //!
-//! The parser is a small recursive-descent JSON reader sufficient to
-//! validate our own exports (objects, arrays, strings with `\uXXXX`
-//! escapes, numbers, booleans, null). Nesting is capped at
-//! [`MAX_DEPTH`], so hostile input is an error, never a stack overflow.
+//! There is one parser, [`JsonReader`]: a recursive descent sufficient
+//! to read our own exports (objects, arrays, strings with `\uXXXX`
+//! escapes, numbers, booleans, null) that builds no tree. It parses a
+//! document into a vector of slots it reuses from one document to the
+//! next, and hands back a [`JsonView`] that borrows its strings from the
+//! input, so the schema validator and replay read a trace line by line
+//! without allocating. [`parse_json`] copies a view into an owned
+//! [`Json`] tree for callers that keep the document. Nesting is capped
+//! at [`MAX_DEPTH`], so hostile input is an error, never a stack
+//! overflow.
 
 use std::fmt::Write as _;
 
@@ -50,9 +56,7 @@ impl Json {
     /// number.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Num(v) if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 => {
-                Some(*v as i64)
-            }
+            Json::Num(v) => exact_i64(*v),
             _ => None,
         }
     }
@@ -136,183 +140,446 @@ pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document. Trailing whitespace is allowed;
 /// trailing garbage and nesting deeper than [`MAX_DEPTH`] are errors.
+/// This is [`JsonReader::read`] with the result copied into an owned
+/// [`Json`] tree.
 pub fn parse_json(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(input, bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
+    Ok(JsonReader::default().read(input)?.to_json())
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// The integer `v` holds exactly, under the 2^53 rule of
+/// [`Json::as_i64`].
+fn exact_i64(v: f64) -> Option<i64> {
+    (v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0).then_some(v as i64)
 }
 
-/// Parses the value at `pos`, inside `depth` open arrays and objects.
-fn parse_value(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} at byte {pos}",
-            pos = *pos
-        )),
-        Some(b'{') => parse_obj(input, bytes, pos, depth + 1),
-        Some(b'[') => parse_arr(input, bytes, pos, depth + 1),
-        Some(b'"') => parse_str(input, bytes, pos).map(Json::Str),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(input, bytes, pos),
-    }
+/// Where a key's or string's text lives: a byte range of the document,
+/// or of the reader's side string when it had escapes to decode. The
+/// default is the empty key of an array element or of the document.
+#[derive(Debug, Clone, Copy, Default)]
+struct Text {
+    start: usize,
+    end: usize,
+    decoded: bool,
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
+/// One parsed value, without its children.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Text),
+    /// An array or object, and how many slots its subtree takes after
+    /// its own.
+    Arr(usize),
+    Obj(usize),
 }
 
-fn parse_num(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let token = &input[start..*pos];
-    // An integer of at most 15 digits is below 2^53, so accumulating it
-    // in a u64 and converting once is exact: the value the general
-    // decimal parser would give, without its cost.
-    let digits = token.strip_prefix('-').unwrap_or(token);
-    if (1..=15).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
-        let n = digits
-            .bytes()
-            .fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64;
-        return Ok(Json::Num(if digits.len() < token.len() { -n } else { n }));
-    }
-    token
-        .parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number at byte {start}"))
-}
-
-fn parse_str(input: &str, bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        // Copy the run up to the next quote or backslash with one push.
-        // Both are ASCII, so the run ends on a char boundary.
-        let run = bytes[*pos..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\')
-            .ok_or_else(|| "unterminated string".to_owned())?;
-        let text = &input[*pos..*pos + run];
-        *pos += run + 1;
-        if bytes[*pos - 1] == b'"' {
-            if out.is_empty() {
-                return Ok(text.to_owned());
-            }
-            out.push_str(text);
-            return Ok(out);
+impl Node {
+    fn below(self) -> usize {
+        match self {
+            Node::Arr(n) | Node::Obj(n) => n,
+            _ => 0,
         }
-        out.push_str(text);
-        let Some(&esc) = bytes.get(*pos) else {
-            return Err("unterminated escape".to_owned());
+    }
+}
+
+/// A value and the key it sits under. A document is its slots in
+/// document order, each container followed by its subtree.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: Text,
+    node: Node,
+}
+
+/// A JSON reader that builds no tree. [`read`](Self::read) parses a
+/// document into a vector of slots the reader keeps, and returns a
+/// borrowed [`JsonView`] of it. Keys and strings without escapes are
+/// byte ranges of the input; escaped ones are decoded into one side
+/// string the reader also keeps. A reader fed line after line stops
+/// allocating once its slot vector and side string have grown to the
+/// largest line.
+///
+/// The grammar is JSON's, with three leniencies kept for compatibility
+/// with earlier readers of our exports: a raw control character inside
+/// a string, a leading `+` and leading zeros in a number are accepted.
+/// `\u` takes exactly four hex digits, and a lone surrogate decodes to
+/// U+FFFD.
+#[derive(Debug, Default)]
+pub struct JsonReader {
+    slots: Vec<Slot>,
+    side: String,
+}
+
+impl JsonReader {
+    /// Parses the complete document `input`, as [`parse_json`] does, and
+    /// returns a view of it that lives until the next read.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, with its byte offset where it has one.
+    pub fn read<'a>(&'a mut self, input: &'a str) -> Result<JsonView<'a>, String> {
+        self.slots.clear();
+        self.side.clear();
+        let mut parser = Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            slots: &mut self.slots,
+            side: &mut self.side,
         };
-        *pos += 1;
-        match esc {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'b' => out.push('\u{8}'),
-            b'f' => out.push('\u{c}'),
-            b'u' => {
-                let hex = input
-                    .get(*pos..*pos + 4)
-                    .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                // Exactly four hex digits: `from_str_radix` alone would
-                // also take a sign, reading `\u+041` as `A`.
-                let code = u32::from_str_radix(hex, 16)
-                    .ok()
-                    .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                    .ok_or_else(|| format!("bad \\u escape `{hex}`"))?;
-                *pos += 4;
-                // Surrogate pairs are not produced by our writer;
-                // map lone surrogates to the replacement char.
-                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+        parser.value(Text::default(), 0)?;
+        parser.skip_ws();
+        if parser.pos != input.len() {
+            return Err(format!("trailing data at byte {}", parser.pos));
+        }
+        Ok(JsonView {
+            input,
+            side: &self.side,
+            slots: &self.slots,
+        })
+    }
+}
+
+/// One value of a document a [`JsonReader`] read, borrowed from the
+/// reader and the input. The accessors mean what [`Json`]'s mean.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonView<'a> {
+    input: &'a str,
+    side: &'a str,
+    /// This value's slot, then its subtree's.
+    slots: &'a [Slot],
+}
+
+impl<'a> JsonView<'a> {
+    fn node(self) -> Node {
+        self.slots[0].node
+    }
+
+    fn text(self, text: Text) -> &'a str {
+        let from = if text.decoded { self.side } else { self.input };
+        &from[text.start..text.end]
+    }
+
+    /// The keys and values of an object, or the elements of an array
+    /// under empty keys, in document order.
+    fn children(self) -> impl Iterator<Item = (Text, JsonView<'a>)> {
+        let mut rest = &self.slots[1..];
+        std::iter::from_fn(move || {
+            let slot = rest.first()?;
+            let (slots, after) = rest.split_at(1 + slot.node.below());
+            rest = after;
+            Some((slot.key, JsonView { slots, ..self }))
+        })
+    }
+
+    /// Looks up `key` in an object (first occurrence).
+    pub fn get(self, key: &str) -> Option<JsonView<'a>> {
+        if !self.is_obj() {
+            return None;
+        }
+        // A plain loop, lengths compared before bytes: replay looks up a
+        // dozen keys on every line, and runs about a tenth faster with
+        // this than with a search over `children`.
+        let mut at = 1;
+        while let Some(slot) = self.slots.get(at) {
+            let next = at + 1 + slot.node.below();
+            let k = slot.key;
+            if k.end - k.start == key.len() && self.text(k) == key {
+                return Some(JsonView {
+                    slots: &self.slots[at..next],
+                    ..self
+                });
             }
-            other => return Err(format!("bad escape `\\{}`", other as char)),
+            at = next;
+        }
+        None
+    }
+
+    pub fn as_f64(self) -> Option<f64> {
+        match self.node() {
+            Node::Num(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The value as an integer, under the 2^53 rule of [`Json::as_i64`].
+    pub fn as_i64(self) -> Option<i64> {
+        self.as_f64().and_then(exact_i64)
+    }
+
+    /// The value as a non-negative integer, under the rule of
+    /// [`Json::as_i64`].
+    pub fn as_u64(self) -> Option<u64> {
+        self.as_i64().and_then(|v| u64::try_from(v).ok())
+    }
+
+    pub fn as_str(self) -> Option<&'a str> {
+        match self.node() {
+            Node::Str(text) => Some(self.text(text)),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(self) -> Option<bool> {
+        match self.node() {
+            Node::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array, in document order.
+    pub fn as_arr(self) -> Option<impl Iterator<Item = JsonView<'a>>> {
+        match self.node() {
+            Node::Arr(_) => Some(self.children().map(|(_, v)| v)),
+            _ => None,
+        }
+    }
+
+    pub fn is_obj(self) -> bool {
+        matches!(self.node(), Node::Obj(_))
+    }
+
+    pub fn is_null(self) -> bool {
+        matches!(self.node(), Node::Null)
+    }
+
+    /// The value copied into an owned tree.
+    fn to_json(self) -> Json {
+        // Each container's vector is sized once: counting the children
+        // is cheaper than growing it.
+        fn collect<'a, T>(view: JsonView<'a>, f: impl Fn(Text, JsonView<'a>) -> T) -> Vec<T> {
+            let mut items = Vec::with_capacity(view.children().count());
+            items.extend(view.children().map(|(k, v)| f(k, v)));
+            items
+        }
+        match self.node() {
+            Node::Null => Json::Null,
+            Node::Bool(b) => Json::Bool(b),
+            Node::Num(v) => Json::Num(v),
+            Node::Str(text) => Json::Str(self.text(text).to_owned()),
+            Node::Arr(_) => Json::Arr(collect(self, |_, v| v.to_json())),
+            Node::Obj(_) => Json::Obj(collect(self, |k, v| (self.text(k).to_owned(), v.to_json()))),
         }
     }
 }
 
-fn parse_arr(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(input, bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-        }
-    }
+/// One [`JsonReader::read`] in progress: a recursive descent that
+/// appends each value to `slots` in document order.
+struct Parser<'a> {
+    input: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    slots: &'a mut Vec<Slot>,
+    side: &'a mut String,
 }
 
-fn parse_obj(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(pairs));
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        {
+            self.pos += 1;
+        }
     }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_str(input, bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(input, bytes, pos, depth)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
+
+    /// Parses the value at `pos`, under `key`, inside `depth` open
+    /// arrays and objects.
+    fn value(&mut self, key: Text, depth: usize) -> Result<(), String> {
+        self.skip_ws();
+        let node = match self.bytes.get(self.pos) {
+            None => return Err("unexpected end of input".to_owned()),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                ))
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
+            Some(b'{') => return self.obj(key, depth + 1),
+            Some(b'[') => return self.arr(key, depth + 1),
+            Some(b'"') => Node::Str(self.string()?),
+            Some(b't') => self.lit("true", Node::Bool(true))?,
+            Some(b'f') => self.lit("false", Node::Bool(false))?,
+            Some(b'n') => self.lit("null", Node::Null)?,
+            Some(_) => self.num()?,
+        };
+        self.slots.push(Slot { key, node });
+        Ok(())
+    }
+
+    fn lit(&mut self, lit: &str, node: Node) -> Result<Node, String> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(node)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn num(&mut self) -> Result<Node, String> {
+        let start = self.pos;
+        if self.bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        let token = &self.input[start..self.pos];
+        // An integer of at most 15 digits is below 2^53, so accumulating it
+        // in a u64 and converting once is exact: the value the general
+        // decimal parser would give, without its cost.
+        let digits = token.strip_prefix('-').unwrap_or(token);
+        if (1..=15).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+            let n = digits
+                .bytes()
+                .fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64;
+            return Ok(Node::Num(if digits.len() < token.len() { -n } else { n }));
+        }
+        token
+            .parse::<f64>()
+            .map(Node::Num)
+            .map_err(|_| format!("invalid number at byte {start}"))
+    }
+
+    /// Parses the string at `pos`. Text without escapes stays where it
+    /// is in the input; text with escapes is decoded onto the side
+    /// string.
+    fn string(&mut self) -> Result<Text, String> {
+        debug_assert_eq!(self.bytes[self.pos], b'"');
+        self.pos += 1;
+        let start = self.pos;
+        // Where this string's decoded text begins on the side string,
+        // once it has an escape.
+        let mut decoded = None;
+        loop {
+            // Find the run up to the next quote or backslash. Both are
+            // ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| "unterminated string".to_owned())?;
+            let text = &self.input[self.pos..self.pos + run];
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                let Some(from) = decoded else {
+                    return Ok(Text {
+                        start,
+                        end: self.pos - 1,
+                        decoded: false,
+                    });
+                };
+                self.side.push_str(text);
+                return Ok(Text {
+                    start: from,
+                    end: self.side.len(),
+                    decoded: true,
+                });
+            }
+            decoded.get_or_insert(self.side.len());
+            self.side.push_str(text);
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err("unterminated escape".to_owned());
+            };
+            self.pos += 1;
+            let c = match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self
+                        .input
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                    // Exactly four hex digits: `from_str_radix` alone would
+                    // also take a sign, reading `\u+041` as `A`.
+                    let code = u32::from_str_radix(hex, 16)
+                        .ok()
+                        .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .ok_or_else(|| format!("bad \\u escape `{hex}`"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our writer;
+                    // map lone surrogates to the replacement char.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                other => return Err(format!("bad escape `\\{}`", other as char)),
+            };
+            self.side.push(c);
+        }
+    }
+
+    /// Opens a container slot under `key`; [`close`](Self::close) sets
+    /// its subtree length.
+    fn open(&mut self, key: Text, node: Node) -> usize {
+        self.pos += 1; // '[' or '{'
+        self.slots.push(Slot { key, node });
+        self.slots.len() - 1
+    }
+
+    fn close(&mut self, at: usize, node: fn(usize) -> Node) {
+        self.pos += 1; // ']' or '}'
+        self.slots[at].node = node(self.slots.len() - at - 1);
+    }
+
+    fn arr(&mut self, key: Text, depth: usize) -> Result<(), String> {
+        let at = self.open(key, Node::Arr(0));
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b']') {
+            self.close(at, Node::Arr);
+            return Ok(());
+        }
+        loop {
+            self.value(Text::default(), depth)?;
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.close(at, Node::Arr);
+                    return Ok(());
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn obj(&mut self, key: Text, depth: usize) -> Result<(), String> {
+        let at = self.open(key, Node::Obj(0));
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b'}') {
+            self.close(at, Node::Obj);
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            if self.bytes.get(self.pos) != Some(&b'"') {
+                return Err(format!("expected object key at byte {}", self.pos));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if self.bytes.get(self.pos) != Some(&b':') {
+                return Err(format!("expected `:` at byte {}", self.pos));
+            }
+            self.pos += 1;
+            self.value(key, depth)?;
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.close(at, Node::Obj);
+                    return Ok(());
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            }
         }
     }
 }
@@ -493,6 +760,79 @@ mod tests {
             assert_eq!(num(t).as_i64(), None, "{t}");
             assert_eq!(num(&format!("-{t}")).as_i64(), None, "-{t}");
         }
+    }
+
+    #[test]
+    fn views_read_what_the_tree_holds() {
+        let mut reader = JsonReader::default();
+        let doc = r#"{"a":[1,"x\ty",{"b":null}],"k":"first","k":"second","n":-0.5,"t":true}"#;
+        let view = reader.read(doc).unwrap();
+        assert!(view.is_obj());
+        // Duplicate keys: the first occurrence wins, as in `Json::get`.
+        assert_eq!(view.get("k").and_then(JsonView::as_str), Some("first"));
+        assert_eq!(view.get("n").and_then(JsonView::as_f64), Some(-0.5));
+        assert_eq!(view.get("t").and_then(JsonView::as_bool), Some(true));
+        assert_eq!(view.get("missing").map(|_| ()), None);
+        let items: Vec<JsonView<'_>> = view.get("a").unwrap().as_arr().unwrap().collect();
+        assert_eq!(items.len(), 3);
+        assert_eq!(items[0].as_u64(), Some(1));
+        assert_eq!(items[1].as_str(), Some("x\ty"));
+        assert!(items[2].get("b").unwrap().is_null());
+        assert!(view.as_arr().is_none() && items[0].as_arr().is_none());
+        // An empty container has no children, and the value after it
+        // is still found.
+        let view = reader.read(r#"{"e":{},"f":[],"g":7}"#).unwrap();
+        assert_eq!(view.get("e").unwrap().as_arr().map(Iterator::count), None);
+        assert_eq!(
+            view.get("f").unwrap().as_arr().map(Iterator::count),
+            Some(0)
+        );
+        assert_eq!(view.get("g").and_then(JsonView::as_i64), Some(7));
+        // The 2^53 rule holds on the view too.
+        let view = reader
+            .read("[9007199254740991,9007199254740992,-1]")
+            .unwrap();
+        let ints: Vec<_> = view.as_arr().unwrap().map(JsonView::as_i64).collect();
+        assert_eq!(ints, [Some(9_007_199_254_740_991), None, Some(-1)]);
+        let ints: Vec<_> = view.as_arr().unwrap().map(JsonView::as_u64).collect();
+        assert_eq!(ints, [Some(9_007_199_254_740_991), None, None]);
+    }
+
+    #[test]
+    fn a_reused_reader_reads_each_document_afresh() {
+        let docs = [
+            r#"{"key\u00e9":"v\"1","z":[[],{"q":"\\"}]}"#,
+            r#"{"seq":0,"name":"plain"}"#,
+            r#"["a\nb",{"c":"d\u0041"},1e2,false,null]"#,
+            r#""just a string""#,
+            "[[[[]]]]",
+        ];
+        let mut reader = JsonReader::default();
+        for _ in 0..2 {
+            for doc in docs {
+                let tree = reader.read(doc).unwrap().to_json();
+                assert_eq!(Ok(tree), parse_json(doc), "{doc}");
+            }
+        }
+        assert_eq!(
+            reader.read(docs[2]).unwrap().to_json(),
+            Json::Arr(vec![
+                Json::Str("a\nb".to_owned()),
+                Json::Obj(vec![("c".to_owned(), Json::Str("dA".to_owned()))]),
+                Json::Num(100.0),
+                Json::Bool(false),
+                Json::Null,
+            ])
+        );
+        let view = reader.read(docs[0]).unwrap();
+        assert_eq!(
+            view.get("key\u{e9}").and_then(JsonView::as_str),
+            Some("v\"1")
+        );
+        // An error leaves the reader usable for the next line.
+        assert!(reader.read(r#"{"a":"\x"}"#).is_err());
+        let view = reader.read(docs[1]).unwrap();
+        assert_eq!(view.get("name").and_then(JsonView::as_str), Some("plain"));
     }
 
     #[test]

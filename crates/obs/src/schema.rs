@@ -28,7 +28,7 @@
 //!   histograms carry `count`/`min`/`max`/`p50`/`p90` (same finite-or-
 //!   null rule).
 
-use crate::json::{parse_json, Json};
+use crate::json::{JsonReader, JsonView};
 use crate::recorder::Lane;
 use std::collections::BTreeMap;
 
@@ -40,28 +40,29 @@ pub struct JsonlStats {
     pub histograms: usize,
 }
 
-fn require_str<'a>(obj: &'a Json, key: &str, line_no: usize) -> Result<&'a str, String> {
+fn require_str<'a>(obj: JsonView<'a>, key: &str, line_no: usize) -> Result<&'a str, String> {
     obj.get(key)
-        .and_then(Json::as_str)
+        .and_then(JsonView::as_str)
         .filter(|s| !s.is_empty())
         .ok_or_else(|| format!("line {line_no}: missing or empty string `{key}`"))
 }
 
-fn require_u64(obj: &Json, key: &str, line_no: usize) -> Result<u64, String> {
+fn require_u64(obj: JsonView<'_>, key: &str, line_no: usize) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Json::as_u64)
+        .and_then(JsonView::as_u64)
         .ok_or_else(|| format!("line {line_no}: missing or non-integer `{key}`"))
 }
 
-fn require_num_or_null(obj: &Json, key: &str, line_no: usize) -> Result<(), String> {
-    match obj.get(key) {
+fn require_num_or_null(obj: JsonView<'_>, key: &str, line_no: usize) -> Result<(), String> {
+    let value = obj.get(key);
+    match value.and_then(JsonView::as_f64) {
         // Finite only: JSON has no NaN/inf, but an overflowing literal
         // like 1e999 parses to f64::INFINITY. Producers must map
         // non-finite values to null (write_json_f64 does).
-        Some(Json::Num(v)) if v.is_finite() => Ok(()),
-        Some(Json::Num(_)) => Err(format!("line {line_no}: non-finite number in `{key}`")),
-        Some(Json::Null) => Ok(()),
-        _ => Err(format!("line {line_no}: missing or non-numeric `{key}`")),
+        Some(v) if v.is_finite() => Ok(()),
+        Some(_) => Err(format!("line {line_no}: non-finite number in `{key}`")),
+        None if value.is_some_and(JsonView::is_null) => Ok(()),
+        None => Err(format!("line {line_no}: missing or non-numeric `{key}`")),
     }
 }
 
@@ -75,12 +76,13 @@ struct SpanState {
     seen: std::collections::BTreeSet<u64>,
 }
 
-fn validate_event_line(
-    obj: &Json,
+/// Checks event line `line_no` and returns its header.
+fn validate_event_line<'a>(
+    obj: JsonView<'a>,
     line_no: usize,
     expected_seq: usize,
     spans: &mut SpanState,
-) -> Result<(), String> {
+) -> Result<EventLine<'a>, String> {
     let seq = require_u64(obj, "seq", line_no)?;
     if seq != expected_seq as u64 {
         return Err(format!(
@@ -88,7 +90,7 @@ fn validate_event_line(
         ));
     }
     let t_ms = require_u64(obj, "t_ms", line_no)?;
-    require_str(obj, "scope", line_no)?;
+    let scope = require_str(obj, "scope", line_no)?;
     let name = require_str(obj, "name", line_no)?;
     let label = require_str(obj, "lane", line_no)?;
     let lane: Lane = label
@@ -103,19 +105,22 @@ fn validate_event_line(
             "line {line_no}: service event `{name}` on non-job lane `{label}`"
         ));
     }
-    if !obj.get("fields").is_some_and(Json::is_obj) {
-        return Err(format!("line {line_no}: `fields` must be an object"));
-    }
-    match require_str(obj, "kind", line_no)? {
-        "instant" => Ok(()),
+    let fields = obj
+        .get("fields")
+        .filter(|f| f.is_obj())
+        .ok_or_else(|| format!("line {line_no}: `fields` must be an object"))?;
+    let kind = require_str(obj, "kind", line_no)?;
+    let mut end_ms = None;
+    match kind {
+        "instant" => {}
         "span" => {
-            let end_ms = require_u64(obj, "end_ms", line_no)?;
-            if end_ms < t_ms {
+            let end = require_u64(obj, "end_ms", line_no)?;
+            if end < t_ms {
                 return Err(format!("line {line_no}: span ends before it starts"));
             }
-            Ok(())
+            end_ms = Some(end);
         }
-        "gauge" => require_num_or_null(obj, "value", line_no),
+        "gauge" => require_num_or_null(obj, "value", line_no)?,
         "span_start" => {
             let id = require_u64(obj, "span_id", line_no)?;
             if !spans.seen.insert(id) {
@@ -132,50 +137,95 @@ fn validate_event_line(
                 }
             }
             spans.open.insert(id, t_ms);
-            Ok(())
         }
         "span_end" => {
             let id = require_u64(obj, "span_id", line_no)?;
             match spans.open.remove(&id) {
-                Some(start_ms) if t_ms < start_ms => Err(format!(
-                    "line {line_no}: non-monotone span timestamps (span {id} ends at \
-                     {t_ms}ms before its {start_ms}ms start)"
-                )),
-                Some(_) => Ok(()),
-                None if spans.seen.contains(&id) => {
-                    Err(format!("line {line_no}: span_id {id} closed twice"))
+                Some(start_ms) if t_ms < start_ms => {
+                    return Err(format!(
+                        "line {line_no}: non-monotone span timestamps (span {id} ends at \
+                         {t_ms}ms before its {start_ms}ms start)"
+                    ))
                 }
-                None => Err(format!("line {line_no}: unpaired span_end")),
+                Some(_) => {}
+                None if spans.seen.contains(&id) => {
+                    return Err(format!("line {line_no}: span_id {id} closed twice"))
+                }
+                None => return Err(format!("line {line_no}: unpaired span_end")),
             }
         }
-        other => Err(format!("line {line_no}: unknown kind `{other}`")),
+        other => return Err(format!("line {line_no}: unknown kind `{other}`")),
     }
+    Ok(EventLine {
+        t_ms,
+        scope,
+        name,
+        label,
+        lane,
+        kind,
+        end_ms,
+        fields,
+    })
 }
 
-fn validate_metric_line(obj: &Json, line_no: usize) -> Result<bool, String> {
+fn validate_metric_line(obj: JsonView<'_>, line_no: usize) -> Result<LineKind<'_>, String> {
     let metric = require_str(obj, "metric", line_no)?;
     require_str(obj, "scope", line_no)?;
     require_str(obj, "name", line_no)?;
     match metric {
         "counter" => {
             require_u64(obj, "value", line_no)?;
-            Ok(true)
+            Ok(LineKind::Counter)
         }
         "histogram" => {
             require_u64(obj, "count", line_no)?;
             for key in ["min", "max", "p50", "p90"] {
                 require_num_or_null(obj, key, line_no)?;
             }
-            Ok(false)
+            Ok(LineKind::Histogram)
         }
         other => Err(format!("line {line_no}: unknown metric kind `{other}`")),
     }
 }
 
+/// The header of a valid event line, as the schema read it, so a
+/// reader after it need not look its keys up again.
+#[derive(Debug, Clone, Copy)]
+pub struct EventLine<'a> {
+    pub t_ms: u64,
+    pub scope: &'a str,
+    pub name: &'a str,
+    /// The `lane` label, and the lane it names.
+    pub label: &'a str,
+    pub lane: Lane,
+    pub kind: &'a str,
+    /// `end_ms`, on a `span` line.
+    pub end_ms: Option<u64>,
+    /// The `fields` object.
+    pub fields: JsonView<'a>,
+}
+
+/// What a valid line is.
+#[derive(Debug, Clone, Copy)]
+pub enum LineKind<'a> {
+    Event(EventLine<'a>),
+    Counter,
+    Histogram,
+}
+
+/// A line that passed the schema: its document, read in place, and
+/// what kind of line it is.
+#[derive(Debug, Clone, Copy)]
+pub struct ValidLine<'a> {
+    pub doc: JsonView<'a>,
+    pub kind: LineKind<'a>,
+}
+
 /// Validates a JSONL trace export one line at a time, so a reader
 /// that needs each parsed line (replay) validates and decodes in one
 /// pass. Feed every line to [`line`](Self::line), then call
-/// [`finish`](Self::finish) for the counts. After an error the validator's state is unspecified; stop feeding it.
+/// [`finish`](Self::finish) for the counts. After an error the
+/// validator's state is unspecified; stop feeding it.
 #[derive(Debug, Default)]
 pub struct JsonlValidator {
     stats: JsonlStats,
@@ -183,38 +233,47 @@ pub struct JsonlValidator {
     lines: usize,
     in_metrics: bool,
     spans: SpanState,
+    /// Reads every line, reusing its buffers from one to the next.
+    reader: JsonReader,
 }
 
 impl JsonlValidator {
-    /// Parses and checks the next line, then hands back the parsed
-    /// document.
+    /// Parses and checks the next line, then hands back its document,
+    /// borrowed from the line and this validator until the next call,
+    /// with its kind and, for an event, its header.
     ///
     /// # Errors
     ///
     /// Describes the line's first schema violation, prefixed with its
     /// line number.
-    pub fn line(&mut self, line: &str) -> Result<Json, String> {
+    pub fn line<'a>(&'a mut self, line: &'a str) -> Result<ValidLine<'a>, String> {
         self.lines += 1;
         let line_no = self.lines;
         if line.trim().is_empty() {
             return Err(format!("line {line_no}: blank line"));
         }
-        let obj = parse_json(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        if obj.get("metric").is_some() {
+        let doc = self
+            .reader
+            .read(line)
+            .map_err(|e| format!("line {line_no}: {e}"))?;
+        let kind = if doc.get("metric").is_some() {
             self.in_metrics = true;
-            if validate_metric_line(&obj, line_no)? {
+            let kind = validate_metric_line(doc, line_no)?;
+            if matches!(kind, LineKind::Counter) {
                 self.stats.counters += 1;
             } else {
                 self.stats.histograms += 1;
             }
+            kind
         } else {
             if self.in_metrics {
                 return Err(format!("line {line_no}: event line after metric lines"));
             }
-            validate_event_line(&obj, line_no, self.stats.events, &mut self.spans)?;
+            let event = validate_event_line(doc, line_no, self.stats.events, &mut self.spans)?;
             self.stats.events += 1;
-        }
-        Ok(obj)
+            LineKind::Event(event)
+        };
+        Ok(ValidLine { doc, kind })
     }
 
     /// The counts of the stream fed so far. Every check runs per line,

@@ -30,10 +30,9 @@
 pub mod rollup;
 
 use rb_exec::{codec, ExecutionReport};
-use rb_obs::json::Json;
-use rb_obs::schema::JsonlValidator;
+use rb_obs::json::JsonView;
+use rb_obs::schema::{JsonlValidator, LineKind};
 use rb_obs::{CacheStats, RunSummary};
-use std::collections::BTreeMap;
 
 /// A run reconstructed from its trace: the execution report and the
 /// rollup summary, both bit-identical to the live run's (for a trace
@@ -51,11 +50,12 @@ pub struct ReplayedRun {
 /// exactly one `exec`/`run` span pair on the global lane (i.e. a
 /// single-job, recording-on run — the `repro trace` artifact's shape).
 ///
-/// Validation and decoding share one pass: each line is parsed once by
-/// the schema's [`JsonlValidator`], which hands the document on to the
-/// decoder. Schema errors still take precedence, as if the whole
-/// stream were validated first: a decode error is held back until
-/// every later line has passed.
+/// Validation and decoding share one pass: each line is read once, in
+/// place, by the schema's [`JsonlValidator`], which hands the header it
+/// read and the borrowed `fields` object on to the decoder. Schema
+/// errors still take precedence, as if the whole stream were validated
+/// first: a decode error is held back until every later line has
+/// passed.
 ///
 /// # Errors
 ///
@@ -66,14 +66,15 @@ pub struct ReplayedRun {
 pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
     let mut schema = JsonlValidator::default();
     let mut decoder = codec::Decoder::default();
-    let mut counters = BTreeMap::new();
+    let mut counters = [0; COUNTERS.len()];
     let mut decode_error = None;
     for (idx, line) in text.lines().enumerate() {
-        let doc = schema.line(line).map_err(|e| format!("schema: {e}"))?;
+        let line = schema.line(line).map_err(|e| format!("schema: {e}"))?;
         if decode_error.is_none() {
-            decode_error = match doc.get("metric") {
-                None => decoder.event(idx + 1, &doc),
-                Some(_) => metric(idx + 1, &doc, &mut counters),
+            decode_error = match line.kind {
+                LineKind::Event(event) => decoder.event(idx + 1, &event),
+                LineKind::Counter => fold_counter(idx + 1, line.doc, &mut counters),
+                LineKind::Histogram => Ok(()),
             }
             .err();
         }
@@ -91,10 +92,10 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
     // The live run's rollup, fed from the reconstructed report and the
     // trace's own metric lines.
     let counter = |scope: &str, name: &str| -> u64 {
-        counters
-            .get(&(scope.to_owned(), name.to_owned()))
-            .copied()
-            .unwrap_or(0)
+        counters[COUNTERS
+            .iter()
+            .position(|&c| c == (scope, name))
+            .expect("a listed counter")]
     };
     let summary = report.summary(
         CacheStats {
@@ -114,29 +115,41 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedRun, String> {
     Ok(ReplayedRun { report, summary })
 }
 
-/// Folds metric line `lineno` into `counters`; histograms carry no
-/// report state.
-fn metric(
+/// The metric counters the rollup reads, by scope and name. Replay keeps
+/// the last value of each, in this order, and skips every other metric
+/// line: histograms carry no report state.
+const COUNTERS: [(&str, &str); 8] = [
+    ("sim", "plan_cache_hits"),
+    ("sim", "plan_cache_misses"),
+    ("sim", "plan_cache_evictions"),
+    ("sim", "stage_memo_hits"),
+    ("sim", "stage_memo_misses"),
+    ("sim", "stage_memo_evictions"),
+    ("ctrl", "replans_applied"),
+    ("ctrl", "replans_rejected"),
+];
+
+/// Folds counter line `lineno` into `counters`.
+fn fold_counter(
     lineno: usize,
-    doc: &Json,
-    counters: &mut BTreeMap<(String, String), u64>,
+    doc: JsonView<'_>,
+    counters: &mut [u64; COUNTERS.len()],
 ) -> Result<(), String> {
-    if doc.get("metric").and_then(Json::as_str) != Some("counter") {
-        return Ok(());
-    }
     let scope = doc
         .get("scope")
-        .and_then(Json::as_str)
+        .and_then(JsonView::as_str)
         .ok_or_else(|| format!("line {lineno}: counter without scope"))?;
     let name = doc
         .get("name")
-        .and_then(Json::as_str)
+        .and_then(JsonView::as_str)
         .ok_or_else(|| format!("line {lineno}: counter without name"))?;
     let value = doc
         .get("value")
-        .and_then(Json::as_u64)
+        .and_then(JsonView::as_u64)
         .ok_or_else(|| format!("line {lineno}: counter without value"))?;
-    counters.insert((scope.to_owned(), name.to_owned()), value);
+    if let Some(i) = COUNTERS.iter().position(|&c| c == (scope, name)) {
+        counters[i] = value;
+    }
     Ok(())
 }
 

@@ -5,66 +5,16 @@
 //! flips, truncations, duplicated lines) and every mutant is checked
 //! against [`validate_jsonl`]. Hand-made mutants that each change one
 //! event the report depends on must fail rather than replay to a
-//! different run.
+//! different run. Validator and replay share one JSON reader, so what
+//! both make of hostile input is also pinned by digest.
 
+mod common;
+
+use common::faulted_trace;
+use rb_obs::json::parse_json;
 use rb_obs::schema::validate_jsonl;
 use rb_replay::replay_jsonl;
 use rubberband::prelude::*;
-use rubberband::rb_cloud::catalog::P3_8XLARGE;
-use rubberband::rb_exec::NoopHook;
-use rubberband::rb_obs::StreamingRecorder;
-use std::sync::Arc;
-
-/// A spot run with capacity, straggler, degraded-node and checkpoint
-/// faults under a retry policy, streamed to JSONL.
-fn faulted_trace() -> String {
-    let task = rubberband::rb_train::task::resnet101_cifar10();
-    let physics = ModelProfile::exact_for_task(&task, 1024, 4);
-    let spec = ExperimentSpec::from_stages(&[(8, 1), (4, 2), (2, 4)]).unwrap();
-    let mut cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE))
-        .with_provision_delay(SimDuration::from_secs(15))
-        .with_init_latency(SimDuration::from_secs(15))
-        .with_spot_interruptions(2.0);
-    cloud.pricing = cloud.pricing.with_spot();
-    let configs = SearchSpace::new()
-        .add("lr", Dim::LogUniform { lo: 1e-3, hi: 1.0 })
-        .build()
-        .unwrap()
-        .sample_n(8, &mut Prng::seed_from_u64(7));
-    let sink = Arc::new(StreamingRecorder::in_memory());
-    let report = Executor::new(
-        spec,
-        AllocationPlan::new(vec![8, 4, 4]),
-        task,
-        physics,
-        cloud,
-    )
-    .unwrap()
-    .with_options(ExecOptions {
-        seed: 7,
-        faults: FaultPlan {
-            capacity_failure_prob: 0.3,
-            straggler_prob: 0.2,
-            straggler_factor: 20.0,
-            degraded_prob: 0.2,
-            degraded_factor: 1.5,
-            checkpoint_corruption_prob: 0.2,
-            ..FaultPlan::none()
-        },
-        retry: Some(RetryPolicy {
-            max_retries: 12,
-            base_backoff_secs: 5.0,
-            max_backoff_secs: 60.0,
-            request_timeout_secs: 60.0,
-        }),
-        checkpoint_retention: 3,
-        ..ExecOptions::default()
-    })
-    .run_observed(&configs, &mut NoopHook, RecorderHandle::new(sink.clone()))
-    .unwrap();
-    assert!(report.faults_injected > 0, "the cell injects faults");
-    Arc::try_unwrap(sink).unwrap().into_jsonl()
-}
 
 /// One seeded mutation of `trace`: a byte flip, a truncation, or a
 /// duplicated line. The trace is ASCII and flips write ASCII, so every
@@ -148,10 +98,183 @@ fn schema_errors_take_precedence_over_decode_errors_in_mutated_traces() {
     println!("{schema_errors} schema errors, {decode_errors} decode errors, {replayed} replayed");
 }
 
+/// FNV-1a/64 of `bytes`, continuing from `h`.
+fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One seeded edit of `line`, an ASCII trace line, aimed at the JSON
+/// reader: an inserted backslash, `\u` sequence, raw control byte or
+/// non-ASCII text, a deep `[`/`{` run, an edited number, a truncation,
+/// or a structural byte written over another.
+fn hostile(line: &str, rng: &mut Prng) -> String {
+    let at = rng.next_below(line.len() as u64 + 1) as usize;
+    let (head, tail) = line.split_at(at);
+    let pick =
+        |rng: &mut Prng, from: &[&'static str]| from[rng.next_below(from.len() as u64) as usize];
+    match rng.next_below(8) {
+        0 | 1 => {
+            // An escape, left open at the end of the line half the time.
+            let mut esc = String::from('\\');
+            if rng.next_below(2) == 0 {
+                const NEXT: &[u8] = b"\"\\/bfnrtu\xe9x";
+                // One past the end: a lone backslash.
+                if let Some(&b) = NEXT.get(rng.next_below(NEXT.len() as u64 + 1) as usize) {
+                    esc.push(char::from(b));
+                }
+            } else {
+                const AFTER: &str = "0123456789abcdefABCDEF+- gz\"\\\u{e9}";
+                esc.push('u');
+                for _ in 0..rng.next_below(6) {
+                    let n = rng.next_below(AFTER.chars().count() as u64) as usize;
+                    esc.push(AFTER.chars().nth(n).expect("in range"));
+                }
+            }
+            let tail = if rng.next_below(2) == 0 { tail } else { "" };
+            format!("{head}{esc}{tail}")
+        }
+        2 => format!("{head}{}{tail}", char::from(rng.next_below(0x20) as u8)),
+        3 => {
+            let text = pick(
+                rng,
+                &[
+                    "\u{e9}",
+                    "\u{65e5}\u{672c}",
+                    "\u{1f980}",
+                    "\u{fffd}",
+                    "\u{80}",
+                ],
+            );
+            format!("{head}{text}{tail}")
+        }
+        4 => {
+            // Around MAX_DEPTH (128): the whole line wrapped in a run,
+            // or a run dropped in anywhere.
+            let n = 118 + rng.next_below(16) as usize;
+            let (open, close) = if rng.next_below(2) == 0 {
+                ("[".repeat(n), "]".repeat(n))
+            } else {
+                ("{\"k\":".repeat(n), "}".repeat(n))
+            };
+            if rng.next_below(2) == 0 {
+                format!("{open}{line}{close}")
+            } else {
+                format!("{head}{open}{tail}")
+            }
+        }
+        5 => {
+            // A number token, cut where its digits end, replaced by
+            // another form.
+            let digits: Vec<usize> = (0..line.len())
+                .filter(|&i| line.as_bytes()[i].is_ascii_digit())
+                .collect();
+            if digits.is_empty() {
+                return line.to_owned();
+            }
+            let start = digits[rng.next_below(digits.len() as u64) as usize];
+            let end = start
+                + line[start..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(line.len() - start);
+            let form = pick(
+                rng,
+                &[
+                    "+1",
+                    "00",
+                    "-0",
+                    "007",
+                    "-007",
+                    "1e999",
+                    "-1e999",
+                    "1.5e",
+                    "1e",
+                    "-",
+                    "--1",
+                    ".5",
+                    "1.",
+                    "9007199254740991",
+                    "9007199254740993",
+                    "-9007199254740993",
+                    "18446744073709551616",
+                    "1e-400",
+                    "0x10",
+                    "1_000",
+                    "2.5E+3",
+                    "-0.0",
+                    "1e+",
+                    "999999999999999",
+                    "9999999999999999",
+                    "4294967297",
+                    "1.0",
+                    "3e2",
+                ],
+            );
+            format!("{}{form}{}", &line[..start], &line[end..])
+        }
+        6 => head.to_owned(),
+        _ => {
+            const PICKS: &[u8] = b"\"{}[],:-.0 tfn\\";
+            let mut bytes = line.as_bytes().to_vec();
+            if let Some(b) = bytes.get_mut(at) {
+                *b = PICKS[rng.next_below(PICKS.len() as u64) as usize];
+            }
+            String::from_utf8(bytes).expect("ASCII stays UTF-8")
+        }
+    }
+}
+
+/// Pins what the JSON reader and replay make of hostile input, so a
+/// change to either shows even where both sides of the precedence test
+/// above would move together: every error string with its byte offset,
+/// every value parsed, every replayed report.
+#[test]
+fn parser_and_replay_outputs_are_pinned() {
+    let trace = faulted_trace();
+    let lines: Vec<&str> = trace.lines().collect();
+    let mut rng = Prng::seed_from_u64(0x0b5e_55ed);
+    let (mut parsed, mut failed) = (0, 0);
+    let mut h = FNV_OFFSET;
+    for _ in 0..5_000 {
+        let line = lines[rng.next_below(lines.len() as u64) as usize];
+        let mutant = hostile(line, &mut rng);
+        let result = parse_json(&mutant);
+        match &result {
+            Ok(_) => parsed += 1,
+            Err(_) => failed += 1,
+        }
+        h = fnv1a64(h, format!("{result:?}").as_bytes());
+    }
+    println!("{parsed} mutants parsed, {failed} failed: parse digest {h:#018x}");
+    assert!(parsed > 0 && failed > 0, "both outcomes are exercised");
+    assert_eq!(h, PARSE_DIGEST, "parse_json over 5,000 hostile lines");
+
+    // The precedence test's 300 mutants, replayed.
+    let mut rng = Prng::seed_from_u64(0x5eed_7ace);
+    let mut h = FNV_OFFSET;
+    for _ in 0..300 {
+        let outcome = match replay_jsonl(&mutate(&trace, &mut rng)) {
+            Ok(run) => format!("{run:?}"),
+            Err(e) => e,
+        };
+        h = fnv1a64(h, outcome.as_bytes());
+    }
+    println!("replay digest {h:#018x}");
+    assert_eq!(h, REPLAY_DIGEST, "replay_jsonl over 300 trace mutants");
+}
+
+/// The digests of both loops above. A changed error string or byte
+/// offset, parsed value or replayed report moves one of them.
+const PARSE_DIGEST: u64 = 0x71f5_0b21_08f7_cf78;
+const REPLAY_DIGEST: u64 = 0x5fa1_e4f6_68bf_47b7;
+
 #[test]
 fn hostile_nesting_is_an_error_for_every_reader() {
     let line = "[".repeat(1_000_000);
-    assert!(rb_obs::json::parse_json(&line).is_err());
+    assert!(parse_json(&line).is_err());
     let e = replay_jsonl(&format!("{line}\n")).map(|_| ()).unwrap_err();
     assert!(e.starts_with("schema: line 1: nesting deeper"), "{e}");
     let e = rb_replay::rollup::parse_run_record(&line).unwrap_err();
