@@ -18,6 +18,7 @@
 //! at [`MAX_DEPTH`], so hostile input is an error, never a stack
 //! overflow.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -138,12 +139,19 @@ pub fn write_json_f64(out: &mut String, v: f64) {
 /// so a line of a million `[` is an error instead of a stack overflow.
 pub const MAX_DEPTH: usize = 128;
 
+thread_local! {
+    /// The reader [`parse_json`] reuses on this thread, so its slot
+    /// vector and side string stop growing once they have held the
+    /// largest document.
+    static READER: RefCell<JsonReader> = RefCell::new(JsonReader::default());
+}
+
 /// Parses a complete JSON document. Trailing whitespace is allowed;
 /// trailing garbage and nesting deeper than [`MAX_DEPTH`] are errors.
-/// This is [`JsonReader::read`] with the result copied into an owned
-/// [`Json`] tree.
+/// This is [`JsonReader::read`], on a reader reused per thread, with the
+/// result copied into an owned [`Json`] tree.
 pub fn parse_json(input: &str) -> Result<Json, String> {
-    Ok(JsonReader::default().read(input)?.to_json())
+    READER.with(|reader| Ok(reader.borrow_mut().read(input)?.to_json()))
 }
 
 /// The integer `v` holds exactly, under the 2^53 rule of

@@ -29,7 +29,7 @@ pub struct BudgetPlannerConfig {
     /// Hard cap on greedy iterations.
     pub max_steps: usize,
     /// Beam width of the ascent frontier; `1` (the default) is the
-    /// classic single-incumbent loop (see [`crate::beam`]).
+    /// classic single-incumbent loop (see the private `beam` module).
     pub beam_width: usize,
 }
 

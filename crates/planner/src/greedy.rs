@@ -91,7 +91,7 @@ pub struct GreedyOutcome {
 ///
 /// With `config.beam_width == 1` this is the classic single-incumbent
 /// greedy loop; wider beams explore `beam_width` lineages per step with
-/// one batched prediction per iteration (see [`crate::beam`]).
+/// one batched prediction per iteration (see the private `beam` module).
 ///
 /// # Errors
 ///

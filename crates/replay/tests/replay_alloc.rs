@@ -4,6 +4,8 @@
 //! decoder read the borrowed view it hands back. What replay still
 //! allocates is the report it rebuilds: growth of the trace's event
 //! list and maps, and the span bookkeeping of the schema check.
+//! `parse_json` reuses one reader per thread, so it pays only for the
+//! owned tree it returns.
 //!
 //! Ordinary tests cannot see allocations, so this binary installs a
 //! counting `#[global_allocator]` and runs from `main()` without the
@@ -12,7 +14,7 @@
 
 mod common;
 
-use rb_obs::json::JsonReader;
+use rb_obs::json::{parse_json, JsonReader};
 use rb_replay::replay_jsonl;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +64,12 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// owned tree.
 const PER_LINE: (f64, f64) = (1.0, 15.25);
 
+/// The most allocation events `parse_json` may make per line of the
+/// faulted trace, and what it made while every call built a fresh
+/// reader whose slot vector regrew on each line. What remains is the
+/// owned tree it returns.
+const PARSE_PER_LINE: (f64, f64) = (14.0, 16.67);
+
 fn main() {
     let trace = common::faulted_trace();
 
@@ -88,6 +96,24 @@ fn main() {
     );
 
     let lines = trace.lines().count();
+    let (parsed, allocs) = allocations_during(|| {
+        trace
+            .lines()
+            .try_for_each(|line| parse_json(line).map(drop))
+    });
+    parsed.expect("every trace line is JSON");
+    let per_line = allocs as f64 / lines as f64;
+    let (bound, before) = PARSE_PER_LINE;
+    println!(
+        "parse_json: {allocs} allocations over {lines} lines, {per_line:.2} per line \
+         (was {before})"
+    );
+    assert!(
+        per_line <= bound,
+        "parse_json must reuse its reader: at most {bound} allocations per line \
+         ({per_line:.2} per line)"
+    );
+
     let (run, allocs) = allocations_during(|| replay_jsonl(&trace));
     run.expect("the faulted trace replays");
     let per_line = allocs as f64 / lines as f64;

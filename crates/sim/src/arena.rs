@@ -32,13 +32,16 @@ pub(crate) static ARENA_COUNTERS: CacheCounters = CacheCounters::new();
 ///
 /// ```text
 /// per stage  (len = n_stages):  needed | new_inst | stage_arcs | hand
-/// per sample (len = n_samples): jct | compute        (SoA, not Vec<RunSample>)
+/// per sample (len = n_samples): jct | compute
 /// per plan   (≤ 2 × n_stages):  releases | release_stack
-/// explain    (n_stages / DAG nodes): dur_sum | cost_sum | finish | duration | live
+/// explain    (len = n_stages):  dur_sum | cost_sum
 /// ```
 ///
-/// `jct[i]`/`compute[i]` replace the old `Vec<RunSample>`: the aggregation
-/// passes stream each array independently, and the data-ingress charge —
+/// Prediction and `Simulator::explain` fill the per-stage and per-plan
+/// buffers through one setup path and read the same stage samples;
+/// prediction then reduces each sample into `jct[i]`/`compute[i]`, and
+/// explain into the per-stage sums. The aggregation passes stream each
+/// per-sample array independently, and the data-ingress charge —
 /// identical across samples — is applied once at aggregation instead of
 /// being carried in every sample.
 #[derive(Debug, Default)]
@@ -64,12 +67,6 @@ pub(crate) struct PredictArena {
     pub dur_sum: Vec<f64>,
     /// Stage-cost accumulator (`Simulator::explain`).
     pub cost_sum: Vec<f64>,
-    /// Node finish times for full-DAG walks (`Simulator::explain`).
-    pub finish: Vec<f64>,
-    /// Node durations for full-DAG walks (`Simulator::explain`).
-    pub duration: Vec<f64>,
-    /// Live-instance hand-over stack (`Simulator::explain`).
-    pub live: Vec<f64>,
     /// High-water marks: the largest (stages, samples) working set this
     /// arena has served. Only the warm/cold statistic — capacities are
     /// tracked by the `Vec`s themselves.

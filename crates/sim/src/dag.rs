@@ -1,14 +1,22 @@
-//! DAG construction (§4.2).
+//! The execution model of one stage (§4.2).
 //!
-//! The simulator "constructs the DAG by parsing the specification and
-//! allocation plan together stage-by-stage, extending dependency edges
-//! from the frontier in each step. For each stage, cluster scaling nodes
-//! are first added if provisioning new nodes is necessary. This is
-//! followed by adding parallel training nodes and a synchronization node
-//! to end the stage. … If the cluster is too small to run all trials in
-//! parallel, each queued trial is represented by a TRAIN node with a
-//! serial dependency on a previously run trial." Low-latency, zero-cost
-//! events (deprovisioning) are unrepresented.
+//! The paper's simulator builds a DAG of tasks from the specification
+//! and the allocation plan, stage by stage. A stage that needs more
+//! instances than it holds starts with a SCALE task (the provider
+//! hands over the new instances when the slowest one arrives) and one
+//! INIT task per new instance. Then come the stage's TRAIN tasks: all in
+//! parallel when every trial gets its GPUs, otherwise in waves, each
+//! queued trial starting when an earlier slot finishes. A SYNC barrier
+//! over every TRAIN task ends the stage. Shrinking is a low-latency,
+//! zero-cost event and has no task.
+//!
+//! Every stage therefore starts at the previous stage's barrier, so one
+//! sampled execution of a plan is the concatenation of independently
+//! sampled stages. [`DagTemplate`] samples a stage's tasks in that order
+//! from the stage's own counter-derived stream and memoizes the
+//! samples per stage configuration; the simulator composes them. The
+//! node-by-node walk of Algorithm 1, which the composition reproduces,
+//! is kept as the test oracle in `crates/sim/tests/algorithm1.rs`.
 
 use crate::plan::AllocationPlan;
 use rb_cloud::CloudPricing;
@@ -19,132 +27,20 @@ use rb_scaling::PlacementQuality;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// What a DAG node represents.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeKind {
-    /// Provision `new_instances` instances before `stage` begins.
-    Scale {
-        /// The stage the scale-up precedes.
-        stage: usize,
-        /// Instances requested.
-        new_instances: u32,
-    },
-    /// Initialize one freshly provisioned instance before `stage`.
-    InitInstance {
-        /// The stage the instance joins.
-        stage: usize,
-    },
-    /// Train one trial slot for `units` work units on `gpus` GPUs.
-    Train {
-        /// Stage index.
-        stage: usize,
-        /// Slot within the stage (0-based; identifies the trial).
-        trial_slot: u32,
-        /// Work units executed.
-        units: u64,
-        /// GPUs allocated to the trial.
-        gpus: u32,
-    },
-    /// The end-of-stage evaluation/termination barrier.
-    Sync {
-        /// Stage index.
-        stage: usize,
-    },
-}
-
-impl NodeKind {
-    /// The stage this node belongs to.
-    pub fn stage(&self) -> usize {
-        match *self {
-            NodeKind::Scale { stage, .. }
-            | NodeKind::InitInstance { stage }
-            | NodeKind::Train { stage, .. }
-            | NodeKind::Sync { stage } => stage,
-        }
-    }
-}
-
-/// A node's latency specification.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Latency {
-    /// One draw from the distribution.
-    Dist(Distribution),
-    /// The maximum of `n` independent draws — used for SCALE, whose
-    /// hand-over completes when the slowest of the requested instances
-    /// arrives.
-    MaxOf {
-        /// Per-instance delay distribution.
-        dist: Distribution,
-        /// Number of independent draws.
-        n: u32,
-    },
-}
-
-impl Latency {
-    /// Samples one latency in seconds.
-    pub fn sample(&self, rng: &mut Prng) -> f64 {
-        match self {
-            Latency::Dist(d) => d.sample(rng).max(0.0),
-            Latency::MaxOf { dist, n } => (0..*n).map(|_| dist.sample(rng)).fold(0.0_f64, f64::max),
-        }
-    }
-
-    /// The latency's mean (upper-bounded approximation for `MaxOf`, which
-    /// uses the underlying mean — adequate for reporting only).
-    pub fn mean(&self) -> f64 {
-        match self {
-            Latency::Dist(d) => d.mean(),
-            Latency::MaxOf { dist, .. } => dist.mean(),
-        }
-    }
-}
-
-/// One task node: kind, latency, and dependency edges (indices of earlier
-/// nodes).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagNode {
-    /// What the task does.
-    pub kind: NodeKind,
-    /// Its latency model.
-    pub latency: Latency,
-    /// Indices of predecessor nodes (always smaller than this node's own
-    /// index, so the vector order is a topological order).
-    pub preds: Vec<usize>,
-}
-
-/// The execution DAG for one (spec, plan) pair, plus the stage-level
-/// metadata needed to reconstruct instance lifetimes for billing.
-#[derive(Debug, Clone)]
-pub struct ExecDag {
-    /// Nodes in topological (construction) order.
-    pub nodes: Vec<DagNode>,
-    /// Index of each stage's SYNC node.
-    pub stage_sync: Vec<usize>,
-    /// Index of each stage's SCALE node, when the stage grew the cluster.
-    pub stage_scale: Vec<Option<usize>>,
-    /// Instances held during each stage.
-    pub stage_instances: Vec<u32>,
-    /// Instances newly provisioned at each stage's start.
-    pub stage_new_instances: Vec<u32>,
-    /// Total instances provisioned over the job.
-    pub total_instances: u32,
-}
-
-/// The per-spec half of DAG construction.
+/// The per-spec half of the execution model: everything about a stage's
+/// tasks that is the same for every candidate plan.
 ///
-/// [`ExecDag::build`] does two kinds of work: spec-level work that is the
-/// same for every candidate plan (reading the stage ladder, constructing
-/// the provider latency distributions, fitting train-task distributions
-/// from the scaling model) and plan-level work (wiring nodes and edges for
-/// one allocation vector). The planner evaluates hundreds of plans against
-/// one spec, and a greedy step changes a single stage's allocation — so
-/// the template is built **once per spec** and [`DagTemplate::instantiate`]
-/// performs only the cheap per-plan re-parameterization.
+/// It holds the stage ladder and the provider latency distributions,
+/// and fits train-task distributions from the scaling model on demand.
+/// The planner evaluates hundreds of plans against one spec, and a
+/// greedy step changes a single stage's allocation, so the template is
+/// built **once per spec** and each plan only reads its instance ladder
+/// (`DagTemplate::instance_ladder`) and its stages' memoized samples.
 ///
 /// Fitted train-task distributions are memoized per `(stage, gpus)` pair:
 /// the scaling-model evaluation behind
 /// [`ModelProfile::train_task_dist`] is by far the most expensive part of
-/// construction and candidate plans revisit the same few allocations
+/// a stage sample and candidate plans revisit the same few allocations
 /// constantly.
 #[derive(Debug)]
 pub struct DagTemplate {
@@ -164,7 +60,7 @@ pub struct DagTemplate {
     train_dists: Mutex<HashMap<(usize, u32), Distribution>>,
     /// Memoized per-stage execution samples keyed by the stage's canonical
     /// sampling configuration `(stage, gpus_per_trial, parallel_slots,
-    /// new_instances, seed)` — see [`DagTemplate::stage_samples`].
+    /// new_instances, seed)` — see `DagTemplate::stage_samples`.
     stage_memo: Mutex<HashMap<StageMemoKey, Arc<Vec<StageSample>>>>,
     /// Generation cap on `stage_memo`: when an insert would push the memo
     /// past this many entries the whole memo is dropped and re-grown (a
@@ -187,14 +83,13 @@ type StageMemoKey = (usize, u32, u32, u32, u64);
 pub const DEFAULT_STAGE_MEMO_CAP: usize = 4096;
 
 /// One sampled execution of a single stage, relative to the stage's start
-/// (the previous stage's barrier). Because every node's randomness is
-/// derived from a counter on its `(stage, ordinal)` position
-/// ([`ExecDag::sample_schedule_seeded`]), a stage's sample depends only on
-/// the stage's own configuration — not on the rest of the plan — so these
-/// values can be memoized and shared across every candidate plan that
-/// configures the stage the same way.
+/// (the previous stage's barrier). Each stage draws from its own stream,
+/// `Prng::for_stream(sample_seed, stage)`, so a stage's sample depends
+/// only on the stage's own configuration — not on the rest of the plan —
+/// and these values can be memoized and shared across every candidate
+/// plan that configures the stage the same way.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageSample {
+pub(crate) struct StageSample {
     /// Wall-clock span of the stage (scale-up through barrier).
     pub dur: f64,
     /// When newly provisioned instances are handed over, relative to the
@@ -229,7 +124,7 @@ impl DagTemplate {
 
     /// Overrides the stage-sample memo capacity (`0` = unbounded).
     #[must_use]
-    pub fn with_memo_cap(mut self, cap: usize) -> DagTemplate {
+    pub(crate) fn with_memo_cap(mut self, cap: usize) -> DagTemplate {
         self.memo_cap = cap;
         self
     }
@@ -272,124 +167,9 @@ impl DagTemplate {
         Ok(())
     }
 
-    /// Wires the execution DAG for one allocation plan — the cheap,
-    /// per-plan half of [`ExecDag::build`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rb_core::RbError::InvalidPlan`] if the plan fails
-    /// validation against the spec the template was built from.
-    pub fn instantiate(&self, plan: &AllocationPlan) -> Result<ExecDag> {
-        self.validate(plan)?;
-        let n_stages = self.stages.len();
-        let mut nodes: Vec<DagNode> = Vec::new();
-        let mut stage_sync = Vec::with_capacity(n_stages);
-        let mut stage_scale = Vec::with_capacity(n_stages);
-        let mut stage_instances = Vec::with_capacity(n_stages);
-        let mut stage_new = Vec::with_capacity(n_stages);
-        let mut total_instances = 0u32;
-        let mut current_instances = 0u32;
-        // The frontier: nodes with out-degree zero that the next stage's
-        // first tasks must depend on.
-        let mut frontier: Vec<usize> = Vec::new();
-
-        for i in 0..n_stages {
-            let (trials, units) = self.stages[i];
-            let alloc = plan.gpus(i);
-            let needed = AllocationPlan::effective_instances(alloc, trials, self.gpg);
-
-            // 1. Cluster scaling, when the stage needs more instances.
-            let mut stage_deps = frontier.clone();
-            if needed > current_instances {
-                let k = needed - current_instances;
-                let scale_idx = nodes.len();
-                nodes.push(DagNode {
-                    kind: NodeKind::Scale {
-                        stage: i,
-                        new_instances: k,
-                    },
-                    latency: Latency::MaxOf {
-                        dist: self.provision.clone(),
-                        n: k,
-                    },
-                    preds: frontier.clone(),
-                });
-                stage_scale.push(Some(scale_idx));
-                let mut init_idxs = Vec::with_capacity(k as usize);
-                for _ in 0..k {
-                    let idx = nodes.len();
-                    nodes.push(DagNode {
-                        kind: NodeKind::InitInstance { stage: i },
-                        latency: Latency::Dist(self.init.clone()),
-                        preds: vec![scale_idx],
-                    });
-                    init_idxs.push(idx);
-                }
-                // Training barriers on the whole new cluster being ready;
-                // the previous frontier is implied transitively via SCALE.
-                stage_deps = init_idxs;
-                total_instances += k;
-                stage_new.push(k);
-            } else {
-                // Deprovisioning (shrink) is a low-latency, zero-cost event
-                // and is unrepresented in the DAG (§4.2).
-                stage_scale.push(None);
-                stage_new.push(0);
-            }
-            current_instances = needed;
-            stage_instances.push(needed);
-
-            // 2. Training tasks: all-parallel when GPUs suffice, otherwise
-            //    waves of `alloc` single-GPU trials chained serially.
-            let gpt = if alloc >= trials { alloc / trials } else { 1 };
-            let parallel_slots = if alloc >= trials { trials } else { alloc };
-            let train_dist = self.train_dist(i, gpt);
-            let mut train_idxs = Vec::with_capacity(trials as usize);
-            for slot in 0..trials {
-                let preds = if slot < parallel_slots {
-                    stage_deps.clone()
-                } else {
-                    vec![train_idxs[(slot - parallel_slots) as usize]]
-                };
-                let idx = nodes.len();
-                nodes.push(DagNode {
-                    kind: NodeKind::Train {
-                        stage: i,
-                        trial_slot: slot,
-                        units,
-                        gpus: gpt,
-                    },
-                    latency: Latency::Dist(train_dist.clone()),
-                    preds,
-                });
-                train_idxs.push(idx);
-            }
-
-            // 3. The synchronization barrier over every trial in the stage.
-            let sync_idx = nodes.len();
-            nodes.push(DagNode {
-                kind: NodeKind::Sync { stage: i },
-                latency: Latency::Dist(self.sync.clone()),
-                preds: train_idxs,
-            });
-            stage_sync.push(sync_idx);
-            frontier = vec![sync_idx];
-        }
-
-        Ok(ExecDag {
-            nodes,
-            stage_sync,
-            stage_scale,
-            stage_instances,
-            stage_new_instances: stage_new,
-            total_instances,
-        })
-    }
-
     /// The plan's per-stage instance ladder: instances held and newly
-    /// provisioned at each stage, plus the job total — the plan-level
-    /// metadata [`DagTemplate::instantiate`] derives, without wiring nodes.
-    /// The plan must already be validated.
+    /// provisioned at each stage, plus the job total. The plan must
+    /// already be validated.
     pub(crate) fn instance_ladder(&self, plan: &AllocationPlan) -> (Vec<u32>, Vec<u32>, u32) {
         let mut needed = Vec::with_capacity(self.stages.len());
         let mut new_inst = Vec::with_capacity(self.stages.len());
@@ -426,14 +206,15 @@ impl DagTemplate {
     /// provisioning `new_instances` fresh instances, relative to the
     /// stage's start.
     ///
-    /// This is the stage-local slice of what
-    /// [`ExecDag::sample_schedule_seeded`] draws for the same stage of a
-    /// full plan: node randomness comes from the same `(stage, ordinal)`
-    /// counter streams, and the relative timeline mirrors the DAG edges
-    /// (SCALE → INITs → parallel/wave TRAINs → SYNC). Stages are separated
-    /// by full barriers, so a plan's prediction is exactly the composition
-    /// of its stage samples.
-    pub fn sample_stage(
+    /// The stage's tasks draw from `Prng::for_stream(sample_seed, stage)`
+    /// in construction order — SCALE (the maximum of `new_instances`
+    /// provider delays), one INIT per new instance, the TRAIN tasks by
+    /// slot, then SYNC — and the relative timeline follows the task
+    /// dependencies: TRAIN waits for every INIT, a queued trial for the
+    /// slot it chains behind, SYNC for every TRAIN. Stages are separated
+    /// by full barriers, so a plan's sampled execution is exactly the
+    /// composition of its stage samples.
+    pub(crate) fn sample_stage(
         &self,
         stage: usize,
         alloc: u32,
@@ -502,7 +283,7 @@ impl DagTemplate {
     /// (`new_instances == 0` — every stage of a shrinking SHA ladder but
     /// the first) samples identically whatever the prior cluster size, so
     /// plans with different early stages still share it.
-    pub fn stage_samples(
+    pub(crate) fn stage_samples(
         &self,
         stage: usize,
         alloc: u32,
@@ -546,8 +327,9 @@ impl DagTemplate {
         v
     }
 
-    /// Number of stage configurations currently memoized (introspection
-    /// for tests and benchmarks).
+    /// Number of stage configurations currently memoized. Public because
+    /// the memo-cap test in `crates/sim/tests/engine.rs` has no other
+    /// view of the memo's size; no library code calls it.
     pub fn cached_stage_configs(&self) -> usize {
         self.stage_memo
             .lock()
@@ -562,147 +344,12 @@ impl DagTemplate {
     }
 }
 
-impl ExecDag {
-    /// Builds the DAG for `spec` executed under `plan` with the given
-    /// profiles. `sync_overhead_secs` is the barrier's evaluation latency.
-    ///
-    /// One-shot convenience over [`DagTemplate`]: callers evaluating many
-    /// plans against one spec should build the template once and
-    /// [`DagTemplate::instantiate`] per plan instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rb_core::RbError::InvalidPlan`] if the plan fails
-    /// validation against the spec.
-    pub fn build(
-        spec: &ExperimentSpec,
-        plan: &AllocationPlan,
-        model: &ModelProfile,
-        cloud: &CloudProfile,
-        sync_overhead_secs: f64,
-    ) -> Result<ExecDag> {
-        DagTemplate::new(spec, model, cloud, sync_overhead_secs).instantiate(plan)
-    }
-
-    /// Draws one execution sample: samples every node's latency and
-    /// propagates finish times along dependency edges (the vector order is
-    /// topological), filling `duration[i]` and `finish[i]` for every node.
-    /// This is the per-sample kernel shared by sampling
-    /// ([`crate::Simulator::sample_run`]) and per-stage attribution
-    /// ([`crate::Simulator::explain`]); the buffers are cleared and
-    /// resized, so they can be reused across samples to avoid
-    /// re-allocation on the hot path.
-    ///
-    /// The whole sample is derived from one `u64` drawn off `rng`, so a
-    /// caller-held generator keeps its usual role as the source of
-    /// sample-to-sample variation.
-    pub fn sample_schedule(&self, rng: &mut Prng, finish: &mut Vec<f64>, duration: &mut Vec<f64>) {
-        let sample_seed = rng.next_u64();
-        self.sample_schedule_seeded(sample_seed, finish, duration);
-    }
-
-    /// [`ExecDag::sample_schedule`] with the sample's seed made explicit.
-    ///
-    /// Each *stage* draws from its own counter-derived stream
-    /// (`Prng::for_stream(sample_seed, stage)`), with the stage's nodes
-    /// consuming it in construction order — rather than the whole DAG
-    /// consuming one sequential stream. A stage's randomness therefore
-    /// depends only on the sample seed and the stage's own configuration —
-    /// the property that lets [`DagTemplate::stage_samples`] memoize
-    /// per-stage samples and share them across candidate plans.
-    pub fn sample_schedule_seeded(
-        &self,
-        sample_seed: u64,
-        finish: &mut Vec<f64>,
-        duration: &mut Vec<f64>,
-    ) {
-        let n = self.nodes.len();
-        finish.clear();
-        finish.resize(n, 0.0);
-        duration.clear();
-        duration.resize(n, 0.0);
-        let mut cur_stage = usize::MAX;
-        let mut rng = Prng::for_stream(sample_seed, 0);
-        for (i, node) in self.nodes.iter().enumerate() {
-            let s = node.kind.stage();
-            if s != cur_stage {
-                cur_stage = s;
-                rng = Prng::for_stream(sample_seed, s as u64);
-            }
-            let start = node
-                .preds
-                .iter()
-                .map(|&p| finish[p])
-                .fold(0.0_f64, f64::max);
-            let d = node.latency.sample(&mut rng);
-            duration[i] = d;
-            finish[i] = start + d;
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the DAG has no nodes (never the case for a valid spec).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Iterates over nodes of a given stage and kind (test/debug helper).
-    pub fn train_nodes(&self, stage: usize) -> impl Iterator<Item = (usize, &DagNode)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| matches!(n.kind, NodeKind::Train { stage: s, .. } if s == stage))
-    }
-
-    /// Renders the DAG in Graphviz DOT format — the representation the
-    /// paper draws in Fig. 7. Node labels carry the task kind and mean
-    /// latency; `dot -Tsvg` turns the output into the figure.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out =
-            String::from("digraph exec {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let (label, color) = match n.kind {
-                NodeKind::Scale { new_instances, .. } => {
-                    (format!("SCALE +{new_instances}"), "lightblue")
-                }
-                NodeKind::InitInstance { .. } => ("INIT".to_string(), "lightcyan"),
-                NodeKind::Train {
-                    trial_slot,
-                    units,
-                    gpus,
-                    ..
-                } => (
-                    format!("TRAIN t{trial_slot}\\n{units}u x {gpus}g"),
-                    "palegreen",
-                ),
-                NodeKind::Sync { stage } => (format!("SYNC s{stage}"), "gold"),
-            };
-            let _ = writeln!(
-                out,
-                "  n{i} [label=\"{label}\\n~{:.1}s\", style=filled, fillcolor={color}];",
-                n.latency.mean()
-            );
-            for &p in &n.preds {
-                let _ = writeln!(out, "  n{p} -> n{i};");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use rb_cloud::catalog::{P3_2XLARGE, P3_8XLARGE};
-    use rb_cloud::CloudPricing;
     use rb_scaling::IdealScaling;
-    use std::sync::Arc;
 
     fn model() -> ModelProfile {
         ModelProfile::from_scaling("ideal", Arc::new(IdealScaling::new(4.0, 512)), 1, 0.0, 0.0)
@@ -710,239 +357,132 @@ mod tests {
 
     fn cloud_1gpu() -> CloudProfile {
         CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
-            .with_provision_delay(rb_core::SimDuration::from_secs(10))
-            .with_init_latency(rb_core::SimDuration::from_secs(20))
+            .with_provision_delay(SimDuration::from_secs(10))
+            .with_init_latency(SimDuration::from_secs(20))
     }
 
     fn spec() -> ExperimentSpec {
         ExperimentSpec::from_stages(&[(4, 10), (2, 10), (1, 10)]).unwrap()
     }
 
+    fn template(cloud: &CloudProfile) -> DagTemplate {
+        DagTemplate::new(&spec(), &model(), cloud, 1.0)
+    }
+
+    /// Stage `stage`'s span when it runs on `alloc` GPUs and provisions
+    /// `new_instances` instances (deterministic profiles: any seed).
+    fn span(t: &DagTemplate, stage: usize, alloc: u32, new_instances: u32) -> f64 {
+        let pricing = CloudPricing::on_demand(P3_2XLARGE);
+        t.sample_stage(stage, alloc, new_instances, 1, &pricing).dur
+    }
+
     #[test]
     fn node_census_for_shrinking_plan() {
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![4, 2, 1]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        // Stage 0: 1 SCALE + 4 INIT + 4 TRAIN + 1 SYNC = 10.
-        // Stages 1, 2: shrink (no scale) → (2 TRAIN + SYNC) + (1 TRAIN + SYNC).
-        assert_eq!(dag.len(), 10 + 3 + 2);
-        assert_eq!(dag.total_instances, 4);
-        assert_eq!(dag.stage_instances, vec![4, 2, 1]);
-        assert_eq!(dag.stage_new_instances, vec![4, 0, 0]);
-        assert!(dag.stage_scale[0].is_some());
-        assert!(dag.stage_scale[1].is_none());
+        // Stage 0 provisions all four instances (one SCALE, four INITs);
+        // the shrinking stages provision none.
+        let t = template(&cloud_1gpu());
+        let (needed, new_inst, total) = t.instance_ladder(&AllocationPlan::new(vec![4, 2, 1]));
+        assert_eq!(needed, vec![4, 2, 1]);
+        assert_eq!(new_inst, vec![4, 0, 0]);
+        assert_eq!(total, 4);
+        // SCALE 10 + INIT 20 + TRAIN 40 + SYNC 1, then TRAIN + SYNC only.
+        assert_eq!(span(&t, 0, 4, 4), 71.0);
+        assert_eq!(span(&t, 1, 2, 0), 41.0);
+        assert_eq!(span(&t, 2, 1, 0), 41.0);
     }
 
     #[test]
     fn growth_adds_scale_and_init_nodes_mid_job() {
-        // Growing plan 1 → 4 → 4.
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![1, 2, 4]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        assert_eq!(dag.stage_new_instances, vec![1, 1, 2]);
-        assert_eq!(dag.total_instances, 4);
-        // The stage-1 scale node depends on stage-0's sync.
-        let scale1 = dag.stage_scale[1].unwrap();
-        assert_eq!(dag.nodes[scale1].preds, vec![dag.stage_sync[0]]);
+        // Growing plan 1 → 2 → 4 GPUs over 4 → 2 → 1 trials.
+        let t = template(&cloud_1gpu());
+        let (needed, new_inst, total) = t.instance_ladder(&AllocationPlan::new(vec![1, 2, 4]));
+        assert_eq!(needed, vec![1, 2, 4]);
+        assert_eq!(new_inst, vec![1, 1, 2]);
+        assert_eq!(total, 4);
+        // A stage that grows pays SCALE + INIT after the previous
+        // barrier, and hands its instances over when SCALE finishes.
+        let pricing = CloudPricing::on_demand(P3_2XLARGE);
+        let grown = t.sample_stage(1, 2, 1, 1, &pricing);
+        assert_eq!(grown.handover, 10.0);
+        assert_eq!(grown.dur, 10.0 + 20.0 + 40.0 + 1.0);
     }
 
     #[test]
     fn wave_scheduling_builds_serial_chains() {
-        // 4 trials on 1 GPU → slots=1: trial k depends on trial k-1.
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![1, 2, 1]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        let trains: Vec<usize> = dag.train_nodes(0).map(|(i, _)| i).collect();
-        assert_eq!(trains.len(), 4);
-        for w in trains.windows(2) {
-            assert_eq!(dag.nodes[w[1]].preds, vec![w[0]], "serial chain broken");
-        }
-        // Stage 1: 2 trials on 2 GPUs → both parallel, depending on sync 0.
-        let t1: Vec<&DagNode> = dag.train_nodes(1).map(|(_, n)| n).collect();
-        assert_eq!(t1[0].preds, t1[1].preds);
+        // 4 trials on 1 GPU: the trials run one after another.
+        let t = template(&cloud_1gpu());
+        assert_eq!(span(&t, 0, 1, 1), 10.0 + 20.0 + 4.0 * 40.0 + 1.0);
+        // 2 trials on 2 GPUs run side by side.
+        assert_eq!(span(&t, 1, 2, 0), 41.0);
     }
 
     #[test]
     fn multi_gpu_instances_change_instance_math() {
         // p3.8xlarge (4 GPUs): 8 GPUs for 4 trials = 2 instances.
         let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![8, 4, 2]),
-            &model(),
-            &cloud,
-            1.0,
-        )
-        .unwrap();
-        assert_eq!(dag.stage_instances, vec![2, 1, 1]);
-        // Each trial gets 2 GPUs in stage 0.
-        for (_, n) in dag.train_nodes(0) {
-            match n.kind {
-                NodeKind::Train { gpus, .. } => assert_eq!(gpus, 2),
-                _ => unreachable!(),
-            }
-        }
+        let t = template(&cloud);
+        let plan = AllocationPlan::new(vec![8, 4, 2]);
+        let (needed, new_inst, _) = t.instance_ladder(&plan);
+        assert_eq!(needed, vec![2, 1, 1]);
+        assert_eq!(new_inst, vec![2, 0, 0]);
+        // Each trial gets 2 GPUs in stage 0, and is billed for them.
+        assert_eq!(plan.gpus_per_trial(0, &spec()), 2);
+        let pricing = cloud.pricing.clone().with_per_function_billing();
+        let sample = t.sample_stage(0, 8, 2, 1, &pricing);
+        assert_eq!(
+            sample.fn_charge,
+            pricing.function_charge(2, SimDuration::from_secs(20)) * 4
+        );
     }
 
     #[test]
     fn invalid_plan_is_rejected() {
-        // Wrong stage count.
-        assert!(ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![4, 2]),
-            &model(),
-            &cloud_1gpu(),
-            1.0
-        )
-        .is_err());
+        let sim = Simulator::new(model(), cloud_1gpu());
+        let err = |gpus: Vec<u32>| {
+            sim.predict(&spec(), &AllocationPlan::new(gpus))
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            err(vec![4, 2]),
+            "invalid allocation plan: plan has 2 stages, spec has 3"
+        );
+        assert_eq!(
+            err(vec![4, 0, 1]),
+            "invalid allocation plan: stage 1 allocates zero GPUs"
+        );
     }
 
     #[test]
     fn uneven_allocation_runs_waves_with_idle_remainder() {
-        // 3 GPUs for 4 trials: 3 parallel slots, the 4th chains on slot 0.
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![3, 2, 1]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        let trains: Vec<usize> = dag.train_nodes(0).map(|(i, _)| i).collect();
-        assert_eq!(trains.len(), 4);
-        assert_eq!(dag.nodes[trains[3]].preds, vec![trains[0]]);
-        assert_eq!(dag.nodes[trains[1]].preds, dag.nodes[trains[0]].preds);
-    }
-
-    #[test]
-    fn preds_are_topologically_ordered() {
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![2, 2, 2]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        for (i, n) in dag.nodes.iter().enumerate() {
-            for &p in &n.preds {
-                assert!(p < i, "node {i} depends on later node {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn sync_depends_on_every_train_in_stage() {
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![4, 2, 1]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        for stage in 0..3 {
-            let sync = &dag.nodes[dag.stage_sync[stage]];
-            let trains: Vec<usize> = dag.train_nodes(stage).map(|(i, _)| i).collect();
-            assert_eq!(sync.preds, trains);
-        }
-    }
-
-    #[test]
-    fn dot_rendering_covers_every_node_and_edge() {
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![4, 2, 1]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        let dot = dag.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert_eq!(dot.matches("SCALE").count(), 1);
-        assert_eq!(dot.matches("INIT").count(), 4);
-        assert_eq!(dot.matches("TRAIN").count(), 4 + 2 + 1);
-        assert_eq!(dot.matches("SYNC").count(), 3);
-        let edges: usize = dag.nodes.iter().map(|n| n.preds.len()).sum();
-        assert_eq!(dot.matches(" -> ").count(), edges);
-    }
-
-    #[test]
-    fn template_instantiation_matches_one_shot_build() {
-        let template = DagTemplate::new(&spec(), &model(), &cloud_1gpu(), 1.0);
-        for gpus in [vec![4, 2, 1], vec![1, 2, 4], vec![3, 2, 1], vec![8, 4, 2]] {
-            let plan = AllocationPlan::new(gpus);
-            let from_template = template.instantiate(&plan).unwrap();
-            let one_shot = ExecDag::build(&spec(), &plan, &model(), &cloud_1gpu(), 1.0).unwrap();
-            assert_eq!(from_template.nodes, one_shot.nodes);
-            assert_eq!(from_template.stage_sync, one_shot.stage_sync);
-            assert_eq!(from_template.stage_scale, one_shot.stage_scale);
-            assert_eq!(from_template.stage_instances, one_shot.stage_instances);
-            assert_eq!(
-                from_template.stage_new_instances,
-                one_shot.stage_new_instances
-            );
-            assert_eq!(from_template.total_instances, one_shot.total_instances);
-        }
-        // Invalid plans are rejected with the same error kind.
-        assert!(template
-            .instantiate(&AllocationPlan::new(vec![4, 2]))
-            .is_err());
-        assert!(template
-            .instantiate(&AllocationPlan::new(vec![4, 0, 1]))
-            .is_err());
-    }
-
-    #[test]
-    fn sample_schedule_reuses_buffers() {
-        let dag = ExecDag::build(
-            &spec(),
-            &AllocationPlan::new(vec![4, 2, 1]),
-            &model(),
-            &cloud_1gpu(),
-            1.0,
-        )
-        .unwrap();
-        let mut finish = vec![99.0; 3]; // wrong size on purpose
-        let mut duration = Vec::new();
-        let mut rng = Prng::seed_from_u64(1);
-        dag.sample_schedule(&mut rng, &mut finish, &mut duration);
-        assert_eq!(finish.len(), dag.len());
-        assert_eq!(duration.len(), dag.len());
-        // Deterministic spec ⇒ the sink finish time is the exact JCT.
-        let jct = finish.iter().copied().fold(0.0_f64, f64::max);
-        assert_eq!(jct, 153.0);
+        // 3 GPUs for 4 trials: 3 parallel slots, the 4th chains behind
+        // slot 0, and the fourth GPU-slot idles during the second wave.
+        let t = template(&cloud_1gpu());
+        assert_eq!(span(&t, 0, 3, 3), 10.0 + 20.0 + 2.0 * 40.0 + 1.0);
+        let pricing = CloudPricing::on_demand(P3_2XLARGE).with_per_function_billing();
+        assert_eq!(
+            t.sample_stage(0, 3, 3, 1, &pricing).fn_charge,
+            pricing.function_charge(1, SimDuration::from_secs(40)) * 4
+        );
     }
 
     #[test]
     fn maxof_latency_sampling_dominates_single_draw() {
-        let dist = Distribution::lognormal_from_moments(10.0, 5.0);
-        let single = Latency::Dist(dist.clone());
-        let max8 = Latency::MaxOf { dist, n: 8 };
-        let mut r1 = Prng::seed_from_u64(1);
-        let mut r2 = Prng::seed_from_u64(1);
-        let mut s_sum = 0.0;
-        let mut m_sum = 0.0;
-        for _ in 0..500 {
-            s_sum += single.sample(&mut r1);
-            m_sum += max8.sample(&mut r2);
+        // SCALE hands over when the slowest requested instance arrives:
+        // the first provider delay of a stream is shared, so eight
+        // requests are never handed over before one.
+        let cloud =
+            cloud_1gpu().with_provision_delay_dist(Distribution::lognormal_from_moments(10.0, 5.0));
+        let t = template(&cloud);
+        let pricing = cloud.pricing.clone();
+        let (mut one, mut eight) = (0.0, 0.0);
+        for seed in 0..500 {
+            let single = t.sample_stage(0, 4, 1, seed, &pricing).handover;
+            let max8 = t.sample_stage(0, 4, 8, seed, &pricing).handover;
+            assert!(max8 >= single, "seed {seed}: {max8} < {single}");
+            one += single;
+            eight += max8;
         }
-        assert!(m_sum > s_sum, "max of 8 draws should exceed one draw");
+        assert!(eight > one, "max of 8 draws should exceed one draw");
     }
 }

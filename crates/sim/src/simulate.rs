@@ -1,9 +1,11 @@
-//! Monte-Carlo simulation over the execution DAG (Algorithm 1).
+//! Monte-Carlo prediction over the execution model (§4.2, Algorithm 1).
 //!
-//! One *sample* draws a latency for every node, propagates finish times
-//! along dependency edges (the vector order is already topological), and
-//! reads the job completion time off the sink. Cost is derived from the
-//! same sample:
+//! The stages of a SHA job are fully serialized by their SYNC barriers,
+//! so one sampled execution decomposes into independent per-stage
+//! samples ([`DagTemplate`] draws them and memoizes them per stage
+//! configuration, shared across every candidate plan the planner
+//! evaluates). A sample's job completion time is the sum of its stage
+//! spans. Cost is derived from the same sample:
 //!
 //! * **per-function**: each TRAIN task is billed for its GPUs × duration;
 //! * **per-instance**: instance lifetimes are reconstructed from stage
@@ -14,21 +16,17 @@
 //!
 //! Data ingress is billed once per provisioned instance under both models.
 //!
-//! Prediction exploits the DAG's barrier structure: the stages of a SHA
-//! job are fully serialized by their SYNC nodes, so a sampled execution
-//! decomposes into independent per-stage samples
-//! ([`crate::dag::StageSample`]) that are memoized per stage
-//! configuration and shared across every candidate plan the planner
-//! evaluates. [`Simulator::sample_run`] and [`Simulator::explain`] still
-//! walk the full DAG node by node; both draw the same node latencies from
-//! the same counter-derived streams.
+//! [`Simulator::predict`], [`Simulator::stage_quantiles`] and
+//! [`Simulator::explain`] all read the same memoized stage samples. The
+//! node-by-node walk of Algorithm 1 that the composition reproduces is
+//! the test oracle in `crates/sim/tests/algorithm1.rs`.
 
 use crate::arena::{with_arena, PredictArena, ARENA_COUNTERS};
 use crate::counters::CacheCounters;
-use crate::dag::{DagTemplate, ExecDag, NodeKind};
+use crate::dag::DagTemplate;
 use crate::plan::AllocationPlan;
 use rb_core::par::{plan_chunks, run_chunked};
-use rb_core::{Cost, Prng, Result, SimDuration};
+use rb_core::{Cost, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_obs::{CacheStats, RecorderHandle};
 use rb_profile::{CloudProfile, ModelProfile};
@@ -57,24 +55,6 @@ impl Default for SimConfig {
             seed: 0xB0A710AD,
             sync_overhead_secs: 1.0,
         }
-    }
-}
-
-/// One sampled execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunSample {
-    /// Job completion time in seconds.
-    pub jct_secs: f64,
-    /// Compute bill.
-    pub compute_cost: Cost,
-    /// Data-ingress bill.
-    pub data_cost: Cost,
-}
-
-impl RunSample {
-    /// Compute plus data.
-    pub fn total_cost(&self) -> Cost {
-        self.compute_cost + self.data_cost
     }
 }
 
@@ -342,8 +322,8 @@ pub struct SimCacheStats {
 ///
 /// Prediction is served by a parallel, memoized engine (see
 /// [`EngineConfig`]): plans already predicted for a spec are returned from
-/// an interior cache, DAG construction reuses a per-spec [`DagTemplate`],
-/// and [`Simulator::predict_batch`] fans large candidate batches out
+/// an interior cache, stage samples come from a per-spec [`DagTemplate`]'s
+/// memo, and [`Simulator::predict_batch`] fans large candidate batches out
 /// across threads. Clones share the caches (they are behind [`Arc`]), which is
 /// what the planner wants — warm-start descents re-visit each other's
 /// plans constantly.
@@ -498,7 +478,10 @@ impl Simulator {
         &self.engine
     }
 
-    /// Number of predictions currently memoized.
+    /// Number of predictions currently memoized. Public because the
+    /// plan-cache tests in `crates/sim/tests/engine.rs` (generation cap,
+    /// clone sharing, detachment) have no other view of the cache; no
+    /// library code calls it.
     pub fn cached_predictions(&self) -> usize {
         self.predictions
             .lock()
@@ -508,8 +491,11 @@ impl Simulator {
             .sum()
     }
 
-    /// The (possibly cached) DAG template for `spec` under this
-    /// simulator's profiles and sync overhead.
+    /// The cached template for `spec` under this simulator's profiles
+    /// and sync overhead, built on first use. Public because the
+    /// stage-memo cap test in `crates/sim/tests/engine.rs` reads the
+    /// template's memo through it; prediction reaches it through the
+    /// engine's template switch instead.
     pub fn template_for(&self, spec: &ExperimentSpec) -> Arc<DagTemplate> {
         let fp = spec_fingerprint(spec);
         let mut templates = self.templates.lock().expect("template cache poisoned");
@@ -529,20 +515,66 @@ impl Simulator {
             .clone()
     }
 
-    /// Builds the execution DAG for `plan`, through the template cache
-    /// when the engine enables it.
-    fn dag_for(&self, spec: &ExperimentSpec, plan: &AllocationPlan) -> Result<ExecDag> {
+    /// The template a prediction samples from: the per-spec cached one
+    /// when the engine reuses templates, otherwise a fresh one (fresh
+    /// train-task fits and stage samples — the cold baseline).
+    fn template(&self, spec: &ExperimentSpec) -> Arc<DagTemplate> {
         if self.engine.dag_templates {
-            self.template_for(spec).instantiate(plan)
+            self.template_for(spec)
         } else {
-            ExecDag::build(
+            Arc::new(DagTemplate::new(
                 spec,
-                plan,
                 &self.model,
                 &self.cloud,
                 self.config.sync_overhead_secs,
-            )
+            ))
         }
+    }
+
+    /// Loads `plan` into `arena`: the instance ladder, one memoized
+    /// sample column of `n` samples per stage and, under per-instance
+    /// billing, the release groups. Prediction and
+    /// [`Simulator::explain`] both start here, so they read the same
+    /// samples. The plan must already be validated; returns the job's
+    /// total provisioned instances.
+    fn load_plan(
+        &self,
+        template: &DagTemplate,
+        plan: &AllocationPlan,
+        n: usize,
+        arena: &mut PredictArena,
+    ) -> u32 {
+        if arena.ensure(template.num_stages(), n) {
+            ARENA_COUNTERS.hits_add(1);
+        } else {
+            ARENA_COUNTERS.misses_add(1);
+        }
+        let pricing = &self.cloud.pricing;
+        let total = template.instance_ladder_into(plan, &mut arena.needed, &mut arena.new_inst);
+        for (s, &grown) in arena.new_inst.iter().enumerate() {
+            arena.stage_arcs.push(template.stage_samples(
+                s,
+                plan.gpus(s),
+                grown,
+                self.config.seed,
+                n as u32,
+                pricing,
+            ));
+        }
+        // The plan's release schedule is sample-independent: instances
+        // provisioned together share a hand-over time and are released
+        // together (LIFO at stage barriers), so precompute, per stage,
+        // which provisioning groups release how many instances — one
+        // charge per group per sample instead of one per instance.
+        if pricing.billing.is_per_instance() {
+            release_groups_into(
+                &arena.needed,
+                &arena.new_inst,
+                &mut arena.release_stack,
+                &mut arena.releases,
+            );
+        }
+        total
     }
 
     /// Predicts `plan` against a DAG template by composing per-stage
@@ -551,10 +583,9 @@ impl Simulator {
     /// Stages are separated by full barriers, so a sampled execution is
     /// exactly the concatenation of its sampled stages: JCT is the sum of
     /// stage spans, and per-instance lifetimes are reconstructed from the
-    /// stage-relative hand-over offsets the same way
-    /// [`Simulator::sample_run`] reconstructs them from absolute node
-    /// finish times. Stage samples come from the template's memo
-    /// ([`DagTemplate::stage_samples`]), so candidate plans that share a
+    /// stage-relative hand-over offsets and the plan's release groups.
+    /// Stage samples come from the template's memo
+    /// (`DagTemplate::stage_samples`), so candidate plans that share a
     /// stage configuration — the planner's common case — share the
     /// expensive sampling work and only pay for this cheap composition.
     ///
@@ -566,11 +597,10 @@ impl Simulator {
     /// thread spawn.
     ///
     /// All scratch lives in the calling thread's [`PredictArena`]
-    /// (struct-of-arrays: `jct[i]`/`compute[i]` instead of the former
-    /// `Vec<RunSample>`), so once the arena has served a working set at
-    /// least this large, a prediction performs **zero heap allocation**
-    /// at any [`EngineConfig::threads`] — the invariant the
-    /// `warm_path_alloc` test asserts.
+    /// (struct-of-arrays: `jct[i]`/`compute[i]` per sample), so once the
+    /// arena has served a working set at least this large, a prediction
+    /// performs **zero heap allocation** at any [`EngineConfig::threads`]
+    /// — the invariant the `warm_path_alloc` test asserts.
     fn predict_with_template(
         &self,
         template: &DagTemplate,
@@ -582,43 +612,18 @@ impl Simulator {
         let pricing = &self.cloud.pricing;
         let per_instance = pricing.billing.is_per_instance();
         with_arena(|arena| {
-            if arena.ensure(n_stages, n) {
-                ARENA_COUNTERS.hits_add(1);
-            } else {
-                ARENA_COUNTERS.misses_add(1);
-            }
+            let total_instances = self.load_plan(template, plan, n, arena);
             let PredictArena {
-                needed,
                 new_inst,
                 stage_arcs,
                 releases,
-                release_stack,
                 hand,
                 jct,
                 compute,
                 ..
             } = arena;
-            let total_instances = template.instance_ladder_into(plan, needed, new_inst);
-            for (s, &grown) in new_inst.iter().enumerate() {
-                stage_arcs.push(template.stage_samples(
-                    s,
-                    plan.gpus(s),
-                    grown,
-                    self.config.seed,
-                    n as u32,
-                    pricing,
-                ));
-            }
             let data_cost =
                 pricing.ingress_charge(self.cloud.dataset_gb) * u64::from(total_instances);
-            // The plan's release schedule is sample-independent: instances
-            // provisioned together share a hand-over time and are released
-            // together (LIFO at stage barriers), so precompute, per stage,
-            // which provisioning groups release how many instances — one
-            // charge per group per sample instead of one per instance.
-            if per_instance {
-                release_groups_into(needed, new_inst, release_stack, releases);
-            }
             // The per-sample kernel, filling the arena's SoA output
             // arrays in index order. `hand` is scratch: every entry read
             // within a sample was written earlier in that same sample
@@ -706,17 +711,7 @@ impl Simulator {
     /// cache. With `dag_templates` off, a fresh template (and fresh stage
     /// samples) is built for every call — the cold baseline.
     fn predict_uncached(&self, spec: &ExperimentSpec, plan: &AllocationPlan) -> Result<Prediction> {
-        if self.engine.dag_templates {
-            self.predict_with_template(&self.template_for(spec), plan)
-        } else {
-            let template = DagTemplate::new(
-                spec,
-                &self.model,
-                &self.cloud,
-                self.config.sync_overhead_secs,
-            );
-            self.predict_with_template(&template, plan)
-        }
+        self.predict_with_template(&self.template(spec), plan)
     }
 
     /// Predicts JCT and cost of executing `spec` under `plan`.
@@ -851,13 +846,11 @@ impl Simulator {
                 }
             }
         }
-        // Resolve the spec's template once for the whole batch instead of
-        // once per miss (the template cache is a lock + spec hash away).
-        let template = if self.engine.dag_templates && !sc.compute_idx.is_empty() {
-            Some(self.template_for(spec))
-        } else {
-            None
-        };
+        // Resolve the spec's cached template once for the whole batch
+        // instead of once per miss (the template cache is a lock + spec
+        // hash away); the cold baseline builds a fresh one per plan.
+        let template =
+            (self.engine.dag_templates && !sc.compute_idx.is_empty()).then(|| self.template(spec));
         let predict_one = |plan: &AllocationPlan| match &template {
             Some(t) => self.predict_with_template(t, plan),
             None => self.predict_uncached(spec, plan),
@@ -920,8 +913,9 @@ impl Simulator {
     }
 
     /// The sequential reference prediction: fresh template, one thread,
-    /// no memoization of any kind. Exists so tests and benchmarks can
-    /// compare the engine against a known-good baseline; results are
+    /// no memoization of any kind. Public as a named test oracle:
+    /// `crates/sim/tests/engine.rs` compares every engine configuration
+    /// against it, and no library code calls it. Results are
     /// bit-identical to [`Simulator::predict`] by the determinism
     /// contract.
     ///
@@ -961,16 +955,7 @@ impl Simulator {
         spec: &ExperimentSpec,
         plan: &AllocationPlan,
     ) -> Result<Vec<StageQuantiles>> {
-        let template = if self.engine.dag_templates {
-            self.template_for(spec)
-        } else {
-            Arc::new(DagTemplate::new(
-                spec,
-                &self.model,
-                &self.cloud,
-                self.config.sync_overhead_secs,
-            ))
-        };
+        let template = self.template(spec);
         template.validate(plan)?;
         let n = self.config.samples.max(1);
         let pricing = &self.cloud.pricing;
@@ -1012,6 +997,12 @@ impl Simulator {
     /// stage in which they are released), so stage costs sum to the
     /// compute bill but individual attributions are approximate.
     ///
+    /// Reads the same memoized stage samples, instance ladder and
+    /// release groups as [`Simulator::predict`]: per sample, a stage adds
+    /// its span, and its cost is the instance charges of the groups it
+    /// releases (per-instance billing) or its TRAIN tasks' charges
+    /// (per-function billing).
+    ///
     /// # Errors
     ///
     /// Returns [`rb_core::RbError::InvalidPlan`] when the plan does not
@@ -1021,70 +1012,54 @@ impl Simulator {
         spec: &ExperimentSpec,
         plan: &AllocationPlan,
     ) -> Result<Vec<StageBreakdown>> {
-        let dag = self.dag_for(spec, plan)?;
-        let samples = self.config.samples.max(1);
-        let n_stages = spec.num_stages();
+        let template = self.template(spec);
+        template.validate(plan)?;
+        let n_stages = template.num_stages();
+        let n = self.config.samples.max(1) as usize;
         let pricing = &self.cloud.pricing;
-        // The accumulators and full-DAG walk buffers come from the same
-        // thread-local arena as prediction scratch (the DAG itself is
-        // still built per call — breakdowns are off the per-step hot
-        // path).
+        let per_instance = pricing.billing.is_per_instance();
         with_arena(|arena| {
+            self.load_plan(&template, plan, n, arena);
             let PredictArena {
+                needed,
+                new_inst,
+                stage_arcs,
+                releases,
+                hand,
                 dur_sum,
                 cost_sum,
-                finish,
-                duration,
-                live,
                 ..
             } = arena;
             dur_sum.clear();
             dur_sum.resize(n_stages, 0.0);
             cost_sum.clear();
             cost_sum.resize(n_stages, 0.0);
-            for s in 0..samples {
-                // Draw the same schedule sample the predictor draws
-                // (shared kernel, same counter-derived seed), then
-                // attribute it to stage boundaries.
-                let mut rng = Prng::for_stream(self.config.seed, u64::from(s));
-                dag.sample_schedule(&mut rng, finish, duration);
-                let mut prev_end = 0.0_f64;
-                // Per-instance attribution: lifetimes released per stage.
-                live.clear();
-                for s in 0..n_stages {
-                    let stage_end = finish[dag.stage_sync[s]];
-                    dur_sum[s] += stage_end - prev_end;
-                    prev_end = stage_end;
-                    if pricing.billing.is_per_instance() {
-                        if dag.stage_new_instances[s] > 0 {
-                            let hand_over = finish[dag.stage_scale[s].expect("scale node exists")];
-                            for _ in 0..dag.stage_new_instances[s] {
-                                live.push(hand_over);
+            for i in 0..n {
+                let mut now = 0.0_f64;
+                let mut next_release = 0;
+                for (s, column) in stage_arcs.iter().enumerate() {
+                    let ss = column[i];
+                    let stage_end = now + ss.dur;
+                    dur_sum[s] += ss.dur;
+                    if per_instance {
+                        if new_inst[s] > 0 {
+                            hand[s] = now + ss.handover;
+                        }
+                        while let Some(&(at, prov, count)) = releases.get(next_release) {
+                            if at as usize != s {
+                                break;
                             }
+                            next_release += 1;
+                            let held = SimDuration::from_secs_f64(
+                                (stage_end - hand[prov as usize]).max(0.0),
+                            );
+                            cost_sum[s] +=
+                                (pricing.instance_charge(held) * u64::from(count)).as_dollars();
                         }
-                        let keep = if s + 1 < n_stages {
-                            dag.stage_instances[s + 1] as usize
-                        } else {
-                            0
-                        };
-                        while live.len() > keep {
-                            let h = live.pop().expect("live non-empty");
-                            cost_sum[s] += pricing
-                                .instance_charge(SimDuration::from_secs_f64(
-                                    (stage_end - h).max(0.0),
-                                ))
-                                .as_dollars();
-                        }
+                    } else {
+                        cost_sum[s] += ss.fn_charge.as_dollars();
                     }
-                }
-                if !pricing.billing.is_per_instance() {
-                    for (i, node) in dag.nodes.iter().enumerate() {
-                        if let NodeKind::Train { stage, gpus, .. } = node.kind {
-                            cost_sum[stage] += pricing
-                                .function_charge(gpus, SimDuration::from_secs_f64(duration[i]))
-                                .as_dollars();
-                        }
-                    }
+                    now = stage_end;
                 }
             }
             Ok((0..n_stages)
@@ -1094,76 +1069,13 @@ impl Simulator {
                         stage: s,
                         trials,
                         gpus_per_trial: plan.gpus_per_trial(s, spec),
-                        instances: dag.stage_instances[s],
-                        duration: SimDuration::from_secs_f64(dur_sum[s] / samples as f64),
-                        cost: Cost::from_dollars(cost_sum[s] / samples as f64),
+                        instances: needed[s],
+                        duration: SimDuration::from_secs_f64(dur_sum[s] / n as f64),
+                        cost: Cost::from_dollars(cost_sum[s] / n as f64),
                     }
                 })
                 .collect())
         })
-    }
-
-    /// Draws one execution sample from the DAG (Algorithm 1 plus billing).
-    pub fn sample_run(&self, dag: &ExecDag, rng: &mut Prng) -> RunSample {
-        let mut finish = Vec::new();
-        let mut duration = Vec::new();
-        dag.sample_schedule(rng, &mut finish, &mut duration);
-        self.bill_sample(dag, &finish, &duration)
-    }
-
-    /// Bills one sampled schedule (node finish times and durations) under
-    /// the active pricing model.
-    fn bill_sample(&self, dag: &ExecDag, finish: &[f64], duration: &[f64]) -> RunSample {
-        let jct_secs = finish.iter().copied().fold(0.0_f64, f64::max);
-
-        let pricing = &self.cloud.pricing;
-        let data_cost =
-            pricing.ingress_charge(self.cloud.dataset_gb) * u64::from(dag.total_instances);
-
-        let compute_cost = if pricing.billing.is_per_instance() {
-            // Reconstruct instance lifetimes from stage boundaries.
-            let mut live: Vec<f64> = Vec::new();
-            let mut total = Cost::ZERO;
-            let stages = dag.stage_sync.len();
-            for s in 0..stages {
-                if dag.stage_new_instances[s] > 0 {
-                    let scale_idx = dag.stage_scale[s]
-                        .expect("stage with new instances must have a SCALE node");
-                    let hand_over = finish[scale_idx];
-                    for _ in 0..dag.stage_new_instances[s] {
-                        live.push(hand_over);
-                    }
-                }
-                let stage_end = finish[dag.stage_sync[s]];
-                let keep = if s + 1 < stages {
-                    dag.stage_instances[s + 1] as usize
-                } else {
-                    0
-                };
-                while live.len() > keep {
-                    let hand_over = live.pop().expect("live is non-empty");
-                    let held = SimDuration::from_secs_f64((stage_end - hand_over).max(0.0));
-                    total += pricing.instance_charge(held);
-                }
-            }
-            debug_assert!(live.is_empty(), "all instances released at job end");
-            total
-        } else {
-            // Per-function: each TRAIN task pays for its own GPU-time.
-            let mut total = Cost::ZERO;
-            for (i, node) in dag.nodes.iter().enumerate() {
-                if let NodeKind::Train { gpus, .. } = node.kind {
-                    total += pricing.function_charge(gpus, SimDuration::from_secs_f64(duration[i]));
-                }
-            }
-            total
-        };
-
-        RunSample {
-            jct_secs,
-            compute_cost,
-            data_cost,
-        }
     }
 }
 
@@ -1282,17 +1194,19 @@ mod tests {
 
     #[test]
     fn data_ingress_charged_once_per_instance() {
-        let cloud = cloud_1gpu().with_dataset_gb(150.0);
-        let mut pricing = cloud.pricing.clone();
-        pricing = pricing.with_data_price(Cost::from_dollars(0.01));
-        let cloud = CloudProfile { pricing, ..cloud };
-        let s = sim(0.0, cloud);
         let plan = AllocationPlan::new(vec![4, 2, 1]);
-        let dag = ExecDag::build(&spec(), &plan, s.model(), s.cloud(), 1.0).unwrap();
-        let mut rng = Prng::seed_from_u64(0);
-        let sample = s.sample_run(&dag, &mut rng);
+        let cloud = cloud_1gpu().with_dataset_gb(150.0);
+        let free = sim(0.0, cloud.clone()).predict(&spec(), &plan).unwrap();
+        let pricing = cloud
+            .pricing
+            .clone()
+            .with_data_price(Cost::from_dollars(0.01));
+        let paid = sim(0.0, CloudProfile { pricing, ..cloud })
+            .predict(&spec(), &plan)
+            .unwrap();
         // 4 instances × 150 GB × $0.01 = $6.00.
-        assert_eq!(sample.data_cost, Cost::from_dollars(6.0));
+        assert_eq!(paid.cost - free.cost, Cost::from_dollars(6.0));
+        assert_eq!(paid.jct, free.jct);
     }
 
     #[test]
@@ -1335,66 +1249,6 @@ mod tests {
         let a = p_static.cost.as_dollars();
         let b = p_elastic.cost.as_dollars();
         assert!((a - b).abs() / b < 0.05, "static {a} vs elastic {b}");
-    }
-
-    /// Re-derives a prediction by walking the full DAG node by node — the
-    /// pre-decomposition arithmetic — and checks the stage-composed
-    /// predictor against it. The two paths draw identical node latencies
-    /// (same counter streams) and differ only in float association, so
-    /// they must agree to well under a micro-dollar/microsecond.
-    fn full_dag_prediction(
-        s: &Simulator,
-        spec: &ExperimentSpec,
-        plan: &AllocationPlan,
-    ) -> (f64, f64) {
-        let dag = ExecDag::build(
-            spec,
-            plan,
-            s.model(),
-            s.cloud(),
-            s.config().sync_overhead_secs,
-        )
-        .unwrap();
-        let mut jct = rb_core::stats::OnlineStats::new();
-        let mut cost = rb_core::stats::OnlineStats::new();
-        let mut finish = Vec::new();
-        let mut duration = Vec::new();
-        for i in 0..s.config().samples {
-            let seed = Prng::for_stream(s.config().seed, u64::from(i)).next_u64();
-            dag.sample_schedule_seeded(seed, &mut finish, &mut duration);
-            let sample = s.bill_sample(&dag, &finish, &duration);
-            jct.push(sample.jct_secs);
-            cost.push(sample.total_cost().as_dollars());
-        }
-        (jct.mean(), cost.mean())
-    }
-
-    #[test]
-    fn stage_composed_prediction_matches_full_dag_walk() {
-        for per_function in [false, true] {
-            let mut cloud = cloud_1gpu();
-            if per_function {
-                cloud.pricing = cloud.pricing.with_per_function_billing();
-            }
-            let s = sim(0.7, cloud); // noisy: every node latency distinct
-            for gpus in [vec![4, 2, 1], vec![1, 2, 4], vec![3, 2, 1], vec![1, 1, 1]] {
-                let plan = AllocationPlan::new(gpus);
-                let pred = s.predict(&spec(), &plan).unwrap();
-                let (jct, cost) = full_dag_prediction(&s, &spec(), &plan);
-                // Tolerances are the storage granularities (SimDuration
-                // rounds to milliseconds, Cost to micro-dollars).
-                assert!(
-                    (pred.jct.as_secs_f64() - jct).abs() < 1e-3,
-                    "{plan} per_function={per_function}: jct {} vs {jct}",
-                    pred.jct.as_secs_f64()
-                );
-                assert!(
-                    (pred.cost.as_dollars() - cost).abs() < 1e-5,
-                    "{plan} per_function={per_function}: cost {} vs {cost}",
-                    pred.cost.as_dollars()
-                );
-            }
-        }
     }
 
     #[test]
@@ -1443,12 +1297,15 @@ mod tests {
         let pred = s.predict(&spec, &plan).unwrap();
         let rows = s.explain(&spec, &plan).unwrap();
         assert_eq!(rows.len(), 3);
-        // Stage durations sum to the JCT.
-        let total: f64 = rows.iter().map(|r| r.duration.as_secs_f64()).sum();
-        assert!((total - pred.jct.as_secs_f64()).abs() < 1e-6);
+        // Stage durations sum to the JCT, exactly: both read the same
+        // stage samples.
+        let total = rows
+            .iter()
+            .fold(SimDuration::ZERO, |acc, r| acc + r.duration);
+        assert_eq!(total, pred.jct);
         // Stage costs sum to the compute bill (data cost is zero here).
-        let cost: f64 = rows.iter().map(|r| r.cost.as_dollars()).sum();
-        assert!((cost - pred.cost.as_dollars()).abs() < 1e-6);
+        let cost: Cost = rows.iter().map(|r| r.cost).sum();
+        assert_eq!(cost, pred.cost);
         // Metadata matches the plan.
         assert_eq!(rows[0].instances, 4);
         assert_eq!(rows[2].gpus_per_trial, 1);
@@ -1463,8 +1320,8 @@ mod tests {
         let plan = AllocationPlan::new(vec![4, 2, 1]);
         let pred = s.predict(&spec, &plan).unwrap();
         let rows = s.explain(&spec, &plan).unwrap();
-        let cost: f64 = rows.iter().map(|r| r.cost.as_dollars()).sum();
-        assert!((cost - pred.cost.as_dollars()).abs() < 1e-6);
+        let cost: Cost = rows.iter().map(|r| r.cost).sum();
+        assert_eq!(cost, pred.cost);
         // Stage 0 runs 4 trials, stage 2 one: 4x the train cost.
         assert!(rows[0].cost.as_dollars() > 3.9 * rows[2].cost.as_dollars());
     }

@@ -42,6 +42,14 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --offline
 
+echo "== docs (rustdoc warnings are errors) =="
+# Deleting or renaming an item leaves intra-doc links such as
+# [`Type::item`] dangling in the docs that still name it, and a public
+# doc linking a private item renders as a dead link. rustdoc reports
+# both as warnings; here they fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+echo "ok"
+
 echo "== benchmark pins (perf workloads must reproduce their pinned digests) =="
 # One short run of each benchmark workload that drives the executor,
 # the controller or the trace codec. A run is correct only when every
