@@ -52,10 +52,21 @@ impl Cost {
     /// This is the fundamental billing primitive: all major providers charge
     /// per-second (with hourly list prices), which this reproduces exactly.
     pub fn per_hour_for(self, dur: SimDuration) -> Cost {
-        // Use i128 to avoid overflow: price (μ$) × duration (ms) can exceed
-        // i64 for multi-day runs at high prices.
-        let micros = self.0 as i128 * dur.as_millis() as i128;
-        Cost(((micros + 1_800_000) / 3_600_000) as i64)
+        // price (μ$) × duration (ms), plus half an hour for rounding, fits
+        // i64 for every realistic charge; the same integer formula in i128
+        // covers multi-day runs at high prices. Both truncate toward zero,
+        // so the two paths agree wherever the i64 one does not overflow.
+        let half_up = i64::try_from(dur.as_millis())
+            .ok()
+            .and_then(|ms| self.0.checked_mul(ms))
+            .and_then(|micros| micros.checked_add(1_800_000));
+        match half_up {
+            Some(v) => Cost(v / 3_600_000),
+            None => {
+                let micros = self.0 as i128 * dur.as_millis() as i128;
+                Cost(((micros + 1_800_000) / 3_600_000) as i64)
+            }
+        }
     }
 
     /// Computes the charge for `gb` gigabytes at a price of `self` per GB.
@@ -186,6 +197,66 @@ mod tests {
         let week = SimDuration::from_hours(24 * 7);
         let c = hourly.per_hour_for(week);
         assert!((c.as_dollars() - 24.48 * 24.0 * 7.0).abs() < 1e-3);
+    }
+
+    /// The i128 formula `per_hour_for` must agree with.
+    fn per_hour_i128(micros: i64, ms: u64) -> i64 {
+        ((micros as i128 * ms as i128 + 1_800_000) / 3_600_000) as i64
+    }
+
+    #[test]
+    fn per_hour_i64_path_matches_the_i128_formula() {
+        let check = |micros: i64, ms: u64| {
+            assert_eq!(
+                Cost::from_micros(micros)
+                    .per_hour_for(SimDuration::from_millis(ms))
+                    .as_micros(),
+                per_hour_i128(micros, ms),
+                "{micros} μ$/h for {ms} ms"
+            );
+        };
+        // Generated prices and durations across many magnitudes, both signs.
+        let mut rng = crate::Prng::seed_from_u64(0x05EC_04D5);
+        for _ in 0..20_000 {
+            let micros = (rng.next_u64() >> rng.next_below(64)) as i64;
+            let micros = if rng.next_below(4) == 0 {
+                micros.wrapping_neg()
+            } else {
+                micros
+            };
+            check(micros, rng.next_u64() >> rng.next_below(64));
+        }
+        // Where price × ms + half an hour crosses i64::MAX, and where the
+        // duration alone does not fit i64.
+        let max = i64::MAX as u64;
+        for micros in [
+            1_i64,
+            2,
+            3,
+            7,
+            3_060_000,
+            24_480_000,
+            i64::MAX,
+            -1,
+            -24_480_000,
+        ] {
+            let edge = (max - 1_800_000) / micros.unsigned_abs();
+            for ms in [
+                edge.saturating_sub(1),
+                edge,
+                edge + 1,
+                edge + 2,
+                max,
+                max + 1,
+                u64::MAX,
+            ] {
+                check(micros, ms);
+            }
+        }
+        check(i64::MIN, 1);
+        check(i64::MIN + 1, 1);
+        check((i64::MAX - 1_800_000) / 2, 2);
+        check((i64::MAX - 1_800_000) / 2 + 1, 2);
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl Distribution {
             Distribution::Constant(v) => v,
             Distribution::Uniform { lo, hi } => rng.uniform(lo, hi),
             Distribution::Normal { mean, std, floor } => {
-                (mean + std * rng.standard_normal()).max(floor)
+                Distribution::truncated_normal(mean, std, floor, rng.standard_normal())
             }
             Distribution::LogNormal { mu, sigma } => (mu + sigma * rng.standard_normal()).exp(),
             Distribution::Exponential { rate } => -(1.0 - rng.next_f64()).ln() / rate,
@@ -313,6 +313,15 @@ impl Distribution {
                 base - (1.0 - rng.next_f64()).ln() / rate
             }
         }
+    }
+
+    /// The draw of `Normal { mean, std, floor }` whose standard normal is
+    /// `z`. [`Distribution::sample`] evaluates exactly this on the
+    /// generator's next [`Prng::standard_normal`], so a caller that saved
+    /// that `z` reproduces the draw bit for bit (Rust never fuses the
+    /// multiply and add into an FMA).
+    pub fn truncated_normal(mean: f64, std: f64, floor: f64, z: f64) -> f64 {
+        (mean + std * z).max(floor)
     }
 
     /// Returns the distribution's mean (for truncated normals, the mean of

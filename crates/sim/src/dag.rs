@@ -17,6 +17,13 @@
 //! samples per stage configuration; the simulator composes them. The
 //! node-by-node walk of Algorithm 1, which the composition reproduces,
 //! is kept as the test oracle in `crates/sim/tests/algorithm1.rs`.
+//!
+//! A stage's stream does not depend on its allocation. Its TRAIN draws
+//! sit behind the SCALE and INIT draws of the instances it provisions,
+//! so their standard normals depend only on `(stage, seed, sample)` and
+//! on how many draws come first. The template draws them once per such
+//! key into a noise column; every allocation of the stage then reads
+//! its TRAIN durations off that column instead of re-running Box–Muller.
 
 use crate::plan::AllocationPlan;
 use rb_cloud::CloudPricing;
@@ -40,7 +47,7 @@ use std::sync::{Arc, Mutex};
 /// Fitted train-task distributions are memoized per `(stage, gpus)` pair:
 /// the scaling-model evaluation behind
 /// [`ModelProfile::train_task_dist`] is by far the most expensive part of
-/// a stage sample and candidate plans revisit the same few allocations
+/// fitting a stage and candidate plans revisit the same few allocations
 /// constantly.
 #[derive(Debug)]
 pub struct DagTemplate {
@@ -52,30 +59,47 @@ pub struct DagTemplate {
     provision: Distribution,
     /// Instance initialization distribution (INIT).
     init: Distribution,
-    /// The end-of-stage barrier latency (SYNC).
-    sync: Distribution,
+    /// Whether SCALE or INIT draws from the stream (either is not
+    /// `Constant`), which puts those draws ahead of the TRAIN draws.
+    prefix_draws: bool,
+    /// The end-of-stage barrier latency (SYNC), a constant by
+    /// construction, clamped at zero like every task latency.
+    sync_secs: f64,
+    /// The target cloud's prices; per-function billing charges each
+    /// TRAIN task as it is sampled.
+    pricing: CloudPricing,
     /// The model profile used to fit train-task distributions on demand.
     model: ModelProfile,
-    /// Memoized train-task distributions keyed by `(stage, gpus_per_trial)`.
-    train_dists: Mutex<HashMap<(usize, u32), Distribution>>,
+    /// Memoized train-task draws keyed by `(stage, gpus_per_trial)`.
+    train_dists: Mutex<HashMap<(usize, u32), TrainDraw>>,
     /// Memoized per-stage execution samples keyed by the stage's canonical
     /// sampling configuration `(stage, gpus_per_trial, parallel_slots,
     /// new_instances, seed)` — see `DagTemplate::stage_samples`.
     stage_memo: Mutex<HashMap<StageMemoKey, Arc<Vec<StageSample>>>>,
+    /// Memoized noise columns keyed by `(stage, seed, prefix)` — see
+    /// `DagTemplate::stage_noise`. Cleared with `stage_memo`.
+    noise_memo: Mutex<HashMap<NoiseKey, Arc<StageNoise>>>,
     /// Generation cap on `stage_memo`: when an insert would push the memo
     /// past this many entries the whole memo is dropped and re-grown (a
-    /// new generation). Entries are pure functions of their key, so
-    /// eviction can never change results — only make them slower to
-    /// recompute. `0` disables the cap.
+    /// new generation), and the noise memo with it. Entries are pure
+    /// functions of their key, so eviction can never change results —
+    /// only make them slower to recompute. `0` disables the cap.
     memo_cap: usize,
     /// Hit/miss/eviction tallies for `stage_memo` (passive; see
     /// [`crate::counters::CacheCounters`]).
     counters: crate::counters::CacheCounters,
+    /// Hit/miss/eviction tallies for `noise_memo` (passive).
+    noise_counters: crate::counters::CacheCounters,
 }
 
 /// Stage-memo key: `(stage, gpus_per_trial, parallel_slots,
 /// new_instances, seed)`.
 type StageMemoKey = (usize, u32, u32, u32, u64);
+
+/// Noise-memo key: `(stage, seed, prefix)`, `prefix` the number of
+/// instances whose SCALE and INIT draws precede the stage's TRAIN draws
+/// (see `DagTemplate::stage_noise`).
+type NoiseKey = (usize, u64, u32);
 
 /// Default [`DagTemplate`] stage-sample memo capacity, in entries. Sized
 /// for planning workloads (a greedy descent touches a few hundred stage
@@ -95,8 +119,60 @@ pub(crate) struct StageSample {
     /// When newly provisioned instances are handed over, relative to the
     /// stage start (0 when the stage provisions nothing).
     pub handover: f64,
-    /// The stage's TRAIN tasks billed under per-function pricing.
+    /// The stage's TRAIN tasks billed under per-function pricing (zero
+    /// under per-instance pricing, which never reads it).
     pub fn_charge: Cost,
+}
+
+/// A TRAIN task's latency model. [`ModelProfile::train_task_dist`] fits a
+/// `Normal` when the profile has noise and a `Constant` when it has none,
+/// so a TRAIN draw is either fixed or one standard normal of the stage's
+/// stream; [`TrainDraw::of`] rejects anything else loudly.
+#[derive(Debug, Clone, Copy)]
+enum TrainDraw {
+    /// Draws nothing from the stream.
+    Fixed(f64),
+    /// [`Distribution::truncated_normal`] of one standard normal.
+    Normal { mean: f64, std: f64, floor: f64 },
+}
+
+impl TrainDraw {
+    /// # Panics
+    ///
+    /// Panics on any distribution other than `Normal` or `Constant`: the
+    /// noise column holds exactly one standard normal per TRAIN task.
+    fn of(dist: &Distribution) -> TrainDraw {
+        match *dist {
+            Distribution::Constant(v) => TrainDraw::Fixed(v),
+            Distribution::Normal { mean, std, floor } => TrainDraw::Normal { mean, std, floor },
+            ref other => panic!("train-task latency must be Normal or Constant, got {other:?}"),
+        }
+    }
+}
+
+/// The allocation-independent draws of one stage for the first `rows`
+/// samples of a seed, sample-major.
+#[derive(Debug)]
+struct StageNoise {
+    /// Samples held.
+    rows: usize,
+    /// `(ready, handover)` per sample when SCALE/INIT draws come first
+    /// (`prefix > 0`); empty otherwise.
+    starts: Vec<(f64, f64)>,
+    /// The TRAIN standard normals: row `i` holds sample `i`'s `trials`
+    /// draws in slot order. Empty when drawn for a noiseless TRAIN
+    /// latency.
+    z: Vec<f64>,
+}
+
+/// The trial layout of `alloc` GPUs over `trials` trials: GPUs per trial
+/// and parallel slots. Fewer GPUs than trials run single-GPU waves.
+fn layout(alloc: u32, trials: u32) -> (u32, u32) {
+    if alloc >= trials {
+        (alloc / trials, trials)
+    } else {
+        (1, alloc)
+    }
 }
 
 impl DagTemplate {
@@ -108,17 +184,22 @@ impl DagTemplate {
         cloud: &CloudProfile,
         sync_overhead_secs: f64,
     ) -> DagTemplate {
+        let constant = |d: &Distribution| matches!(d, Distribution::Constant(_));
         DagTemplate {
             stages: spec.stages().map(|s| (s.num_trials, s.iters)).collect(),
             gpg: cloud.gpus_per_instance().max(1),
             provision: cloud.provision_delay.clone(),
             init: cloud.init_latency.clone(),
-            sync: Distribution::Constant(sync_overhead_secs),
+            prefix_draws: !(constant(&cloud.provision_delay) && constant(&cloud.init_latency)),
+            sync_secs: sync_overhead_secs.max(0.0),
+            pricing: cloud.pricing.clone(),
             model: model.clone(),
             train_dists: Mutex::new(HashMap::new()),
             stage_memo: Mutex::new(HashMap::new()),
+            noise_memo: Mutex::new(HashMap::new()),
             memo_cap: DEFAULT_STAGE_MEMO_CAP,
             counters: crate::counters::CacheCounters::default(),
+            noise_counters: crate::counters::CacheCounters::default(),
         }
     }
 
@@ -134,17 +215,17 @@ impl DagTemplate {
         self.stages.len()
     }
 
-    /// The memoized train-task distribution for `stage` at `gpus` per
-    /// trial.
-    fn train_dist(&self, stage: usize, gpus: u32) -> Distribution {
+    /// The memoized train-task draw for `stage` at `gpus` per trial.
+    fn train_draw(&self, stage: usize, gpus: u32) -> TrainDraw {
         let mut memo = self.train_dists.lock().expect("train-dist memo poisoned");
-        memo.entry((stage, gpus))
-            .or_insert_with(|| {
-                let units = self.stages[stage].1;
-                self.model
-                    .train_task_dist(units, gpus, PlacementQuality::Packed)
-            })
-            .clone()
+        *memo.entry((stage, gpus)).or_insert_with(|| {
+            let units = self.stages[stage].1;
+            TrainDraw::of(
+                &self
+                    .model
+                    .train_task_dist(units, gpus, PlacementQuality::Packed),
+            )
+        })
     }
 
     /// Validates `plan` against the cached stage ladder, mirroring
@@ -202,79 +283,169 @@ impl DagTemplate {
         total
     }
 
-    /// Draws one execution sample of stage `stage` under `alloc` GPUs,
-    /// provisioning `new_instances` fresh instances, relative to the
-    /// stage's start.
+    /// SCALE then INIT for `k` new instances, drawn from `rng` in
+    /// construction order: `(ready, handover)` relative to the stage
+    /// start. The provider hands the instances over when the slowest
+    /// arrives; TRAIN waits until every instance is initialized.
+    fn scale_and_init(&self, k: u32, rng: &mut Prng) -> (f64, f64) {
+        let handover = (0..k)
+            .map(|_| self.provision.sample(rng))
+            .fold(0.0_f64, f64::max);
+        let mut ready = 0.0_f64;
+        for _ in 0..k {
+            ready = ready.max(handover + self.init.sample(rng).max(0.0));
+        }
+        (ready, handover)
+    }
+
+    /// The noise column of `stage` for the first `samples` samples of
+    /// `seed`: per sample, the stage's `trials` TRAIN standard normals
+    /// (when `normals`; a noiseless TRAIN latency reads none) and, when
+    /// `prefix > 0`, the `(ready, handover)` of the `prefix` SCALE and
+    /// INIT draws that precede them in `Prng::for_stream(sample_seed,
+    /// stage)`.
+    ///
+    /// `prefix` is 0 when no instance is provisioned or when SCALE and
+    /// INIT are both `Constant` (they draw nothing), so then every
+    /// allocation of the stage shares one column; otherwise it is the
+    /// stage's `new_instances`. An entry serves any request for at most
+    /// as many samples as it holds (sample sets are prefix-consistent).
+    fn stage_noise(
+        &self,
+        stage: usize,
+        seed: u64,
+        prefix: u32,
+        samples: usize,
+        normals: bool,
+    ) -> Arc<StageNoise> {
+        let key = (stage, seed, prefix);
+        {
+            let memo = self.noise_memo.lock().expect("noise memo poisoned");
+            if let Some(column) = memo.get(&key) {
+                if column.rows >= samples && (!normals || !column.z.is_empty()) {
+                    self.noise_counters.hits_add(1);
+                    return column.clone();
+                }
+            }
+        }
+        self.noise_counters.misses_add(1);
+        let trials = self.stages[stage].0 as usize;
+        let mut starts = Vec::with_capacity(if prefix > 0 { samples } else { 0 });
+        let mut z = Vec::with_capacity(if normals { samples * trials } else { 0 });
+        for i in 0..samples {
+            let sample_seed = Prng::for_stream(seed, i as u64).next_u64();
+            let mut rng = Prng::for_stream(sample_seed, stage as u64);
+            if prefix > 0 {
+                starts.push(self.scale_and_init(prefix, &mut rng));
+            }
+            if normals {
+                z.extend((0..trials).map(|_| rng.standard_normal()));
+            }
+        }
+        let column = Arc::new(StageNoise {
+            rows: samples,
+            starts,
+            z,
+        });
+        // Racing threads draw the same values; last write wins.
+        self.noise_memo
+            .lock()
+            .expect("noise memo poisoned")
+            .insert(key, column.clone());
+        column
+    }
+
+    /// Draws `samples` execution samples of stage `stage` under `alloc`
+    /// GPUs, provisioning `new_instances` fresh instances, relative to the
+    /// stage's start; sample `i` is seeded exactly like sample `i` of a
+    /// full prediction.
     ///
     /// The stage's tasks draw from `Prng::for_stream(sample_seed, stage)`
     /// in construction order — SCALE (the maximum of `new_instances`
     /// provider delays), one INIT per new instance, the TRAIN tasks by
-    /// slot, then SYNC — and the relative timeline follows the task
-    /// dependencies: TRAIN waits for every INIT, a queued trial for the
-    /// slot it chains behind, SYNC for every TRAIN. Stages are separated
-    /// by full barriers, so a plan's sampled execution is exactly the
-    /// composition of its stage samples.
-    pub(crate) fn sample_stage(
+    /// slot, then SYNC (a constant) — and the relative timeline follows
+    /// the task dependencies: TRAIN waits for every INIT, a queued trial
+    /// for the slot it chains behind, SYNC for every TRAIN. Stages are
+    /// separated by full barriers, so a plan's sampled execution is
+    /// exactly the composition of its stage samples.
+    ///
+    /// The draws come from the stage's noise column
+    /// (`DagTemplate::stage_noise`): a TRAIN duration is
+    /// [`Distribution::truncated_normal`] of the column's `z`, the very
+    /// value `Distribution::sample` would compute from the stream, so the
+    /// column changes how often Box–Muller runs, never a result.
+    fn sample_column(
         &self,
         stage: usize,
         alloc: u32,
         new_instances: u32,
-        sample_seed: u64,
-        pricing: &CloudPricing,
-    ) -> StageSample {
-        let (trials, _) = self.stages[stage];
-        let k = new_instances;
-        let mut rng = Prng::for_stream(sample_seed, stage as u64);
-
-        // 1. SCALE + INITs, when the stage grows the cluster. Training
-        //    barriers on every new instance being initialized.
-        let (ready, handover) = if k > 0 {
-            let scale_f = (0..k)
-                .map(|_| self.provision.sample(&mut rng))
-                .fold(0.0_f64, f64::max);
-            let mut ready = 0.0_f64;
-            for _ in 0..k {
-                ready = ready.max(scale_f + self.init.sample(&mut rng).max(0.0));
-            }
-            (ready, scale_f)
+        seed: u64,
+        samples: usize,
+    ) -> Vec<StageSample> {
+        let trials = self.stages[stage].0 as usize;
+        let (gpt, parallel_slots) = layout(alloc, self.stages[stage].0);
+        let parallel_slots = parallel_slots as usize;
+        let train = self.train_draw(stage, gpt);
+        let pricing = &self.pricing;
+        let per_function = !pricing.billing.is_per_instance();
+        let prefix = if self.prefix_draws { new_instances } else { 0 };
+        let normals = matches!(train, TrainDraw::Normal { .. });
+        let noise = (prefix > 0 || normals)
+            .then(|| self.stage_noise(stage, seed, prefix, samples, normals));
+        // Without prefix draws SCALE and INIT are constants (or absent),
+        // so one evaluation serves every sample; the generator is never
+        // read.
+        let fixed_start = if prefix == 0 {
+            self.scale_and_init(new_instances, &mut Prng::seed_from_u64(0))
         } else {
             (0.0, 0.0)
         };
-
-        // 2. TRAIN tasks: all-parallel when GPUs suffice, otherwise waves
-        //    of `alloc` single-GPU trials chained serially.
-        let gpt = if alloc >= trials { alloc / trials } else { 1 };
-        let parallel_slots = if alloc >= trials { trials } else { alloc };
-        let train_dist = self.train_dist(stage, gpt);
-        let mut finishes: Vec<f64> = Vec::with_capacity(trials as usize);
-        let mut fn_charge = Cost::ZERO;
-        for slot in 0..trials {
-            let start = if slot < parallel_slots {
-                ready
-            } else {
-                finishes[(slot - parallel_slots) as usize]
+        let mut finishes: Vec<f64> = Vec::with_capacity(trials);
+        let sample = |i: usize| {
+            let (ready, handover) = match &noise {
+                Some(column) if prefix > 0 => column.starts[i],
+                _ => fixed_start,
             };
-            let d = train_dist.sample(&mut rng).max(0.0);
-            fn_charge += pricing.function_charge(gpt, SimDuration::from_secs_f64(d));
-            finishes.push(start + d);
-        }
-
-        // 3. The SYNC barrier over every trial.
-        let sync_start = finishes.iter().copied().fold(0.0_f64, f64::max);
-        let sync_d = self.sync.sample(&mut rng).max(0.0);
-
-        StageSample {
-            dur: sync_start + sync_d,
-            handover,
-            fn_charge,
-        }
+            let z = match &noise {
+                Some(column) if normals => &column.z[i * trials..][..trials],
+                _ => &[][..],
+            };
+            finishes.clear();
+            let mut fn_charge = Cost::ZERO;
+            for slot in 0..trials {
+                let start = if slot < parallel_slots {
+                    ready
+                } else {
+                    finishes[slot - parallel_slots]
+                };
+                let d = match train {
+                    TrainDraw::Fixed(v) => v,
+                    TrainDraw::Normal { mean, std, floor } => {
+                        Distribution::truncated_normal(mean, std, floor, z[slot])
+                    }
+                }
+                .max(0.0);
+                if per_function {
+                    fn_charge += pricing.function_charge(gpt, SimDuration::from_secs_f64(d));
+                }
+                finishes.push(start + d);
+            }
+            let sync_start = finishes.iter().copied().fold(0.0_f64, f64::max);
+            StageSample {
+                dur: sync_start + self.sync_secs,
+                handover,
+                fn_charge,
+            }
+        };
+        (0..samples).map(sample).collect()
     }
 
     /// The memoized Monte-Carlo samples of one stage configuration:
-    /// `samples` draws of [`DagTemplate::sample_stage`], sample `i` seeded
-    /// exactly like sample `i` of a full prediction. The planner evaluates
-    /// hundreds of candidate plans that differ in one stage — every stage
-    /// they share comes out of this memo instead of being re-simulated.
+    /// `samples` draws of the stage (`DagTemplate::sample_column`), sample
+    /// `i` seeded exactly like sample `i` of a full prediction. The
+    /// planner evaluates hundreds of candidate plans that differ in one
+    /// stage — every stage they share comes out of this memo instead of
+    /// being re-simulated.
     ///
     /// The key is the stage's *canonical* sampling configuration: the
     /// allocation enters only through `(gpus_per_trial, parallel_slots)`,
@@ -290,11 +461,8 @@ impl DagTemplate {
         new_instances: u32,
         seed: u64,
         samples: u32,
-        pricing: &CloudPricing,
     ) -> Arc<Vec<StageSample>> {
-        let (trials, _) = self.stages[stage];
-        let gpt = if alloc >= trials { alloc / trials } else { 1 };
-        let parallel_slots = if alloc >= trials { trials } else { alloc };
+        let (gpt, parallel_slots) = layout(alloc, self.stages[stage].0);
         let key = (stage, gpt, parallel_slots, new_instances, seed);
         {
             let memo = self.stage_memo.lock().expect("stage-sample memo poisoned");
@@ -308,20 +476,18 @@ impl DagTemplate {
         self.counters.misses_add(1);
         // Computed outside the lock; a racing thread derives the exact
         // same values from the same counters, so last-write-wins is safe.
-        let v: Arc<Vec<StageSample>> = Arc::new(
-            (0..samples)
-                .map(|i| {
-                    let sample_seed = Prng::for_stream(seed, u64::from(i)).next_u64();
-                    self.sample_stage(stage, alloc, new_instances, sample_seed, pricing)
-                })
-                .collect(),
-        );
+        let v = Arc::new(self.sample_column(stage, alloc, new_instances, seed, samples as usize));
         let mut memo = self.stage_memo.lock().expect("stage-sample memo poisoned");
         if self.memo_cap > 0 && memo.len() >= self.memo_cap && !memo.contains_key(&key) {
             // Generation eviction: drop the whole memo rather than track
             // recency. Outstanding `Arc`s handed to callers stay valid.
+            // The noise columns served this generation's misses and go
+            // with it, which bounds them by the same cap.
             self.counters.evictions_add(memo.len() as u64);
             memo.clear();
+            let mut noise = self.noise_memo.lock().expect("noise memo poisoned");
+            self.noise_counters.evictions_add(noise.len() as u64);
+            noise.clear();
         }
         memo.insert(key, v.clone());
         v
@@ -341,6 +507,12 @@ impl DagTemplate {
     /// template was built.
     pub fn memo_stats(&self) -> rb_obs::CacheStats {
         self.counters.snapshot()
+    }
+
+    /// Hit/miss/eviction totals of the noise-column memo since this
+    /// template was built.
+    pub(crate) fn noise_stats(&self) -> rb_obs::CacheStats {
+        self.noise_counters.snapshot()
     }
 }
 
@@ -369,11 +541,21 @@ mod tests {
         DagTemplate::new(&spec(), &model(), cloud, 1.0)
     }
 
+    /// Sample 0 of one stage configuration at Monte-Carlo seed `seed`.
+    fn sample_stage(
+        t: &DagTemplate,
+        stage: usize,
+        alloc: u32,
+        new_instances: u32,
+        seed: u64,
+    ) -> StageSample {
+        t.stage_samples(stage, alloc, new_instances, seed, 1)[0]
+    }
+
     /// Stage `stage`'s span when it runs on `alloc` GPUs and provisions
     /// `new_instances` instances (deterministic profiles: any seed).
     fn span(t: &DagTemplate, stage: usize, alloc: u32, new_instances: u32) -> f64 {
-        let pricing = CloudPricing::on_demand(P3_2XLARGE);
-        t.sample_stage(stage, alloc, new_instances, 1, &pricing).dur
+        sample_stage(t, stage, alloc, new_instances, 1).dur
     }
 
     #[test]
@@ -401,8 +583,7 @@ mod tests {
         assert_eq!(total, 4);
         // A stage that grows pays SCALE + INIT after the previous
         // barrier, and hands its instances over when SCALE finishes.
-        let pricing = CloudPricing::on_demand(P3_2XLARGE);
-        let grown = t.sample_stage(1, 2, 1, 1, &pricing);
+        let grown = sample_stage(&t, 1, 2, 1, 1);
         assert_eq!(grown.handover, 10.0);
         assert_eq!(grown.dur, 10.0 + 20.0 + 40.0 + 1.0);
     }
@@ -419,7 +600,8 @@ mod tests {
     #[test]
     fn multi_gpu_instances_change_instance_math() {
         // p3.8xlarge (4 GPUs): 8 GPUs for 4 trials = 2 instances.
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
+        let pricing = CloudPricing::on_demand(P3_8XLARGE).with_per_function_billing();
+        let cloud = CloudProfile::new(pricing.clone());
         let t = template(&cloud);
         let plan = AllocationPlan::new(vec![8, 4, 2]);
         let (needed, new_inst, _) = t.instance_ladder(&plan);
@@ -427,8 +609,7 @@ mod tests {
         assert_eq!(new_inst, vec![2, 0, 0]);
         // Each trial gets 2 GPUs in stage 0, and is billed for them.
         assert_eq!(plan.gpus_per_trial(0, &spec()), 2);
-        let pricing = cloud.pricing.clone().with_per_function_billing();
-        let sample = t.sample_stage(0, 8, 2, 1, &pricing);
+        let sample = sample_stage(&t, 0, 8, 2, 1);
         assert_eq!(
             sample.fn_charge,
             pricing.function_charge(2, SimDuration::from_secs(20)) * 4
@@ -460,8 +641,12 @@ mod tests {
         let t = template(&cloud_1gpu());
         assert_eq!(span(&t, 0, 3, 3), 10.0 + 20.0 + 2.0 * 40.0 + 1.0);
         let pricing = CloudPricing::on_demand(P3_2XLARGE).with_per_function_billing();
+        let t = template(&CloudProfile {
+            pricing: pricing.clone(),
+            ..cloud_1gpu()
+        });
         assert_eq!(
-            t.sample_stage(0, 3, 3, 1, &pricing).fn_charge,
+            sample_stage(&t, 0, 3, 3, 1).fn_charge,
             pricing.function_charge(1, SimDuration::from_secs(40)) * 4
         );
     }
@@ -474,11 +659,10 @@ mod tests {
         let cloud =
             cloud_1gpu().with_provision_delay_dist(Distribution::lognormal_from_moments(10.0, 5.0));
         let t = template(&cloud);
-        let pricing = cloud.pricing.clone();
         let (mut one, mut eight) = (0.0, 0.0);
         for seed in 0..500 {
-            let single = t.sample_stage(0, 4, 1, seed, &pricing).handover;
-            let max8 = t.sample_stage(0, 4, 8, seed, &pricing).handover;
+            let single = sample_stage(&t, 0, 4, 1, seed).handover;
+            let max8 = sample_stage(&t, 0, 4, 8, seed).handover;
             assert!(max8 >= single, "seed {seed}: {max8} < {single}");
             one += single;
             eight += max8;

@@ -17,9 +17,11 @@
 //! Data ingress is billed once per provisioned instance under both models.
 //!
 //! [`Simulator::predict`], [`Simulator::stage_quantiles`] and
-//! [`Simulator::explain`] all read the same memoized stage samples. The
-//! node-by-node walk of Algorithm 1 that the composition reproduces is
-//! the test oracle in `crates/sim/tests/algorithm1.rs`.
+//! [`Simulator::explain`] all read the same memoized stage samples, and
+//! a stage-sample miss reads its TRAIN noise from a column shared by
+//! every allocation of the stage (see [`crate::dag`]). The node-by-node
+//! walk of Algorithm 1 that the composition reproduces is the test
+//! oracle in `crates/sim/tests/algorithm1.rs`.
 
 use crate::arena::{with_arena, PredictArena, ARENA_COUNTERS};
 use crate::counters::CacheCounters;
@@ -144,12 +146,13 @@ pub struct EngineConfig {
     /// growing memory without bound.
     pub plan_cache_cap: usize,
     /// Reuse the per-spec [`DagTemplate`] — fitted train-task
-    /// distributions plus the per-stage Monte-Carlo sample memo — across
-    /// candidate plans, instead of rebuilding and re-sampling from scratch
-    /// for every prediction.
+    /// distributions, the per-stage Monte-Carlo sample memo and the
+    /// per-stage noise columns — across candidate plans, instead of
+    /// rebuilding and re-sampling from scratch for every prediction.
     pub dag_templates: bool,
     /// Generation cap on each template's stage-sample memo, in entries
-    /// (see [`crate::dag::DEFAULT_STAGE_MEMO_CAP`]). `0` disables.
+    /// (see [`crate::dag::DEFAULT_STAGE_MEMO_CAP`]); a generation reset
+    /// also drops the template's noise columns. `0` disables.
     pub stage_memo_cap: usize,
 }
 
@@ -165,10 +168,11 @@ pub const DEFAULT_PLAN_CACHE_CAP: usize = 32_768;
 /// than one thread. At 2000 every re-planning batch of the Table 2 job
 /// (at most 24 plans × 4 stages × 20 samples = 1920) runs inline, while
 /// the 5–17-plan × 4–10-stage batches of cold planning on large specs
-/// still fan out, where the threads pay for themselves. Calibrated with
-/// `perf` over gates 0–8000 and "never": 2000 gave the lowest
-/// `plan_cold` p50 and p90, and every gate from 500 up gave the same
-/// `adaptive_drift` p50 (table in DESIGN.md).
+/// still fan out. Since a stage-sample miss reads a shared noise column
+/// (see [`crate::dag`]), those batches no longer gain from the threads:
+/// from 4000 up `plan_cold` p90 is lower (table in DESIGN.md). The gate
+/// stays at 2000 because `crates/planner/tests/beam.rs` needs the
+/// planner's batches on its specs to fan out, and at 4000 they do not.
 pub const PAR_MIN_WORK: usize = 2000;
 
 impl Default for EngineConfig {
@@ -305,6 +309,10 @@ pub struct SimCacheStats {
     pub plan: CacheStats,
     /// The per-template stage-sample memo, summed over cached templates.
     pub stage_memo: CacheStats,
+    /// The per-template noise-column memo (the TRAIN standard normals a
+    /// stage-memo miss reads), summed over cached templates. Not
+    /// mirrored onto the recorder by [`Simulator::record_cache_stats`].
+    pub noise: CacheStats,
     /// Thread-local prediction arenas: a hit is a prediction whose
     /// working set already fit the thread's arena (steady state, zero
     /// allocation), a miss is one that grew it. Process-wide — arenas
@@ -384,18 +392,22 @@ impl Simulator {
     }
 
     /// Cache statistics for this simulator's planning session: plan
-    /// cache totals (shared by clones) and stage-sample memo totals
-    /// summed over the cached templates.
+    /// cache totals (shared by clones), and stage-sample and noise-column
+    /// memo totals summed over the cached templates.
     pub fn cache_stats(&self) -> SimCacheStats {
-        let stage_memo = self
+        let (stage_memo, noise) = self
             .templates
             .lock()
             .expect("template cache poisoned")
             .values()
-            .fold(CacheStats::default(), |acc, t| acc.merged(&t.memo_stats()));
+            .fold(
+                (CacheStats::default(), CacheStats::default()),
+                |(memo, noise), t| (memo.merged(&t.memo_stats()), noise.merged(&t.noise_stats())),
+            );
         SimCacheStats {
             plan: self.plan_counters.snapshot(),
             stage_memo,
+            noise,
             arena: ARENA_COUNTERS.snapshot(),
             probe_allocs_saved: self.probe_saved.load(Ordering::Relaxed),
         }
@@ -558,7 +570,6 @@ impl Simulator {
                 grown,
                 self.config.seed,
                 n as u32,
-                pricing,
             ));
         }
         // The plan's release schedule is sample-independent: instances
@@ -958,18 +969,10 @@ impl Simulator {
         let template = self.template(spec);
         template.validate(plan)?;
         let n = self.config.samples.max(1);
-        let pricing = &self.cloud.pricing;
         let (_, new_inst, _) = template.instance_ladder(plan);
         Ok((0..template.num_stages())
             .map(|s| {
-                let ss = template.stage_samples(
-                    s,
-                    plan.gpus(s),
-                    new_inst[s],
-                    self.config.seed,
-                    n,
-                    pricing,
-                );
+                let ss = template.stage_samples(s, plan.gpus(s), new_inst[s], self.config.seed, n);
                 // The memo may hold more samples than this simulator's
                 // fidelity; quantiles use exactly the first `n` (the
                 // sample set is prefix-consistent per seed).

@@ -252,8 +252,8 @@ fn oracle(sim: &Simulator, spec: &ExperimentSpec, plan: &AllocationPlan) -> Expe
 }
 
 /// Generated cases. At this count the four tests of this file take
-/// under 0.1 s in a debug build on a 2-vCPU x86-64 host.
-const CASES: u64 = 200;
+/// under 0.2 s in a debug build on a 2-vCPU x86-64 host.
+const CASES: u64 = 328;
 
 /// One generated (simulator, spec, plan) case. Case `c` cycles through
 /// GPUs per instance ∈ {1, 4}, both billing models and four plan
@@ -261,6 +261,11 @@ const CASES: u64 = 200;
 /// fewer GPUs than trials, and allocations that do not divide evenly.
 /// Everything else — the stage ladder (2–5 stages), iterations, the
 /// shape's parameters and the seed — is drawn from `c`'s own stream.
+///
+/// The latencies come in three blocks (see [`latencies`]): lognormal
+/// SCALE and INIT with noisy training for cases 0–199, constant SCALE
+/// and INIT (no draws ahead of TRAIN in a stage's stream) for 200–263,
+/// and training without noise (a constant TRAIN latency) for 264–327.
 fn case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan) {
     let mut rng = Prng::for_stream(0xA160_0001, c);
     let mut pick = |lo: u32, hi: u32| lo + rng.next_below(u64::from(hi - lo + 1)) as u32;
@@ -320,18 +325,40 @@ fn case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan) {
     if (c / 2) % 2 == 1 {
         pricing = pricing.with_per_function_billing();
     }
+    let (provision, init, noise) = latencies(c);
     let cloud = CloudProfile::new(pricing)
-        .with_provision_delay_dist(Distribution::lognormal_from_moments(30.0, 15.0))
-        .with_init_latency_dist(Distribution::lognormal_from_moments(20.0, 8.0))
+        .with_provision_delay_dist(provision)
+        .with_init_latency_dist(init)
         .with_dataset_gb(f64::from(pick(1, 200)));
     let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, gpg));
-    let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, 0.7);
+    let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, noise);
     let sim = Simulator::new(model, cloud).with_config(SimConfig {
         samples: 8,
         seed: rng.next_u64(),
         sync_overhead_secs: 1.0,
     });
     (sim, spec, AllocationPlan::new(gpus))
+}
+
+/// Case `c`'s SCALE and INIT distributions and training noise. Each
+/// block after the first spans whole 16-case cycles of [`case`], so every
+/// shape, billing model and instance size meets each latency regime; the
+/// noiseless block alternates lognormal and constant SCALE and INIT.
+fn latencies(c: u64) -> (Distribution, Distribution, f64) {
+    let lognormal = || {
+        (
+            Distribution::lognormal_from_moments(30.0, 15.0),
+            Distribution::lognormal_from_moments(20.0, 8.0),
+        )
+    };
+    let constant = || (Distribution::Constant(30.0), Distribution::Constant(20.0));
+    let ((provision, init), noise) = match c {
+        0..=199 => (lognormal(), 0.7),
+        200..=263 => (constant(), 0.7),
+        _ if (c / 16) % 2 == 0 => (lognormal(), 0.0),
+        _ => (constant(), 0.0),
+    };
+    (provision, init, noise)
 }
 
 #[test]

@@ -5,10 +5,10 @@
 //! batched — produces **bit-identical** predictions. These tests pin that
 //! contract.
 
-use rb_cloud::catalog::P3_8XLARGE;
+use rb_cloud::catalog::{P3_2XLARGE, P3_8XLARGE};
 use rb_cloud::CloudPricing;
 use rb_core::par::plan_chunks;
-use rb_core::{RbError, SimDuration};
+use rb_core::{Distribution, Prng, RbError, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_obs::{MemoryRecorder, RecorderHandle};
 use rb_profile::{CloudProfile, ModelProfile};
@@ -351,4 +351,107 @@ fn batch_chunk_counters_report_the_fan_out_that_ran() {
             fanned.chunk_size as u64
         )
     );
+}
+
+/// Generated cases of [`one_stage_siblings_share_noise_columns_exactly`].
+const SHARING_CASES: u64 = 36;
+
+/// One generated (simulator, spec, plan) case for the noise-column
+/// sharing test. Case `c` cycles through GPUs per instance ∈ {1, 4},
+/// both billing models and the three ways a stage's noise column is
+/// keyed: lognormal SCALE and INIT (one column per growth count),
+/// constant SCALE and INIT (one column per stage, whatever the growth),
+/// and zero noise (constant TRAIN: only the SCALE draws of a lognormal
+/// provider, before a constant INIT). The ladder (2–4 stages of up to
+/// 12 trials), the plan and the seed come from `c`'s own stream.
+fn sharing_case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan, u32) {
+    let mut rng = Prng::for_stream(0x5A2E_0001, c);
+    let mut pick = |lo: u32, hi: u32| lo + rng.next_below(u64::from(hi - lo + 1)) as u32;
+    let n_stages = pick(2, 4) as usize;
+    let mut trials = pick(1, 12);
+    let mut ladder = Vec::with_capacity(n_stages);
+    for _ in 0..n_stages {
+        ladder.push((trials, u64::from(pick(1, 8))));
+        trials = pick((trials / 2).max(1), trials);
+    }
+    let spec = ExperimentSpec::from_stages(&ladder).unwrap();
+    let (ty, gpg) = if c % 2 == 0 {
+        (P3_2XLARGE, 1)
+    } else {
+        (P3_8XLARGE, 4)
+    };
+    let plan = AllocationPlan::new(ladder.iter().map(|&(t, _)| pick(1, 2 * t * gpg)).collect());
+    let mut pricing = CloudPricing::on_demand(ty);
+    if (c / 2) % 2 == 1 {
+        pricing = pricing.with_per_function_billing();
+    }
+    let lognormal = Distribution::lognormal_from_moments(30.0, 15.0);
+    let cloud = CloudProfile::new(pricing);
+    let (cloud, noise) = match (c / 4) % 3 {
+        0 => (
+            cloud
+                .with_provision_delay_dist(lognormal)
+                .with_init_latency_dist(Distribution::lognormal_from_moments(20.0, 8.0)),
+            0.5,
+        ),
+        1 => (
+            cloud
+                .with_provision_delay(SimDuration::from_secs(30))
+                .with_init_latency(SimDuration::from_secs(20)),
+            0.5,
+        ),
+        _ => (
+            cloud
+                .with_provision_delay_dist(lognormal)
+                .with_init_latency(SimDuration::from_secs(20)),
+            0.0,
+        ),
+    };
+    let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, gpg));
+    let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, noise);
+    let sim = Simulator::new(model, cloud).with_config(SimConfig {
+        samples: 8,
+        seed: rng.next_u64(),
+        sync_overhead_secs: 1.0,
+    });
+    (sim, spec, plan, gpg)
+}
+
+/// Every allocation of a stage reads the same noise column, and a
+/// low-fidelity pass leaves shorter columns behind. On one simulator
+/// per case, a 3-sample pass and then the full 8-sample pass predict
+/// the plan and every one-stage sibling of it (each stage moved to each
+/// other allocation up to twice its trials plus one instance), each
+/// pass in its own shuffled order; every prediction must equal the
+/// sequential reference at its fidelity bit for bit.
+#[test]
+fn one_stage_siblings_share_noise_columns_exactly() {
+    let mut column_hits = 0;
+    for c in 0..SHARING_CASES {
+        let (sim, spec, plan, gpg) = sharing_case(c);
+        let mut batch = vec![plan.clone()];
+        for (s, stage) in spec.stages().enumerate() {
+            for gpus in 1..=2 * stage.num_trials + gpg {
+                if gpus != plan.gpus(s) {
+                    let mut sibling = plan.as_slice().to_vec();
+                    sibling[s] = gpus;
+                    batch.push(AllocationPlan::new(sibling));
+                }
+            }
+        }
+        let mut order = Prng::for_stream(0x5A2E_0002, c);
+        for engine in [sim.with_samples(3), sim.clone()] {
+            order.shuffle(&mut batch);
+            for p in &batch {
+                assert_eq!(
+                    engine.predict(&spec, p).unwrap(),
+                    engine.predict_reference(&spec, p).unwrap(),
+                    "case {c} {p} at {} samples",
+                    engine.config().samples
+                );
+            }
+        }
+        column_hits += sim.cache_stats().noise.hits;
+    }
+    assert!(column_hits > 0, "no stage-memo miss read a shared column");
 }

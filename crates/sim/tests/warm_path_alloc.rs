@@ -1,6 +1,7 @@
 //! The arena engine's allocation contract: a warmed-up `predict` never
-//! calls the allocator, at one thread or at the host's thread count, and
-//! an all-hit `predict_batch` allocates at most its output vector.
+//! calls the allocator, at one thread or at the host's thread count, an
+//! all-hit `predict_batch` allocates at most its output vector, and a
+//! stage-memo miss allocates the same whatever the sample count.
 //!
 //! Ordinary tests cannot see allocations, so this binary installs a
 //! counting `#[global_allocator]` and runs from `main()` without the
@@ -15,7 +16,7 @@ use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::zoo::RESNET50;
 use rb_scaling::AnalyticScaling;
-use rb_sim::{AllocationPlan, EngineConfig, Simulator};
+use rb_sim::{AllocationPlan, EngineConfig, SimConfig, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,7 +131,63 @@ fn all_hit_batch_allocates_only_its_output() {
     );
 }
 
+/// A miss draws its stage's samples into buffers sized up front: the
+/// noise column, one scratch row and the sample vector. None of them
+/// is allocated per sample, so the allocations of a cold prediction
+/// (every stage misses and draws its noise column) and of a one-stage
+/// sibling (one stage-memo miss that reads a shared column) are the
+/// same at 8 and at 64 samples.
+fn stage_memo_miss_allocations_do_not_grow_with_samples() {
+    let spec = spec();
+    let plan = AllocationPlan::new(vec![32, 16, 8, 4, 4]);
+    // Stage 3 moves from one 4-GPU instance to two; no stage grows.
+    let sibling = AllocationPlan::new(vec![32, 16, 8, 8, 4]);
+    let noisy = |samples: u32| {
+        let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, 4));
+        let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, 0.3);
+        let cloud =
+            CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE).with_per_function_billing())
+                .with_provision_delay(SimDuration::from_secs(15))
+                .with_init_latency(SimDuration::from_secs(15));
+        Simulator::new(model, cloud)
+            .with_engine(EngineConfig {
+                threads: 1,
+                plan_cache: false,
+                ..EngineConfig::default()
+            })
+            .with_config(SimConfig {
+                samples,
+                ..SimConfig::default()
+            })
+    };
+    // Grow this thread's prediction arena past both sample counts first,
+    // so only the misses themselves are counted.
+    noisy(64).predict(&spec, &plan).unwrap();
+    let count = |samples: u32| {
+        let sim = noisy(samples);
+        let cold = allocations_during(|| {
+            std::hint::black_box(sim.predict(&spec, &plan).unwrap());
+        });
+        let miss = allocations_during(|| {
+            std::hint::black_box(sim.predict(&spec, &sibling).unwrap());
+        });
+        let stats = sim.cache_stats();
+        assert_eq!(stats.stage_memo.misses, 6, "{samples} samples");
+        assert_eq!((stats.noise.hits, stats.noise.misses), (1, 5));
+        println!(
+            "stage-memo miss allocations at {samples} samples: cold plan {cold}, sibling {miss}"
+        );
+        (cold, miss)
+    };
+    assert_eq!(
+        count(8),
+        count(64),
+        "stage-memo miss allocations grew with the sample count"
+    );
+}
+
 fn main() {
     warm_predict_never_allocates();
     all_hit_batch_allocates_only_its_output();
+    stage_memo_miss_allocations_do_not_grow_with_samples();
 }

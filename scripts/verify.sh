@@ -51,12 +51,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "ok"
 
 echo "== benchmark pins (perf workloads must reproduce their pinned digests) =="
-# One short run of each benchmark workload that drives the executor,
-# the controller or the trace codec. A run is correct only when every
-# operation's digest matches the one pinned in the benchmark, so a
-# behaviour change fails here instead of when the benchmark next runs.
-# `plan_cold` (about 18 s for one short run) is left to the benchmark.
-for workload in adaptive_drift serve_fleet trace_replay; do
+# One short run of each benchmark workload: the planner and the
+# simulator, the executor, the controller and the trace codec. A run is
+# correct only when every operation's digest matches the one pinned in
+# the benchmark, so a behaviour change fails here instead of when the
+# benchmark next runs. All four take about 18 s together on a 2-vCPU
+# x86-64 host, `plan_cold` about 10 s of it.
+for workload in plan_cold adaptive_drift serve_fleet trace_replay; do
     out=$(target/release/perf --workload "$workload" --seed 1 --seconds 1 --trace 0)
     grep -q '"correct": true' <<<"$out" \
         || { echo "FAIL: perf $workload missed its pinned digest" >&2; echo "$out" >&2; exit 1; }
