@@ -455,8 +455,8 @@ fn plan_rubberband_is_bit_identical_to_the_sequential_baseline() {
 
 #[test]
 fn beam_selection_is_independent_of_engine_thread_count() {
-    // At the default sample count the planner's batches are big enough
-    // to fan out; the chunk counter proves the threaded path ran.
+    // At 100 samples the planner's largest batches on these specs cross
+    // the fan-out gate; the chunk counter proves the threaded path ran.
     let mut inputs = vec![(spec(), SimDuration::from_mins(30))];
     inputs.extend(churn_specs());
     for width in [1, 4] {
@@ -468,6 +468,7 @@ fn beam_selection_is_independent_of_engine_thread_count() {
             let sink = Arc::new(MemoryRecorder::new());
             let sim = || {
                 rn50_sim()
+                    .with_samples(100)
                     .with_engine(EngineConfig::default().with_threads(threads))
                     .with_recorder(RecorderHandle::new(sink.clone()))
             };

@@ -165,15 +165,15 @@ pub const DEFAULT_PLAN_CACHE_CAP: usize = 32_768;
 /// call, and on a 2-vCPU x86-64 host a spawn plus join costs more than
 /// predicting a controller-sized batch outright: fanning out every batch
 /// made the `perf` benchmark's `adaptive_drift` workload about 4× slower
-/// than one thread. At 2000 every re-planning batch of the Table 2 job
-/// (at most 24 plans × 4 stages × 20 samples = 1920) runs inline, while
-/// the 5–17-plan × 4–10-stage batches of cold planning on large specs
-/// still fan out. Since a stage-sample miss reads a shared noise column
-/// (see [`crate::dag`]), those batches no longer gain from the threads:
-/// from 4000 up `plan_cold` p90 is lower (table in DESIGN.md). The gate
-/// stays at 2000 because `crates/planner/tests/beam.rs` needs the
-/// planner's batches on its specs to fan out, and at 4000 they do not.
-pub const PAR_MIN_WORK: usize = 2000;
+/// than one thread. Since a stage-sample miss reads a shared noise column
+/// (see [`crate::dag`]), cold planning's largest batches (17 plans × 10
+/// stages × 20 samples = 3400) no longer gain from the threads either:
+/// fanned out, they made `plan_cold` slower and its throughput vary
+/// about three times as much from run to run. At 8000 every batch of
+/// `plan_cold` and `adaptive_drift` runs inline, with room for larger
+/// ladders; only batches at several times the default sample count fan
+/// out (table in DESIGN.md).
+pub const PAR_MIN_WORK: usize = 8000;
 
 impl Default for EngineConfig {
     fn default() -> Self {

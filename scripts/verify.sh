@@ -55,8 +55,8 @@ echo "== benchmark pins (perf workloads must reproduce their pinned digests) =="
 # simulator, the executor, the controller and the trace codec. A run is
 # correct only when every operation's digest matches the one pinned in
 # the benchmark, so a behaviour change fails here instead of when the
-# benchmark next runs. All four take about 18 s together on a 2-vCPU
-# x86-64 host, `plan_cold` about 10 s of it.
+# benchmark next runs. All four take about 13 s together on a 2-vCPU
+# x86-64 host, `plan_cold` about 5.5 s of it.
 for workload in plan_cold adaptive_drift serve_fleet trace_replay; do
     out=$(target/release/perf --workload "$workload" --seed 1 --seconds 1 --trace 0)
     grep -q '"correct": true' <<<"$out" \
