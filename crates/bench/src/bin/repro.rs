@@ -195,9 +195,8 @@ fn ext_chaos(_quick: bool) {
         Err(e) => fail!("ext-chaos failed: {e}"),
     }
     // Correlated failure domains ride along: zone outage timing × the
-    // controller's executed switch (0 = auto planner threads; rows are
-    // thread-count invariant).
-    match rb_bench::chaos::ext_chaos_zones(1, 0) {
+    // controller's executed switch.
+    match rb_bench::chaos::ext_chaos_zones(1) {
         Ok((deadline, rows)) => rb_bench::chaos::print_ext_chaos_zones(deadline, &rows),
         Err(e) => fail!("ext-chaos zones failed: {e}"),
     }

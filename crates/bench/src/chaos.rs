@@ -25,7 +25,7 @@ use rb_exec::{ExecOptions, NoopHook, RetryPolicy};
 use rb_hpo::ShaParams;
 use rb_obs::RecorderHandle;
 use rb_planner::{plan_rubberband, PlannerConfig};
-use rb_sim::{EngineConfig, Simulator};
+use rb_sim::Simulator;
 use rubberband::Run;
 
 /// One named fault scenario for the sweep.
@@ -341,18 +341,12 @@ pub struct ZoneChaosRow {
 /// Runs the correlated-failure sub-sweep: outage timing × switch on/off
 /// under a two-zone cloud whose zone 0 goes dark mid-run. Both arms use
 /// the same hardened retry policy; only the switch arm is allowed to
-/// move the fleet's home zone. `planner_threads` sets the Monte-Carlo
-/// engine's thread count for *both* the upfront plan and the
-/// controller's re-planner — rows must be byte-identical for every
-/// value (the determinism contract of counter-based sample seeds).
+/// move the fleet's home zone.
 ///
 /// # Errors
 ///
 /// Propagates planner, executor, and controller errors.
-pub fn ext_chaos_zones(
-    seed: u64,
-    planner_threads: usize,
-) -> Result<(SimDuration, Vec<ZoneChaosRow>)> {
+pub fn ext_chaos_zones(seed: u64) -> Result<(SimDuration, Vec<ZoneChaosRow>)> {
     let task = rb_train::task::resnet101_cifar10();
     let spec = ShaParams::new(32, 1, 50).with_eta(3).generate()?;
     let model = profiled_model(&task, 1024, 4, 32);
@@ -360,11 +354,7 @@ pub fn ext_chaos_zones(
     let space = search_space();
     let deadline = SimDuration::from_mins(26);
     let cloud = e2e_cloud();
-    let engine = EngineConfig {
-        threads: planner_threads,
-        ..EngineConfig::default()
-    };
-    let sim = Simulator::new(model.clone(), cloud.clone()).with_engine(engine);
+    let sim = Simulator::new(model.clone(), cloud.clone());
     let out = plan_rubberband(
         &sim,
         &spec,
@@ -443,7 +433,7 @@ pub fn ext_chaos_zones(
             },
             ..ControllerConfig::default()
         };
-        let ctrl_sim = Simulator::new(model.clone(), cloud.clone()).with_engine(engine);
+        let ctrl_sim = Simulator::new(model.clone(), cloud.clone());
         let mut controller =
             AdaptiveController::new(ctrl_sim, spec.clone(), &out.plan, deadline, config)?;
         let switched = run.execute(&mut controller, &RecorderHandle::noop())?;
@@ -562,7 +552,7 @@ mod tests {
 
     #[test]
     fn executed_zone_switch_recovers_deadlines_the_open_loop_loses() {
-        let (deadline, rows) = ext_chaos_zones(1, 0).unwrap();
+        let (deadline, rows) = ext_chaos_zones(1).unwrap();
         assert_eq!(rows.len(), 4);
         let cell = |name: &str, switch: bool| {
             rows.iter()
@@ -600,21 +590,6 @@ mod tests {
         assert_eq!(late_on.executed_switches, 0);
         assert_eq!(late_on.jct_secs, late_off.jct_secs);
         assert_eq!(late_on.cost, late_off.cost);
-    }
-
-    #[test]
-    fn zones_sweep_is_byte_identical_across_planner_threads() {
-        let (_, a) = ext_chaos_zones(1, 1).unwrap();
-        let (_, b) = ext_chaos_zones(1, 2).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.jct_secs, y.jct_secs, "{} switch={}", x.name, x.switch);
-            assert_eq!(x.cost, y.cost);
-            assert_eq!(x.faults_injected, y.faults_injected);
-            assert_eq!(x.retries, y.retries);
-            assert_eq!(x.replans, y.replans);
-            assert_eq!(x.executed_switches, y.executed_switches);
-        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub fn build_fleet(seed: u64) -> Result<Vec<RunRecord>> {
     let (_, rows) = crate::chaos::ext_chaos(&ChaosScenario::default_sweep(), seed)?;
     records.extend(rows.iter().filter_map(chaos_record));
 
-    let (_, rows) = crate::chaos::ext_chaos_zones(seed, 0)?;
+    let (_, rows) = crate::chaos::ext_chaos_zones(seed)?;
     records.extend(rows.iter().map(zones_record));
 
     let (_, jobs) = crate::serve::ext_serve_with_jobs(&[2], &[0, 300], seed)?;

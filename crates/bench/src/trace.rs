@@ -12,7 +12,7 @@ use rb_exec::{ExecOptions, ExecutionReport};
 use rb_hpo::ShaParams;
 use rb_obs::{export, schema, MemoryRecorder, RecorderHandle, RunSummary};
 use rb_planner::{plan_rubberband, PlannerConfig};
-use rb_sim::{EngineConfig, Simulator};
+use rb_sim::Simulator;
 use rubberband::Run;
 use std::path::Path;
 use std::sync::Arc;
@@ -40,11 +40,6 @@ pub struct TraceArtifact {
 /// controller closing the loop — so the trace exercises planner,
 /// simulator, cloud, executor, and controller lanes all at once.
 ///
-/// The prediction engine is pinned to one thread: stage-memo hit/miss
-/// tallies are scheduling-sensitive under parallel prediction (two
-/// threads can both miss the same key), and the summary must be
-/// byte-stable for CI.
-///
 /// # Errors
 ///
 /// Propagates planner/controller/executor errors; a trace that fails
@@ -61,12 +56,7 @@ pub fn run_trace(seed: u64) -> Result<TraceArtifact> {
 
     let sink = Arc::new(MemoryRecorder::new());
     let recorder = RecorderHandle::new(sink.clone());
-    let sim = Simulator::new(model.clone(), cloud.clone())
-        .with_engine(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        })
-        .with_recorder(recorder.clone());
+    let sim = Simulator::new(model.clone(), cloud.clone()).with_recorder(recorder.clone());
     let out = plan_rubberband(&sim, &spec, deadline, &PlannerConfig::default())?;
     let mut controller = AdaptiveController::new(
         sim.clone(),

@@ -17,7 +17,6 @@
 pub mod error;
 pub mod ids;
 pub mod money;
-pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;

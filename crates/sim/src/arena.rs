@@ -105,9 +105,9 @@ thread_local! {
     static ARENA: RefCell<PredictArena> = RefCell::new(PredictArena::default());
 }
 
-/// Runs `f` with this thread's arena. Callers must not re-enter (the
-/// engine never nests predictions on one thread: batch fan-out hands each
-/// worker thread its *own* thread-local arena).
+/// Runs `f` with this thread's arena. Callers must not re-enter: the
+/// engine never nests predictions, and a batch predicts its misses one
+/// after another.
 pub(crate) fn with_arena<R>(f: impl FnOnce(&mut PredictArena) -> R) -> R {
     ARENA.with(|a| f(&mut a.borrow_mut()))
 }

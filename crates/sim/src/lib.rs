@@ -34,5 +34,4 @@ pub use dag::DagTemplate;
 pub use plan::AllocationPlan;
 pub use simulate::{
     EngineConfig, Prediction, SimCacheStats, SimConfig, Simulator, StageBreakdown, StageQuantiles,
-    PAR_MIN_WORK,
 };

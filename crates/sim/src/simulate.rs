@@ -27,7 +27,6 @@ use crate::arena::{with_arena, PredictArena, ARENA_COUNTERS};
 use crate::counters::CacheCounters;
 use crate::dag::DagTemplate;
 use crate::plan::AllocationPlan;
-use rb_core::par::{plan_chunks, run_chunked};
 use rb_core::{Cost, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_obs::{CacheStats, RecorderHandle};
@@ -130,10 +129,6 @@ pub struct StageBreakdown {
 /// seeds; see [`rb_core::mix_seed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Cap on worker threads when [`Simulator::predict_batch`] fans its
-    /// missed plans out (only batches of at least [`PAR_MIN_WORK`] do);
-    /// `0` means "use the host's available parallelism".
-    pub threads: usize,
     /// Memoize predictions per (spec, plan) so repeated plans — warm
     /// starts, greedy revisits, repeated planning runs — hit memory
     /// instead of re-simulating.
@@ -159,26 +154,9 @@ pub struct EngineConfig {
 /// Default [`EngineConfig::plan_cache_cap`], in memoized predictions.
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 32_768;
 
-/// Work below which [`Simulator::predict_batch`] stays on the caller's
-/// thread, in stage samples: distinct missed plans × stages × Monte-Carlo
-/// samples. `rb_core::par::run_chunked` spawns fresh scoped threads per
-/// call, and on a 2-vCPU x86-64 host a spawn plus join costs more than
-/// predicting a controller-sized batch outright: fanning out every batch
-/// made the `perf` benchmark's `adaptive_drift` workload about 4× slower
-/// than one thread. Since a stage-sample miss reads a shared noise column
-/// (see [`crate::dag`]), cold planning's largest batches (17 plans × 10
-/// stages × 20 samples = 3400) no longer gain from the threads either:
-/// fanned out, they made `plan_cold` slower and its throughput vary
-/// about three times as much from run to run. At 8000 every batch of
-/// `plan_cold` and `adaptive_drift` runs inline, with room for larger
-/// ladders; only batches at several times the default sample count fan
-/// out (table in DESIGN.md).
-pub const PAR_MIN_WORK: usize = 8000;
-
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            threads: 0,
             plan_cache: true,
             plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
             dag_templates: true,
@@ -188,23 +166,16 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The sequential baseline: one thread, no prediction cache, no
-    /// template or stage-sample reuse — every prediction re-fits and
-    /// re-samples everything. Kept as the reference the planner's
-    /// results are bit-compared against (`crates/planner/tests/beam.rs`).
+    /// The sequential baseline: no prediction cache, no template or
+    /// stage-sample reuse — every prediction re-fits and re-samples
+    /// everything. Kept as the reference the planner's results are
+    /// bit-compared against (`crates/planner/tests/beam.rs`).
     pub fn sequential_baseline() -> Self {
         EngineConfig {
-            threads: 1,
             plan_cache: false,
             dag_templates: false,
             ..EngineConfig::default()
         }
-    }
-
-    /// Same engine with a fixed worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -291,7 +262,9 @@ fn release_groups_into(
     }
 }
 
-/// Order-independent 64-bit fingerprint of a spec's stage ladder.
+/// 64-bit fingerprint of a spec's stage ladder. Stages are hashed in
+/// order: a ladder and its permutation are different jobs and must not
+/// share cached predictions.
 fn spec_fingerprint(spec: &ExperimentSpec) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     for stage in spec.stages() {
@@ -328,13 +301,13 @@ pub struct SimCacheStats {
 /// The plan simulator: owns the fitted profiles and predicts JCT/cost for
 /// candidate allocation plans.
 ///
-/// Prediction is served by a parallel, memoized engine (see
-/// [`EngineConfig`]): plans already predicted for a spec are returned from
-/// an interior cache, stage samples come from a per-spec [`DagTemplate`]'s
-/// memo, and [`Simulator::predict_batch`] fans large candidate batches out
-/// across threads. Clones share the caches (they are behind [`Arc`]), which is
-/// what the planner wants — warm-start descents re-visit each other's
-/// plans constantly.
+/// Prediction is served by a memoized engine (see [`EngineConfig`]) on
+/// the caller's thread: plans already predicted for a spec are returned
+/// from an interior cache, stage samples come from a per-spec
+/// [`DagTemplate`]'s memo, and [`Simulator::predict_batch`] computes each
+/// distinct missed plan of a candidate batch once. Clones share the
+/// caches (they are behind [`Arc`]), which is what the planner wants —
+/// warm-start descents re-visit each other's plans constantly.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     model: ModelProfile,
@@ -442,9 +415,9 @@ impl Simulator {
         self
     }
 
-    /// Overrides the engine configuration (threads, caching, template
-    /// reuse). Cached values stay valid — engine settings change speed,
-    /// never results.
+    /// Overrides the engine configuration (caching, template reuse and
+    /// their caps). Cached values stay valid — engine settings change
+    /// speed, never results.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
@@ -603,15 +576,13 @@ impl Simulator {
     /// Sample `i` everywhere derives from `Prng::for_stream(config.seed,
     /// i)`, so the sample set is fixed by the configuration alone, and
     /// the result is bit-identical on every thread and in every cache
-    /// state. One prediction always runs on the calling thread: the
-    /// composition over memoized stage samples is far cheaper than a
-    /// thread spawn.
+    /// state.
     ///
     /// All scratch lives in the calling thread's [`PredictArena`]
     /// (struct-of-arrays: `jct[i]`/`compute[i]` per sample), so once the
     /// arena has served a working set at least this large, a prediction
-    /// performs **zero heap allocation** at any [`EngineConfig::threads`]
-    /// — the invariant the `warm_path_alloc` test asserts.
+    /// performs **zero heap allocation** — the invariant the
+    /// `warm_path_alloc` test asserts.
     fn predict_with_template(
         &self,
         template: &DagTemplate,
@@ -791,11 +762,10 @@ impl Simulator {
     ///
     /// This is the planner's unit of work: a greedy step generates one or
     /// two candidates per stage and needs all of them evaluated. Cached
-    /// plans are served from memory; the distinct misses fan out across
-    /// up to [`EngineConfig::threads`] workers when they carry at least
-    /// [`PAR_MIN_WORK`] stage samples, and run on the caller's thread
-    /// otherwise. Results are bit-identical to calling
-    /// [`Simulator::predict`] on each plan sequentially.
+    /// plans are served from memory and the distinct misses are predicted
+    /// once each, in input order, on the caller's thread. Results are
+    /// bit-identical to calling [`Simulator::predict`] on each plan
+    /// sequentially.
     ///
     /// An invalid plan yields an [`rb_core::RbError::InvalidPlan`] in its
     /// own slot without poisoning the rest of the batch.
@@ -866,31 +836,16 @@ impl Simulator {
             Some(t) => self.predict_with_template(t, plan),
             None => self.predict_uncached(spec, plan),
         };
-        // Fan out only when the batch outweighs a thread spawn; one
-        // resolved worker runs the whole batch on this thread.
         let misses = sc.compute_idx.len();
-        let work = misses * spec.num_stages() * self.config.samples.max(1) as usize;
-        let threads = if work >= PAR_MIN_WORK {
-            self.engine.threads
-        } else {
-            1
-        };
         if self.recorder.enabled() && misses > 1 {
-            // Record the chunking the fan-out below uses, so benches and
-            // tests can assert the gate and the batch-size-aware
-            // granularity without re-deriving them.
-            let cp = plan_chunks(misses, threads);
             self.recorder
                 .counter_add("sim", "batch_plans_computed", misses as u64);
-            self.recorder
-                .counter_add("sim", "batch_chunks", cp.num_chunks as u64);
-            self.recorder
-                .counter_add("sim", "batch_chunk_items", cp.chunk_size as u64);
         }
-        let compute_idx = &sc.compute_idx;
-        let computed: Vec<Result<Prediction>> = run_chunked(misses, threads, |range| {
-            range.map(|k| predict_one(&plans[compute_idx[k]])).collect()
-        });
+        let computed: Vec<Result<Prediction>> = sc
+            .compute_idx
+            .iter()
+            .map(|&i| predict_one(&plans[i]))
+            .collect();
         if self.engine.plan_cache {
             let mut cache = self.predictions.lock().expect("prediction cache poisoned");
             let incoming = computed.iter().filter(|r| r.is_ok()).count();
@@ -923,8 +878,8 @@ impl Simulator {
         out
     }
 
-    /// The sequential reference prediction: fresh template, one thread,
-    /// no memoization of any kind. Public as a named test oracle:
+    /// The sequential reference prediction: fresh template, no
+    /// memoization of any kind. Public as a named test oracle:
     /// `crates/sim/tests/engine.rs` compares every engine configuration
     /// against it, and no library code calls it. Results are
     /// bit-identical to [`Simulator::predict`] by the determinism

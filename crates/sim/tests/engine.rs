@@ -1,20 +1,18 @@
 //! Determinism and correctness contract of the prediction engine.
 //!
 //! The engine promises that every execution strategy — sequential
-//! reference, cached, uncached, template-built, one thread, many threads,
-//! batched — produces **bit-identical** predictions. These tests pin that
+//! reference, cached, uncached, template-built, batched — produces
+//! **bit-identical** predictions. These tests pin that
 //! contract.
 
 use rb_cloud::catalog::{P3_2XLARGE, P3_8XLARGE};
 use rb_cloud::CloudPricing;
-use rb_core::par::plan_chunks;
 use rb_core::{Distribution, Prng, RbError, SimDuration};
 use rb_hpo::ExperimentSpec;
-use rb_obs::{MemoryRecorder, RecorderHandle};
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::zoo::RESNET50;
 use rb_scaling::AnalyticScaling;
-use rb_sim::{AllocationPlan, EngineConfig, Prediction, SimConfig, Simulator, PAR_MIN_WORK};
+use rb_sim::{AllocationPlan, EngineConfig, Prediction, SimConfig, Simulator};
 use std::sync::Arc;
 
 /// A noisy sublinear-scaling simulator: noise makes every sample distinct,
@@ -53,15 +51,6 @@ fn distinct_plans(count: usize) -> Vec<AllocationPlan> {
         .collect()
 }
 
-/// Batch sizes of distinct plans just below and just at-or-above
-/// [`PAR_MIN_WORK`] for [`sim`] on [`spec`].
-fn sizes_around_the_gate() -> (usize, usize) {
-    let per_plan = spec().num_stages() * sim().config().samples as usize;
-    let below = (PAR_MIN_WORK - 1) / per_plan;
-    assert!(below * per_plan < PAR_MIN_WORK && (below + 1) * per_plan >= PAR_MIN_WORK);
-    (below, below + 1)
-}
-
 #[test]
 fn cached_predictions_are_identical_to_uncached() {
     let cached = sim(); // default engine: cache + templates on
@@ -81,19 +70,17 @@ fn cached_predictions_are_identical_to_uncached() {
 }
 
 #[test]
-fn predictions_are_bit_identical_across_thread_counts() {
+fn predictions_are_bit_identical_to_the_sequential_reference() {
     let reference = sim();
     for plan in plans() {
         let expect = reference.predict_reference(&spec(), &plan).unwrap();
-        for threads in [1, 2, 3, 8] {
-            let s = sim().with_engine(EngineConfig::sequential_baseline().with_threads(threads));
-            assert_eq!(
-                s.predict(&spec(), &plan).unwrap(),
-                expect,
-                "{plan}: {threads} threads diverged from the sequential reference"
-            );
-        }
-        // The full engine (templates + cache + auto threads) too.
+        let s = sim().with_engine(EngineConfig::sequential_baseline());
+        assert_eq!(
+            s.predict(&spec(), &plan).unwrap(),
+            expect,
+            "{plan}: the sequential baseline diverged from the reference"
+        );
+        // The full engine (templates + cache) too.
         assert_eq!(sim().predict(&spec(), &plan).unwrap(), expect);
     }
 }
@@ -293,64 +280,30 @@ fn clones_share_the_prediction_cache_but_with_config_detaches() {
 }
 
 #[test]
-fn batches_either_side_of_the_fan_out_gate_are_thread_count_independent() {
-    let (below, above) = sizes_around_the_gate();
-    for size in [below, above] {
+fn batches_match_one_at_a_time_cold_and_warm() {
+    for size in [1, 8, 95] {
         let batch = distinct_plans(size);
         let one_at_a_time = sim();
         let expect: Vec<Prediction> = batch
             .iter()
             .map(|plan| one_at_a_time.predict(&spec(), plan).unwrap())
             .collect();
-        for threads in [1, 2, 8, 0] {
-            let s = sim().with_engine(EngineConfig::default().with_threads(threads));
-            for pass in ["cold", "warm"] {
-                let got: Vec<Prediction> = s
-                    .predict_batch(&spec(), &batch)
-                    .into_iter()
-                    .map(Result::unwrap)
-                    .collect();
-                assert_eq!(got, expect, "{size} plans, {threads} threads, {pass}");
-            }
-            let plan_cache = s.cache_stats().plan;
-            assert_eq!(
-                (plan_cache.hits, plan_cache.misses),
-                (size as u64, size as u64),
-                "{size} plans, {threads} threads: plan-cache tallies"
-            );
+        let s = sim();
+        for pass in ["cold", "warm"] {
+            let got: Vec<Prediction> = s
+                .predict_batch(&spec(), &batch)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            assert_eq!(got, expect, "{size} plans, {pass}");
         }
+        let plan_cache = s.cache_stats().plan;
+        assert_eq!(
+            (plan_cache.hits, plan_cache.misses),
+            (size as u64, size as u64),
+            "{size} plans: plan-cache tallies"
+        );
     }
-}
-
-#[test]
-fn batch_chunk_counters_report_the_fan_out_that_ran() {
-    let (below, above) = sizes_around_the_gate();
-    let counters = |size: usize| {
-        let sink = Arc::new(MemoryRecorder::new());
-        let s = sim()
-            .with_engine(EngineConfig::default().with_threads(2))
-            .with_recorder(RecorderHandle::new(sink.clone()));
-        s.predict_batch(&spec(), &distinct_plans(size));
-        let log = sink.finish();
-        (
-            log.counter("sim", "batch_plans_computed"),
-            log.counter("sim", "batch_chunks"),
-            log.counter("sim", "batch_chunk_items"),
-        )
-    };
-    // Below the gate the batch runs inline: one chunk of every plan.
-    assert_eq!(counters(below), (below as u64, 1, below as u64));
-    // At the gate it fans out over the two workers' chunking.
-    let fanned = plan_chunks(above, 2);
-    assert!(fanned.num_chunks > 1, "{fanned:?}");
-    assert_eq!(
-        counters(above),
-        (
-            above as u64,
-            fanned.num_chunks as u64,
-            fanned.chunk_size as u64
-        )
-    );
 }
 
 /// Generated cases of [`one_stage_siblings_share_noise_columns_exactly`].

@@ -1,13 +1,12 @@
 //! The arena engine's allocation contract: a warmed-up `predict` never
-//! calls the allocator, at one thread or at the host's thread count, an
-//! all-hit `predict_batch` allocates at most its output vector, and a
-//! stage-memo miss allocates the same whatever the sample count.
+//! calls the allocator, an all-hit `predict_batch` allocates at most its
+//! output vector, and a stage-memo miss allocates the same whatever the
+//! sample count.
 //!
 //! Ordinary tests cannot see allocations, so this binary installs a
 //! counting `#[global_allocator]` and runs from `main()` without the
 //! libtest harness (`harness = false`): no harness thread can allocate
-//! while a window is open. The count is one process-wide atomic, so
-//! allocations made on engine worker threads are counted too.
+//! while a window is open. The count is one process-wide atomic.
 
 use rb_cloud::catalog::P3_8XLARGE;
 use rb_cloud::CloudPricing;
@@ -24,8 +23,7 @@ use std::sync::Arc;
 /// Allocation events (alloc / alloc_zeroed / realloc) since process
 /// start. Frees are not counted: every free on the warm path pairs with
 /// an allocation, so counting acquisitions suffices. A statistic that
-/// publishes no other data, so `Relaxed`; engine worker threads are
-/// joined before a window closes, which orders their increments first.
+/// publishes no other data, so `Relaxed`.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
@@ -82,30 +80,27 @@ fn spec() -> ExperimentSpec {
 fn warm_predict_never_allocates() {
     let spec = spec();
     let plan = AllocationPlan::new(vec![32, 16, 8, 4, 4]);
-    for (threads, label) in [(1, "1"), (0, "auto")] {
-        // Cache off so every predict runs the full simulation path.
-        let sim = sim(EngineConfig {
-            threads,
-            plan_cache: false,
-            dag_templates: true,
-            ..EngineConfig::default()
-        });
-        // Warm up: arena high-water marks, the DAG template, stage memos.
-        sim.predict(&spec, &plan).unwrap();
-        sim.predict(&spec, &plan).unwrap();
-        let delta = allocations_during(|| {
-            for _ in 0..32 {
-                std::hint::black_box(sim.predict(&spec, &plan).unwrap());
-            }
-        });
-        println!("warm predict allocations over 32 calls (threads={label}): {delta}");
-        assert_eq!(delta, 0, "warm predict must not allocate (threads={label})");
-    }
+    // Cache off so every predict runs the full simulation path.
+    let sim = sim(EngineConfig {
+        plan_cache: false,
+        dag_templates: true,
+        ..EngineConfig::default()
+    });
+    // Warm up: arena high-water marks, the DAG template, stage memos.
+    sim.predict(&spec, &plan).unwrap();
+    sim.predict(&spec, &plan).unwrap();
+    let delta = allocations_during(|| {
+        for _ in 0..32 {
+            std::hint::black_box(sim.predict(&spec, &plan).unwrap());
+        }
+    });
+    println!("warm predict allocations over 32 calls: {delta}");
+    assert_eq!(delta, 0, "warm predict must not allocate");
 }
 
 fn all_hit_batch_allocates_only_its_output() {
     let spec = spec();
-    let sim = sim(EngineConfig::default().with_threads(1));
+    let sim = sim(EngineConfig::default());
     let plans: Vec<AllocationPlan> = (0..8)
         .map(|i| AllocationPlan::new(vec![32 - 2 * i, 16, 8, 4, 4]))
         .collect();
@@ -151,7 +146,6 @@ fn stage_memo_miss_allocations_do_not_grow_with_samples() {
                 .with_init_latency(SimDuration::from_secs(15));
         Simulator::new(model, cloud)
             .with_engine(EngineConfig {
-                threads: 1,
                 plan_cache: false,
                 ..EngineConfig::default()
             })

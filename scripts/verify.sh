@@ -36,6 +36,21 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "ok"
 
+echo "== guard: no thread spawns in library or example code =="
+# Prediction, batches and Hyperband brackets run on the caller's thread.
+# The engine's old fan-out was deleted because no workload reached it:
+# at its last gate no benchmark batch crossed, and all of `repro`
+# measured the same without it (DESIGN.md, "One thread"). A new fan-out
+# must arrive with a workload that shows it paying, and the change that
+# brings it edits this guard.
+spawns=$(grep -rnE --include='*.rs' 'thread::(spawn|scope|Builder)' crates/*/src examples || true)
+if [ -n "$spawns" ]; then
+    echo "$spawns"
+    echo "FAIL: library or example code starts threads; see DESIGN.md \"One thread\"" >&2
+    exit 1
+fi
+echo "ok"
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 
@@ -65,8 +80,8 @@ done
 echo "ok"
 
 echo "== paper evidence (repro --csv all must match the pinned output) =="
-# Every table and figure of the evaluation, seeded and bit-reproducible
-# at any thread count. `repro` writes repro_out/ into its cwd, so it runs
+# Every table and figure of the evaluation, seeded and bit-reproducible.
+# `repro` writes repro_out/ into its cwd, so it runs
 # in a scratch directory; a drift here means a paper artifact's numbers
 # moved, and a failed artifact makes repro exit non-zero.
 repro_dir=$(mktemp -d)
@@ -122,8 +137,9 @@ echo "ok"
 echo "== trace smoke (seeded; JSONL schema + RunSummary must match) =="
 # One observed adaptive run under drift + spot churn. `repro trace`
 # schema-validates the JSONL in-process and ends its output with the
-# byte-stable RunSummary; the prediction engine is pinned to one thread
-# inside the workload, so the rollup is identical on every machine.
+# byte-stable RunSummary. The run is seeded and the prediction engine
+# runs on the caller's thread, so the rollup is identical on every
+# machine.
 trace_dir=$(mktemp -d)
 (cd "$trace_dir" && cargo run --manifest-path "$repo/Cargo.toml" \
     -p rb-bench --release --offline --bin repro -- trace) > "$trace_dir/out.txt"
