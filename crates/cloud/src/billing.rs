@@ -117,12 +117,6 @@ impl BillingMeter {
         self.lifetimes.get(&id).map(|l| l.started)
     }
 
-    /// Pins `id`'s lifetime to `tier`: it will be priced under that
-    /// tier regardless of the profile passed to [`Self::compute_cost`].
-    pub fn pin_tier(&mut self, id: InstanceId, tier: PricingTier) {
-        self.tier_overrides.insert(id, tier);
-    }
-
     /// Pins every lifetime recorded so far to `tier` and returns how
     /// many were pinned. Called at the instant of a market switch: the
     /// capacity bought up to now was bought on the old market, and only
@@ -136,11 +130,6 @@ impl BillingMeter {
             }
         }
         pinned
-    }
-
-    /// The tier `id` is pinned to, if any.
-    pub fn pinned_tier(&self, id: InstanceId) -> Option<PricingTier> {
-        self.tier_overrides.get(&id).copied()
     }
 
     fn lifetime_charge(
@@ -355,7 +344,7 @@ mod tests {
         m.instance_started(InstanceId::new(0), SimTime::ZERO);
         assert_eq!(m.pin_existing_lifetimes(PricingTier::OnDemand), 1);
         assert_eq!(
-            m.pinned_tier(InstanceId::new(0)),
+            m.tier_overrides.get(&InstanceId::new(0)).copied(),
             Some(PricingTier::OnDemand)
         );
         // Re-pinning is a no-op for already-pinned lifetimes.

@@ -635,14 +635,6 @@ impl SimProvider {
         self.fleet.get(&id).copied()
     }
 
-    /// Number of instances currently running.
-    pub fn running_count(&self) -> usize {
-        self.fleet
-            .values()
-            .filter(|s| matches!(s, InstanceState::Running { .. }))
-            .count()
-    }
-
     /// Number of instances pending or running.
     pub fn live_count(&self) -> usize {
         self.fleet
@@ -697,10 +689,10 @@ mod tests {
             assert_eq!(*ready, SimTime::from_secs(30));
         }
         assert!(p.poll_ready(SimTime::from_secs(29)).is_empty());
-        assert_eq!(p.running_count(), 0);
+        assert_eq!(p.running_ids().len(), 0);
         let ready = p.poll_ready(SimTime::from_secs(30));
         assert_eq!(ready.len(), 3);
-        assert_eq!(p.running_count(), 3);
+        assert_eq!(p.running_ids().len(), 3);
     }
 
     #[test]
@@ -730,7 +722,7 @@ mod tests {
         ));
         // ...the instance never becomes ready...
         assert!(p.poll_ready(SimTime::from_secs(30)).is_empty());
-        assert_eq!(p.running_count(), 0);
+        assert_eq!(p.running_ids().len(), 0);
         // ...billing never started (nothing to charge, ever)...
         assert_eq!(p.meter().instances_started(), 0);
         let bill = p.meter().compute_cost(
@@ -790,7 +782,7 @@ mod tests {
         p.provision(4, SimTime::ZERO).unwrap();
         p.poll_ready(SimTime::ZERO);
         p.terminate_all(SimTime::from_secs(120));
-        assert_eq!(p.running_count(), 0);
+        assert_eq!(p.running_ids().len(), 0);
         assert_eq!(p.live_count(), 0);
     }
 

@@ -3,12 +3,14 @@
 //! A prediction composes memoized per-stage samples into per-sample JCT
 //! and cost; the composition itself is cheap, so on the warm path the
 //! allocator dominated. This module gives every thread one reusable
-//! [`PredictArena`] holding all the buffers a prediction (or a stage
-//! breakdown) needs in struct-of-arrays layout. Buffers are cleared and
-//! re-filled per call but never shrunk, so once a thread has predicted a
-//! plan at least as large (stages × samples) as the current one, a
-//! prediction performs **zero heap allocation** — the invariant the
-//! `warm_path_alloc` test (`crates/sim/tests/`) enforces.
+//! [`PredictArena`] holding all the buffers a prediction, a stage
+//! breakdown or a stage-quantile envelope needs, in struct-of-arrays
+//! layout. Buffers are cleared and re-filled per call but never shrunk,
+//! so once a thread has served a plan at least as large (stages ×
+//! samples) as the current one, a prediction performs **zero heap
+//! allocation**, and a breakdown or an envelope allocates only the `Vec`
+//! it returns — the contract the `warm_path_alloc` test
+//! (`crates/sim/tests/`) enforces.
 //!
 //! Arenas are plain scratch: no prediction result ever lives in one
 //! beyond the call that computed it, so arena reuse can never change a
@@ -34,13 +36,18 @@ pub(crate) static ARENA_COUNTERS: CacheCounters = CacheCounters::new();
 /// per stage  (len = n_stages):  needed | new_inst | stage_arcs | hand
 /// per sample (len = n_samples): jct | compute
 /// per plan   (≤ 2 × n_stages):  releases | release_stack
-/// explain    (len = n_stages):  dur_sum | cost_sum
+/// explain    (len = n_stages):  stage_sums
+/// quantiles  (len = n_samples): spans
 /// ```
 ///
-/// Prediction and `Simulator::explain` fill the per-stage and per-plan
-/// buffers through one setup path and read the same stage samples;
-/// prediction then reduces each sample into `jct[i]`/`compute[i]`, and
-/// explain into the per-stage sums. The aggregation passes stream each
+/// Prediction, `Simulator::explain` and `Simulator::stage_quantiles`
+/// fill the per-stage and per-plan buffers through one setup path
+/// (`Simulator::load_plan`) and read the same stage samples. Prediction
+/// and explain then run the same per-sample billing walk: it fills
+/// `jct[i]`/`compute[i]` and hands each stage's span and charge to a
+/// sink, which explain sums into `stage_sums` and prediction ignores.
+/// The quantiles need no billing: they sort each stage's spans in
+/// `spans`, one stage after another. The aggregation passes stream each
 /// per-sample array independently, and the data-ingress charge —
 /// identical across samples — is applied once at aggregation instead of
 /// being carried in every sample.
@@ -63,10 +70,11 @@ pub(crate) struct PredictArena {
     pub jct: Vec<f64>,
     /// Sampled compute bills, index = sample.
     pub compute: Vec<Cost>,
-    /// Stage-duration accumulator (`Simulator::explain`).
-    pub dur_sum: Vec<f64>,
-    /// Stage-cost accumulator (`Simulator::explain`).
-    pub cost_sum: Vec<f64>,
+    /// Per-stage sums over the samples of span (seconds) and of the
+    /// exact integer charge (`Simulator::explain`).
+    pub stage_sums: Vec<(f64, Cost)>,
+    /// One stage's spans, sorted (`Simulator::stage_quantiles`).
+    pub spans: Vec<f64>,
     /// High-water marks: the largest (stages, samples) working set this
     /// arena has served. Only the warm/cold statistic — capacities are
     /// tracked by the `Vec`s themselves.

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 /// The planner evaluates hundreds of plans against one spec, and a
 /// greedy step changes a single stage's allocation, so the template is
 /// built **once per spec** and each plan only reads its instance ladder
-/// (`DagTemplate::instance_ladder`) and its stages' memoized samples.
+/// (`DagTemplate::instance_ladder_into`) and its stages' memoized samples.
 ///
 /// Fitted train-task distributions are memoized per `(stage, gpus)` pair:
 /// the scaling-model evaluation behind
@@ -248,20 +248,12 @@ impl DagTemplate {
         Ok(())
     }
 
-    /// The plan's per-stage instance ladder: instances held and newly
-    /// provisioned at each stage, plus the job total. The plan must
-    /// already be validated.
-    pub(crate) fn instance_ladder(&self, plan: &AllocationPlan) -> (Vec<u32>, Vec<u32>, u32) {
-        let mut needed = Vec::with_capacity(self.stages.len());
-        let mut new_inst = Vec::with_capacity(self.stages.len());
-        let total = self.instance_ladder_into(plan, &mut needed, &mut new_inst);
-        (needed, new_inst, total)
-    }
-
-    /// [`DagTemplate::instance_ladder`] into caller-owned buffers — the
-    /// arena-backed prediction path reuses its scratch vectors across
-    /// plans, so the ladder must not allocate. Buffers are cleared first;
-    /// returns the job's total provisioned instances.
+    /// The plan's per-stage instance ladder, written into caller-owned
+    /// buffers: instances held (`needed`) and newly provisioned
+    /// (`new_inst`) at each stage. Buffers are cleared first; returns the
+    /// job's total provisioned instances. The prediction arena reuses its
+    /// buffers across plans, so the ladder must not allocate. The plan
+    /// must already be validated.
     pub(crate) fn instance_ladder_into(
         &self,
         plan: &AllocationPlan,
@@ -563,7 +555,12 @@ mod tests {
         // Stage 0 provisions all four instances (one SCALE, four INITs);
         // the shrinking stages provision none.
         let t = template(&cloud_1gpu());
-        let (needed, new_inst, total) = t.instance_ladder(&AllocationPlan::new(vec![4, 2, 1]));
+        let (mut needed, mut new_inst) = (Vec::new(), Vec::new());
+        let total = t.instance_ladder_into(
+            &AllocationPlan::new(vec![4, 2, 1]),
+            &mut needed,
+            &mut new_inst,
+        );
         assert_eq!(needed, vec![4, 2, 1]);
         assert_eq!(new_inst, vec![4, 0, 0]);
         assert_eq!(total, 4);
@@ -577,7 +574,12 @@ mod tests {
     fn growth_adds_scale_and_init_nodes_mid_job() {
         // Growing plan 1 → 2 → 4 GPUs over 4 → 2 → 1 trials.
         let t = template(&cloud_1gpu());
-        let (needed, new_inst, total) = t.instance_ladder(&AllocationPlan::new(vec![1, 2, 4]));
+        let (mut needed, mut new_inst) = (Vec::new(), Vec::new());
+        let total = t.instance_ladder_into(
+            &AllocationPlan::new(vec![1, 2, 4]),
+            &mut needed,
+            &mut new_inst,
+        );
         assert_eq!(needed, vec![1, 2, 4]);
         assert_eq!(new_inst, vec![1, 1, 2]);
         assert_eq!(total, 4);
@@ -604,7 +606,8 @@ mod tests {
         let cloud = CloudProfile::new(pricing.clone());
         let t = template(&cloud);
         let plan = AllocationPlan::new(vec![8, 4, 2]);
-        let (needed, new_inst, _) = t.instance_ladder(&plan);
+        let (mut needed, mut new_inst) = (Vec::new(), Vec::new());
+        t.instance_ladder_into(&plan, &mut needed, &mut new_inst);
         assert_eq!(needed, vec![2, 1, 1]);
         assert_eq!(new_inst, vec![2, 0, 0]);
         // Each trial gets 2 GPUs in stage 0, and is billed for them.

@@ -17,16 +17,19 @@
 //! Data ingress is billed once per provisioned instance under both models.
 //!
 //! [`Simulator::predict`], [`Simulator::stage_quantiles`] and
-//! [`Simulator::explain`] all read the same memoized stage samples, and
-//! a stage-sample miss reads its TRAIN noise from a column shared by
-//! every allocation of the stage (see [`crate::dag`]). The node-by-node
-//! walk of Algorithm 1 that the composition reproduces is the test
-//! oracle in `crates/sim/tests/algorithm1.rs`.
+//! [`Simulator::explain`] all load a plan's memoized stage samples into
+//! the thread's arena through one setup path, and prediction and explain
+//! bill them through one per-sample walk. A stage-sample miss reads its
+//! TRAIN noise from a column shared by every allocation of the stage
+//! (see [`crate::dag`]). The node-by-node walk of Algorithm 1 that the
+//! composition reproduces is the test oracle in
+//! `crates/sim/tests/algorithm1.rs`.
 
 use crate::arena::{with_arena, PredictArena, ARENA_COUNTERS};
 use crate::counters::CacheCounters;
 use crate::dag::DagTemplate;
 use crate::plan::AllocationPlan;
+use rb_cloud::CloudPricing;
 use rb_core::{Cost, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_obs::{CacheStats, RecorderHandle};
@@ -85,6 +88,11 @@ impl Prediction {
 /// an online drift monitor compares observed stage spans against. The
 /// span covers the whole barrier-to-barrier interval (scale-up + init +
 /// training + sync), matching what an executor can observe.
+///
+/// Quantile `p` of `n` spans is the span at index `round(p · (n − 1))`
+/// of the ascending sort, not the nearest rank `⌈p · n⌉`: at 20 samples
+/// p10 and p50 are the 3rd and 11th smallest spans, where nearest rank
+/// would give the 2nd and 10th.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageQuantiles {
     /// Stage index.
@@ -93,7 +101,7 @@ pub struct StageQuantiles {
     pub samples: u32,
     /// Mean stage span in seconds.
     pub mean_secs: f64,
-    /// 10th-percentile span (nearest rank).
+    /// 10th-percentile span.
     pub p10_secs: f64,
     /// Median span.
     pub p50_secs: f64,
@@ -259,6 +267,68 @@ fn release_groups_into(
                 stack.pop();
             }
         }
+    }
+}
+
+/// The per-sample billing walk over a plan loaded by
+/// `Simulator::load_plan`: for each sample `i` and stage `s` in order,
+/// the stage ends `span` after the previous one, hands its new
+/// instances over, and is charged either the instance charges of the
+/// release groups it releases (per-instance billing) or its TRAIN tasks'
+/// charges (per-function billing). Each stage's `(s, span, charge)` goes
+/// to `sink`; the sample's JCT (the sum of its spans) and compute bill
+/// (the sum of its charges) land in `jct[i]` and `compute[i]`.
+///
+/// Prediction passes a no-op sink, which compiles away. `hand` is
+/// scratch: every entry read within a sample was written earlier in that
+/// same sample (releases reference stages `prov ≤ s` that provisioned),
+/// so reuse across samples cannot leak state.
+fn bill_samples(
+    arena: &mut PredictArena,
+    pricing: &CloudPricing,
+    mut sink: impl FnMut(usize, f64, Cost),
+) {
+    let per_instance = pricing.billing.is_per_instance();
+    let PredictArena {
+        new_inst,
+        stage_arcs,
+        releases,
+        hand,
+        jct,
+        compute,
+        ..
+    } = arena;
+    for i in 0..jct.len() {
+        let mut now = 0.0_f64;
+        let mut cc = Cost::ZERO;
+        let mut next_release = 0;
+        for (s, column) in stage_arcs.iter().enumerate() {
+            let ss = column[i];
+            let stage_end = now + ss.dur;
+            let charge = if per_instance {
+                if new_inst[s] > 0 {
+                    hand[s] = now + ss.handover;
+                }
+                let mut charge = Cost::ZERO;
+                while let Some(&(at, prov, count)) = releases.get(next_release) {
+                    if at as usize != s {
+                        break;
+                    }
+                    next_release += 1;
+                    let held =
+                        SimDuration::from_secs_f64((stage_end - hand[prov as usize]).max(0.0));
+                    charge += pricing.instance_charge(held) * u64::from(count);
+                }
+                charge
+            } else {
+                ss.fn_charge
+            };
+            sink(s, ss.dur, charge);
+            cc += charge;
+            now = stage_end;
+        }
+        jct[i] = now;
+        compute[i] = cc;
     }
 }
 
@@ -518,10 +588,10 @@ impl Simulator {
 
     /// Loads `plan` into `arena`: the instance ladder, one memoized
     /// sample column of `n` samples per stage and, under per-instance
-    /// billing, the release groups. Prediction and
-    /// [`Simulator::explain`] both start here, so they read the same
-    /// samples. The plan must already be validated; returns the job's
-    /// total provisioned instances.
+    /// billing, the release groups. Prediction,
+    /// [`Simulator::explain`] and [`Simulator::stage_quantiles`] all
+    /// start here, so they read the same samples. The plan must already
+    /// be validated; returns the job's total provisioned instances.
     fn load_plan(
         &self,
         template: &DagTemplate,
@@ -589,57 +659,14 @@ impl Simulator {
         plan: &AllocationPlan,
     ) -> Result<Prediction> {
         template.validate(plan)?;
-        let n_stages = template.num_stages();
         let n = self.config.samples.max(1) as usize;
         let pricing = &self.cloud.pricing;
-        let per_instance = pricing.billing.is_per_instance();
         with_arena(|arena| {
             let total_instances = self.load_plan(template, plan, n, arena);
-            let PredictArena {
-                new_inst,
-                stage_arcs,
-                releases,
-                hand,
-                jct,
-                compute,
-                ..
-            } = arena;
+            bill_samples(arena, pricing, |_, _, _| {});
+            let PredictArena { jct, compute, .. } = arena;
             let data_cost =
                 pricing.ingress_charge(self.cloud.dataset_gb) * u64::from(total_instances);
-            // The per-sample kernel, filling the arena's SoA output
-            // arrays in index order. `hand` is scratch: every entry read
-            // within a sample was written earlier in that same sample
-            // (releases reference stages `prov ≤ s` that provisioned), so
-            // reuse across samples cannot leak state.
-            for i in 0..n {
-                let mut now = 0.0_f64;
-                let mut cc = Cost::ZERO;
-                let mut next_release = 0;
-                for s in 0..n_stages {
-                    let ss = stage_arcs[s][i];
-                    let stage_end = now + ss.dur;
-                    if per_instance {
-                        if new_inst[s] > 0 {
-                            hand[s] = now + ss.handover;
-                        }
-                        while let Some(&(at, prov, count)) = releases.get(next_release) {
-                            if at as usize != s {
-                                break;
-                            }
-                            next_release += 1;
-                            let held = SimDuration::from_secs_f64(
-                                (stage_end - hand[prov as usize]).max(0.0),
-                            );
-                            cc += pricing.instance_charge(held) * u64::from(count);
-                        }
-                    } else {
-                        cc += ss.fn_charge;
-                    }
-                    now = stage_end;
-                }
-                jct[i] = now;
-                compute[i] = cc;
-            }
             if self.recorder.enabled() {
                 // Per-sample critical-path observations: each sampled JCT
                 // is the length of that sample's DAG critical path.
@@ -906,11 +933,13 @@ impl Simulator {
     /// Exports per-stage span quantiles for `plan` — the prediction
     /// envelope a closed-loop controller monitors drift against.
     ///
-    /// Served from the same canonical stage-sample memo as
-    /// [`Simulator::predict`] (identical keys, identical counter-derived
+    /// Starts from the same loaded plan as [`Simulator::predict`]
+    /// (`load_plan`: identical memo keys, identical counter-derived
     /// streams), so the quantiles are exactly the distribution the
     /// plan's prediction was composed from, and computing them warms the
-    /// cache a later re-planning pass will hit.
+    /// cache a later re-planning pass will hit. Each stage's spans are
+    /// sorted in one arena buffer, so a warm call allocates only the
+    /// returned `Vec`.
     ///
     /// # Errors
     ///
@@ -923,43 +952,52 @@ impl Simulator {
     ) -> Result<Vec<StageQuantiles>> {
         let template = self.template(spec);
         template.validate(plan)?;
-        let n = self.config.samples.max(1);
-        let (_, new_inst, _) = template.instance_ladder(plan);
-        Ok((0..template.num_stages())
-            .map(|s| {
-                let ss = template.stage_samples(s, plan.gpus(s), new_inst[s], self.config.seed, n);
-                // The memo may hold more samples than this simulator's
-                // fidelity; quantiles use exactly the first `n` (the
-                // sample set is prefix-consistent per seed).
-                let mut durs: Vec<f64> = ss.iter().take(n as usize).map(|x| x.dur).collect();
-                durs.sort_by(f64::total_cmp);
-                let q = |p: f64| {
-                    let idx = (p * (durs.len() - 1) as f64).round() as usize;
-                    durs[idx.min(durs.len() - 1)]
-                };
-                StageQuantiles {
-                    stage: s,
-                    samples: n,
-                    mean_secs: durs.iter().sum::<f64>() / durs.len() as f64,
-                    p10_secs: q(0.10),
-                    p50_secs: q(0.50),
-                    p90_secs: q(0.90),
-                }
-            })
-            .collect())
+        let n = self.config.samples.max(1) as usize;
+        with_arena(|arena| {
+            self.load_plan(&template, plan, n, arena);
+            let PredictArena {
+                stage_arcs, spans, ..
+            } = arena;
+            Ok(stage_arcs
+                .iter()
+                .enumerate()
+                .map(|(s, column)| {
+                    // The memo may hold more samples than this
+                    // simulator's fidelity; quantiles use exactly the
+                    // first `n` (the sample set is prefix-consistent per
+                    // seed).
+                    spans.clear();
+                    spans.extend(column[..n].iter().map(|x| x.dur));
+                    spans.sort_by(f64::total_cmp);
+                    let q = |p: f64| spans[(p * (n - 1) as f64).round() as usize];
+                    StageQuantiles {
+                        stage: s,
+                        samples: n as u32,
+                        mean_secs: spans.iter().sum::<f64>() / n as f64,
+                        p10_secs: q(0.10),
+                        p50_secs: q(0.50),
+                        p90_secs: q(0.90),
+                    }
+                })
+                .collect())
+        })
     }
 
-    /// Explains a plan stage by stage: mean duration and cost share per
-    /// stage across the Monte-Carlo samples. The cost decomposition is
-    /// informational (instances that span stages are attributed to the
-    /// stage in which they are released), so stage costs sum to the
-    /// compute bill but individual attributions are approximate.
+    /// Explains a plan stage by stage: mean duration and cost per stage
+    /// across the Monte-Carlo samples.
     ///
-    /// Reads the same memoized stage samples, instance ladder and
-    /// release groups as [`Simulator::predict`]: per sample, a stage adds
-    /// its span, and its cost is the instance charges of the groups it
-    /// releases (per-instance billing) or its TRAIN tasks' charges
-    /// (per-function billing).
+    /// Runs the same billing walk over the same loaded plan as
+    /// [`Simulator::predict`]. A stage's cost is the instance charges of
+    /// the release groups it releases (per-instance billing: an instance
+    /// that spans stages is attributed to the stage that releases it, so
+    /// single attributions are approximate) or its TRAIN tasks' charges
+    /// (per-function billing). Each stage's charges are summed exactly,
+    /// in integer micro-dollars, and divided by the sample count once.
+    /// So the stage costs plus the data-ingress charge equal the
+    /// prediction's mean cost, and the stage durations its mean JCT, up
+    /// to the rounding of each mean: within one micro-dollar and one
+    /// millisecond per stage (`crates/sim/tests/algorithm1.rs` checks
+    /// both under noise).
     ///
     /// # Errors
     ///
@@ -972,67 +1010,34 @@ impl Simulator {
     ) -> Result<Vec<StageBreakdown>> {
         let template = self.template(spec);
         template.validate(plan)?;
-        let n_stages = template.num_stages();
         let n = self.config.samples.max(1) as usize;
-        let pricing = &self.cloud.pricing;
-        let per_instance = pricing.billing.is_per_instance();
         with_arena(|arena| {
             self.load_plan(&template, plan, n, arena);
-            let PredictArena {
-                needed,
-                new_inst,
-                stage_arcs,
-                releases,
-                hand,
-                dur_sum,
-                cost_sum,
-                ..
-            } = arena;
-            dur_sum.clear();
-            dur_sum.resize(n_stages, 0.0);
-            cost_sum.clear();
-            cost_sum.resize(n_stages, 0.0);
-            for i in 0..n {
-                let mut now = 0.0_f64;
-                let mut next_release = 0;
-                for (s, column) in stage_arcs.iter().enumerate() {
-                    let ss = column[i];
-                    let stage_end = now + ss.dur;
-                    dur_sum[s] += ss.dur;
-                    if per_instance {
-                        if new_inst[s] > 0 {
-                            hand[s] = now + ss.handover;
-                        }
-                        while let Some(&(at, prov, count)) = releases.get(next_release) {
-                            if at as usize != s {
-                                break;
-                            }
-                            next_release += 1;
-                            let held = SimDuration::from_secs_f64(
-                                (stage_end - hand[prov as usize]).max(0.0),
-                            );
-                            cost_sum[s] +=
-                                (pricing.instance_charge(held) * u64::from(count)).as_dollars();
-                        }
-                    } else {
-                        cost_sum[s] += ss.fn_charge.as_dollars();
-                    }
-                    now = stage_end;
-                }
-            }
-            Ok((0..n_stages)
-                .map(|s| {
+            let mut sums = std::mem::take(&mut arena.stage_sums);
+            sums.clear();
+            sums.resize(template.num_stages(), (0.0, Cost::ZERO));
+            bill_samples(arena, &self.cloud.pricing, |s, span, charge| {
+                sums[s].0 += span;
+                sums[s].1 += charge;
+            });
+            let rows = sums
+                .iter()
+                .enumerate()
+                .map(|(s, &(dur, cost))| {
                     let (trials, _) = spec.get_stage(s).expect("stage in range");
                     StageBreakdown {
                         stage: s,
                         trials,
                         gpus_per_trial: plan.gpus_per_trial(s, spec),
-                        instances: needed[s],
-                        duration: SimDuration::from_secs_f64(dur_sum[s] / n as f64),
-                        cost: Cost::from_dollars(cost_sum[s] / n as f64),
+                        instances: arena.needed[s],
+                        duration: SimDuration::from_secs_f64(dur / n as f64),
+                        cost: Cost::from_dollars(cost.as_dollars() / n as f64),
                     }
                 })
-                .collect())
+                .collect();
+            // Hand the buffer back so its capacity serves the next call.
+            arena.stage_sums = sums;
+            Ok(rows)
         })
     }
 }

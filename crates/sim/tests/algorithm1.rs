@@ -410,6 +410,24 @@ fn stage_composed_prediction_matches_full_dag_walk() {
                 want.stage_usd[s]
             );
         }
+        // The stage breakdown adds up to the prediction it explains, up
+        // to one storage unit of rounding per stage mean.
+        let cloud = sim.cloud();
+        let data = cloud.pricing.ingress_charge(cloud.dataset_gb) * u64::from(dag.provisioned());
+        let cost: Cost = rows.iter().map(|r| r.cost).sum::<Cost>() + data;
+        let span = rows
+            .iter()
+            .fold(SimDuration::ZERO, |acc, r| acc + r.duration);
+        let slack = rows.len() as i64;
+        assert!(
+            (cost.as_micros() - pred.cost.as_micros()).abs() <= slack
+                && (span.as_millis() as i64 - pred.jct.as_millis() as i64).abs() <= slack,
+            "case {c} {plan}: stages sum to {} µ$, {} ms; predicted {} µ$, {} ms",
+            cost.as_micros(),
+            span.as_millis(),
+            pred.cost.as_micros(),
+            pred.jct.as_millis()
+        );
     }
     // Every plan shape the generator promises actually occurs.
     for (what, n) in [("growth", grew), ("waves", waves), ("uneven", uneven)] {

@@ -1,7 +1,7 @@
 //! The arena engine's allocation contract: a warmed-up `predict` never
-//! calls the allocator, an all-hit `predict_batch` allocates at most its
-//! output vector, and a stage-memo miss allocates the same whatever the
-//! sample count.
+//! calls the allocator, a warmed-up `stage_quantiles` or `explain` and
+//! an all-hit `predict_batch` allocate at most their output vector, and
+//! a stage-memo miss allocates the same whatever the sample count.
 //!
 //! Ordinary tests cannot see allocations, so this binary installs a
 //! counting `#[global_allocator]` and runs from `main()` without the
@@ -98,6 +98,31 @@ fn warm_predict_never_allocates() {
     assert_eq!(delta, 0, "warm predict must not allocate");
 }
 
+/// `stage_quantiles` and `explain` load the plan into the same arena as
+/// `predict` and reduce it there, so once warm each allocates exactly
+/// one thing: the `Vec` it returns.
+fn warm_stage_readers_allocate_only_their_output() {
+    let spec = spec();
+    let plan = AllocationPlan::new(vec![32, 16, 8, 4, 4]);
+    let sim = sim(EngineConfig::default());
+    for _ in 0..2 {
+        sim.stage_quantiles(&spec, &plan).unwrap();
+        sim.explain(&spec, &plan).unwrap();
+    }
+    let quantiles = allocations_during(|| {
+        std::hint::black_box(sim.stage_quantiles(&spec, &plan).unwrap());
+    });
+    let explain = allocations_during(|| {
+        std::hint::black_box(sim.explain(&spec, &plan).unwrap());
+    });
+    println!("warm allocations: stage_quantiles {quantiles}, explain {explain}");
+    assert_eq!(
+        quantiles, 1,
+        "warm stage_quantiles allocates only its output"
+    );
+    assert_eq!(explain, 1, "warm explain allocates only its output");
+}
+
 fn all_hit_batch_allocates_only_its_output() {
     let spec = spec();
     let sim = sim(EngineConfig::default());
@@ -182,6 +207,7 @@ fn stage_memo_miss_allocations_do_not_grow_with_samples() {
 
 fn main() {
     warm_predict_never_allocates();
+    warm_stage_readers_allocate_only_their_output();
     all_hit_batch_allocates_only_its_output();
     stage_memo_miss_allocations_do_not_grow_with_samples();
 }

@@ -218,4 +218,9 @@ diff -u scripts/expected_rollup.txt "$fleet_dir/rollup.txt"
 rm -rf "$fleet_dir"
 echo "ok"
 
+echo "== line counts (informational, no gate) =="
+# Non-test and test Rust lines, by the rule in scripts/loc.sh. A change
+# reports its net lines from these two figures before and after.
+scripts/loc.sh
+
 echo "verify: all checks passed"
