@@ -1,23 +1,29 @@
-//! Thread-local scratch arenas for the prediction hot path.
+//! Thread-local arenas for the prediction hot path.
 //!
 //! A prediction composes memoized per-stage samples into per-sample JCT
 //! and cost; the composition itself is cheap, so on the warm path the
 //! allocator dominated. This module gives every thread one reusable
 //! [`PredictArena`] holding all the buffers a prediction, a stage
 //! breakdown or a stage-quantile envelope needs, in struct-of-arrays
-//! layout. Buffers are cleared and re-filled per call but never shrunk,
-//! so once a thread has served a plan at least as large (stages ×
-//! samples) as the current one, a prediction performs **zero heap
-//! allocation**, and a breakdown or an envelope allocates only the `Vec`
-//! it returns — the contract the `warm_path_alloc` test
-//! (`crates/sim/tests/`) enforces.
+//! layout. Buffers are re-filled per call but never shrunk, so once a
+//! thread has served a plan at least as large (stages × samples) as the
+//! current one, a prediction performs **zero heap allocation**, and a
+//! breakdown or an envelope allocates only the `Vec` it returns — the
+//! contract the `warm_path_alloc` test (`crates/sim/tests/`) enforces.
 //!
-//! Arenas are plain scratch: no prediction result ever lives in one
-//! beyond the call that computed it, so arena reuse can never change a
-//! result — only skip `malloc`.
+//! The arena also remembers the plan it last loaded: each stage's
+//! sampling key and column, the release groups, and every sample's
+//! billing state at each stage boundary. The planner's next candidate
+//! differs from the last in a stage or two, so `Simulator::load_plan`
+//! fetches only the stages whose key changed and the billing walk
+//! resumes at the first stage that differs. What survives is a pure
+//! function of the loaded plan, the template and the sample set (the
+//! arena's [`Loaded`] identity); anything else resets it. A sample's JCT
+//! is still the left-to-right sum of its spans and its bill an integer
+//! sum, so a resumed walk returns exactly what a full one would.
 
 use crate::counters::CacheCounters;
-use crate::dag::StageSample;
+use crate::dag::{StageKey, StageSample};
 use rb_core::Cost;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -29,47 +35,77 @@ use std::sync::Arc;
 /// through [`crate::SimCacheStats::arena`].
 pub(crate) static ARENA_COUNTERS: CacheCounters = CacheCounters::new();
 
-/// The scratch buffers of one thread's prediction engine, in
-/// struct-of-arrays layout:
+/// What the arena's loaded plan was sampled from. A plan is resumed only
+/// under the identity it was loaded with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Loaded {
+    /// The template's process-unique id (`DagTemplate::id`).
+    pub template: u64,
+    /// The Monte-Carlo seed.
+    pub seed: u64,
+    /// Samples per stage.
+    pub samples: usize,
+    /// The template's stage-memo evictions when loaded: an eviction
+    /// since means a memo lookup could now miss, so the arena reloads
+    /// rather than count a hit the memo would not give.
+    pub evictions: u64,
+}
+
+/// The buffers of one thread's prediction engine, in struct-of-arrays
+/// layout:
 ///
 /// ```text
-/// per stage  (len = n_stages):  needed | new_inst | stage_arcs | hand
-/// per sample (len = n_samples): jct | compute
-/// per plan   (≤ 2 × n_stages):  releases | release_stack
-/// explain    (len = n_stages):  stage_sums
-/// quantiles  (len = n_samples): spans
+/// identity:                          loaded | walked
+/// per stage    (len = S):            needed | new_inst | keys | stage_arcs
+/// per plan     (≤ 2 × S):            releases | next_releases | release_stack
+/// per boundary ((S + 1) × n, stage-major):  at | paid
+/// per stage    (S × n, stage-major):        hand
+/// explain      (len = S):            stage_sums
+/// quantiles    (len = n):            spans
 /// ```
 ///
 /// Prediction, `Simulator::explain` and `Simulator::stage_quantiles`
 /// fill the per-stage and per-plan buffers through one setup path
 /// (`Simulator::load_plan`) and read the same stage samples. Prediction
-/// and explain then run the same per-sample billing walk: it fills
-/// `jct[i]`/`compute[i]` and hands each stage's span and charge to a
-/// sink, which explain sums into `stage_sums` and prediction ignores.
-/// The quantiles need no billing: they sort each stage's spans in
-/// `spans`, one stage after another. The aggregation passes stream each
-/// per-sample array independently, and the data-ingress charge —
-/// identical across samples — is applied once at aggregation instead of
-/// being carried in every sample.
+/// and explain then run the same billing walk, stage by stage and within
+/// a stage sample by sample: it fills boundary row `s + 1` of `at`
+/// (time) and `paid` (charge) from row `s`, writes the stage's
+/// hand-over times into `hand`, and hands each stage's span and charge
+/// to a sink, which explain sums into `stage_sums` and prediction
+/// ignores. Row `S` holds each sample's JCT and compute bill. The
+/// first `walked` stages' rows belong to the loaded plan, so prediction
+/// walks only stages `walked..`; explain walks them all. The quantiles
+/// need no billing: they sort each stage's spans in `spans`, one stage
+/// after another. The data-ingress charge — identical across samples —
+/// is applied once at aggregation instead of being carried in every
+/// sample.
 #[derive(Debug, Default)]
 pub(crate) struct PredictArena {
+    /// The identity of the loaded plan; `None` before the first load.
+    pub loaded: Option<Loaded>,
+    /// Leading stages whose boundary rows match the loaded plan.
+    pub walked: usize,
     /// Instances held per stage ([`crate::dag::DagTemplate`] ladder).
     pub needed: Vec<u32>,
     /// Instances newly provisioned per stage.
     pub new_inst: Vec<u32>,
+    /// Each loaded stage's sampling key (`DagTemplate::stage_key`).
+    pub keys: Vec<StageKey>,
     /// The memoized per-stage sample arrays, one `Arc` clone per stage
     /// (clone = refcount bump, no allocation).
     pub stage_arcs: Vec<Arc<Vec<StageSample>>>,
     /// Release groups `(stage, provisioned_at, count)`.
     pub releases: Vec<(u32, u32, u32)>,
+    /// The next plan's release groups, compared with `releases`.
+    pub next_releases: Vec<(u32, u32, u32)>,
     /// LIFO stack used while expanding `releases`.
     pub release_stack: Vec<(u32, u32)>,
-    /// Per-stage instance hand-over times within the current sample.
+    /// Time at each stage boundary, row `s` = before stage `s`.
+    pub at: Vec<f64>,
+    /// Compute bill at each stage boundary, row `s` = before stage `s`.
+    pub paid: Vec<Cost>,
+    /// When each stage hands its new instances over, row = stage.
     pub hand: Vec<f64>,
-    /// Sampled job completion times (seconds), index = sample.
-    pub jct: Vec<f64>,
-    /// Sampled compute bills, index = sample.
-    pub compute: Vec<Cost>,
     /// Per-stage sums over the samples of span (seconds) and of the
     /// exact integer charge (`Simulator::explain`).
     pub stage_sums: Vec<(f64, Cost)>,
@@ -83,28 +119,33 @@ pub(crate) struct PredictArena {
 }
 
 impl PredictArena {
-    /// Prepares the arena for a working set of `n_stages` stages ×
-    /// `n_samples` samples: clears every buffer and sizes the per-sample
-    /// arrays. Returns `true` when the working set already fit (steady
-    /// state — every `clear`/`resize` below stays within capacity, so the
-    /// call allocates nothing); the per-plan buffers (`stage_arcs`,
+    /// Prepares the arena to load a plan of `n_stages` stages ×
+    /// `n_samples` samples under `identity`. A new identity forgets the
+    /// loaded plan; the same one keeps it for `Simulator::load_plan` to
+    /// compare against. Sizes the boundary arrays, whose row 0 stays
+    /// zero. Returns `true` when the working set already fit (steady
+    /// state — every `resize` below stays within capacity, so the call
+    /// allocates nothing); the per-plan buffers (`stage_arcs`,
     /// `releases`, …) are bounded by `n_stages` terms and reach their
     /// fixed point within the first few calls.
-    pub fn ensure(&mut self, n_stages: usize, n_samples: usize) -> bool {
+    pub fn ensure(&mut self, n_stages: usize, n_samples: usize, identity: Loaded) -> bool {
         let warm = n_stages <= self.hw_stages && n_samples <= self.hw_samples;
         self.hw_stages = self.hw_stages.max(n_stages);
         self.hw_samples = self.hw_samples.max(n_samples);
-        self.needed.clear();
-        self.new_inst.clear();
-        self.stage_arcs.clear();
-        self.releases.clear();
-        self.release_stack.clear();
-        self.hand.clear();
-        self.hand.resize(n_stages, 0.0);
-        self.jct.clear();
-        self.jct.resize(n_samples, 0.0);
-        self.compute.clear();
-        self.compute.resize(n_samples, Cost::ZERO);
+        if self.loaded != Some(identity) {
+            self.loaded = Some(identity);
+            self.walked = 0;
+            self.keys.clear();
+            self.stage_arcs.clear();
+            self.releases.clear();
+            let boundaries = (n_stages + 1) * n_samples;
+            self.at.clear();
+            self.at.resize(boundaries, 0.0);
+            self.paid.clear();
+            self.paid.resize(boundaries, Cost::ZERO);
+            self.hand.clear();
+            self.hand.resize(n_stages * n_samples, 0.0);
+        }
         warm
     }
 }
@@ -124,30 +165,67 @@ pub(crate) fn with_arena<R>(f: impl FnOnce(&mut PredictArena) -> R) -> R {
 mod tests {
     use super::*;
 
-    #[test]
-    fn ensure_reports_warm_once_highwater_is_reached() {
-        let mut a = PredictArena::default();
-        assert!(!a.ensure(4, 16), "first use is cold");
-        assert!(a.ensure(4, 16), "same shape is warm");
-        assert!(a.ensure(3, 8), "smaller shape is warm");
-        assert!(!a.ensure(5, 8), "more stages grows the arena");
-        assert!(a.ensure(5, 16), "high-water marks are per-axis maxima");
-        assert_eq!(a.jct.len(), 16);
-        assert_eq!(a.compute.len(), 16);
-        assert_eq!(a.hand.len(), 5);
-        assert!(a.needed.is_empty(), "ladder buffers start cleared");
+    fn identity(template: u64) -> Loaded {
+        Loaded {
+            template,
+            seed: 7,
+            samples: 16,
+            evictions: 0,
+        }
     }
 
     #[test]
+    fn ensure_reports_warm_once_highwater_is_reached() {
+        let mut a = PredictArena::default();
+        assert!(!a.ensure(4, 16, identity(0)), "first use is cold");
+        assert!(a.ensure(4, 16, identity(0)), "same shape is warm");
+        assert!(a.ensure(3, 8, identity(1)), "smaller shape is warm");
+        assert!(!a.ensure(5, 8, identity(2)), "more stages grows the arena");
+        assert!(
+            a.ensure(5, 16, identity(3)),
+            "high-water marks are per-axis maxima"
+        );
+        assert_eq!(a.at.len(), 6 * 16);
+        assert_eq!(a.paid.len(), 6 * 16);
+        assert_eq!(a.hand.len(), 5 * 16);
+        assert!(a.keys.is_empty(), "a new identity starts unloaded");
+    }
+
+    /// The loaded plan survives a call under the same identity (that is
+    /// what lets the next plan resume it) and is cleared under any other.
+    #[test]
     fn buffers_are_cleared_between_uses() {
         let mut a = PredictArena::default();
-        a.ensure(2, 4);
-        a.needed.extend([3, 1]);
+        a.ensure(2, 4, identity(0));
+        a.keys.extend([(1, 4, 4), (1, 2, 0)]);
         a.releases.push((0, 0, 2));
-        a.jct[0] = 7.0;
-        a.ensure(2, 4);
-        assert!(a.needed.is_empty());
-        assert!(a.releases.is_empty());
-        assert_eq!(a.jct, vec![0.0; 4]);
+        a.walked = 2;
+        a.at[4] = 7.0;
+        a.ensure(2, 4, identity(0));
+        assert_eq!(a.keys.len(), 2, "same identity keeps the loaded plan");
+        assert_eq!((a.walked, a.at[4]), (2, 7.0));
+        for other in [
+            identity(1),
+            Loaded {
+                samples: 8,
+                ..identity(0)
+            },
+            Loaded {
+                seed: 8,
+                ..identity(0)
+            },
+            Loaded {
+                evictions: 1,
+                ..identity(0)
+            },
+        ] {
+            a.keys.push((1, 4, 4));
+            a.walked = 2;
+            a.at[4] = 7.0;
+            a.ensure(2, 4, other);
+            assert!(a.keys.is_empty() && a.releases.is_empty(), "{other:?}");
+            assert_eq!(a.walked, 0, "{other:?}");
+            assert_eq!(a.at, vec![0.0; 12], "{other:?}");
+        }
     }
 }

@@ -24,6 +24,10 @@
 //! on how many draws come first. The template draws them once per such
 //! key into a noise column; every allocation of the stage then reads
 //! its TRAIN durations off that column instead of re-running Box–Muller.
+//! The column also keeps each sample's largest normal: a stage that runs
+//! every trial at once under per-instance billing needs only that one
+//! value per sample, because a trial's finish time is monotone in its
+//! normal (`DagTemplate::sample_column` states the argument).
 
 use crate::plan::AllocationPlan;
 use rb_cloud::CloudPricing;
@@ -32,6 +36,7 @@ use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::PlacementQuality;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The per-spec half of the execution model: everything about a stage's
@@ -51,6 +56,9 @@ use std::sync::{Arc, Mutex};
 /// constantly.
 #[derive(Debug)]
 pub struct DagTemplate {
+    /// Process-unique id (`NEXT_TEMPLATE_ID`): the prediction arena
+    /// resumes a plan only on the template it loaded it from.
+    id: u64,
     /// `(trials, units)` per stage, in order.
     stages: Vec<(u32, u64)>,
     /// GPUs per instance on the target cloud (≥ 1).
@@ -96,10 +104,22 @@ pub struct DagTemplate {
 /// new_instances, seed)`.
 type StageMemoKey = (usize, u32, u32, u32, u64);
 
+/// A stage's sampling key within one plan: `(gpus_per_trial,
+/// parallel_slots, new_instances)` (`DagTemplate::stage_key`). Two plans
+/// whose stage has the same key read the same sample column.
+pub(crate) type StageKey = (u32, u32, u32);
+
 /// Noise-memo key: `(stage, seed, prefix)`, `prefix` the number of
 /// instances whose SCALE and INIT draws precede the stage's TRAIN draws
 /// (see `DagTemplate::stage_noise`).
 type NoiseKey = (usize, u64, u32);
+
+/// The next [`DagTemplate`] id. An id rather than the template's
+/// address, which a later template can reuse once this one is freed.
+/// Atomic only because a `static` must be `Sync`: templates are built on
+/// the caller's thread (ROADMAP item 12 audits the atomics that exist for
+/// sharing; this one exists for uniqueness).
+static NEXT_TEMPLATE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Default [`DagTemplate`] stage-sample memo capacity, in entries. Sized
 /// for planning workloads (a greedy descent touches a few hundred stage
@@ -163,6 +183,9 @@ struct StageNoise {
     /// draws in slot order. Empty when drawn for a noiseless TRAIN
     /// latency.
     z: Vec<f64>,
+    /// The largest of row `i`'s normals, per sample (empty with `z`):
+    /// all a fully parallel stage needs (`DagTemplate::sample_column`).
+    z_max: Vec<f64>,
 }
 
 /// The trial layout of `alloc` GPUs over `trials` trials: GPUs per trial
@@ -186,6 +209,7 @@ impl DagTemplate {
     ) -> DagTemplate {
         let constant = |d: &Distribution| matches!(d, Distribution::Constant(_));
         DagTemplate {
+            id: NEXT_TEMPLATE_ID.fetch_add(1, Ordering::Relaxed),
             stages: spec.stages().map(|s| (s.num_trials, s.iters)).collect(),
             gpg: cloud.gpus_per_instance().max(1),
             provision: cloud.provision_delay.clone(),
@@ -213,6 +237,18 @@ impl DagTemplate {
     /// Number of stages in the underlying spec.
     pub fn num_stages(&self) -> usize {
         self.stages.len()
+    }
+
+    /// This template's process-unique id.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Counts `n` stage loads served by a column the caller already held
+    /// from this memo as hits: with no eviction since (the caller checks
+    /// `memo_stats().evictions`), a lookup would have returned it.
+    pub(crate) fn memo_reused(&self, n: u64) {
+        self.counters.hits_add(n);
     }
 
     /// The memoized train-task draw for `stage` at `gpus` per trial.
@@ -324,6 +360,7 @@ impl DagTemplate {
         let trials = self.stages[stage].0 as usize;
         let mut starts = Vec::with_capacity(if prefix > 0 { samples } else { 0 });
         let mut z = Vec::with_capacity(if normals { samples * trials } else { 0 });
+        let mut z_max = Vec::with_capacity(if normals { samples } else { 0 });
         for i in 0..samples {
             let sample_seed = Prng::for_stream(seed, i as u64).next_u64();
             let mut rng = Prng::for_stream(sample_seed, stage as u64);
@@ -332,12 +369,19 @@ impl DagTemplate {
             }
             if normals {
                 z.extend((0..trials).map(|_| rng.standard_normal()));
+                z_max.push(
+                    z[i * trials..]
+                        .iter()
+                        .copied()
+                        .fold(f64::NEG_INFINITY, f64::max),
+                );
             }
         }
         let column = Arc::new(StageNoise {
             rows: samples,
             starts,
             z,
+            z_max,
         });
         // Racing threads draw the same values; last write wins.
         self.noise_memo
@@ -366,22 +410,38 @@ impl DagTemplate {
     /// [`Distribution::truncated_normal`] of the column's `z`, the very
     /// value `Distribution::sample` would compute from the stream, so the
     /// column changes how often Box–Muller runs, never a result.
+    ///
+    /// A stage that runs every trial at once under per-instance billing
+    /// reads one value per sample when `one_draw` is set: its span is
+    /// the TRAIN duration at the sample's largest normal (`z_max`). Every
+    /// step from `z` to a trial's finish — `std·z` with `std ≥ 0`,
+    /// `+ mean`, `.max(floor)`, `.max(0)`, `ready +` — is monotone
+    /// non-decreasing under round-to-nearest, so the largest finish is
+    /// the finish at `z_max`, bit for bit. Waves chain trials, and
+    /// per-function billing charges each one, so both keep the per-trial
+    /// loop; `one_draw == false` forces it (the unit test's reference).
     fn sample_column(
         &self,
         stage: usize,
-        alloc: u32,
-        new_instances: u32,
+        (gpt, parallel_slots, new_instances): StageKey,
         seed: u64,
         samples: usize,
+        one_draw: bool,
     ) -> Vec<StageSample> {
         let trials = self.stages[stage].0 as usize;
-        let (gpt, parallel_slots) = layout(alloc, self.stages[stage].0);
         let parallel_slots = parallel_slots as usize;
         let train = self.train_draw(stage, gpt);
         let pricing = &self.pricing;
         let per_function = !pricing.billing.is_per_instance();
         let prefix = if self.prefix_draws { new_instances } else { 0 };
         let normals = matches!(train, TrainDraw::Normal { .. });
+        let one_draw = one_draw
+            && parallel_slots >= trials
+            && !per_function
+            && match train {
+                TrainDraw::Fixed(_) => true,
+                TrainDraw::Normal { std, .. } => std >= 0.0,
+            };
         let noise = (prefix > 0 || normals)
             .then(|| self.stage_noise(stage, seed, prefix, samples, normals));
         // Without prefix draws SCALE and INIT are constants (or absent),
@@ -392,12 +452,32 @@ impl DagTemplate {
         } else {
             (0.0, 0.0)
         };
-        let mut finishes: Vec<f64> = Vec::with_capacity(trials);
+        let duration = |z: f64| {
+            match train {
+                TrainDraw::Fixed(v) => v,
+                TrainDraw::Normal { mean, std, floor } => {
+                    Distribution::truncated_normal(mean, std, floor, z)
+                }
+            }
+            .max(0.0)
+        };
+        let mut finishes: Vec<f64> = Vec::with_capacity(if one_draw { 0 } else { trials });
         let sample = |i: usize| {
             let (ready, handover) = match &noise {
                 Some(column) if prefix > 0 => column.starts[i],
                 _ => fixed_start,
             };
+            if one_draw {
+                let z = match &noise {
+                    Some(column) if normals => column.z_max[i],
+                    _ => 0.0,
+                };
+                return StageSample {
+                    dur: 0.0_f64.max(ready + duration(z)) + self.sync_secs,
+                    handover,
+                    fn_charge: Cost::ZERO,
+                };
+            }
             let z = match &noise {
                 Some(column) if normals => &column.z[i * trials..][..trials],
                 _ => &[][..],
@@ -410,13 +490,7 @@ impl DagTemplate {
                 } else {
                     finishes[slot - parallel_slots]
                 };
-                let d = match train {
-                    TrainDraw::Fixed(v) => v,
-                    TrainDraw::Normal { mean, std, floor } => {
-                        Distribution::truncated_normal(mean, std, floor, z[slot])
-                    }
-                }
-                .max(0.0);
+                let d = duration(if normals { z[slot] } else { 0.0 });
                 if per_function {
                     fn_charge += pricing.function_charge(gpt, SimDuration::from_secs_f64(d));
                 }
@@ -430,6 +504,14 @@ impl DagTemplate {
             }
         };
         (0..samples).map(sample).collect()
+    }
+
+    /// The sampling key of `stage` on `alloc` GPUs when it provisions
+    /// `new_instances` instances: the allocation enters a stage's
+    /// samples only through its trial layout.
+    pub(crate) fn stage_key(&self, stage: usize, alloc: u32, new_instances: u32) -> StageKey {
+        let (gpt, parallel_slots) = layout(alloc, self.stages[stage].0);
+        (gpt, parallel_slots, new_instances)
     }
 
     /// The memoized Monte-Carlo samples of one stage configuration:
@@ -449,12 +531,11 @@ impl DagTemplate {
     pub(crate) fn stage_samples(
         &self,
         stage: usize,
-        alloc: u32,
-        new_instances: u32,
+        stage_key: StageKey,
         seed: u64,
         samples: u32,
     ) -> Arc<Vec<StageSample>> {
-        let (gpt, parallel_slots) = layout(alloc, self.stages[stage].0);
+        let (gpt, parallel_slots, new_instances) = stage_key;
         let key = (stage, gpt, parallel_slots, new_instances, seed);
         {
             let memo = self.stage_memo.lock().expect("stage-sample memo poisoned");
@@ -468,7 +549,7 @@ impl DagTemplate {
         self.counters.misses_add(1);
         // Computed outside the lock; a racing thread derives the exact
         // same values from the same counters, so last-write-wins is safe.
-        let v = Arc::new(self.sample_column(stage, alloc, new_instances, seed, samples as usize));
+        let v = Arc::new(self.sample_column(stage, stage_key, seed, samples as usize, true));
         let mut memo = self.stage_memo.lock().expect("stage-sample memo poisoned");
         if self.memo_cap > 0 && memo.len() >= self.memo_cap && !memo.contains_key(&key) {
             // Generation eviction: drop the whole memo rather than track
@@ -541,7 +622,7 @@ mod tests {
         new_instances: u32,
         seed: u64,
     ) -> StageSample {
-        t.stage_samples(stage, alloc, new_instances, seed, 1)[0]
+        t.stage_samples(stage, t.stage_key(stage, alloc, new_instances), seed, 1)[0]
     }
 
     /// Stage `stage`'s span when it runs on `alloc` GPUs and provisions
@@ -671,5 +752,59 @@ mod tests {
             eight += max8;
         }
         assert!(eight > one, "max of 8 draws should exceed one draw");
+    }
+
+    /// A fully parallel stage under per-instance billing reads its span
+    /// off the sample's largest TRAIN normal; the per-trial loop must
+    /// give the same samples, bit for bit, in every field.
+    #[test]
+    fn one_draw_parallel_stage_equals_the_per_trial_loop() {
+        use rb_scaling::{zoo::RESNET50, AnalyticScaling};
+        let spec = ExperimentSpec::from_stages(&[(16, 4), (8, 8), (3, 16), (1, 64)]).unwrap();
+        let lognormal = CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
+            .with_provision_delay_dist(Distribution::lognormal_from_moments(30.0, 15.0))
+            .with_init_latency_dist(Distribution::lognormal_from_moments(20.0, 8.0));
+        let mut compared = 0;
+        for noise in [0.0, 0.3, 0.7] {
+            for (ty, gpg) in [(P3_2XLARGE, 1), (P3_8XLARGE, 4)] {
+                let constant = CloudProfile::new(CloudPricing::on_demand(ty.clone()))
+                    .with_provision_delay(SimDuration::from_secs(30))
+                    .with_init_latency(SimDuration::from_secs(20));
+                let scaled = CloudProfile {
+                    pricing: CloudPricing::on_demand(ty),
+                    ..lognormal.clone()
+                };
+                for cloud in [constant, scaled] {
+                    let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, gpg));
+                    let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, noise);
+                    let t = DagTemplate::new(&spec, &model, &cloud, 1.0);
+                    for samples in [8, 64] {
+                        for (stage, s) in spec.stages().enumerate() {
+                            let trials = s.num_trials;
+                            for alloc in [trials, 2 * trials + 1, 4 * trials] {
+                                for grown in [0, 1, 3] {
+                                    let key = t.stage_key(stage, alloc, grown);
+                                    let one = t.sample_column(stage, key, 11, samples, true);
+                                    let each = t.sample_column(stage, key, 11, samples, false);
+                                    for (i, (a, b)) in one.iter().zip(&each).enumerate() {
+                                        let at = format!("noise {noise} gpg {gpg} stage {stage} alloc {alloc} +{grown} sample {i}");
+                                        assert_eq!(a.dur.to_bits(), b.dur.to_bits(), "{at}");
+                                        assert_eq!(
+                                            a.handover.to_bits(),
+                                            b.handover.to_bits(),
+                                            "{at}"
+                                        );
+                                        assert_eq!(a.fn_charge, b.fn_charge, "{at}");
+                                    }
+                                    assert_eq!(one.len(), samples);
+                                    compared += samples;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 3 * 2 * 2 * (8 + 64) * 4 * 3 * 3);
     }
 }

@@ -19,13 +19,18 @@
 //! [`Simulator::predict`], [`Simulator::stage_quantiles`] and
 //! [`Simulator::explain`] all load a plan's memoized stage samples into
 //! the thread's arena through one setup path, and prediction and explain
-//! bill them through one per-sample walk. A stage-sample miss reads its
-//! TRAIN noise from a column shared by every allocation of the stage
-//! (see [`crate::dag`]). The node-by-node walk of Algorithm 1 that the
-//! composition reproduces is the test oracle in
+//! bill them through one walk, stage by stage and within a stage sample
+//! by sample. The arena keeps the plan it last loaded, with every
+//! sample's time, bill and hand-overs at each stage boundary, so the
+//! next plan looks up only the stages whose sampling key changed and
+//! `predict` resumes the walk at the first stage that differs; `explain`
+//! walks from stage 0 because its sink needs every stage. A stage-sample
+//! miss reads its TRAIN noise from a column shared by every allocation
+//! of the stage (see [`crate::dag`]). The node-by-node walk of
+//! Algorithm 1 that the composition reproduces is the test oracle in
 //! `crates/sim/tests/algorithm1.rs`.
 
-use crate::arena::{with_arena, PredictArena, ARENA_COUNTERS};
+use crate::arena::{with_arena, Loaded, PredictArena, ARENA_COUNTERS};
 use crate::counters::CacheCounters;
 use crate::dag::DagTemplate;
 use crate::plan::AllocationPlan;
@@ -270,22 +275,26 @@ fn release_groups_into(
     }
 }
 
-/// The per-sample billing walk over a plan loaded by
-/// `Simulator::load_plan`: for each sample `i` and stage `s` in order,
-/// the stage ends `span` after the previous one, hands its new
+/// The billing walk over a plan loaded by `Simulator::load_plan`, from
+/// stage `from` on, stage by stage and within a stage sample by sample:
+/// stage `s` of sample `i` ends `span` after boundary `s`, hands its new
 /// instances over, and is charged either the instance charges of the
 /// release groups it releases (per-instance billing) or its TRAIN tasks'
 /// charges (per-function billing). Each stage's `(s, span, charge)` goes
-/// to `sink`; the sample's JCT (the sum of its spans) and compute bill
-/// (the sum of its charges) land in `jct[i]` and `compute[i]`.
+/// to `sink`; boundary row `s + 1` of `at` and `paid` gets the time and
+/// the bill so far, so row `S` ends up with each sample's JCT (the sum
+/// of its spans, left to right) and compute bill (the sum of its
+/// charges).
 ///
-/// Prediction passes a no-op sink, which compiles away. `hand` is
-/// scratch: every entry read within a sample was written earlier in that
-/// same sample (releases reference stages `prov ≤ s` that provisioned),
-/// so reuse across samples cannot leak state.
+/// Rows before `from` must belong to the loaded plan (`arena.walked ≥
+/// from`): a release at stage `s` reads the hand-over of the stage
+/// `prov ≤ s` that provisioned it. Prediction passes a no-op sink, which
+/// compiles away.
 fn bill_samples(
     arena: &mut PredictArena,
     pricing: &CloudPricing,
+    n: usize,
+    from: usize,
     mut sink: impl FnMut(usize, f64, Cost),
 ) {
     let per_instance = pricing.billing.is_per_instance();
@@ -293,30 +302,35 @@ fn bill_samples(
         new_inst,
         stage_arcs,
         releases,
+        at,
+        paid,
         hand,
-        jct,
-        compute,
+        walked,
         ..
     } = arena;
-    for i in 0..jct.len() {
-        let mut now = 0.0_f64;
-        let mut cc = Cost::ZERO;
-        let mut next_release = 0;
-        for (s, column) in stage_arcs.iter().enumerate() {
+    let mut next_release = releases.partition_point(|&(at, _, _)| (at as usize) < from);
+    for (s, column) in stage_arcs.iter().enumerate().skip(from) {
+        let ends =
+            next_release + releases[next_release..].partition_point(|&(at, _, _)| at as usize == s);
+        let released = &releases[next_release..ends];
+        next_release = ends;
+        let (before, after) = at.split_at_mut((s + 1) * n);
+        let (now, end) = (&before[s * n..], &mut after[..n]);
+        let (paid_before, paid_after) = paid.split_at_mut((s + 1) * n);
+        let (paid_now, paid_end) = (&paid_before[s * n..], &mut paid_after[..n]);
+        let provisions = per_instance && new_inst[s] > 0;
+        for i in 0..n {
             let ss = column[i];
-            let stage_end = now + ss.dur;
+            let stage_end = now[i] + ss.dur;
             let charge = if per_instance {
-                if new_inst[s] > 0 {
-                    hand[s] = now + ss.handover;
+                if provisions {
+                    hand[s * n + i] = now[i] + ss.handover;
                 }
                 let mut charge = Cost::ZERO;
-                while let Some(&(at, prov, count)) = releases.get(next_release) {
-                    if at as usize != s {
-                        break;
-                    }
-                    next_release += 1;
-                    let held =
-                        SimDuration::from_secs_f64((stage_end - hand[prov as usize]).max(0.0));
+                for &(_, prov, count) in released {
+                    let held = SimDuration::from_secs_f64(
+                        (stage_end - hand[prov as usize * n + i]).max(0.0),
+                    );
                     charge += pricing.instance_charge(held) * u64::from(count);
                 }
                 charge
@@ -324,12 +338,11 @@ fn bill_samples(
                 ss.fn_charge
             };
             sink(s, ss.dur, charge);
-            cc += charge;
-            now = stage_end;
+            end[i] = stage_end;
+            paid_end[i] = paid_now[i] + charge;
         }
-        jct[i] = now;
-        compute[i] = cc;
     }
+    *walked = stage_arcs.len();
 }
 
 /// 64-bit fingerprint of a spec's stage ladder. Stages are hashed in
@@ -592,6 +605,13 @@ impl Simulator {
     /// [`Simulator::explain`] and [`Simulator::stage_quantiles`] all
     /// start here, so they read the same samples. The plan must already
     /// be validated; returns the job's total provisioned instances.
+    ///
+    /// When the arena last loaded a plan from the same template, seed
+    /// and sample count, and the template's stage memo has not evicted
+    /// since, only the stages whose sampling key changed are looked up
+    /// (a kept column counts as the memo hit its lookup would be), and
+    /// `arena.walked` drops to the first stage whose key or release
+    /// groups differ: the billing walk resumes there.
     fn load_plan(
         &self,
         template: &DagTemplate,
@@ -599,34 +619,56 @@ impl Simulator {
         n: usize,
         arena: &mut PredictArena,
     ) -> u32 {
-        if arena.ensure(template.num_stages(), n) {
+        let identity = Loaded {
+            template: template.id(),
+            seed: self.config.seed,
+            samples: n,
+            evictions: template.memo_stats().evictions,
+        };
+        if arena.ensure(template.num_stages(), n, identity) {
             ARENA_COUNTERS.hits_add(1);
         } else {
             ARENA_COUNTERS.misses_add(1);
         }
-        let pricing = &self.cloud.pricing;
         let total = template.instance_ladder_into(plan, &mut arena.needed, &mut arena.new_inst);
+        let mut kept = 0;
         for (s, &grown) in arena.new_inst.iter().enumerate() {
-            arena.stage_arcs.push(template.stage_samples(
-                s,
-                plan.gpus(s),
-                grown,
-                self.config.seed,
-                n as u32,
-            ));
+            let key = template.stage_key(s, plan.gpus(s), grown);
+            if arena.keys.get(s) == Some(&key) {
+                kept += 1;
+                continue;
+            }
+            // Lowered before the column changes, so the arena never
+            // claims rows for a stage it no longer holds.
+            arena.walked = arena.walked.min(s);
+            let column = template.stage_samples(s, key, self.config.seed, n as u32);
+            if s < arena.keys.len() {
+                arena.keys[s] = key;
+                arena.stage_arcs[s] = column;
+            } else {
+                arena.keys.push(key);
+                arena.stage_arcs.push(column);
+            }
         }
+        template.memo_reused(kept);
         // The plan's release schedule is sample-independent: instances
         // provisioned together share a hand-over time and are released
         // together (LIFO at stage barriers), so precompute, per stage,
         // which provisioning groups release how many instances — one
         // charge per group per sample instead of one per instance.
-        if pricing.billing.is_per_instance() {
+        if self.cloud.pricing.billing.is_per_instance() {
             release_groups_into(
                 &arena.needed,
                 &arena.new_inst,
                 &mut arena.release_stack,
-                &mut arena.releases,
+                &mut arena.next_releases,
             );
+            let (old, new) = (&arena.releases, &arena.next_releases);
+            if let Some(j) = (0..old.len().max(new.len())).find(|&j| old.get(j) != new.get(j)) {
+                let stage = |r: Option<&(u32, u32, u32)>| r.map_or(usize::MAX, |r| r.0 as usize);
+                arena.walked = arena.walked.min(stage(old.get(j)).min(stage(new.get(j))));
+                std::mem::swap(&mut arena.releases, &mut arena.next_releases);
+            }
         }
         total
     }
@@ -649,10 +691,12 @@ impl Simulator {
     /// state.
     ///
     /// All scratch lives in the calling thread's [`PredictArena`]
-    /// (struct-of-arrays: `jct[i]`/`compute[i]` per sample), so once the
-    /// arena has served a working set at least this large, a prediction
-    /// performs **zero heap allocation** — the invariant the
-    /// `warm_path_alloc` test asserts.
+    /// (struct-of-arrays: each sample's time and bill per stage
+    /// boundary), so once the arena has served a working set at least
+    /// this large, a prediction performs **zero heap allocation** — the
+    /// invariant the `warm_path_alloc` test asserts. The walk resumes at
+    /// the first stage where `plan` differs from the arena's last loaded
+    /// plan (`Simulator::load_plan`).
     fn predict_with_template(
         &self,
         template: &DagTemplate,
@@ -663,8 +707,9 @@ impl Simulator {
         let pricing = &self.cloud.pricing;
         with_arena(|arena| {
             let total_instances = self.load_plan(template, plan, n, arena);
-            bill_samples(arena, pricing, |_, _, _| {});
-            let PredictArena { jct, compute, .. } = arena;
+            bill_samples(arena, pricing, n, arena.walked, |_, _, _| {});
+            let last = template.num_stages() * n;
+            let (jct, compute) = (&arena.at[last..], &arena.paid[last..]);
             let data_cost =
                 pricing.ingress_charge(self.cloud.dataset_gb) * u64::from(total_instances);
             if self.recorder.enabled() {
@@ -1016,7 +1061,7 @@ impl Simulator {
             let mut sums = std::mem::take(&mut arena.stage_sums);
             sums.clear();
             sums.resize(template.num_stages(), (0.0, Cost::ZERO));
-            bill_samples(arena, &self.cloud.pricing, |s, span, charge| {
+            bill_samples(arena, &self.cloud.pricing, n, 0, |s, span, charge| {
                 sums[s].0 += span;
                 sums[s].1 += charge;
             });

@@ -408,3 +408,164 @@ fn one_stage_siblings_share_noise_columns_exactly() {
     }
     assert!(column_hits > 0, "no stage-memo miss read a shared column");
 }
+
+/// Generated cases of [`a_resumed_walk_equals_a_full_walk`].
+const RESUME_CASES: u64 = 24;
+
+/// Plan edits per case of [`a_resumed_walk_equals_a_full_walk`].
+const RESUME_STEPS: usize = 40;
+
+/// The sequence of plans one case walks through: from the case's plan,
+/// each step decrements or increments one stage, edits two or three
+/// stages at once, or repeats the last plan exactly.
+fn edit_sequence(
+    spec: &ExperimentSpec,
+    start: &AllocationPlan,
+    gpg: u32,
+    c: u64,
+) -> Vec<AllocationPlan> {
+    let mut rng = Prng::for_stream(0x5A2E_0003, c);
+    let caps: Vec<u32> = spec
+        .stages()
+        .map(|s| 2 * s.num_trials * gpg + gpg)
+        .collect();
+    let mut plans = vec![start.clone()];
+    for _ in 0..RESUME_STEPS {
+        let mut gpus = plans.last().unwrap().as_slice().to_vec();
+        let edits = match rng.next_below(8) {
+            0 => 0,
+            1 | 2 => 2 + rng.next_below(2) as usize,
+            _ => 1,
+        };
+        for _ in 0..edits {
+            let s = rng.next_below(gpus.len() as u64) as usize;
+            let step = 1 + rng.next_below(u64::from(gpg) * 2) as u32;
+            gpus[s] = if rng.next_below(2) == 0 {
+                gpus[s].saturating_sub(step).max(1)
+            } else {
+                (gpus[s] + step).min(caps[s])
+            };
+        }
+        plans.push(AllocationPlan::new(gpus));
+    }
+    plans
+}
+
+/// A predict that resumes the arena's billing walk at the first changed
+/// stage returns what a walk from stage 0 returns. Each case runs a
+/// generated sequence of plan edits through one simulator with the plan
+/// cache off, so every step loads and bills; every few steps it also
+/// runs `stage_quantiles` and `explain` (which load, or walk from stage
+/// 0), a second simulator on the same thread (another template), and a
+/// `with_samples` sibling (the same template at another sample count).
+/// Every prediction must equal the sequential reference of its plan,
+/// and the readers must equal a fresh simulator's. The references are
+/// computed first: `predict_reference` builds a fresh template, which
+/// would reset the arena mid-sequence.
+#[test]
+fn a_resumed_walk_equals_a_full_walk() {
+    let no_cache = EngineConfig {
+        plan_cache: false,
+        ..EngineConfig::default()
+    };
+    let (mut next_stage_grew, mut repeats) = (0, 0);
+    for c in 0..RESUME_CASES {
+        let (sim, spec, start, gpg) = sharing_case(c);
+        let sim = sim.with_engine(no_cache);
+        let plans = edit_sequence(&spec, &start, gpg, c);
+        let expect: Vec<Prediction> = plans
+            .iter()
+            .map(|p| sim.predict_reference(&spec, p).unwrap())
+            .collect();
+        let low = sim.with_samples(3);
+        let low_expect: Vec<Prediction> = plans
+            .iter()
+            .map(|p| low.predict_reference(&spec, p).unwrap())
+            .collect();
+        let readers: Vec<_> = plans
+            .iter()
+            .map(|p| {
+                let fresh = sharing_case(c).0;
+                (
+                    fresh.explain(&spec, p).unwrap(),
+                    fresh.stage_quantiles(&spec, p).unwrap(),
+                )
+            })
+            .collect();
+        let (other, other_spec, other_plan, _) = sharing_case(c + RESUME_CASES);
+        let other_expect = other.predict_reference(&other_spec, &other_plan).unwrap();
+        let instances = |p: &AllocationPlan| -> Vec<u32> {
+            spec.stages()
+                .enumerate()
+                .map(|(s, st)| AllocationPlan::effective_instances(p.gpus(s), st.num_trials, gpg))
+                .collect()
+        };
+        for (k, p) in plans.iter().enumerate() {
+            assert_eq!(
+                sim.predict(&spec, p).unwrap(),
+                expect[k],
+                "case {c} step {k} {p}"
+            );
+            if k > 0 {
+                let (was, now) = (instances(&plans[k - 1]), instances(p));
+                repeats += usize::from(plans[k - 1] == *p);
+                // A stage that grew and left the next stage's growth
+                // different moves the next stage's key and the release
+                // groups.
+                next_stage_grew += (1..now.len())
+                    .filter(|&s| {
+                        now[s - 1] > was[s - 1]
+                            && now[s].saturating_sub(now[s - 1])
+                                != was[s].saturating_sub(was[s - 1])
+                    })
+                    .count();
+            }
+            match k % 7 {
+                2 => {
+                    assert_eq!(
+                        sim.explain(&spec, p).unwrap(),
+                        readers[k].0,
+                        "case {c} step {k}"
+                    );
+                }
+                3 => {
+                    assert_eq!(
+                        sim.stage_quantiles(&spec, p).unwrap(),
+                        readers[k].1,
+                        "case {c} step {k}"
+                    );
+                }
+                4 => {
+                    assert_eq!(
+                        other.predict(&other_spec, &other_plan).unwrap(),
+                        other_expect
+                    );
+                }
+                5 => {
+                    assert_eq!(
+                        low.predict(&spec, p).unwrap(),
+                        low_expect[k],
+                        "case {c} step {k} at 3 samples"
+                    );
+                }
+                6 => {
+                    // Explain a neighbour, then predict this plan again.
+                    let q = &plans[k - 1];
+                    assert_eq!(
+                        sim.explain(&spec, q).unwrap(),
+                        readers[k - 1].0,
+                        "case {c} step {k}"
+                    );
+                    assert_eq!(
+                        sim.predict(&spec, p).unwrap(),
+                        expect[k],
+                        "case {c} step {k} again"
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(repeats > 0, "no exact repeat in the sequences");
+    assert!(next_stage_grew > 0, "no edit moved the next stage's growth");
+}

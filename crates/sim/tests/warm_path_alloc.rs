@@ -1,7 +1,8 @@
 //! The arena engine's allocation contract: a warmed-up `predict` never
-//! calls the allocator, a warmed-up `stage_quantiles` or `explain` and
-//! an all-hit `predict_batch` allocate at most their output vector, and
-//! a stage-memo miss allocates the same whatever the sample count.
+//! calls the allocator, not even one that resumes the last plan's
+//! billing walk; a warmed-up `stage_quantiles` or `explain` and an
+//! all-hit `predict_batch` allocate at most their output vector; and a
+//! stage-memo miss allocates the same whatever the sample count.
 //!
 //! Ordinary tests cannot see allocations, so this binary installs a
 //! counting `#[global_allocator]` and runs from `main()` without the
@@ -96,6 +97,31 @@ fn warm_predict_never_allocates() {
     });
     println!("warm predict allocations over 32 calls: {delta}");
     assert_eq!(delta, 0, "warm predict must not allocate");
+}
+
+/// The planner's common miss: a plan one stage away from the last one.
+/// The arena keeps the last plan loaded and the walk resumes at the
+/// changed stage, which must not allocate either.
+fn warm_resumed_predict_never_allocates() {
+    let spec = spec();
+    let plans = [
+        AllocationPlan::new(vec![32, 16, 8, 4, 4]),
+        AllocationPlan::new(vec![32, 16, 12, 4, 4]),
+    ];
+    let sim = sim(EngineConfig {
+        plan_cache: false,
+        ..EngineConfig::default()
+    });
+    for plan in plans.iter().chain(&plans) {
+        sim.predict(&spec, plan).unwrap();
+    }
+    let delta = allocations_during(|| {
+        for k in 0..32 {
+            std::hint::black_box(sim.predict(&spec, &plans[k % 2]).unwrap());
+        }
+    });
+    println!("warm resumed predict allocations over 32 calls: {delta}");
+    assert_eq!(delta, 0, "a warm resumed predict must not allocate");
 }
 
 /// `stage_quantiles` and `explain` load the plan into the same arena as
@@ -207,6 +233,7 @@ fn stage_memo_miss_allocations_do_not_grow_with_samples() {
 
 fn main() {
     warm_predict_never_allocates();
+    warm_resumed_predict_never_allocates();
     warm_stage_readers_allocate_only_their_output();
     all_hit_batch_allocates_only_its_output();
     stage_memo_miss_allocations_do_not_grow_with_samples();
