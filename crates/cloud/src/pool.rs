@@ -65,9 +65,10 @@
 
 use crate::pricing::CloudPricing;
 use rb_core::{Cost, InstanceId, RbError, Result, SimDuration, SimTime};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Static configuration of a shared pool.
 #[derive(Debug, Clone)]
@@ -496,26 +497,27 @@ impl InstancePool {
 
 /// A cloneable handle to a pool shared by many jobs' cluster managers.
 ///
-/// The mutex is uncontended in practice — the serve loop is
-/// single-threaded over virtual time — but it keeps `ClusterManager`
-/// `Send` and the handle trivially cloneable.
+/// The serve loop steps every job on one thread over virtual time, so
+/// the handle is an `Rc<RefCell<…>>`: a clone shares the pool, and the
+/// handle (with every `ClusterManager` holding one) is `!Send`, so the
+/// compiler rather than a lock keeps the pool on that thread.
 #[derive(Debug, Clone)]
 pub struct SharedPool {
-    inner: Arc<Mutex<InstancePool>>,
+    inner: Rc<RefCell<InstancePool>>,
 }
 
 impl SharedPool {
     /// Wraps a pool for sharing.
     pub fn new(pool: InstancePool) -> Self {
         SharedPool {
-            inner: Arc::new(Mutex::new(pool)),
+            inner: Rc::new(RefCell::new(pool)),
         }
     }
 
-    /// Runs `f` with exclusive access to the pool.
+    /// Runs `f` with exclusive access to the pool. `f` must not reach
+    /// the pool again through another handle: the nested borrow panics.
     pub fn with<R>(&self, f: impl FnOnce(&mut InstancePool) -> R) -> R {
-        let mut guard = self.inner.lock().expect("shared pool poisoned");
-        f(&mut guard)
+        f(&mut self.inner.borrow_mut())
     }
 }
 

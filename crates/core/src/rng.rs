@@ -121,13 +121,6 @@ impl Prng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
     }
 
-    /// Derives an independent child generator; deterministic in the parent's
-    /// state. Used to give each trial / instance its own stream so that
-    /// adding an entity does not perturb the samples drawn by others.
-    pub fn fork(&mut self) -> Prng {
-        Prng::seed_from_u64(self.next_u64())
-    }
-
     /// Creates the generator for stream `index` of the seed's family —
     /// shorthand for `seed_from_u64(mix_seed(seed, index))`.
     pub fn for_stream(seed: u64, index: u64) -> Prng {
@@ -488,18 +481,6 @@ mod tests {
                 s.mean()
             );
         }
-    }
-
-    #[test]
-    fn fork_streams_are_independent_of_sibling_count() {
-        // Forking N children then sampling child k gives the same values
-        // regardless of how many further forks happen afterwards.
-        let mut parent1 = Prng::seed_from_u64(42);
-        let mut c1 = parent1.fork();
-        let _ = parent1.fork();
-        let mut parent2 = Prng::seed_from_u64(42);
-        let mut c2 = parent2.fork();
-        assert_eq!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -257,7 +257,9 @@ impl ExecutionReport {
     }
 
     /// Mean throughput across trials (Table 1's metric), if any trial
-    /// trained.
+    /// trained. Public as the report's reading of Table 1 for library
+    /// users; no library code calls it, and the executor's
+    /// `placement_ablation_slows_training` test compares it.
     pub fn mean_throughput(&self) -> Option<f64> {
         if self.trial_throughput.is_empty() {
             return None;

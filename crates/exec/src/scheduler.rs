@@ -33,17 +33,6 @@ pub struct StageSchedule {
     pub slots: u32,
 }
 
-impl StageSchedule {
-    /// Total GPUs in use when every slot is busy.
-    pub fn busy_gpus(&self) -> u32 {
-        if self.waves {
-            self.slots
-        } else {
-            self.gpus_per_trial * self.slots
-        }
-    }
-}
-
 /// Computes the schedule for `stage` with the given `live` trials.
 ///
 /// # Errors
@@ -105,7 +94,6 @@ mod tests {
         assert_eq!(s.slots, 10);
         assert_eq!(s.target_instances, 5);
         assert_eq!(s.gpus_per_trial, 2);
-        assert_eq!(s.busy_gpus(), 20);
     }
 
     #[test]
@@ -116,7 +104,6 @@ mod tests {
         assert_eq!(s.slots, 8);
         assert_eq!(s.target_instances, 2);
         assert_eq!(s.gpus_per_trial, 1);
-        assert_eq!(s.busy_gpus(), 8);
     }
 
     #[test]

@@ -33,32 +33,20 @@ use crate::recorder::{Event, EventKind, Lane, Recorder, SpanId};
 use std::fmt;
 use std::sync::Arc;
 
-/// Default id stride between jobs' trial/node/stage lanes. Wide enough
-/// that no realistic job overflows into its neighbor's range.
+/// The id stride between jobs' trial/node/stage lanes. Wide enough that
+/// no realistic job overflows into its neighbor's range.
 pub const JOB_LANE_STRIDE: u64 = 1_000_000;
 
 /// A [`Recorder`] adapter that prefixes every lane with a job identity.
 pub struct JobScopedRecorder {
     inner: Arc<dyn Recorder>,
     job: u64,
-    stride: u64,
 }
 
 impl JobScopedRecorder {
-    /// Wraps `inner`, scoping lanes to `job` with the default stride.
+    /// Wraps `inner`, scoping lanes to `job`.
     pub fn new(inner: Arc<dyn Recorder>, job: u64) -> Self {
-        JobScopedRecorder {
-            inner,
-            job,
-            stride: JOB_LANE_STRIDE,
-        }
-    }
-
-    /// Overrides the id stride (tests use small strides for readable
-    /// assertions).
-    pub fn with_stride(mut self, stride: u64) -> Self {
-        self.stride = stride.max(1);
-        self
+        JobScopedRecorder { inner, job }
     }
 
     /// The job this recorder scopes to.
@@ -67,7 +55,7 @@ impl JobScopedRecorder {
     }
 
     fn remap(&self, lane: Lane) -> Lane {
-        let base = self.job * self.stride;
+        let base = self.job * JOB_LANE_STRIDE;
         match lane {
             Lane::Global => Lane::Job(self.job),
             Lane::Trial(t) => Lane::Trial(base + t),
@@ -79,7 +67,7 @@ impl JobScopedRecorder {
     }
 
     fn remap_span(&self, span: SpanId) -> SpanId {
-        SpanId(self.job * self.stride + span.0)
+        SpanId(self.job * JOB_LANE_STRIDE + span.0)
     }
 }
 
@@ -129,8 +117,8 @@ mod tests {
     #[test]
     fn lanes_are_scoped_per_job() {
         let shared = Arc::new(MemoryRecorder::new());
-        let j0 = JobScopedRecorder::new(shared.clone(), 0).with_stride(100);
-        let j3 = JobScopedRecorder::new(shared.clone(), 3).with_stride(100);
+        let j0 = JobScopedRecorder::new(shared.clone(), 0);
+        let j3 = JobScopedRecorder::new(shared.clone(), 3);
         j0.instant(SimTime::ZERO, "exec", "e", Lane::Global, Vec::new());
         j0.instant(SimTime::ZERO, "exec", "e", Lane::Trial(7), Vec::new());
         j3.instant(SimTime::ZERO, "exec", "e", Lane::Global, Vec::new());
@@ -140,15 +128,16 @@ mod tests {
         j3.instant(SimTime::ZERO, "cloud", "e", Lane::Cloud, Vec::new());
         let log = shared.finish();
         let lanes: Vec<Lane> = log.events.iter().map(|e| e.lane).collect();
+        let base = 3 * JOB_LANE_STRIDE;
         assert_eq!(
             lanes,
             vec![
                 Lane::Job(0),
                 Lane::Trial(7),
                 Lane::Job(3),
-                Lane::Trial(307),
-                Lane::Node(302),
-                Lane::Stage(301),
+                Lane::Trial(base + 7),
+                Lane::Node(base + 2),
+                Lane::Stage(base as u32 + 1),
                 Lane::Cloud,
             ]
         );
@@ -158,8 +147,8 @@ mod tests {
     fn span_ids_are_scoped_per_job() {
         use crate::recorder::SpanTracker;
         let shared = Arc::new(MemoryRecorder::new());
-        let j0 = JobScopedRecorder::new(shared.clone(), 0).with_stride(100);
-        let j3 = JobScopedRecorder::new(shared.clone(), 3).with_stride(100);
+        let j0 = JobScopedRecorder::new(shared.clone(), 0);
+        let j3 = JobScopedRecorder::new(shared.clone(), 3);
         for rec in [&j0, &j3] {
             let mut spans = SpanTracker::new();
             let (run, _) = spans.open();
@@ -192,13 +181,14 @@ mod tests {
                 _ => panic!("span starts only"),
             })
             .collect();
+        let base = 3 * JOB_LANE_STRIDE;
         assert_eq!(
             ids,
             vec![
                 (SpanId(0), None),
                 (SpanId(1), Some(SpanId(0))),
-                (SpanId(300), None),
-                (SpanId(301), Some(SpanId(300))),
+                (SpanId(base), None),
+                (SpanId(base + 1), Some(SpanId(base))),
             ]
         );
     }

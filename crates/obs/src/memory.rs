@@ -45,7 +45,8 @@ impl HistogramData {
     }
 }
 
-/// Order-insensitive registry of named counters and histograms.
+/// Order-insensitive registry of named counters and histograms. Behind
+/// `Mutex`es because a recorder must be `Sync` (see [`Recorder`]).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<(&'static str, &'static str), u64>>,
@@ -141,7 +142,9 @@ impl TraceLog {
             .map_or(0, |c| c.value)
     }
 
-    /// Events with the given scope and name, in emission order.
+    /// Events with the given scope and name, in emission order. Public
+    /// for tests that read a run's trace (`crates/exec/tests/stepper.rs`
+    /// and `rubberband`'s tests); no library code calls it.
     pub fn events_named<'a>(
         &'a self,
         scope: &'a str,
@@ -163,7 +166,8 @@ impl TraceLog {
 /// The standard recording sink: buffers every event and metric in
 /// memory for export once the run completes. A run too long to buffer
 /// streams to a [`StreamingRecorder`](crate::StreamingRecorder)
-/// instead.
+/// instead. The event buffer is behind a `Mutex` for the reason its
+/// metrics are ([`MetricsRegistry`]).
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     events: Mutex<Vec<Event>>,

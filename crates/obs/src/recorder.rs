@@ -249,10 +249,16 @@ pub struct Event {
 /// Sink for structured events, counters and histograms.
 ///
 /// Implementations must be order-insensitive for counters and
-/// histograms (a recorder is `Send + Sync`, so callers on several
-/// threads may share one); the event
-/// stream itself is only fed from deterministic single-threaded code
-/// paths so that exports are byte-stable.
+/// histograms; the event stream is fed from deterministic
+/// single-threaded code paths so that exports are byte-stable.
+///
+/// The engine records from one thread, yet a recorder stays
+/// `Send + Sync` (and [`MemoryRecorder`](crate::MemoryRecorder) and
+/// [`StreamingRecorder`](crate::StreamingRecorder) keep their
+/// `Mutex`es): [`RecorderHandle::new`] takes an `Arc<dyn Recorder>`,
+/// which the `perf` benchmark builds from an `Arc` of a concrete
+/// recorder, and clippy's `arc_with_non_send_sync` rejects an `Arc` of
+/// a type that is not `Send + Sync`.
 pub trait Recorder: fmt::Debug + Send + Sync {
     /// Whether events are being kept. Call sites use this to skip
     /// payload construction entirely when a no-op recorder is attached.

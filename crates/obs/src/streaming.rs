@@ -42,7 +42,9 @@ struct StreamState<W: Write> {
 
 /// A [`Recorder`] that renders each event to its JSONL line on arrival
 /// and writes it through a buffered writer. Metrics stay in an
-/// order-insensitive registry until [`finish`](Self::finish).
+/// order-insensitive registry until [`finish`](Self::finish). The
+/// writer is behind a `Mutex` because a recorder must be `Sync` (see
+/// [`Recorder`]).
 pub struct StreamingRecorder<W: Write + Send> {
     state: Mutex<StreamState<W>>,
     metrics: MetricsRegistry,

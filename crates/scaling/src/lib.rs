@@ -44,6 +44,13 @@ pub enum PlacementQuality {
 ///
 /// Implementations must be deterministic: stochastic noise (stragglers,
 /// jitter) is layered on top by the execution model, not baked in here.
+///
+/// `Send + Sync` is kept although the engine runs on one thread, because
+/// [`SharedScaling`] is an `Arc` and the wrapping models
+/// ([`RescaledScaling`], [`RefitScaling`]) hold one: without the
+/// bound, `ModelProfile::synthetic`, the controller's refit in `rb-ctrl`
+/// and `rb-bench`'s slowed physics would put a `!Send + !Sync` type in an
+/// `Arc`, which clippy's `arc_with_non_send_sync` rejects.
 pub trait ScalingModel: std::fmt::Debug + Send + Sync {
     /// Mean wall-clock seconds for one training iteration (one optimizer
     /// step over the full global batch) on `gpus` GPUs.
@@ -82,7 +89,7 @@ pub trait ScalingModel: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Shared, thread-safe handle to a scaling model.
+/// Shared handle to a scaling model.
 pub type SharedScaling = Arc<dyn ScalingModel>;
 
 #[cfg(test)]

@@ -2,14 +2,24 @@
 //!
 //! A prediction composes memoized per-stage samples into per-sample JCT
 //! and cost; the composition itself is cheap, so on the warm path the
-//! allocator dominated. This module gives every thread one reusable
-//! [`PredictArena`] holding all the buffers a prediction, a stage
-//! breakdown or a stage-quantile envelope needs, in struct-of-arrays
-//! layout. Buffers are re-filled per call but never shrunk, so once a
-//! thread has served a plan at least as large (stages × samples) as the
-//! current one, a prediction performs **zero heap allocation**, and a
-//! breakdown or an envelope allocates only the `Vec` it returns — the
-//! contract the `warm_path_alloc` test (`crates/sim/tests/`) enforces.
+//! allocator dominated. This module gives the engine's thread one
+//! reusable [`PredictArena`] holding all the buffers a prediction, a
+//! stage breakdown or a stage-quantile envelope needs, in
+//! struct-of-arrays layout. Buffers are re-filled per call but never
+//! shrunk, so once the thread has served a plan at least as large
+//! (stages × samples) as the current one, a prediction performs **zero
+//! heap allocation**, and a breakdown or an envelope allocates only the
+//! `Vec` it returns — the contract the `warm_path_alloc` test
+//! (`crates/sim/tests/`) enforces.
+//!
+//! The arena belongs to the thread rather than to a `Simulator` because
+//! it must outlive simulators: `rubberband::compile_plan` and the
+//! benchmark's cold-planning workload build a fresh simulator per plan,
+//! and a per-simulator arena would make every one of those plans pay
+//! the warm-up again. For the same reason its warm/cold tally lives
+//! beside it, and a brand-new simulator's
+//! [`crate::SimCacheStats::arena`] reads the tally every earlier
+//! simulator on the thread left behind.
 //!
 //! The arena also remembers the plan it last loaded: each stage's
 //! sampling key and column, the release groups, and every sample's
@@ -25,15 +35,9 @@
 use crate::counters::CacheCounters;
 use crate::dag::{StageKey, StageSample};
 use rb_core::Cost;
+use rb_obs::CacheStats;
 use std::cell::RefCell;
-use std::sync::Arc;
-
-/// Process-wide warm/cold tally of arena acquisitions: a *hit* is a call
-/// whose working set already fit the thread's arena (steady state, no
-/// allocation), a *miss* is a call that had to grow it (warm-up). Static
-/// because arenas are thread-local rather than per-simulator; surfaced
-/// through [`crate::SimCacheStats::arena`].
-pub(crate) static ARENA_COUNTERS: CacheCounters = CacheCounters::new();
+use std::rc::Rc;
 
 /// What the arena's loaded plan was sampled from. A plan is resumed only
 /// under the identity it was loaded with.
@@ -91,9 +95,9 @@ pub(crate) struct PredictArena {
     pub new_inst: Vec<u32>,
     /// Each loaded stage's sampling key (`DagTemplate::stage_key`).
     pub keys: Vec<StageKey>,
-    /// The memoized per-stage sample arrays, one `Arc` clone per stage
+    /// The memoized per-stage sample arrays, one `Rc` clone per stage
     /// (clone = refcount bump, no allocation).
-    pub stage_arcs: Vec<Arc<Vec<StageSample>>>,
+    pub stage_arcs: Vec<Rc<Vec<StageSample>>>,
     /// Release groups `(stage, provisioned_at, count)`.
     pub releases: Vec<(u32, u32, u32)>,
     /// The next plan's release groups, compared with `releases`.
@@ -152,6 +156,11 @@ impl PredictArena {
 
 thread_local! {
     static ARENA: RefCell<PredictArena> = RefCell::new(PredictArena::default());
+    /// Warm/cold tally of arena loads: a *hit* is a load whose working
+    /// set already fit the arena (steady state, no allocation), a *miss*
+    /// is one that had to grow it (warm-up). Surfaced through
+    /// [`crate::SimCacheStats::arena`].
+    static ARENA_COUNTERS: CacheCounters = CacheCounters::default();
 }
 
 /// Runs `f` with this thread's arena. Callers must not re-enter: the
@@ -159,6 +168,16 @@ thread_local! {
 /// after another.
 pub(crate) fn with_arena<R>(f: impl FnOnce(&mut PredictArena) -> R) -> R {
     ARENA.with(|a| f(&mut a.borrow_mut()))
+}
+
+/// Tallies one arena load as warm (a hit) or cold (a miss).
+pub(crate) fn count_load(warm: bool) {
+    ARENA_COUNTERS.with(|c| if warm { c.hits_add(1) } else { c.misses_add(1) });
+}
+
+/// This thread's arena tally.
+pub(crate) fn arena_stats() -> CacheStats {
+    ARENA_COUNTERS.with(CacheCounters::snapshot)
 }
 
 #[cfg(test)]

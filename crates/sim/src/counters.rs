@@ -2,65 +2,49 @@
 //!
 //! The plan cache and the stage-sample memo were previously
 //! unobservable: a warm-path speedup in the benchmarks could not be
-//! attributed to an actual hit rate. These counters are plain relaxed
-//! atomics — a few nanoseconds per lookup, shared by clones through the
-//! same `Arc`s as the caches they describe — and feed the
-//! [`rb_obs::CacheStats`] snapshots surfaced in `RunSummary`.
+//! attributed to an actual hit rate. These counters are plain `Cell`s —
+//! the engine runs on its caller's thread, so a tally is one add — owned
+//! by the cache they describe (a template's memos) or shared by a
+//! simulator's clones through the same `Rc` as its plan cache. They feed
+//! the [`rb_obs::CacheStats`] snapshots surfaced in `RunSummary`.
 //!
 //! Counting is strictly passive: no counter value ever influences a
 //! cache decision, so predictions stay bit-identical whether anyone
 //! reads them or not.
 
 use rb_obs::CacheStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Hit/miss/eviction tallies for one cache. All operations use relaxed
-/// ordering: the counts are statistics, not synchronization.
+/// Hit/miss/eviction tallies for one cache.
 #[derive(Debug, Default)]
-pub struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+pub(crate) struct CacheCounters {
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
 }
 
 impl CacheCounters {
-    /// A zeroed counter set. `const` so counters can live in `static`
-    /// position (e.g. the process-wide arena warm/cold tally).
-    pub const fn new() -> CacheCounters {
-        CacheCounters {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
     /// Records `n` lookups served from the cache.
     pub fn hits_add(&self, n: u64) {
-        if n > 0 {
-            self.hits.fetch_add(n, Ordering::Relaxed);
-        }
+        self.hits.set(self.hits.get() + n);
     }
 
     /// Records `n` lookups that had to compute.
     pub fn misses_add(&self, n: u64) {
-        if n > 0 {
-            self.misses.fetch_add(n, Ordering::Relaxed);
-        }
+        self.misses.set(self.misses.get() + n);
     }
 
     /// Records `n` entries dropped by eviction.
     pub fn evictions_add(&self, n: u64) {
-        if n > 0 {
-            self.evictions.fetch_add(n, Ordering::Relaxed);
-        }
+        self.evictions.set(self.evictions.get() + n);
     }
 
     /// Current totals.
     pub fn snapshot(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
         }
     }
 }

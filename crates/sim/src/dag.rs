@@ -35,9 +35,10 @@ use rb_core::{Cost, Distribution, Prng, RbError, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::PlacementQuality;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// The per-spec half of the execution model: everything about a stage's
 /// tasks that is the same for every candidate plan.
@@ -79,14 +80,14 @@ pub struct DagTemplate {
     /// The model profile used to fit train-task distributions on demand.
     model: ModelProfile,
     /// Memoized train-task draws keyed by `(stage, gpus_per_trial)`.
-    train_dists: Mutex<HashMap<(usize, u32), TrainDraw>>,
+    train_dists: RefCell<HashMap<(usize, u32), TrainDraw>>,
     /// Memoized per-stage execution samples keyed by the stage's canonical
     /// sampling configuration `(stage, gpus_per_trial, parallel_slots,
     /// new_instances, seed)` — see `DagTemplate::stage_samples`.
-    stage_memo: Mutex<HashMap<StageMemoKey, Arc<Vec<StageSample>>>>,
+    stage_memo: RefCell<HashMap<StageMemoKey, Rc<Vec<StageSample>>>>,
     /// Memoized noise columns keyed by `(stage, seed, prefix)` — see
     /// `DagTemplate::stage_noise`. Cleared with `stage_memo`.
-    noise_memo: Mutex<HashMap<NoiseKey, Arc<StageNoise>>>,
+    noise_memo: RefCell<HashMap<NoiseKey, Rc<StageNoise>>>,
     /// Generation cap on `stage_memo`: when an insert would push the memo
     /// past this many entries the whole memo is dropped and re-grown (a
     /// new generation), and the noise memo with it. Entries are pure
@@ -116,9 +117,8 @@ type NoiseKey = (usize, u64, u32);
 
 /// The next [`DagTemplate`] id. An id rather than the template's
 /// address, which a later template can reuse once this one is freed.
-/// Atomic only because a `static` must be `Sync`: templates are built on
-/// the caller's thread (ROADMAP item 12 audits the atomics that exist for
-/// sharing; this one exists for uniqueness).
+/// Atomic only because a `static` must be `Sync`: nothing shares it
+/// between threads, it exists for uniqueness.
 static NEXT_TEMPLATE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Default [`DagTemplate`] stage-sample memo capacity, in entries. Sized
@@ -218,9 +218,9 @@ impl DagTemplate {
             sync_secs: sync_overhead_secs.max(0.0),
             pricing: cloud.pricing.clone(),
             model: model.clone(),
-            train_dists: Mutex::new(HashMap::new()),
-            stage_memo: Mutex::new(HashMap::new()),
-            noise_memo: Mutex::new(HashMap::new()),
+            train_dists: RefCell::default(),
+            stage_memo: RefCell::default(),
+            noise_memo: RefCell::default(),
             memo_cap: DEFAULT_STAGE_MEMO_CAP,
             counters: crate::counters::CacheCounters::default(),
             noise_counters: crate::counters::CacheCounters::default(),
@@ -253,15 +253,18 @@ impl DagTemplate {
 
     /// The memoized train-task draw for `stage` at `gpus` per trial.
     fn train_draw(&self, stage: usize, gpus: u32) -> TrainDraw {
-        let mut memo = self.train_dists.lock().expect("train-dist memo poisoned");
-        *memo.entry((stage, gpus)).or_insert_with(|| {
-            let units = self.stages[stage].1;
-            TrainDraw::of(
-                &self
-                    .model
-                    .train_task_dist(units, gpus, PlacementQuality::Packed),
-            )
-        })
+        *self
+            .train_dists
+            .borrow_mut()
+            .entry((stage, gpus))
+            .or_insert_with(|| {
+                let units = self.stages[stage].1;
+                TrainDraw::of(
+                    &self
+                        .model
+                        .train_task_dist(units, gpus, PlacementQuality::Packed),
+                )
+            })
     }
 
     /// Validates `plan` against the cached stage ladder, mirroring
@@ -345,15 +348,12 @@ impl DagTemplate {
         prefix: u32,
         samples: usize,
         normals: bool,
-    ) -> Arc<StageNoise> {
+    ) -> Rc<StageNoise> {
         let key = (stage, seed, prefix);
-        {
-            let memo = self.noise_memo.lock().expect("noise memo poisoned");
-            if let Some(column) = memo.get(&key) {
-                if column.rows >= samples && (!normals || !column.z.is_empty()) {
-                    self.noise_counters.hits_add(1);
-                    return column.clone();
-                }
+        if let Some(column) = self.noise_memo.borrow().get(&key) {
+            if column.rows >= samples && (!normals || !column.z.is_empty()) {
+                self.noise_counters.hits_add(1);
+                return column.clone();
             }
         }
         self.noise_counters.misses_add(1);
@@ -377,17 +377,13 @@ impl DagTemplate {
                 );
             }
         }
-        let column = Arc::new(StageNoise {
+        let column = Rc::new(StageNoise {
             rows: samples,
             starts,
             z,
             z_max,
         });
-        // Racing threads draw the same values; last write wins.
-        self.noise_memo
-            .lock()
-            .expect("noise memo poisoned")
-            .insert(key, column.clone());
+        self.noise_memo.borrow_mut().insert(key, column.clone());
         column
     }
 
@@ -534,31 +530,28 @@ impl DagTemplate {
         stage_key: StageKey,
         seed: u64,
         samples: u32,
-    ) -> Arc<Vec<StageSample>> {
+    ) -> Rc<Vec<StageSample>> {
         let (gpt, parallel_slots, new_instances) = stage_key;
         let key = (stage, gpt, parallel_slots, new_instances, seed);
-        {
-            let memo = self.stage_memo.lock().expect("stage-sample memo poisoned");
-            if let Some(v) = memo.get(&key) {
-                if v.len() >= samples as usize {
-                    self.counters.hits_add(1);
-                    return v.clone();
-                }
+        if let Some(v) = self.stage_memo.borrow().get(&key) {
+            if v.len() >= samples as usize {
+                self.counters.hits_add(1);
+                return v.clone();
             }
         }
         self.counters.misses_add(1);
-        // Computed outside the lock; a racing thread derives the exact
-        // same values from the same counters, so last-write-wins is safe.
-        let v = Arc::new(self.sample_column(stage, stage_key, seed, samples as usize, true));
-        let mut memo = self.stage_memo.lock().expect("stage-sample memo poisoned");
+        // No memo borrow is held here: the column reads the noise and
+        // train-draw memos.
+        let v = Rc::new(self.sample_column(stage, stage_key, seed, samples as usize, true));
+        let mut memo = self.stage_memo.borrow_mut();
         if self.memo_cap > 0 && memo.len() >= self.memo_cap && !memo.contains_key(&key) {
             // Generation eviction: drop the whole memo rather than track
-            // recency. Outstanding `Arc`s handed to callers stay valid.
+            // recency. Outstanding `Rc`s handed to callers stay valid.
             // The noise columns served this generation's misses and go
             // with it, which bounds them by the same cap.
             self.counters.evictions_add(memo.len() as u64);
             memo.clear();
-            let mut noise = self.noise_memo.lock().expect("noise memo poisoned");
+            let mut noise = self.noise_memo.borrow_mut();
             self.noise_counters.evictions_add(noise.len() as u64);
             noise.clear();
         }
@@ -570,10 +563,7 @@ impl DagTemplate {
     /// the memo-cap test in `crates/sim/tests/engine.rs` has no other
     /// view of the memo's size; no library code calls it.
     pub fn cached_stage_configs(&self) -> usize {
-        self.stage_memo
-            .lock()
-            .expect("stage-sample memo poisoned")
-            .len()
+        self.stage_memo.borrow().len()
     }
 
     /// Hit/miss/eviction totals of the stage-sample memo since this
@@ -595,6 +585,7 @@ mod tests {
     use crate::Simulator;
     use rb_cloud::catalog::{P3_2XLARGE, P3_8XLARGE};
     use rb_scaling::IdealScaling;
+    use std::sync::Arc;
 
     fn model() -> ModelProfile {
         ModelProfile::from_scaling("ideal", Arc::new(IdealScaling::new(4.0, 512)), 1, 0.0, 0.0)

@@ -24,12 +24,11 @@
 //! minimum charge.
 
 pub(crate) mod arena;
-pub mod counters;
+mod counters;
 pub mod dag;
 pub mod plan;
 pub mod simulate;
 
-pub use counters::CacheCounters;
 pub use dag::DagTemplate;
 pub use plan::AllocationPlan;
 pub use simulate::{

@@ -30,7 +30,7 @@
 //! Algorithm 1 that the composition reproduces is the test oracle in
 //! `crates/sim/tests/algorithm1.rs`.
 
-use crate::arena::{with_arena, Loaded, PredictArena, ARENA_COUNTERS};
+use crate::arena::{arena_stats, count_load, with_arena, Loaded, PredictArena};
 use crate::counters::CacheCounters;
 use crate::dag::DagTemplate;
 use crate::plan::AllocationPlan;
@@ -42,8 +42,7 @@ use rb_profile::{CloudProfile, ModelProfile};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Monte-Carlo configuration.
 #[derive(Debug, Clone)]
@@ -201,12 +200,13 @@ impl EngineConfig {
 type PredictionCache = HashMap<u64, HashMap<Box<[u32]>, Prediction>>;
 
 /// Reusable bookkeeping for [`Simulator::predict_batch`]: the per-plan
-/// hit table, miss list, and dedupe tables. Thread-local (like the
-/// [`PredictArena`], which batch prediction also drives) so a planner
-/// issuing batches in a loop stops paying the allocator after the first
-/// call. Separate from the arena because a batch *contains* predictions:
-/// the scratch is alive across the `predict_one` calls that borrow the
-/// arena.
+/// hit table, miss list, and dedupe tables. Thread-local, like the
+/// [`PredictArena`] that batch prediction also drives, and for the same
+/// reason: cold planning builds a fresh `Simulator` per plan, and a
+/// planner issuing batches in a loop stops paying the allocator after
+/// the first call only if the buffers outlive each simulator. Separate
+/// from the arena because a batch *contains* predictions: the scratch
+/// is alive across the `predict_one` calls that borrow the arena.
 #[derive(Debug, Default)]
 struct BatchScratch {
     /// Resolved prediction per input slot (`None` = pending or failed).
@@ -369,15 +369,16 @@ pub struct SimCacheStats {
     /// stage-memo miss reads), summed over cached templates. Not
     /// mirrored onto the recorder by [`Simulator::record_cache_stats`].
     pub noise: CacheStats,
-    /// Thread-local prediction arenas: a hit is a prediction whose
-    /// working set already fit the thread's arena (steady state, zero
-    /// allocation), a miss is one that grew it. Process-wide — arenas
-    /// belong to threads, not simulators.
+    /// The thread's prediction arena: a hit is a prediction whose
+    /// working set already fit the arena (steady state, zero
+    /// allocation), a miss is one that grew it. Per thread, not per
+    /// simulator — the arena outlives simulators, so a fresh simulator
+    /// reads the tally its predecessors on the thread left.
     pub arena: CacheStats,
     /// Plan-cache probes served through a borrowed `&[u32]` key — each
     /// one a key allocation the owned-key probe path used to pay for.
-    /// Session-wide like [`SimCacheStats::plan`] (survives cache
-    /// detachment by [`Simulator::with_config`]).
+    /// Every probe borrows its key, so this is the plan cache's hits
+    /// plus misses, session-wide like [`SimCacheStats::plan`].
     pub probe_allocs_saved: u64,
 }
 
@@ -389,8 +390,12 @@ pub struct SimCacheStats {
 /// from an interior cache, stage samples come from a per-spec
 /// [`DagTemplate`]'s memo, and [`Simulator::predict_batch`] computes each
 /// distinct missed plan of a candidate batch once. Clones share the
-/// caches (they are behind [`Arc`]), which is what the planner wants —
+/// caches (they are behind [`Rc`]), which is what the planner wants —
 /// warm-start descents re-visit each other's plans constantly.
+///
+/// A simulator and its clones belong to one thread: the `Rc` handles
+/// make it `!Send` and `!Sync`, so the compiler, not a lock, rules out
+/// sharing its caches across threads (DESIGN.md, "One thread").
 #[derive(Debug, Clone)]
 pub struct Simulator {
     model: ModelProfile,
@@ -398,17 +403,13 @@ pub struct Simulator {
     config: SimConfig,
     engine: EngineConfig,
     /// Per-spec DAG templates, keyed by spec fingerprint.
-    templates: Arc<Mutex<HashMap<u64, Arc<DagTemplate>>>>,
+    templates: Rc<RefCell<HashMap<u64, Rc<DagTemplate>>>>,
     /// Memoized predictions.
-    predictions: Arc<Mutex<PredictionCache>>,
+    predictions: Rc<RefCell<PredictionCache>>,
     /// Plan-cache hit/miss/eviction tallies (passive; shared by clones
     /// for the lifetime of the planning session, surviving cache
     /// detachment so totals cover the whole run).
-    plan_counters: Arc<CacheCounters>,
-    /// Plan-cache probes that borrowed the plan's slice as the lookup key
-    /// instead of allocating an owned one (passive; shared like
-    /// `plan_counters`).
-    probe_saved: Arc<AtomicU64>,
+    plan_counters: Rc<CacheCounters>,
     /// Observability sink; the no-op handle by default. Prediction
     /// results are bit-identical whatever recorder is attached — the
     /// recorder only ever *receives* values.
@@ -423,10 +424,9 @@ impl Simulator {
             cloud,
             config: SimConfig::default(),
             engine: EngineConfig::default(),
-            templates: Arc::new(Mutex::new(HashMap::new())),
-            predictions: Arc::new(Mutex::new(HashMap::new())),
-            plan_counters: Arc::new(CacheCounters::default()),
-            probe_saved: Arc::new(AtomicU64::new(0)),
+            templates: Rc::default(),
+            predictions: Rc::default(),
+            plan_counters: Rc::default(),
             recorder: RecorderHandle::noop(),
         }
     }
@@ -451,21 +451,17 @@ impl Simulator {
     /// cache totals (shared by clones), and stage-sample and noise-column
     /// memo totals summed over the cached templates.
     pub fn cache_stats(&self) -> SimCacheStats {
-        let (stage_memo, noise) = self
-            .templates
-            .lock()
-            .expect("template cache poisoned")
-            .values()
-            .fold(
-                (CacheStats::default(), CacheStats::default()),
-                |(memo, noise), t| (memo.merged(&t.memo_stats()), noise.merged(&t.noise_stats())),
-            );
+        let (stage_memo, noise) = self.templates.borrow().values().fold(
+            (CacheStats::default(), CacheStats::default()),
+            |(memo, noise), t| (memo.merged(&t.memo_stats()), noise.merged(&t.noise_stats())),
+        );
+        let plan = self.plan_counters.snapshot();
         SimCacheStats {
-            plan: self.plan_counters.snapshot(),
+            plan,
             stage_memo,
             noise,
-            arena: ARENA_COUNTERS.snapshot(),
-            probe_allocs_saved: self.probe_saved.load(Ordering::Relaxed),
+            arena: arena_stats(),
+            probe_allocs_saved: plan.hits + plan.misses,
         }
     }
 
@@ -493,8 +489,8 @@ impl Simulator {
     /// predictions embed the old seed/sample-count/overhead.
     pub fn with_config(mut self, config: SimConfig) -> Self {
         self.config = config;
-        self.templates = Arc::new(Mutex::new(HashMap::new()));
-        self.predictions = Arc::new(Mutex::new(HashMap::new()));
+        self.templates = Rc::default();
+        self.predictions = Rc::default();
         self
     }
 
@@ -522,7 +518,7 @@ impl Simulator {
     pub fn with_samples(&self, samples: u32) -> Simulator {
         let mut low = self.clone();
         low.config.samples = samples;
-        low.predictions = Arc::new(Mutex::new(HashMap::new()));
+        low.predictions = Rc::default();
         low
     }
 
@@ -551,12 +547,7 @@ impl Simulator {
     /// clone sharing, detachment) have no other view of the cache; no
     /// library code calls it.
     pub fn cached_predictions(&self) -> usize {
-        self.predictions
-            .lock()
-            .expect("prediction cache poisoned")
-            .values()
-            .map(HashMap::len)
-            .sum()
+        self.predictions.borrow().values().map(HashMap::len).sum()
     }
 
     /// The cached template for `spec` under this simulator's profiles
@@ -564,13 +555,13 @@ impl Simulator {
     /// stage-memo cap test in `crates/sim/tests/engine.rs` reads the
     /// template's memo through it; prediction reaches it through the
     /// engine's template switch instead.
-    pub fn template_for(&self, spec: &ExperimentSpec) -> Arc<DagTemplate> {
+    pub fn template_for(&self, spec: &ExperimentSpec) -> Rc<DagTemplate> {
         let fp = spec_fingerprint(spec);
-        let mut templates = self.templates.lock().expect("template cache poisoned");
-        templates
+        self.templates
+            .borrow_mut()
             .entry(fp)
             .or_insert_with(|| {
-                Arc::new(
+                Rc::new(
                     DagTemplate::new(
                         spec,
                         &self.model,
@@ -586,11 +577,11 @@ impl Simulator {
     /// The template a prediction samples from: the per-spec cached one
     /// when the engine reuses templates, otherwise a fresh one (fresh
     /// train-task fits and stage samples — the cold baseline).
-    fn template(&self, spec: &ExperimentSpec) -> Arc<DagTemplate> {
+    fn template(&self, spec: &ExperimentSpec) -> Rc<DagTemplate> {
         if self.engine.dag_templates {
             self.template_for(spec)
         } else {
-            Arc::new(DagTemplate::new(
+            Rc::new(DagTemplate::new(
                 spec,
                 &self.model,
                 &self.cloud,
@@ -625,11 +616,7 @@ impl Simulator {
             samples: n,
             evictions: template.memo_stats().evictions,
         };
-        if arena.ensure(template.num_stages(), n, identity) {
-            ARENA_COUNTERS.hits_add(1);
-        } else {
-            ARENA_COUNTERS.misses_add(1);
-        }
+        count_load(arena.ensure(template.num_stages(), n, identity));
         let total = template.instance_ladder_into(plan, &mut arena.needed, &mut arena.new_inst);
         let mut kept = 0;
         for (s, &grown) in arena.new_inst.iter().enumerate() {
@@ -806,11 +793,9 @@ impl Simulator {
         // Borrowed-key probe: the lookup hashes the plan's own `&[u32]`
         // slice (`Box<[u32]>: Borrow<[u32]>`), so a hit — the planner's
         // steady state — allocates nothing.
-        self.probe_saved.fetch_add(1, Ordering::Relaxed);
         if let Some(hit) = self
             .predictions
-            .lock()
-            .expect("prediction cache poisoned")
+            .borrow()
             .get(&fp)
             .and_then(|per_plan| per_plan.get(plan.as_slice()))
         {
@@ -819,7 +804,7 @@ impl Simulator {
         }
         self.plan_counters.misses_add(1);
         let pred = self.predict_uncached(spec, plan)?;
-        let mut cache = self.predictions.lock().expect("prediction cache poisoned");
+        let mut cache = self.predictions.borrow_mut();
         let evicted = evict_generation(&mut cache, self.engine.plan_cache_cap, 1);
         self.plan_counters.evictions_add(evicted as u64);
         cache
@@ -860,9 +845,7 @@ impl Simulator {
         sc.compute_idx.clear();
         sc.slot_of.clear();
         if self.engine.plan_cache {
-            self.probe_saved
-                .fetch_add(plans.len() as u64, Ordering::Relaxed);
-            let cache = self.predictions.lock().expect("prediction cache poisoned");
+            let cache = self.predictions.borrow();
             let per_plan = cache.get(&fp);
             for (i, plan) in plans.iter().enumerate() {
                 match per_plan.and_then(|m| m.get(plan.as_slice())) {
@@ -900,8 +883,8 @@ impl Simulator {
             }
         }
         // Resolve the spec's cached template once for the whole batch
-        // instead of once per miss (the template cache is a lock + spec
-        // hash away); the cold baseline builds a fresh one per plan.
+        // instead of once per miss (the template cache is a spec hash
+        // away); the cold baseline builds a fresh one per plan.
         let template =
             (self.engine.dag_templates && !sc.compute_idx.is_empty()).then(|| self.template(spec));
         let predict_one = |plan: &AllocationPlan| match &template {
@@ -919,7 +902,7 @@ impl Simulator {
             .map(|&i| predict_one(&plans[i]))
             .collect();
         if self.engine.plan_cache {
-            let mut cache = self.predictions.lock().expect("prediction cache poisoned");
+            let mut cache = self.predictions.borrow_mut();
             let incoming = computed.iter().filter(|r| r.is_ok()).count();
             let evicted = evict_generation(&mut cache, self.engine.plan_cache_cap, incoming);
             self.plan_counters.evictions_add(evicted as u64);

@@ -279,6 +279,39 @@ fn clones_share_the_prediction_cache_but_with_config_detaches() {
     assert_eq!(detached.cached_predictions(), 0);
 }
 
+/// The prediction arena belongs to the thread, not to a simulator: its
+/// buffers outlive each simulator that loads plans into them, and a
+/// brand-new simulator's `cache_stats().arena` reads the tally the
+/// earlier ones left. The benchmark counts a cold plan's arena grows
+/// that way, from a fresh simulator before and after. Exact deltas need
+/// a per-thread tally: under a process-wide one, the tests `cargo test`
+/// runs on its other threads would move them. The case runs on a thread
+/// of its own so that its first load is certain to grow the arena.
+#[test]
+fn a_fresh_simulator_reads_the_threads_arena_tally() {
+    std::thread::spawn(|| {
+        let arena = || {
+            let a = sim().cache_stats().arena;
+            (a.hits, a.misses)
+        };
+        let before = arena();
+        let (first, second) = (&plans()[0], &plans()[1]);
+        let s = sim();
+        s.predict(&spec(), first).unwrap(); // grows the arena: a miss
+        s.predict(&spec(), second).unwrap(); // same shape: a hit
+        s.predict(&spec(), first).unwrap(); // plan-cache hit: no load
+        s.stage_quantiles(&spec(), second).unwrap(); // a hit
+        let after = arena();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (2, 1));
+        // A second simulator has its own caches, so its first prediction
+        // loads again, into the warm arena.
+        sim().predict(&spec(), first).unwrap();
+        assert_eq!(arena(), (after.0 + 1, after.1));
+    })
+    .join()
+    .unwrap();
+}
+
 #[test]
 fn batches_match_one_at_a_time_cold_and_warm() {
     for size in [1, 8, 95] {

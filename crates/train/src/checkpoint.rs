@@ -506,13 +506,11 @@ impl CheckpointStore {
         self.gens.is_empty()
     }
 
-    /// Total writes since creation.
-    pub fn total_puts(&self) -> u64 {
-        self.puts
-    }
-
     /// Total bytes currently resident across all retained generations
     /// (metadata blobs only; model tensors are accounted virtually).
+    /// Public because `retention_keeps_the_last_k_generations` checks
+    /// through it that retention bounds what the store holds; no library
+    /// code calls it.
     pub fn resident_blob_bytes(&self) -> u64 {
         self.gens.iter().map(|g| g.ck.blob.len() as u64).sum()
     }
@@ -738,7 +736,6 @@ mod tests {
         store.save(&tr, &RESNET101);
         store.save(&tr, &RESNET101); // overwrite
         assert_eq!(store.len(), 1);
-        assert_eq!(store.total_puts(), 2);
         assert!(store.resident_blob_bytes() > 0);
         store.evict(tr.id);
         assert!(store.is_empty());
@@ -761,7 +758,6 @@ mod tests {
         tr.pause().unwrap();
         store.save(&tr, &RESNET101); // 8 iters; the 4-iter gen retires
         assert_eq!(store.len(), 1, "one trial, many generations");
-        assert_eq!(store.total_puts(), 3);
         assert_eq!(store.get(tr.id).unwrap().iters_done, 8, "get = latest");
         let fetch = store.fetch_verified(tr.id).unwrap();
         assert_eq!(fetch.fallbacks, 0);

@@ -51,6 +51,37 @@ if [ -n "$spawns" ]; then
 fi
 echo "ok"
 
+echo "== guard: no lock or atomic without a reason =="
+# The engine and the serve loop run on one thread (DESIGN.md "One
+# thread"): one owner holds each cache and pool, shared between clones
+# through `Rc`, `RefCell` or `Cell`, and the compiler keeps them on that
+# thread. A code line in library or example code that names `Mutex`,
+# `RwLock` or an atomic type fails here unless an entry below allows it
+# and says why. Comment lines do not count.
+allow=(
+    # A `Recorder` must be `Send + Sync`: `RecorderHandle::new` takes an
+    # `Arc<dyn Recorder>`, which the benchmark builds from an `Arc` of a
+    # concrete recorder, and clippy rejects an `Arc` of a `!Sync` type.
+    '^crates/obs/src/(memory|streaming)[.]rs:'
+    # `NEXT_TEMPLATE_ID` keeps template ids unique; a `static` must be
+    # `Sync`.
+    '^crates/sim/src/dag[.]rs:[0-9]+:(use std::sync::atomic::|.*NEXT_TEMPLATE_ID)'
+    # `repro`'s `static FAILED`; a `static` must be `Sync`.
+    '^crates/bench/src/bin/repro[.]rs:'
+    # The benchmark's own timing recorder: its files change only with
+    # the benchmark.
+    '^crates/bench/src/bin/perf/'
+)
+locks=$(grep -rnE --include='*.rs' '\b(Mutex|RwLock|Atomic[A-Z][A-Za-z0-9]*)\b' crates/*/src examples \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+    | grep -vE "$(IFS='|'; echo "${allow[*]}")" || true)
+if [ -n "$locks" ]; then
+    echo "$locks"
+    echo "FAIL: a lock or atomic without a reason; see DESIGN.md \"One thread\"" >&2
+    exit 1
+fi
+echo "ok"
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 
