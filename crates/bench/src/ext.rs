@@ -19,7 +19,7 @@ use crate::tables::{e2e_cloud, physics_for, profiled_model, search_space};
 use rb_core::{Cost, Prng, Result, SimDuration};
 use rb_exec::{run_asha, AshaConfig, ExecOptions, Executor};
 use rb_hpo::ShaParams;
-use rb_planner::{plan_min_jct, plan_rubberband, BudgetPlannerConfig, PlannerConfig};
+use rb_planner::{plan_min_jct, plan_rubberband, PlannerConfig};
 use rb_sim::{SimConfig, Simulator};
 
 /// One spot-rate setting's executed outcome.
@@ -140,12 +140,7 @@ pub fn ext_budget(budgets: &[f64]) -> Result<Vec<BudgetRow>> {
     });
     let mut rows = Vec::new();
     for &b in budgets {
-        match plan_min_jct(
-            &sim,
-            &spec,
-            Cost::from_dollars(b),
-            &BudgetPlannerConfig::default(),
-        ) {
+        match plan_min_jct(&sim, &spec, Cost::from_dollars(b)) {
             Ok((_, pred)) => rows.push(BudgetRow {
                 budget: b,
                 jct_secs: pred.jct.as_secs_f64(),

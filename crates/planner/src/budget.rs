@@ -14,41 +14,20 @@
 //!
 //! until no candidate both fits the budget and improves completion time.
 
-use crate::beam::{batch_select, beam_descent, Descent};
+use crate::descent::{batch_select, descend, Descent};
+use crate::greedy::MAX_GPUS_PER_TRIAL;
 use rb_core::{Cost, RbError, Result};
 use rb_hpo::ExperimentSpec;
 use rb_sim::{AllocationPlan, Prediction, Simulator};
 
-/// Tunables for the budget-constrained planner.
-#[derive(Debug, Clone)]
-pub struct BudgetPlannerConfig {
-    /// Cap on GPUs per trial when growing allocations.
-    pub max_gpus_per_trial: u32,
-    /// Minimum JCT improvement per greedy step, in seconds.
-    pub improvement_threshold_secs: f64,
-    /// Hard cap on greedy iterations.
-    pub max_steps: usize,
-    /// Beam width of the ascent frontier; `1` (the default) is the
-    /// classic single-incumbent loop (see the private `beam` module).
-    pub beam_width: usize,
-}
-
-impl Default for BudgetPlannerConfig {
-    fn default() -> Self {
-        BudgetPlannerConfig {
-            max_gpus_per_trial: 16,
-            improvement_threshold_secs: 1.0,
-            max_steps: 10_000,
-            beam_width: 1,
-        }
-    }
-}
+/// Minimum JCT improvement per greedy step, in seconds.
+const MIN_JCT_GAIN_SECS: f64 = 1.0;
 
 /// The next fair allocation strictly above `alloc` for `trials`, if one
-/// exists below the per-trial cap (the mirror image of
-/// [`AllocationPlan::decrement_fair`]).
-fn increment_fair(alloc: u32, trials: u32, max_gpus_per_trial: u32) -> Option<u32> {
-    let cap = trials.saturating_mul(max_gpus_per_trial);
+/// exists below the per-trial cap [`MAX_GPUS_PER_TRIAL`] (the mirror
+/// image of [`AllocationPlan::decrement_fair`]).
+fn increment_fair(alloc: u32, trials: u32) -> Option<u32> {
+    let cap = trials.saturating_mul(MAX_GPUS_PER_TRIAL);
     if alloc >= cap {
         return None;
     }
@@ -65,15 +44,10 @@ fn increment_fair(alloc: u32, trials: u32, max_gpus_per_trial: u32) -> Option<u3
 
 /// Jump to the next fair allocation that needs strictly more instances —
 /// where per-instance spending (and meaningful speedup) actually changes.
-fn increment_to_more_instances(
-    alloc: u32,
-    trials: u32,
-    gpus_per_instance: u32,
-    max_gpus_per_trial: u32,
-) -> Option<u32> {
+fn increment_to_more_instances(alloc: u32, trials: u32, gpus_per_instance: u32) -> Option<u32> {
     let current = AllocationPlan::effective_instances(alloc, trials, gpus_per_instance);
     let mut a = alloc;
-    while let Some(next) = increment_fair(a, trials, max_gpus_per_trial) {
+    while let Some(next) = increment_fair(a, trials) {
         if AllocationPlan::effective_instances(next, trials, gpus_per_instance) > current {
             return Some(next);
         }
@@ -97,7 +71,6 @@ pub fn plan_min_jct(
     sim: &Simulator,
     spec: &ExperimentSpec,
     budget: Cost,
-    config: &BudgetPlannerConfig,
 ) -> Result<(AllocationPlan, Prediction)> {
     let gpg = sim.cloud().gpus_per_instance();
     // Warm start: the cheapest static plan, ignoring time entirely. (The
@@ -105,7 +78,7 @@ pub fn plan_min_jct(
     // instances for the whole serialized job.)
     let mut starts = vec![AllocationPlan::flat(1, spec.num_stages())];
     starts.extend(
-        crate::static_planner::static_candidates(spec, config.max_gpus_per_trial)
+        crate::static_planner::static_candidates(spec, MAX_GPUS_PER_TRIAL)
             .into_iter()
             .map(|g| AllocationPlan::flat(g, spec.num_stages())),
     );
@@ -126,11 +99,9 @@ pub fn plan_min_jct(
     let descent = Descent {
         sim,
         spec,
-        width: config.beam_width,
-        max_steps: config.max_steps,
         accept_event: "budget.accept",
     };
-    let (plan, pred, _steps) = beam_descent(
+    let (plan, pred, _steps) = descend(
         &descent,
         start_plan,
         start_pred,
@@ -139,12 +110,10 @@ pub fn plan_min_jct(
                 let trials = spec.get_stage(i)?.0;
                 let cur = plan.gpus(i);
                 let mut nexts = Vec::with_capacity(2);
-                if let Some(n) = increment_fair(cur, trials, config.max_gpus_per_trial) {
+                if let Some(n) = increment_fair(cur, trials) {
                     nexts.push(n);
                 }
-                if let Some(n) =
-                    increment_to_more_instances(cur, trials, gpg, config.max_gpus_per_trial)
-                {
+                if let Some(n) = increment_to_more_instances(cur, trials, gpg) {
                     if !nexts.contains(&n) {
                         nexts.push(n);
                     }
@@ -162,7 +131,7 @@ pub fn plan_min_jct(
                 return None;
             }
             let gained = parent.jct.as_secs_f64() - pred.jct.as_secs_f64();
-            if gained < config.improvement_threshold_secs {
+            if gained < MIN_JCT_GAIN_SECS {
                 return None;
             }
             let dc = (pred.cost - parent.cost).as_dollars();
@@ -172,7 +141,6 @@ pub fn plan_min_jct(
                 gained / dc
             })
         },
-        |a, b| a.jct < b.jct,
     )?;
     Ok((plan, pred))
 }
@@ -209,33 +177,21 @@ mod tests {
     #[test]
     fn increment_fair_mirrors_decrement() {
         // Above the trial count: multiples.
-        assert_eq!(increment_fair(10, 10, 16), Some(20));
-        assert_eq!(increment_fair(20, 10, 16), Some(30));
+        assert_eq!(increment_fair(10, 10), Some(20));
+        assert_eq!(increment_fair(20, 10), Some(30));
         // Below: divisors.
-        assert_eq!(increment_fair(2, 10, 16), Some(5));
-        assert_eq!(increment_fair(5, 10, 16), Some(10));
-        assert_eq!(increment_fair(1, 7, 16), Some(7), "prime counts jump to n");
+        assert_eq!(increment_fair(2, 10), Some(5));
+        assert_eq!(increment_fair(5, 10), Some(10));
+        assert_eq!(increment_fair(1, 7), Some(7), "prime counts jump to n");
         // Capped.
-        assert_eq!(increment_fair(160, 10, 16), None);
+        assert_eq!(increment_fair(160, 10), None);
     }
 
     #[test]
     fn bigger_budget_buys_smaller_jct() {
         let s = sim();
-        let tight = plan_min_jct(
-            &s,
-            &spec(),
-            Cost::from_dollars(3.0),
-            &BudgetPlannerConfig::default(),
-        )
-        .unwrap();
-        let roomy = plan_min_jct(
-            &s,
-            &spec(),
-            Cost::from_dollars(8.0),
-            &BudgetPlannerConfig::default(),
-        )
-        .unwrap();
+        let tight = plan_min_jct(&s, &spec(), Cost::from_dollars(3.0)).unwrap();
+        let roomy = plan_min_jct(&s, &spec(), Cost::from_dollars(8.0)).unwrap();
         assert!(tight.1.cost <= Cost::from_dollars(3.0));
         assert!(roomy.1.cost <= Cost::from_dollars(8.0));
         assert!(
@@ -252,8 +208,7 @@ mod tests {
         let s = sim();
         for dollars in [2.5, 4.0, 10.0] {
             let budget = Cost::from_dollars(dollars);
-            let (_, pred) =
-                plan_min_jct(&s, &spec(), budget, &BudgetPlannerConfig::default()).unwrap();
+            let (_, pred) = plan_min_jct(&s, &spec(), budget).unwrap();
             assert!(pred.cost <= budget, "{} > {budget}", pred.cost);
         }
     }
@@ -261,26 +216,14 @@ mod tests {
     #[test]
     fn impossible_budget_is_infeasible() {
         let s = sim();
-        let err = plan_min_jct(
-            &s,
-            &spec(),
-            Cost::from_dollars(0.01),
-            &BudgetPlannerConfig::default(),
-        )
-        .unwrap_err();
+        let err = plan_min_jct(&s, &spec(), Cost::from_dollars(0.01)).unwrap_err();
         assert!(matches!(err, RbError::Infeasible { .. }));
     }
 
     #[test]
     fn grown_plans_stay_fair() {
         let s = sim();
-        let (plan, _) = plan_min_jct(
-            &s,
-            &spec(),
-            Cost::from_dollars(8.0),
-            &BudgetPlannerConfig::default(),
-        )
-        .unwrap();
+        let (plan, _) = plan_min_jct(&s, &spec(), Cost::from_dollars(8.0)).unwrap();
         assert!(plan.is_fair(&spec()), "{plan} is unfair");
     }
 }

@@ -14,31 +14,32 @@
 //! caps each stage's allocation; the search is therefore re-run from 1×,
 //! 2×, 3× the optimal static size and the cheapest result returned.
 
-use crate::beam::{beam_descent, Descent};
+use crate::descent::{descend, Descent};
 use crate::static_planner::plan_static_optimal;
 use rb_core::{Cost, RbError, Result, SimDuration, SimTime};
 use rb_hpo::ExperimentSpec;
 use rb_obs::Lane;
 use rb_sim::{AllocationPlan, Prediction, Simulator};
 
+/// Cap on GPUs per trial for every planner: the static and
+/// naive-elastic scans under [`crate::plan_with_policy`], the greedy
+/// warm starts (static and residual) and the budget planner's ladder.
+pub const MAX_GPUS_PER_TRIAL: u32 = 16;
+
+/// Minimum cost improvement per greedy step (δ = $0.01).
+const IMPROVEMENT_THRESHOLD: Cost = Cost::from_micros(10_000);
+
 /// Tunables of the greedy planner.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Cap on GPUs per trial when sizing the static warm start.
-    pub max_gpus_per_trial: u32,
     /// Warm-start multipliers applied to the optimal static size
     /// ("e.g. 1x, 2x, 3x", §4.3).
     pub warm_start_multipliers: Vec<u32>,
-    /// Minimum cost improvement per greedy step (δ).
-    pub improvement_threshold: Cost,
     /// Also generate, per stage, the jump candidate that lands on the
     /// next *instance boundary* (where per-instance cost actually
     /// changes). Without it the ladder can stall on fragmentation
     /// plateaus — ablated by `repro ablations`.
     pub use_instance_jump: bool,
-    /// Hard cap on greedy iterations (defence against pathological
-    /// simulator outputs; generous relative to any fair ladder's length).
-    pub max_steps: usize,
     /// Adaptive sample counts: when `Some(k)` (with `k` below the
     /// simulator's configured fidelity), warm-start screening and greedy
     /// descent predict with only `k` Monte-Carlo samples — sharing the
@@ -48,24 +49,14 @@ pub struct PlannerConfig {
     /// The prediction returned to the caller is always full fidelity.
     /// `None` (the default) predicts everything at full fidelity.
     pub exploration_samples: Option<u32>,
-    /// Beam width of the descent frontier. `1` (the default) reproduces
-    /// the classic single-incumbent greedy loop bit-for-bit; wider beams
-    /// keep the top-`k` scoring candidates each step — batched into one
-    /// prediction call per iteration — and return the best plan retired
-    /// from any lineage, which is never worse than width 1.
-    pub beam_width: usize,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            max_gpus_per_trial: 16,
             warm_start_multipliers: vec![1, 2, 3],
-            improvement_threshold: Cost::from_dollars(0.01),
             use_instance_jump: true,
-            max_steps: 10_000,
             exploration_samples: None,
-            beam_width: 1,
         }
     }
 }
@@ -86,12 +77,8 @@ pub struct GreedyOutcome {
     pub steps: usize,
 }
 
-/// Runs greedy (beam) descent from one warm start. Returns the improved
-/// plan, its prediction, and the steps taken.
-///
-/// With `config.beam_width == 1` this is the classic single-incumbent
-/// greedy loop; wider beams explore `beam_width` lineages per step with
-/// one batched prediction per iteration (see the private `beam` module).
+/// Runs greedy descent from one warm start. Returns the improved plan,
+/// its prediction, and the steps taken.
 ///
 /// # Errors
 ///
@@ -110,11 +97,9 @@ pub fn optimize_plan(
     let descent = Descent {
         sim,
         spec,
-        width: config.beam_width,
-        max_steps: config.max_steps,
         accept_event: "step.accept",
     };
-    beam_descent(
+    descend(
         &descent,
         warm_start,
         start_pred,
@@ -150,7 +135,7 @@ pub fn optimize_plan(
                 return None;
             }
             let saved = parent.cost - pred.cost;
-            if saved < config.improvement_threshold {
+            if saved < IMPROVEMENT_THRESHOLD {
                 return None;
             }
             // Marginal benefit: cost saved per second of JCT given up.
@@ -163,7 +148,6 @@ pub fn optimize_plan(
                 saved.as_dollars() / dt
             })
         },
-        |a, b| a.cost < b.cost,
     )
 }
 
@@ -209,8 +193,7 @@ pub fn plan_rubberband(
     deadline: SimDuration,
     config: &PlannerConfig,
 ) -> Result<GreedyOutcome> {
-    let (static_plan, static_pred) =
-        plan_static_optimal(sim, spec, deadline, config.max_gpus_per_trial)?;
+    let (static_plan, static_pred) = plan_static_optimal(sim, spec, deadline, MAX_GPUS_PER_TRIAL)?;
     let recorder = sim.recorder().clone();
     // Adaptive sample counts: screen and descend at reduced fidelity,
     // re-score survivors at full fidelity below.
@@ -339,7 +322,7 @@ pub struct ResidualOutcome {
 /// `warm_start` is the current plan's suffix for the residual stages
 /// (same length as `residual_spec`). Candidates are that suffix scaled by
 /// the configured warm-start multipliers — capped per stage at
-/// `trials × max_gpus_per_trial` — each screened and descended exactly
+/// `trials ×` [`MAX_GPUS_PER_TRIAL`] — each screened and descended exactly
 /// like [`plan_rubberband`] (honouring
 /// [`PlannerConfig::exploration_samples`]), then re-scored at full
 /// fidelity. The cheapest plan that fits `residual_deadline` wins; when
@@ -377,7 +360,7 @@ pub fn plan_residual(
         let gpus = (0..residual_spec.num_stages())
             .map(|s| {
                 let trials = residual_spec.get_stage(s)?.0;
-                let cap = trials.saturating_mul(config.max_gpus_per_trial.max(1));
+                let cap = trials.saturating_mul(MAX_GPUS_PER_TRIAL);
                 Ok(warm_start.gpus(s).saturating_mul(mult).clamp(1, cap))
             })
             .collect::<Result<Vec<u32>>>()?;

@@ -19,8 +19,8 @@
 //! (Table 3), and [`budget`] solves the dual problem — minimum JCT under
 //! a cost budget (§2, footnote 1).
 
-pub(crate) mod beam;
 pub mod budget;
+pub(crate) mod descent;
 pub mod greedy;
 pub mod multi;
 pub mod naive;
@@ -29,9 +29,10 @@ pub mod schedule;
 pub mod select;
 pub mod static_planner;
 
-pub use budget::{plan_min_jct, BudgetPlannerConfig};
+pub use budget::plan_min_jct;
 pub use greedy::{
     optimize_plan, plan_residual, plan_rubberband, GreedyOutcome, PlannerConfig, ResidualOutcome,
+    MAX_GPUS_PER_TRIAL,
 };
 pub use multi::{plan_multi_job, MultiJobDiscipline, MultiJobPlan};
 pub use naive::plan_naive_elastic;

@@ -14,8 +14,7 @@
 //!
 //! Brackets are planned one after another, in input order, on one
 //! simulator: later brackets start from the caches earlier ones warmed,
-//! which never changes a selection. [`PlannerConfig::beam_width`] passes
-//! through to every per-bracket descent.
+//! which never changes a selection.
 
 use crate::greedy::{plan_rubberband, GreedyOutcome, PlannerConfig};
 use rb_core::{Cost, RbError, Result, SimDuration};

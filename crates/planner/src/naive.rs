@@ -10,7 +10,7 @@
 //! the early stages ("512 GPUs in the first stage of the 20-minute
 //! experiment", Table 2 footnote).
 
-use crate::beam::batch_select;
+use crate::descent::batch_select;
 use rb_core::{RbError, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_sim::{AllocationPlan, Prediction, Simulator};

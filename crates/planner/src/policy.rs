@@ -1,6 +1,6 @@
 //! The three allocation policies evaluated in §6, behind one interface.
 
-use crate::greedy::{plan_rubberband, PlannerConfig};
+use crate::greedy::{plan_rubberband, PlannerConfig, MAX_GPUS_PER_TRIAL};
 use crate::naive::plan_naive_elastic;
 use crate::static_planner::plan_static_optimal;
 use rb_core::{Result, SimDuration};
@@ -54,8 +54,8 @@ pub fn plan_with_policy(
     config: &PlannerConfig,
 ) -> Result<PlanOutcome> {
     let (plan, prediction) = match policy {
-        Policy::Static => plan_static_optimal(sim, spec, deadline, config.max_gpus_per_trial)?,
-        Policy::NaiveElastic => plan_naive_elastic(sim, spec, deadline, config.max_gpus_per_trial)?,
+        Policy::Static => plan_static_optimal(sim, spec, deadline, MAX_GPUS_PER_TRIAL)?,
+        Policy::NaiveElastic => plan_naive_elastic(sim, spec, deadline, MAX_GPUS_PER_TRIAL)?,
         Policy::RubberBand => {
             let out = plan_rubberband(sim, spec, deadline, config)?;
             (out.plan, out.prediction)

@@ -7,8 +7,8 @@
 //! enumerated and predicted; the cheapest feasible size wins. This also
 //! provides the warm start for the greedy elastic planner (§4.3).
 
-use crate::beam::batch_select;
-use rb_core::{Cost, RbError, Result, SimDuration};
+use crate::descent::batch_select;
+use rb_core::{RbError, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_sim::{AllocationPlan, Prediction, Simulator};
 use std::collections::BTreeSet;
@@ -79,29 +79,6 @@ pub fn plan_static_optimal(
             ),
         }),
     }
-}
-
-/// Convenience: the cost of the cheapest static plan ignoring any deadline
-/// (useful to bound how much elasticity can possibly save).
-///
-/// # Errors
-///
-/// Propagates simulator errors; errors if the candidate set is empty
-/// (never the case for a valid spec).
-pub fn cheapest_static_cost(
-    sim: &Simulator,
-    spec: &ExperimentSpec,
-    max_gpus_per_trial: u32,
-) -> Result<Cost> {
-    let plans: Vec<AllocationPlan> = static_candidates(spec, max_gpus_per_trial)
-        .into_iter()
-        .map(|g| AllocationPlan::flat(g, spec.num_stages()))
-        .collect();
-    batch_select(sim, spec, &plans, |_| true, |a, b| a.cost < b.cost)?
-        .map(|(_, pred)| pred.cost)
-        .ok_or_else(|| RbError::Infeasible {
-            reason: "no static candidates".into(),
-        })
 }
 
 #[cfg(test)]
@@ -178,13 +155,5 @@ mod tests {
             plan_static_optimal(&sim(), &spec(), SimDuration::from_hours(1), 8).unwrap();
         assert!(plan.is_static());
         assert_eq!(plan.num_stages(), 4);
-    }
-
-    #[test]
-    fn cheapest_static_cost_lower_bounds_deadline_constrained_cost() {
-        let unconstrained = cheapest_static_cost(&sim(), &spec(), 8).unwrap();
-        let (_, tight) =
-            plan_static_optimal(&sim(), &spec(), SimDuration::from_secs(400), 8).unwrap();
-        assert!(unconstrained <= tight.cost);
     }
 }

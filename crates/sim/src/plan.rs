@@ -94,14 +94,6 @@ impl AllocationPlan {
         Self::effective_instances(self.gpus_per_stage[i], trials, gpus_per_instance)
     }
 
-    /// The peak instance count across stages.
-    pub fn peak_instances(&self, gpus_per_instance: u32) -> u32 {
-        (0..self.num_stages())
-            .map(|i| self.instances(i, gpus_per_instance))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// GPUs each trial receives in stage `i` of `spec`: the floor of fair
     /// sharing (1 when trials outnumber GPUs and run in waves). When the
     /// allocation does not divide evenly, the remainder idles — exactly the
@@ -136,6 +128,8 @@ impl AllocationPlan {
     }
 
     /// True when the plan allocates the same amount to every stage.
+    /// Public for tests: `rb-planner`'s `static_plans_are_flat` and this
+    /// module's `flat_plan_is_static` read it; no library code calls it.
     pub fn is_static(&self) -> bool {
         self.gpus_per_stage.windows(2).all(|w| w[0] == w[1])
     }
@@ -294,7 +288,6 @@ mod tests {
         assert_eq!(p.instances(0, 4), 8);
         assert_eq!(p.instances(1, 4), 5);
         assert_eq!(p.instances(2, 8), 2);
-        assert_eq!(p.peak_instances(4), 8);
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl EngineConfig {
     /// The sequential baseline: no prediction cache, no template or
     /// stage-sample reuse — every prediction re-fits and re-samples
     /// everything. Kept as the reference the planner's results are
-    /// bit-compared against (`crates/planner/tests/beam.rs`).
+    /// bit-compared against (`crates/planner/tests/descent.rs`).
     pub fn sequential_baseline() -> Self {
         EngineConfig {
             plan_cache: false,
@@ -829,8 +829,7 @@ impl Simulator {
     ///
     /// Bookkeeping (hit table, miss list, dedupe tables) lives in a
     /// thread-local scratch reused across calls, so a warm all-hit batch
-    /// — the beam-search steady state — performs exactly one allocation:
-    /// the returned vector.
+    /// performs exactly one allocation: the returned vector.
     pub fn predict_batch(
         &self,
         spec: &ExperimentSpec,

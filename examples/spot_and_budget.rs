@@ -6,7 +6,7 @@
 use rubberband::prelude::*;
 use rubberband::rb_cloud::catalog::P3_8XLARGE;
 use rubberband::rb_hpo::{Dim, ShaParams};
-use rubberband::rb_planner::{plan_min_jct, BudgetPlannerConfig};
+use rubberband::rb_planner::plan_min_jct;
 use rubberband::rb_scaling::zoo::RESNET50;
 use std::sync::Arc;
 
@@ -54,12 +54,7 @@ fn main() {
     let sim = Simulator::new(model, base.clone());
     let sweep_spec = ShaParams::new(64, 4, 508).generate().unwrap();
     for budget in [7.0, 10.0, 20.0, 40.0] {
-        match plan_min_jct(
-            &sim,
-            &sweep_spec,
-            Cost::from_dollars(budget),
-            &BudgetPlannerConfig::default(),
-        ) {
+        match plan_min_jct(&sim, &sweep_spec, Cost::from_dollars(budget)) {
             Ok((plan, pred)) => println!(
                 "budget ${budget:>5.2}: JCT {} at {} with plan {plan}",
                 pred.jct, pred.cost

@@ -254,4 +254,9 @@ echo "== line counts (informational, no gate) =="
 # reports its net lines from these two figures before and after.
 scripts/loc.sh
 
+echo "== unnamed pub fns (informational, no gate) =="
+# The `pub fn`s that no non-test code names, by scripts/pub_probe.sh;
+# run the script itself for the list.
+scripts/pub_probe.sh | tail -n 1
+
 echo "verify: all checks passed"
