@@ -243,7 +243,6 @@ pub fn ext_adapt(
                     let config = ControllerConfig {
                         drift: DriftConfig {
                             replan_threshold: threshold,
-                            ..DriftConfig::default()
                         },
                         watchdog: WatchdogConfig {
                             enabled: watchdog,

@@ -429,7 +429,6 @@ pub fn ext_chaos_zones(seed: u64) -> Result<(SimDuration, Vec<ZoneChaosRow>)> {
             market: MarketConfig {
                 enabled: false,
                 execute: true,
-                ..MarketConfig::default()
             },
             ..ControllerConfig::default()
         };

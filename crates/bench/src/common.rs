@@ -49,7 +49,6 @@ pub fn policy_prediction(
     let sim = Simulator::new(model.clone(), cloud.clone()).with_config(SimConfig {
         samples: 10,
         seed: 0xF16,
-        sync_overhead_secs: 1.0,
     });
     Ok(plan_with_policy(policy, &sim, spec, deadline, &PlannerConfig::default())?.prediction)
 }

@@ -136,7 +136,6 @@ pub fn ext_budget(budgets: &[f64]) -> Result<Vec<BudgetRow>> {
     let sim = Simulator::new(model, fig_cloud(15.0)).with_config(SimConfig {
         samples: 10,
         seed: 0xF16,
-        sync_overhead_secs: 1.0,
     });
     let mut rows = Vec::new();
     for &b in budgets {
@@ -333,7 +332,6 @@ pub fn ext_instances(deadline_mins: u64) -> Result<Vec<InstanceRow>> {
         &SimConfig {
             samples: 10,
             seed: 0xF16,
-            sync_overhead_secs: 1.0,
         },
     )?;
     Ok(candidates
@@ -390,7 +388,6 @@ fn fig_sim(samples: u32) -> Simulator {
     Simulator::new(synthetic_rn50(512, 4.0, 1.0), fig_cloud(15.0)).with_config(SimConfig {
         samples,
         seed: 0xF16,
-        sync_overhead_secs: 1.0,
     })
 }
 

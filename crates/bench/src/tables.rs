@@ -194,7 +194,6 @@ pub fn table2(deadlines_mins: &[u64], seeds: &[u64]) -> Result<Vec<Table2Row>> {
     let sim = Simulator::new(model, cloud.clone()).with_config(SimConfig {
         samples: 20,
         seed: 0xF16,
-        sync_overhead_secs: 1.0,
     });
     let mut rows = Vec::new();
     for &mins in deadlines_mins {

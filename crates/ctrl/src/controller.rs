@@ -59,32 +59,15 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// Online profile-refitting knobs.
-///
-/// Instead of scaling the whole model by one drift factor, the
-/// controller least-squares-refits the scaling model's compute and
-/// communication components against the observed per-stage,
-/// per-allocation latencies ([`RefitScaling`]) — which is what lets
-/// `plan_residual` distinguish a uniform compute slowdown from
-/// parallelism-dependent contention.
-#[derive(Debug, Clone)]
-pub struct RefitConfig {
-    /// Refit the planner's model when a re-plan triggers (default: true).
-    pub enabled: bool,
-    /// Minimum relative change of either factor before a new fit
-    /// replaces the applied one (default: 0.10). Suppresses churn from
-    /// noise-level fit wiggle.
-    pub min_change: f64,
-}
+/// Minimum relative change of either refit factor before a new fit
+/// replaces the applied one. Suppresses churn from noise-level fit
+/// wiggle.
+const REFIT_MIN_CHANGE: f64 = 0.10;
 
-impl Default for RefitConfig {
-    fn default() -> Self {
-        RefitConfig {
-            enabled: true,
-            min_change: 0.10,
-        }
-    }
-}
+/// Interruption-rate prior for pricing the spot alternative while
+/// running on-demand, in preemptions per instance-hour. Once the job
+/// runs on spot, the observed rate replaces it.
+const ASSUMED_SPOT_RATE_PER_HOUR: f64 = 4.0;
 
 /// Spot-aware residual planning knobs.
 ///
@@ -102,10 +85,6 @@ impl Default for RefitConfig {
 pub struct MarketConfig {
     /// Evaluate the alternative market at every re-plan (default: true).
     pub enabled: bool,
-    /// Interruption-rate prior for pricing the spot alternative while
-    /// running on-demand, in preemptions per instance-hour (default:
-    /// 4.0). Once the job runs on spot, the observed rate replaces it.
-    pub assumed_spot_rate_per_hour: f64,
     /// Execute market/zone moves instead of only advising them (default:
     /// false — the advisory mode of earlier revisions, bit-identical).
     /// When set, every barrier additionally probes the market even with
@@ -118,43 +97,21 @@ impl Default for MarketConfig {
     fn default() -> Self {
         MarketConfig {
             enabled: true,
-            assumed_spot_rate_per_hour: 4.0,
             execute: false,
         }
     }
 }
 
-/// Controller knobs: drift detection plus the re-planner's configuration.
-#[derive(Debug, Clone)]
+/// Controller knobs: drift detection, the watchdog and market
+/// evaluation.
+#[derive(Debug, Clone, Default)]
 pub struct ControllerConfig {
     /// Drift detection.
     pub drift: DriftConfig,
-    /// Configuration for mid-job residual re-planning. Defaults to the
-    /// standard planner with a small exploration-sample budget — re-plans
-    /// happen on the critical path, so candidates are screened at low
-    /// fidelity and only survivors are re-scored in full.
-    pub planner: PlannerConfig,
     /// Intra-stage watchdog.
     pub watchdog: WatchdogConfig,
-    /// Online profile refitting.
-    pub refit: RefitConfig,
     /// Spot-vs-on-demand residual evaluation.
     pub market: MarketConfig,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            drift: DriftConfig::default(),
-            planner: PlannerConfig {
-                exploration_samples: Some(5),
-                ..PlannerConfig::default()
-            },
-            watchdog: WatchdogConfig::default(),
-            refit: RefitConfig::default(),
-            market: MarketConfig::default(),
-        }
-    }
 }
 
 /// What made the controller re-plan.
@@ -423,13 +380,11 @@ impl AdaptiveController {
     }
 
     /// A fresh simulator over `model` and `cloud` with this controller's
-    /// engine configuration and no recorder — used to price alternative
-    /// markets without touching the planning simulator, and to build
-    /// the planning simulator's replacement.
+    /// Monte-Carlo configuration and no recorder — used to price
+    /// alternative markets without touching the planning simulator, and
+    /// to build the planning simulator's replacement.
     fn sibling_sim(&self, model: rb_profile::ModelProfile, cloud: CloudProfile) -> Simulator {
-        Simulator::new(model, cloud)
-            .with_config(self.sim.config().clone())
-            .with_engine(*self.sim.engine())
+        Simulator::new(model, cloud).with_config(self.sim.config().clone())
     }
 
     /// Emits the replan-trigger counter and instant for `trigger`. A
@@ -489,7 +444,7 @@ impl AdaptiveController {
         if market_switched {
             directive.market = Some(market.tier());
             directive.interruption_rate_per_hour = Some(match market {
-                MarketChoice::Spot => self.config.market.assumed_spot_rate_per_hour,
+                MarketChoice::Spot => ASSUMED_SPOT_RATE_PER_HOUR,
                 MarketChoice::OnDemand => 0.0,
             });
         }
@@ -532,10 +487,10 @@ impl AdaptiveController {
 
     /// Least-squares-refits the planner's scaling model against all
     /// latency observations so far and, when the fit moved by at least
-    /// `min_change`, swaps the refit model into the planning simulator.
-    /// Returns whether a new fit was applied.
+    /// [`REFIT_MIN_CHANGE`], swaps the refit model into the planning
+    /// simulator. Returns whether a new fit was applied.
     fn try_refit(&mut self, stage: usize, now: SimTime) -> bool {
-        if !self.config.refit.enabled || self.obs.is_empty() {
+        if self.obs.is_empty() {
             return false;
         }
         let Some((alpha, beta)) = refit_least_squares(self.base_model.scaling.as_ref(), &self.obs)
@@ -544,7 +499,7 @@ impl AdaptiveController {
         };
         let (cur_a, cur_b) = self.refit.unwrap_or((1.0, 1.0));
         let change = (alpha / cur_a - 1.0).abs().max((beta / cur_b - 1.0).abs());
-        if change < self.config.refit.min_change {
+        if change < REFIT_MIN_CHANGE {
             return false;
         }
         let mut model = self.base_model.clone();
@@ -632,15 +587,15 @@ impl AdaptiveController {
         } else {
             &self.sim
         };
-        let plan = |sim: &Simulator| {
-            plan_residual(
-                sim,
-                residual_spec,
-                residual_deadline,
-                warm,
-                &self.config.planner,
-            )
+        // Re-plans happen on the critical path, so candidates are
+        // screened at 5 Monte-Carlo samples and only survivors are
+        // re-scored in full.
+        let config = PlannerConfig {
+            exploration_samples: Some(5),
+            ..PlannerConfig::default()
         };
+        let plan =
+            |sim: &Simulator| plan_residual(sim, residual_spec, residual_deadline, warm, &config);
         let out = plan(sim).ok()?;
         let current = MarketChoice::of(self.sim.cloud().pricing.tier);
         if !self.config.market.enabled {
@@ -669,9 +624,8 @@ impl AdaptiveController {
             MarketChoice::OnDemand => {
                 alt_cloud.pricing = alt_cloud.pricing.with_spot();
                 // No spot history while on-demand: price interruptions at
-                // the configured prior.
-                alt_cloud.spot_interruptions_per_hour =
-                    self.config.market.assumed_spot_rate_per_hour;
+                // the prior.
+                alt_cloud.spot_interruptions_per_hour = ASSUMED_SPOT_RATE_PER_HOUR;
                 MarketChoice::Spot
             }
             MarketChoice::Spot => {
@@ -844,7 +798,7 @@ impl BarrierHook for AdaptiveController {
             // the residual must be risk-priced (and, in execute mode,
             // moved) even if the completed stage landed on time.
             Some(ReplanTrigger::ZoneDegraded)
-        } else if self.config.drift.replan_on_preemption && fresh_preemptions > 0 {
+        } else if fresh_preemptions > 0 {
             Some(ReplanTrigger::Preemption)
         } else if self.monitor.drifted() {
             Some(ReplanTrigger::Drift)
@@ -1094,7 +1048,6 @@ mod tests {
         let config = ControllerConfig {
             drift: DriftConfig {
                 replan_threshold: 100.0,
-                ..DriftConfig::default()
             },
             watchdog: WatchdogConfig {
                 enabled: false,
@@ -1274,7 +1227,6 @@ mod tests {
             market: MarketConfig {
                 enabled: false,
                 execute,
-                ..MarketConfig::default()
             },
             ..ControllerConfig::default()
         }
@@ -1328,14 +1280,14 @@ mod tests {
         assert_eq!(executed.best_accuracy, open.best_accuracy);
     }
 
-    /// Drift and preemption triggers off and the watchdog disarmed:
-    /// only the execute-mode market probe can re-plan.
+    /// The drift trigger off and the watchdog disarmed: on a calm run
+    /// only the execute-mode market probe can re-plan, and once the probe
+    /// has moved the fleet onto spot, a stage that absorbs a preemption
+    /// re-plans too.
     fn probe_config() -> ControllerConfig {
         ControllerConfig {
             drift: DriftConfig {
                 replan_threshold: 100.0,
-                replan_on_preemption: false,
-                ..DriftConfig::default()
             },
             watchdog: WatchdogConfig {
                 enabled: false,
@@ -1345,7 +1297,6 @@ mod tests {
                 execute: true,
                 ..MarketConfig::default()
             },
-            ..ControllerConfig::default()
         }
     }
 

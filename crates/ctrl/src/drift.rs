@@ -23,14 +23,12 @@ pub struct DriftConfig {
     /// Re-plan when the smoothed drift factor leaves
     /// `[1/replan_threshold, replan_threshold]`. Must be > 1.
     pub replan_threshold: f64,
-    /// EWMA smoothing weight for new observations, in `(0, 1]`. `1.0`
-    /// trusts only the latest stage; smaller values demand sustained
-    /// drift before tripping.
-    pub ewma_alpha: f64,
-    /// Also trigger a re-plan at any barrier whose stage absorbed spot
-    /// preemptions, regardless of the drift factor.
-    pub replan_on_preemption: bool,
 }
+
+/// EWMA smoothing weight for new observations: each stage moves the
+/// drift factor halfway to its own ratio, so one outlier stage counts
+/// for half and sustained drift for nearly all of it.
+const EWMA_ALPHA: f64 = 0.5;
 
 impl Default for DriftConfig {
     fn default() -> Self {
@@ -38,8 +36,6 @@ impl Default for DriftConfig {
             // Wide enough that the executor's ordinary model mismatch
             // (noise, provisioning jitter) stays inside the band.
             replan_threshold: 1.15,
-            ewma_alpha: 0.5,
-            replan_on_preemption: true,
         }
     }
 }
@@ -101,7 +97,7 @@ impl DriftMonitor {
         let obs = match self.expected.get(stage) {
             Some(q) if q.mean_secs > 0.0 && (observed_secs / q.mean_secs).is_finite() => {
                 let ratio = observed_secs / q.mean_secs;
-                self.factor += self.config.ewma_alpha * (ratio - self.factor);
+                self.factor += EWMA_ALPHA * (ratio - self.factor);
                 DriftObservation {
                     stage,
                     observed_secs,
@@ -148,7 +144,7 @@ impl DriftMonitor {
     /// [`DriftMonitor::observe`]).
     pub fn nudge(&mut self, ratio: f64) {
         if ratio.is_finite() && ratio > 0.0 {
-            self.factor += self.config.ewma_alpha * (ratio - self.factor);
+            self.factor += EWMA_ALPHA * (ratio - self.factor);
         }
     }
 
@@ -241,11 +237,8 @@ mod tests {
 
     #[test]
     fn speedup_drift_trips_symmetrically() {
-        let config = DriftConfig {
-            ewma_alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut mon = DriftMonitor::new(envelope(&[100.0]), config);
+        let mut mon = DriftMonitor::new(envelope(&[100.0]), DriftConfig::default());
+        // α = 0.5: one 0.6× stage drops the factor to 0.8 < 1/1.15.
         mon.observe(0, SimDuration::from_secs_f64(60.0));
         assert!(mon.drift_factor() < 1.0 / 1.15);
         assert!(mon.drifted(), "running fast is drift too");

@@ -26,7 +26,7 @@ pub mod controller;
 pub mod drift;
 
 pub use controller::{
-    AdaptationLog, AdaptiveController, ControllerConfig, MarketChoice, MarketConfig, RefitConfig,
-    RefitEvent, ReplanEvent, ReplanTrigger, WatchdogConfig,
+    AdaptationLog, AdaptiveController, ControllerConfig, MarketChoice, MarketConfig, RefitEvent,
+    ReplanEvent, ReplanTrigger, WatchdogConfig,
 };
 pub use drift::{DriftConfig, DriftMonitor, DriftObservation};

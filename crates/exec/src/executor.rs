@@ -20,7 +20,7 @@ use rb_obs::{Lane, RecorderHandle, SpanTracker, Value};
 use rb_placement::{scatter_placement, ClusterState, PlacementController, PlacementPlan};
 use rb_profile::{CapacityEvents, CloudProfile, ModelProfile};
 use rb_scaling::PlacementQuality;
-use rb_sim::AllocationPlan;
+use rb_sim::{AllocationPlan, SYNC_OVERHEAD_SECS};
 use rb_train::checkpoint::{CheckpointStore, VerifiedFetch};
 use rb_train::{Curve, TaskModel, Trial, TrialStatus};
 
@@ -29,13 +29,9 @@ use rb_train::{Curve, TaskModel, Trial, TrialStatus};
 pub struct ExecOptions {
     /// Root seed for all execution randomness.
     pub seed: u64,
-    /// Barrier evaluation latency, in seconds.
-    pub sync_overhead_secs: f64,
     /// Use the placement controller (§4.4). When false, workers are
     /// scattered with no locality — the Table 1 ablation baseline.
     pub use_placement_controller: bool,
-    /// Bandwidth for moving checkpoints during migration, in GB/s.
-    pub checkpoint_bw_gbps: f64,
     /// Warm-pool capacity (§6.3.1 runs with a warm pool): a nonzero
     /// value gives the job a private [`rb_cloud::InstancePool`] of this
     /// capacity. Released instances leave the job's meter and park
@@ -58,19 +54,20 @@ pub struct ExecOptions {
     /// resilient path only engages when a fault plan is active, so a
     /// policy configured against a clean provider changes nothing.
     pub retry: Option<RetryPolicy>,
-    /// Checkpoint generations retained per trial (last K). The default
-    /// of 1 matches the original store; raising it lets a corrupted
-    /// latest generation fall back to the previous one.
+    /// Checkpoint generations retained per trial (last K, at least 1).
+    /// The default of 1 matches the original store; raising it lets a
+    /// corrupted latest generation fall back to the previous one.
     pub checkpoint_retention: usize,
 }
+
+/// Bandwidth for moving checkpoints during migration, in GB/s.
+const CHECKPOINT_BW_GBPS: f64 = 1.0;
 
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             seed: 0x5EED,
-            sync_overhead_secs: 1.0,
             use_placement_controller: true,
-            checkpoint_bw_gbps: 1.0,
             warm_pool: 0,
             warm_hold_secs: 300.0,
             faults: FaultPlan::none(),
@@ -81,29 +78,24 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Checks the numeric knobs for values that would otherwise corrupt a
-    /// run silently (a NaN sync overhead propagates into every barrier
-    /// timestamp; a zero checkpoint bandwidth divides by zero).
+    /// Checks the knobs for values that would otherwise corrupt a run
+    /// silently: a NaN or negative warm hold reaches the pool's expiry
+    /// times, and a retention of 0 would keep no checkpoint at all.
     ///
     /// # Errors
     ///
     /// Returns [`RbError::InvalidConfig`] naming the offending knob.
     pub fn validate(&self) -> Result<()> {
-        for (what, v, needs_positive) in [
-            ("sync_overhead_secs", self.sync_overhead_secs, false),
-            ("checkpoint_bw_gbps", self.checkpoint_bw_gbps, true),
-            ("warm_hold_secs", self.warm_hold_secs, false),
-        ] {
-            if !v.is_finite() || v < 0.0 || (needs_positive && v == 0.0) {
-                return Err(RbError::InvalidConfig(format!(
-                    "exec options: {what} must be finite and {}, got {v}",
-                    if needs_positive {
-                        "positive"
-                    } else {
-                        "non-negative"
-                    }
-                )));
-            }
+        let hold = self.warm_hold_secs;
+        if !hold.is_finite() || hold < 0.0 {
+            return Err(RbError::InvalidConfig(format!(
+                "exec options: warm_hold_secs must be finite and non-negative, got {hold}"
+            )));
+        }
+        if self.checkpoint_retention == 0 {
+            return Err(RbError::InvalidConfig(
+                "exec options: checkpoint_retention must be at least 1, got 0".into(),
+            ));
         }
         if let Some(retry) = &self.retry {
             retry.validate()?;
@@ -700,7 +692,7 @@ impl ExecutorCore {
             cm.set_fault_plan(opts.faults.clone(), opts.seed);
         }
         let pc = PlacementController::new();
-        let mut store = CheckpointStore::new().with_retention(opts.checkpoint_retention.max(1));
+        let mut store = CheckpointStore::new().with_retention(opts.checkpoint_retention);
         if opts.faults.checkpoint_corruption_prob > 0.0 {
             store.set_corruption(
                 opts.faults.checkpoint_corruption_prob,
@@ -889,8 +881,7 @@ impl ExecutorCore {
             // --- Watchdog: forced early barrier on a budget overrun ---------
             // Every trial stopped at a unit boundary inside the round;
             // checkpoint them all before the hook may re-plan.
-            self.now =
-                round.stage_end + SimDuration::from_secs_f64(self.exec.options.sync_overhead_secs);
+            self.now = round.stage_end + SimDuration::from_secs_f64(SYNC_OVERHEAD_SECS);
             for &tid in &self.live {
                 let rt = &mut self.trials[tid.raw() as usize];
                 if rt.trial.status() == TrialStatus::Running {
@@ -957,7 +948,7 @@ impl ExecutorCore {
                 self.setup.cluster.remove(node);
             }
         }
-        self.now = stage_end + SimDuration::from_secs_f64(self.exec.options.sync_overhead_secs);
+        self.now = stage_end + SimDuration::from_secs_f64(SYNC_OVERHEAD_SECS);
         emit(
             &mut self.trace,
             &self.recorder,
@@ -1579,7 +1570,7 @@ impl ExecutorCore {
         let checkpoint_secs = |trial: TrialId, store: &CheckpointStore| -> f64 {
             store
                 .get(trial)
-                .map(|ck| ck.total_bytes() as f64 / (opts.checkpoint_bw_gbps * 1e9))
+                .map(|ck| ck.total_bytes() as f64 / (CHECKPOINT_BW_GBPS * 1e9))
                 .unwrap_or(0.0)
         };
         // Spot interruption instants of the round's nodes, captured
@@ -1685,7 +1676,7 @@ impl ExecutorCore {
                             }
                             Err(e) => return Err(e),
                         };
-                        work += vf.bytes as f64 / (opts.checkpoint_bw_gbps * 1e9);
+                        work += vf.bytes as f64 / (CHECKPOINT_BW_GBPS * 1e9);
                         if vf.fallbacks > 0 {
                             *checkpoint_fallbacks += 1;
                             work += vf.redo_iters as f64 * unit_mean;
@@ -2184,6 +2175,51 @@ mod tests {
             exec.run(&configs(3, 1)),
             Err(RbError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_options_are_typed_errors() {
+        let task = resnet101_cifar10();
+        let run = |options: ExecOptions| {
+            Executor::new(
+                small_spec(),
+                AllocationPlan::new(vec![8, 8, 8, 8]),
+                task.clone(),
+                physics(&task, 1024),
+                cloud(),
+            )
+            .unwrap()
+            .with_options(options)
+            .run(&configs(8, 1))
+        };
+        for (what, options) in [
+            (
+                "checkpoint_retention",
+                ExecOptions {
+                    checkpoint_retention: 0,
+                    ..ExecOptions::default()
+                },
+            ),
+            (
+                "warm_hold_secs",
+                ExecOptions {
+                    warm_hold_secs: f64::NAN,
+                    ..ExecOptions::default()
+                },
+            ),
+            (
+                "warm_hold_secs",
+                ExecOptions {
+                    warm_hold_secs: -1.0,
+                    ..ExecOptions::default()
+                },
+            ),
+        ] {
+            match run(options) {
+                Err(RbError::InvalidConfig(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

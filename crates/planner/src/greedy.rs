@@ -446,7 +446,6 @@ mod tests {
         Simulator::new(model, cloud).with_config(SimConfig {
             samples: 3,
             seed: 11,
-            sync_overhead_secs: 1.0,
         })
     }
 
@@ -597,7 +596,6 @@ mod tests {
         let sim = sublinear_sim().with_config(SimConfig {
             samples: 24,
             seed: 11,
-            sync_overhead_secs: 1.0,
         });
         let cfg = PlannerConfig {
             exploration_samples: Some(3),

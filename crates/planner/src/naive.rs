@@ -78,7 +78,6 @@ mod tests {
         Simulator::new(model, cloud).with_config(SimConfig {
             samples: 3,
             seed: 5,
-            sync_overhead_secs: 1.0,
         })
     }
 

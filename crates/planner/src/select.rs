@@ -130,7 +130,6 @@ mod tests {
             &SimConfig {
                 samples: 3,
                 seed: 1,
-                sync_overhead_secs: 1.0,
             },
         )
         .unwrap();
@@ -155,7 +154,6 @@ mod tests {
             &SimConfig {
                 samples: 1,
                 seed: 1,
-                sync_overhead_secs: 1.0,
             },
         )
         .unwrap_err();

@@ -100,7 +100,6 @@ mod tests {
         Simulator::new(model, cloud).with_config(SimConfig {
             samples: 1,
             seed: 0,
-            sync_overhead_secs: 1.0,
         })
     }
 

@@ -5,16 +5,19 @@
 //! 1. **Bit-identity with the reference loops.** `optimize_plan` and
 //!    `plan_min_jct` must reproduce the historical single-incumbent
 //!    loops exactly. Those loops are kept here as `reference_*`
-//!    functions, which count the candidates they generate and prune and
-//!    the steps they take. The planners are checked against them across
-//!    seeds, deadlines, budgets and warm starts: the same plans,
-//!    predictions and step counts, and, through a `MemoryRecorder`, the
-//!    same `candidates_generated`, `candidates_pruned` and `steps_taken`
-//!    counters and one accept instant per step.
-//! 2. **The prediction engine never changes a selection.**
-//!    `plan_rubberband` picks the same plan, prediction and step count
-//!    under the sequential baseline engine as under the default one, and
-//!    on a cold simulator as on a warm one.
+//!    functions, which predict every plan one at a time through the
+//!    sequential reference (`Simulator::predict_reference`: a fresh
+//!    template, no cache) and count the candidates they generate and
+//!    prune and the steps they take. The planners are checked against
+//!    them across seeds, deadlines, budgets and warm starts: the same
+//!    plans, predictions and step counts, and, through a
+//!    `MemoryRecorder`, the same `candidates_generated`,
+//!    `candidates_pruned` and `steps_taken` counters and one accept
+//!    instant per step.
+//! 2. **The prediction engine never changes a selection.** Contract 1
+//!    compares the memoized, batched engine with the sequential
+//!    reference; in addition, `plan_rubberband` picks the same plan,
+//!    prediction and step count on a cold simulator as on a warm one.
 
 use rb_cloud::catalog::P3_8XLARGE;
 use rb_cloud::CloudPricing;
@@ -28,7 +31,7 @@ use rb_planner::{
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::zoo::RESNET50;
 use rb_scaling::AnalyticScaling;
-use rb_sim::{AllocationPlan, EngineConfig, Prediction, SimConfig, Simulator};
+use rb_sim::{AllocationPlan, Prediction, SimConfig, Simulator};
 use std::sync::Arc;
 
 /// Sublinear ResNet-50 scaling at the default `SimConfig` (20 samples).
@@ -42,11 +45,7 @@ fn rn50_sim() -> Simulator {
 }
 
 fn sim_with(seed: u64) -> Simulator {
-    rn50_sim().with_config(SimConfig {
-        samples: 3,
-        seed,
-        sync_overhead_secs: 1.0,
-    })
+    rn50_sim().with_config(SimConfig { samples: 3, seed })
 }
 
 fn spec() -> ExperimentSpec {
@@ -105,9 +104,23 @@ fn attach_recorder(sim: &Simulator) -> (Simulator, Arc<MemoryRecorder>) {
     (sim, rec)
 }
 
+/// Each of `plans` predicted on its own by the sequential reference, in
+/// input order.
+fn reference(
+    sim: &Simulator,
+    spec: &ExperimentSpec,
+    plans: &[AllocationPlan],
+) -> Vec<Result<Prediction>> {
+    plans
+        .iter()
+        .map(|plan| sim.predict_reference(spec, plan))
+        .collect()
+}
+
 /// The historical `optimize_plan` loop, kept verbatim with observability
-/// stripped (it never influenced plan, prediction, or step count); it
-/// counts what the planner's counters count instead.
+/// stripped (it never influenced plan, prediction, or step count) and
+/// each candidate predicted alone through [`reference`]; it counts what
+/// the planner's counters count instead.
 fn reference_optimize(
     sim: &Simulator,
     spec: &ExperimentSpec,
@@ -116,7 +129,7 @@ fn reference_optimize(
     config: &PlannerConfig,
 ) -> Result<(AllocationPlan, Prediction, Tally)> {
     let mut best_plan = warm_start;
-    let mut best_pred = sim.predict(spec, &best_plan)?;
+    let mut best_pred = sim.predict_reference(spec, &best_plan)?;
     let mut tally = Tally::default();
     let gpg = sim.cloud().gpus_per_instance();
     while (tally.steps_taken as usize) < MAX_STEPS {
@@ -143,7 +156,7 @@ fn reference_optimize(
         }
         tally.candidates_generated += cands.len() as u64;
         let mut chosen: Option<(usize, Prediction, f64)> = None;
-        for (idx, pred) in sim.predict_batch(spec, &cands).into_iter().enumerate() {
+        for (idx, pred) in reference(sim, spec, &cands).into_iter().enumerate() {
             let pred = pred?;
             if !pred.feasible(deadline) {
                 tally.candidates_pruned += 1;
@@ -222,7 +235,7 @@ fn reference_min_jct(
             .into_iter()
             .map(|g| AllocationPlan::flat(g, spec.num_stages())),
     );
-    let start_preds = sim.predict_batch(spec, &starts);
+    let start_preds = reference(sim, spec, &starts);
     let mut best_plan = starts[0].clone();
     let mut best_pred: Option<Prediction> = None;
     for (plan, pred) in starts.into_iter().zip(start_preds) {
@@ -257,7 +270,7 @@ fn reference_min_jct(
         }
         tally.candidates_generated += cands.len() as u64;
         let mut chosen: Option<(usize, Prediction, f64)> = None;
-        for (idx, pred) in sim.predict_batch(spec, &cands).into_iter().enumerate() {
+        for (idx, pred) in reference(sim, spec, &cands).into_iter().enumerate() {
             let pred = pred?;
             if pred.cost > budget {
                 tally.candidates_pruned += 1;
@@ -431,18 +444,6 @@ fn budget_planner_is_bit_identical_to_the_reference_loop() {
             );
         }
     }
-}
-
-#[test]
-fn plan_rubberband_is_bit_identical_to_the_sequential_baseline() {
-    let deadline = SimDuration::from_mins(60);
-    let config = PlannerConfig::default();
-    let baseline = rn50_sim().with_engine(EngineConfig::sequential_baseline());
-    let a = plan_rubberband(&baseline, &spec(), deadline, &config).unwrap();
-    let b = plan_rubberband(&rn50_sim(), &spec(), deadline, &config).unwrap();
-    assert_eq!(a.plan, b.plan);
-    assert_eq!(a.prediction, b.prediction);
-    assert_eq!(a.steps, b.steps);
 }
 
 #[test]

@@ -109,7 +109,7 @@ pub mod prelude {
     pub use rb_core::{Cost, Distribution, Prng, RbError, Result, SimDuration, SimTime};
     pub use rb_ctrl::{
         AdaptationLog, AdaptiveController, ControllerConfig, DriftConfig, MarketChoice,
-        MarketConfig, RefitConfig, RefitEvent, ReplanEvent, ReplanTrigger, WatchdogConfig,
+        MarketConfig, RefitEvent, ReplanEvent, ReplanTrigger, WatchdogConfig,
     };
     pub use rb_exec::{ExecOptions, ExecutionReport, Executor, RetryPolicy};
     pub use rb_hpo::{Config, Dim, ExperimentSpec, SearchSpace, ShaParams};

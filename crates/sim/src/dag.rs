@@ -71,9 +71,6 @@ pub struct DagTemplate {
     /// Whether SCALE or INIT draws from the stream (either is not
     /// `Constant`), which puts those draws ahead of the TRAIN draws.
     prefix_draws: bool,
-    /// The end-of-stage barrier latency (SYNC), a constant by
-    /// construction, clamped at zero like every task latency.
-    sync_secs: f64,
     /// The target cloud's prices; per-function billing charges each
     /// TRAIN task as it is sampled.
     pricing: CloudPricing,
@@ -120,6 +117,13 @@ type NoiseKey = (usize, u64, u32);
 /// Atomic only because a `static` must be `Sync`: nothing shares it
 /// between threads, it exists for uniqueness.
 static NEXT_TEMPLATE_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Latency of the end-of-stage evaluation barrier (the SYNC task), in
+/// seconds. One value for the model and the run: the simulator adds it
+/// to every sampled stage span, and the executor (`rb_exec`) waits it out
+/// at every barrier, so a predicted span and an executed one cover the
+/// same interval.
+pub const SYNC_OVERHEAD_SECS: f64 = 1.0;
 
 /// Default [`DagTemplate`] stage-sample memo capacity, in entries. Sized
 /// for planning workloads (a greedy descent touches a few hundred stage
@@ -199,14 +203,9 @@ fn layout(alloc: u32, trials: u32) -> (u32, u32) {
 }
 
 impl DagTemplate {
-    /// Captures everything about `(spec, model, cloud, sync_overhead)` that
-    /// is independent of the allocation plan.
-    pub fn new(
-        spec: &ExperimentSpec,
-        model: &ModelProfile,
-        cloud: &CloudProfile,
-        sync_overhead_secs: f64,
-    ) -> DagTemplate {
+    /// Captures everything about `(spec, model, cloud)` that is
+    /// independent of the allocation plan.
+    pub fn new(spec: &ExperimentSpec, model: &ModelProfile, cloud: &CloudProfile) -> DagTemplate {
         let constant = |d: &Distribution| matches!(d, Distribution::Constant(_));
         DagTemplate {
             id: NEXT_TEMPLATE_ID.fetch_add(1, Ordering::Relaxed),
@@ -215,7 +214,6 @@ impl DagTemplate {
             provision: cloud.provision_delay.clone(),
             init: cloud.init_latency.clone(),
             prefix_draws: !(constant(&cloud.provision_delay) && constant(&cloud.init_latency)),
-            sync_secs: sync_overhead_secs.max(0.0),
             pricing: cloud.pricing.clone(),
             model: model.clone(),
             train_dists: RefCell::default(),
@@ -228,6 +226,7 @@ impl DagTemplate {
     }
 
     /// Overrides the stage-sample memo capacity (`0` = unbounded).
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn with_memo_cap(mut self, cap: usize) -> DagTemplate {
         self.memo_cap = cap;
@@ -469,7 +468,7 @@ impl DagTemplate {
                     _ => 0.0,
                 };
                 return StageSample {
-                    dur: 0.0_f64.max(ready + duration(z)) + self.sync_secs,
+                    dur: 0.0_f64.max(ready + duration(z)) + SYNC_OVERHEAD_SECS,
                     handover,
                     fn_charge: Cost::ZERO,
                 };
@@ -494,7 +493,7 @@ impl DagTemplate {
             }
             let sync_start = finishes.iter().copied().fold(0.0_f64, f64::max);
             StageSample {
-                dur: sync_start + self.sync_secs,
+                dur: sync_start + SYNC_OVERHEAD_SECS,
                 handover,
                 fn_charge,
             }
@@ -559,10 +558,11 @@ impl DagTemplate {
         v
     }
 
-    /// Number of stage configurations currently memoized. Public because
-    /// the memo-cap test in `crates/sim/tests/engine.rs` has no other
-    /// view of the memo's size; no library code calls it.
-    pub fn cached_stage_configs(&self) -> usize {
+    /// Number of stage configurations currently memoized, for the
+    /// memo-cap test in `simulate.rs`, which has no other view of the
+    /// memo's size.
+    #[cfg(test)]
+    pub(crate) fn cached_stage_configs(&self) -> usize {
         self.stage_memo.borrow().len()
     }
 
@@ -602,7 +602,7 @@ mod tests {
     }
 
     fn template(cloud: &CloudProfile) -> DagTemplate {
-        DagTemplate::new(&spec(), &model(), cloud, 1.0)
+        DagTemplate::new(&spec(), &model(), cloud)
     }
 
     /// Sample 0 of one stage configuration at Monte-Carlo seed `seed`.
@@ -768,7 +768,7 @@ mod tests {
                 for cloud in [constant, scaled] {
                     let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, gpg));
                     let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, noise);
-                    let t = DagTemplate::new(&spec, &model, &cloud, 1.0);
+                    let t = DagTemplate::new(&spec, &model, &cloud);
                     for samples in [8, 64] {
                         for (stage, s) in spec.stages().enumerate() {
                             let trials = s.num_trials;

@@ -29,8 +29,8 @@ pub mod dag;
 pub mod plan;
 pub mod simulate;
 
-pub use dag::DagTemplate;
+pub use dag::{DagTemplate, SYNC_OVERHEAD_SECS};
 pub use plan::AllocationPlan;
 pub use simulate::{
-    EngineConfig, Prediction, SimCacheStats, SimConfig, Simulator, StageBreakdown, StageQuantiles,
+    Prediction, SimCacheStats, SimConfig, Simulator, StageBreakdown, StageQuantiles,
 };

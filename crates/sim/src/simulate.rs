@@ -52,8 +52,6 @@ pub struct SimConfig {
     pub samples: u32,
     /// Seed of the sampling stream.
     pub seed: u64,
-    /// Latency of the end-of-stage evaluation barrier, in seconds.
-    pub sync_overhead_secs: f64,
 }
 
 impl Default for SimConfig {
@@ -61,7 +59,6 @@ impl Default for SimConfig {
         SimConfig {
             samples: 20,
             seed: 0xB0A710AD,
-            sync_overhead_secs: 1.0,
         }
     }
 }
@@ -134,62 +131,12 @@ pub struct StageBreakdown {
     pub cost: Cost,
 }
 
-/// Execution knobs of the prediction engine — orthogonal to the
-/// Monte-Carlo settings in [`SimConfig`], which define *what* is sampled;
-/// these define *how fast* it is computed. Results are bit-identical for
-/// every combination (the determinism contract of counter-based sample
-/// seeds; see [`rb_core::mix_seed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Memoize predictions per (spec, plan) so repeated plans — warm
-    /// starts, greedy revisits, repeated planning runs — hit memory
-    /// instead of re-simulating.
-    pub plan_cache: bool,
-    /// Generation cap on the plan-prediction cache, in memoized entries
-    /// across all specs. When an insert would push the cache past the
-    /// cap, the cache is reset and re-grown; cached values are pure
-    /// functions of their keys, so eviction never changes results. `0`
-    /// disables the cap. Keeps long-running re-planning loops from
-    /// growing memory without bound.
-    pub plan_cache_cap: usize,
-    /// Reuse the per-spec [`DagTemplate`] — fitted train-task
-    /// distributions, the per-stage Monte-Carlo sample memo and the
-    /// per-stage noise columns — across candidate plans, instead of
-    /// rebuilding and re-sampling from scratch for every prediction.
-    pub dag_templates: bool,
-    /// Generation cap on each template's stage-sample memo, in entries
-    /// (see [`crate::dag::DEFAULT_STAGE_MEMO_CAP`]); a generation reset
-    /// also drops the template's noise columns. `0` disables.
-    pub stage_memo_cap: usize,
-}
-
-/// Default [`EngineConfig::plan_cache_cap`], in memoized predictions.
-pub const DEFAULT_PLAN_CACHE_CAP: usize = 32_768;
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            plan_cache: true,
-            plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
-            dag_templates: true,
-            stage_memo_cap: crate::dag::DEFAULT_STAGE_MEMO_CAP,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The sequential baseline: no prediction cache, no template or
-    /// stage-sample reuse — every prediction re-fits and re-samples
-    /// everything. Kept as the reference the planner's results are
-    /// bit-compared against (`crates/planner/tests/descent.rs`).
-    pub fn sequential_baseline() -> Self {
-        EngineConfig {
-            plan_cache: false,
-            dag_templates: false,
-            ..EngineConfig::default()
-        }
-    }
-}
+/// Generation cap on the plan-prediction cache, in memoized entries
+/// across all specs. When an insert would push the cache past the cap,
+/// the cache is reset and re-grown; cached values are pure functions of
+/// their keys, so eviction never changes results. Keeps long-running
+/// re-planning loops from growing memory without bound.
+const PLAN_CACHE_CAP: usize = 32_768;
 
 /// Memoized predictions, keyed by spec fingerprint then by the plan's
 /// per-stage GPU vector. Two levels so lookups can borrow the plan as a
@@ -224,12 +171,9 @@ thread_local! {
 }
 
 /// Resets the prediction cache when inserting `incoming` more entries
-/// would exceed `cap` (generation eviction; `cap == 0` disables).
-/// Returns the number of entries dropped.
+/// would exceed `cap` (generation eviction). Returns the number of
+/// entries dropped.
 fn evict_generation(cache: &mut PredictionCache, cap: usize, incoming: usize) -> usize {
-    if cap == 0 {
-        return 0;
-    }
     let total: usize = cache.values().map(HashMap::len).sum();
     if total + incoming > cap {
         cache.clear();
@@ -385,11 +329,12 @@ pub struct SimCacheStats {
 /// The plan simulator: owns the fitted profiles and predicts JCT/cost for
 /// candidate allocation plans.
 ///
-/// Prediction is served by a memoized engine (see [`EngineConfig`]) on
-/// the caller's thread: plans already predicted for a spec are returned
-/// from an interior cache, stage samples come from a per-spec
-/// [`DagTemplate`]'s memo, and [`Simulator::predict_batch`] computes each
-/// distinct missed plan of a candidate batch once. Clones share the
+/// Prediction is served by a memoized engine on the caller's thread:
+/// plans already predicted for a spec are returned from an interior
+/// cache (reset when it would pass 32,768 entries), stage samples come
+/// from a per-spec [`DagTemplate`]'s memo, and
+/// [`Simulator::predict_batch`] computes each distinct missed plan of a
+/// candidate batch once. Clones share the
 /// caches (they are behind [`Rc`]), which is what the planner wants —
 /// warm-start descents re-visit each other's plans constantly.
 ///
@@ -401,7 +346,6 @@ pub struct Simulator {
     model: ModelProfile,
     cloud: CloudProfile,
     config: SimConfig,
-    engine: EngineConfig,
     /// Per-spec DAG templates, keyed by spec fingerprint.
     templates: Rc<RefCell<HashMap<u64, Rc<DagTemplate>>>>,
     /// Memoized predictions.
@@ -423,7 +367,6 @@ impl Simulator {
             model,
             cloud,
             config: SimConfig::default(),
-            engine: EngineConfig::default(),
             templates: Rc::default(),
             predictions: Rc::default(),
             plan_counters: Rc::default(),
@@ -486,19 +429,11 @@ impl Simulator {
 
     /// Overrides the Monte-Carlo configuration. Detaches this simulator
     /// from any caches shared with clones: cached templates and
-    /// predictions embed the old seed/sample-count/overhead.
+    /// predictions embed the old seed and sample count.
     pub fn with_config(mut self, config: SimConfig) -> Self {
         self.config = config;
         self.templates = Rc::default();
         self.predictions = Rc::default();
-        self
-    }
-
-    /// Overrides the engine configuration (caching, template reuse and
-    /// their caps). Cached values stay valid — engine settings change
-    /// speed, never results.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -537,57 +472,24 @@ impl Simulator {
         &self.config
     }
 
-    /// The engine configuration.
-    pub fn engine(&self) -> &EngineConfig {
-        &self.engine
-    }
-
     /// Number of predictions currently memoized. Public because the
-    /// plan-cache tests in `crates/sim/tests/engine.rs` (generation cap,
-    /// clone sharing, detachment) have no other view of the cache; no
+    /// plan-cache tests in `crates/sim/tests/engine.rs` (clone sharing,
+    /// detachment, batch dedupe) have no other view of the cache; no
     /// library code calls it.
     pub fn cached_predictions(&self) -> usize {
         self.predictions.borrow().values().map(HashMap::len).sum()
     }
 
-    /// The cached template for `spec` under this simulator's profiles
-    /// and sync overhead, built on first use. Public because the
-    /// stage-memo cap test in `crates/sim/tests/engine.rs` reads the
-    /// template's memo through it; prediction reaches it through the
-    /// engine's template switch instead.
-    pub fn template_for(&self, spec: &ExperimentSpec) -> Rc<DagTemplate> {
+    /// The cached template for `spec` under this simulator's profiles,
+    /// built on first use. Every prediction, `explain` and
+    /// `stage_quantiles` samples from it.
+    fn template_for(&self, spec: &ExperimentSpec) -> Rc<DagTemplate> {
         let fp = spec_fingerprint(spec);
         self.templates
             .borrow_mut()
             .entry(fp)
-            .or_insert_with(|| {
-                Rc::new(
-                    DagTemplate::new(
-                        spec,
-                        &self.model,
-                        &self.cloud,
-                        self.config.sync_overhead_secs,
-                    )
-                    .with_memo_cap(self.engine.stage_memo_cap),
-                )
-            })
+            .or_insert_with(|| Rc::new(DagTemplate::new(spec, &self.model, &self.cloud)))
             .clone()
-    }
-
-    /// The template a prediction samples from: the per-spec cached one
-    /// when the engine reuses templates, otherwise a fresh one (fresh
-    /// train-task fits and stage samples — the cold baseline).
-    fn template(&self, spec: &ExperimentSpec) -> Rc<DagTemplate> {
-        if self.engine.dag_templates {
-            self.template_for(spec)
-        } else {
-            Rc::new(DagTemplate::new(
-                spec,
-                &self.model,
-                &self.cloud,
-                self.config.sync_overhead_secs,
-            ))
-        }
     }
 
     /// Loads `plan` into `arena`: the instance ladder, one memoized
@@ -748,11 +650,23 @@ impl Simulator {
         })
     }
 
-    /// Predicts one plan without consulting or filling the prediction
-    /// cache. With `dag_templates` off, a fresh template (and fresh stage
-    /// samples) is built for every call — the cold baseline.
-    fn predict_uncached(&self, spec: &ExperimentSpec, plan: &AllocationPlan) -> Result<Prediction> {
-        self.predict_with_template(&self.template(spec), plan)
+    /// Predicts one plan on the cached template without consulting or
+    /// filling the prediction cache, so every call loads and bills the
+    /// plan. [`Simulator::predict`] calls it on a miss. Public for the
+    /// tests that must run the full path on every call: the allocation
+    /// gates in `crates/sim/tests/warm_path_alloc.rs` and the
+    /// resumed-walk case in `crates/sim/tests/engine.rs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`rb_core::RbError::InvalidPlan`] when the plan does not
+    /// validate against the spec.
+    pub fn predict_uncached(
+        &self,
+        spec: &ExperimentSpec,
+        plan: &AllocationPlan,
+    ) -> Result<Prediction> {
+        self.predict_with_template(&self.template_for(spec), plan)
     }
 
     /// Predicts JCT and cost of executing `spec` under `plan`.
@@ -786,9 +700,6 @@ impl Simulator {
     /// Returns [`rb_core::RbError::InvalidPlan`] when the plan does not
     /// validate against the spec.
     pub fn predict(&self, spec: &ExperimentSpec, plan: &AllocationPlan) -> Result<Prediction> {
-        if !self.engine.plan_cache {
-            return self.predict_uncached(spec, plan);
-        }
         let fp = spec_fingerprint(spec);
         // Borrowed-key probe: the lookup hashes the plan's own `&[u32]`
         // slice (`Box<[u32]>: Borrow<[u32]>`), so a hit — the planner's
@@ -805,7 +716,7 @@ impl Simulator {
         self.plan_counters.misses_add(1);
         let pred = self.predict_uncached(spec, plan)?;
         let mut cache = self.predictions.borrow_mut();
-        let evicted = evict_generation(&mut cache, self.engine.plan_cache_cap, 1);
+        let evicted = evict_generation(&mut cache, PLAN_CACHE_CAP, 1);
         self.plan_counters.evictions_add(evicted as u64);
         cache
             .entry(fp)
@@ -843,7 +754,7 @@ impl Simulator {
         sc.miss_idx.clear();
         sc.compute_idx.clear();
         sc.slot_of.clear();
-        if self.engine.plan_cache {
+        {
             let cache = self.predictions.borrow();
             let per_plan = cache.get(&fp);
             for (i, plan) in plans.iter().enumerate() {
@@ -855,15 +766,10 @@ impl Simulator {
                     }
                 }
             }
-        } else {
-            sc.hits.resize(plans.len(), None);
-            sc.miss_idx.extend(0..plans.len());
         }
-        if self.engine.plan_cache {
-            self.plan_counters
-                .hits_add((plans.len() - sc.miss_idx.len()) as u64);
-            self.plan_counters.misses_add(sc.miss_idx.len() as u64);
-        }
+        self.plan_counters
+            .hits_add((plans.len() - sc.miss_idx.len()) as u64);
+        self.plan_counters.misses_add(sc.miss_idx.len() as u64);
         // Deduplicate repeated plans within the batch (candidate ladders
         // overlap): compute each distinct plan once. Batches are a handful
         // of short plans, so a linear scan beats hashing each one.
@@ -883,27 +789,25 @@ impl Simulator {
         }
         // Resolve the spec's cached template once for the whole batch
         // instead of once per miss (the template cache is a spec hash
-        // away); the cold baseline builds a fresh one per plan.
-        let template =
-            (self.engine.dag_templates && !sc.compute_idx.is_empty()).then(|| self.template(spec));
-        let predict_one = |plan: &AllocationPlan| match &template {
-            Some(t) => self.predict_with_template(t, plan),
-            None => self.predict_uncached(spec, plan),
-        };
+        // away), and not at all when every plan hit.
+        let template = (!sc.compute_idx.is_empty()).then(|| self.template_for(spec));
         let misses = sc.compute_idx.len();
         if self.recorder.enabled() && misses > 1 {
             self.recorder
                 .counter_add("sim", "batch_plans_computed", misses as u64);
         }
-        let computed: Vec<Result<Prediction>> = sc
-            .compute_idx
-            .iter()
-            .map(|&i| predict_one(&plans[i]))
-            .collect();
-        if self.engine.plan_cache {
+        let computed: Vec<Result<Prediction>> = match &template {
+            Some(t) => sc
+                .compute_idx
+                .iter()
+                .map(|&i| self.predict_with_template(t, &plans[i]))
+                .collect(),
+            None => Vec::new(),
+        };
+        {
             let mut cache = self.predictions.borrow_mut();
             let incoming = computed.iter().filter(|r| r.is_ok()).count();
-            let evicted = evict_generation(&mut cache, self.engine.plan_cache_cap, incoming);
+            let evicted = evict_generation(&mut cache, PLAN_CACHE_CAP, incoming);
             self.plan_counters.evictions_add(evicted as u64);
             let per_plan = cache.entry(fp).or_default();
             for (&i, result) in sc.compute_idx.iter().zip(&computed) {
@@ -934,10 +838,10 @@ impl Simulator {
 
     /// The sequential reference prediction: fresh template, no
     /// memoization of any kind. Public as a named test oracle:
-    /// `crates/sim/tests/engine.rs` compares every engine configuration
-    /// against it, and no library code calls it. Results are
-    /// bit-identical to [`Simulator::predict`] by the determinism
-    /// contract.
+    /// `crates/sim/tests/engine.rs` and the planner's reference loops in
+    /// `crates/planner/tests/descent.rs` compare against it, and no
+    /// library code calls it. Results are bit-identical to
+    /// [`Simulator::predict`] by the determinism contract.
     ///
     /// # Errors
     ///
@@ -948,12 +852,7 @@ impl Simulator {
         spec: &ExperimentSpec,
         plan: &AllocationPlan,
     ) -> Result<Prediction> {
-        let template = DagTemplate::new(
-            spec,
-            &self.model,
-            &self.cloud,
-            self.config.sync_overhead_secs,
-        );
+        let template = DagTemplate::new(spec, &self.model, &self.cloud);
         self.predict_with_template(&template, plan)
     }
 
@@ -977,7 +876,7 @@ impl Simulator {
         spec: &ExperimentSpec,
         plan: &AllocationPlan,
     ) -> Result<Vec<StageQuantiles>> {
-        let template = self.template(spec);
+        let template = self.template_for(spec);
         template.validate(plan)?;
         let n = self.config.samples.max(1) as usize;
         with_arena(|arena| {
@@ -1035,7 +934,7 @@ impl Simulator {
         spec: &ExperimentSpec,
         plan: &AllocationPlan,
     ) -> Result<Vec<StageBreakdown>> {
-        let template = self.template(spec);
+        let template = self.template_for(spec);
         template.validate(plan)?;
         let n = self.config.samples.max(1) as usize;
         with_arena(|arena| {
@@ -1102,7 +1001,6 @@ mod tests {
         Simulator::new(ideal_model(noise), cloud).with_config(SimConfig {
             samples: 8,
             seed: 7,
-            sync_overhead_secs: 1.0,
         })
     }
 
@@ -1162,7 +1060,6 @@ mod tests {
             let s = Simulator::new(ideal_model(noise), cloud).with_config(SimConfig {
                 samples: 60,
                 seed: 3,
-                sync_overhead_secs: 1.0,
             });
             s.predict(&spec, &plan).unwrap().cost.as_dollars()
         };
@@ -1221,15 +1118,15 @@ mod tests {
 
     #[test]
     fn under_linear_scaling_static_matches_elastic_cost_closely() {
-        // With ideal scaling and no overheads, GPU-seconds of work are
-        // conserved; the static plan is not wasteful (§1's converse case).
+        // With ideal scaling and no provisioning overheads, GPU-seconds
+        // of work are conserved up to the 1 s barriers; the static plan
+        // is not wasteful (§1's converse case).
         let cloud = CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
             .with_provision_delay(SimDuration::from_secs(0))
             .with_init_latency(SimDuration::from_secs(0));
         let s = sim(0.0, cloud).with_config(SimConfig {
             samples: 1,
             seed: 0,
-            sync_overhead_secs: 0.0,
         });
         let spec = ExperimentSpec::from_stages(&[(4, 60), (2, 60), (1, 60)]).unwrap();
         let p_static = s.predict(&spec, &AllocationPlan::flat(4, 3)).unwrap();
@@ -1252,7 +1149,8 @@ mod tests {
 
     #[test]
     fn minimum_charge_binds_for_tiny_stages() {
-        // One 5 s stage on one instance still pays for 60 s.
+        // One 5 s stage (6 s with its barrier) on one instance still
+        // pays for 60 s.
         let cloud = CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
             .with_provision_delay(SimDuration::from_secs(0))
             .with_init_latency(SimDuration::from_secs(0));
@@ -1261,7 +1159,6 @@ mod tests {
         let s = Simulator::new(model, cloud).with_config(SimConfig {
             samples: 1,
             seed: 0,
-            sync_overhead_secs: 0.0,
         });
         let spec = ExperimentSpec::from_stages(&[(1, 1)]).unwrap();
         let p = s.predict(&spec, &AllocationPlan::flat(1, 1)).unwrap();
@@ -1299,6 +1196,61 @@ mod tests {
         // Metadata matches the plan.
         assert_eq!(rows[0].instances, 4);
         assert_eq!(rows[2].gpus_per_trial, 1);
+    }
+
+    /// Plans with distinct stage configurations for [`spec`].
+    fn cap_plans() -> Vec<AllocationPlan> {
+        [[4, 2, 1], [4, 4, 2], [2, 2, 1], [3, 1, 1], [1, 1, 1]]
+            .iter()
+            .map(|g| AllocationPlan::new(g.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn plan_cache_generation_cap_bounds_memory_without_changing_results() {
+        // The cap is `PLAN_CACHE_CAP`; at a cap of 2 every third insert
+        // starts a new generation.
+        let s = sim(0.5, cloud_1gpu());
+        let mut dropped = 0;
+        for plan in cap_plans() {
+            dropped += evict_generation(&mut s.predictions.borrow_mut(), 2, 1);
+            assert_eq!(
+                s.predict(&spec(), &plan).unwrap(),
+                s.predict_reference(&spec(), &plan).unwrap(),
+                "{plan}: eviction changed the prediction"
+            );
+            assert!(s.cached_predictions() <= 2, "cache grew past the cap");
+        }
+        assert_eq!(dropped, 4);
+        // Re-predicting after eviction still agrees (recomputed, not stale).
+        let p = &cap_plans()[0];
+        assert_eq!(
+            s.predict(&spec(), p).unwrap(),
+            s.predict_reference(&spec(), p).unwrap()
+        );
+    }
+
+    #[test]
+    fn stage_memo_generation_cap_bounds_the_template() {
+        let s = sim(0.5, cloud_1gpu());
+        let capped = DagTemplate::new(&spec(), &s.model, &s.cloud).with_memo_cap(3);
+        s.templates
+            .borrow_mut()
+            .insert(spec_fingerprint(&spec()), Rc::new(capped));
+        for plan in cap_plans() {
+            assert_eq!(
+                s.predict(&spec(), &plan).unwrap(),
+                s.predict_reference(&spec(), &plan).unwrap(),
+                "{plan}: memo eviction changed the prediction"
+            );
+        }
+        let template = s.template_for(&spec());
+        assert!(
+            template.cached_stage_configs() <= 3,
+            "stage memo grew past the cap: {}",
+            template.cached_stage_configs()
+        );
+        assert!(template.memo_stats().evictions > 0, "the cap never bound");
     }
 
     #[test]

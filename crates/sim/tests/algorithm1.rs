@@ -20,7 +20,7 @@ use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::zoo::RESNET50;
 use rb_scaling::{AnalyticScaling, IdealScaling, PlacementQuality};
-use rb_sim::{AllocationPlan, SimConfig, Simulator};
+use rb_sim::{AllocationPlan, SimConfig, Simulator, SYNC_OVERHEAD_SECS};
 use std::sync::Arc;
 
 /// What a node does.
@@ -100,7 +100,7 @@ impl Dag {
 fn build(spec: &ExperimentSpec, plan: &AllocationPlan, sim: &Simulator) -> Dag {
     let cloud = sim.cloud();
     let gpg = cloud.gpus_per_instance().max(1);
-    let sync = Distribution::Constant(sim.config().sync_overhead_secs);
+    let sync = Distribution::Constant(SYNC_OVERHEAD_SECS);
     let mut dag = Dag::default();
     let mut frontier: Vec<usize> = Vec::new();
     let mut current = 0;
@@ -335,7 +335,6 @@ fn case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan) {
     let sim = Simulator::new(model, cloud).with_config(SimConfig {
         samples: 8,
         seed: rng.next_u64(),
-        sync_overhead_secs: 1.0,
     });
     (sim, spec, AllocationPlan::new(gpus))
 }

@@ -1,8 +1,8 @@
 //! Determinism and correctness contract of the prediction engine.
 //!
 //! The engine promises that every execution strategy — sequential
-//! reference, cached, uncached, template-built, batched — produces
-//! **bit-identical** predictions. These tests pin that
+//! reference, cached, uncached, batched — produces **bit-identical**
+//! predictions. These tests pin that
 //! contract.
 
 use rb_cloud::catalog::{P3_2XLARGE, P3_8XLARGE};
@@ -12,7 +12,7 @@ use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::zoo::RESNET50;
 use rb_scaling::AnalyticScaling;
-use rb_sim::{AllocationPlan, EngineConfig, Prediction, SimConfig, Simulator};
+use rb_sim::{AllocationPlan, Prediction, SimConfig, Simulator};
 use std::sync::Arc;
 
 /// A noisy sublinear-scaling simulator: noise makes every sample distinct,
@@ -27,7 +27,6 @@ fn sim() -> Simulator {
     Simulator::new(model, cloud).with_config(SimConfig {
         samples: 17,
         seed: 0xE11,
-        sync_overhead_secs: 1.0,
     })
 }
 
@@ -53,15 +52,12 @@ fn distinct_plans(count: usize) -> Vec<AllocationPlan> {
 
 #[test]
 fn cached_predictions_are_identical_to_uncached() {
-    let cached = sim(); // default engine: cache + templates on
-    let uncached = sim().with_engine(EngineConfig {
-        plan_cache: false,
-        ..EngineConfig::default()
-    });
+    let cached = sim();
+    let uncached = sim();
     for plan in plans() {
         let cold = cached.predict(&spec(), &plan).unwrap();
         let warm = cached.predict(&spec(), &plan).unwrap(); // cache hit
-        let raw = uncached.predict(&spec(), &plan).unwrap();
+        let raw = uncached.predict_uncached(&spec(), &plan).unwrap();
         assert_eq!(cold, warm, "{plan}: cache hit diverged from miss");
         assert_eq!(cold, raw, "{plan}: cached diverged from uncached");
     }
@@ -74,29 +70,10 @@ fn predictions_are_bit_identical_to_the_sequential_reference() {
     let reference = sim();
     for plan in plans() {
         let expect = reference.predict_reference(&spec(), &plan).unwrap();
-        let s = sim().with_engine(EngineConfig::sequential_baseline());
         assert_eq!(
-            s.predict(&spec(), &plan).unwrap(),
+            sim().predict(&spec(), &plan).unwrap(),
             expect,
-            "{plan}: the sequential baseline diverged from the reference"
-        );
-        // The full engine (templates + cache) too.
-        assert_eq!(sim().predict(&spec(), &plan).unwrap(), expect);
-    }
-}
-
-#[test]
-fn template_built_dags_predict_identically() {
-    let with_templates = sim();
-    let without = sim().with_engine(EngineConfig {
-        dag_templates: false,
-        ..EngineConfig::default()
-    });
-    for plan in plans() {
-        assert_eq!(
-            with_templates.predict(&spec(), &plan).unwrap(),
-            without.predict(&spec(), &plan).unwrap(),
-            "{plan}: template instantiation changed the prediction"
+            "{plan}: the engine diverged from the reference"
         );
     }
 }
@@ -172,55 +149,6 @@ fn batch_matches_one_at_a_time_prediction() {
 }
 
 #[test]
-fn plan_cache_generation_cap_bounds_memory_without_changing_results() {
-    let capped = sim().with_engine(EngineConfig {
-        plan_cache_cap: 2,
-        ..EngineConfig::default()
-    });
-    let reference = sim();
-    for plan in plans() {
-        assert_eq!(
-            capped.predict(&spec(), &plan).unwrap(),
-            reference.predict_reference(&spec(), &plan).unwrap(),
-            "{plan}: eviction changed the prediction"
-        );
-        assert!(
-            capped.cached_predictions() <= 2,
-            "cache grew past the cap: {}",
-            capped.cached_predictions()
-        );
-    }
-    // Re-predicting after eviction still agrees (recomputed, not stale).
-    let p = &plans()[0];
-    assert_eq!(
-        capped.predict(&spec(), p).unwrap(),
-        reference.predict_reference(&spec(), p).unwrap()
-    );
-}
-
-#[test]
-fn stage_memo_generation_cap_bounds_the_template() {
-    let capped = sim().with_engine(EngineConfig {
-        stage_memo_cap: 3,
-        ..EngineConfig::default()
-    });
-    let reference = sim();
-    for plan in plans() {
-        assert_eq!(
-            capped.predict(&spec(), &plan).unwrap(),
-            reference.predict_reference(&spec(), &plan).unwrap(),
-            "{plan}: memo eviction changed the prediction"
-        );
-    }
-    let template = capped.template_for(&spec());
-    assert!(
-        template.cached_stage_configs() <= 3,
-        "stage memo grew past the cap: {}",
-        template.cached_stage_configs()
-    );
-}
-
-#[test]
 fn low_fidelity_simulator_shares_templates_and_prefix_samples() {
     let full = sim(); // 17 samples
     let low = full.with_samples(4);
@@ -274,7 +202,6 @@ fn clones_share_the_prediction_cache_but_with_config_detaches() {
     let detached = b.clone().with_config(SimConfig {
         samples: 17,
         seed: 0xE12, // different seed: cached values would be stale
-        sync_overhead_secs: 1.0,
     });
     assert_eq!(detached.cached_predictions(), 0);
 }
@@ -398,7 +325,6 @@ fn sharing_case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan, u32) {
     let sim = Simulator::new(model, cloud).with_config(SimConfig {
         samples: 8,
         seed: rng.next_u64(),
-        sync_overhead_secs: 1.0,
     });
     (sim, spec, plan, gpg)
 }
@@ -486,8 +412,8 @@ fn edit_sequence(
 
 /// A predict that resumes the arena's billing walk at the first changed
 /// stage returns what a walk from stage 0 returns. Each case runs a
-/// generated sequence of plan edits through one simulator with the plan
-/// cache off, so every step loads and bills; every few steps it also
+/// generated sequence of plan edits through one simulator's
+/// `predict_uncached`, so every step loads and bills; every few steps it also
 /// runs `stage_quantiles` and `explain` (which load, or walk from stage
 /// 0), a second simulator on the same thread (another template), and a
 /// `with_samples` sibling (the same template at another sample count).
@@ -497,14 +423,9 @@ fn edit_sequence(
 /// would reset the arena mid-sequence.
 #[test]
 fn a_resumed_walk_equals_a_full_walk() {
-    let no_cache = EngineConfig {
-        plan_cache: false,
-        ..EngineConfig::default()
-    };
     let (mut next_stage_grew, mut repeats) = (0, 0);
     for c in 0..RESUME_CASES {
         let (sim, spec, start, gpg) = sharing_case(c);
-        let sim = sim.with_engine(no_cache);
         let plans = edit_sequence(&spec, &start, gpg, c);
         let expect: Vec<Prediction> = plans
             .iter()
@@ -535,7 +456,7 @@ fn a_resumed_walk_equals_a_full_walk() {
         };
         for (k, p) in plans.iter().enumerate() {
             assert_eq!(
-                sim.predict(&spec, p).unwrap(),
+                sim.predict_uncached(&spec, p).unwrap(),
                 expect[k],
                 "case {c} step {k} {p}"
             );
@@ -576,7 +497,7 @@ fn a_resumed_walk_equals_a_full_walk() {
                 }
                 5 => {
                     assert_eq!(
-                        low.predict(&spec, p).unwrap(),
+                        low.predict_uncached(&spec, p).unwrap(),
                         low_expect[k],
                         "case {c} step {k} at 3 samples"
                     );
@@ -590,7 +511,7 @@ fn a_resumed_walk_equals_a_full_walk() {
                         "case {c} step {k}"
                     );
                     assert_eq!(
-                        sim.predict(&spec, p).unwrap(),
+                        sim.predict_uncached(&spec, p).unwrap(),
                         expect[k],
                         "case {c} step {k} again"
                     );

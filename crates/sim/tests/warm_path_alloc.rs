@@ -16,7 +16,7 @@ use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::zoo::RESNET50;
 use rb_scaling::AnalyticScaling;
-use rb_sim::{AllocationPlan, EngineConfig, SimConfig, Simulator};
+use rb_sim::{AllocationPlan, SimConfig, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,13 +65,13 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 /// The five shrinking SHA stages on sublinear ResNet-50 scaling, at the
 /// default Monte-Carlo sample count.
-fn sim(engine: EngineConfig) -> Simulator {
+fn sim() -> Simulator {
     let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, 4));
     let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, 0.0);
     let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE))
         .with_provision_delay(SimDuration::from_secs(15))
         .with_init_latency(SimDuration::from_secs(15));
-    Simulator::new(model, cloud).with_engine(engine)
+    Simulator::new(model, cloud)
 }
 
 fn spec() -> ExperimentSpec {
@@ -81,18 +81,14 @@ fn spec() -> ExperimentSpec {
 fn warm_predict_never_allocates() {
     let spec = spec();
     let plan = AllocationPlan::new(vec![32, 16, 8, 4, 4]);
-    // Cache off so every predict runs the full simulation path.
-    let sim = sim(EngineConfig {
-        plan_cache: false,
-        dag_templates: true,
-        ..EngineConfig::default()
-    });
+    // Past the plan cache, so every predict runs the full simulation path.
+    let sim = sim();
     // Warm up: arena high-water marks, the DAG template, stage memos.
-    sim.predict(&spec, &plan).unwrap();
-    sim.predict(&spec, &plan).unwrap();
+    sim.predict_uncached(&spec, &plan).unwrap();
+    sim.predict_uncached(&spec, &plan).unwrap();
     let delta = allocations_during(|| {
         for _ in 0..32 {
-            std::hint::black_box(sim.predict(&spec, &plan).unwrap());
+            std::hint::black_box(sim.predict_uncached(&spec, &plan).unwrap());
         }
     });
     println!("warm predict allocations over 32 calls: {delta}");
@@ -108,16 +104,13 @@ fn warm_resumed_predict_never_allocates() {
         AllocationPlan::new(vec![32, 16, 8, 4, 4]),
         AllocationPlan::new(vec![32, 16, 12, 4, 4]),
     ];
-    let sim = sim(EngineConfig {
-        plan_cache: false,
-        ..EngineConfig::default()
-    });
+    let sim = sim();
     for plan in plans.iter().chain(&plans) {
-        sim.predict(&spec, plan).unwrap();
+        sim.predict_uncached(&spec, plan).unwrap();
     }
     let delta = allocations_during(|| {
         for k in 0..32 {
-            std::hint::black_box(sim.predict(&spec, &plans[k % 2]).unwrap());
+            std::hint::black_box(sim.predict_uncached(&spec, &plans[k % 2]).unwrap());
         }
     });
     println!("warm resumed predict allocations over 32 calls: {delta}");
@@ -130,7 +123,7 @@ fn warm_resumed_predict_never_allocates() {
 fn warm_stage_readers_allocate_only_their_output() {
     let spec = spec();
     let plan = AllocationPlan::new(vec![32, 16, 8, 4, 4]);
-    let sim = sim(EngineConfig::default());
+    let sim = sim();
     for _ in 0..2 {
         sim.stage_quantiles(&spec, &plan).unwrap();
         sim.explain(&spec, &plan).unwrap();
@@ -151,7 +144,7 @@ fn warm_stage_readers_allocate_only_their_output() {
 
 fn all_hit_batch_allocates_only_its_output() {
     let spec = spec();
-    let sim = sim(EngineConfig::default());
+    let sim = sim();
     let plans: Vec<AllocationPlan> = (0..8)
         .map(|i| AllocationPlan::new(vec![32 - 2 * i, 16, 8, 4, 4]))
         .collect();
@@ -195,26 +188,21 @@ fn stage_memo_miss_allocations_do_not_grow_with_samples() {
             CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE).with_per_function_billing())
                 .with_provision_delay(SimDuration::from_secs(15))
                 .with_init_latency(SimDuration::from_secs(15));
-        Simulator::new(model, cloud)
-            .with_engine(EngineConfig {
-                plan_cache: false,
-                ..EngineConfig::default()
-            })
-            .with_config(SimConfig {
-                samples,
-                ..SimConfig::default()
-            })
+        Simulator::new(model, cloud).with_config(SimConfig {
+            samples,
+            ..SimConfig::default()
+        })
     };
     // Grow this thread's prediction arena past both sample counts first,
     // so only the misses themselves are counted.
-    noisy(64).predict(&spec, &plan).unwrap();
+    noisy(64).predict_uncached(&spec, &plan).unwrap();
     let count = |samples: u32| {
         let sim = noisy(samples);
         let cold = allocations_during(|| {
-            std::hint::black_box(sim.predict(&spec, &plan).unwrap());
+            std::hint::black_box(sim.predict_uncached(&spec, &plan).unwrap());
         });
         let miss = allocations_during(|| {
-            std::hint::black_box(sim.predict(&spec, &sibling).unwrap());
+            std::hint::black_box(sim.predict_uncached(&spec, &sibling).unwrap());
         });
         let stats = sim.cache_stats();
         assert_eq!(stats.stage_memo.misses, 6, "{samples} samples");

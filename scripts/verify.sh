@@ -259,4 +259,9 @@ echo "== unnamed pub fns (informational, no gate) =="
 # run the script itself for the list.
 scripts/pub_probe.sh | tail -n 1
 
+echo "== settable config values (informational, no gate) =="
+# The pub fields of the library's Config/Options/Policy structs, by
+# scripts/knob_probe.sh; run the script itself for the per-struct list.
+scripts/knob_probe.sh | tail -n 1
+
 echo "verify: all checks passed"

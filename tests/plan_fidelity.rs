@@ -198,7 +198,6 @@ fn prediction_invariants() {
             Simulator::new(physics.clone(), c).with_config(SimConfig {
                 samples: 4,
                 seed: 99,
-                sync_overhead_secs: 1.0,
             })
         };
         let sim = mk(false);

@@ -188,7 +188,6 @@ fn billing_model_controls_straggler_penalty() {
         let sim = Simulator::new(model(4.0, noise), c).with_config(SimConfig {
             samples: 40,
             seed: 17,
-            sync_overhead_secs: 1.0,
         });
         sim.predict(&spec, &plan).unwrap().cost.as_dollars()
     };
