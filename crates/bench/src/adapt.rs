@@ -13,6 +13,7 @@
 //! reason to exist: drift confined to the late long rungs crosses no
 //! barrier in time, so only a mid-stage cut can recover the deadline.
 
+use crate::table::{right, Cell, Table};
 use crate::tables::{e2e_cloud, physics_for, profiled_model, search_space};
 use rb_core::{Result, SimDuration};
 use rb_ctrl::{ControllerConfig, DriftConfig, ReplanTrigger, WatchdogConfig};
@@ -293,43 +294,10 @@ pub fn ext_adapt(
     Ok((deadline, rows))
 }
 
-/// Renders the adaptation sweep, ending with a machine-checkable summary
-/// line (counts only, so it is stable across platforms —
+/// The adaptation sweep as a table, ending with a machine-checkable
+/// summary line (counts only, so it is stable across platforms —
 /// `scripts/verify.sh` diffs it against a checked-in expectation).
-pub fn print_ext_adapt(deadline: SimDuration, rows: &[AdaptRow]) {
-    println!("Extension — online adaptation (rb-ctrl) under injected drift");
-    println!(
-        "(Table 2 workload, RubberBand plan @ {deadline} deadline; slowdown is \
-         hidden from the planner)\n"
-    );
-    println!(
-        "{:>8} {:>6} {:>7} {:>7} {:>9} {:>3} | {:>10} {:>9} {:>5} | {:>10} {:>9} {:>5} {:>7} {:>3} {:>5} {:>4} {:>6}",
-        "slowdown", "comm", "strag", "spot/h", "threshold", "wd", "open JCT", "cost", "hit",
-        "adapt JCT", "cost", "hit", "replans", "wdf", "refit", "mkt", "preempt"
-    );
-    for r in rows {
-        println!(
-            "{:>8.2} {:>6.2} {:>7} {:>7.1} {:>9.2} {:>3} | {:>10} {:>9} {:>5} | {:>10} {:>9} {:>5} {:>7} {:>3} {:>5} {:>4} {:>6}",
-            r.slowdown,
-            r.comm_slowdown,
-            r.straggler
-                .map_or_else(|| "-".to_string(), |(g, f)| format!("{f}x@{g}")),
-            r.rate_per_hour,
-            r.threshold,
-            if r.watchdog { "on" } else { "off" },
-            SimDuration::from_secs_f64(r.open_jct_secs).to_string(),
-            format!("${:.2}", r.open_cost),
-            if r.open_hit { "yes" } else { "MISS" },
-            SimDuration::from_secs_f64(r.adaptive_jct_secs).to_string(),
-            format!("${:.2}", r.adaptive_cost),
-            if r.adaptive_hit { "yes" } else { "MISS" },
-            r.replans,
-            r.watchdog_fires,
-            r.refits,
-            r.market_switches,
-            r.preemptions
-        );
-    }
+pub fn ext_adapt_table(deadline: SimDuration, rows: &[AdaptRow]) -> Table {
     let open_hits = rows.iter().filter(|r| r.open_hit).count();
     let adaptive_hits = rows.iter().filter(|r| r.adaptive_hit).count();
     let replans: usize = rows.iter().map(|r| r.replans).sum();
@@ -367,13 +335,48 @@ pub fn print_ext_adapt(deadline: SimDuration, rows: &[AdaptRow]) {
         })
         .filter(|r| r.replans != 0 || r.adaptive_cost != r.open_cost)
         .count();
-    println!(
+    let notes = format!(
         "\next-adapt summary: cells={} open_hits={open_hits} adaptive_hits={adaptive_hits} \
          applied_replans={replans} watchdog_fires={watchdog_fires} refits={refits} \
          market_switches={market_switches} wd_recoveries={wd_recoveries} \
-         calm_mismatches={calm_mismatches}",
+         calm_mismatches={calm_mismatches}\n",
         rows.len()
     );
+    Table::of(
+        format!(
+            "Extension — online adaptation (rb-ctrl) under injected drift\n\
+             (Table 2 workload, RubberBand plan @ {deadline} deadline; slowdown is \
+             hidden from the planner)"
+        ),
+        rows,
+        &[
+            (right("slowdown", 8), |r| Cell::real(r.slowdown, 2)),
+            (right("comm", 6), |r| Cell::real(r.comm_slowdown, 2)),
+            (right("strag", 7), |r| {
+                r.straggler
+                    .map_or(Cell::Missing("-"), |(g, f)| Cell::Text(format!("{f}x@{g}")))
+            }),
+            (right("spot/h", 7), |r| Cell::real(r.rate_per_hour, 1)),
+            (right("threshold", 9), |r| Cell::real(r.threshold, 2)),
+            (right("wd", 3), |r| Cell::flag(r.watchdog, "on", "off")),
+            (right("open JCT", 10).bar(), |r| Cell::secs(r.open_jct_secs)),
+            (right("cost", 9), |r| Cell::Money(r.open_cost)),
+            (right("hit", 5), |r| Cell::flag(r.open_hit, "yes", "MISS")),
+            (right("adapt JCT", 10).bar(), |r| {
+                Cell::secs(r.adaptive_jct_secs)
+            }),
+            (right("cost", 9), |r| Cell::Money(r.adaptive_cost)),
+            (right("hit", 5), |r| {
+                Cell::flag(r.adaptive_hit, "yes", "MISS")
+            }),
+            (right("replans", 7), |r| Cell::count(r.replans)),
+            (right("wdf", 3), |r| Cell::count(r.watchdog_fires)),
+            (right("refit", 5), |r| Cell::count(r.refits)),
+            (right("mkt", 4), |r| Cell::count(r.market_switches)),
+            (right("preempt", 6), |r| Cell::int(r.preemptions)),
+        ],
+    )
+    .with_notes(notes)
 }
 
 #[cfg(test)]

@@ -10,95 +10,66 @@
 //! repro fleet                # write per-run manifests for the rollup CLI
 //! ```
 
-use rb_bench::csv;
-use rb_bench::ext;
-use rb_bench::figures::{self};
-use rb_bench::tables::{self};
+use rb_bench::adapt::{self, DriftScenario};
+use rb_bench::chaos::{self, ChaosScenario};
+use rb_bench::table::Table;
+use rb_bench::{ext, figures, serve, tables};
 use rb_core::SimDuration;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
 
-/// Set when any requested artifact fails; `main` then exits 1 after
-/// running the rest, so one failure neither hides nor stops the others.
-static FAILED: AtomicBool = AtomicBool::new(false);
+/// An artifact's outcome: a library error or an I/O error while writing.
+type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
-/// Logs an artifact failure and marks the run as failed.
-macro_rules! fail {
-    ($($arg:tt)*) => {{
-        rb_obs::log_error!("repro", $($arg)*);
-        FAILED.store(true, Ordering::Relaxed);
-    }};
-}
-
-fn fig4(csv_dir: Option<&Path>) {
-    let rows = figures::fig4(&[1, 2, 4, 8, 16]);
-    figures::print_fig4(&rows);
-    if let Some(dir) = csv_dir {
-        csv::export_fig4(dir, &rows).unwrap_or_else(|e| fail!("{e}"));
-    }
-}
-
-fn fig9(quick: bool, csv_dir: Option<&Path>) {
-    let sigmas: Vec<f64> = if quick {
-        vec![1.0, 4.0, 10.0]
-    } else {
-        (1..=10).map(f64::from).collect()
-    };
-    let rows = figures::fig9(&sigmas, SimDuration::from_mins(20));
-    figures::print_fig9(&rows);
-    if let Some(dir) = csv_dir {
-        csv::export_fig9(dir, &rows).unwrap_or_else(|e| fail!("{e}"));
-    }
-}
-
-fn fig10(quick: bool, csv_dir: Option<&Path>) {
-    let prices: &[f64] = if quick {
-        &[0.0, 0.04, 0.16]
-    } else {
-        &[0.0, 0.01, 0.02, 0.04, 0.08, 0.16]
-    };
-    for (name, gb) in [("ImageNet", 150.0), ("CIFAR-10", 0.15)] {
-        let rows = figures::fig10(gb, prices, SimDuration::from_mins(20));
-        figures::print_fig10(name, gb, &rows);
-        if let Some(dir) = csv_dir {
-            csv::export_fig10(dir, name, &rows).unwrap_or_else(|e| fail!("{e}"));
+/// The panels of figure `name`, over the paper's sweep or the quick one.
+fn figure_tables(quick: bool, name: &str) -> Vec<Table> {
+    let twenty = SimDuration::from_mins(20);
+    match name {
+        "fig4" => vec![figures::fig4_table(&figures::fig4(&[1, 2, 4, 8, 16]))],
+        "fig9" => {
+            let sigmas: Vec<f64> = if quick {
+                vec![1.0, 4.0, 10.0]
+            } else {
+                (1..=10).map(f64::from).collect()
+            };
+            vec![figures::fig9_table(&figures::fig9(&sigmas, twenty))]
         }
-        println!();
-    }
-}
-
-fn fig11(quick: bool, csv_dir: Option<&Path>) {
-    let ks: &[u32] = if quick {
-        &[16, 64, 256]
-    } else {
-        &[16, 32, 64, 128, 256, 512]
-    };
-    for (name, key, per_function) in [
-        ("pay-per-instance", "per_instance", false),
-        ("pay-per-function", "per_function", true),
-    ] {
-        let rows = figures::fig11(ks, per_function, SimDuration::from_mins(20));
-        figures::print_fig11(name, &rows);
-        if let Some(dir) = csv_dir {
-            csv::export_fig11(dir, key, &rows).unwrap_or_else(|e| fail!("{e}"));
+        "fig10" => {
+            let prices: &[f64] = if quick {
+                &[0.0, 0.04, 0.16]
+            } else {
+                &[0.0, 0.01, 0.02, 0.04, 0.08, 0.16]
+            };
+            [("ImageNet", 150.0), ("CIFAR-10", 0.15)]
+                .into_iter()
+                .map(|(name, gb)| {
+                    figures::fig10_table(name, gb, &figures::fig10(gb, prices, twenty))
+                })
+                .collect()
         }
-        println!();
-    }
-}
-
-fn fig12(quick: bool, csv_dir: Option<&Path>) {
-    let deadlines: Vec<u64> = if quick {
-        vec![90, 120, 160]
-    } else {
-        (9..=16).map(|d| d * 10).collect()
-    };
-    for init in [1.0, 10.0, 100.0] {
-        let rows = figures::fig12(init, &deadlines);
-        figures::print_fig12(init, &rows);
-        if let Some(dir) = csv_dir {
-            csv::export_fig12(dir, init, &rows).unwrap_or_else(|e| fail!("{e}"));
+        "fig11" => {
+            let ks: &[u32] = if quick {
+                &[16, 64, 256]
+            } else {
+                &[16, 32, 64, 128, 256, 512]
+            };
+            [false, true]
+                .into_iter()
+                .map(|per_function| {
+                    figures::fig11_table(per_function, &figures::fig11(ks, per_function, twenty))
+                })
+                .collect()
         }
-        println!();
+        _ => {
+            let deadlines: Vec<u64> = if quick {
+                vec![90, 120, 160]
+            } else {
+                (9..=16).map(|d| d * 10).collect()
+            };
+            [1.0, 10.0, 100.0]
+                .into_iter()
+                .map(|init| figures::fig12_table(init, &figures::fig12(init, &deadlines)))
+                .collect()
+        }
     }
 }
 
@@ -110,49 +81,27 @@ fn seeds(quick: bool) -> Vec<u64> {
     }
 }
 
-fn table1(quick: bool) {
-    match tables::table1(&seeds(quick)) {
-        Ok(rows) => tables::print_table1(&rows),
-        Err(e) => fail!("table1 failed: {e}"),
+fn table2_and_3(quick: bool) -> Result<Vec<Table>> {
+    let rows = tables::table2(&[20, 30, 40], &seeds(quick))?;
+    let mut out = vec![tables::table2_table(&rows)];
+    match tables::table3(&rows) {
+        Some(schedule) => out.push(tables::table3_table(&schedule)),
+        None => rb_obs::log_warn!("repro", "table3: no feasible RubberBand plan"),
     }
+    Ok(out)
 }
 
-fn table2_and_3(quick: bool) {
-    let deadlines: &[u64] = &[20, 30, 40];
-    match tables::table2(deadlines, &seeds(quick)) {
-        Ok(rows) => {
-            tables::print_table2(&rows);
-            println!();
-            match tables::table3(&rows) {
-                Some(schedule) => tables::print_table3(&schedule),
-                None => rb_obs::log_warn!("repro", "table3: no feasible RubberBand plan"),
-            }
-        }
-        Err(e) => fail!("table2 failed: {e}"),
-    }
-}
-
-fn table4(quick: bool) {
-    match tables::table4(&seeds(quick)) {
-        Ok(rows) => tables::print_table4(&rows),
-        Err(e) => fail!("table4 failed: {e}"),
-    }
-}
-
-fn ext_spot(quick: bool) {
+fn ext_spot(quick: bool) -> Result<Vec<Table>> {
     let rates: &[f64] = if quick {
         &[0.2, 2.0]
     } else {
         &[0.1, 0.2, 0.5, 1.0, 2.0, 4.0]
     };
-    match ext::ext_spot(rates, 1) {
-        Ok((od, rows)) => ext::print_ext_spot(&od, &rows),
-        Err(e) => fail!("ext-spot failed: {e}"),
-    }
+    let (on_demand, rows) = ext::ext_spot(rates, 1)?;
+    Ok(vec![ext::ext_spot_table(&on_demand, &rows)])
 }
 
-fn ext_adapt(quick: bool) {
-    use rb_bench::adapt::DriftScenario;
+fn ext_adapt(quick: bool) -> Result<Vec<Table>> {
     let (scenarios, rates, thresholds, watchdogs): (Vec<DriftScenario>, &[f64], &[f64], &[bool]) =
         if quick {
             (
@@ -180,140 +129,101 @@ fn ext_adapt(quick: bool) {
                 &[false, true],
             )
         };
-    match rb_bench::adapt::ext_adapt(&scenarios, rates, thresholds, watchdogs, 1) {
-        Ok((deadline, rows)) => rb_bench::adapt::print_ext_adapt(deadline, &rows),
-        Err(e) => fail!("ext-adapt failed: {e}"),
-    }
+    let (deadline, rows) = adapt::ext_adapt(&scenarios, rates, thresholds, watchdogs, 1)?;
+    Ok(vec![adapt::ext_adapt_table(deadline, &rows)])
 }
 
-fn ext_chaos(_quick: bool) {
+fn ext_chaos() -> Result<Vec<Table>> {
     // The default sweep is already one execution pair per fault class;
-    // quick and full runs share it.
-    let scenarios = rb_bench::chaos::ChaosScenario::default_sweep();
-    match rb_bench::chaos::ext_chaos(&scenarios, 1) {
-        Ok((deadline, rows)) => rb_bench::chaos::print_ext_chaos(deadline, &rows),
-        Err(e) => fail!("ext-chaos failed: {e}"),
-    }
-    // Correlated failure domains ride along: zone outage timing × the
-    // controller's executed switch.
-    match rb_bench::chaos::ext_chaos_zones(1) {
-        Ok((deadline, rows)) => rb_bench::chaos::print_ext_chaos_zones(deadline, &rows),
-        Err(e) => fail!("ext-chaos zones failed: {e}"),
-    }
+    // quick and full runs share it. Correlated failure domains ride
+    // along: zone outage timing × the controller's executed switch.
+    let (deadline, rows) = chaos::ext_chaos(&ChaosScenario::default_sweep(), 1)?;
+    let (zone_deadline, zone_rows) = chaos::ext_chaos_zones(1)?;
+    Ok(vec![
+        chaos::ext_chaos_table(deadline, &rows),
+        chaos::ext_chaos_zones_table(zone_deadline, &zone_rows),
+    ])
 }
 
-fn ext_serve(quick: bool) {
+fn ext_serve(quick: bool) -> Result<Vec<Table>> {
     let (tenant_counts, gaps): (&[usize], &[u64]) = if quick {
         (&[2], &[0, 300])
     } else {
         (&[1, 2, 3], &[0, 300])
     };
-    match rb_bench::serve::ext_serve(tenant_counts, gaps, 1) {
-        Ok(cells) => rb_bench::serve::print_ext_serve(&cells),
-        Err(e) => fail!("ext-serve failed: {e}"),
-    }
-    match rb_bench::serve::ext_serve_contended(tenant_counts, &[0], 1) {
-        Ok(cells) => rb_bench::serve::print_ext_serve_contended(&cells),
-        Err(e) => fail!("ext-serve contended failed: {e}"),
-    }
-    match rb_bench::serve::ext_serve_hyperband(1) {
-        Ok(cells) => rb_bench::serve::print_ext_serve_hyperband(&cells),
-        Err(e) => fail!("ext-serve hyperband failed: {e}"),
-    }
+    Ok(vec![
+        serve::ext_serve_table(&serve::ext_serve(tenant_counts, gaps, 1)?),
+        serve::ext_serve_contended_table(&serve::ext_serve_contended(tenant_counts, &[0], 1)?),
+        serve::ext_serve_hyperband_table(&serve::ext_serve_hyperband(1)?),
+    ])
 }
 
-fn ext_budget(quick: bool) {
+fn ext_budget(quick: bool) -> Result<Vec<Table>> {
     let budgets: &[f64] = if quick {
         &[7.0, 20.0]
     } else {
         &[6.5, 7.0, 8.0, 10.0, 15.0, 25.0, 50.0]
     };
-    match ext::ext_budget(budgets) {
-        Ok(rows) => ext::print_ext_budget(&rows),
-        Err(e) => fail!("ext-budget failed: {e}"),
+    Ok(vec![ext::ext_budget_table(&ext::ext_budget(budgets)?)])
+}
+
+/// Runs one artifact: the tables to print, or the error that failed it.
+/// `trace` and `fleet` print their own lines and return no table.
+fn run(artifact: &str, quick: bool) -> Result<Vec<Table>> {
+    match artifact {
+        "fig4" | "fig9" | "fig10" | "fig11" | "fig12" => Ok(figure_tables(quick, artifact)),
+        "table1" => Ok(vec![tables::table1_table(&tables::table1(&seeds(quick))?)]),
+        "table2" | "table3" => table2_and_3(quick),
+        "table4" => Ok(vec![tables::table4_table(&tables::table4(&seeds(quick))?)]),
+        "ext-spot" => ext_spot(quick),
+        "ext-budget" => ext_budget(quick),
+        "ext-asha" => Ok(vec![ext::ext_asha_table(20, &ext::ext_asha(20, 1)?)]),
+        "ext-instances" => Ok(vec![ext::ext_instances_table(30, &ext::ext_instances(30)?)]),
+        "ext-adapt" => ext_adapt(quick),
+        "ext-chaos" => ext_chaos(),
+        "ext-serve" => ext_serve(quick),
+        "ablations" => Ok(ext::ablations()?),
+        "trace" => trace_artifact().map(|()| vec![]),
+        "fleet" => fleet_artifact(1).map(|()| vec![]),
+        "replay" => replay_artifact().map(|()| vec![]),
+        other => {
+            eprintln!("unknown artifact `{other}`");
+            std::process::exit(2);
+        }
     }
 }
 
-fn ext_asha(_quick: bool) {
-    match ext::ext_asha(20, 1) {
-        Ok(rows) => ext::print_ext_asha(20, &rows),
-        Err(e) => fail!("ext-asha failed: {e}"),
-    }
+/// Writes `table` to `repro_out/<name>`, creating the directory.
+fn write_csv(name: &str, table: &Table) -> Result<()> {
+    let dir = Path::new("repro_out");
+    std::fs::create_dir_all(dir)?;
+    Ok(std::fs::write(dir.join(name), table.csv())?)
 }
 
-fn ext_instances(_quick: bool) {
-    match ext::ext_instances(30) {
-        Ok(rows) => ext::print_ext_instances(30, &rows),
-        Err(e) => fail!("ext-instances failed: {e}"),
-    }
-}
-
-fn ablations() {
-    let d = rb_core::SimDuration::from_mins(20);
-    match ext::ablation_warm_starts(d) {
-        Ok(rows) => ext::print_ablation("warm-start multipliers (SHA(64,4,508), 20 min)", &rows),
-        Err(e) => fail!("ablation failed: {e}"),
-    }
-    println!();
-    match ext::ablation_instance_jump(d) {
-        Ok(rows) => ext::print_ablation(
-            "instance-boundary jump candidate (SHA(512,4,508), 20 min)",
-            &rows,
-        ),
-        Err(e) => fail!("ablation failed: {e}"),
-    }
-    println!();
-    match ext::ablation_mc_samples(d) {
-        Ok(rows) => ext::print_ablation(
-            "Monte-Carlo samples vs plan quality (scored at 200 samples)",
-            &rows,
-        ),
-        Err(e) => fail!("ablation failed: {e}"),
-    }
-    println!();
-    match ext::ablation_warm_pool(1) {
-        Ok(rows) => ext::print_warm_pool(&rows),
-        Err(e) => fail!("ablation failed: {e}"),
-    }
-}
-
-fn replay_artifact() {
+fn replay_artifact() -> Result<()> {
     // Replay closure: rebuild the run from repro_out/trace.jsonl ALONE
     // (no planner, no simulator), then check bit-equality against a
     // fresh live run at the trace seed.
     let path = Path::new("repro_out").join("trace.jsonl");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            rb_obs::log_error!("repro", "replay: cannot read {}: {e}", path.display());
-            rb_obs::log_error!("repro", "replay: run `repro trace` first");
-            std::process::exit(1);
-        }
-    };
-    let replayed = match rb_replay::replay_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            rb_obs::log_error!("repro", "replay: {e}");
-            std::process::exit(1);
-        }
-    };
-    let live = match rb_bench::trace::run_trace(1) {
-        Ok(art) => art,
-        Err(e) => {
-            rb_obs::log_error!("repro", "replay: live reference run failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
+            "cannot read {}: {e}; run `repro trace` first",
+            path.display()
+        )
+    })?;
+    let replayed = rb_replay::replay_jsonl(&text)?;
+    let live =
+        rb_bench::trace::run_trace(1).map_err(|e| format!("live reference run failed: {e}"))?;
     let report_ok = format!("{:?}", replayed.report) == format!("{:?}", live.report);
     let summary_ok = replayed.summary.render() == live.summary.render();
     if !report_ok || !summary_ok {
-        rb_obs::log_error!(
-            "repro",
-            "replay: MISMATCH vs live run (report {}, summary {})",
-            if report_ok { "ok" } else { "differs" },
-            if summary_ok { "ok" } else { "differs" }
-        );
-        std::process::exit(1);
+        let verdict = |ok| if ok { "ok" } else { "differs" };
+        return Err(format!(
+            "MISMATCH vs live run (report {}, summary {})",
+            verdict(report_ok),
+            verdict(summary_ok)
+        )
+        .into());
     }
     println!(
         "replay: repro_out/trace.jsonl reproduces the live run bit-for-bit \
@@ -324,56 +234,43 @@ fn replay_artifact() {
     // The summary goes last, mirroring `repro trace`: scripts/verify.sh
     // diffs `run summary:` to end-of-output for both artifacts.
     print!("{}", replayed.summary.render());
+    Ok(())
 }
 
-fn fleet_artifact(seed: u64) {
-    match rb_bench::fleet::build_fleet(seed) {
-        Ok(records) => {
-            let dir = Path::new("repro_out").join("fleet");
-            match rb_bench::fleet::write_fleet(&dir, &records) {
-                Ok(n) => {
-                    let sweeps: std::collections::BTreeSet<&str> =
-                        records.iter().map(|r| r.sweep.as_str()).collect();
-                    println!(
-                        "fleet: wrote {n} run manifests across {} sweeps under repro_out/fleet/",
-                        sweeps.len()
-                    );
-                    println!("fleet: aggregate with `rollup repro_out/fleet`");
-                }
-                Err(e) => fail!("fleet: writing manifests failed: {e}"),
-            }
-        }
-        Err(e) => fail!("fleet failed: {e}"),
-    }
+fn fleet_artifact(seed: u64) -> Result<()> {
+    let records = rb_bench::fleet::build_fleet(seed)?;
+    let dir = Path::new("repro_out").join("fleet");
+    let n = rb_bench::fleet::write_fleet(&dir, &records)?;
+    let sweeps: std::collections::BTreeSet<&str> =
+        records.iter().map(|r| r.sweep.as_str()).collect();
+    println!(
+        "fleet: wrote {n} run manifests across {} sweeps under repro_out/fleet/",
+        sweeps.len()
+    );
+    println!("fleet: aggregate with `rollup repro_out/fleet`");
+    Ok(())
 }
 
-fn trace_artifact() {
-    match rb_bench::trace::run_trace(1) {
-        Ok(art) => {
-            let dir = Path::new("repro_out");
-            match rb_bench::trace::write_artifacts(dir, &art) {
-                Ok(()) => {
-                    println!(
-                        "trace: wrote repro_out/trace.jsonl ({} events, {} counters, {} histograms; schema ok)",
-                        art.jsonl_stats.events, art.jsonl_stats.counters, art.jsonl_stats.histograms
-                    );
-                    println!(
-                        "trace: wrote repro_out/trace.chrome.json (load in Perfetto or chrome://tracing)"
-                    );
-                }
-                Err(e) => fail!("trace: writing artifacts failed: {e}"),
-            }
-            println!(
-                "trace: {} preemptions absorbed, {} replans applied\n",
-                art.report.preemptions, art.replans
-            );
-            // The summary goes last: scripts/verify.sh extracts it from
-            // `run summary:` to end-of-output and diffs it against
-            // scripts/expected_summary.txt.
-            print!("{}", art.summary.render());
-        }
-        Err(e) => fail!("trace failed: {e}"),
+fn trace_artifact() -> Result<()> {
+    let art = rb_bench::trace::run_trace(1)?;
+    // A failed write still prints the run, then fails the artifact.
+    let written = rb_bench::trace::write_artifacts(Path::new("repro_out"), &art);
+    if written.is_ok() {
+        println!(
+            "trace: wrote repro_out/trace.jsonl ({} events, {} counters, {} histograms; schema ok)",
+            art.jsonl_stats.events, art.jsonl_stats.counters, art.jsonl_stats.histograms
+        );
+        println!("trace: wrote repro_out/trace.chrome.json (load in Perfetto or chrome://tracing)");
     }
+    println!(
+        "trace: {} preemptions absorbed, {} replans applied\n",
+        art.report.preemptions, art.replans
+    );
+    // The summary goes last: scripts/verify.sh extracts it from
+    // `run summary:` to end-of-output and diffs it against
+    // scripts/expected_summary.txt.
+    print!("{}", art.summary.render());
+    Ok(written?)
 }
 
 fn main() {
@@ -385,67 +282,42 @@ fn main() {
         std::process::exit(2);
     }
     let quick = args.iter().any(|a| a == "quick");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .any(|a| a == "--csv")
-        .then(|| PathBuf::from("repro_out"));
+    let csv = args.iter().any(|a| a == "--csv");
     let mut artifacts: Vec<&str> = args
         .iter()
         .map(String::as_str)
         .filter(|&a| a != "quick" && a != "--csv")
         .collect();
     if artifacts.is_empty() || artifacts.contains(&"all") {
-        artifacts = vec![
-            "fig4",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "table1",
-            "table2",
-            "table4",
-            "ext-spot",
-            "ext-budget",
-            "ext-asha",
-            "ext-instances",
-            "ext-adapt",
-            "ext-chaos",
-            "ext-serve",
-            "ablations",
-            "trace",
-        ];
+        artifacts =
+            "fig4 fig9 fig10 fig11 fig12 table1 table2 table4 ext-spot ext-budget ext-asha \
+             ext-instances ext-adapt ext-chaos ext-serve ablations trace"
+                .split_whitespace()
+                .collect();
     }
+    // Set when any artifact fails; the rest still run, and `repro`
+    // exits 1 at the end, so one failure neither hides nor stops others.
+    let mut failed = false;
     for (i, artifact) in artifacts.iter().enumerate() {
         if i > 0 {
             println!("\n{}\n", "=".repeat(72));
         }
-        match *artifact {
-            "fig4" => fig4(csv_dir.as_deref()),
-            "fig9" => fig9(quick, csv_dir.as_deref()),
-            "fig10" => fig10(quick, csv_dir.as_deref()),
-            "fig11" => fig11(quick, csv_dir.as_deref()),
-            "fig12" => fig12(quick, csv_dir.as_deref()),
-            "table1" => table1(quick),
-            "table2" | "table3" => table2_and_3(quick),
-            "table4" => table4(quick),
-            "ext-spot" => ext_spot(quick),
-            "ext-budget" => ext_budget(quick),
-            "ext-asha" => ext_asha(quick),
-            "ext-instances" => ext_instances(quick),
-            "ext-adapt" => ext_adapt(quick),
-            "ext-chaos" => ext_chaos(quick),
-            "ext-serve" => ext_serve(quick),
-            "ablations" => ablations(),
-            "trace" => trace_artifact(),
-            "replay" => replay_artifact(),
-            "fleet" => fleet_artifact(1),
-            other => {
-                eprintln!("unknown artifact `{other}`");
-                std::process::exit(2);
+        let tables = run(artifact, quick).unwrap_or_else(|e| {
+            rb_obs::log_error!("repro", "{artifact}: {e}");
+            failed = true;
+            vec![]
+        });
+        for table in &tables {
+            print!("{}", table.text());
+            if let (true, Some(name)) = (csv, &table.csv) {
+                if let Err(e) = write_csv(name, table) {
+                    rb_obs::log_error!("repro", "csv {name}: {e}");
+                    failed = true;
+                }
             }
         }
     }
-    if FAILED.load(Ordering::Relaxed) {
+    if failed {
         std::process::exit(1);
     }
 }

@@ -17,6 +17,7 @@
 //! injector disabled, the hardened executor must be bit-identical to
 //! the unhardened one.
 
+use crate::table::{right, Cell, Table};
 use crate::tables::{e2e_cloud, profiled_model, search_space};
 use rb_cloud::{FaultPlan, ZonePlan, ZoneWindow};
 use rb_core::{Result, SimDuration};
@@ -228,60 +229,28 @@ pub fn ext_chaos(scenarios: &[ChaosScenario], seed: u64) -> Result<(SimDuration,
     Ok((deadline, rows))
 }
 
-fn fmt_outcome(jct: Option<f64>, cost: Option<f64>, hit: bool) -> (String, String, &'static str) {
-    match (jct, cost) {
-        (Some(j), Some(c)) => (
-            SimDuration::from_secs_f64(j).to_string(),
-            format!("${c:.2}"),
-            if hit { "yes" } else { "MISS" },
-        ),
-        _ => ("-".to_owned(), "-".to_owned(), "ABORT"),
+/// A run's JCT, or `-` if it aborted.
+fn jct_cell(jct: Option<f64>) -> Cell {
+    jct.map_or(Cell::Missing("-"), Cell::secs)
+}
+
+/// A run's cost, or `-` if it aborted.
+fn cost_cell(cost: Option<f64>) -> Cell {
+    cost.map_or(Cell::Missing("-"), Cell::Money)
+}
+
+/// Whether a run met its deadline, or `ABORT` if it aborted.
+fn hit_cell(jct: Option<f64>, hit: bool) -> Cell {
+    match jct {
+        Some(_) => Cell::flag(hit, "yes", "MISS"),
+        None => Cell::Missing("ABORT"),
     }
 }
 
-/// Renders the chaos sweep, ending with a machine-checkable summary
+/// The chaos sweep as a table, ending with a machine-checkable summary
 /// line (counts only — `scripts/verify.sh` diffs it against a
 /// checked-in expectation).
-pub fn print_ext_chaos(deadline: SimDuration, rows: &[ChaosRow]) {
-    println!("Extension — fault injection and recovery (rb-chaos)");
-    println!(
-        "(Table 2 workload, RubberBand plan @ {deadline} deadline; baseline has no \
-         retry and a single checkpoint generation)\n"
-    );
-    println!(
-        "{:>10} | {:>10} {:>9} {:>5} | {:>10} {:>9} {:>5} {:>6} {:>7} {:>9} {:>8} {:>7}",
-        "scenario",
-        "base JCT",
-        "cost",
-        "hit",
-        "hard JCT",
-        "cost",
-        "hit",
-        "faults",
-        "retries",
-        "fallbacks",
-        "degraded",
-        "preempt"
-    );
-    for r in rows {
-        let (bj, bc, bh) = fmt_outcome(r.baseline_jct_secs, r.baseline_cost, r.baseline_hit);
-        let (hj, hc, hh) = fmt_outcome(r.hardened_jct_secs, r.hardened_cost, r.hardened_hit);
-        println!(
-            "{:>10} | {:>10} {:>9} {:>5} | {:>10} {:>9} {:>5} {:>6} {:>7} {:>9} {:>8} {:>7}",
-            r.name,
-            bj,
-            bc,
-            bh,
-            hj,
-            hc,
-            hh,
-            r.faults_injected,
-            r.retries,
-            r.fallbacks,
-            r.degraded_stages,
-            r.preemptions
-        );
-    }
+pub fn ext_chaos_table(deadline: SimDuration, rows: &[ChaosRow]) -> Table {
     let baseline_hits = rows.iter().filter(|r| r.baseline_hit).count();
     let baseline_aborts = rows
         .iter()
@@ -301,13 +270,44 @@ pub fn print_ext_chaos(deadline: SimDuration, rows: &[ChaosRow]) {
             r.baseline_jct_secs != r.hardened_jct_secs || r.baseline_cost != r.hardened_cost
         })
         .count();
-    println!(
+    let notes = format!(
         "\next-chaos summary: cells={} baseline_hits={baseline_hits} \
          baseline_aborts={baseline_aborts} hardened_hits={hardened_hits} \
          faults={faults} retries={retries} fallbacks={fallbacks} \
-         degraded_stages={degraded} calm_mismatches={calm_mismatches}",
+         degraded_stages={degraded} calm_mismatches={calm_mismatches}\n",
         rows.len()
     );
+    Table::of(
+        format!(
+            "Extension — fault injection and recovery (rb-chaos)\n\
+             (Table 2 workload, RubberBand plan @ {deadline} deadline; baseline has no \
+             retry and a single checkpoint generation)"
+        ),
+        rows,
+        &[
+            (right("scenario", 10), |r| Cell::text(r.name)),
+            (right("base JCT", 10).bar(), |r| {
+                jct_cell(r.baseline_jct_secs)
+            }),
+            (right("cost", 9), |r| cost_cell(r.baseline_cost)),
+            (right("hit", 5), |r| {
+                hit_cell(r.baseline_jct_secs, r.baseline_hit)
+            }),
+            (right("hard JCT", 10).bar(), |r| {
+                jct_cell(r.hardened_jct_secs)
+            }),
+            (right("cost", 9), |r| cost_cell(r.hardened_cost)),
+            (right("hit", 5), |r| {
+                hit_cell(r.hardened_jct_secs, r.hardened_hit)
+            }),
+            (right("faults", 6), |r| Cell::int(r.faults_injected)),
+            (right("retries", 7), |r| Cell::int(r.retries)),
+            (right("fallbacks", 9), |r| Cell::int(r.fallbacks)),
+            (right("degraded", 8), |r| Cell::int(r.degraded_stages)),
+            (right("preempt", 7), |r| Cell::int(r.preemptions)),
+        ],
+    )
+    .with_notes(notes)
 }
 
 /// One cell of the correlated-failure sub-sweep: the Table 2 workload
@@ -452,34 +452,10 @@ pub fn ext_chaos_zones(seed: u64) -> Result<(SimDuration, Vec<ZoneChaosRow>)> {
     Ok((deadline, rows))
 }
 
-/// Renders the correlated-failure sub-sweep, ending with a
-/// machine-checkable summary line (counts only — `scripts/verify.sh`
-/// diffs it against a checked-in expectation).
-pub fn print_ext_chaos_zones(deadline: SimDuration, rows: &[ZoneChaosRow]) {
-    println!("\nExtension — correlated failure domains (zone outage × executed switch)");
-    println!(
-        "(two-zone cloud @ {deadline} deadline, zone 0 dark from t onward; both arms \
-         share the hardened retry policy, only `switch on` may move the fleet's \
-         home zone)\n"
-    );
-    println!(
-        "{:>8} {:>6} | {:>10} {:>9} {:>5} {:>6} {:>7} {:>7} {:>8}",
-        "outage", "switch", "JCT", "cost", "hit", "faults", "retries", "replans", "executed"
-    );
-    for r in rows {
-        println!(
-            "{:>8} {:>6} | {:>10} {:>9} {:>5} {:>6} {:>7} {:>7} {:>8}",
-            r.name,
-            if r.switch { "on" } else { "off" },
-            SimDuration::from_secs_f64(r.jct_secs).to_string(),
-            format!("${:.2}", r.cost),
-            if r.hit { "yes" } else { "MISS" },
-            r.faults_injected,
-            r.retries,
-            r.replans,
-            r.executed_switches
-        );
-    }
+/// The correlated-failure sub-sweep as a table, after a blank line,
+/// ending with a machine-checkable summary line (counts only —
+/// `scripts/verify.sh` diffs it against a checked-in expectation).
+pub fn ext_chaos_zones_table(deadline: SimDuration, rows: &[ZoneChaosRow]) -> Table {
     let open_hits = rows.iter().filter(|r| !r.switch && r.hit).count();
     let switch_hits = rows.iter().filter(|r| r.switch && r.hit).count();
     let faults: u64 = rows.iter().map(|r| r.faults_injected).sum();
@@ -493,12 +469,33 @@ pub fn print_ext_chaos_zones(deadline: SimDuration, rows: &[ZoneChaosRow]) {
         .filter(|r| r.switch && r.hit)
         .filter(|r| rows.iter().any(|o| !o.switch && !o.hit && o.name == r.name))
         .count();
-    println!(
+    let notes = format!(
         "\next-chaos zones summary: cells={} open_hits={open_hits} \
          switch_hits={switch_hits} faults={faults} retries={retries} \
-         replans={replans} executed_switches={executed} recoveries={recoveries}",
+         replans={replans} executed_switches={executed} recoveries={recoveries}\n",
         rows.len()
     );
+    Table::of(
+        format!(
+            "\nExtension — correlated failure domains (zone outage × executed switch)\n\
+             (two-zone cloud @ {deadline} deadline, zone 0 dark from t onward; both arms \
+             share the hardened retry policy, only `switch on` may move the fleet's \
+             home zone)"
+        ),
+        rows,
+        &[
+            (right("outage", 8), |r| Cell::text(r.name)),
+            (right("switch", 6), |r| Cell::flag(r.switch, "on", "off")),
+            (right("JCT", 10).bar(), |r| Cell::secs(r.jct_secs)),
+            (right("cost", 9), |r| Cell::Money(r.cost)),
+            (right("hit", 5), |r| Cell::flag(r.hit, "yes", "MISS")),
+            (right("faults", 6), |r| Cell::int(r.faults_injected)),
+            (right("retries", 7), |r| Cell::int(r.retries)),
+            (right("replans", 7), |r| Cell::count(r.replans)),
+            (right("executed", 8), |r| Cell::count(r.executed_switches)),
+        ],
+    )
+    .with_notes(notes)
 }
 
 #[cfg(test)]

@@ -53,20 +53,6 @@ pub fn policy_prediction(
     Ok(plan_with_policy(policy, &sim, spec, deadline, &PlannerConfig::default())?.prediction)
 }
 
-/// Formats a mean ± std pair of seconds as `MM:SS ± MM:SS`.
-pub fn fmt_time_pm(mean_secs: f64, std_secs: f64) -> String {
-    format!(
-        "{} ± {}",
-        SimDuration::from_secs_f64(mean_secs),
-        SimDuration::from_secs_f64(std_secs)
-    )
-}
-
-/// Formats a mean ± std pair of dollars.
-pub fn fmt_cost_pm(mean: f64, std: f64) -> String {
-    format!("${mean:.2} ± ${std:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,11 +75,5 @@ mod tests {
             let pred = policy_prediction(p, &spec, &m, &c, SimDuration::from_mins(60)).unwrap();
             assert!(pred.jct > SimDuration::ZERO);
         }
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_time_pm(61.0, 1.5), "01:01.000 ± 00:01.500");
-        assert_eq!(fmt_cost_pm(15.678, 0.021), "$15.68 ± $0.02");
     }
 }

@@ -15,6 +15,7 @@
 //!   quality, the planning-speed/accuracy trade-off §5 describes.
 
 use crate::common::{fig_cloud, synthetic_rn50};
+use crate::table::{left, right, Cell, Table};
 use crate::tables::{e2e_cloud, physics_for, profiled_model, search_space};
 use rb_core::{Cost, Prng, Result, SimDuration};
 use rb_exec::{run_asha, AshaConfig, ExecOptions, Executor};
@@ -86,30 +87,24 @@ pub fn ext_spot(rates: &[f64], seed: u64) -> Result<(SpotRow, Vec<SpotRow>)> {
     Ok((on_demand, spot_rows))
 }
 
-/// Renders the spot extension.
-pub fn print_ext_spot(on_demand: &SpotRow, rows: &[SpotRow]) {
-    println!("Extension — spot capacity under interruptions");
-    println!("(Table 2 workload, RubberBand plan, spot = 30% of on-demand price)\n");
-    println!(
-        "{:<22} {:>10} {:>12} {:>12}",
-        "capacity", "JCT", "cost", "preemptions"
+/// The spot extension as a table, the on-demand reference first.
+pub fn ext_spot_table(on_demand: &SpotRow, rows: &[SpotRow]) -> Table {
+    let mut labelled = vec![("on-demand".to_string(), on_demand.clone())];
+    labelled.extend(
+        rows.iter()
+            .map(|r| (format!("spot @ {:.1}/h", r.rate_per_hour), r.clone())),
     );
-    println!(
-        "{:<22} {:>10} {:>12} {:>12}",
-        "on-demand",
-        SimDuration::from_secs_f64(on_demand.jct_secs).to_string(),
-        format!("${:.2}", on_demand.cost),
-        on_demand.preemptions
-    );
-    for r in rows {
-        println!(
-            "{:<22} {:>10} {:>12} {:>12}",
-            format!("spot @ {:.1}/h", r.rate_per_hour),
-            SimDuration::from_secs_f64(r.jct_secs).to_string(),
-            format!("${:.2}", r.cost),
-            r.preemptions
-        );
-    }
+    Table::of(
+        "Extension — spot capacity under interruptions\n\
+         (Table 2 workload, RubberBand plan, spot = 30% of on-demand price)",
+        &labelled,
+        &[
+            (left("capacity", 22), |(c, _)| Cell::text(c.as_str())),
+            (right("JCT", 10), |(_, r)| Cell::secs(r.jct_secs)),
+            (right("cost", 12), |(_, r)| Cell::Money(r.cost)),
+            (right("preemptions", 12), |(_, r)| Cell::int(r.preemptions)),
+        ],
+    )
 }
 
 /// One budget setting's outcome for the dual problem.
@@ -151,19 +146,18 @@ pub fn ext_budget(budgets: &[f64]) -> Result<Vec<BudgetRow>> {
     Ok(rows)
 }
 
-/// Renders the budget extension.
-pub fn print_ext_budget(rows: &[BudgetRow]) {
-    println!("Extension — minimum JCT subject to a cost budget (§2 footnote 1)");
-    println!("(SHA(64, 4, 508), ResNet-50 bs=512, μ = 4 s/iter)\n");
-    println!("{:>10} {:>12} {:>12}", "budget", "JCT", "cost");
-    for r in rows {
-        println!(
-            "{:>10} {:>12} {:>12}",
-            format!("${:.2}", r.budget),
-            SimDuration::from_secs_f64(r.jct_secs).to_string(),
-            format!("${:.2}", r.cost)
-        );
-    }
+/// The budget extension as a table.
+pub fn ext_budget_table(rows: &[BudgetRow]) -> Table {
+    Table::of(
+        "Extension — minimum JCT subject to a cost budget (§2 footnote 1)\n\
+         (SHA(64, 4, 508), ResNet-50 bs=512, μ = 4 s/iter)",
+        rows,
+        &[
+            (right("budget", 10), |r| Cell::Money(r.budget)),
+            (right("JCT", 12), |r| Cell::secs(r.jct_secs)),
+            (right("cost", 12), |r| Cell::Money(r.cost)),
+        ],
+    )
 }
 
 /// One row of the ASHA-vs-RubberBand comparison.
@@ -231,7 +225,6 @@ pub fn ext_asha(deadline_mins: u64, seed: u64) -> Result<Vec<AshaVsRbRow>> {
             cluster_gpus,
             deadline,
             initial_trials: 32,
-            sample_new_on_free: true,
             seed,
         };
         let asha = run_asha(&task, &physics, &cloud, &space, &cfg)?;
@@ -246,29 +239,25 @@ pub fn ext_asha(deadline_mins: u64, seed: u64) -> Result<Vec<AshaVsRbRow>> {
     Ok(rows)
 }
 
-/// Renders the ASHA comparison.
-pub fn print_ext_asha(deadline_mins: u64, rows: &[AshaVsRbRow]) {
-    println!("Extension — ASHA baseline comparison (§7)");
-    println!(
-        "(ResNet-101 / CIFAR-10, {deadline_mins}-minute budget, same search space and seeds)
-"
-    );
-    println!(
-        "{:<24} {:>10} {:>10} {:>8} {:>8}",
-        "system", "cost", "accuracy", "trials", "busy"
-    );
-    for r in rows {
-        println!(
-            "{:<24} {:>10} {:>9.1}% {:>8} {:>8}",
-            r.system,
-            format!("${:.2}", r.cost),
-            r.accuracy,
-            r.trials,
-            r.busy_fraction
-                .map(|b| format!("{:.0}%", b * 100.0))
-                .unwrap_or_else(|| "—".into())
-        );
-    }
+/// The ASHA comparison as a table.
+pub fn ext_asha_table(deadline_mins: u64, rows: &[AshaVsRbRow]) -> Table {
+    Table::of(
+        format!(
+            "Extension — ASHA baseline comparison (§7)\n\
+             (ResNet-101 / CIFAR-10, {deadline_mins}-minute budget, same search space and seeds)"
+        ),
+        rows,
+        &[
+            (left("system", 24), |r| Cell::text(r.system.as_str())),
+            (right("cost", 10), |r| Cell::Money(r.cost)),
+            (right("accuracy", 10), |r| Cell::Real(r.accuracy, 1, "%")),
+            (right("trials", 8), |r| Cell::int(r.trials)),
+            (right("busy", 8), |r| {
+                r.busy_fraction
+                    .map_or(Cell::Missing("—"), |b| Cell::Real(b * 100.0, 0, "%"))
+            }),
+        ],
+    )
 }
 
 /// One candidate's row in the instance-selection extension.
@@ -347,30 +336,25 @@ pub fn ext_instances(deadline_mins: u64) -> Result<Vec<InstanceRow>> {
         .collect())
 }
 
-/// Renders the instance-selection extension.
-pub fn print_ext_instances(deadline_mins: u64, rows: &[InstanceRow]) {
-    println!("Extension — instance-type selection (§7, Ernest/CherryPick direction)");
-    println!(
-        "(Table 2 workload under a {deadline_mins}-minute deadline)
-"
-    );
-    println!(
-        "{:<16} {:>12} {:>12} {:>8}",
-        "instance", "cost", "JCT", "chosen"
-    );
-    for r in rows {
-        println!(
-            "{:<16} {:>12} {:>12} {:>8}",
-            r.name,
-            r.cost
-                .map(|c| format!("${c:.2}"))
-                .unwrap_or_else(|| "infeasible".into()),
-            r.jct_secs
-                .map(|j| SimDuration::from_secs_f64(j).to_string())
-                .unwrap_or_else(|| "—".into()),
-            if r.chosen { "✓" } else { "" }
-        );
-    }
+/// The instance-selection extension as a table.
+pub fn ext_instances_table(deadline_mins: u64, rows: &[InstanceRow]) -> Table {
+    Table::of(
+        format!(
+            "Extension — instance-type selection (§7, Ernest/CherryPick direction)\n\
+             (Table 2 workload under a {deadline_mins}-minute deadline)"
+        ),
+        rows,
+        &[
+            (left("instance", 16), |r| Cell::text(r.name.as_str())),
+            (right("cost", 12), |r| {
+                r.cost.map_or(Cell::Missing("infeasible"), Cell::Money)
+            }),
+            (right("JCT", 12), |r| {
+                r.jct_secs.map_or(Cell::Missing("—"), Cell::secs)
+            }),
+            (right("chosen", 8), |r| Cell::flag(r.chosen, "✓", "")),
+        ],
+    )
 }
 
 /// One planner-ablation cell.
@@ -529,40 +513,53 @@ pub fn ablation_warm_pool(seed: u64) -> Result<Vec<WarmPoolRow>> {
     Ok(rows)
 }
 
-/// Renders the warm-pool ablation.
-pub fn print_warm_pool(rows: &[WarmPoolRow]) {
-    println!("Ablation — warm instance pool (zig-zag allocation, 90 s scale-up)\n");
-    println!(
-        "{:<14} {:>10} {:>10} {:>12}",
-        "pool", "JCT", "cost", "provisioned"
-    );
-    for r in rows {
-        println!(
-            "{:<14} {:>10} {:>10} {:>12}",
-            if r.capacity == 0 {
-                "disabled".to_string()
-            } else {
-                format!("{} instances", r.capacity)
-            },
-            SimDuration::from_secs_f64(r.jct_secs).to_string(),
-            format!("${:.2}", r.cost),
-            r.instances
-        );
-    }
-}
-
-/// Renders one ablation table.
-pub fn print_ablation(title: &str, rows: &[AblationRow]) {
-    println!("Ablation — {title}\n");
-    println!("{:<18} {:>12} {:>8}", "variant", "plan cost", "steps");
-    for r in rows {
-        println!(
-            "{:<18} {:>12} {:>8}",
-            r.variant,
-            format!("${:.2}", r.cost),
-            r.steps
-        );
-    }
+/// The four ablations as tables: warm-start multipliers, the
+/// instance-boundary jump and Monte-Carlo samples (at a 20-minute
+/// deadline), then the warm pool; a blank line separates them.
+///
+/// # Errors
+///
+/// Propagates planner and executor errors.
+pub fn ablations() -> Result<Vec<Table>> {
+    let d = SimDuration::from_mins(20);
+    let ablation = |title: &str, rows: &[AblationRow]| {
+        Table::of(
+            title,
+            rows,
+            &[
+                (left("variant", 18), |r| Cell::text(r.variant.as_str())),
+                (right("plan cost", 12), |r| Cell::Money(r.cost)),
+                (right("steps", 8), |r| Cell::count(r.steps)),
+            ],
+        )
+    };
+    Ok(vec![
+        ablation(
+            "Ablation — warm-start multipliers (SHA(64,4,508), 20 min)",
+            &ablation_warm_starts(d)?,
+        ),
+        ablation(
+            "\nAblation — instance-boundary jump candidate (SHA(512,4,508), 20 min)",
+            &ablation_instance_jump(d)?,
+        ),
+        ablation(
+            "\nAblation — Monte-Carlo samples vs plan quality (scored at 200 samples)",
+            &ablation_mc_samples(d)?,
+        ),
+        Table::of(
+            "\nAblation — warm instance pool (zig-zag allocation, 90 s scale-up)",
+            &ablation_warm_pool(1)?,
+            &[
+                (left("pool", 14), |r| match r.capacity {
+                    0 => Cell::text("disabled"),
+                    n => Cell::Text(format!("{n} instances")),
+                }),
+                (right("JCT", 10), |r| Cell::secs(r.jct_secs)),
+                (right("cost", 10), |r| Cell::Money(r.cost)),
+                (right("provisioned", 12), |r| Cell::count(r.instances)),
+            ],
+        ),
+    ])
 }
 
 #[cfg(test)]

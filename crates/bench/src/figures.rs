@@ -2,10 +2,11 @@
 //!
 //! Each function takes the sweep parameters (paper defaults live in the
 //! `repro` binary), runs the static and elastic planners through the
-//! simulator, and returns structured rows; `print_*` renders the text
-//! figure. Infeasible configurations yield `None` entries.
+//! simulator, and returns structured rows; `*_table` turns them into the
+//! figure's [`Table`]. Infeasible configurations yield `None` entries.
 
 use crate::common::{fig_cloud, policy_prediction, synthetic_rn50};
+use crate::table::{left, right, Cell, Column, Table};
 use rb_core::{Cost, SimDuration};
 use rb_hpo::ShaParams;
 use rb_planner::Policy;
@@ -38,22 +39,31 @@ pub fn fig4(gpus: &[u32]) -> Vec<Fig4Row> {
         .collect()
 }
 
-/// Renders Fig. 4 as a table of normalized throughputs.
-pub fn print_fig4(rows: &[Fig4Row]) {
-    println!("Figure 4 — scaling of deep learning models with increasing GPUs");
-    println!("(throughput normalized to 1 GPU; batch 512, 8-GPU nodes)\n");
-    print!("{:<14}", "model");
-    for (g, _) in &rows[0].speedups {
-        print!("{:>8}", format!("{g} GPU"));
+/// Fig. 4 as a table of normalized throughputs, one row per model.
+pub fn fig4_table(rows: &[Fig4Row]) -> Table {
+    let gpus: Vec<u32> = rows[0].speedups.iter().map(|&(g, _)| g).collect();
+    let mut columns = vec![left("model", 14)];
+    columns.extend(gpus.iter().map(|g| right(&format!("{g} GPU"), 7)));
+    let keys = gpus.iter().map(|g| format!("speedup_{g}gpu"));
+    Table {
+        title: "Figure 4 — scaling of deep learning models with increasing GPUs\n\
+                (throughput normalized to 1 GPU; batch 512, 8-GPU nodes)"
+            .into(),
+        columns,
+        rows: rows
+            .iter()
+            .map(|r| {
+                let mut cells = vec![Cell::text(r.model)];
+                cells.extend(r.speedups.iter().map(|&(_, s)| Cell::real(s, 2)));
+                cells
+            })
+            .collect(),
+        ..Table::default()
     }
-    println!();
-    for row in rows {
-        print!("{:<14}", row.model);
-        for (_, s) in &row.speedups {
-            print!("{s:>8.2}");
-        }
-        println!();
-    }
+    .with_csv(
+        "fig4.csv".into(),
+        std::iter::once("model".into()).chain(keys),
+    )
 }
 
 /// One straggler setting's costs (Fig. 9).
@@ -99,28 +109,69 @@ pub fn fig9(sigmas: &[f64], deadline: SimDuration) -> Vec<Fig9Row> {
         .collect()
 }
 
-fn opt(v: Option<f64>) -> String {
-    v.map(|x| format!("${x:.2}")).unwrap_or_else(|| "—".into())
+/// A cost, or `—` when the plan was infeasible.
+fn cost_cell(v: Option<f64>) -> Cell {
+    v.map_or(Cell::Missing("—"), Cell::Money)
 }
 
-/// Renders Fig. 9.
-pub fn print_fig9(rows: &[Fig9Row]) {
-    println!("Figure 9 — impact of stragglers on simulated cost under billing regimes");
-    println!("(SHA(n=64, r=4, R=508), ResNet-50 bs=512, μ = 4 s/iter, p3.8xlarge)\n");
-    println!(
-        "{:>6} | {:>12} {:>12} | {:>12} {:>12}",
-        "σ (s)", "static/inst", "static/func", "elastic/inst", "elastic/func"
-    );
-    for r in rows {
-        println!(
-            "{:>6.1} | {:>12} {:>12} | {:>12} {:>12}",
-            r.sigma,
-            opt(r.static_per_instance),
-            opt(r.static_per_function),
-            opt(r.elastic_per_instance),
-            opt(r.elastic_per_function)
-        );
-    }
+/// Fig. 9 as a table.
+pub fn fig9_table(rows: &[Fig9Row]) -> Table {
+    Table::of(
+        "Figure 9 — impact of stragglers on simulated cost under billing regimes\n\
+         (SHA(n=64, r=4, R=508), ResNet-50 bs=512, μ = 4 s/iter, p3.8xlarge)",
+        rows,
+        &[
+            (right("σ (s)", 6), |r| Cell::real(r.sigma, 1)),
+            (right("static/inst", 12).bar(), |r| {
+                cost_cell(r.static_per_instance)
+            }),
+            (right("static/func", 12), |r| {
+                cost_cell(r.static_per_function)
+            }),
+            (right("elastic/inst", 12).bar(), |r| {
+                cost_cell(r.elastic_per_instance)
+            }),
+            (right("elastic/func", 12), |r| {
+                cost_cell(r.elastic_per_function)
+            }),
+        ],
+    )
+    .with_csv(
+        "fig9.csv".into(),
+        [
+            "sigma_secs",
+            "static_per_instance",
+            "static_per_function",
+            "elastic_per_instance",
+            "elastic_per_function",
+        ],
+    )
+}
+
+/// One Fig. 10–12 panel: a first column with its CSV key, then the
+/// static and elastic costs and their ratio; each panel ends with a
+/// blank line.
+fn cost_table(
+    title: String,
+    (first, key): (Column, &str),
+    rows: &[(Cell, Option<f64>, Option<f64>)],
+    csv: String,
+) -> Table {
+    Table::of(
+        title,
+        rows,
+        &[
+            (first, |r| r.0.clone()),
+            (right("static", 12).bar(), |r| cost_cell(r.1)),
+            (right("elastic", 12), |r| cost_cell(r.2)),
+            (right("ratio", 8), |r| match (r.1, r.2) {
+                (Some(s), Some(e)) if e > 0.0 => Cell::Real(s / e, 2, "x"),
+                _ => Cell::Missing("—"),
+            }),
+        ],
+    )
+    .with_notes("\n")
+    .with_csv(csv, [key, "static_cost", "elastic_cost", "ratio"])
 }
 
 /// One data-price setting's costs (Fig. 10).
@@ -158,26 +209,18 @@ pub fn fig10(dataset_gb: f64, prices: &[f64], deadline: SimDuration) -> Vec<Fig1
         .collect()
 }
 
-/// Renders Fig. 10 (one panel).
-pub fn print_fig10(dataset: &str, gb: f64, rows: &[Fig10Row]) {
-    println!("Figure 10 ({dataset}, {gb} GB) — impact of data I/O pricing\n");
-    println!(
-        "{:>10} | {:>12} {:>12} {:>8}",
-        "$/GB", "static", "elastic", "ratio"
-    );
-    for r in rows {
-        let ratio = match (r.static_cost, r.elastic_cost) {
-            (Some(s), Some(e)) if e > 0.0 => format!("{:.2}x", s / e),
-            _ => "—".into(),
-        };
-        println!(
-            "{:>10.3} | {:>12} {:>12} {:>8}",
-            r.price_per_gb,
-            opt(r.static_cost),
-            opt(r.elastic_cost),
-            ratio
-        );
-    }
+/// One Fig. 10 panel as a table.
+pub fn fig10_table(dataset: &str, gb: f64, rows: &[Fig10Row]) -> Table {
+    let rows: Vec<_> = rows
+        .iter()
+        .map(|r| (Cell::real(r.price_per_gb, 3), r.static_cost, r.elastic_cost))
+        .collect();
+    cost_table(
+        format!("Figure 10 ({dataset}, {gb} GB) — impact of data I/O pricing"),
+        (right("$/GB", 10), "price_per_gb"),
+        &rows,
+        format!("fig10_{}.csv", dataset.to_lowercase().replace('-', "")),
+    )
 }
 
 /// One job-size setting's costs (Fig. 11).
@@ -217,26 +260,21 @@ pub fn fig11(trial_counts: &[u32], per_function: bool, deadline: SimDuration) ->
         .collect()
 }
 
-/// Renders Fig. 11 (one panel).
-pub fn print_fig11(billing: &str, rows: &[Fig11Row]) {
-    println!("Figure 11 ({billing}) — cost vs number of trials (SHA(k, 4, 508), 20 min)\n");
-    println!(
-        "{:>8} | {:>12} {:>12} {:>8}",
-        "trials", "static", "elastic", "ratio"
-    );
-    for r in rows {
-        let ratio = match (r.static_cost, r.elastic_cost) {
-            (Some(s), Some(e)) if e > 0.0 => format!("{:.2}x", s / e),
-            _ => "—".into(),
-        };
-        println!(
-            "{:>8} | {:>12} {:>12} {:>8}",
-            r.trials,
-            opt(r.static_cost),
-            opt(r.elastic_cost),
-            ratio
-        );
-    }
+/// One Fig. 11 panel as a table.
+pub fn fig11_table(per_function: bool, rows: &[Fig11Row]) -> Table {
+    let billing = if per_function { "function" } else { "instance" };
+    let rows: Vec<_> = rows
+        .iter()
+        .map(|r| (Cell::int(r.trials), r.static_cost, r.elastic_cost))
+        .collect();
+    cost_table(
+        format!(
+            "Figure 11 (pay-per-{billing}) — cost vs number of trials (SHA(k, 4, 508), 20 min)"
+        ),
+        (right("trials", 8), "trials"),
+        &rows,
+        format!("fig11_per_{billing}.csv"),
+    )
 }
 
 /// One (init latency, deadline) cell (Fig. 12).
@@ -274,29 +312,27 @@ pub fn fig12(init_secs: f64, deadline_mins: &[u64]) -> Vec<Fig12Row> {
         .collect()
 }
 
-/// Renders Fig. 12 (one panel).
-pub fn print_fig12(init_secs: f64, rows: &[Fig12Row]) {
-    println!(
-        "Figure 12 ({init_secs:.0} s init latency) — cost vs time constraint \
-         (SHA(512, 4, 4096), μ = 12 s/iter)\n"
-    );
-    println!(
-        "{:>10} | {:>12} {:>12} {:>8}",
-        "deadline", "static", "elastic", "ratio"
-    );
-    for r in rows {
-        let ratio = match (r.static_cost, r.elastic_cost) {
-            (Some(s), Some(e)) if e > 0.0 => format!("{:.2}x", s / e),
-            _ => "—".into(),
-        };
-        println!(
-            "{:>9}m | {:>12} {:>12} {:>8}",
-            r.deadline_mins,
-            opt(r.static_cost),
-            opt(r.elastic_cost),
-            ratio
-        );
-    }
+/// One Fig. 12 panel as a table.
+pub fn fig12_table(init_secs: f64, rows: &[Fig12Row]) -> Table {
+    let rows: Vec<_> = rows
+        .iter()
+        .map(|r| {
+            (
+                Cell::Int(r.deadline_mins, "m"),
+                r.static_cost,
+                r.elastic_cost,
+            )
+        })
+        .collect();
+    cost_table(
+        format!(
+            "Figure 12 ({init_secs:.0} s init latency) — cost vs time constraint \
+             (SHA(512, 4, 4096), μ = 12 s/iter)"
+        ),
+        (right("deadline", 10), "deadline_mins"),
+        &rows,
+        format!("fig12_init{init_secs:.0}s.csv"),
+    )
 }
 
 #[cfg(test)]

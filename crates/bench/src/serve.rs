@@ -25,6 +25,7 @@
 //! `scripts/expected_ext_serve.txt`; a drift means the scheduler, the
 //! pool lifecycle, or the billing accounting changed behaviour.
 
+use crate::table::{left, right, Cell, Table};
 use crate::tables::physics_for;
 use rb_cloud::catalog::P3_8XLARGE;
 use rb_cloud::{CloudPricing, PoolConfig};
@@ -325,6 +326,10 @@ pub fn ext_serve_contended_with_jobs(
     Ok((cells, jobs))
 }
 
+/// Hyperband shape `(r, R, η)` shared by the sweep runner and its
+/// header line.
+const HYPERBAND_SHAPE: (u64, u64, u32) = (1, 4, 2);
+
 /// Runs the Hyperband job-group pair: one tenant submits the brackets
 /// of `hyperband(r=1, R=4, η=2)` as bracket-tagged jobs, once without
 /// and once with the pool (plus pool-aware admission). Bracket-tagged
@@ -335,10 +340,6 @@ pub fn ext_serve_contended_with_jobs(
 ///
 /// Propagates bracket-generation, planning, service, and executor
 /// errors.
-/// Hyperband shape `(r, R, η)` shared by the sweep runner and its
-/// header line.
-const HYPERBAND_SHAPE: (u64, u64, u32) = (1, 4, 2);
-
 pub fn ext_serve_hyperband(seed: u64) -> Result<Vec<ServeCell>> {
     let (r, big_r, eta) = HYPERBAND_SHAPE;
     let task = rb_train::task::resnet101_cifar10();
@@ -379,17 +380,20 @@ pub fn ext_serve_hyperband(seed: u64) -> Result<Vec<ServeCell>> {
     Ok(cells)
 }
 
-/// Renders the serial sweep, ending with a machine-checkable summary
+/// The serial sweep as a table, ending with a machine-checkable summary
 /// line.
-pub fn print_ext_serve(cells: &[ServeCell]) {
-    println!("Extension — multi-tenant service with a shared elastic instance pool");
-    println!("(4 jobs/cell, serial dispatch, paid ingress; pool pairs share seeds)\n");
-    print_cells(cells);
+pub fn ext_serve_table(cells: &[ServeCell]) -> Table {
     let s = PairSummary::over(cells);
-    println!(
+    cells_table(
+        "Extension — multi-tenant service with a shared elastic instance pool\n\
+         (4 jobs/cell, serial dispatch, paid ingress; pool pairs share seeds)"
+            .into(),
+        cells,
+    )
+    .with_notes(format!(
         "\next-serve summary: cells={} pairs={} pool_cheaper={} \
          wait_regressions={} handoffs={} \
-         expirations={} double_releases={} saved=${:.4}",
+         expirations={} double_releases={} saved=${:.4}\n",
         cells.len(),
         s.pairs,
         s.cheaper,
@@ -398,20 +402,23 @@ pub fn print_ext_serve(cells: &[ServeCell]) {
         s.expirations,
         s.double_releases,
         s.saved.as_dollars()
-    );
+    ))
 }
 
-/// Renders the contended sweep, ending with a machine-checkable
-/// summary line.
-pub fn print_ext_serve_contended(cells: &[ServeCell]) {
-    println!("\nExtension — contended pools: 2 slots, downscaling plans, pool admission");
-    println!("(6 jobs/cell; running jobs race for parked instances at barriers)\n");
-    print_cells(cells);
+/// The contended sweep as a table, after a blank line, ending with a
+/// machine-checkable summary line.
+pub fn ext_serve_contended_table(cells: &[ServeCell]) -> Table {
     let s = PairSummary::over(cells);
-    println!(
+    cells_table(
+        "\nExtension — contended pools: 2 slots, downscaling plans, pool admission\n\
+         (6 jobs/cell; running jobs race for parked instances at barriers)"
+            .into(),
+        cells,
+    )
+    .with_notes(format!(
         "\next-serve contended summary: cells={} pairs={} pool_cheaper={} \
          wait_regressions={} handoffs={} pool_admits={} \
-         conflicts={} double_releases={} saved=${:.4}",
+         conflicts={} double_releases={} saved=${:.4}\n",
         cells.len(),
         s.pairs,
         s.cheaper,
@@ -421,12 +428,12 @@ pub fn print_ext_serve_contended(cells: &[ServeCell]) {
         s.conflicts,
         s.double_releases,
         s.saved.as_dollars()
-    );
+    ))
 }
 
-/// Renders the Hyperband job-group pair, ending with a
-/// machine-checkable summary line.
-pub fn print_ext_serve_hyperband(cells: &[ServeCell]) {
+/// The Hyperband job-group pair as a table, after a blank line, ending
+/// with a machine-checkable summary line.
+pub fn ext_serve_hyperband_table(cells: &[ServeCell]) -> Table {
     let (r, big_r, eta) = HYPERBAND_SHAPE;
     let ladder = rb_hpo::hyperband_brackets(r, big_r, eta)
         .map(|brackets| {
@@ -437,14 +444,18 @@ pub fn print_ext_serve_hyperband(cells: &[ServeCell]) {
                 .join(" · ")
         })
         .unwrap_or_default();
-    println!("\nExtension — Hyperband bracket group through the service");
-    println!("(one tenant, brackets {ladder}, group pool affinity)\n");
-    print_cells(cells);
     let s = PairSummary::over(cells);
-    println!(
+    cells_table(
+        format!(
+            "\nExtension — Hyperband bracket group through the service\n\
+             (one tenant, brackets {ladder}, group pool affinity)"
+        ),
+        cells,
+    )
+    .with_notes(format!(
         "\next-serve hyperband summary: cells={} brackets={} pool_cheaper={} \
          wait_regressions={} handoffs={} pool_admits={} \
-         conflicts={} saved=${:.4}",
+         conflicts={} saved=${:.4}\n",
         cells.len(),
         cells.first().map_or(0, |c| c.completed),
         s.cheaper,
@@ -453,43 +464,36 @@ pub fn print_ext_serve_hyperband(cells: &[ServeCell]) {
         s.pool_admits,
         s.conflicts,
         s.saved.as_dollars()
-    );
+    ))
 }
 
-fn print_cells(cells: &[ServeCell]) {
-    println!(
-        "{:<8} {:>6} {:>6} {:>5} {:>4} {:>10} {:>10} {:>9} {:>11} {:>9} {:>7}",
-        "tenants",
-        "gap_s",
-        "pool",
-        "done",
-        "rej",
-        "billed",
-        "net",
-        "p50_wait",
-        "makespan",
-        "handoffs",
-        "admits"
-    );
-    for c in cells {
-        println!(
-            "{:<8} {:>6} {:>6} {:>5} {:>4} {:>10} {:>10} {:>8.0}s {:>10.0}s {:>9} {:>7}",
-            c.tenants,
-            c.gap_secs,
-            if c.pool { "on" } else { "off" },
-            c.completed,
-            c.rejected,
-            format!("{}", c.billed),
-            format!("{}", c.net),
-            c.p50_wait_secs,
-            c.makespan_secs,
-            c.handoffs,
-            c.pool_admits
-        );
-    }
+/// One sub-sweep's cells under `title`.
+fn cells_table(title: String, cells: &[ServeCell]) -> Table {
+    Table::of(
+        title,
+        cells,
+        &[
+            (left("tenants", 8), |c| Cell::count(c.tenants)),
+            (right("gap_s", 6), |c| Cell::int(c.gap_secs)),
+            (right("pool", 6), |c| Cell::flag(c.pool, "on", "off")),
+            (right("done", 5), |c| Cell::count(c.completed)),
+            (right("rej", 4), |c| Cell::count(c.rejected)),
+            (right("billed", 10), |c| Cell::Cost(c.billed)),
+            (right("net", 10), |c| Cell::Cost(c.net)),
+            (right("p50_wait", 9), |c| {
+                Cell::Real(c.p50_wait_secs, 0, "s")
+            }),
+            (right("makespan", 11), |c| {
+                Cell::Real(c.makespan_secs, 0, "s")
+            }),
+            (right("handoffs", 9), |c| Cell::int(c.handoffs)),
+            (right("admits", 7), |c| Cell::int(c.pool_admits)),
+        ],
+    )
 }
 
 /// Pairwise aggregates over adjacent pool-off/pool-on cells.
+#[derive(Default)]
 struct PairSummary {
     pairs: u64,
     cheaper: u64,
@@ -504,17 +508,7 @@ struct PairSummary {
 
 impl PairSummary {
     fn over(cells: &[ServeCell]) -> PairSummary {
-        let mut s = PairSummary {
-            pairs: 0,
-            cheaper: 0,
-            wait_regressions: 0,
-            handoffs: 0,
-            expirations: 0,
-            double_releases: 0,
-            conflicts: 0,
-            pool_admits: 0,
-            saved: Cost::ZERO,
-        };
+        let mut s = PairSummary::default();
         // Pool-off/pool-on pairs are adjacent by construction.
         for pair in cells.chunks_exact(2) {
             let (off, on) = (&pair[0], &pair[1]);

@@ -5,7 +5,7 @@
 //! sampled noise, migrations, provisioning and billing, not the planner's
 //! model.
 
-use crate::common::{fmt_cost_pm, fmt_time_pm};
+use crate::table::{left, right, Cell, Table};
 use rb_cloud::catalog::{P3_16XLARGE, P3_8XLARGE};
 use rb_cloud::CloudPricing;
 use rb_core::stats::OnlineStats;
@@ -134,28 +134,35 @@ pub fn table1(seeds: &[u64]) -> Result<Vec<Table1Row>> {
     Ok(rows)
 }
 
-/// Renders Table 1.
-pub fn print_table1(rows: &[Table1Row]) {
-    println!("Table 1 — placement controller sample throughput (samples/s)");
-    println!("(ResNet-50, batch 1024, p3.16xlarge)\n");
-    println!(
-        "{:>7} | {:>20} | {:>20}",
-        "# GPUs", "placement", "no placement"
-    );
-    for r in rows {
-        println!(
-            "{:>7} | {:>9.2} ± {:>8.2} | {:>9.2} ± {:>8.2}",
-            r.gpus, r.placed_mean, r.placed_std, r.scattered_mean, r.scattered_std
-        );
+/// Table 1 as a table, ending with the 1→N GPU scaling line.
+pub fn table1_table(rows: &[Table1Row]) -> Table {
+    fn pm(mean: f64, std: f64) -> Cell {
+        Cell::Pm(Box::new([Cell::real(mean, 2), Cell::real(std, 2)]), [9, 8])
     }
-    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
-        println!(
-            "\nscaling 1→{} GPUs: {:.1}x with placement, {:.1}x without",
+    let notes = match (rows.first(), rows.last()) {
+        (Some(first), Some(last)) => format!(
+            "\nscaling 1→{} GPUs: {:.1}x with placement, {:.1}x without\n",
             last.gpus,
             last.placed_mean / first.placed_mean,
             last.scattered_mean / first.scattered_mean
-        );
-    }
+        ),
+        _ => String::new(),
+    };
+    Table::of(
+        "Table 1 — placement controller sample throughput (samples/s)\n\
+         (ResNet-50, batch 1024, p3.16xlarge)",
+        rows,
+        &[
+            (right("# GPUs", 7), |r| Cell::int(r.gpus)),
+            (right("placement", 20).bar(), |r| {
+                pm(r.placed_mean, r.placed_std)
+            }),
+            (right("no placement", 20).bar(), |r| {
+                pm(r.scattered_mean, r.scattered_std)
+            }),
+        ],
+    )
+    .with_notes(notes)
 }
 
 // --------------------------------------------------------------------------
@@ -248,46 +255,38 @@ pub fn table2(deadlines_mins: &[u64], seeds: &[u64]) -> Result<Vec<Table2Row>> {
     Ok(rows)
 }
 
-/// Renders Table 2.
-pub fn print_table2(rows: &[Table2Row]) {
-    println!("Table 2 — cost to complete workload across time constraints");
-    println!("(ResNet-101 / CIFAR-10, SHA(n=32, r=1, R=50, η=3), p3.8xlarge)\n");
-    println!(
-        "{:<14} {:>5} {:>22} {:>16} {:>22} {:>16} {:>14}",
-        "policy", "max", "JCT (sim)", "cost (sim)", "JCT (real)", "cost (real)", "acc (%)"
-    );
-    for r in rows {
-        let sim_jct = r
-            .sim
-            .map(|p| fmt_time_pm(p.jct.as_secs_f64(), p.jct_std_secs))
-            .unwrap_or_else(|| "infeasible".into());
-        let sim_cost = r
-            .sim
-            .map(|p| fmt_cost_pm(p.cost.as_dollars(), p.cost_std.as_dollars()))
-            .unwrap_or_default();
-        let real_jct = r
-            .real_jct
-            .map(|(m, s)| fmt_time_pm(m, s))
-            .unwrap_or_else(|| "*".into());
-        let real_cost = r
-            .real_cost
-            .map(|(m, s)| fmt_cost_pm(m, s))
-            .unwrap_or_else(|| "*".into());
-        let acc = r
-            .accuracy
-            .map(|(m, s)| format!("{m:.1} ± {s:.1}"))
-            .unwrap_or_else(|| "*".into());
-        println!(
-            "{:<14} {:>4}m {:>22} {:>16} {:>22} {:>16} {:>14}",
-            r.policy.to_string(),
-            r.max_time_mins,
-            sim_jct,
-            sim_cost,
-            real_jct,
-            real_cost,
-            acc
-        );
-    }
+/// Table 2 as a table.
+pub fn table2_table(rows: &[Table2Row]) -> Table {
+    Table::of(
+        "Table 2 — cost to complete workload across time constraints\n\
+         (ResNet-101 / CIFAR-10, SHA(n=32, r=1, R=50, η=3), p3.8xlarge)",
+        rows,
+        &[
+            (left("policy", 14), |r| Cell::text(r.policy.to_string())),
+            (right("max", 5), |r| Cell::Int(r.max_time_mins, "m")),
+            (right("JCT (sim)", 22), |r| {
+                r.sim.map_or(Cell::Missing("infeasible"), |p| {
+                    Cell::time_pm((p.jct.as_secs_f64(), p.jct_std_secs))
+                })
+            }),
+            (right("cost (sim)", 16), |r| {
+                r.sim.map_or(Cell::Missing(""), |p| {
+                    Cell::money_pm((p.cost.as_dollars(), p.cost_std.as_dollars()))
+                })
+            }),
+            (right("JCT (real)", 22), |r| {
+                r.real_jct.map_or(Cell::Missing("*"), Cell::time_pm)
+            }),
+            (right("cost (real)", 16), |r| {
+                r.real_cost.map_or(Cell::Missing("*"), Cell::money_pm)
+            }),
+            (right("acc (%)", 14), |r| {
+                r.accuracy.map_or(Cell::Missing("*"), |(m, s)| {
+                    Cell::Pm(Box::new([Cell::real(m, 1), Cell::real(s, 1)]), [0, 0])
+                })
+            }),
+        ],
+    )
 }
 
 /// Table 3: the cluster schedule of the RubberBand plan at the tightest
@@ -301,17 +300,21 @@ pub fn table3(rows: &[Table2Row]) -> Option<Vec<ScheduleRow>> {
     Some(render_schedule(&spec, tightest.plan.as_ref()?, 4))
 }
 
-/// Renders Table 3.
-pub fn print_table3(rows: &[ScheduleRow]) {
-    println!("Table 3 — example cluster schedule for elastic training");
-    println!("(the RubberBand plan at the tightest deadline)\n");
-    println!(
-        "{:>11} {:>6} {:>9} {:>12}",
-        "epoch range", "trials", "GPUs/trial", "cluster size"
-    );
-    for row in rows {
-        println!("{row}");
-    }
+/// Table 3 as a table; it follows Table 2 after a blank line.
+pub fn table3_table(rows: &[ScheduleRow]) -> Table {
+    Table::of(
+        "\nTable 3 — example cluster schedule for elastic training\n\
+         (the RubberBand plan at the tightest deadline)",
+        rows,
+        &[
+            (right("epoch range", 11), |r| {
+                Cell::Text(format!("{:>5}-{:<5}", r.epoch_range.0, r.epoch_range.1))
+            }),
+            (right("trials", 6), |r| Cell::int(r.trials)),
+            (right("GPUs/trial", 9), |r| Cell::int(r.gpus_per_trial)),
+            (right("cluster size", 12), |r| Cell::int(r.cluster_size)),
+        ],
+    )
 }
 
 // --------------------------------------------------------------------------
@@ -401,27 +404,21 @@ pub fn table4(seeds: &[u64]) -> Result<Vec<Table4Row>> {
     Ok(rows)
 }
 
-/// Renders Table 4.
-pub fn print_table4(rows: &[Table4Row]) {
-    println!("Table 4 — cost to complete workload across models (executed, 3 seeds)\n");
-    println!(
-        "{:<24} {:>6} {:>18} {:>18}",
-        "model", "time", "fixed", "rubberband"
-    );
-    for r in rows {
-        let f = r
-            .fixed_cost
-            .map(|(m, s)| fmt_cost_pm(m, s))
-            .unwrap_or_else(|| "infeasible".into());
-        let e = r
-            .rubberband_cost
-            .map(|(m, s)| fmt_cost_pm(m, s))
-            .unwrap_or_else(|| "infeasible".into());
-        println!(
-            "{:<24} {:>5}m {:>18} {:>18}",
-            r.model, r.max_time_mins, f, e
-        );
+/// Table 4 as a table.
+pub fn table4_table(rows: &[Table4Row]) -> Table {
+    fn cost(c: Option<(f64, f64)>) -> Cell {
+        c.map_or(Cell::Missing("infeasible"), Cell::money_pm)
     }
+    Table::of(
+        "Table 4 — cost to complete workload across models (executed, 3 seeds)",
+        rows,
+        &[
+            (left("model", 24), |r| Cell::text(r.model)),
+            (right("time", 6), |r| Cell::Int(r.max_time_mins, "m")),
+            (right("fixed", 18), |r| cost(r.fixed_cost)),
+            (right("rubberband", 18), |r| cost(r.rubberband_cost)),
+        ],
+    )
 }
 
 #[cfg(test)]

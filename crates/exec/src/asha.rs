@@ -11,7 +11,7 @@
 //!
 //! This executor reproduces ASHA faithfully enough to measure both
 //! effects: an event-driven loop over a fixed pool of worker slots, rung
-//! bookkeeping with top-`1/η` promotion, optional new-configuration
+//! bookkeeping with top-`1/η` promotion, new-configuration
 //! sampling, and the same billing/physics substrate as the RubberBand
 //! executor — so cost and accuracy-at-deadline are directly comparable.
 
@@ -38,13 +38,10 @@ pub struct AshaConfig {
     pub cluster_gpus: u32,
     /// Wall-clock budget; the experiment stops at this deadline.
     pub deadline: SimDuration,
-    /// Configurations sampled up-front as the initial cohort.
+    /// Configurations sampled up-front as the initial cohort; once it is
+    /// exhausted, a freed worker with nothing to promote samples a new
+    /// configuration.
     pub initial_trials: u32,
-    /// Sample a new configuration when no trial is promotable and the
-    /// initial cohort is exhausted (true is ASHA's behaviour; false
-    /// leaves the worker idle, isolating the promotion rule from the
-    /// sampling policy).
-    pub sample_new_on_free: bool,
     /// Root seed.
     pub seed: u64,
 }
@@ -66,8 +63,8 @@ pub struct AshaReport {
     pub cost: Cost,
     /// Wall-clock time used (the deadline, or earlier if work ran out).
     pub elapsed: SimDuration,
-    /// Fraction of slot-time spent training (idle slots decay this when
-    /// `sample_new_on_free` is off).
+    /// Fraction of slot-time spent training; a slot idles only after its
+    /// promoted trial has already reached `R`.
     pub busy_fraction: f64,
 }
 
@@ -199,7 +196,7 @@ pub fn run_asha(
         |k: usize| -> u64 { (cfg.r * u64::from(cfg.eta).pow(k as u32)).min(cfg.big_r) };
 
     // Assign work to a freed slot: promote if possible, else start the
-    // next cohort member, else sample a new configuration (if allowed).
+    // next cohort member, else sample a new configuration.
     let assign = |state: &mut AshaState,
                   trials: &mut BTreeMap<TrialId, Trial>,
                   trial_rngs: &mut BTreeMap<TrialId, Prng>,
@@ -219,17 +216,13 @@ pub fn run_asha(
         if let Some(id) = pending.pop() {
             return Some((id, 0));
         }
-        if cfg.sample_new_on_free {
-            let id = TrialId::new(*next_id);
-            *next_id += 1;
-            let config = space.sample(rng);
-            let seed = cfg.seed ^ id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            trials.insert(id, Trial::new(id, config, seed));
-            trial_rngs.insert(id, Prng::seed_from_u64(seed ^ 0x7A1A_11CE));
-            Some((id, 0))
-        } else {
-            None
-        }
+        let id = TrialId::new(*next_id);
+        *next_id += 1;
+        let config = space.sample(rng);
+        let seed = cfg.seed ^ id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        trials.insert(id, Trial::new(id, config, seed));
+        trial_rngs.insert(id, Prng::seed_from_u64(seed ^ 0x7A1A_11CE));
+        Some((id, 0))
     };
 
     // Event loop: a min-heap of (finish_time, slot) would do, but with a
@@ -253,8 +246,7 @@ pub fn run_asha(
     }
 
     // Event loop: repeatedly take the earliest-finishing slot. Ends when
-    // everything idles (no promotable work and sampling off) or the
-    // deadline hits.
+    // the deadline hits, or earlier if every slot idles.
     while let Some((slot, (trial, rung, seg_start))) = slot_state
         .iter()
         .enumerate()
@@ -376,7 +368,7 @@ mod tests {
         (task, physics, cloud, space)
     }
 
-    fn config(deadline_mins: u64, sample_new: bool) -> AshaConfig {
+    fn config(deadline_mins: u64) -> AshaConfig {
         AshaConfig {
             eta: 3,
             r: 1,
@@ -385,7 +377,6 @@ mod tests {
             cluster_gpus: 8,
             deadline: SimDuration::from_mins(deadline_mins),
             initial_trials: 16,
-            sample_new_on_free: sample_new,
             seed: 11,
         }
     }
@@ -393,7 +384,7 @@ mod tests {
     #[test]
     fn asha_finds_a_good_configuration() {
         let (task, physics, cloud, space) = setup();
-        let report = run_asha(&task, &physics, &cloud, &space, &config(30, true)).unwrap();
+        let report = run_asha(&task, &physics, &cloud, &space, &config(30)).unwrap();
         assert!(report.trials_sampled > 16, "should keep sampling");
         assert!(report.promotions > 0, "should promote top performers");
         assert!(report.best_accuracy > 0.5, "got {}", report.best_accuracy);
@@ -404,8 +395,8 @@ mod tests {
     #[test]
     fn asha_is_deterministic() {
         let (task, physics, cloud, space) = setup();
-        let a = run_asha(&task, &physics, &cloud, &space, &config(20, true)).unwrap();
-        let b = run_asha(&task, &physics, &cloud, &space, &config(20, true)).unwrap();
+        let a = run_asha(&task, &physics, &cloud, &space, &config(20)).unwrap();
+        let b = run_asha(&task, &physics, &cloud, &space, &config(20)).unwrap();
         assert_eq!(a.best_accuracy, b.best_accuracy);
         assert_eq!(a.trials_sampled, b.trials_sampled);
         assert_eq!(a.cost, b.cost);
@@ -414,27 +405,11 @@ mod tests {
     #[test]
     fn longer_deadlines_do_not_hurt() {
         let (task, physics, cloud, space) = setup();
-        let short = run_asha(&task, &physics, &cloud, &space, &config(10, true)).unwrap();
-        let long = run_asha(&task, &physics, &cloud, &space, &config(40, true)).unwrap();
+        let short = run_asha(&task, &physics, &cloud, &space, &config(10)).unwrap();
+        let long = run_asha(&task, &physics, &cloud, &space, &config(40)).unwrap();
         assert!(long.best_accuracy >= short.best_accuracy - 0.02);
         assert!(long.cost > short.cost, "holding the pool longer costs more");
         assert!(long.trials_sampled >= short.trials_sampled);
-    }
-
-    #[test]
-    fn without_sampling_slots_idle_and_utilization_decays() {
-        let (task, physics, cloud, space) = setup();
-        let sampling = run_asha(&task, &physics, &cloud, &space, &config(30, true)).unwrap();
-        let idle = run_asha(&task, &physics, &cloud, &space, &config(30, false)).unwrap();
-        assert!(
-            idle.busy_fraction < sampling.busy_fraction,
-            "idle {} !< sampling {}",
-            idle.busy_fraction,
-            sampling.busy_fraction
-        );
-        // Only the initial cohort ever runs.
-        assert_eq!(idle.trials_sampled, 16);
-        assert!(idle.cost <= sampling.cost, "idle pool cannot cost more");
     }
 
     #[test]
@@ -442,19 +417,16 @@ mod tests {
         let (task, physics, cloud, space) = setup();
         let bad_eta = AshaConfig {
             eta: 1,
-            ..config(10, true)
+            ..config(10)
         };
         assert!(run_asha(&task, &physics, &cloud, &space, &bad_eta).is_err());
         let bad_cluster = AshaConfig {
             cluster_gpus: 2,
             gpus_per_trial: 4,
-            ..config(10, true)
+            ..config(10)
         };
         assert!(run_asha(&task, &physics, &cloud, &space, &bad_cluster).is_err());
-        let bad_r = AshaConfig {
-            r: 0,
-            ..config(10, true)
-        };
+        let bad_r = AshaConfig { r: 0, ..config(10) };
         assert!(run_asha(&task, &physics, &cloud, &space, &bad_r).is_err());
     }
 }

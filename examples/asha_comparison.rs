@@ -50,7 +50,6 @@ fn main() {
                 cluster_gpus: gpus,
                 deadline,
                 initial_trials: 32,
-                sample_new_on_free: true,
                 seed: 1,
             },
         )

@@ -66,8 +66,6 @@ allow=(
     # `NEXT_TEMPLATE_ID` keeps template ids unique; a `static` must be
     # `Sync`.
     '^crates/sim/src/dag[.]rs:[0-9]+:(use std::sync::atomic::|.*NEXT_TEMPLATE_ID)'
-    # `repro`'s `static FAILED`; a `static` must be `Sync`.
-    '^crates/bench/src/bin/repro[.]rs:'
     # The benchmark's own timing recorder: its files change only with
     # the benchmark.
     '^crates/bench/src/bin/perf/'
@@ -119,6 +117,19 @@ repro_dir=$(mktemp -d)
 (cd "$repro_dir" && cargo run --manifest-path "$repo/Cargo.toml" \
     -p rb-bench --release --offline --bin repro -- --csv all) > "$repro_dir/all.txt"
 diff -u scripts/expected_repro_all.txt "$repro_dir/all.txt"
+echo "ok"
+
+echo "== figure CSVs (repro --csv all must write the pinned files) =="
+# The same run's repro_out/*.csv, concatenated in byte-sorted file order,
+# each under a `== name ==` line. Every figure table is written in wide
+# form: numbers undecorated at 6 decimals, integers plain, a missing
+# value as an empty field. A drift here means a figure's data or the CSV
+# renderer changed.
+(cd "$repro_dir/repro_out" && for f in $(LC_ALL=C ls -- *.csv); do
+    echo "== $f =="
+    cat "$f"
+done) > "$repro_dir/csv.txt"
+diff -u scripts/expected_repro_csv.txt "$repro_dir/csv.txt"
 rm -rf "$repro_dir"
 echo "ok"
 
