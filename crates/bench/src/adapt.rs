@@ -48,7 +48,7 @@ pub struct DriftScenario {
 
 impl DriftScenario {
     /// A calibrated scenario (no injected error).
-    pub fn calm() -> Self {
+    pub const fn calm() -> Self {
         DriftScenario {
             slowdown: 1.0,
             comm_slowdown: 1.0,
@@ -57,7 +57,7 @@ impl DriftScenario {
     }
 
     /// Uniform slowdown only.
-    pub fn uniform(slowdown: f64) -> Self {
+    pub const fn uniform(slowdown: f64) -> Self {
         DriftScenario {
             slowdown,
             comm_slowdown: 1.0,
@@ -66,7 +66,7 @@ impl DriftScenario {
     }
 
     /// Communication contention only.
-    pub fn contention(comm_slowdown: f64) -> Self {
+    pub const fn contention(comm_slowdown: f64) -> Self {
         DriftScenario {
             slowdown: 1.0,
             comm_slowdown,
@@ -75,7 +75,7 @@ impl DriftScenario {
     }
 
     /// A degraded node under every `gang_gpus`-GPU gang only.
-    pub fn straggler(gang_gpus: u32, factor: f64) -> Self {
+    pub const fn straggler(gang_gpus: u32, factor: f64) -> Self {
         DriftScenario {
             slowdown: 1.0,
             comm_slowdown: 1.0,
@@ -192,6 +192,64 @@ pub fn drifted_physics(
         });
     }
     p
+}
+
+/// The axes of an [`ext_adapt`] sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct AdaptSweep {
+    /// Injected drift scenarios.
+    pub scenarios: &'static [DriftScenario],
+    /// Spot interruption rates per hour (0 = on-demand).
+    pub rates: &'static [f64],
+    /// Re-plan thresholds of the drift monitor.
+    pub thresholds: &'static [f64],
+    /// Watchdog settings (off, on).
+    pub watchdogs: &'static [bool],
+}
+
+impl AdaptSweep {
+    /// The reduced sweep: `repro quick ext-adapt` prints it and `repro
+    /// fleet` records its runs.
+    pub const QUICK: AdaptSweep = AdaptSweep {
+        scenarios: &[
+            DriftScenario::calm(),
+            DriftScenario::uniform(1.5),
+            DriftScenario::straggler(4, 6.0),
+        ],
+        rates: &[0.0, 1.0],
+        thresholds: &[1.15],
+        watchdogs: &[false, true],
+    };
+
+    /// The full sweep of `repro ext-adapt`.
+    pub const FULL: AdaptSweep = AdaptSweep {
+        scenarios: &[
+            DriftScenario::calm(),
+            DriftScenario::uniform(1.25),
+            DriftScenario::uniform(1.5),
+            DriftScenario::contention(6.0),
+            DriftScenario::straggler(4, 3.0),
+            DriftScenario::straggler(4, 6.0),
+        ],
+        rates: &[0.0, 0.5, 2.0],
+        thresholds: &[1.1, 1.25],
+        watchdogs: &[false, true],
+    };
+
+    /// Runs [`ext_adapt`] over this sweep.
+    ///
+    /// # Errors
+    ///
+    /// Propagates planner/executor errors.
+    pub fn run(&self, seed: u64) -> Result<(SimDuration, Vec<AdaptRow>)> {
+        ext_adapt(
+            self.scenarios,
+            self.rates,
+            self.thresholds,
+            self.watchdogs,
+            seed,
+        )
+    }
 }
 
 /// Runs the adaptation sweep. The plan is compiled once (nominal model,

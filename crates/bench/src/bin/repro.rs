@@ -10,7 +10,7 @@
 //! repro fleet                # write per-run manifests for the rollup CLI
 //! ```
 
-use rb_bench::adapt::{self, DriftScenario};
+use rb_bench::adapt;
 use rb_bench::chaos::{self, ChaosScenario};
 use rb_bench::table::Table;
 use rb_bench::{ext, figures, serve, tables};
@@ -102,34 +102,12 @@ fn ext_spot(quick: bool) -> Result<Vec<Table>> {
 }
 
 fn ext_adapt(quick: bool) -> Result<Vec<Table>> {
-    let (scenarios, rates, thresholds, watchdogs): (Vec<DriftScenario>, &[f64], &[f64], &[bool]) =
-        if quick {
-            (
-                vec![
-                    DriftScenario::calm(),
-                    DriftScenario::uniform(1.5),
-                    DriftScenario::straggler(4, 6.0),
-                ],
-                &[0.0, 1.0],
-                &[1.15],
-                &[false, true],
-            )
-        } else {
-            (
-                vec![
-                    DriftScenario::calm(),
-                    DriftScenario::uniform(1.25),
-                    DriftScenario::uniform(1.5),
-                    DriftScenario::contention(6.0),
-                    DriftScenario::straggler(4, 3.0),
-                    DriftScenario::straggler(4, 6.0),
-                ],
-                &[0.0, 0.5, 2.0],
-                &[1.1, 1.25],
-                &[false, true],
-            )
-        };
-    let (deadline, rows) = adapt::ext_adapt(&scenarios, rates, thresholds, watchdogs, 1)?;
+    let sweep = if quick {
+        adapt::AdaptSweep::QUICK
+    } else {
+        adapt::AdaptSweep::FULL
+    };
+    let (deadline, rows) = sweep.run(1)?;
     Ok(vec![adapt::ext_adapt_table(deadline, &rows)])
 }
 
@@ -146,14 +124,18 @@ fn ext_chaos() -> Result<Vec<Table>> {
 }
 
 fn ext_serve(quick: bool) -> Result<Vec<Table>> {
-    let (tenant_counts, gaps): (&[usize], &[u64]) = if quick {
-        (&[2], &[0, 300])
+    let sweep = if quick {
+        serve::ServeSweep::QUICK
     } else {
-        (&[1, 2, 3], &[0, 300])
+        serve::ServeSweep::FULL
     };
     Ok(vec![
-        serve::ext_serve_table(&serve::ext_serve(tenant_counts, gaps, 1)?),
-        serve::ext_serve_contended_table(&serve::ext_serve_contended(tenant_counts, &[0], 1)?),
+        serve::ext_serve_table(&serve::ext_serve(sweep.tenants, sweep.gaps, 1)?),
+        serve::ext_serve_contended_table(&serve::ext_serve_contended(
+            sweep.tenants,
+            sweep.contended_gaps,
+            1,
+        )?),
         serve::ext_serve_hyperband_table(&serve::ext_serve_hyperband(1)?),
     ])
 }

@@ -13,9 +13,9 @@
 //! seconds as `f64`); either way the manifests are deterministic for a
 //! given seed, so the rollup is byte-stable.
 
-use crate::adapt::{AdaptRow, DriftScenario};
+use crate::adapt::{AdaptRow, AdaptSweep};
 use crate::chaos::{ChaosRow, ChaosScenario, ZoneChaosRow};
-use crate::serve::ServeJobRow;
+use crate::serve::{ServeJobRow, ServeSweep};
 use rb_core::Result;
 use rb_replay::rollup::RunRecord;
 use std::io::Write as _;
@@ -165,13 +165,7 @@ pub fn serve_record(row: &ServeJobRow) -> RunRecord {
 pub fn build_fleet(seed: u64) -> Result<Vec<RunRecord>> {
     let mut records = Vec::new();
 
-    let scenarios = [
-        DriftScenario::calm(),
-        DriftScenario::uniform(1.5),
-        DriftScenario::straggler(4, 6.0),
-    ];
-    let (_, rows) =
-        crate::adapt::ext_adapt(&scenarios, &[0.0, 1.0], &[1.15], &[false, true], seed)?;
+    let (_, rows) = AdaptSweep::QUICK.run(seed)?;
     records.extend(rows.iter().map(adapt_record));
 
     let (_, rows) = crate::chaos::ext_chaos(&ChaosScenario::default_sweep(), seed)?;
@@ -180,10 +174,12 @@ pub fn build_fleet(seed: u64) -> Result<Vec<RunRecord>> {
     let (_, rows) = crate::chaos::ext_chaos_zones(seed)?;
     records.extend(rows.iter().map(zones_record));
 
-    let (_, jobs) = crate::serve::ext_serve_with_jobs(&[2], &[0, 300], seed)?;
+    let serve = ServeSweep::QUICK;
+    let (_, jobs) = crate::serve::ext_serve_with_jobs(serve.tenants, serve.gaps, seed)?;
     records.extend(jobs.iter().map(serve_record));
 
-    let (_, jobs) = crate::serve::ext_serve_contended_with_jobs(&[2], &[0], seed)?;
+    let (_, jobs) =
+        crate::serve::ext_serve_contended_with_jobs(serve.tenants, serve.contended_gaps, seed)?;
     records.extend(jobs.iter().map(serve_record));
 
     Ok(records)

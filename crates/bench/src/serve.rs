@@ -36,6 +36,34 @@ use rb_profile::CloudProfile;
 use rb_serve::{JobRequest, ServeOptions, ServeReport, TenantSpec, TuningService};
 use rb_sim::AllocationPlan;
 
+/// The axes of the [`ext_serve`] and [`ext_serve_contended`] sweeps.
+#[derive(Debug, Clone, Copy)]
+pub struct ServeSweep {
+    /// Tenant counts.
+    pub tenants: &'static [usize],
+    /// Arrival gaps of the serial sweep, in seconds.
+    pub gaps: &'static [u64],
+    /// Arrival gaps of the contended sweep, in seconds.
+    pub contended_gaps: &'static [u64],
+}
+
+impl ServeSweep {
+    /// The reduced sweeps: `repro quick ext-serve` prints them and
+    /// `repro fleet` records their jobs.
+    pub const QUICK: ServeSweep = ServeSweep {
+        tenants: &[2],
+        gaps: &[0, 300],
+        contended_gaps: &[0],
+    };
+
+    /// The full sweeps of `repro ext-serve`.
+    pub const FULL: ServeSweep = ServeSweep {
+        tenants: &[1, 2, 3],
+        gaps: &[0, 300],
+        contended_gaps: &[0],
+    };
+}
+
 /// One service cell's executed outcome.
 #[derive(Debug, Clone)]
 pub struct ServeCell {

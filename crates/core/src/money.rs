@@ -51,6 +51,7 @@ impl Cost {
     ///
     /// This is the fundamental billing primitive: all major providers charge
     /// per-second (with hourly list prices), which this reproduces exactly.
+    #[inline]
     pub fn per_hour_for(self, dur: SimDuration) -> Cost {
         // price (μ$) × duration (ms), plus half an hour for rounding, fits
         // i64 for every realistic charge; the same integer formula in i128
@@ -93,12 +94,14 @@ impl Cost {
 
 impl Add for Cost {
     type Output = Cost;
+    #[inline]
     fn add(self, rhs: Cost) -> Cost {
         Cost(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Cost {
+    #[inline]
     fn add_assign(&mut self, rhs: Cost) {
         self.0 += rhs.0;
     }
@@ -126,6 +129,7 @@ impl Neg for Cost {
 
 impl Mul<u64> for Cost {
     type Output = Cost;
+    #[inline]
     fn mul(self, rhs: u64) -> Cost {
         Cost(self.0 * rhs as i64)
     }

@@ -313,6 +313,7 @@ impl Distribution {
     /// generator's next [`Prng::standard_normal`], so a caller that saved
     /// that `z` reproduces the draw bit for bit (Rust never fuses the
     /// multiply and add into an FMA).
+    #[inline]
     pub fn truncated_normal(mean: f64, std: f64, floor: f64, z: f64) -> f64 {
         (mean + std * z).max(floor)
     }

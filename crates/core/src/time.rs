@@ -93,12 +93,18 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// millisecond and saturating negative values at zero.
+    /// millisecond (halves away from zero) and saturating negative values,
+    /// NaN and infinities at zero.
+    ///
+    /// The rounding is exact: for every finite positive `s` the result is
+    /// `(s * 1000.0).round() as u64`, bit for bit, computed with integer
+    /// casts instead of the libm `round` call (see `round_to_u64`).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * 1000.0).round() as u64)
+        SimDuration(round_to_u64(s * 1000.0))
     }
 
     /// Returns the duration in milliseconds.
@@ -127,6 +133,7 @@ impl SimDuration {
     }
 
     /// Returns the larger of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
@@ -145,8 +152,26 @@ impl SimDuration {
     /// nearest millisecond.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0, "duration scale factor must be non-negative");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
+}
+
+/// `x.round() as u64` for every `f64` — nearest integer with halves away
+/// from zero, negatives and NaN to 0, saturating at `u64::MAX` — without
+/// the libm `round` call. From 2^52 up every `f64` is an integer, so the
+/// cast alone is exact (and saturates as the reference does). Below it,
+/// `t = x as u64` truncates (to 0 for negatives and NaN) and `x - t` is
+/// exact: `t = 0` below 1, and from 1 up `t ≤ x < 2t` (Sterbenz). So the
+/// fraction is compared with one half exactly, where `(x + 0.5) as u64`
+/// would round 0.49999999999999994 up.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const EXACT: f64 = 4_503_599_627_370_496.0; // 2^52
+    if x >= EXACT {
+        return x as u64;
+    }
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -243,6 +268,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Prng;
 
     #[test]
     fn time_arithmetic_round_trips() {
@@ -265,6 +291,77 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(1.2345).as_millis(), 1235);
         assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
+    }
+
+    /// `round_to_u64` is `f64::round() as u64`, and `from_secs_f64` and
+    /// `mul_f64` keep their libm formulas, on edge values and 10^6
+    /// seeded random bit patterns.
+    #[test]
+    fn integer_rounding_equals_libm_round() {
+        let check = |x: f64, ms: u64| {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
+            let secs = if !x.is_finite() || x <= 0.0 {
+                0
+            } else {
+                (x * 1000.0).round() as u64
+            };
+            assert_eq!(SimDuration::from_secs_f64(x).as_millis(), secs, "{x:e}");
+            if x >= 0.0 {
+                let d = SimDuration::from_millis(ms);
+                assert_eq!(
+                    d.mul_f64(x).as_millis(),
+                    (ms as f64 * x).round() as u64,
+                    "{ms} × {x:e}"
+                );
+            }
+        };
+        let mut edges = vec![
+            0.49999999999999994,
+            0.5,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        // Each n + 0.5 that is exact, small and up to 2^52.
+        edges.extend((0..1000).map(|n| n as f64 + 0.5));
+        edges.extend((1..=52).map(|k| (1u64 << k) as f64 - 0.5));
+        // The neighbours of 0 (subnormals), one half, one, and the powers
+        // where the cast path starts (2^52), every f64 is even (2^53),
+        // and `u64` ends (2^63, 2^64).
+        for at in [
+            0.0,
+            0.5,
+            1.0,
+            2f64.powi(52),
+            2f64.powi(53),
+            2f64.powi(63),
+            2f64.powi(64),
+        ] {
+            for k in 0..8 {
+                edges.push(f64::from_bits(at.to_bits() + k));
+                edges.push(f64::from_bits(at.to_bits().saturating_sub(k)));
+            }
+        }
+        for x in edges {
+            for ms in [0, 1, 1000, 1 << 40] {
+                check(x, ms);
+                check(-x, ms);
+            }
+        }
+        let mut rng = Prng::seed_from_u64(0x5eed);
+        for _ in 0..1_000_000 {
+            let r = rng.next_u64();
+            check(f64::from_bits(r), r >> 44);
+            // Below 2^52 with up to 31 fraction bits: most halves land here.
+            check((r >> 12) as f64 / (1u64 << (r & 31)) as f64, r >> 44);
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use rb_hpo::ExperimentSpec;
 use rb_sim::AllocationPlan;
-use std::fmt;
 
 /// One stage of the rendered schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,20 +18,6 @@ pub struct ScheduleRow {
     pub gpus_per_trial: u32,
     /// Instances provisioned.
     pub cluster_size: u32,
-}
-
-impl fmt::Display for ScheduleRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>5}-{:<5} {:>6} {:>9} {:>12}",
-            self.epoch_range.0,
-            self.epoch_range.1,
-            self.trials,
-            self.gpus_per_trial,
-            self.cluster_size
-        )
-    }
 }
 
 /// Renders `plan` for `spec` on instances with `gpus_per_instance` GPUs.
@@ -100,14 +85,19 @@ mod tests {
 
     #[test]
     fn rows_display_cleanly() {
-        let row = ScheduleRow {
-            epoch_range: (0, 1),
-            trials: 32,
-            gpus_per_trial: 1,
-            cluster_size: 8,
-        };
-        let s = row.to_string();
-        assert!(s.contains("32"));
-        assert!(s.contains('8'));
+        // A row holds the cells Table 3 prints: one stage of 32 one-GPU
+        // trials over epochs [0, 1) on eight 4-GPU instances.
+        let spec = ExperimentSpec::from_stages(&[(32, 1)]).unwrap();
+        let rows = render_schedule(&spec, &AllocationPlan::new(vec![32]), 4);
+        let row = rows[0];
+        assert_eq!(
+            (
+                row.epoch_range,
+                row.trials,
+                row.gpus_per_trial,
+                row.cluster_size
+            ),
+            ((0, 1), 32, 1, 8)
+        );
     }
 }

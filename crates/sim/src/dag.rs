@@ -29,6 +29,7 @@
 //! value per sample, because a trial's finish time is monotone in its
 //! normal (`DagTemplate::sample_column` states the argument).
 
+use crate::fxhash::FxHashMap;
 use crate::plan::AllocationPlan;
 use rb_cloud::CloudPricing;
 use rb_core::{Cost, Distribution, Prng, RbError, Result, SimDuration};
@@ -36,7 +37,6 @@ use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::PlacementQuality;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -77,14 +77,14 @@ pub struct DagTemplate {
     /// The model profile used to fit train-task distributions on demand.
     model: ModelProfile,
     /// Memoized train-task draws keyed by `(stage, gpus_per_trial)`.
-    train_dists: RefCell<HashMap<(usize, u32), TrainDraw>>,
+    train_dists: RefCell<FxHashMap<(usize, u32), TrainDraw>>,
     /// Memoized per-stage execution samples keyed by the stage's canonical
     /// sampling configuration `(stage, gpus_per_trial, parallel_slots,
     /// new_instances, seed)` — see `DagTemplate::stage_samples`.
-    stage_memo: RefCell<HashMap<StageMemoKey, Rc<Vec<StageSample>>>>,
+    stage_memo: RefCell<FxHashMap<StageMemoKey, Rc<Vec<StageSample>>>>,
     /// Memoized noise columns keyed by `(stage, seed, prefix)` — see
     /// `DagTemplate::stage_noise`. Cleared with `stage_memo`.
-    noise_memo: RefCell<HashMap<NoiseKey, Rc<StageNoise>>>,
+    noise_memo: RefCell<FxHashMap<NoiseKey, Rc<StageNoise>>>,
     /// Generation cap on `stage_memo`: when an insert would push the memo
     /// past this many entries the whole memo is dropped and re-grown (a
     /// new generation), and the noise memo with it. Entries are pure
@@ -413,8 +413,15 @@ impl DagTemplate {
     /// `+ mean`, `.max(floor)`, `.max(0)`, `ready +` — is monotone
     /// non-decreasing under round-to-nearest, so the largest finish is
     /// the finish at `z_max`, bit for bit. Waves chain trials, and
-    /// per-function billing charges each one, so both keep the per-trial
+    /// per-function billing charges each one, so both keep the wave
     /// loop; `one_draw == false` forces it (the unit test's reference).
+    ///
+    /// The wave loop keeps one running finish per slot and adds each
+    /// wave's durations into it, `finish[k] += d[w·P + k]`: slot `k`'s
+    /// chain sums in trial order, as a per-trial walk would. A TRAIN
+    /// duration is `≥ 0`, so a chain never decreases and its end is its
+    /// largest finish; the barrier is the largest chain end. Charges are
+    /// integer `Cost`, whose sum does not depend on the order.
     fn sample_column(
         &self,
         stage: usize,
@@ -456,7 +463,14 @@ impl DagTemplate {
             }
             .max(0.0)
         };
-        let mut finishes: Vec<f64> = Vec::with_capacity(if one_draw { 0 } else { trials });
+        // Per-function billing prices every TRAIN task of the column at
+        // one GPU-share rate.
+        let fn_hourly = pricing.gpu_hourly() * u64::from(gpt);
+        let mut chains: Vec<f64> = Vec::with_capacity(if one_draw {
+            0
+        } else {
+            trials.min(parallel_slots)
+        });
         let sample = |i: usize| {
             let (ready, handover) = match &noise {
                 Some(column) if prefix > 0 => column.starts[i],
@@ -477,21 +491,23 @@ impl DagTemplate {
                 Some(column) if normals => &column.z[i * trials..][..trials],
                 _ => &[][..],
             };
-            finishes.clear();
+            chains.clear();
+            chains.resize(trials.min(parallel_slots), ready);
             let mut fn_charge = Cost::ZERO;
-            for slot in 0..trials {
-                let start = if slot < parallel_slots {
-                    ready
-                } else {
-                    finishes[slot - parallel_slots]
-                };
-                let d = duration(if normals { z[slot] } else { 0.0 });
-                if per_function {
-                    fn_charge += pricing.function_charge(gpt, SimDuration::from_secs_f64(d));
+            let mut first = 0;
+            while first < trials {
+                let wave = &mut chains[..(trials - first).min(parallel_slots)];
+                for (k, finish) in wave.iter_mut().enumerate() {
+                    let d = duration(if normals { z[first + k] } else { 0.0 });
+                    if per_function {
+                        fn_charge += fn_hourly.per_hour_for(SimDuration::from_secs_f64(d));
+                    }
+                    *finish += d;
                 }
-                finishes.push(start + d);
+                first += parallel_slots;
             }
-            let sync_start = finishes.iter().copied().fold(0.0_f64, f64::max);
+            // A chain's end is its largest finish (`d ≥ 0`).
+            let sync_start = chains.iter().copied().fold(0.0_f64, f64::max);
             StageSample {
                 dur: sync_start + SYNC_OVERHEAD_SECS,
                 handover,
@@ -797,5 +813,145 @@ mod tests {
             }
         }
         assert_eq!(compared, 3 * 2 * 2 * (8 + 64) * 4 * 3 * 3);
+    }
+
+    /// A stage column read trial by trial: trial `j` starts at `ready`
+    /// in the first wave and at the finish of trial `j − P` after it,
+    /// each TRAIN task billed through `CloudPricing::function_charge`,
+    /// and the barrier waits for the largest finish.
+    fn per_trial_column(
+        t: &DagTemplate,
+        stage: usize,
+        (gpt, parallel_slots, new_instances): StageKey,
+        seed: u64,
+        samples: usize,
+    ) -> Vec<StageSample> {
+        let trials = t.stages[stage].0 as usize;
+        let parallel_slots = parallel_slots as usize;
+        let train = t.train_draw(stage, gpt);
+        let per_function = !t.pricing.billing.is_per_instance();
+        let prefix = if t.prefix_draws { new_instances } else { 0 };
+        let normals = matches!(train, TrainDraw::Normal { .. });
+        let noise =
+            (prefix > 0 || normals).then(|| t.stage_noise(stage, seed, prefix, samples, normals));
+        let fixed_start = t.scale_and_init(new_instances, &mut Prng::seed_from_u64(0));
+        (0..samples)
+            .map(|i| {
+                let (ready, handover) = match &noise {
+                    Some(column) if prefix > 0 => column.starts[i],
+                    _ => fixed_start,
+                };
+                let mut finishes: Vec<f64> = Vec::new();
+                let mut fn_charge = Cost::ZERO;
+                for slot in 0..trials {
+                    let start = if slot < parallel_slots {
+                        ready
+                    } else {
+                        finishes[slot - parallel_slots]
+                    };
+                    let d = match (train, &noise) {
+                        (TrainDraw::Normal { mean, std, floor }, Some(column)) => {
+                            Distribution::truncated_normal(
+                                mean,
+                                std,
+                                floor,
+                                column.z[i * trials + slot],
+                            )
+                        }
+                        (TrainDraw::Fixed(v), _) => v,
+                        (TrainDraw::Normal { .. }, None) => unreachable!(),
+                    }
+                    .max(0.0);
+                    if per_function {
+                        fn_charge += t
+                            .pricing
+                            .function_charge(gpt, SimDuration::from_secs_f64(d));
+                    }
+                    finishes.push(start + d);
+                }
+                StageSample {
+                    dur: finishes.iter().copied().fold(0.0_f64, f64::max) + SYNC_OVERHEAD_SECS,
+                    handover,
+                    fn_charge,
+                }
+            })
+            .collect()
+    }
+
+    /// The wave loop equals the per-trial walk bit for bit, charges
+    /// included: wave layouts whose slots do not divide the trials, a
+    /// single slot, fully parallel layouts, with and without noise,
+    /// constant and lognormal SCALE/INIT, 1- and 4-GPU instances and
+    /// both billing models.
+    #[test]
+    fn wave_column_equals_the_per_trial_walk() {
+        use rb_scaling::{zoo::RESNET50, AnalyticScaling};
+        let spec =
+            ExperimentSpec::from_stages(&[(16, 4), (7, 8), (5, 16), (3, 32), (1, 64)]).unwrap();
+        let mut compared = 0;
+        let mut waves = 0;
+        for noise in [0.0, 0.4] {
+            for (ty, gpg) in [(P3_2XLARGE, 1), (P3_8XLARGE, 4)] {
+                let constant = CloudProfile::new(CloudPricing::on_demand(ty.clone()))
+                    .with_provision_delay(SimDuration::from_secs(30))
+                    .with_init_latency(SimDuration::from_secs(20));
+                let lognormal = constant
+                    .clone()
+                    .with_provision_delay_dist(Distribution::lognormal_from_moments(30.0, 15.0))
+                    .with_init_latency_dist(Distribution::lognormal_from_moments(20.0, 8.0));
+                for cloud in [constant, lognormal] {
+                    for per_function in [false, true] {
+                        let cloud = if per_function {
+                            CloudProfile {
+                                pricing: cloud.pricing.clone().with_per_function_billing(),
+                                ..cloud.clone()
+                            }
+                        } else {
+                            cloud.clone()
+                        };
+                        let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, gpg));
+                        let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, noise);
+                        let t = DagTemplate::new(&spec, &model, &cloud);
+                        for samples in [3, 20] {
+                            for (stage, s) in spec.stages().enumerate() {
+                                let trials = s.num_trials;
+                                let mut allocs = vec![
+                                    1,
+                                    2,
+                                    3,
+                                    trials.saturating_sub(1).max(1),
+                                    trials,
+                                    2 * trials + 1,
+                                ];
+                                allocs.sort_unstable();
+                                allocs.dedup();
+                                for alloc in allocs {
+                                    for grown in [0, 1, 3] {
+                                        let key = t.stage_key(stage, alloc, grown);
+                                        let got = t.sample_column(stage, key, 7, samples, false);
+                                        let want = per_trial_column(&t, stage, key, 7, samples);
+                                        assert_eq!(got.len(), samples);
+                                        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                                            let at = format!("noise {noise} gpg {gpg} {:?} stage {stage} alloc {alloc} +{grown} sample {i}", cloud.pricing.billing);
+                                            assert_eq!(a.dur.to_bits(), b.dur.to_bits(), "{at}");
+                                            assert_eq!(
+                                                a.handover.to_bits(),
+                                                b.handover.to_bits(),
+                                                "{at}"
+                                            );
+                                            assert_eq!(a.fn_charge, b.fn_charge, "{at}");
+                                        }
+                                        compared += samples;
+                                        waves += usize::from(key.1 < trials);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 16 * 25 * 3 * (3 + 20));
+        assert!(waves > 0);
     }
 }

@@ -26,6 +26,7 @@
 pub(crate) mod arena;
 mod counters;
 pub mod dag;
+mod fxhash;
 pub mod plan;
 pub mod simulate;
 

@@ -33,6 +33,7 @@
 use crate::arena::{arena_stats, count_load, with_arena, Loaded, PredictArena};
 use crate::counters::CacheCounters;
 use crate::dag::DagTemplate;
+use crate::fxhash::FxHashMap;
 use crate::plan::AllocationPlan;
 use rb_cloud::CloudPricing;
 use rb_core::{Cost, Result, SimDuration};
@@ -40,7 +41,6 @@ use rb_hpo::ExperimentSpec;
 use rb_obs::{CacheStats, RecorderHandle};
 use rb_profile::{CloudProfile, ModelProfile};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -144,7 +144,7 @@ const PLAN_CACHE_CAP: usize = 32_768;
 /// boxed-slice key also keeps inserts at exactly one allocation. The
 /// Monte-Carlo configuration need not be part of the key because
 /// [`Simulator::with_config`] detaches the caches.
-type PredictionCache = HashMap<u64, HashMap<Box<[u32]>, Prediction>>;
+type PredictionCache = FxHashMap<u64, FxHashMap<Box<[u32]>, Prediction>>;
 
 /// Reusable bookkeeping for [`Simulator::predict_batch`]: the per-plan
 /// hit table, miss list, and dedupe tables. Thread-local, like the
@@ -174,7 +174,7 @@ thread_local! {
 /// would exceed `cap` (generation eviction). Returns the number of
 /// entries dropped.
 fn evict_generation(cache: &mut PredictionCache, cap: usize, incoming: usize) -> usize {
-    let total: usize = cache.values().map(HashMap::len).sum();
+    let total: usize = cache.values().map(FxHashMap::len).sum();
     if total + incoming > cap {
         cache.clear();
         return total;
@@ -242,6 +242,11 @@ fn bill_samples(
     mut sink: impl FnMut(usize, f64, Cost),
 ) {
     let per_instance = pricing.billing.is_per_instance();
+    // `instance_charge(held)` is the hourly price over
+    // `held.max(floor)`, the floor being the billable time of a zero
+    // hold; both are read once here rather than once per charge.
+    let hourly = pricing.instance_hourly();
+    let floor = pricing.billing.billable(SimDuration::ZERO);
     let PredictArena {
         new_inst,
         stage_arcs,
@@ -275,7 +280,7 @@ fn bill_samples(
                     let held = SimDuration::from_secs_f64(
                         (stage_end - hand[prov as usize * n + i]).max(0.0),
                     );
-                    charge += pricing.instance_charge(held) * u64::from(count);
+                    charge += hourly.per_hour_for(held.max(floor)) * u64::from(count);
                 }
                 charge
             } else {
@@ -347,7 +352,7 @@ pub struct Simulator {
     cloud: CloudProfile,
     config: SimConfig,
     /// Per-spec DAG templates, keyed by spec fingerprint.
-    templates: Rc<RefCell<HashMap<u64, Rc<DagTemplate>>>>,
+    templates: Rc<RefCell<FxHashMap<u64, Rc<DagTemplate>>>>,
     /// Memoized predictions.
     predictions: Rc<RefCell<PredictionCache>>,
     /// Plan-cache hit/miss/eviction tallies (passive; shared by clones
@@ -477,7 +482,7 @@ impl Simulator {
     /// detachment, batch dedupe) have no other view of the cache; no
     /// library code calls it.
     pub fn cached_predictions(&self) -> usize {
-        self.predictions.borrow().values().map(HashMap::len).sum()
+        self.predictions.borrow().values().map(FxHashMap::len).sum()
     }
 
     /// The cached template for `spec` under this simulator's profiles,

@@ -62,7 +62,11 @@ fn main() {
         "epochs", "trials", "GPUs/trial", "cluster size"
     );
     for row in render_schedule(&spec, &outcome.plan, 4) {
-        println!("{row}");
+        let (from, to) = row.epoch_range;
+        println!(
+            "{from:>5}-{to:<5} {:>6} {:>9} {:>12}",
+            row.trials, row.gpus_per_trial, row.cluster_size
+        );
     }
 
     // 5. Execute it for real (event-accurate simulation) on a search space.

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Runs one `perf` workload as alternating pairs of a parent and a change
-# binary, then prints per end-to-end metric of BENCHMARK.json: the
-# median of each side, the parent's quartile spread (Q3 - Q1), the
-# change relative to the parent, and in how many pairs the change was
-# better. It also counts the runs that reported `"correct": true` and
-# sums their `failed` operations.
+# binary, then prints per end-to-end metric of BENCHMARK.json: each
+# side's first quartile, median and third quartile, the change of the
+# median relative to the parent's, in how many pairs the change was
+# better (ties count for neither side), and whether the pairs carry a
+# claim of a gain: the change won at least 9 in 10 of the pairs and its
+# median is better than the parent's by more than the parent's
+# quartile spread (Q3 - Q1). It also counts the runs that reported
+# `"correct": true` and sums their `failed` operations.
 #
 # Each run is `BIN --workload W --seed SEED --seconds 20 --trace 0`, the
 # benchmark's own run length. Pair k runs the parent first when k is
@@ -91,7 +94,7 @@ awk -v workload="$workload" -v seed="$seed" '
     }
     END {
         printf "%s seed %s: %d pairs\n", workload, seed, runs["parent"]
-        printf "%-12s %12s %12s %12s %8s %6s %5s\n", "metric", "parent", "[Q3-Q1]", "change", "change", "bound", "wins"
+        printf "%-12s %10s %10s %10s  %10s %10s %10s %8s %6s %5s %5s\n", "metric", "parent Q1", "median", "Q3", "change Q1", "median", "Q3", "change", "bound", "wins", "claim"
         for (m = 1; m <= metrics; m++) {
             name = names[m]
             split("", p); split("", c)
@@ -104,11 +107,12 @@ awk -v workload="$workload" -v seed="$seed" '
                 if ((better[name] == "higher" && b > a) || (better[name] == "lower" && b < a)) wins++
             }
             if (np == 0 || nc == 0) { printf "%-12s %12s\n", name, "no values"; continue }
-            spread = quantile(p, np, 0.75) - quantile(p, np, 0.25)
-            mp = quantile(p, np, 0.5)
-            mc = quantile(c, nc, 0.5)
+            p1 = quantile(p, np, 0.25); mp = quantile(p, np, 0.5); p3 = quantile(p, np, 0.75)
+            c1 = quantile(c, nc, 0.25); mc = quantile(c, nc, 0.5); c3 = quantile(c, nc, 0.75)
             rel = mp == 0 ? 0 : 100 * (mc - mp) / mp
-            printf "%-12s %12.6g %12.6g %12.6g %+7.1f%% %5.0f%% %2d/%d\n", name, mp, spread, mc, rel, 100 * bound[name], wins, runs["parent"]
+            gain = better[name] == "higher" ? mc - mp : mp - mc
+            claim = (10 * wins >= 9 * runs["parent"] && gain > p3 - p1) ? "yes" : "no"
+            printf "%-12s %10.4g %10.4g %10.4g  %10.4g %10.4g %10.4g %+7.1f%% %5.0f%% %2d/%-2d %5s\n", name, p1, mp, p3, c1, mc, c3, rel, 100 * bound[name], wins, runs["parent"], claim
         }
         for (s = 1; s <= 2; s++) {
             side = s == 1 ? "parent" : "change"
