@@ -133,7 +133,9 @@ pub const CATALOG: &[InstanceType] = &[
     G4DN_12XLARGE,
 ];
 
-/// Looks up an instance type by SKU name.
+/// Looks up an instance type by SKU name. A user entry point for a
+/// caller that names instance types as text; library code uses the
+/// constants, so only tests call it.
 ///
 /// # Examples
 ///

@@ -82,18 +82,18 @@ pub struct PoolConfig {
     /// How long a parked instance is held before the pool gives up and
     /// terminates it (paying the park cost with nothing to show).
     pub max_hold_secs: f64,
-    /// Handoff latency: seconds between acquisition and the instance
-    /// being usable by the adopting job (state scrub + reattach). Far
-    /// below fresh-provision delay + init latency, which is the point.
-    pub handoff_secs: f64,
 }
+
+/// Handoff latency: seconds between acquisition and the instance being
+/// usable by the adopting job (state scrub + reattach). Far below
+/// fresh-provision delay + init latency, which is the point.
+const HANDOFF_SECS: f64 = 2.0;
 
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             capacity: 8,
             max_hold_secs: 120.0,
-            handoff_secs: 2.0,
         }
     }
 }
@@ -104,7 +104,7 @@ impl PoolConfig {
     /// # Errors
     ///
     /// Returns [`RbError::InvalidConfig`] for a zero-capacity pool or a
-    /// non-finite/negative hold or handoff time.
+    /// non-finite/negative hold time.
     pub fn validate(&self) -> Result<()> {
         if self.capacity == 0 {
             return Err(RbError::InvalidConfig(
@@ -113,15 +113,11 @@ impl PoolConfig {
                     .into(),
             ));
         }
-        for (what, v) in [
-            ("max_hold_secs", self.max_hold_secs),
-            ("handoff_secs", self.handoff_secs),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(RbError::InvalidConfig(format!(
-                    "shared pool: {what} must be finite and non-negative, got {v}"
-                )));
-            }
+        let hold = self.max_hold_secs;
+        if !hold.is_finite() || hold < 0.0 {
+            return Err(RbError::InvalidConfig(format!(
+                "shared pool: max_hold_secs must be finite and non-negative, got {hold}"
+            )));
         }
         Ok(())
     }
@@ -153,7 +149,7 @@ pub struct PoolGrant {
     /// this same id, so ownership stays traceable across handoffs.
     pub physical: u64,
     /// When the adopting job can start using the instance
-    /// (acquisition time + [`PoolConfig::handoff_secs`]).
+    /// (acquisition time + a fixed 2 s handoff latency).
     pub usable_at: SimTime,
 }
 
@@ -260,7 +256,9 @@ impl InstancePool {
         })
     }
 
-    /// Number of instances currently parked.
+    /// Number of instances currently parked. A test oracle: no library
+    /// code calls it; the pool, cluster and executor tests read it, most
+    /// often as the still-parked count [`PoolStats::balances`] takes.
     pub fn parked_count(&self) -> usize {
         self.parked.len()
     }
@@ -420,7 +418,7 @@ impl InstancePool {
                 grants.push(PoolGrant {
                     donor_job: entry.donor_job,
                     physical: entry.physical,
-                    usable_at: now + SimDuration::from_secs_f64(self.config.handoff_secs),
+                    usable_at: now + SimDuration::from_secs_f64(HANDOFF_SECS),
                 });
             } else {
                 kept.push_back(entry);
@@ -535,7 +533,6 @@ mod tests {
             PoolConfig {
                 capacity,
                 max_hold_secs: 120.0,
-                handoff_secs: 2.0,
             },
             pricing(),
         )

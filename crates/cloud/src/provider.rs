@@ -54,16 +54,6 @@ pub struct ProviderConfig {
 }
 
 impl ProviderConfig {
-    /// A provider with a constant hand-over delay and no quota.
-    pub fn with_constant_delay(instance_type: InstanceType, delay: SimDuration) -> Self {
-        ProviderConfig {
-            instance_type,
-            provision_delay_secs: Distribution::Constant(delay.as_secs_f64()),
-            quota: None,
-            interruption_rate_per_hour: 0.0,
-        }
-    }
-
     /// Checks the configuration: the hand-over delay distribution must be
     /// well-formed and the interruption rate finite and non-negative.
     ///
@@ -178,11 +168,6 @@ impl SimProvider {
             plan.validate().expect("invalid fault plan");
             self.faults = None;
         }
-    }
-
-    /// Whether a fault injector is armed.
-    pub fn faults_active(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Faults injected so far (all zero without an injector).
@@ -670,12 +655,19 @@ mod tests {
     use crate::catalog::P3_8XLARGE;
     use crate::pricing::CloudPricing;
 
+    /// A provider config with a constant hand-over delay and no quota.
+    fn with_constant_delay(instance_type: InstanceType, delay: SimDuration) -> ProviderConfig {
+        ProviderConfig {
+            instance_type,
+            provision_delay_secs: Distribution::Constant(delay.as_secs_f64()),
+            quota: None,
+            interruption_rate_per_hour: 0.0,
+        }
+    }
+
     fn provider(delay_secs: u64) -> SimProvider {
         SimProvider::new(
-            ProviderConfig::with_constant_delay(
-                P3_8XLARGE.clone(),
-                SimDuration::from_secs(delay_secs),
-            ),
+            with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(delay_secs)),
             1,
         )
     }
@@ -736,8 +728,7 @@ mod tests {
 
     #[test]
     fn cancel_clears_scheduled_interruption() {
-        let mut cfg =
-            ProviderConfig::with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(60));
+        let mut cfg = with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(60));
         cfg.interruption_rate_per_hour = 1.0;
         let mut p = SimProvider::new(cfg, 5);
         let (id, _) = p.provision(1, SimTime::ZERO).unwrap()[0];
@@ -764,8 +755,7 @@ mod tests {
 
     #[test]
     fn quota_is_enforced() {
-        let mut cfg =
-            ProviderConfig::with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(1));
+        let mut cfg = with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(1));
         cfg.quota = Some(2);
         let mut p = SimProvider::new(cfg, 1);
         p.provision(2, SimTime::ZERO).unwrap();
@@ -809,8 +799,7 @@ mod tests {
 
     #[test]
     fn spot_interruptions_are_sampled_and_preemptable() {
-        let mut cfg =
-            ProviderConfig::with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(0));
+        let mut cfg = with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(0));
         cfg.interruption_rate_per_hour = 2.0;
         let mut p = SimProvider::new(cfg, 9);
         let handles = p.provision(4, SimTime::ZERO).unwrap();
@@ -877,8 +866,7 @@ mod tests {
 
     #[test]
     fn terminate_clears_pending_interruption() {
-        let mut cfg =
-            ProviderConfig::with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(0));
+        let mut cfg = with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(0));
         cfg.interruption_rate_per_hour = 1.0;
         let mut p = SimProvider::new(cfg, 3);
         let (id, _) = p.provision(1, SimTime::ZERO).unwrap()[0];
@@ -1126,7 +1114,7 @@ mod tests {
         };
         let mut plain = mk(false);
         let mut disarmed = mk(true);
-        assert!(!disarmed.faults_active());
+        assert!(disarmed.faults.is_none(), "an inactive plan arms nothing");
         let ha = plain.provision(5, SimTime::ZERO).unwrap();
         let hb = disarmed.provision(5, SimTime::ZERO).unwrap();
         assert_eq!(ha, hb);

@@ -102,11 +102,6 @@ impl<T: From<u64>> IdGen<T> {
         self.next += 1;
         id
     }
-
-    /// Returns how many identifiers have been issued.
-    pub fn issued(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -135,6 +130,6 @@ mod tests {
         let a = g.next();
         let b = g.next();
         assert!(a < b);
-        assert_eq!(g.issued(), 2);
+        assert_eq!(g.next, 2);
     }
 }

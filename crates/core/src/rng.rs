@@ -191,7 +191,9 @@ impl Distribution {
     /// A distribution that is always exactly zero.
     pub const ZERO: Distribution = Distribution::Constant(0.0);
 
-    /// Creates a normal distribution truncated at zero.
+    /// Creates a normal distribution truncated at zero. A user entry
+    /// point for profile authors; no library code calls it, and tests
+    /// build their normal latencies with it.
     pub fn normal(mean: f64, std: f64) -> Distribution {
         Distribution::Normal {
             mean,
@@ -201,7 +203,10 @@ impl Distribution {
     }
 
     /// Creates a log-normal from the desired mean and standard deviation of
-    /// the *resulting* distribution (moment matching).
+    /// the *resulting* distribution (moment matching). A user entry point:
+    /// measured latencies come as a mean and a spread. No library code
+    /// calls it; the provider, simulator and Algorithm 1 oracle tests
+    /// build their lognormal cases with it.
     ///
     /// # Panics
     ///

@@ -117,16 +117,6 @@ impl SimDuration {
         self.0 as f64 / 1000.0
     }
 
-    /// Returns the duration as fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60_000.0
-    }
-
-    /// Returns the duration as fractional hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600_000.0
-    }
-
     /// Returns true if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -146,13 +136,6 @@ impl SimDuration {
     /// Returns `self - other`, saturating at zero.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies the duration by a non-negative float, rounding to the
-    /// nearest millisecond.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k >= 0.0, "duration scale factor must be non-negative");
-        SimDuration(round_to_u64(self.0 as f64 * k))
     }
 }
 
@@ -293,12 +276,12 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
     }
 
-    /// `round_to_u64` is `f64::round() as u64`, and `from_secs_f64` and
-    /// `mul_f64` keep their libm formulas, on edge values and 10^6
-    /// seeded random bit patterns.
+    /// `round_to_u64` is `f64::round() as u64`, and `from_secs_f64` keeps
+    /// its libm formula, on edge values and 10^6 seeded random bit
+    /// patterns.
     #[test]
     fn integer_rounding_equals_libm_round() {
-        let check = |x: f64, ms: u64| {
+        let check = |x: f64| {
             assert_eq!(
                 round_to_u64(x),
                 x.round() as u64,
@@ -311,14 +294,6 @@ mod tests {
                 (x * 1000.0).round() as u64
             };
             assert_eq!(SimDuration::from_secs_f64(x).as_millis(), secs, "{x:e}");
-            if x >= 0.0 {
-                let d = SimDuration::from_millis(ms);
-                assert_eq!(
-                    d.mul_f64(x).as_millis(),
-                    (ms as f64 * x).round() as u64,
-                    "{ms} × {x:e}"
-                );
-            }
         };
         let mut edges = vec![
             0.49999999999999994,
@@ -350,17 +325,15 @@ mod tests {
             }
         }
         for x in edges {
-            for ms in [0, 1, 1000, 1 << 40] {
-                check(x, ms);
-                check(-x, ms);
-            }
+            check(x);
+            check(-x);
         }
         let mut rng = Prng::seed_from_u64(0x5eed);
         for _ in 0..1_000_000 {
             let r = rng.next_u64();
-            check(f64::from_bits(r), r >> 44);
+            check(f64::from_bits(r));
             // Below 2^52 with up to 31 fraction bits: most halves land here.
-            check((r >> 12) as f64 / (1u64 << (r & 31)) as f64, r >> 44);
+            check((r >> 12) as f64 / (1u64 << (r & 31)) as f64);
         }
     }
 
@@ -369,7 +342,6 @@ mod tests {
         let d = SimDuration::from_secs(10);
         assert_eq!(d * 3, SimDuration::from_secs(30));
         assert_eq!(d / 4, SimDuration::from_millis(2500));
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
     }
 
     #[test]

@@ -46,7 +46,10 @@ pub struct WatchdogConfig {
     pub enabled: bool,
     /// Budget multiplier over the drift-corrected p90 stage span
     /// (default: 1.75). Below ~1.2 the watchdog fires on ordinary noise;
-    /// large values approach barrier-only adaptation.
+    /// large values approach barrier-only adaptation. No caller sets it
+    /// yet; it stays settable as the knob a watchdog-sensitivity study
+    /// varies, and because the `perf` benchmark builds this struct as
+    /// `WatchdogConfig { enabled, ..WatchdogConfig::default() }`.
     pub margin: f64,
 }
 
@@ -912,6 +915,7 @@ mod tests {
     use rb_core::Prng;
     use rb_exec::{ExecOptions, Executor};
     use rb_hpo::{Config, Dim, SearchSpace};
+    use rb_obs::RecorderHandle;
     use rb_profile::{CloudProfile, ModelProfile};
     use rb_scaling::{AnalyticScaling, RescaledScaling};
     use rb_train::task::resnet101_cifar10;
@@ -986,7 +990,7 @@ mod tests {
             ControllerConfig::default(),
         );
         let adaptive = executor(&task, &plan, 1.0)
-            .run_hooked(&configs(8, 3), &mut ctrl)
+            .run_observed(&configs(8, 3), &mut ctrl, RecorderHandle::noop())
             .unwrap();
         let log = ctrl.into_log();
         assert_eq!(log.applied(), 0, "events: {:?}", log.events);
@@ -1009,7 +1013,7 @@ mod tests {
         let deadline = SimDuration::from_secs_f64(open.jct.as_secs_f64() * 0.85);
         let mut ctrl = controller(&plan, deadline, ControllerConfig::default());
         let adaptive = executor(&task, &plan, slowdown)
-            .run_hooked(&configs(8, 3), &mut ctrl)
+            .run_observed(&configs(8, 3), &mut ctrl, RecorderHandle::noop())
             .unwrap();
         let log = ctrl.into_log();
         assert!(log.applied() > 0, "no re-plan applied: {:?}", log.events);
@@ -1059,7 +1063,9 @@ mod tests {
         let mut ctrl =
             AdaptiveController::new(sim, spec(), &plan, SimDuration::from_hours(2), config)
                 .unwrap();
-        let report = exec.run_hooked(&configs(8, 3), &mut ctrl).unwrap();
+        let report = exec
+            .run_observed(&configs(8, 3), &mut ctrl, RecorderHandle::noop())
+            .unwrap();
         assert!(report.preemptions > 0, "rate 40/h produced no preemptions");
         let log = ctrl.into_log();
         assert!(
@@ -1122,7 +1128,9 @@ mod tests {
                         config,
                     )
                     .unwrap();
-                    let r = exec.run_hooked(&configs(8, 3), &mut ctrl).unwrap();
+                    let r = exec
+                        .run_observed(&configs(8, 3), &mut ctrl, RecorderHandle::noop())
+                        .unwrap();
                     (r, Some(ctrl.into_log()))
                 }
             }
@@ -1245,7 +1253,9 @@ mod tests {
             let mut ctrl =
                 AdaptiveController::new(sim, spec(), &plan, deadline, zone_config(execute))
                     .unwrap();
-            let r = mk_exec().run_hooked(&configs(8, 3), &mut ctrl).unwrap();
+            let r = mk_exec()
+                .run_observed(&configs(8, 3), &mut ctrl, RecorderHandle::noop())
+                .unwrap();
             (r, ctrl.into_log())
         };
         let open = mk_exec().run(&configs(8, 3)).unwrap();
@@ -1310,7 +1320,7 @@ mod tests {
         // cheaper and drains the fleet onto it.
         let mut ctrl = controller(&plan, SimDuration::from_hours(4), probe_config());
         let switched = executor(&task, &plan, 1.0)
-            .run_hooked(&configs(8, 3), &mut ctrl)
+            .run_observed(&configs(8, 3), &mut ctrl, RecorderHandle::noop())
             .unwrap();
         let log = ctrl.into_log();
         let first = log
@@ -1354,7 +1364,7 @@ mod tests {
                 ControllerConfig::default(),
             );
             let r = executor(&task, &plan, 1.5)
-                .run_hooked(&configs(8, 3), &mut ctrl)
+                .run_observed(&configs(8, 3), &mut ctrl, RecorderHandle::noop())
                 .unwrap();
             (r, ctrl.into_log())
         };

@@ -358,14 +358,6 @@ impl ClusterManager {
         self.provider.set_home_zone(zone);
     }
 
-    /// The zone a ready node's instance lives in (zone 0 for unknown
-    /// nodes).
-    pub fn node_zone(&self, node: NodeId) -> u32 {
-        self.ready
-            .get(&node)
-            .map_or(0, |i| self.provider.instance_zone(*i))
-    }
-
     /// Executes a mid-run market/zone switch: pins every lifetime
     /// bought so far to the old pricing tier, applies the directive to
     /// the profile and provider, and drains the current fleet so the
@@ -622,11 +614,6 @@ impl ClusterManager {
         self.ready.len()
     }
 
-    /// Number of requested-but-not-yet-usable nodes.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Terminates the given nodes at `now`, ending their billing, and
     /// offers each to the pool when one is attached.
     ///
@@ -815,13 +802,13 @@ mod tests {
     fn nodes_become_usable_after_provision_plus_init() {
         let mut cm = ClusterManager::new(cloud(), 1);
         cm.request_nodes(2, SimTime::ZERO, None).unwrap();
-        assert_eq!(cm.pending_count(), 2);
+        assert_eq!(cm.pending.len(), 2);
         assert_eq!(cm.pending_ready_time(), Some(SimTime::from_secs(30)));
         assert!(cm.absorb_ready(SimTime::from_secs(29)).is_empty());
         let nodes = cm.absorb_ready(SimTime::from_secs(30));
         assert_eq!(nodes.len(), 2);
         assert_eq!(cm.ready_count(), 2);
-        assert_eq!(cm.pending_count(), 0);
+        assert_eq!(cm.pending.len(), 0);
     }
 
     #[test]
@@ -882,7 +869,7 @@ mod tests {
         cm.request_nodes(1, SimTime::from_secs(40), None).unwrap();
         cm.terminate_all(SimTime::from_secs(100));
         assert_eq!(cm.ready_count(), 0);
-        assert_eq!(cm.pending_count(), 0);
+        assert_eq!(cm.pending.len(), 0);
         assert_eq!(cm.instances_provisioned(), 3);
     }
 
@@ -890,7 +877,6 @@ mod tests {
         PoolConfig {
             capacity,
             max_hold_secs,
-            ..PoolConfig::default()
         }
     }
 
@@ -1240,7 +1226,7 @@ mod tests {
         // Replacement issued at the 240 s deadline, lands 15+15 s later.
         assert_eq!(cm.pending_ready_time(), Some(SimTime::from_secs(270)));
         let nodes = cm.absorb_ready(SimTime::from_secs(270));
-        assert_eq!(cm.node_zone(nodes[0]), 1);
+        assert_eq!(cm.provider.instance_zone(cm.ready[&nodes[0]]), 1);
         // The abandoned node never started billing and is not an
         // instance start; only the zone-1 replacement is.
         assert_eq!(cm.instances_provisioned(), 1);
@@ -1307,7 +1293,7 @@ mod tests {
             }
         );
         assert_eq!(cm.ready_count(), 0);
-        assert_eq!(cm.pending_count(), 0);
+        assert_eq!(cm.pending.len(), 0);
         // New capacity lands on the new market.
         cm.request_nodes(1, at, None).unwrap();
         cm.absorb_ready(SimTime::from_secs(130));

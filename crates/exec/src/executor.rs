@@ -477,7 +477,8 @@ impl Executor {
     }
 
     /// Runs the experiment over the given configurations (one per initial
-    /// trial) and returns the execution report.
+    /// trial) and returns the execution report: [`Executor::run_observed`]
+    /// with [`NoopHook`] and [`RecorderHandle::noop`].
     ///
     /// # Errors
     ///
@@ -485,41 +486,26 @@ impl Executor {
     /// initial trials are supplied; placement/provider/execution errors
     /// propagate.
     pub fn run(&self, configs: &[Config]) -> Result<ExecutionReport> {
-        self.run_hooked(configs, &mut NoopHook)
+        self.run_observed(configs, &mut NoopHook, RecorderHandle::noop())
     }
 
     /// [`Executor::run`] with a [`BarrierHook`] observing every non-final
-    /// stage barrier and optionally re-planning the remaining stages.
-    /// With [`NoopHook`] this is bit-identical to `run`.
+    /// stage barrier and optionally re-planning the remaining stages, and
+    /// a [`Recorder`](rb_obs::Recorder) attached: every trace event is
+    /// mirrored onto the unified bus, plus stage spans, cost/instance
+    /// gauges at each barrier, the billing meter's spend curve, and
+    /// run-level counters. The recorder is also installed on the cloud
+    /// provider, so provision / terminate / preempt events appear on the
+    /// `cloud` lane.
+    ///
+    /// Recording never influences execution: a run with a recording sink
+    /// is bit-identical to the same run with [`RecorderHandle::noop`].
     ///
     /// # Errors
     ///
     /// As [`Executor::run`]; additionally [`RbError::InvalidPlan`] when a
     /// hook returns a suffix of the wrong length or one that fails plan
     /// validation against the spec.
-    pub fn run_hooked(
-        &self,
-        configs: &[Config],
-        hook: &mut dyn BarrierHook,
-    ) -> Result<ExecutionReport> {
-        self.run_observed(configs, hook, RecorderHandle::noop())
-    }
-
-    /// [`Executor::run_hooked`] with a [`Recorder`](rb_obs::Recorder)
-    /// attached: every trace event is mirrored onto the unified bus,
-    /// plus stage spans, cost/instance gauges at each barrier, the
-    /// billing meter's spend curve, and run-level counters. The
-    /// recorder is also installed on the cloud provider, so provision /
-    /// terminate / preempt events appear on the `cloud` lane.
-    ///
-    /// Recording never influences execution: with
-    /// [`RecorderHandle::noop`] this is bit-identical to
-    /// [`Executor::run_hooked`] (which is exactly how `run_hooked`
-    /// calls it).
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::run_hooked`].
     pub fn run_observed(
         &self,
         configs: &[Config],
@@ -583,15 +569,15 @@ pub enum StepOutcome {
 /// One [`ExecutorCore::step`] advances the run by exactly one stage — up
 /// to and including that stage's synchronization barrier (scaling,
 /// placement, training, watchdog handling, ranking and promotion) — and
-/// returns where virtual time landed. [`Executor::run`] and friends are
-/// thin drivers over this (construct, step until [`StepOutcome::Finished`],
-/// [`ExecutorCore::finish`]); a multi-job service interleaves many cores
-/// in one discrete-event loop by always stepping the core whose clock is
-/// furthest behind.
+/// returns where virtual time landed. [`Executor::run_observed`] is a
+/// thin driver over this (construct, step until
+/// [`StepOutcome::Finished`], [`ExecutorCore::finish`]); a multi-job
+/// service interleaves many cores in one discrete-event loop by always
+/// stepping the core whose clock is furthest behind.
 ///
-/// The decomposition is pure code motion: a core driven to completion is
-/// bit-identical to the monolithic loop it replaced — same reports, same
-/// traces, same counters (pinned by `crates/exec/tests/stepper.rs`).
+/// A core stepped by hand to completion is bit-identical to
+/// [`Executor::run_observed`] — same reports, same traces, same counters
+/// (pinned by `crates/exec/tests/stepper.rs`).
 pub struct ExecutorCore {
     exec: Executor,
     plan: AllocationPlan,
@@ -603,7 +589,7 @@ pub struct ExecutorCore {
     trials: Vec<RunningTrial>,
     live: Vec<TrialId>,
     /// Virtual time the run started (admission time under a service;
-    /// [`SimTime::ZERO`] for the legacy single-job drivers).
+    /// [`SimTime::ZERO`] for a run started by [`ExecutorCore::new`]).
     t0: SimTime,
     now: SimTime,
     /// The next stage to run; `spec.num_stages()` once the run is done.
@@ -625,43 +611,29 @@ pub struct ExecutorCore {
 }
 
 impl ExecutorCore {
-    /// Prepares a run starting at virtual time zero (the single-job
-    /// case). See [`ExecutorCore::new_at`].
+    /// Prepares a run starting at virtual time zero, copying the first
+    /// `spec.initial_trials()` configurations. All noise streams derive
+    /// from the executor's seed, so the same job started at another time
+    /// ([`ExecutorCore::from_parts`]) replays the same training
+    /// randomness.
     ///
     /// # Errors
     ///
-    /// As [`ExecutorCore::new_at`].
+    /// As [`ExecutorCore::from_parts`].
     pub fn new(exec: &Executor, configs: &[Config], recorder: RecorderHandle) -> Result<Self> {
-        Self::new_at(exec, configs, recorder, SimTime::ZERO)
+        let n = (exec.spec.initial_trials() as usize).min(configs.len());
+        Self::from_parts(exec.clone(), configs[..n].to_vec(), recorder, SimTime::ZERO)
     }
 
-    /// Prepares a run whose clock starts at `start` — a job admitted into
-    /// a shared service begins when the scheduler dispatches it, not at
-    /// zero. All noise streams derive from the seed exactly as in
-    /// [`Executor::run`], so the same job admitted at a different time
-    /// replays the same training randomness.
+    /// Prepares a run whose clock starts at `start`, taking the executor
+    /// and the configurations by value: a job admitted into a shared
+    /// service begins when the scheduler dispatches it, not at zero, and
+    /// the service owns the job it was handed, so nothing is copied.
     ///
     /// # Errors
     ///
     /// Returns [`RbError::InvalidConfig`] for malformed options or when
     /// fewer configurations than initial trials are supplied.
-    pub fn new_at(
-        exec: &Executor,
-        configs: &[Config],
-        recorder: RecorderHandle,
-        start: SimTime,
-    ) -> Result<Self> {
-        let n = (exec.spec.initial_trials() as usize).min(configs.len());
-        Self::from_parts(exec.clone(), configs[..n].to_vec(), recorder, start)
-    }
-
-    /// [`ExecutorCore::new_at`] taking the executor and the
-    /// configurations by value, for a caller that owns them (a service
-    /// dispatching a job it was handed) and need not copy them.
-    ///
-    /// # Errors
-    ///
-    /// As [`ExecutorCore::new_at`].
     pub fn from_parts(
         exec: Executor,
         configs: Vec<Config>,
@@ -685,7 +657,6 @@ impl ExecutorCore {
             cm.set_private_pool(PoolConfig {
                 capacity: opts.warm_pool,
                 max_hold_secs: opts.warm_hold_secs,
-                ..PoolConfig::default()
             })?;
         }
         if opts.faults.is_active() {
@@ -803,25 +774,13 @@ impl ExecutorCore {
         self.cm.set_shared_pool(pool, job, group);
     }
 
-    /// Instances the next stage will ask the cluster for if it started
-    /// now with no capacity live. Pool-aware admission uses this to
-    /// decide whether a queued job's first stage could be served
-    /// entirely from parked capacity (skipping provision + init).
-    pub fn stage_instance_demand(&self) -> u32 {
-        if self.is_finished() {
-            return 0;
-        }
-        self.plan
-            .instances_for_stage(self.stage, &self.exec.spec, self.gpg)
-    }
-
     /// Advances the run to the next stage barrier. `now` lower-bounds the
     /// clock (a service stepping an idle job forward passes its event
     /// time; the single-job drivers pass [`ExecutorCore::now`], a no-op).
     ///
     /// # Errors
     ///
-    /// As [`Executor::run_hooked`]; additionally [`RbError::Execution`]
+    /// As [`Executor::run_observed`]; additionally [`RbError::Execution`]
     /// when stepped past [`StepOutcome::Finished`].
     pub fn step(&mut self, now: SimTime, hook: &mut dyn BarrierHook) -> Result<StepOutcome> {
         if self.is_finished() {
@@ -1187,8 +1146,7 @@ impl ExecutorCore {
 
     /// Consumes the core after the final barrier and assembles the
     /// [`ExecutionReport`]: terminates remaining capacity, settles
-    /// billing, and emits the teardown counters/spans. Byte-identical to
-    /// the teardown the legacy `run` loop performed inline.
+    /// billing, and emits the teardown counters/spans.
     pub fn finish(mut self) -> Result<ExecutionReport> {
         if !self.is_finished() {
             return Err(RbError::Execution(format!(
@@ -2475,7 +2433,9 @@ mod tests {
             snapshots: Vec::new(),
             replan_after: None,
         };
-        let hooked = mk().run_hooked(&configs(8, 1), &mut hook).unwrap();
+        let hooked = mk()
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+            .unwrap();
         assert_eq!(open.jct, hooked.jct);
         assert_eq!(open.compute_cost, hooked.compute_cost);
         assert_eq!(open.best_trial, hooked.best_trial);
@@ -2510,7 +2470,9 @@ mod tests {
             snapshots: Vec::new(),
             replan_after: Some((0, vec![4, 4, 4])),
         };
-        let adapted = mk().run_hooked(&configs(8, 1), &mut hook).unwrap();
+        let adapted = mk()
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+            .unwrap();
         assert_eq!(adapted.stages[0].instances, 2, "splice is suffix-only");
         for s in &adapted.stages[1..] {
             assert_eq!(s.instances, 1, "stage {} kept the old plan", s.stage);
@@ -2541,7 +2503,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            mk().run_hooked(&configs(8, 1), &mut BadLen),
+            mk().run_observed(&configs(8, 1), &mut BadLen, RecorderHandle::noop()),
             Err(RbError::InvalidPlan(_))
         ));
         struct ZeroGpus;
@@ -2551,7 +2513,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            mk().run_hooked(&configs(8, 1), &mut ZeroGpus),
+            mk().run_observed(&configs(8, 1), &mut ZeroGpus, RecorderHandle::noop()),
             Err(RbError::InvalidPlan(_))
         ));
     }
@@ -2604,7 +2566,7 @@ mod tests {
     #[test]
     fn trace_ordering_contract_holds_under_preemption() {
         // The satellite contract: per-entity non-decreasing timestamps and
-        // balanced node lifecycles, for both run() and run_hooked(), on a
+        // balanced node lifecycles, for both run() and a hooked run, on a
         // run that actually exercises the preemption recovery paths.
         let task = resnet101_cifar10();
         let open = stormy_executor(&task).run(&configs(8, 1)).unwrap();
@@ -2615,7 +2577,7 @@ mod tests {
             replan_after: Some((0, vec![8, 4, 4])),
         };
         let hooked = stormy_executor(&task)
-            .run_hooked(&configs(8, 1), &mut hook)
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
             .unwrap();
         assert!(hooked.preemptions > 0);
         hooked.trace.check_invariants().unwrap();
@@ -2781,7 +2743,9 @@ mod tests {
             }
         }
         let mut hook = GenerousHook(Vec::new());
-        let armed = mk().run_hooked(&configs(8, 1), &mut hook).unwrap();
+        let armed = mk()
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+            .unwrap();
         assert_eq!(hook.0, vec![0, 1, 2, 3], "budget queried once per stage");
         assert_eq!(open.jct, armed.jct);
         assert_eq!(open.compute_cost, armed.compute_cost);
@@ -2812,7 +2776,9 @@ mod tests {
             suffix: Some(vec![8]),
             fires: Vec::new(),
         };
-        let cut = mk().run_hooked(&configs(8, 1), &mut hook).unwrap();
+        let cut = mk()
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+            .unwrap();
         assert_eq!(hook.fires.len(), 1, "the watchdog fires exactly once");
         let (stage, remaining, units) = hook.fires[0];
         assert_eq!(stage, 3);
@@ -2848,7 +2814,9 @@ mod tests {
             suffix: Some(vec![8]),
             fires: Vec::new(),
         };
-        let again = mk().run_hooked(&configs(8, 1), &mut hook2).unwrap();
+        let again = mk()
+            .run_observed(&configs(8, 1), &mut hook2, RecorderHandle::noop())
+            .unwrap();
         assert_eq!(cut.jct, again.jct);
         assert_eq!(cut.trace, again.trace);
     }
@@ -2871,7 +2839,9 @@ mod tests {
             suffix: Some(vec![8, 8]),
             fires: Vec::new(),
         };
-        let err = exec.run_hooked(&configs(8, 1), &mut hook).unwrap_err();
+        let err = exec
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+            .unwrap_err();
         assert!(matches!(err, RbError::InvalidPlan(_)), "{err:?}");
     }
 
@@ -2901,7 +2871,8 @@ mod tests {
             }
         }
         let mut hook = ObsHook { rows: Vec::new() };
-        exec.run_hooked(&configs(8, 1), &mut hook).unwrap();
+        exec.run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+            .unwrap();
         let phys = physics(&task, 1024);
         assert_eq!(hook.rows.len(), 3);
         for (stage, gpus, obs, held) in &hook.rows {
@@ -2975,7 +2946,9 @@ mod tests {
             .unwrap()
         };
         let open = mk().run(&configs(8, 1)).unwrap();
-        let polled = mk().run_hooked(&configs(8, 1), &mut EmptySwitch).unwrap();
+        let polled = mk()
+            .run_observed(&configs(8, 1), &mut EmptySwitch, RecorderHandle::noop())
+            .unwrap();
         assert_eq!(open.jct, polled.jct);
         assert_eq!(open.compute_cost, polled.compute_cost);
         assert_eq!(open.best_trial, polled.best_trial);
@@ -3015,7 +2988,9 @@ mod tests {
             issued: false,
             capacity: Vec::new(),
         };
-        let switched = mk().run_hooked(&configs(8, 1), &mut hook).unwrap();
+        let switched = mk()
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+            .unwrap();
         assert!(hook.issued, "the switch was polled and taken");
         assert!(
             switched.instances_provisioned > open.instances_provisioned,

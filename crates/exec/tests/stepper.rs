@@ -1,11 +1,11 @@
 //! Bit-identity suite for the steppable executor core.
 //!
-//! `Executor::run` / `run_hooked` / `run_observed` are thin drivers over
-//! [`ExecutorCore`]: construct, step until [`StepOutcome::Finished`],
-//! finish. The decomposition is pure code motion, so a manually driven
-//! core must be **byte-equal** to the legacy drivers — same report, same
-//! trace, same counters — in every cell: plain, hook-armed, recorded,
-//! and chaos-enabled. These tests pin that contract; the multi-tenant
+//! `Executor::run_observed` (and `Executor::run`, which calls it with a
+//! no-op hook and recorder) is a thin driver over [`ExecutorCore`]:
+//! construct, step until [`StepOutcome::Finished`], finish. So a
+//! manually driven core must be **byte-equal** to the driver — same
+//! report, same trace, same counters — in every cell: plain, hook-armed,
+//! recorded, and chaos-enabled. These tests pin that contract; the multi-tenant
 //! service (`rb-serve`) depends on it to interleave jobs without
 //! perturbing them.
 
@@ -62,7 +62,7 @@ fn executor(plan: Vec<u32>, options: ExecOptions) -> Executor {
     .with_options(options)
 }
 
-/// Drives a core by hand, exactly as the legacy drivers do.
+/// Drives a core by hand, exactly as `Executor::run_observed` does.
 fn drive(
     exec: &Executor,
     configs: &[Config],
@@ -101,10 +101,10 @@ fn manual_drive_matches_run_byte_for_byte() {
         },
     );
     let cfgs = configs(8, 1);
-    let legacy = exec.run(&cfgs).unwrap();
+    let driven = exec.run(&cfgs).unwrap();
     let manual = drive(&exec, &cfgs, &mut NoopHook, RecorderHandle::noop());
-    assert_eq!(legacy.trace, manual.trace);
-    assert_eq!(format!("{legacy:?}"), format!("{manual:?}"));
+    assert_eq!(driven.trace, manual.trace);
+    assert_eq!(format!("{driven:?}"), format!("{manual:?}"));
 }
 
 #[test]
@@ -132,13 +132,15 @@ fn manual_drive_matches_run_hooked_with_armed_watchdog() {
         },
     );
     let cfgs = configs(8, 2);
-    let mut legacy_hook = Armed(Vec::new());
-    let legacy = exec.run_hooked(&cfgs, &mut legacy_hook).unwrap();
+    let mut driven_hook = Armed(Vec::new());
+    let driven = exec
+        .run_observed(&cfgs, &mut driven_hook, RecorderHandle::noop())
+        .unwrap();
     let mut manual_hook = Armed(Vec::new());
     let manual = drive(&exec, &cfgs, &mut manual_hook, RecorderHandle::noop());
-    assert_eq!(legacy_hook.0, manual_hook.0, "same budget queries");
-    assert_eq!(legacy.trace, manual.trace);
-    assert_eq!(format!("{legacy:?}"), format!("{manual:?}"));
+    assert_eq!(driven_hook.0, manual_hook.0, "same budget queries");
+    assert_eq!(driven.trace, manual.trace);
+    assert_eq!(format!("{driven:?}"), format!("{manual:?}"));
 }
 
 #[test]
@@ -159,10 +161,12 @@ fn manual_drive_matches_run_hooked_with_replanning_barrier_hook() {
         },
     );
     let cfgs = configs(8, 3);
-    let legacy = exec.run_hooked(&cfgs, &mut Replan).unwrap();
+    let driven = exec
+        .run_observed(&cfgs, &mut Replan, RecorderHandle::noop())
+        .unwrap();
     let manual = drive(&exec, &cfgs, &mut Replan, RecorderHandle::noop());
-    assert_eq!(legacy.trace, manual.trace);
-    assert_eq!(format!("{legacy:?}"), format!("{manual:?}"));
+    assert_eq!(driven.trace, manual.trace);
+    assert_eq!(format!("{driven:?}"), format!("{manual:?}"));
 }
 
 #[test]
@@ -176,12 +180,12 @@ fn manual_drive_matches_run_observed_traces_and_counters() {
     );
     let cfgs = configs(8, 1);
 
-    let legacy_sink = Arc::new(MemoryRecorder::new());
-    let legacy = exec
+    let driven_sink = Arc::new(MemoryRecorder::new());
+    let driven = exec
         .run_observed(
             &cfgs,
             &mut NoopHook,
-            RecorderHandle::new(legacy_sink.clone()),
+            RecorderHandle::new(driven_sink.clone()),
         )
         .unwrap();
     let manual_sink = Arc::new(MemoryRecorder::new());
@@ -192,11 +196,11 @@ fn manual_drive_matches_run_observed_traces_and_counters() {
         RecorderHandle::new(manual_sink.clone()),
     );
 
-    assert_eq!(format!("{legacy:?}"), format!("{manual:?}"));
+    assert_eq!(format!("{driven:?}"), format!("{manual:?}"));
     // The full export — events, counters, histograms — must match byte
     // for byte, not just the reports.
     assert_eq!(
-        export_jsonl(&legacy_sink.finish()),
+        export_jsonl(&driven_sink.finish()),
         export_jsonl(&manual_sink.finish())
     );
 }
@@ -223,14 +227,14 @@ fn manual_drive_matches_run_under_chaos() {
     };
     let exec = executor(vec![8, 8, 4, 4], options);
     let cfgs = configs(8, 9);
-    let legacy = exec.run(&cfgs).unwrap();
+    let driven = exec.run(&cfgs).unwrap();
     assert!(
-        legacy.faults_injected > 0,
+        driven.faults_injected > 0,
         "the chaos cell must actually inject faults"
     );
     let manual = drive(&exec, &cfgs, &mut NoopHook, RecorderHandle::noop());
-    assert_eq!(legacy.trace, manual.trace);
-    assert_eq!(format!("{legacy:?}"), format!("{manual:?}"));
+    assert_eq!(driven.trace, manual.trace);
+    assert_eq!(format!("{driven:?}"), format!("{manual:?}"));
 }
 
 #[test]
@@ -271,7 +275,6 @@ fn interleaved_cores_share_one_pool_and_the_ledger_balances() {
                 PoolConfig {
                     capacity: 8,
                     max_hold_secs: 1e7,
-                    handoff_secs: 2.0,
                 },
                 CloudPricing::on_demand(P3_8XLARGE),
             )
@@ -373,7 +376,7 @@ fn admission_time_shifts_the_clock_but_not_the_outcome() {
 
     let start = SimTime::from_secs(500);
     let exec = mk();
-    let mut core = ExecutorCore::new_at(&exec, &cfgs, RecorderHandle::noop(), start).unwrap();
+    let mut core = ExecutorCore::from_parts(exec, cfgs, RecorderHandle::noop(), start).unwrap();
     assert_eq!(core.now(), start);
     while !core.is_finished() {
         let now = core.now();

@@ -49,12 +49,6 @@ impl ShaParams {
         self
     }
 
-    /// Caps the number of stages (see [`ShaParams::max_stages`]).
-    pub fn with_max_stages(mut self, max_stages: usize) -> Self {
-        self.max_stages = Some(max_stages);
-        self
-    }
-
     /// Stable one-line description in the paper's notation, for tables
     /// and trace fields: `SHA(n=32, r=1, R=50, eta=3)`, with `/s` for a
     /// stage-capped Hyperband bracket.
@@ -200,7 +194,11 @@ mod tests {
         let params = ShaParams::new(32, 1, 50).with_eta(3);
         assert_eq!(params.describe(), "SHA(n=32, r=1, R=50, eta=3)");
         assert_eq!(
-            params.with_max_stages(2).describe(),
+            ShaParams {
+                max_stages: Some(2),
+                ..params
+            }
+            .describe(),
             "SHA(n=32, r=1, R=50, eta=3)/2"
         );
     }

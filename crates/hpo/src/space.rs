@@ -229,11 +229,6 @@ impl SearchSpace {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 
-    /// The dimension names, in definition order.
-    pub fn dim_names(&self) -> Vec<&str> {
-        self.dims.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Iterates over `(name, dim)` pairs in definition order.
     pub fn dims(&self) -> impl Iterator<Item = (&str, &Dim)> {
         self.dims.iter().map(|(n, d)| (n.as_str(), d))

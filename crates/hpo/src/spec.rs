@@ -100,7 +100,9 @@ impl ExperimentSpec {
     }
 
     /// Total work in trial-iterations: `Σ num_trials · iters`. A measure of
-    /// the job's size independent of parallelization.
+    /// the job's size independent of parallelization. A user entry point
+    /// for describing a spec; no library code calls it, and this module's
+    /// tests pin it.
     pub fn total_trial_iters(&self) -> u64 {
         self.stages
             .iter()
@@ -109,7 +111,9 @@ impl ExperimentSpec {
     }
 
     /// Cumulative iterations completed by a surviving trial after each
-    /// stage; the final entry is the paper's `R`.
+    /// stage; the final entry is the paper's `R`. A user entry point for
+    /// describing a spec; no library code calls it, and the spec tests
+    /// pin it against Table 3's epoch ranges.
     pub fn cumulative_iters(&self) -> Vec<u64> {
         let mut acc = 0;
         self.stages
@@ -127,6 +131,8 @@ impl ExperimentSpec {
     }
 
     /// Trials terminated at the end of stage `i` (the bottom performers).
+    /// A user entry point for describing a spec; no library code calls
+    /// it, and this module's tests pin it.
     pub fn terminated_after(&self, i: usize) -> u32 {
         let cur = self.stages[i].num_trials;
         let next = self.stages.get(i + 1).map(|s| s.num_trials).unwrap_or(0);

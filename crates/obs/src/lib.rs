@@ -8,7 +8,7 @@
 //!   order-insensitive counters and histograms. [`NoopRecorder`] is the
 //!   default everywhere and is observationally free: executor and
 //!   simulator output is bit-identical with or without it (the same
-//!   contract as `run()` vs `run_hooked()` in `rb-exec`).
+//!   contract as `run()` vs `run_observed()` in `rb-exec`).
 //! * [`MemoryRecorder`] — the in-memory sink; [`TraceLog`] is its
 //!   snapshot.
 //! * [`export::export_jsonl`] — a JSONL event stream stamped in virtual

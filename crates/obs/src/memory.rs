@@ -1,13 +1,13 @@
 //! The in-memory recording sink: an event bus plus a metrics registry.
 //!
-//! Events arrive only from deterministic single-threaded code paths
-//! (the executor loop, the controller, the planner driver), so the
-//! event vector order is reproducible. Counters and histograms may be
-//! reported from any thread that shares the recorder, so the registry
-//! is strictly **order-insensitive**: counters are sums, histograms
-//! keep a value multiset whose exported statistics
+//! Events, counters and histograms all arrive from the engine's one
+//! thread (the executor loop, the controller, the planner driver), in
+//! a deterministic order, so the event vector order is reproducible.
+//! The registry is also **order-insensitive**: counters are sums,
+//! histograms keep a value multiset whose exported statistics
 //! (count/min/max/quantiles) do not depend on arrival order. This is
-//! what makes JSONL exports byte-identical across runs.
+//! what makes JSONL exports byte-identical across runs. The `Mutex`es
+//! are there only because a [`Recorder`] must be `Send + Sync`.
 
 use crate::recorder::{Event, Recorder};
 use std::collections::BTreeMap;

@@ -1,7 +1,7 @@
 //! The [`Recorder`] trait: the single sink every crate reports into.
 //!
-//! The recorder follows the same discipline as `run()` vs `run_hooked()`
-//! in `rb-exec`: instrumentation must never influence the computation it
+//! The recorder follows the same discipline as `run()` vs
+//! `run_observed()` in `rb-exec`: instrumentation must never influence the computation it
 //! observes. Recorders only *receive* data — they consume no randomness,
 //! mutate no simulation state, and are consulted behind
 //! [`Recorder::enabled`] guards so the no-op recorder costs a single

@@ -32,7 +32,9 @@ pub struct PlacementDiff {
 }
 
 impl PlacementDiff {
-    /// True when the invocation changed nothing.
+    /// True when the invocation changed nothing. A test oracle: no
+    /// library code calls it; the placement property tests and
+    /// `tests/plan_fidelity.rs` read placement diffs through it.
     pub fn is_noop(&self) -> bool {
         self.moved.is_empty() && self.started.is_empty() && self.removed.is_empty()
     }
@@ -88,11 +90,6 @@ impl PlacementController {
     /// Confirms a reserved placement (the workers acquired it).
     pub fn confirm(&mut self, trial: TrialId) {
         self.reserved.remove(&trial);
-    }
-
-    /// True if the trial's placement is currently reserved.
-    pub fn is_reserved(&self, trial: TrialId) -> bool {
-        self.reserved.contains(&trial)
     }
 
     /// Runs the placement algorithm for the requested `allocations`
@@ -632,7 +629,7 @@ mod tests {
         let n2 = pc.plan().get(TrialId::new(2)).unwrap()[0].node;
         assert_ne!(n2, before0[0].node);
         pc.confirm(TrialId::new(0));
-        assert!(!pc.is_reserved(TrialId::new(0)));
+        assert!(!pc.reserved.contains(&TrialId::new(0)));
     }
 
     #[test]

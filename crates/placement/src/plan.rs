@@ -36,7 +36,9 @@ impl ClusterState {
         }
     }
 
-    /// A cluster of `n` fresh nodes numbered 0..n.
+    /// A cluster of `n` fresh nodes numbered 0..n. A test fixture: no
+    /// library code calls it; the placement tests and
+    /// `tests/plan_fidelity.rs` build their clusters with it.
     pub fn with_n_nodes(n: u32, gpus_per_node: u32) -> Self {
         ClusterState::new((0..u64::from(n)).map(NodeId::new).collect(), gpus_per_node)
     }

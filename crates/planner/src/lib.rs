@@ -22,7 +22,6 @@
 pub mod budget;
 pub(crate) mod descent;
 pub mod greedy;
-pub mod multi;
 pub mod naive;
 pub mod policy;
 pub mod schedule;
@@ -34,7 +33,6 @@ pub use greedy::{
     optimize_plan, plan_residual, plan_rubberband, GreedyOutcome, PlannerConfig, ResidualOutcome,
     MAX_GPUS_PER_TRIAL,
 };
-pub use multi::{plan_multi_job, MultiJobDiscipline, MultiJobPlan};
 pub use naive::plan_naive_elastic;
 pub use policy::{plan_with_policy, PlanOutcome, Policy};
 pub use schedule::{render_schedule, ScheduleRow};

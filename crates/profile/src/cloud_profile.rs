@@ -73,7 +73,10 @@ impl CloudProfile {
         self
     }
 
-    /// Sets the provisioning-delay distribution.
+    /// Sets the provisioning-delay distribution. A user entry point for a
+    /// measured, non-constant delay; no library code calls it, and the
+    /// simulator tests and Algorithm 1 oracle build their noisy clouds
+    /// with it.
     ///
     /// # Panics
     ///
@@ -84,7 +87,10 @@ impl CloudProfile {
         self
     }
 
-    /// Sets the init-latency distribution.
+    /// Sets the init-latency distribution. A user entry point for a
+    /// measured, non-constant latency; no library code calls it, and the
+    /// simulator tests and Algorithm 1 oracle build their noisy clouds
+    /// with it.
     ///
     /// # Panics
     ///

@@ -23,9 +23,15 @@ use std::sync::Arc;
 pub struct ProfilerConfig {
     /// Largest GPU allocation to measure (knots at 1, 2, 4, … up to this).
     pub max_gpus: u32,
-    /// Measured steps per allocation point.
+    /// Measured steps per allocation point. No library code sets it;
+    /// it stays settable as a test oracle's input:
+    /// `noise_estimate_is_in_the_right_ballpark` measures 200 steps per
+    /// point to check the noise estimator tightly.
     pub steps_per_point: u32,
     /// Relative jitter (σ/μ) of observed step latencies on the substrate.
+    /// No library code sets it; it stays settable as a test oracle's
+    /// input: the same test injects a known 0.10 and checks that the
+    /// estimate recovers it, which the default cannot show.
     pub observation_noise_frac: f64,
     /// Seed for the measurement noise stream.
     pub seed: u64,

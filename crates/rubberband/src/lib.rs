@@ -90,17 +90,18 @@ pub use rb_serve;
 pub use rb_sim;
 pub use rb_train;
 
-use rb_core::{Cost, Prng, Result, SimDuration, SimTime};
+use rb_core::{Prng, Result, SimDuration, SimTime};
 use rb_ctrl::{AdaptationLog, AdaptiveController, ControllerConfig};
 use rb_exec::{BarrierHook, ExecOptions, ExecutionReport, Executor, NoopHook};
 use rb_hpo::{Config, ExperimentSpec, SearchSpace};
-use rb_obs::{JobScopedRecorder, Lane, RecorderHandle, SpanTracker};
-use rb_planner::{plan_with_policy, MultiJobDiscipline, PlanOutcome, PlannerConfig, Policy};
+use rb_obs::RecorderHandle;
+use rb_planner::{plan_with_policy, PlanOutcome, PlannerConfig, Policy};
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_serve::JobRequest;
 use rb_sim::{AllocationPlan, Simulator};
 use rb_train::TaskModel;
-use std::sync::Arc;
+
+mod multi;
 
 /// Commonly used items, re-exported flat.
 pub mod prelude {
@@ -122,32 +123,6 @@ pub mod prelude {
     pub use rb_serve::{JobRequest, ServeOptions, ServeReport, TenantSpec, TuningService};
     pub use rb_sim::{AllocationPlan, Prediction, SimConfig, Simulator};
     pub use rb_train::TaskModel;
-}
-
-/// Profiles a training task on a ground-truth scaling model and compiles
-/// a plan in one call — the full pre-execution flow of §5 (profile →
-/// fit → plan).
-///
-/// # Errors
-///
-/// Propagates profiling and planning errors.
-pub fn profile_and_plan(
-    spec: &ExperimentSpec,
-    truth: &dyn rb_scaling::ScalingModel,
-    steps_per_iter: u64,
-    cloud: &CloudProfile,
-    deadline: SimDuration,
-) -> Result<(ModelProfile, PlanOutcome)> {
-    let mut model = rb_profile::profile_training(
-        truth,
-        steps_per_iter,
-        5.0,
-        &rb_profile::ProfilerConfig::default(),
-    )?
-    .profile;
-    model.train_startup_secs = 5.0;
-    let outcome = compile_plan(spec, &model, cloud, deadline)?;
-    Ok((model, outcome))
 }
 
 /// Compiles a cost-minimizing elastic allocation plan for `spec` under
@@ -272,8 +247,8 @@ impl Run<'_> {
 }
 
 /// The seed of the `k`-th (0-based) job derived from a root `seed`: the
-/// brackets of [`execute_multi_job`] and [`hyperband_group_jobs`], and
-/// the jobs of a [`ServeWorkload`]. Jobs draw independent noise and
+/// brackets of [`hyperband_group_jobs`] and the jobs of a
+/// [`ServeWorkload`]. Jobs draw independent noise and
 /// configurations while the whole set stays reproducible from `seed`.
 pub fn job_seed(seed: u64, k: usize) -> u64 {
     seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9)
@@ -392,150 +367,26 @@ pub fn execute_adaptive(
     })
 }
 
-/// The outcome of executing a Hyperband-style multi-job.
-#[derive(Debug, Clone)]
-pub struct MultiJobReport {
-    /// Per-bracket execution reports, in bracket order.
-    pub reports: Vec<ExecutionReport>,
-    /// Total spend across brackets.
-    pub total_cost: Cost,
-    /// End-to-end completion time (max of brackets when concurrent, sum
-    /// when sequential).
-    pub jct: SimDuration,
-    /// The best accuracy found across brackets.
-    pub best_accuracy: f64,
-    /// Its configuration.
-    pub best_config: Config,
-}
-
-/// Plans and executes a Hyperband-style multi-job: every bracket is
-/// planned under the shared deadline (per the discipline) and executed on
-/// its own elastic cluster, bracket `i` seeded with
-/// [`job_seed`]`(seed, i)`.
-///
-/// `recorder` receives one shared trace ([`RecorderHandle::noop`]
-/// records nothing). Every bracket gets its own lane: the facade
-/// brackets the bracket's whole execution in a `bracket` span pair on
-/// `Lane::Bracket(i)`, and the bracket's executor reports through a
-/// [`JobScopedRecorder`] (job `i + 1`) so trial/node/stage lanes and
-/// span ids from different brackets never collide in the shared stream.
-/// Recording never perturbs execution.
-///
-/// # Errors
-///
-/// Propagates planning and execution errors (a bracket that cannot meet
-/// its deadline share fails the multi-job).
-#[allow(clippy::too_many_arguments)] // Mirrors `execute` plus the multi-job knobs.
-pub fn execute_multi_job(
-    brackets: &[ExperimentSpec],
-    task: &TaskModel,
-    physics: &ModelProfile,
-    cloud: &CloudProfile,
-    space: &SearchSpace,
-    deadline: SimDuration,
-    discipline: MultiJobDiscipline,
-    seed: u64,
-    recorder: &RecorderHandle,
-) -> Result<MultiJobReport> {
-    let sim = Simulator::new(physics.clone(), cloud.clone());
-    let plan = rb_planner::plan_multi_job(
-        &sim,
-        brackets,
-        deadline,
-        discipline,
-        &PlannerConfig::default(),
-    )?;
-    // The facade's own spans use the caller's recorder (job-0 id range);
-    // bracket executors are scoped to jobs 1..=n, so ids stay disjoint.
-    let mut spans = SpanTracker::new();
-    let mut reports = Vec::with_capacity(brackets.len());
-    let mut total_cost = Cost::ZERO;
-    let mut jct = SimDuration::ZERO;
-    let mut best: Option<(f64, Config)> = None;
-    for (i, (spec, out)) in brackets.iter().zip(&plan.brackets).enumerate() {
-        let lane = Lane::Bracket(i as u32);
-        let (bracket_span, parent) = spans.open();
-        recorder.span_start(
-            SimTime::ZERO,
-            "exec",
-            "bracket",
-            lane,
-            bracket_span,
-            parent,
-            vec![
-                ("bracket", (i as u64).into()),
-                ("trials", spec.initial_trials().into()),
-            ],
-        );
-        let scoped = RecorderHandle::new(Arc::new(JobScopedRecorder::new(
-            recorder.share(),
-            i as u64 + 1,
-        )));
-        let run = Run {
-            spec,
-            plan: &out.plan,
-            task,
-            physics,
-            cloud,
-            space,
-            options: seeded(job_seed(seed, i)),
-        };
-        let report = run.execute(&mut NoopHook, &scoped)?;
-        recorder.span_end(
-            SimTime::ZERO + report.jct,
-            "exec",
-            "bracket",
-            lane,
-            spans.close(),
-            vec![
-                ("bracket", (i as u64).into()),
-                ("jct_ms", report.jct.as_millis().into()),
-                ("cost_micros", report.total_cost().as_micros().into()),
-                ("best_accuracy", report.best_accuracy.into()),
-            ],
-        );
-        total_cost += report.total_cost();
-        jct = match discipline {
-            MultiJobDiscipline::Concurrent => jct.max(report.jct),
-            MultiJobDiscipline::Sequential => jct + report.jct,
-        };
-        if best
-            .as_ref()
-            .map_or(true, |(a, _)| report.best_accuracy > *a)
-        {
-            best = Some((report.best_accuracy, report.best_config.clone()));
-        }
-        reports.push(report);
-    }
-    let (best_accuracy, best_config) = best.expect("at least one bracket");
-    Ok(MultiJobReport {
-        reports,
-        total_cost,
-        jct,
-        best_accuracy,
-        best_config,
-    })
-}
-
 /// Builds one tenant's Hyperband **job group** for the tuning service:
 /// one bracket-tagged [`rb_serve::JobRequest`] per bracket of
-/// [`rb_hpo::hyperband_brackets`]`(r, R, eta)`, planned together under
-/// the shared deadline ([`rb_planner::plan_multi_job`], concurrent
-/// discipline) and all arriving at `arrival`.
+/// [`rb_hpo::hyperband_brackets`]`(r, R, eta)`, all arriving at
+/// `arrival`. This is the paper's multi-job (Fig. 6): a collection of
+/// SHA specs, one per bracket, run side by side on their own clusters.
+/// Each bracket is planned by [`rb_planner::plan_rubberband`] under the
+/// full shared deadline, in bracket order on one simulator. Bracket `i`
+/// is seeded with [`job_seed`]`(seed, i)`.
 ///
 /// Bracket-tagged jobs get a [`rb_obs::Lane::Bracket`] span each in the
 /// service trace, and under a shared pool the group keeps affinity for
 /// its own barrier-released capacity: instances parked by one bracket
 /// flow to sibling brackets of the same tenant before being offered
-/// cross-tenant. Per-bracket seeds match [`execute_multi_job`]'s, so a
-/// group run through the service tunes the same trials as the
-/// standalone multi-job of the same seed.
+/// cross-tenant.
 ///
 /// # Errors
 ///
-/// Propagates bracket-generation, planning, and executor-construction
-/// errors.
-#[allow(clippy::too_many_arguments)] // Mirrors `execute_multi_job` plus the service coordinates.
+/// Propagates bracket-generation, planning (a bracket that cannot meet
+/// the deadline), and executor-construction errors.
+#[allow(clippy::too_many_arguments)] // Mirrors `execute` plus the bracket and service coordinates.
 pub fn hyperband_group_jobs(
     r: u64,
     big_r: u64,
@@ -549,24 +400,20 @@ pub fn hyperband_group_jobs(
     arrival: SimTime,
     seed: u64,
 ) -> Result<Vec<JobRequest>> {
-    let brackets = rb_hpo::hyperband_brackets(r, big_r, eta)?;
-    let specs: Vec<ExperimentSpec> = brackets.into_iter().map(|(_, s)| s).collect();
+    let brackets: Vec<ExperimentSpec> = rb_hpo::hyperband_brackets(r, big_r, eta)?
+        .into_iter()
+        .map(|(_, spec)| spec)
+        .collect();
     let sim = Simulator::new(physics.clone(), cloud.clone());
-    let plan = rb_planner::plan_multi_job(
-        &sim,
-        &specs,
-        deadline,
-        MultiJobDiscipline::Concurrent,
-        &PlannerConfig::default(),
-    )?;
-    specs
+    let plans = multi::plan_brackets(&sim, &brackets, deadline)?;
+    brackets
         .iter()
-        .zip(&plan.brackets)
+        .zip(&plans)
         .enumerate()
-        .map(|(i, (spec, out))| {
+        .map(|(i, (spec, outcome))| {
             let run = Run {
                 spec,
-                plan: &out.plan,
+                plan: &outcome.plan,
                 task,
                 physics,
                 cloud,
@@ -685,8 +532,10 @@ mod tests {
     use super::*;
     use rb_cloud::catalog::P3_8XLARGE;
     use rb_cloud::CloudPricing;
+    use rb_core::Cost;
     use rb_hpo::{Dim, ShaParams};
     use rb_obs::{CacheStats, MemoryRecorder, RunSummary, TraceLog};
+    use std::sync::Arc;
 
     /// SHA(8, 1, 8) on ResNet-50 physics, planned under a 2-hour deadline.
     struct Fixture {
@@ -807,18 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_and_plan_composes() {
-        let spec = ShaParams::new(8, 1, 8).generate().unwrap();
-        let task = rb_train::task::resnet50_cifar10();
-        let truth = rb_scaling::AnalyticScaling::for_arch(&task.arch, 512, 4);
-        let cloud = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE));
-        let (model, outcome) =
-            profile_and_plan(&spec, &truth, task.steps_per_iter(512), &cloud, DEADLINE).unwrap();
-        assert!(model.steps_per_iter > 0);
-        assert!(outcome.prediction.feasible(DEADLINE));
-    }
-
-    #[test]
     fn run_configs_follow_the_sampling_contract() {
         // The salt is a compatibility contract: pinned fixtures and the
         // perf benchmark sample the same trials from the same seed.
@@ -876,11 +713,23 @@ mod tests {
         for (i, (job, spec)) in group.iter().zip(&specs).enumerate() {
             assert_eq!(job.executor.spec(), spec);
             assert_eq!(job.executor.options().seed, job_seed(5, i));
+            // Each bracket's job runs the plan a fresh simulator selects
+            // for it under the full deadline.
+            let sim = Simulator::new(fx.physics.clone(), fx.cloud.clone());
+            let alone =
+                rb_planner::plan_rubberband(&sim, spec, DEADLINE, &PlannerConfig::default())
+                    .unwrap();
             let run = Run {
                 spec,
+                plan: &alone.plan,
                 ..fx.run(seeded(job_seed(5, i)))
             };
             assert_eq!(job.configs, run.configs());
+            assert_eq!(
+                format!("{:?}", job.executor),
+                format!("{:?}", run.executor().unwrap()),
+                "bracket {i}"
+            );
         }
     }
 
@@ -892,64 +741,68 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn multi_job_executes_all_brackets() {
-        let fx = fixture();
-        let brackets = hyperband_1_9_3();
-        let report = execute_multi_job(
-            &brackets,
+    /// Hyperband(1, 9, 3) as one tenant's job group through the tuning
+    /// service, recorded into `recorder`.
+    fn serve_hyperband(fx: &Fixture, recorder: &RecorderHandle) -> rb_serve::ServeReport {
+        let jobs = hyperband_group_jobs(
+            1,
+            9,
+            3,
             &fx.task,
             &fx.physics,
             &fx.cloud,
             &fx.space,
             DEADLINE,
-            MultiJobDiscipline::Concurrent,
+            0,
+            SimTime::ZERO,
             1,
-            &RecorderHandle::noop(),
         )
         .unwrap();
-        assert_eq!(report.reports.len(), brackets.len());
-        assert!(report.jct <= DEADLINE);
-        assert!(report.best_accuracy > 0.1);
-        let sum: Cost = report.reports.iter().map(|r| r.total_cost()).sum();
-        assert_eq!(report.total_cost, sum);
+        rb_serve::TuningService::new(
+            vec![rb_serve::TenantSpec::new("hyperband", 1.0)],
+            rb_serve::ServeOptions::default(),
+        )
+        .unwrap()
+        .run_with_recorder(jobs, recorder)
+        .unwrap()
+    }
+
+    #[test]
+    fn multi_job_executes_all_brackets() {
+        let fx = fixture();
+        let report = serve_hyperband(&fx, &RecorderHandle::noop());
+        // Every bracket ran side by side and finished inside the deadline.
+        assert_eq!(report.outcomes.len(), hyperband_1_9_3().len());
+        assert!(report
+            .outcomes
+            .iter()
+            .all(|o| o.dispatched == SimTime::ZERO));
+        assert!(report.makespan <= SimTime::ZERO + DEADLINE);
+        assert!(report.outcomes.iter().any(|o| o.report.best_accuracy > 0.1));
     }
 
     #[test]
     fn recorded_multi_job_matches_and_traces_each_bracket() {
         let fx = fixture();
-        let brackets = hyperband_1_9_3();
-        let multi = |recorder: &RecorderHandle| {
-            execute_multi_job(
-                &brackets,
-                &fx.task,
-                &fx.physics,
-                &fx.cloud,
-                &fx.space,
-                DEADLINE,
-                MultiJobDiscipline::Concurrent,
-                1,
-                recorder,
-            )
-            .unwrap()
-        };
-        let plain = multi(&RecorderHandle::noop());
+        let brackets = hyperband_1_9_3().len();
+        let plain = serve_hyperband(&fx, &RecorderHandle::noop());
         let sink = Arc::new(MemoryRecorder::new());
-        let observed = multi(&RecorderHandle::new(sink.clone()));
+        let observed = serve_hyperband(&fx, &RecorderHandle::new(sink.clone()));
         // Recording must not perturb any bracket.
-        assert_eq!(format!("{observed:?}"), format!("{plain:?}"));
+        assert_eq!(observed.render(), plain.render());
         let log = sink.finish();
         let jsonl = rb_obs::export::export_jsonl(&log);
-        rb_obs::schema::validate_jsonl(&jsonl).expect("multi-job trace validates");
-        for i in 0..brackets.len() {
-            let on_lane = |kind: fn(&rb_obs::EventKind) -> bool| {
-                log.events_named("exec", "bracket")
-                    .filter(|e| e.lane == Lane::Bracket(i as u32) && kind(&e.kind))
-                    .count()
-            };
-            let starts = on_lane(|k| matches!(k, rb_obs::EventKind::SpanStart { .. }));
-            let ends = on_lane(|k| matches!(k, rb_obs::EventKind::SpanEnd { .. }));
-            assert_eq!((starts, ends), (1, 1), "bracket {i}");
+        rb_obs::schema::validate_jsonl(&jsonl).expect("hyperband group trace validates");
+        assert_eq!(log.events_named("serve", "bracket").count(), brackets);
+        for i in 0..brackets {
+            let spans = log
+                .events_named("serve", "bracket")
+                .filter(|e| {
+                    e.lane == rb_obs::Lane::Bracket(i as u32)
+                        && matches!(e.kind, rb_obs::EventKind::Span { .. })
+                })
+                .count();
+            assert_eq!(spans, 1, "bracket {i}");
         }
     }
 

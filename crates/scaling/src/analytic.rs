@@ -60,14 +60,6 @@ impl AnalyticScaling {
         }
     }
 
-    /// Overrides the intra-node and inter-node bandwidths (GB/s).
-    pub fn with_bandwidths(mut self, intra_gbps: f64, inter_gbps: f64) -> Self {
-        self.intra_node_bw_gbps = intra_gbps;
-        self.inter_node_bw_gbps = inter_gbps;
-        self.scattered_bw_gbps = inter_gbps / 8.0;
-        self
-    }
-
     /// The architecture descriptor.
     pub fn arch(&self) -> &ModelArch {
         &self.arch
@@ -291,8 +283,13 @@ mod tests {
 
     #[test]
     fn bandwidth_override_changes_cross_node_latency() {
-        let slow = AnalyticScaling::for_arch(&RESNET50, 512, 4).with_bandwidths(25.0, 0.5);
-        let fast = AnalyticScaling::for_arch(&RESNET50, 512, 4).with_bandwidths(25.0, 10.0);
+        let with_inter = |gbps: f64| AnalyticScaling {
+            inter_node_bw_gbps: gbps,
+            scattered_bw_gbps: gbps / 8.0,
+            ..AnalyticScaling::for_arch(&RESNET50, 512, 4)
+        };
+        let slow = with_inter(0.5);
+        let fast = with_inter(10.0);
         assert!(
             slow.iter_latency_secs(8, PlacementQuality::Packed)
                 > fast.iter_latency_secs(8, PlacementQuality::Packed)

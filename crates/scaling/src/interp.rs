@@ -61,24 +61,6 @@ impl InterpolatedScaling {
             scattered_factor: 2.0,
         })
     }
-
-    /// Sets the latency multiplier applied for scattered placements.
-    pub fn with_scattered_factor(mut self, factor: f64) -> Self {
-        debug_assert!(
-            factor >= 1.0,
-            "scattered placement cannot speed training up"
-        );
-        self.scattered_factor = factor;
-        self
-    }
-
-    /// The profiled GPU counts (knot positions), smallest first.
-    pub fn profiled_gpu_counts(&self) -> Vec<u32> {
-        self.knots
-            .iter()
-            .map(|&(lg, _)| (2f64.powf(lg)).round() as u32)
-            .collect()
-    }
 }
 
 impl ScalingModel for InterpolatedScaling {
@@ -140,9 +122,10 @@ mod tests {
 
     #[test]
     fn scattered_factor_applies() {
-        let m = InterpolatedScaling::from_points(&[(1, 4.0)], 512)
-            .unwrap()
-            .with_scattered_factor(1.5);
+        let m = InterpolatedScaling {
+            scattered_factor: 1.5,
+            ..InterpolatedScaling::from_points(&[(1, 4.0)], 512).unwrap()
+        };
         assert_eq!(m.iter_latency_secs(1, PlacementQuality::Scattered), 6.0);
     }
 
@@ -166,6 +149,8 @@ mod tests {
     #[test]
     fn profiled_counts_round_trip() {
         let m = InterpolatedScaling::from_points(&[(8, 1.0), (1, 4.0), (2, 2.0)], 512).unwrap();
-        assert_eq!(m.profiled_gpu_counts(), vec![1, 2, 8]);
+        // Knots sit at log2 of the profiled GPU counts, smallest first.
+        let at: Vec<f64> = m.knots.iter().map(|&(lg, _)| lg).collect();
+        assert_eq!(at, vec![0.0, 1.0, 3.0]);
     }
 }

@@ -130,7 +130,9 @@ pub const ZOO: &[ModelArch] = &[
     VIT_B16,
 ];
 
-/// Looks up an architecture by name.
+/// Looks up an architecture by name. A user entry point for a caller
+/// that names models as text; library code uses the constants, so only
+/// tests call it.
 pub fn lookup(name: &str) -> Option<&'static ModelArch> {
     ZOO.iter().find(|m| m.name == name)
 }

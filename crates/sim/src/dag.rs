@@ -36,9 +36,8 @@ use rb_core::{Cost, Distribution, Prng, RbError, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_profile::{CloudProfile, ModelProfile};
 use rb_scaling::PlacementQuality;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The per-spec half of the execution model: everything about a stage's
 /// tasks that is the same for every candidate plan.
@@ -57,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// constantly.
 #[derive(Debug)]
 pub struct DagTemplate {
-    /// Process-unique id (`NEXT_TEMPLATE_ID`): the prediction arena
+    /// Thread-unique id (`NEXT_TEMPLATE_ID`): the prediction arena
     /// resumes a plan only on the template it loaded it from.
     id: u64,
     /// `(trials, units)` per stage, in order.
@@ -112,11 +111,14 @@ pub(crate) type StageKey = (u32, u32, u32);
 /// (see `DagTemplate::stage_noise`).
 type NoiseKey = (usize, u64, u32);
 
-/// The next [`DagTemplate`] id. An id rather than the template's
-/// address, which a later template can reuse once this one is freed.
-/// Atomic only because a `static` must be `Sync`: nothing shares it
-/// between threads, it exists for uniqueness.
-static NEXT_TEMPLATE_ID: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// The next [`DagTemplate`] id on this thread. An id rather than the
+    /// template's address, which a later template can reuse once this
+    /// one is freed. Per thread is enough: templates are `!Send`, so a
+    /// template and the thread-local prediction arena that compares its
+    /// id always share a thread.
+    static NEXT_TEMPLATE_ID: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Latency of the end-of-stage evaluation barrier (the SYNC task), in
 /// seconds. One value for the model and the run: the simulator adds it
@@ -208,7 +210,7 @@ impl DagTemplate {
     pub fn new(spec: &ExperimentSpec, model: &ModelProfile, cloud: &CloudProfile) -> DagTemplate {
         let constant = |d: &Distribution| matches!(d, Distribution::Constant(_));
         DagTemplate {
-            id: NEXT_TEMPLATE_ID.fetch_add(1, Ordering::Relaxed),
+            id: NEXT_TEMPLATE_ID.with(|next| next.replace(next.get() + 1)),
             stages: spec.stages().map(|s| (s.num_trials, s.iters)).collect(),
             gpg: cloud.gpus_per_instance().max(1),
             provision: cloud.provision_delay.clone(),
@@ -238,7 +240,7 @@ impl DagTemplate {
         self.stages.len()
     }
 
-    /// This template's process-unique id.
+    /// This template's thread-unique id.
     pub(crate) fn id(&self) -> u64 {
         self.id
     }

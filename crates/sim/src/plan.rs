@@ -114,7 +114,9 @@ impl AllocationPlan {
     /// True when every stage's allocation divides fairly (a factor or
     /// multiple of the stage's trial count) — the invariant the elastic
     /// planner maintains while stepping (§4.3). Static plans generally do
-    /// *not* satisfy this across all stages.
+    /// *not* satisfy this across all stages. A test oracle: the planner
+    /// keeps fairness by construction, so no library code calls it; the
+    /// planner tests assert it of every elastic plan they produce.
     pub fn is_fair(&self, spec: &ExperimentSpec) -> bool {
         (0..self.num_stages().min(spec.num_stages())).all(|i| {
             let trials = spec.get_stage(i).expect("index in range").0;

@@ -915,7 +915,9 @@ impl Simulator {
     }
 
     /// Explains a plan stage by stage: mean duration and cost per stage
-    /// across the Monte-Carlo samples.
+    /// across the Monte-Carlo samples. A user entry point for attributing
+    /// a plan's predicted cost; no library code calls it, and the
+    /// Algorithm 1 oracle checks every stage of it.
     ///
     /// Runs the same billing walk over the same loaded plan as
     /// [`Simulator::predict`]. A stage's cost is the instance charges of

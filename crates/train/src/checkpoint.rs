@@ -110,6 +110,9 @@ impl<'a> Reader<'a> {
 }
 
 /// Serializes a trial's resumable state (id, progress, config, history).
+/// A test oracle: the store encodes into a reused buffer, so no library
+/// code calls this allocating form; the checkpoint tests and
+/// `tests/plan_fidelity.rs` round-trip through it.
 pub fn encode_trial(trial: &Trial) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_trial_into(trial, &mut buf);

@@ -63,7 +63,9 @@ pub const RTE: Dataset = Dataset {
 /// All dataset descriptors.
 pub const DATASETS: &[Dataset] = &[CIFAR10, CIFAR100, IMAGENET, RTE];
 
-/// Looks up a dataset by name.
+/// Looks up a dataset by name. A user entry point for a caller that
+/// names datasets as text; library code uses the constants, so only
+/// tests call it.
 pub fn lookup(name: &str) -> Option<&'static Dataset> {
     DATASETS.iter().find(|d| d.name == name)
 }

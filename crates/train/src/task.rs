@@ -70,7 +70,9 @@ impl TaskModel {
     /// before noise. Reads `lr` and optionally `weight_decay` from the
     /// configuration; a missing `lr` is treated as `lr_opt` (useful for
     /// workloads where the surface is irrelevant, e.g. the cost-model
-    /// figures).
+    /// figures). A test oracle: trials evaluate through
+    /// [`TaskModel::curve`], so no library code calls it; the task tests
+    /// check the accuracy surface with it.
     pub fn asymptotic_accuracy(&self, config: &Config) -> f64 {
         self.asymptote(config, self.lr_decades(config))
     }
@@ -107,7 +109,9 @@ impl TaskModel {
     }
 
     /// The effective convergence half-life of a configuration, in work
-    /// units.
+    /// units. A test oracle: trials evaluate through
+    /// [`TaskModel::curve`], so no library code calls it; the task tests
+    /// check with it that a worse learning rate converges slower.
     pub fn halflife(&self, config: &Config) -> f64 {
         self.halflife_at(self.lr_decades(config))
     }
@@ -132,7 +136,10 @@ impl TaskModel {
         }
     }
 
-    /// Noise-free validation accuracy after `iters` work units.
+    /// Noise-free validation accuracy after `iters` work units. A test
+    /// oracle: trials evaluate through [`TaskModel::curve`], so no library
+    /// code calls it; the task tests and `tests/plan_fidelity.rs` read
+    /// the noise-free curve with it.
     pub fn clean_accuracy(&self, config: &Config, iters: u64) -> f64 {
         self.curve(config).clean(iters)
     }
@@ -276,7 +283,9 @@ pub fn bert_rte() -> TaskModel {
     }
 }
 
-/// ResNet-50 on ImageNet — the Fig. 10a large-dataset workload.
+/// ResNet-50 on ImageNet — the Fig. 10a large-dataset workload. A user
+/// entry point: no `repro` artifact runs it, and only the task tests
+/// read it.
 pub fn resnet50_imagenet() -> TaskModel {
     TaskModel {
         name: "ResNet-50 / ImageNet",
