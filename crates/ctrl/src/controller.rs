@@ -67,23 +67,26 @@ impl Default for WatchdogConfig {
 /// wiggle.
 const REFIT_MIN_CHANGE: f64 = 0.10;
 
-/// Interruption-rate prior for pricing the spot alternative while
-/// running on-demand, in preemptions per instance-hour. Once the job
-/// runs on spot, the observed rate replaces it.
+/// The spot interruption rate an executed switch to spot hands the
+/// executor for its future capacity, in preemptions per instance-hour.
+/// No prediction reads an interruption rate, so it does not enter the
+/// market comparison.
 const ASSUMED_SPOT_RATE_PER_HOUR: f64 = 4.0;
 
 /// Spot-aware residual planning knobs.
 ///
 /// Every re-plan evaluates the residual under *both* markets — the
-/// executing one and its alternative (spot priced with the observed
-/// interruption rate, or on-demand with none) — and records which market
-/// the Monte-Carlo simulator prefers. By default the choice is advisory:
-/// the executor keeps its launch market, but the preference is logged in
-/// [`ReplanEvent::market`] and emitted on the bus, so a supervisor can
-/// act on it. With [`MarketConfig::execute`] the controller acts on it
-/// itself: the preference becomes a [`SwitchDirective`] the executor
-/// drains the fleet through at the same safe point, and a degraded zone
-/// is abandoned for its neighbor the same way.
+/// executing one and its alternative at the other tier's prices — and
+/// records which market the Monte-Carlo simulator prefers: the feasible
+/// one, then the cheaper one. The simulator does not price spot churn,
+/// so the comparison weighs price and feasibility only. By default the
+/// choice is advisory: the executor keeps its launch market, but the
+/// preference is logged in [`ReplanEvent::market`] and emitted on the
+/// bus, so a supervisor can act on it. With [`MarketConfig::execute`]
+/// the controller acts on it itself: the preference becomes a
+/// [`SwitchDirective`] the executor drains the fleet through at the
+/// same safe point, and a degraded zone is abandoned for its neighbor
+/// the same way.
 #[derive(Debug, Clone)]
 pub struct MarketConfig {
     /// Evaluate the alternative market at every re-plan (default: true).
@@ -285,8 +288,6 @@ struct ReplanPoint<'a> {
     /// the interrupted one itself at a watchdog cut.
     from: usize,
     now: SimTime,
-    preemptions: u32,
-    instance_seconds: f64,
     home_zone: u32,
     num_zones: u32,
     plan: &'a AllocationPlan,
@@ -383,9 +384,13 @@ impl AdaptiveController {
     }
 
     /// A fresh simulator over `model` and `cloud` with this controller's
-    /// Monte-Carlo configuration and no recorder — used to price
-    /// alternative markets without touching the planning simulator, and
-    /// to build the planning simulator's replacement.
+    /// Monte-Carlo configuration, no recorder and caches of its own —
+    /// for a view whose stage columns differ from the planning
+    /// simulator's (a refit model, risk-priced delays), and for the
+    /// planning simulator that follows an executed market switch. The
+    /// alternative market of a re-plan differs only in prices and is
+    /// planned on [`Simulator::repriced`] instead, which shares the
+    /// columns.
     fn sibling_sim(&self, model: rb_profile::ModelProfile, cloud: CloudProfile) -> Simulator {
         Simulator::new(model, cloud).with_config(self.sim.config().clone())
     }
@@ -543,16 +548,19 @@ impl AdaptiveController {
         true
     }
 
-    /// Plans the residual under the executing market, and — when market
-    /// evaluation is enabled — prices the same residual under the
-    /// alternative market (spot at the observed/assumed interruption
-    /// rate, or on-demand with none). A non-calm capacity window
-    /// risk-prices *both* markets first: the provisioning-delay model is
-    /// stretched by the observed denial/retry/outage distribution, so
-    /// the planner stops assuming the calibrated steady state mid-storm.
-    /// Returns the authoritative outcome (from the executing market)
-    /// plus the preferred market and whether it differs from the
-    /// executing one.
+    /// Plans the residual under the executing market and, when market
+    /// evaluation is enabled, under the alternative market: one plan per
+    /// market. A non-calm capacity window risk-prices *both* markets
+    /// first: the provisioning-delay model is stretched by the observed
+    /// denial/retry/outage distribution, so the planner stops assuming
+    /// the calibrated steady state mid-storm. The alternative is planned
+    /// on a [`Simulator::repriced`] copy of the executing market's
+    /// simulator, so it reads the stage columns the first plan built.
+    /// The markets compare on predicted cost and feasibility only: no
+    /// prediction reads the spot interruption rate, so neither plan
+    /// prices churn. Returns the authoritative outcome (from the
+    /// executing market) plus the preferred market and whether it
+    /// differs from the executing one.
     fn plan_residual_markets(
         &self,
         residual_spec: &ExperimentSpec,
@@ -561,13 +569,13 @@ impl AdaptiveController {
         point: &ReplanPoint<'_>,
         window: &CapacityEvents,
     ) -> Option<(ResidualOutcome, MarketChoice, bool)> {
-        let base_cloud = self.sim.cloud().risk_from_events(window);
         let risk_sim;
         let sim = if window.requests > 0 && !window.is_calm() {
+            let risky = self.sim.cloud().risk_from_events(window);
             let recorder = self.sim.recorder();
             if recorder.enabled() {
                 let stretch = if self.sim.cloud().provision_delay.mean() > 0.0 {
-                    base_cloud.provision_delay.mean() / self.sim.cloud().provision_delay.mean()
+                    risky.provision_delay.mean() / self.sim.cloud().provision_delay.mean()
                 } else {
                     1.0
                 };
@@ -585,7 +593,7 @@ impl AdaptiveController {
                     ],
                 );
             }
-            risk_sim = self.sibling_sim(self.sim.model().clone(), base_cloud.clone());
+            risk_sim = self.sibling_sim(self.sim.model().clone(), risky);
             &risk_sim
         } else {
             &self.sim
@@ -605,42 +613,15 @@ impl AdaptiveController {
             return Some((out, current, false));
         }
 
-        // Score for the executing market. On spot with enough history the
-        // observed interruption rate replaces the profile's configured
-        // one, so the comparison reflects the churn actually seen.
-        let mut cur_feasible = out.feasible;
-        let mut cur_cost = out.prediction.cost.as_dollars();
-        if current == MarketChoice::Spot && point.instance_seconds > 0.0 {
-            let observed_rate = f64::from(point.preemptions) / (point.instance_seconds / 3600.0);
-            if observed_rate.is_finite() {
-                let mut cur_cloud = base_cloud.clone();
-                cur_cloud.spot_interruptions_per_hour = observed_rate;
-                if let Ok(cur) = plan(&self.sibling_sim(self.sim.model().clone(), cur_cloud)) {
-                    cur_feasible = cur.feasible;
-                    cur_cost = cur.prediction.cost.as_dollars();
-                }
-            }
-        }
-
-        let mut alt_cloud = base_cloud;
         let alt_market = match current {
-            MarketChoice::OnDemand => {
-                alt_cloud.pricing = alt_cloud.pricing.with_spot();
-                // No spot history while on-demand: price interruptions at
-                // the prior.
-                alt_cloud.spot_interruptions_per_hour = ASSUMED_SPOT_RATE_PER_HOUR;
-                MarketChoice::Spot
-            }
-            MarketChoice::Spot => {
-                alt_cloud.pricing.tier = PricingTier::OnDemand;
-                alt_cloud.spot_interruptions_per_hour = 0.0;
-                MarketChoice::OnDemand
-            }
+            MarketChoice::OnDemand => MarketChoice::Spot,
+            MarketChoice::Spot => MarketChoice::OnDemand,
         };
-        let alt = plan(&self.sibling_sim(self.sim.model().clone(), alt_cloud)).ok();
+        let alt = plan(&sim.repriced(alt_market.tier())).ok();
         let switched = alt.as_ref().is_some_and(|alt| {
-            (alt.feasible && !cur_feasible)
-                || (alt.feasible == cur_feasible && alt.prediction.cost.as_dollars() < cur_cost)
+            (alt.feasible && !out.feasible)
+                || (alt.feasible == out.feasible
+                    && alt.prediction.cost.as_dollars() < out.prediction.cost.as_dollars())
         });
         let market = if switched { alt_market } else { current };
         if switched {
@@ -823,8 +804,6 @@ impl BarrierHook for AdaptiveController {
             stage: snap.stage,
             from: next,
             now: snap.now,
-            preemptions: snap.preemptions,
-            instance_seconds: snap.instance_seconds,
             home_zone: snap.home_zone,
             num_zones: snap.num_zones,
             plan: snap.plan,
@@ -888,8 +867,6 @@ impl BarrierHook for AdaptiveController {
             stage: snap.stage,
             from: snap.stage,
             now: snap.now,
-            preemptions: snap.preemptions,
-            instance_seconds: snap.instance_seconds,
             home_zone: snap.home_zone,
             num_zones: snap.num_zones,
             plan: snap.plan,
@@ -975,6 +952,43 @@ mod tests {
         let task = resnet101_cifar10();
         let sim = Simulator::new(physics(&task, 1.0), cloud());
         AdaptiveController::new(sim, spec(), plan, deadline, config).unwrap()
+    }
+
+    /// The market comparison plans each market once and prices no spot
+    /// churn: on either tier, clouds that differ only in
+    /// `spot_interruptions_per_hour` predict and re-plan bit for bit
+    /// alike, because nothing in the simulator or the planner reads the
+    /// rate (only the executor's cluster manager does). An observed-rate
+    /// re-score of the executing market comes back only together with a
+    /// simulator that reads the rate.
+    #[test]
+    fn predictions_and_residual_plans_ignore_the_spot_interruption_rate() {
+        let task = resnet101_cifar10();
+        let residual = spec().suffix(1).unwrap();
+        let warm = AllocationPlan::new(vec![4, 2, 1]);
+        let config = PlannerConfig {
+            exploration_samples: Some(5),
+            ..PlannerConfig::default()
+        };
+        for tier in [PricingTier::OnDemand, PricingTier::Spot] {
+            let outcome = |rate: f64| {
+                let mut cloud = cloud().with_spot_interruptions(rate);
+                cloud.pricing = cloud.pricing.with_tier(tier);
+                let sim = Simulator::new(physics(&task, 1.0), cloud);
+                let preds: Vec<_> = [vec![8, 8, 8, 8], vec![16, 8, 4, 2], vec![8, 4, 2, 1]]
+                    .into_iter()
+                    .map(|gpus| sim.predict(&spec(), &AllocationPlan::new(gpus)).unwrap())
+                    .collect();
+                let out =
+                    plan_residual(&sim, &residual, SimDuration::from_mins(20), &warm, &config)
+                        .unwrap();
+                format!("{preds:?} {out:?}")
+            };
+            let calm = outcome(0.0);
+            for rate in [1.0, 8.0] {
+                assert_eq!(outcome(rate), calm, "{tier:?} at {rate}/h");
+            }
+        }
     }
 
     #[test]
@@ -1410,7 +1424,6 @@ mod tests {
             survivors: 4,
             gpus_per_trial: 1,
             unit_obs,
-            instance_seconds: 600.0,
             capacity_shortfall: 0,
             capacity_events: CapacityEvents::default(),
             home_zone: 0,
@@ -1454,7 +1467,6 @@ mod tests {
             cost_to_date: Cost::ZERO,
             preemptions: 0,
             instances: 2,
-            instance_seconds: 600.0,
             survivors: 4,
             capacity_events: CapacityEvents::default(),
             home_zone: 0,

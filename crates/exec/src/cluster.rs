@@ -753,13 +753,6 @@ impl ClusterManager {
         self.provider.meter().utilization(now, self.gpus_per_node())
     }
 
-    /// Total instance-seconds held (billed) as of `now`, open instances
-    /// accruing. Dividing observed preemptions by this (in hours) gives
-    /// an online estimate of the spot interruption rate.
-    pub fn held_instance_seconds(&self, now: SimTime) -> f64 {
-        self.provider.meter().held_instance_seconds(now)
-    }
-
     /// Instances ever provisioned from the provider (pool adoptions
     /// start a meter lifetime but are not provisions).
     pub fn instances_provisioned(&self) -> usize {

@@ -135,9 +135,6 @@ pub struct BarrierSnapshot<'a> {
     /// Observed per-allocation work-unit latencies for the completed
     /// stage — the raw material for online profile refitting.
     pub unit_obs: &'a [UnitObservation],
-    /// Total instance-seconds held (billed) so far. Dividing
-    /// `preemptions` by this gives the observed spot interruption rate.
-    pub instance_seconds: f64,
     /// Instances the completed stage wanted but could not get after
     /// provisioning retries were exhausted (zero on a healthy cloud).
     /// The stage ran degraded on the reduced allocation; a controller
@@ -200,8 +197,6 @@ pub struct WatchdogSnapshot<'a> {
     pub preemptions: u32,
     /// Instances currently held.
     pub instances: usize,
-    /// Total instance-seconds held (billed) so far.
-    pub instance_seconds: f64,
     /// Trials live in the interrupted stage.
     pub survivors: usize,
     /// Cumulative capacity-fault tallies, as in
@@ -876,7 +871,6 @@ impl ExecutorCore {
                 cost_to_date: self.cm.total_cost(self.now),
                 preemptions: self.total_preemptions,
                 instances: self.cm.ready_count(),
-                instance_seconds: self.cm.held_instance_seconds(self.now),
                 survivors: self.live.len(),
                 capacity_events: self.cm.capacity_events(),
                 home_zone: self.cm.home_zone(),
@@ -1022,7 +1016,6 @@ impl ExecutorCore {
                 survivors: self.live.len(),
                 gpus_per_trial: self.setup.gpus_per_trial,
                 unit_obs: &scratch.observations,
-                instance_seconds: self.cm.held_instance_seconds(self.now),
                 capacity_shortfall: stage_shortfall as u32,
                 capacity_events: self.cm.capacity_events(),
                 home_zone: self.cm.home_zone(),
@@ -2857,16 +2850,12 @@ mod tests {
         )
         .unwrap();
         struct ObsHook {
-            rows: Vec<(usize, u32, Vec<UnitObservation>, f64)>,
+            rows: Vec<(usize, u32, Vec<UnitObservation>)>,
         }
         impl BarrierHook for ObsHook {
             fn at_barrier(&mut self, s: &BarrierSnapshot<'_>) -> Option<Vec<u32>> {
-                self.rows.push((
-                    s.stage,
-                    s.gpus_per_trial,
-                    s.unit_obs.to_vec(),
-                    s.instance_seconds,
-                ));
+                self.rows
+                    .push((s.stage, s.gpus_per_trial, s.unit_obs.to_vec()));
                 None
             }
         }
@@ -2875,8 +2864,7 @@ mod tests {
             .unwrap();
         let phys = physics(&task, 1024);
         assert_eq!(hook.rows.len(), 3);
-        for (stage, gpus, obs, held) in &hook.rows {
-            assert!(*held > 0.0, "instances were billed by stage {stage}");
+        for (stage, gpus, obs) in &hook.rows {
             assert_eq!(obs.len(), 1, "uniform allocation: one observation row");
             let o = obs[0];
             assert_eq!(o.gpus, *gpus);

@@ -108,7 +108,7 @@ fn manual_drive_matches_run_byte_for_byte() {
 }
 
 #[test]
-fn manual_drive_matches_run_hooked_with_armed_watchdog() {
+fn manual_drive_matches_run_observed_with_armed_watchdog() {
     /// Arms a generous budget on every stage: the watchdog is armed and
     /// checked but never fires — the bit-identity contract's hard case.
     struct Armed(Vec<usize>);
@@ -144,7 +144,7 @@ fn manual_drive_matches_run_hooked_with_armed_watchdog() {
 }
 
 #[test]
-fn manual_drive_matches_run_hooked_with_replanning_barrier_hook() {
+fn manual_drive_matches_run_observed_with_replanning_barrier_hook() {
     /// Re-plans the remaining stages at the first barrier (widens the
     /// tail), exercising the plan-splice path through `step`.
     struct Replan;

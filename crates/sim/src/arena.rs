@@ -27,10 +27,13 @@
 //! differs from the last in a stage or two, so `Simulator::load_plan`
 //! fetches only the stages whose key changed and the billing walk
 //! resumes at the first stage that differs. What survives is a pure
-//! function of the loaded plan, the template and the sample set (the
-//! arena's [`Loaded`] identity); anything else resets it. A sample's JCT
-//! is still the left-to-right sum of its spans and its bill an integer
-//! sum, so a resumed walk returns exactly what a full one would.
+//! function of the loaded plan, the template, the sample set and the
+//! prices its rows were billed at (the arena's [`Loaded`] identity);
+//! anything else resets it. The prices belong to the identity because
+//! simulators that differ only in prices share their templates
+//! (`Simulator::repriced`). A sample's JCT is still the left-to-right
+//! sum of its spans and its bill an integer sum, so a resumed walk
+//! returns exactly what a full one would.
 
 use crate::counters::CacheCounters;
 use crate::dag::{StageKey, StageSample};
@@ -53,6 +56,10 @@ pub(crate) struct Loaded {
     /// since means a memo lookup could now miss, so the arena reloads
     /// rather than count a hit the memo would not give.
     pub evictions: u64,
+    /// The hourly instance price the `paid` rows were billed at.
+    /// Simulators that share a template share its billing model, so
+    /// the price is all that can differ between their rows.
+    pub hourly: Cost,
 }
 
 /// The buffers of one thread's prediction engine, in struct-of-arrays
@@ -190,6 +197,7 @@ mod tests {
             seed: 7,
             samples: 16,
             evictions: 0,
+            hourly: Cost::from_dollars(12.24),
         }
     }
 
@@ -246,5 +254,25 @@ mod tests {
             assert_eq!(a.walked, 0, "{other:?}");
             assert_eq!(a.at, vec![0.0; 12], "{other:?}");
         }
+    }
+
+    /// Two simulators that differ only in prices load plans from one
+    /// template: a plan billed at one hourly price must not be resumed
+    /// at another, so a new price alone forgets the billed rows.
+    #[test]
+    fn a_new_price_alone_resets_the_walk() {
+        let mut a = PredictArena::default();
+        a.ensure(2, 4, identity(0));
+        a.keys.extend([(1, 4, 4), (1, 2, 0)]);
+        a.walked = 2;
+        a.paid[4] = Cost::from_dollars(1.0);
+        let spot = Loaded {
+            hourly: Cost::from_dollars(3.67),
+            ..identity(0)
+        };
+        a.ensure(2, 4, spot);
+        assert_eq!(a.walked, 0, "rows billed at the old price are not resumed");
+        assert!(a.keys.is_empty());
+        assert_eq!(a.paid, vec![Cost::ZERO; 12]);
     }
 }

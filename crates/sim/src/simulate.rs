@@ -35,7 +35,7 @@ use crate::counters::CacheCounters;
 use crate::dag::DagTemplate;
 use crate::fxhash::FxHashMap;
 use crate::plan::AllocationPlan;
-use rb_cloud::CloudPricing;
+use rb_cloud::{CloudPricing, PricingTier};
 use rb_core::{Cost, Result, SimDuration};
 use rb_hpo::ExperimentSpec;
 use rb_obs::{CacheStats, RecorderHandle};
@@ -342,6 +342,10 @@ pub struct SimCacheStats {
 /// candidate batch once. Clones share the
 /// caches (they are behind [`Rc`]), which is what the planner wants —
 /// warm-start descents re-visit each other's plans constantly.
+/// [`Simulator::with_samples`] (another sample count) and
+/// [`Simulator::repriced`] (another pricing tier) share only the DAG
+/// templates and their stage-sample memos, each with its own plan
+/// cache; [`Simulator::with_config`] detaches both caches.
 ///
 /// A simulator and its clones belong to one thread: the `Rc` handles
 /// make it `!Send` and `!Sync`, so the compiler, not a lock, rules out
@@ -462,6 +466,39 @@ impl Simulator {
         low
     }
 
+    /// This simulator at `tier`'s prices, with its own plan-prediction
+    /// cache and plan counters and the no-op recorder: the other market
+    /// of a re-plan.
+    ///
+    /// Under per-instance billing it **shares this simulator's DAG
+    /// templates** (and their stage-sample memos): a stage column holds
+    /// no charge there, so it does not depend on prices, and the
+    /// repriced simulator reads the columns this one already built.
+    /// Under per-function billing a column carries its TRAIN charges at
+    /// the template's prices, so the repriced simulator gets a fresh
+    /// template cache. Cached [`Prediction`]s embed prices, which is why
+    /// the plan cache is never shared; the arena's resume identity
+    /// records the prices it billed at, so the two simulators never
+    /// resume each other's billing walks.
+    #[must_use]
+    pub fn repriced(&self, tier: PricingTier) -> Simulator {
+        let mut cloud = self.cloud.clone();
+        cloud.pricing.tier = tier;
+        Simulator {
+            model: self.model.clone(),
+            cloud,
+            config: self.config.clone(),
+            templates: if self.cloud.pricing.billing.is_per_instance() {
+                self.templates.clone()
+            } else {
+                Rc::default()
+            },
+            predictions: Rc::default(),
+            plan_counters: Rc::default(),
+            recorder: RecorderHandle::noop(),
+        }
+    }
+
     /// The cloud profile in use.
     pub fn cloud(&self) -> &CloudProfile {
         &self.cloud
@@ -517,11 +554,13 @@ impl Simulator {
         n: usize,
         arena: &mut PredictArena,
     ) -> u32 {
+        let pricing = &self.cloud.pricing;
         let identity = Loaded {
             template: template.id(),
             seed: self.config.seed,
             samples: n,
             evictions: template.memo_stats().evictions,
+            hourly: pricing.instance_hourly(),
         };
         count_load(arena.ensure(template.num_stages(), n, identity));
         let total = template.instance_ladder_into(plan, &mut arena.needed, &mut arena.new_inst);
@@ -550,7 +589,7 @@ impl Simulator {
         // together (LIFO at stage barriers), so precompute, per stage,
         // which provisioning groups release how many instances — one
         // charge per group per sample instead of one per instance.
-        if self.cloud.pricing.billing.is_per_instance() {
+        if pricing.billing.is_per_instance() {
             release_groups_into(
                 &arena.needed,
                 &arena.new_inst,

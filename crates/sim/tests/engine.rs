@@ -5,7 +5,7 @@
 //! predictions. These tests pin that
 //! contract.
 
-use rb_cloud::catalog::{P3_2XLARGE, P3_8XLARGE};
+use rb_cloud::catalog::{PricingTier, P3_2XLARGE, P3_8XLARGE};
 use rb_cloud::CloudPricing;
 use rb_core::{Distribution, Prng, RbError, SimDuration};
 use rb_hpo::ExperimentSpec;
@@ -522,4 +522,65 @@ fn a_resumed_walk_equals_a_full_walk() {
     }
     assert!(repeats > 0, "no exact repeat in the sequences");
     assert!(next_stage_grew > 0, "no edit moved the next stage's growth");
+}
+
+/// A [`Simulator::repriced`] sibling at spot prices shares the planning
+/// simulator's templates (per-instance billing) or builds its own
+/// (per-function billing), and the two never resume each other's
+/// billing walks. Each case interleaves the two on one thread over a
+/// generated edit sequence, planning simulator then sibling on every
+/// plan (A, B, A, B, …), through `predict_uncached` so every call loads
+/// and bills; every prediction must equal `Simulator::new` on that
+/// side's cloud bit for bit. The references are computed first, on
+/// fresh simulators.
+#[test]
+fn a_repriced_sibling_predicts_like_a_fresh_simulator() {
+    let mut shared = [0, 0];
+    for c in 0..RESUME_CASES {
+        let (sim, spec, start, gpg) = sharing_case(c);
+        let mut spot = sim.cloud().clone();
+        spot.pricing = spot.pricing.with_spot();
+        let sibling = sim.repriced(PricingTier::Spot);
+        let plans = edit_sequence(&spec, &start, gpg, c);
+        let fresh = |cloud: &CloudProfile| {
+            Simulator::new(sim.model().clone(), cloud.clone()).with_config(sim.config().clone())
+        };
+        let expect: Vec<[Prediction; 2]> = plans
+            .iter()
+            .map(|p| {
+                [
+                    fresh(sim.cloud()).predict(&spec, p).unwrap(),
+                    fresh(&spot).predict(&spec, p).unwrap(),
+                ]
+            })
+            .collect();
+        for (k, p) in plans.iter().enumerate() {
+            for (side, engine) in [&sim, &sibling].into_iter().enumerate() {
+                assert_eq!(
+                    engine.predict_uncached(&spec, p).unwrap(),
+                    expect[k][side],
+                    "case {c} step {k} {p} side {side}"
+                );
+            }
+        }
+        assert_ne!(
+            expect[0][0].cost, expect[0][1].cost,
+            "case {c}: same prices"
+        );
+        // The sibling's stage lookups land in the planning simulator's
+        // memo tallies only when the templates are shared.
+        let per_instance = sim.cloud().pricing.billing.is_per_instance();
+        let before = sim.cache_stats().stage_memo;
+        sibling.predict_uncached(&spec, &plans[0]).unwrap();
+        assert_eq!(
+            sim.cache_stats().stage_memo != before,
+            per_instance,
+            "case {c}"
+        );
+        shared[usize::from(per_instance)] += 1;
+    }
+    assert!(
+        shared[0] > 0 && shared[1] > 0,
+        "both billing models: {shared:?}"
+    );
 }
