@@ -86,7 +86,7 @@ fn table2_and_3(quick: bool) -> Result<Vec<Table>> {
     let mut out = vec![tables::table2_table(&rows)];
     match tables::table3(&rows) {
         Some(schedule) => out.push(tables::table3_table(&schedule)),
-        None => rb_obs::log_warn!("repro", "table3: no feasible RubberBand plan"),
+        None => eprintln!("[WARN repro] table3: no feasible RubberBand plan"),
     }
     Ok(out)
 }
@@ -285,7 +285,7 @@ fn main() {
             println!("\n{}\n", "=".repeat(72));
         }
         let tables = run(artifact, quick).unwrap_or_else(|e| {
-            rb_obs::log_error!("repro", "{artifact}: {e}");
+            eprintln!("[ERROR repro] {artifact}: {e}");
             failed = true;
             vec![]
         });
@@ -293,7 +293,7 @@ fn main() {
             print!("{}", table.text());
             if let (true, Some(name)) = (csv, &table.csv) {
                 if let Err(e) = write_csv(name, table) {
-                    rb_obs::log_error!("repro", "csv {name}: {e}");
+                    eprintln!("[ERROR repro] csv {name}: {e}");
                     failed = true;
                 }
             }

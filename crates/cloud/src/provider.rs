@@ -3,9 +3,8 @@
 //! [`SimProvider`] services provisioning requests the way EC2 does from the
 //! job's point of view: a request is acknowledged immediately, and each
 //! instance becomes available after a *scaling latency* (provider queuing
-//! delay, §4.1) sampled per instance. The paper assumes requests are always
-//! eventually served (§3); a configurable fleet quota is still provided so
-//! tests can exercise the error path.
+//! delay, §4.1) sampled per instance. As the paper assumes (§3), every
+//! request is eventually served.
 
 use crate::billing::BillingMeter;
 use crate::catalog::InstanceType;
@@ -44,9 +43,6 @@ pub struct ProviderConfig {
     /// Scaling latency: seconds from request to hand-over, sampled per
     /// instance.
     pub provision_delay_secs: Distribution,
-    /// Maximum simultaneously non-terminated instances; `None` = unlimited
-    /// (the paper's assumption).
-    pub quota: Option<usize>,
     /// Spot interruption rate per instance-hour (Poisson). Zero (the
     /// default) models uninterruptible on-demand capacity; the paper
     /// defers pre-emptible capacity, so this is an extension.
@@ -240,18 +236,9 @@ impl SimProvider {
     ///
     /// # Errors
     ///
-    /// Returns [`RbError::Provider`] if the request would exceed the
-    /// quota, or [`RbError::Capacity`] if an armed fault injector denies
+    /// Returns [`RbError::Capacity`] if an armed fault injector denies
     /// the request (transient; retryable).
     pub fn provision(&mut self, n: usize, now: SimTime) -> Result<Vec<(InstanceId, SimTime)>> {
-        if let Some(quota) = self.config.quota {
-            let live = self.live_count();
-            if live + n > quota {
-                return Err(RbError::Provider(format!(
-                    "quota exceeded: {live} live + {n} requested > {quota}"
-                )));
-            }
-        }
         if let Some(inj) = self.faults.as_mut() {
             if inj.capacity_fault() {
                 if self.recorder.enabled() {
@@ -420,7 +407,7 @@ impl SimProvider {
     /// instant (when the market is pre-emptible) comes from the same
     /// per-instance forked stream `provision` uses. A run that never
     /// adopts is therefore bit-identical to one on a provider that has
-    /// no such method. Fault injection and quota do not apply: the
+    /// no such method. Fault injection does not apply: the
     /// capacity already exists — it is being transferred, not requested.
     pub fn adopt_running(&mut self, now: SimTime) -> InstanceId {
         let id = self.ids.next();
@@ -620,14 +607,6 @@ impl SimProvider {
         self.fleet.get(&id).copied()
     }
 
-    /// Number of instances pending or running.
-    pub fn live_count(&self) -> usize {
-        self.fleet
-            .values()
-            .filter(|s| !matches!(s, InstanceState::Terminated { .. }))
-            .count()
-    }
-
     /// Ids of all currently running instances, in creation order.
     pub fn running_ids(&self) -> Vec<InstanceId> {
         self.fleet
@@ -655,12 +634,19 @@ mod tests {
     use crate::catalog::P3_8XLARGE;
     use crate::pricing::CloudPricing;
 
-    /// A provider config with a constant hand-over delay and no quota.
+    /// Number of instances pending or running.
+    fn live_count(p: &SimProvider) -> usize {
+        p.fleet
+            .values()
+            .filter(|s| !matches!(s, InstanceState::Terminated { .. }))
+            .count()
+    }
+
+    /// A provider config with a constant hand-over delay.
     fn with_constant_delay(instance_type: InstanceType, delay: SimDuration) -> ProviderConfig {
         ProviderConfig {
             instance_type,
             provision_delay_secs: Distribution::Constant(delay.as_secs_f64()),
-            quota: None,
             interruption_rate_per_hour: 0.0,
         }
     }
@@ -722,8 +708,8 @@ mod tests {
             SimTime::from_secs(7200),
         );
         assert_eq!(bill, rb_core::Cost::ZERO);
-        // ...and the quota slot is freed.
-        assert_eq!(p.live_count(), 0);
+        // ...and it no longer counts as live.
+        assert_eq!(live_count(&p), 0);
     }
 
     #[test]
@@ -754,26 +740,13 @@ mod tests {
     }
 
     #[test]
-    fn quota_is_enforced() {
-        let mut cfg = with_constant_delay(P3_8XLARGE.clone(), SimDuration::from_secs(1));
-        cfg.quota = Some(2);
-        let mut p = SimProvider::new(cfg, 1);
-        p.provision(2, SimTime::ZERO).unwrap();
-        assert!(p.provision(1, SimTime::ZERO).is_err());
-        // Terminating frees quota.
-        let ready = p.poll_ready(SimTime::from_secs(1));
-        p.terminate(ready[0], SimTime::from_secs(61)).unwrap();
-        assert!(p.provision(1, SimTime::from_secs(61)).is_ok());
-    }
-
-    #[test]
     fn terminate_all_stops_every_running_instance() {
         let mut p = provider(0);
         p.provision(4, SimTime::ZERO).unwrap();
         p.poll_ready(SimTime::ZERO);
         p.terminate_all(SimTime::from_secs(120));
         assert_eq!(p.running_ids().len(), 0);
-        assert_eq!(p.live_count(), 0);
+        assert_eq!(live_count(&p), 0);
     }
 
     #[test]
@@ -782,7 +755,6 @@ mod tests {
             let cfg = ProviderConfig {
                 instance_type: P3_8XLARGE.clone(),
                 provision_delay_secs: Distribution::lognormal_from_moments(20.0, 10.0),
-                quota: None,
                 interruption_rate_per_hour: 0.0,
             };
             SimProvider::new(cfg, 42)
@@ -823,13 +795,11 @@ mod tests {
     #[test]
     fn interruption_draws_are_independent_of_provisioning_cadence() {
         let mk = || {
-            let mut cfg = ProviderConfig {
+            let cfg = ProviderConfig {
                 instance_type: P3_8XLARGE.clone(),
                 provision_delay_secs: Distribution::Constant(5.0),
-                quota: None,
                 interruption_rate_per_hour: 1.5,
             };
-            cfg.quota = None;
             SimProvider::new(cfg, 77)
         };
         // One batch of 6 versus the same 6 provisioned across three
@@ -892,7 +862,6 @@ mod tests {
         let cfg = ProviderConfig {
             instance_type: P3_8XLARGE.clone(),
             provision_delay_secs: Distribution::Constant(-5.0),
-            quota: None,
             interruption_rate_per_hour: 0.0,
         };
         let _ = SimProvider::new(cfg, 1);
@@ -904,7 +873,6 @@ mod tests {
         let cfg = ProviderConfig {
             instance_type: P3_8XLARGE.clone(),
             provision_delay_secs: Distribution::Constant(1.0),
-            quota: None,
             interruption_rate_per_hour: f64::NAN,
         };
         let _ = SimProvider::new(cfg, 1);
@@ -923,7 +891,7 @@ mod tests {
         let err = p.provision(2, SimTime::ZERO).unwrap_err();
         assert!(matches!(err, RbError::Capacity(_)), "{err:?}");
         assert_eq!(p.fault_counts().capacity_failures, 1);
-        assert_eq!(p.live_count(), 0, "a denied request provisions nothing");
+        assert_eq!(live_count(&p), 0, "a denied request provisions nothing");
     }
 
     #[test]
@@ -1067,7 +1035,6 @@ mod tests {
             let cfg = ProviderConfig {
                 instance_type: P3_8XLARGE.clone(),
                 provision_delay_secs: Distribution::lognormal_from_moments(20.0, 10.0),
-                quota: None,
                 interruption_rate_per_hour: 1.5,
             };
             let mut p = SimProvider::new(cfg, 42);
@@ -1103,7 +1070,6 @@ mod tests {
             let cfg = ProviderConfig {
                 instance_type: P3_8XLARGE.clone(),
                 provision_delay_secs: Distribution::lognormal_from_moments(20.0, 10.0),
-                quota: None,
                 interruption_rate_per_hour: 1.5,
             };
             let mut p = SimProvider::new(cfg, 42);

@@ -198,7 +198,6 @@ impl ClusterManager {
             ProviderConfig {
                 instance_type: cloud.pricing.instance_type.clone(),
                 provision_delay_secs: cloud.provision_delay.clone(),
-                quota: None,
                 interruption_rate_per_hour: cloud.spot_interruptions_per_hour,
             },
             seed ^ 0xC1A5_7E12,
@@ -465,8 +464,7 @@ impl ClusterManager {
     /// # Errors
     ///
     /// Returns [`RbError::InvalidConfig`] for a malformed policy;
-    /// provider errors (e.g. quota, or any capacity denial without a
-    /// policy) propagate.
+    /// provider errors (a capacity denial without a policy) propagate.
     pub fn request_nodes(
         &mut self,
         k: usize,

@@ -2,10 +2,10 @@
 //! costs arithmetic, not allocation. Per-trial curves are resolved once
 //! at construction, and the per-round scratch (owed units, preemption
 //! instants, hosting lists, unit observations, ranking, the placement
-//! plan's working copy, checkpoint blobs) is kept and reused. What a
-//! step still allocates is growth: each buffer's first fill in a fresh
-//! core, a trial's first checkpoint blob, its metric history once per
-//! round, and the cloud layer's own records.
+//! plan's working copy) is kept and reused, and a checkpoint is a size
+//! record in storage the store keeps. What a step still allocates is
+//! growth: each buffer's first fill in a fresh core, a trial's metric
+//! history once per round, and the cloud layer's own records.
 //!
 //! Ordinary tests cannot see allocations, so this binary installs a
 //! counting `#[global_allocator]` and runs from `main()` without the
@@ -73,9 +73,9 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const PLANS: [([u32; 5], f64, f64); 2] = [
     // The serve_fleet job's plan: wave-scheduled first stages on one
     // instance.
-    ([4, 4, 4, 4, 4], 14.2, 52.4),
+    ([4, 4, 4, 4, 4], 12.6, 52.4),
     // Scales up, then back down through the placement controller.
-    ([8, 16, 8, 8, 4], 21.3, 67.7),
+    ([8, 16, 8, 8, 4], 19.7, 67.7),
 ];
 
 fn configs(n: usize, seed: u64) -> Vec<Config> {

@@ -19,7 +19,6 @@
 //! * [`RunSummary`] — the end-of-run rollup (JCT, cost, cache hit
 //!   rates, re-plan counts, GPU busy/idle split), built by
 //!   `rb_exec::ExecutionReport::summary` for live and replayed runs.
-//! * [`log`] — leveled stderr logging behind an `RB_LOG` env filter.
 //!
 //! Everything is stamped in **virtual time** and consumes no
 //! randomness, so traces are byte-reproducible from a seed.
@@ -27,7 +26,6 @@
 pub mod export;
 pub mod job;
 pub mod json;
-pub mod log;
 pub mod memory;
 pub mod recorder;
 pub mod schema;

@@ -179,11 +179,6 @@ impl MemoryRecorder {
         Self::default()
     }
 
-    /// Number of events buffered so far.
-    pub fn event_count(&self) -> usize {
-        self.events.lock().expect("event lock poisoned").len()
-    }
-
     /// Snapshots everything captured so far into an exportable log.
     /// Counters and histograms come out sorted by `(scope, name)`;
     /// histogram quantiles are computed here, over sorted values.

@@ -150,11 +150,6 @@ impl SpanTracker {
     pub fn close(&mut self) -> SpanId {
         self.stack.pop().expect("span close without open")
     }
-
-    /// Number of spans currently open.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
 }
 
 /// A structured field value attached to an event.
@@ -534,14 +529,12 @@ mod tests {
         let (stage, stage_parent) = t.open();
         assert_eq!(stage, SpanId(1));
         assert_eq!(stage_parent, Some(run));
-        assert_eq!(t.depth(), 2);
         assert_eq!(t.close(), stage);
         let (next_stage, p) = t.open();
         assert_eq!(next_stage, SpanId(2), "ids never reused");
         assert_eq!(p, Some(run));
         assert_eq!(t.close(), next_stage);
         assert_eq!(t.close(), run);
-        assert_eq!(t.depth(), 0);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl<W: Write + Send> StreamingRecorder<W> {
     }
 
     /// Number of event lines written so far.
-    pub fn event_count(&self) -> usize {
+    fn event_count(&self) -> usize {
         self.state.lock().expect("stream lock poisoned").seq
     }
 

@@ -7,17 +7,15 @@
 //! * preserve assignments of trials whose allocation did not change;
 //! * place changed trials largest-first, best-fit, each on a single node
 //!   when it fits (locality) or on whole nodes when it does not;
-//! * displace strictly smaller, unreserved trials when needed — displaced
+//! * displace strictly smaller trials when needed — displaced
 //!   trials re-enter the queue and get their own chance to be placed;
 //!   trials placed in this round cannot be displaced again;
-//! * never perturb *reserved* placements (reassigned but not yet acquired
-//!   by their workers);
 //! * bin-pack trials off victim nodes ahead of a scale-down so instances
 //!   can be deprovisioned without interrupting the experiment (Fig. 5).
 
 use crate::plan::{ClusterState, Placement, PlacementPlan};
 use rb_core::{NodeId, RbError, Result, TrialId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// What changed in one controller invocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -44,7 +42,6 @@ impl PlacementDiff {
 #[derive(Debug, Clone, Default)]
 pub struct PlacementController {
     plan: PlacementPlan,
-    reserved: BTreeSet<TrialId>,
     /// Kept between [`PlacementController::update`] calls for its
     /// storage.
     work: Work,
@@ -79,17 +76,6 @@ impl PlacementController {
     /// The current placement plan.
     pub fn plan(&self) -> &PlacementPlan {
         &self.plan
-    }
-
-    /// Marks a trial's placement as reserved: reassigned but not yet
-    /// acquired. Reserved placements are never displaced or repacked.
-    pub fn reserve(&mut self, trial: TrialId) {
-        self.reserved.insert(trial);
-    }
-
-    /// Confirms a reserved placement (the workers acquired it).
-    pub fn confirm(&mut self, trial: TrialId) {
-        self.reserved.remove(&trial);
     }
 
     /// Runs the placement algorithm for the requested `allocations`
@@ -154,15 +140,11 @@ impl PlacementController {
         });
 
         // Identify trials whose current placement is already satisfactory:
-        // correct total, on live nodes, minimal node count. Reserved trials
-        // are treated as satisfied by definition.
+        // correct total, on live nodes, minimal node count.
         queue.clear();
         previously_placed.clear();
         placed_this_round.clear();
         for &(trial, gpus) in allocations {
-            if self.reserved.contains(&trial) && plan.get(trial).is_some() {
-                continue;
-            }
             let ok = plan.get(trial).is_some_and(|chunks| {
                 let tot: u32 = chunks.iter().map(|p| p.gpus).sum();
                 tot == gpus
@@ -215,7 +197,7 @@ impl PlacementController {
         Ok(diff)
     }
 
-    /// Places one trial, possibly displacing smaller unreserved trials.
+    /// Places one trial, possibly displacing smaller trials.
     /// Returns the displaced trials (now unplaced).
     fn place_one(
         &self,
@@ -243,9 +225,7 @@ impl PlacementController {
         let mut out: Vec<(u32, TrialId)> = plan
             .iter()
             .filter(|(t, chunks)| {
-                !self.reserved.contains(t)
-                    && !placed_this_round.contains(t)
-                    && chunks.iter().any(|p| p.node == node)
+                !placed_this_round.contains(t) && chunks.iter().any(|p| p.node == node)
             })
             .map(|(t, _)| (plan.assigned_gpus(t), t))
             .filter(|&(a, _)| a < max_alloc)
@@ -332,7 +312,7 @@ impl PlacementController {
         // share a node.
         let needed_nodes = (gpus / cap) as usize;
         // Gather empty nodes first, then nodes that can be fully emptied
-        // by displacing smaller unreserved trials (emptiest first).
+        // by displacing smaller trials (emptiest first).
         let mut empties: Vec<NodeId> = plan
             .free_nodes(cluster)
             .filter(|&(_, f)| f == cap)
@@ -357,11 +337,9 @@ impl PlacementController {
                     .filter(|(_, chunks)| chunks.iter().any(|p| p.node == node))
                     .map(|(t, _)| t)
                     .collect();
-                let all_evictable = residents.iter().all(|t| {
-                    !self.reserved.contains(t)
-                        && !placed_this_round.contains(t)
-                        && plan.assigned_gpus(*t) < gpus
-                });
+                let all_evictable = residents
+                    .iter()
+                    .all(|t| !placed_this_round.contains(t) && plan.assigned_gpus(*t) < gpus);
                 if !all_evictable {
                     continue;
                 }
@@ -416,8 +394,7 @@ impl PlacementController {
     /// # Errors
     ///
     /// Returns [`RbError::Placement`] if fewer than `count` nodes can be
-    /// freed without perturbing reserved trials or exceeding surviving
-    /// capacity. The plan is left unchanged on error.
+    /// freed without exceeding surviving capacity. The plan is left unchanged on error.
     pub fn plan_scale_down(
         &mut self,
         cluster: &ClusterState,
@@ -449,9 +426,6 @@ impl PlacementController {
                 .filter(|(_, chunks)| chunks.iter().any(|p| p.node == victim))
                 .map(|(t, _)| t)
                 .collect();
-            if residents.iter().any(|t| self.reserved.contains(t)) {
-                continue;
-            }
             // Tentatively relocate every resident into surviving nodes.
             let mut attempt = plan.clone();
             let mut ok = true;
@@ -612,24 +586,6 @@ mod tests {
         let diff = pc.update(&alloc(&[(2, 8)]), &cluster).unwrap();
         assert_eq!(pc.plan().assigned_gpus(TrialId::new(2)), 8);
         assert_eq!(diff.removed.len(), 2);
-    }
-
-    #[test]
-    fn reserved_placements_are_never_perturbed() {
-        let cluster = ClusterState::with_n_nodes(2, 4);
-        let mut pc = PlacementController::new();
-        pc.update(&alloc(&[(0, 1), (1, 1)]), &cluster).unwrap();
-        let before0 = pc.plan().get(TrialId::new(0)).unwrap().to_vec();
-        pc.reserve(TrialId::new(0));
-        // A 4-GPU trial would like to displace trial 0; it must instead use
-        // the other node (displacing trial 1 if needed).
-        pc.update(&alloc(&[(0, 1), (1, 1), (2, 4)]), &cluster)
-            .unwrap();
-        assert_eq!(pc.plan().get(TrialId::new(0)).unwrap(), &before0[..]);
-        let n2 = pc.plan().get(TrialId::new(2)).unwrap()[0].node;
-        assert_ne!(n2, before0[0].node);
-        pc.confirm(TrialId::new(0));
-        assert!(!pc.reserved.contains(&TrialId::new(0)));
     }
 
     #[test]

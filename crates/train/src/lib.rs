@@ -14,8 +14,9 @@
 //! * [`trial`] — the trial state machine (pending → running ⇄ paused →
 //!   completed/terminated) and metric history,
 //! * [`checkpoint`] — the checkpoint store standing in for Ray's shared
-//!   object store, with real byte-level serialization so migration costs
-//!   are proportional to actual state size.
+//!   object store: it keeps each snapshot's size, so migration costs are
+//!   proportional to the state a trial has, and whether injected storage
+//!   corruption spoiled it.
 
 pub mod checkpoint;
 pub mod dataset;

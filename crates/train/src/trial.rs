@@ -211,13 +211,6 @@ impl Trial {
     pub fn reserve_history(&mut self, additional: usize) {
         self.history.reserve(additional);
     }
-
-    /// Restores progress and history from a checkpoint snapshot (used by
-    /// the checkpoint store; not public API for schedulers).
-    pub(crate) fn restore_progress(&mut self, iters_done: u64, history: Vec<MetricPoint>) {
-        self.iters_done = iters_done;
-        self.history = history;
-    }
 }
 
 #[cfg(test)]

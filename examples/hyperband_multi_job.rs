@@ -1,6 +1,7 @@
 //! Hyperband as a multi-job (Fig. 6's "collection of specifications"):
-//! plan and execute every bracket independently, then report the best
-//! configuration found and the total bill.
+//! plan every bracket, run them side by side in the tuning service as one
+//! tenant's job group, then report the best configuration found and the
+//! total bill.
 //!
 //! Run with: `cargo run --release --example hyperband_multi_job`
 
@@ -28,43 +29,53 @@ fn main() {
         brackets.len()
     );
 
-    let deadline = SimDuration::from_mins(45);
-    let mut total = Cost::ZERO;
-    let mut best: Option<(f64, Config, usize)> = None;
-    for (i, (params, spec)) in brackets.iter().enumerate() {
-        let out = rubberband::compile_plan(spec, &physics, &cloud, deadline).unwrap();
-        let report = rubberband::execute(
-            spec,
-            &out.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            7 + i as u64,
-        )
-        .unwrap();
+    let jobs = rubberband::hyperband_group_jobs(
+        1,
+        27,
+        3,
+        &task,
+        &physics,
+        &cloud,
+        &space,
+        SimDuration::from_mins(45),
+        0,
+        SimTime::ZERO,
+        7,
+    )
+    .unwrap();
+    let service = TuningService::new(
+        vec![TenantSpec::new("hyperband", 1.0)],
+        ServeOptions {
+            max_concurrent: jobs.len(),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let mut outcomes = service.run(jobs).unwrap().outcomes;
+    // Jobs are submitted in bracket order.
+    outcomes.sort_by_key(|o| o.job);
+    for (o, (params, _)) in outcomes.iter().zip(&brackets) {
         println!(
-            "bracket {i}: SHA(n={}, r={}, R={}) plan {} -> JCT {} cost {} best {:.1}%",
+            "bracket {}: SHA(n={}, r={}, R={}) -> JCT {} cost {} best {:.1}%",
+            o.job,
             params.n,
             params.r,
             params.big_r,
-            out.plan,
-            report.jct,
-            report.total_cost(),
-            report.best_accuracy * 100.0
+            o.report.jct,
+            o.report.total_cost(),
+            o.report.best_accuracy * 100.0
         );
-        total += report.total_cost();
-        if best
-            .as_ref()
-            .map_or(true, |(a, _, _)| report.best_accuracy > *a)
-        {
-            best = Some((report.best_accuracy, report.best_config.clone(), i));
-        }
     }
-    let (acc, cfg, bracket) = best.unwrap();
+    let winner = outcomes
+        .iter()
+        .max_by(|a, b| a.report.best_accuracy.total_cmp(&b.report.best_accuracy))
+        .unwrap();
     println!(
-        "\noverall winner from bracket {bracket}: {:.1}% with {cfg}",
-        acc * 100.0
+        "\noverall winner from bracket {}: {:.1}% with {}",
+        winner.job,
+        winner.report.best_accuracy * 100.0,
+        winner.report.best_config
     );
+    let total: Cost = outcomes.iter().map(|o| o.report.total_cost()).sum();
     println!("total spend across brackets: {total}");
 }

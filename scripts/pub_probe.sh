@@ -3,12 +3,15 @@
 # then their count. Non-test code is every `.rs` file under a `src/`
 # directory of `crates/`, up to the first `#[cfg(test)]` that starts at
 # column 0 of its file, plus `examples/`; files under `tests/` and
-# everything under a `target/` directory are skipped. Comments are cut
+# everything under a `target/` directory are skipped. String literals
+# that open and close on one line are emptied, then comments are cut
 # from `//` to the end of the line, so a name that appears only in doc
-# text counts as unnamed. A name counts as named when it appears as a
-# word more often than `fn NAME` defines it. The probe goes by name
-# only: a `pub fn` that shares its name with a function some other code
-# calls is not printed, whichever of the two is called.
+# text or in a message counts as unnamed. A name counts as named when it
+# appears as a word more often than `fn NAME` defines it. The probe goes
+# by name only: a `pub fn` that shares its name with a function some
+# other code calls is not printed, whichever of the two is called, and
+# so a `pub fn` named like a std method (`reserve`, `len`, `get`) stays
+# invisible to it.
 #
 # Usage: scripts/pub_probe.sh [DIR]   (default: the repository root)
 set -euo pipefail
@@ -30,6 +33,8 @@ unnamed="$(awk '
     !live { next }
     {
         line = $0
+        gsub(/'"'"'(\\)?"'"'"'/, "'"'"'_'"'"'", line)
+        gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
         sub(/\/\/.*/, "", line)
         if (lib && match(line, /(^|[^A-Za-z0-9_])pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
             name = substr(line, RSTART, RLENGTH)

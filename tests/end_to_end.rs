@@ -4,7 +4,7 @@
 use rubberband::prelude::*;
 use rubberband::rb_cloud::catalog::P3_8XLARGE;
 use rubberband::rb_exec::NoopHook;
-use rubberband::rb_hpo::{hyperband_brackets, Dim, ShaParams};
+use rubberband::rb_hpo::{Dim, ShaParams};
 use rubberband::rb_profile::{profile_training, ProfilerConfig};
 use rubberband::rb_train::task::resnet101_cifar10;
 
@@ -108,43 +108,48 @@ fn planner_recovers_table3_schedule() {
     assert_eq!(gpt, vec![1, 2, 4, 8]);
 }
 
-/// Hyperband runs as a multi-job: every bracket is planned and executed
-/// independently, and the overall winner comes from some bracket.
+/// Hyperband runs as a multi-job: one tenant's bracket group, planned by
+/// `hyperband_group_jobs` and run side by side by the tuning service,
+/// and the overall winner comes from some bracket.
 #[test]
 fn hyperband_multi_job_execution() {
     let task = resnet101_cifar10();
     let physics = ModelProfile::exact_for_task(&task, 1024, 4);
-    let cloud = cloud();
-    let space = search_space();
-    let brackets = hyperband_brackets(1, 27, 3).unwrap();
-    assert_eq!(brackets.len(), 4);
-    let mut best: Option<(f64, Config)> = None;
-    let mut total_cost = Cost::ZERO;
-    for (i, (_, spec)) in brackets.iter().enumerate() {
-        let outcome =
-            rubberband::compile_plan(spec, &physics, &cloud, SimDuration::from_mins(30)).unwrap();
-        let report = rubberband::execute(
-            spec,
-            &outcome.plan,
-            &task,
-            &physics,
-            &cloud,
-            &space,
-            100 + i as u64,
-        )
+    let jobs = rubberband::hyperband_group_jobs(
+        1,
+        27,
+        3,
+        &task,
+        &physics,
+        &cloud(),
+        &search_space(),
+        SimDuration::from_mins(30),
+        0,
+        SimTime::ZERO,
+        100,
+    )
+    .unwrap();
+    assert_eq!(jobs.len(), 4);
+    let service = TuningService::new(
+        vec![TenantSpec::new("hyperband", 1.0)],
+        ServeOptions {
+            max_concurrent: jobs.len(),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let report = service.run(jobs).unwrap();
+    assert_eq!(report.outcomes.len(), 4);
+    let best = report
+        .outcomes
+        .iter()
+        .map(|o| &o.report)
+        .max_by(|a, b| a.best_accuracy.total_cmp(&b.best_accuracy))
         .unwrap();
-        total_cost += report.total_cost();
-        if best
-            .as_ref()
-            .map_or(true, |(a, _)| report.best_accuracy > *a)
-        {
-            best = Some((report.best_accuracy, report.best_config.clone()));
-        }
-    }
-    let (acc, cfg) = best.unwrap();
+    let (acc, cfg) = (best.best_accuracy, &best.best_config);
     assert!(acc > 0.75, "hyperband winner reached {acc}");
     assert!(cfg.get_f64("lr").is_some());
-    assert!(total_cost > Cost::ZERO);
+    assert!(report.billed_cost > Cost::ZERO);
 }
 
 /// Checkpoint/migrate/restore does not corrupt learning curves: a plan
