@@ -129,7 +129,10 @@ mod tests {
         let a = run_trace(1).expect("trace workload runs");
         // The rollup agrees with the report it summarizes.
         assert_eq!(a.summary.jct, a.report.jct);
-        assert_eq!(a.summary.total_cost(), a.report.total_cost());
+        assert_eq!(
+            a.summary.compute_cost + a.summary.data_cost,
+            a.report.total_cost()
+        );
         assert_eq!(a.summary.preemptions, a.report.preemptions as usize);
         // The drift + spot workload actually exercises the controller.
         assert!(a.report.preemptions > 0, "spot churn must preempt");

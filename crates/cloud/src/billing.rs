@@ -101,11 +101,6 @@ impl BillingMeter {
         self.ingress_gb += gb;
     }
 
-    /// Total ingress volume recorded, in GB.
-    pub fn ingress_gb(&self) -> f64 {
-        self.ingress_gb
-    }
-
     /// Number of instances ever started.
     pub fn instances_started(&self) -> usize {
         self.lifetimes.len()
@@ -388,7 +383,6 @@ mod tests {
         m.record_ingress(150.0);
         let p = pricing().with_data_price(Cost::from_dollars(0.01));
         assert_eq!(m.data_cost(&p), Cost::from_dollars(3.0));
-        assert_eq!(m.ingress_gb(), 300.0);
     }
 
     #[test]

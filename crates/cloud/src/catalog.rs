@@ -133,21 +133,6 @@ pub const CATALOG: &[InstanceType] = &[
     G4DN_12XLARGE,
 ];
 
-/// Looks up an instance type by SKU name. A user entry point for a
-/// caller that names instance types as text; library code uses the
-/// constants, so only tests call it.
-///
-/// # Examples
-///
-/// ```
-/// use rb_cloud::catalog::lookup;
-/// assert_eq!(lookup("p3.8xlarge").unwrap().gpus, 4);
-/// assert!(lookup("m1.tiny").is_none());
-/// ```
-pub fn lookup(name: &str) -> Option<&'static InstanceType> {
-    CATALOG.iter().find(|t| t.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,14 +158,6 @@ mod tests {
             R5_4XLARGE.per_gpu_hourly(PricingTier::OnDemand),
             R5_4XLARGE.on_demand_hourly
         );
-    }
-
-    #[test]
-    fn lookup_finds_all_entries() {
-        for t in CATALOG {
-            assert_eq!(lookup(t.name).unwrap(), t);
-        }
-        assert!(lookup("nonexistent").is_none());
     }
 
     #[test]

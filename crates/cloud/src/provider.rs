@@ -223,11 +223,6 @@ impl SimProvider {
         self.config.interruption_rate_per_hour = rate_per_hour;
     }
 
-    /// The configured instance shape.
-    pub fn instance_type(&self) -> &InstanceType {
-        &self.config.instance_type
-    }
-
     /// Requests `n` instances at time `now`.
     ///
     /// Returns the instance ids and the time each becomes ready. Billing for
@@ -602,11 +597,6 @@ impl SimProvider {
         }
     }
 
-    /// Returns the state of an instance, if known.
-    pub fn state(&self, id: InstanceId) -> Option<InstanceState> {
-        self.fleet.get(&id).copied()
-    }
-
     /// Ids of all currently running instances, in creation order.
     pub fn running_ids(&self) -> Vec<InstanceId> {
         self.fleet
@@ -695,7 +685,7 @@ mod tests {
         // Cancelling an in-flight request succeeds...
         p.terminate(id, SimTime::from_secs(1)).unwrap();
         assert!(matches!(
-            p.state(id),
+            p.fleet.get(&id).copied(),
             Some(InstanceState::Terminated { at }) if at == SimTime::from_secs(1)
         ));
         // ...the instance never becomes ready...
@@ -785,7 +775,7 @@ mod tests {
         let at = p.preempt(victim).unwrap();
         assert_eq!(p.preemption_time(victim), None);
         assert!(matches!(
-            p.state(victim),
+            p.fleet.get(&victim).copied(),
             Some(InstanceState::Terminated { at: t }) if t == at
         ));
         // Double preemption fails.
@@ -935,7 +925,7 @@ mod tests {
         assert_eq!(p.preempt(id).unwrap(), at);
         assert_eq!(p.fault_counts().hw_failures, 1);
         assert!(matches!(
-            p.state(id),
+            p.fleet.get(&id).copied(),
             Some(InstanceState::Terminated { .. })
         ));
     }

@@ -41,11 +41,6 @@ impl Cost {
         self.0 as f64 / 1e6
     }
 
-    /// Returns true if the amount is exactly zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Computes the charge for running a resource priced at `self` per hour
     /// for `dur`, rounding to the nearest micro-dollar.
     ///
@@ -74,21 +69,6 @@ impl Cost {
     pub fn per_gb_for(self, gb: f64) -> Cost {
         debug_assert!(gb >= 0.0, "data volume must be non-negative");
         Cost((self.0 as f64 * gb).round() as i64)
-    }
-
-    /// Returns the larger of two amounts.
-    pub fn max(self, other: Cost) -> Cost {
-        Cost(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two amounts.
-    pub fn min(self, other: Cost) -> Cost {
-        Cost(self.0.min(other.0))
-    }
-
-    /// Saturating subtraction clamped at zero: `max(self - other, 0)`.
-    pub fn saturating_sub(self, other: Cost) -> Cost {
-        Cost((self.0 - other.0).max(0))
     }
 }
 
@@ -279,7 +259,6 @@ mod tests {
         assert_eq!(a / 4, b);
         assert_eq!(a * 0.5, Cost::from_dollars(0.5));
         assert_eq!(-a, Cost::from_dollars(-1.0));
-        assert_eq!(b.saturating_sub(a), Cost::ZERO);
     }
 
     #[test]

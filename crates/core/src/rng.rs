@@ -191,22 +191,11 @@ impl Distribution {
     /// A distribution that is always exactly zero.
     pub const ZERO: Distribution = Distribution::Constant(0.0);
 
-    /// Creates a normal distribution truncated at zero. A user entry
-    /// point for profile authors; no library code calls it, and tests
-    /// build their normal latencies with it.
-    pub fn normal(mean: f64, std: f64) -> Distribution {
-        Distribution::Normal {
-            mean,
-            std,
-            floor: 0.0,
-        }
-    }
-
     /// Creates a log-normal from the desired mean and standard deviation of
     /// the *resulting* distribution (moment matching). A user entry point:
     /// measured latencies come as a mean and a spread. No library code
-    /// calls it; the provider, simulator and Algorithm 1 oracle tests
-    /// build their lognormal cases with it.
+    /// calls it; the tests of rb-cloud's provider, rb-profile, rb-sim and
+    /// the Algorithm 1 oracle build their lognormal cases with it.
     ///
     /// # Panics
     ///
@@ -410,7 +399,11 @@ mod tests {
     #[test]
     fn normal_sample_moments_match() {
         let mut rng = Prng::seed_from_u64(5);
-        let d = Distribution::normal(4.0, 1.0);
+        let d = Distribution::Normal {
+            mean: 4.0,
+            std: 1.0,
+            floor: 0.0,
+        };
         let mut st = OnlineStats::new();
         for _ in 0..50_000 {
             st.push(d.sample(&mut rng));
@@ -472,7 +465,11 @@ mod tests {
         for d in [
             Distribution::Constant(3.0),
             Distribution::Uniform { lo: 1.0, hi: 5.0 },
-            Distribution::normal(4.0, 1.0),
+            Distribution::Normal {
+                mean: 4.0,
+                std: 1.0,
+                floor: 0.0,
+            },
             Distribution::lognormal_from_moments(4.0, 1.0),
             Distribution::Exponential { rate: 0.25 },
             Distribution::ShiftedExponential {
@@ -515,7 +512,11 @@ mod tests {
             Distribution::ZERO,
             Distribution::Constant(3.0),
             Distribution::Uniform { lo: 1.0, hi: 5.0 },
-            Distribution::normal(4.0, 1.0),
+            Distribution::Normal {
+                mean: 4.0,
+                std: 1.0,
+                floor: 0.0,
+            },
             Distribution::lognormal_from_moments(4.0, 1.0),
             Distribution::Exponential { rate: 0.25 },
             Distribution::ShiftedExponential {

@@ -17,20 +17,12 @@ pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineStats::default()
     }
 
     /// Adds one observation.
@@ -39,13 +31,6 @@ impl OnlineStats {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Sample mean; zero if empty.
@@ -65,16 +50,6 @@ impl OnlineStats {
     /// Sample standard deviation.
     pub fn std(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Smallest observation; `+inf` if empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation; `-inf` if empty.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -136,9 +111,6 @@ mod tests {
         }
         assert!((s.mean() - mean(&xs)).abs() < 1e-12);
         assert!((s.std() - std(&xs)).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
     }
 
     #[test]

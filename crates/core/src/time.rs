@@ -49,16 +49,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-
     /// Returns `self + rhs`, saturating at the representable maximum
     /// instead of overflowing. Use wherever the duration comes from
     /// untrusted arithmetic (e.g. exponential backoff with extreme
@@ -72,7 +62,9 @@ impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Creates a duration of `ms` milliseconds.
+    /// Creates a duration of `ms` milliseconds. Library code converts
+    /// from seconds; the tests of rb-core, rb-obs, rb-ctrl and rb-replay
+    /// build exact durations with it.
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms)
     }
@@ -120,22 +112,6 @@ impl SimDuration {
     /// Returns true if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Returns the larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// Returns `self - other`, saturating at zero.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -357,25 +333,5 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(SimDuration::from_secs).sum();
         assert_eq!(total, SimDuration::from_secs(10));
-    }
-
-    #[test]
-    fn min_max_helpers() {
-        let a = SimDuration::from_secs(1);
-        let b = SimDuration::from_secs(2);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        let ta = SimTime::from_secs(1);
-        let tb = SimTime::from_secs(2);
-        assert_eq!(ta.max(tb), tb);
-        assert_eq!(ta.min(tb), ta);
-    }
-
-    #[test]
-    fn saturating_sub_duration() {
-        let a = SimDuration::from_secs(1);
-        let b = SimDuration::from_secs(2);
-        assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_sub(a), SimDuration::from_secs(1));
     }
 }

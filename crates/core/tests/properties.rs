@@ -90,7 +90,11 @@ fn latency_distributions_are_nonnegative_and_deterministic() {
         for d in [
             Distribution::Constant(mean),
             Distribution::Uniform { lo: 0.0, hi: mean },
-            Distribution::normal(mean, spread * mean),
+            Distribution::Normal {
+                mean,
+                std: spread * mean,
+                floor: 0.0,
+            },
             Distribution::lognormal_from_moments(mean, spread.max(1e-6) * mean),
             Distribution::Exponential { rate: 1.0 / mean },
             Distribution::ShiftedExponential {
@@ -123,7 +127,11 @@ fn scaled_distribution_scales_samples() {
         for d in [
             Distribution::Constant(mean),
             Distribution::Uniform { lo: 0.0, hi: mean },
-            Distribution::normal(mean, mean / 10.0),
+            Distribution::Normal {
+                mean,
+                std: mean / 10.0,
+                floor: 0.0,
+            },
         ] {
             let s = d.scaled(k);
             let mut a = Prng::seed_from_u64(seed);

@@ -329,21 +329,6 @@ impl AdaptiveController {
         })
     }
 
-    /// The drift monitor's current state.
-    pub fn monitor(&self) -> &DriftMonitor {
-        &self.monitor
-    }
-
-    /// Re-planning decisions so far.
-    pub fn events(&self) -> &[ReplanEvent] {
-        &self.events
-    }
-
-    /// Applied profile refits so far.
-    pub fn refits(&self) -> &[RefitEvent] {
-        &self.refits
-    }
-
     /// Consumes the controller, returning its full adaptation record.
     pub fn into_log(self) -> AdaptationLog {
         AdaptationLog {
@@ -1415,14 +1400,9 @@ mod tests {
     ) -> BarrierSnapshot<'a> {
         BarrierSnapshot {
             stage,
-            num_stages: 4,
             now: SimTime::ZERO + SimDuration::from_secs(300),
             stage_span: SimDuration::from_secs(240),
-            cost_to_date: Cost::ZERO,
             preemptions: 0,
-            instances: 2,
-            survivors: 4,
-            gpus_per_trial: 1,
             unit_obs,
             capacity_shortfall: 0,
             capacity_events: CapacityEvents::default(),
@@ -1433,11 +1413,7 @@ mod tests {
     }
 
     fn p90s(ctrl: &AdaptiveController) -> Vec<f64> {
-        ctrl.monitor()
-            .expected()
-            .iter()
-            .map(|q| q.p90_secs)
-            .collect()
+        ctrl.monitor.expected().iter().map(|q| q.p90_secs).collect()
     }
 
     /// A refit moves the envelope at a barrier even when the suffix is
@@ -1457,25 +1433,19 @@ mod tests {
         let obs = slowed_units(&cut, 3.0, 8);
         let snap = WatchdogSnapshot {
             stage: 1,
-            num_stages: 4,
             now: SimTime::ZERO + SimDuration::from_secs(300),
-            stage_start: SimTime::ZERO + SimDuration::from_secs(100),
             budget_secs: 100.0,
-            units: 4,
             max_remaining_units: 2,
             unit_obs: &obs,
-            cost_to_date: Cost::ZERO,
             preemptions: 0,
-            instances: 2,
-            survivors: 4,
             capacity_events: CapacityEvents::default(),
             home_zone: 0,
             num_zones: 1,
             plan: &plan,
         };
         assert_eq!(cut.at_watchdog(&snap), None);
-        assert_eq!(cut.refits().len(), 1);
-        assert!(!cut.events()[0].applied);
+        assert_eq!(cut.refits.len(), 1);
+        assert!(!cut.events[0].applied);
         let refit_view = cut
             .sim
             .stage_quantiles(&spec().suffix(2).unwrap(), &AllocationPlan::new(vec![4, 4]))
@@ -1497,8 +1467,8 @@ mod tests {
             ..barrier_at(0, &obs, &plan)
         };
         assert_eq!(barrier.at_barrier(&snap), None);
-        assert_eq!(barrier.refits().len(), 1);
-        assert!(!barrier.events()[0].applied);
+        assert_eq!(barrier.refits.len(), 1);
+        assert!(!barrier.events[0].applied);
         let refit_view = barrier
             .sim
             .stage_quantiles(
@@ -1532,7 +1502,7 @@ mod tests {
             ..barrier_at(0, &[], &plan)
         };
         ctrl.at_barrier(&snap);
-        let event = &ctrl.events()[0];
+        let event = &ctrl.events[0];
         assert_eq!(event.trigger, ReplanTrigger::CapacityShortfall);
         assert!(event.market_executed);
         let directive = ctrl.pending_switch().expect("a zone move was armed");

@@ -184,11 +184,6 @@ impl DriftMonitor {
         self.factor > t || self.factor < 1.0 / t
     }
 
-    /// Every reading so far, in barrier order.
-    pub fn observations(&self) -> &[DriftObservation] {
-        &self.observations
-    }
-
     /// Consumes the monitor, returning its readings.
     pub fn into_observations(self) -> Vec<DriftObservation> {
         self.observations
@@ -303,7 +298,7 @@ mod tests {
         mon.nudge(f64::INFINITY);
         mon.nudge(-1.0);
         assert!((mon.drift_factor() - 1.5).abs() < 1e-12);
-        assert!(mon.observations().is_empty(), "nudges are not observations");
+        assert!(mon.observations.is_empty(), "nudges are not observations");
     }
 
     #[test]

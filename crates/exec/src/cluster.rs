@@ -351,12 +351,6 @@ impl ClusterManager {
         self.provider.num_zones()
     }
 
-    /// Moves future provisioning to `zone` (wrapped into the declared
-    /// zone count). Existing nodes stay where they are.
-    pub fn set_home_zone(&mut self, zone: u32) {
-        self.provider.set_home_zone(zone);
-    }
-
     /// Executes a mid-run market/zone switch: pins every lifetime
     /// bought so far to the old pricing tier, applies the directive to
     /// the profile and provider, and drains the current fleet so the
@@ -1370,7 +1364,7 @@ mod tests {
         let mut cm2 = ClusterManager::new(cloud(), 7);
         cm2.set_private_pool(warm_pool(2, 10.0)).unwrap();
         cm2.set_fault_plan(zoned_plan(1.0, true), 42);
-        cm2.set_home_zone(1);
+        cm2.provider.set_home_zone(1);
         cm2.request_nodes(2, SimTime::ZERO, None).unwrap();
         cm2.absorb_ready(SimTime::from_secs(30));
         let outcome = cm2

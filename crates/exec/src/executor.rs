@@ -13,7 +13,7 @@ use crate::codec;
 use crate::report::{ExecutionReport, ExecutionTrace, StageRecord, TraceEvent};
 use rb_cloud::{FaultPlan, PoolConfig, PricingTier};
 use rb_core::{
-    mix_seed, Cost, Distribution, NodeId, Prng, RbError, Result, SimDuration, SimTime, TrialId,
+    mix_seed, Distribution, NodeId, Prng, RbError, Result, SimDuration, SimTime, TrialId,
 };
 use rb_hpo::{select_survivors, Config, ExperimentSpec};
 use rb_obs::{Lane, RecorderHandle, SpanTracker, Value};
@@ -112,8 +112,6 @@ impl ExecOptions {
 pub struct BarrierSnapshot<'a> {
     /// The stage that just completed (0-based).
     pub stage: usize,
-    /// Total stages in the specification.
-    pub num_stages: usize,
     /// Virtual time at the barrier (after sync overhead).
     pub now: SimTime,
     /// Wall-clock span of the completed stage, barrier to barrier — it
@@ -121,17 +119,8 @@ pub struct BarrierSnapshot<'a> {
     /// overhead, matching the per-stage spans the planner's Monte-Carlo
     /// model predicts.
     pub stage_span: SimDuration,
-    /// Compute + data bill accrued so far.
-    pub cost_to_date: Cost,
     /// Spot preemptions absorbed so far.
     pub preemptions: u32,
-    /// Instances currently held.
-    pub instances: usize,
-    /// Trials promoted into the next stage.
-    pub survivors: usize,
-    /// GPUs each of this stage's trials ran on (1 for wave-scheduled
-    /// stages).
-    pub gpus_per_trial: u32,
     /// Observed per-allocation work-unit latencies for the completed
     /// stage — the raw material for online profile refitting.
     pub unit_obs: &'a [UnitObservation],
@@ -177,28 +166,16 @@ pub struct WatchdogSnapshot<'a> {
     /// The stage that overran (0-based). It is *not* finished: its
     /// residual units re-run under whatever the hook splices in.
     pub stage: usize,
-    /// Total stages in the specification.
-    pub num_stages: usize,
     /// Virtual time at the forced barrier (after sync overhead).
     pub now: SimTime,
-    /// When the stage's training round started.
-    pub stage_start: SimTime,
     /// The budget that was exceeded, in seconds of training time.
     pub budget_secs: f64,
-    /// Work units the stage owes per trial in total.
-    pub units: u64,
     /// The largest number of units any live trial still has to run.
     pub max_remaining_units: u64,
     /// Observed per-allocation unit latencies from the truncated round.
     pub unit_obs: &'a [UnitObservation],
-    /// Compute + data bill accrued so far.
-    pub cost_to_date: Cost,
     /// Spot preemptions absorbed so far.
     pub preemptions: u32,
-    /// Instances currently held.
-    pub instances: usize,
-    /// Trials live in the interrupted stage.
-    pub survivors: usize,
     /// Cumulative capacity-fault tallies, as in
     /// [`BarrierSnapshot::capacity_events`].
     pub capacity_events: CapacityEvents,
@@ -515,19 +492,9 @@ impl Executor {
         core.finish()
     }
 
-    /// The experiment specification this executor runs.
-    pub fn spec(&self) -> &ExperimentSpec {
-        &self.spec
-    }
-
     /// The cloud profile this executor bills against.
     pub fn cloud(&self) -> &CloudProfile {
         &self.cloud
-    }
-
-    /// The executor options in force.
-    pub fn options(&self) -> &ExecOptions {
-        &self.options
     }
 
     /// Instances stage 0 will request when this executor dispatches
@@ -636,6 +603,7 @@ impl ExecutorCore {
         start: SimTime,
     ) -> Result<Self> {
         exec.options.validate()?;
+        exec.cloud.validate()?;
         let plan = exec.plan.clone();
         let n = exec.spec.initial_trials() as usize;
         if configs.len() < n {
@@ -736,24 +704,9 @@ impl ExecutorCore {
         self.now
     }
 
-    /// The next stage [`ExecutorCore::step`] will run (0-based).
-    pub fn stage(&self) -> usize {
-        self.stage
-    }
-
-    /// Total stages in the specification.
-    pub fn num_stages(&self) -> usize {
-        self.exec.spec.num_stages()
-    }
-
     /// Whether every stage has run its barrier.
     pub fn is_finished(&self) -> bool {
         self.stage >= self.exec.spec.num_stages()
-    }
-
-    /// Compute + data bill accrued so far.
-    pub fn cost_to_date(&self) -> Cost {
-        self.cm.total_cost(self.now)
     }
 
     /// Routes this run's instance churn through a shared elastic pool:
@@ -861,17 +814,11 @@ impl ExecutorCore {
             scratch.unit_obs.observations(&mut scratch.observations);
             let snapshot = WatchdogSnapshot {
                 stage,
-                num_stages: self.exec.spec.num_stages(),
                 now: self.now,
-                stage_start,
                 budget_secs: budget.unwrap_or(f64::INFINITY),
-                units,
                 max_remaining_units: max_remaining,
                 unit_obs: &scratch.observations,
-                cost_to_date: self.cm.total_cost(self.now),
                 preemptions: self.total_preemptions,
-                instances: self.cm.ready_count(),
-                survivors: self.live.len(),
                 capacity_events: self.cm.capacity_events(),
                 home_zone: self.cm.home_zone(),
                 num_zones: self.cm.num_zones(),
@@ -1006,14 +953,9 @@ impl ExecutorCore {
             scratch.unit_obs.observations(&mut scratch.observations);
             let snapshot = BarrierSnapshot {
                 stage,
-                num_stages: self.exec.spec.num_stages(),
                 now: self.now,
                 stage_span: self.now - stage_start,
-                cost_to_date: self.cm.total_cost(self.now),
                 preemptions: self.total_preemptions,
-                instances: self.cm.ready_count(),
-                survivors: self.live.len(),
-                gpus_per_trial: self.setup.gpus_per_trial,
                 unit_obs: &scratch.observations,
                 capacity_shortfall: stage_shortfall as u32,
                 capacity_events: self.cm.capacity_events(),
@@ -2184,7 +2126,11 @@ mod tests {
             scattered.jct,
             placed.jct
         );
-        assert!(scattered.mean_throughput().unwrap() < placed.mean_throughput().unwrap());
+        // Table 1's metric: mean throughput across trials.
+        let mean_tp = |r: &ExecutionReport| {
+            r.trial_throughput.values().sum::<f64>() / r.trial_throughput.len() as f64
+        };
+        assert!(mean_tp(&scattered) < mean_tp(&placed));
     }
 
     #[test]
@@ -2345,12 +2291,19 @@ mod tests {
             }
         }
         // Barriers are one per stage, strictly increasing, last one at JCT.
-        let barriers = trace.barriers();
+        let barriers: Vec<SimTime> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Barrier { at, .. } => Some(*at),
+                _ => None,
+            })
+            .collect();
         assert_eq!(barriers.len(), 4);
         for (i, w) in barriers.windows(2).enumerate() {
-            assert!(w[0].1 < w[1].1, "barriers out of order at {i}");
+            assert!(w[0] < w[1], "barriers out of order at {i}");
         }
-        assert_eq!(barriers.last().unwrap().1, jct_end);
+        assert_eq!(barriers.last().copied(), Some(jct_end));
         // Node lifecycle balances: ups == provisioned; downs ≤ ups.
         let ups = trace
             .events
@@ -2375,14 +2328,13 @@ mod tests {
 
     /// Records every snapshot it sees; re-plans once at `replan_after`.
     struct RecordingHook {
-        snapshots: Vec<(usize, SimTime, SimDuration, rb_core::Cost)>,
+        snapshots: Vec<(usize, SimTime, SimDuration)>,
         replan_after: Option<(usize, Vec<u32>)>,
     }
 
     impl BarrierHook for RecordingHook {
         fn at_barrier(&mut self, s: &BarrierSnapshot<'_>) -> Option<Vec<u32>> {
-            self.snapshots
-                .push((s.stage, s.now, s.stage_span, s.cost_to_date));
+            self.snapshots.push((s.stage, s.now, s.stage_span));
             match &self.replan_after {
                 Some((stage, suffix)) if *stage == s.stage => Some(suffix.clone()),
                 _ => None,
@@ -2417,10 +2369,9 @@ mod tests {
         assert_eq!(open.best_accuracy, hooked.best_accuracy);
         // One snapshot per non-final barrier, in order, with sane readings.
         assert_eq!(hook.snapshots.len(), 3);
-        for (i, (stage, now, span, cost)) in hook.snapshots.iter().enumerate() {
+        for (i, (stage, now, span)) in hook.snapshots.iter().enumerate() {
             assert_eq!(*stage, i);
             assert!(*span > SimDuration::ZERO);
-            assert!(*cost > rb_core::Cost::ZERO);
             assert_eq!(*now, open.stages[i].sync_end);
         }
     }
@@ -2673,7 +2624,7 @@ mod tests {
         armed_stage: usize,
         budget_secs: f64,
         suffix: Option<Vec<u32>>,
-        fires: Vec<(usize, u64, u64)>,
+        fires: Vec<(usize, u64)>,
     }
 
     impl BarrierHook for WatchdogHook {
@@ -2687,7 +2638,7 @@ mod tests {
 
         fn at_watchdog(&mut self, snapshot: &WatchdogSnapshot<'_>) -> Option<Vec<u32>> {
             self.fires
-                .push((snapshot.stage, snapshot.max_remaining_units, snapshot.units));
+                .push((snapshot.stage, snapshot.max_remaining_units));
             self.suffix.clone()
         }
     }
@@ -2758,8 +2709,9 @@ mod tests {
             .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
             .unwrap();
         assert_eq!(hook.fires.len(), 1, "the watchdog fires exactly once");
-        let (stage, remaining, units) = hook.fires[0];
+        let (stage, remaining) = hook.fires[0];
         assert_eq!(stage, 3);
+        let units = small_spec().get_stage(3).unwrap().1;
         assert_eq!(units, 8);
         assert!(
             remaining > 0 && remaining < units,
@@ -2835,24 +2787,24 @@ mod tests {
         )
         .unwrap();
         struct ObsHook {
-            rows: Vec<(usize, u32, Vec<UnitObservation>)>,
+            rows: Vec<(usize, Vec<UnitObservation>)>,
         }
         impl BarrierHook for ObsHook {
             fn at_barrier(&mut self, s: &BarrierSnapshot<'_>) -> Option<Vec<u32>> {
-                self.rows
-                    .push((s.stage, s.gpus_per_trial, s.unit_obs.to_vec()));
+                self.rows.push((s.stage, s.unit_obs.to_vec()));
                 None
             }
         }
         let mut hook = ObsHook { rows: Vec::new() };
-        exec.run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
+        let report = exec
+            .run_observed(&configs(8, 1), &mut hook, RecorderHandle::noop())
             .unwrap();
         let phys = physics(&task, 1024);
         assert_eq!(hook.rows.len(), 3);
-        for (stage, gpus, obs) in &hook.rows {
+        for (stage, obs) in &hook.rows {
             assert_eq!(obs.len(), 1, "uniform allocation: one observation row");
             let o = obs[0];
-            assert_eq!(o.gpus, *gpus);
+            assert_eq!(o.gpus, report.stages[*stage].gpus_per_trial);
             assert!(o.units > 0);
             let expect = phys.unit_mean_secs(o.gpus, o.placement);
             let err = (o.mean_secs - expect).abs() / expect;

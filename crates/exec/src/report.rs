@@ -85,17 +85,6 @@ impl ExecutionTrace {
             .sum()
     }
 
-    /// Barrier completion times, by stage order of emission.
-    pub fn barriers(&self) -> Vec<(usize, SimTime)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Barrier { stage, at } => Some((*stage, *at)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Checks the trace's ordering contract:
     ///
     /// * per-entity timestamps are non-decreasing in emission order
@@ -256,17 +245,6 @@ impl ExecutionReport {
         self.compute_cost + self.data_cost
     }
 
-    /// Mean throughput across trials (Table 1's metric), if any trial
-    /// trained. Public as the report's reading of Table 1 for library
-    /// users; no library code calls it, and the executor's
-    /// `placement_ablation_slows_training` test compares it.
-    pub fn mean_throughput(&self) -> Option<f64> {
-        if self.trial_throughput.is_empty() {
-            return None;
-        }
-        Some(self.trial_throughput.values().sum::<f64>() / self.trial_throughput.len() as f64)
-    }
-
     /// The [`RunSummary`] rollup of this run. The report supplies the
     /// timing, billing, recovery and GPU busy/held figures; the caller
     /// supplies what other layers know: the simulator's plan-cache and
@@ -386,7 +364,6 @@ mod tests {
             trace: ExecutionTrace::default(),
         };
         assert_eq!(r.total_cost(), Cost::from_dollars(2.5));
-        assert_eq!(r.mean_throughput(), Some(200.0));
     }
 
     #[test]

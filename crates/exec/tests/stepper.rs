@@ -70,7 +70,6 @@ fn drive(
     recorder: RecorderHandle,
 ) -> ExecutionReport {
     let mut core = ExecutorCore::new(exec, configs, recorder).unwrap();
-    let total = core.num_stages();
     let mut barriers = 0usize;
     while !core.is_finished() {
         let before = core.now();
@@ -87,8 +86,12 @@ fn drive(
             }
         }
     }
-    assert!(barriers < total, "the final stage reports Finished");
-    core.finish().unwrap()
+    let report = core.finish().unwrap();
+    assert!(
+        barriers < report.stages.len(),
+        "the final stage reports Finished"
+    );
+    report
 }
 
 #[test]
@@ -150,7 +153,7 @@ fn manual_drive_matches_run_observed_with_replanning_barrier_hook() {
     struct Replan;
     impl BarrierHook for Replan {
         fn at_barrier(&mut self, s: &BarrierSnapshot<'_>) -> Option<Vec<u32>> {
-            (s.stage == 0).then(|| vec![8; s.num_stages - s.stage - 1])
+            (s.stage == 0).then(|| vec![8; s.plan.num_stages() - s.stage - 1])
         }
     }
     let exec = executor(

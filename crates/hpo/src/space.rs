@@ -155,16 +155,6 @@ impl Config {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &ConfigValue)> {
         self.values.iter()
     }
-
-    /// Number of hyperparameters set.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if no hyperparameters are set.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
 }
 
 impl fmt::Display for Config {
@@ -394,8 +384,7 @@ mod tests {
         assert_eq!(c.get_f64("n"), Some(4.0));
         assert_eq!(c.get_f64("opt"), None);
         assert_eq!(c.get_f64_or("missing", 7.0), 7.0);
-        assert_eq!(c.len(), 3);
-        assert!(!c.is_empty());
+        assert_eq!(c.iter().count(), 3);
         let shown = c.to_string();
         assert!(shown.contains("lr=0.1"));
         assert!(shown.contains("opt=sgd"));

@@ -99,44 +99,9 @@ impl ExperimentSpec {
         self.stages[0].num_trials
     }
 
-    /// Total work in trial-iterations: `Σ num_trials · iters`. A measure of
-    /// the job's size independent of parallelization. A user entry point
-    /// for describing a spec; no library code calls it, and this module's
-    /// tests pin it.
-    pub fn total_trial_iters(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| u64::from(s.num_trials) * s.iters)
-            .sum()
-    }
-
-    /// Cumulative iterations completed by a surviving trial after each
-    /// stage; the final entry is the paper's `R`. A user entry point for
-    /// describing a spec; no library code calls it, and the spec tests
-    /// pin it against Table 3's epoch ranges.
-    pub fn cumulative_iters(&self) -> Vec<u64> {
-        let mut acc = 0;
-        self.stages
-            .iter()
-            .map(|s| {
-                acc += s.iters;
-                acc
-            })
-            .collect()
-    }
-
     /// Iterations the final survivor completes in total (`R`).
     pub fn max_iters(&self) -> u64 {
         self.stages.iter().map(|s| s.iters).sum()
-    }
-
-    /// Trials terminated at the end of stage `i` (the bottom performers).
-    /// A user entry point for describing a spec; no library code calls
-    /// it, and this module's tests pin it.
-    pub fn terminated_after(&self, i: usize) -> u32 {
-        let cur = self.stages[i].num_trials;
-        let next = self.stages.get(i + 1).map(|s| s.num_trials).unwrap_or(0);
-        cur - next
     }
 
     /// The residual specification from stage `start` onward: the suffix
@@ -228,23 +193,15 @@ mod tests {
     #[test]
     fn cumulative_iters_matches_table3_epoch_ranges() {
         // Table 3: epoch boundaries 1, 4, 13, 50.
-        assert_eq!(spec().cumulative_iters(), vec![1, 4, 13, 50]);
-        assert_eq!(spec().max_iters(), 50);
-    }
-
-    #[test]
-    fn total_work_sums_stage_products() {
-        // 32·1 + 10·3 + 3·9 + 1·37 = 126.
-        assert_eq!(spec().total_trial_iters(), 126);
-    }
-
-    #[test]
-    fn terminated_counts() {
         let s = spec();
-        assert_eq!(s.terminated_after(0), 22);
-        assert_eq!(s.terminated_after(1), 7);
-        assert_eq!(s.terminated_after(2), 2);
-        assert_eq!(s.terminated_after(3), 1);
+        let ends: Vec<u64> = (0..s.num_stages())
+            .scan(0, |acc, i| {
+                *acc += s.get_stage(i).unwrap().1;
+                Some(*acc)
+            })
+            .collect();
+        assert_eq!(ends, vec![1, 4, 13, 50]);
+        assert_eq!(spec().max_iters(), 50);
     }
 
     #[test]
@@ -260,8 +217,7 @@ mod tests {
         // Plain random search (no early stopping) is a one-stage spec.
         let s = ExperimentSpec::from_stages(&[(16, 100)]).unwrap();
         assert_eq!(s.num_stages(), 1);
-        assert_eq!(s.total_trial_iters(), 1600);
-        assert_eq!(s.terminated_after(0), 16);
+        assert_eq!(s.max_iters(), 100);
     }
 
     #[test]
@@ -271,7 +227,6 @@ mod tests {
         assert_eq!(tail.num_stages(), 3);
         assert_eq!(tail.get_stage(0).unwrap(), (10, 3));
         assert_eq!(tail.get_stage(2).unwrap(), (1, 37));
-        assert_eq!(tail.total_trial_iters(), 10 * 3 + 3 * 9 + 37);
         // Whole spec and single-stage tail are both valid suffixes.
         assert_eq!(s.suffix(0).unwrap(), s);
         assert_eq!(s.suffix(3).unwrap().num_stages(), 1);
@@ -283,6 +238,6 @@ mod tests {
     fn constant_trial_count_is_allowed() {
         // Stages that keep all trials (η = 1 segments) are legal.
         let s = ExperimentSpec::from_stages(&[(8, 1), (8, 2), (4, 4)]).unwrap();
-        assert_eq!(s.terminated_after(0), 0);
+        assert_eq!(s.get_stage(1).unwrap(), (8, 2));
     }
 }

@@ -49,11 +49,6 @@ impl JobScopedRecorder {
         JobScopedRecorder { inner, job }
     }
 
-    /// The job this recorder scopes to.
-    pub fn job(&self) -> u64 {
-        self.job
-    }
-
     fn remap(&self, lane: Lane) -> Lane {
         let base = self.job * JOB_LANE_STRIDE;
         match lane {

@@ -88,10 +88,6 @@ impl Json {
             _ => None,
         }
     }
-
-    pub fn is_obj(&self) -> bool {
-        matches!(self, Json::Obj(_))
-    }
 }
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
@@ -332,14 +328,6 @@ impl<'a> JsonView<'a> {
     pub fn as_bool(self) -> Option<bool> {
         match self.node() {
             Node::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// The elements of an array, in document order.
-    pub fn as_arr(self) -> Option<impl Iterator<Item = JsonView<'a>>> {
-        match self.node() {
-            Node::Arr(_) => Some(self.children().map(|(_, v)| v)),
             _ => None,
         }
     }
@@ -770,6 +758,12 @@ mod tests {
         }
     }
 
+    /// The elements of an array view, in document order; `None` for any
+    /// other value.
+    fn elements(view: JsonView<'_>) -> Option<Vec<JsonView<'_>>> {
+        matches!(view.node(), Node::Arr(_)).then(|| view.children().map(|(_, v)| v).collect())
+    }
+
     #[test]
     fn views_read_what_the_tree_holds() {
         let mut reader = JsonReader::default();
@@ -781,28 +775,26 @@ mod tests {
         assert_eq!(view.get("n").and_then(JsonView::as_f64), Some(-0.5));
         assert_eq!(view.get("t").and_then(JsonView::as_bool), Some(true));
         assert_eq!(view.get("missing").map(|_| ()), None);
-        let items: Vec<JsonView<'_>> = view.get("a").unwrap().as_arr().unwrap().collect();
+        let items = elements(view.get("a").unwrap()).unwrap();
         assert_eq!(items.len(), 3);
         assert_eq!(items[0].as_u64(), Some(1));
         assert_eq!(items[1].as_str(), Some("x\ty"));
         assert!(items[2].get("b").unwrap().is_null());
-        assert!(view.as_arr().is_none() && items[0].as_arr().is_none());
+        assert!(elements(view).is_none() && elements(items[0]).is_none());
         // An empty container has no children, and the value after it
         // is still found.
         let view = reader.read(r#"{"e":{},"f":[],"g":7}"#).unwrap();
-        assert_eq!(view.get("e").unwrap().as_arr().map(Iterator::count), None);
-        assert_eq!(
-            view.get("f").unwrap().as_arr().map(Iterator::count),
-            Some(0)
-        );
+        assert_eq!(elements(view.get("e").unwrap()).map(|v| v.len()), None);
+        assert_eq!(elements(view.get("f").unwrap()).map(|v| v.len()), Some(0));
         assert_eq!(view.get("g").and_then(JsonView::as_i64), Some(7));
         // The 2^53 rule holds on the view too.
         let view = reader
             .read("[9007199254740991,9007199254740992,-1]")
             .unwrap();
-        let ints: Vec<_> = view.as_arr().unwrap().map(JsonView::as_i64).collect();
+        let items = elements(view).unwrap();
+        let ints: Vec<_> = items.iter().map(|v| v.as_i64()).collect();
         assert_eq!(ints, [Some(9_007_199_254_740_991), None, Some(-1)]);
-        let ints: Vec<_> = view.as_arr().unwrap().map(JsonView::as_u64).collect();
+        let ints: Vec<_> = items.iter().map(|v| v.as_u64()).collect();
         assert_eq!(ints, [Some(9_007_199_254_740_991), None, None]);
     }
 

@@ -134,7 +134,9 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// The final value of counter `scope.name` (0 if never touched).
+    /// The final value of counter `scope.name` (0 if never touched). A
+    /// test oracle: no library code calls it; the executor, planner and
+    /// `rubberband` tests read a run's counters through it.
     pub fn counter(&self, scope: &str, name: &str) -> u64 {
         self.counters
             .iter()
@@ -142,9 +144,9 @@ impl TraceLog {
             .map_or(0, |c| c.value)
     }
 
-    /// Events with the given scope and name, in emission order. Public
-    /// for tests that read a run's trace (`crates/exec/tests/stepper.rs`
-    /// and `rubberband`'s tests); no library code calls it.
+    /// Events with the given scope and name, in emission order. A test
+    /// oracle: no library code calls it; the executor, planner and
+    /// `rubberband` tests read a run's trace through it.
     pub fn events_named<'a>(
         &'a self,
         scope: &'a str,
@@ -153,13 +155,6 @@ impl TraceLog {
         self.events
             .iter()
             .filter(move |e| e.scope == scope && e.name == name)
-    }
-
-    /// The histogram `scope.name`, if any observation was recorded.
-    pub fn histogram(&self, scope: &str, name: &str) -> Option<&HistogramEntry> {
-        self.histograms
-            .iter()
-            .find(|h| h.scope == scope && h.name == name)
     }
 }
 
@@ -251,8 +246,8 @@ mod tests {
             backward.histogram("s", "h", v);
         }
         let (f, b) = (forward.finish(), backward.finish());
-        assert_eq!(f.histogram("s", "h"), b.histogram("s", "h"));
-        let h = f.histogram("s", "h").unwrap();
+        assert_eq!(f.histograms, b.histograms);
+        let h = &f.histograms[0];
         assert_eq!(h.count, 100);
         assert_eq!(h.min, 0.0);
         assert_eq!(h.max, 49.5);
@@ -267,7 +262,7 @@ mod tests {
         rec.histogram("s", "h", f64::INFINITY);
         rec.histogram("s", "h", 1.0);
         let h = rec.finish();
-        assert_eq!(h.histogram("s", "h").unwrap().count, 1);
+        assert_eq!(h.histograms[0].count, 1);
     }
 
     #[test]

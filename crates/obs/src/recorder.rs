@@ -417,11 +417,6 @@ impl RecorderHandle {
         Self { inner: arc }
     }
 
-    /// The underlying recorder.
-    pub fn get(&self) -> &dyn Recorder {
-        &*self.inner
-    }
-
     /// Clones the underlying `Arc`.
     pub fn share(&self) -> Arc<dyn Recorder> {
         Arc::clone(&self.inner)

@@ -103,11 +103,6 @@ impl RunSummary {
         }
     }
 
-    /// Total cost (compute + data).
-    pub fn total_cost(&self) -> Cost {
-        self.compute_cost + self.data_cost
-    }
-
     /// Renders the summary as stable, diffable text.
     pub fn render(&self) -> String {
         let mut out = String::from("run summary:\n");
@@ -165,52 +160,6 @@ impl RunSummary {
             self.degraded_stages
         );
         let _ = writeln!(out, "  trace_events        = {}", self.trace_events);
-        out
-    }
-
-    /// The summary as one JSON object (single line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"jct_ms\":{}", self.jct.as_millis());
-        let _ = write!(
-            out,
-            ",\"compute_cost_micros\":{}",
-            self.compute_cost.as_micros()
-        );
-        let _ = write!(out, ",\"data_cost_micros\":{}", self.data_cost.as_micros());
-        let _ = write!(out, ",\"best_accuracy\":{}", self.best_accuracy);
-        let _ = write!(out, ",\"stages\":{}", self.stages);
-        let _ = write!(out, ",\"migrations\":{}", self.migrations);
-        let _ = write!(out, ",\"preemptions\":{}", self.preemptions);
-        let _ = write!(out, ",\"instances\":{}", self.instances_provisioned);
-        let _ = write!(out, ",\"gpu_busy_secs\":{}", self.gpu_busy_secs);
-        let _ = write!(out, ",\"gpu_idle_secs\":{}", self.gpu_idle_secs());
-        let _ = write!(
-            out,
-            ",\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-            self.plan_cache.hits, self.plan_cache.misses, self.plan_cache.evictions
-        );
-        let _ = write!(
-            out,
-            ",\"stage_memo\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-            self.stage_memo.hits, self.stage_memo.misses, self.stage_memo.evictions
-        );
-        let _ = write!(
-            out,
-            ",\"replans_applied\":{},\"replans_rejected\":{}",
-            self.replans_applied, self.replans_rejected
-        );
-        let _ = write!(
-            out,
-            ",\"faults_injected\":{},\"provision_retries\":{},\"checkpoint_fallbacks\":{},\
-             \"degraded_stages\":{}",
-            self.faults_injected,
-            self.provision_retries,
-            self.checkpoint_fallbacks,
-            self.degraded_stages
-        );
-        let _ = write!(out, ",\"trace_events\":{}", self.trace_events);
-        out.push('}');
         out
     }
 }
@@ -284,22 +233,6 @@ mod tests {
         assert!(text
             .contains("faults              = injected 5 retries 2 fallbacks 1 degraded_stages 1"));
         assert_eq!(text, sample().render());
-    }
-
-    #[test]
-    fn json_form_parses() {
-        let json = sample().to_json();
-        let parsed = crate::json::parse_json(&json).expect("summary json parses");
-        assert_eq!(parsed.get("jct_ms").unwrap().as_u64(), Some(1_234_567));
-        assert_eq!(
-            parsed
-                .get("plan_cache")
-                .unwrap()
-                .get("hits")
-                .unwrap()
-                .as_u64(),
-            Some(30)
-        );
     }
 
     #[test]

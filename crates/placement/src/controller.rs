@@ -29,15 +29,6 @@ pub struct PlacementDiff {
     pub removed: Vec<TrialId>,
 }
 
-impl PlacementDiff {
-    /// True when the invocation changed nothing. A test oracle: no
-    /// library code calls it; the placement property tests and
-    /// `tests/plan_fidelity.rs` read placement diffs through it.
-    pub fn is_noop(&self) -> bool {
-        self.moved.is_empty() && self.started.is_empty() && self.removed.is_empty()
-    }
-}
-
 /// The stateful placement controller.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementController {
@@ -535,7 +526,7 @@ mod tests {
         let mut pc = PlacementController::new();
         pc.update(&alloc(&[(0, 2), (1, 2)]), &cluster).unwrap();
         let diff = pc.update(&alloc(&[(0, 2), (1, 2)]), &cluster).unwrap();
-        assert!(diff.is_noop());
+        assert_eq!(diff, PlacementDiff::default());
     }
 
     #[test]

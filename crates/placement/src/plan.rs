@@ -189,11 +189,6 @@ impl PlacementPlan {
         })
     }
 
-    /// Number of placed trials.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
     /// True when nothing is placed.
     pub fn is_empty(&self) -> bool {
         self.owners.is_empty()
@@ -364,7 +359,7 @@ mod tests {
         assert_eq!(seen, vec![(2, 2), (5, 2), (9, 1)]);
         assert_eq!(plan.get(TrialId::new(2)).unwrap(), &[p(1, 4), p(2, 2)][..]);
         assert_eq!(plan.assigned_gpus(TrialId::new(5)), 4);
-        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.iter().count(), 3);
         let mut copy = PlacementPlan::new();
         copy.clone_from(&plan);
         assert_eq!(copy, plan);

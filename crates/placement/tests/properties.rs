@@ -5,7 +5,7 @@
 //! bit-identically and the suite runs fully offline.
 
 use rb_core::{Prng, TrialId};
-use rb_placement::{ClusterState, PlacementController};
+use rb_placement::{ClusterState, PlacementController, PlacementDiff};
 
 const CASES: u64 = 128;
 
@@ -51,7 +51,7 @@ fn controller_survives_reallocation_churn() {
             );
         }
         let diff = pc.update(&a2, &cluster).unwrap();
-        assert!(diff.is_noop());
+        assert_eq!(diff, PlacementDiff::default());
     }
 }
 

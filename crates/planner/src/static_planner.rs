@@ -92,8 +92,16 @@ mod tests {
     use std::sync::Arc;
 
     fn sim() -> Simulator {
-        let model =
-            ModelProfile::from_scaling("ideal", Arc::new(IdealScaling::new(4.0, 512)), 1, 0.0, 0.0);
+        let model = ModelProfile::from_scaling(
+            "ideal",
+            Arc::new(IdealScaling {
+                base_secs: 4.0,
+                batch: 512,
+            }),
+            1,
+            0.0,
+            0.0,
+        );
         let cloud = CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
             .with_provision_delay(SimDuration::from_secs(10))
             .with_init_latency(SimDuration::from_secs(20));
@@ -152,7 +160,6 @@ mod tests {
     fn static_plans_are_flat() {
         let (plan, _) =
             plan_static_optimal(&sim(), &spec(), SimDuration::from_hours(1), 8).unwrap();
-        assert!(plan.is_static());
-        assert_eq!(plan.num_stages(), 4);
+        assert_eq!(plan, AllocationPlan::flat(plan.gpus(0), 4));
     }
 }

@@ -73,34 +73,6 @@ impl CloudProfile {
         self
     }
 
-    /// Sets the provisioning-delay distribution. A user entry point for a
-    /// measured, non-constant delay; no library code calls it, and the
-    /// simulator tests and Algorithm 1 oracle build their noisy clouds
-    /// with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distribution has negative or non-finite parameters.
-    pub fn with_provision_delay_dist(mut self, d: Distribution) -> Self {
-        d.validate().expect("invalid provision-delay distribution");
-        self.provision_delay = d;
-        self
-    }
-
-    /// Sets the init-latency distribution. A user entry point for a
-    /// measured, non-constant latency; no library code calls it, and the
-    /// simulator tests and Algorithm 1 oracle build their noisy clouds
-    /// with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distribution has negative or non-finite parameters.
-    pub fn with_init_latency_dist(mut self, d: Distribution) -> Self {
-        d.validate().expect("invalid init-latency distribution");
-        self.init_latency = d;
-        self
-    }
-
     /// Sets the per-instance dataset download volume (GB).
     ///
     /// # Panics
@@ -132,7 +104,9 @@ impl CloudProfile {
     /// Checks the whole profile: both latency distributions well-formed,
     /// data volume and interruption rate finite and non-negative, and no
     /// negative prices. Builders already reject bad values one at a time;
-    /// this covers profiles assembled by struct literal or deserialized.
+    /// every field is `pub`, so the planning and execution entry points
+    /// (`rubberband::compile_plan_with`, `ExecutorCore::from_parts`) call
+    /// this for profiles assembled by struct literal.
     ///
     /// # Errors
     ///
@@ -218,9 +192,12 @@ mod tests {
 
     #[test]
     fn stochastic_delays_supported() {
-        let p = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE))
-            .with_provision_delay_dist(Distribution::lognormal_from_moments(20.0, 8.0));
+        let p = CloudProfile {
+            provision_delay: Distribution::lognormal_from_moments(20.0, 8.0),
+            ..CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE))
+        };
         assert!((p.provision_delay.mean() - 20.0).abs() < 1e-9);
+        assert!(p.validate().is_ok());
     }
 
     #[test]
@@ -306,13 +283,6 @@ mod tests {
         // Everything else is preserved.
         assert_eq!(risky.init_latency.mean(), p.init_latency.mean());
         assert_eq!(risky.pricing, p.pricing);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid provision-delay distribution")]
-    fn builder_rejects_malformed_distribution() {
-        let _ = CloudProfile::new(CloudPricing::on_demand(P3_8XLARGE))
-            .with_provision_delay_dist(Distribution::Uniform { lo: 5.0, hi: 1.0 });
     }
 
     #[test]

@@ -156,8 +156,10 @@ pub fn compile_plan(
 ///
 /// # Errors
 ///
-/// Returns [`rb_core::RbError::Infeasible`] when the policy cannot meet
-/// the deadline.
+/// Returns [`rb_core::RbError::InvalidConfig`] for a malformed cloud
+/// profile (see [`CloudProfile::validate`]) and
+/// [`rb_core::RbError::Infeasible`] when the policy cannot meet the
+/// deadline.
 pub fn compile_plan_with(
     policy: Policy,
     spec: &ExperimentSpec,
@@ -166,6 +168,7 @@ pub fn compile_plan_with(
     deadline: SimDuration,
     config: &PlannerConfig,
 ) -> Result<PlanOutcome> {
+    cloud.validate()?;
     let sim = Simulator::new(model.clone(), cloud.clone());
     plan_with_policy(policy, &sim, spec, deadline, config)
 }
@@ -655,6 +658,48 @@ mod tests {
         assert_eq!(report.stages.len(), fx.spec.num_stages());
     }
 
+    /// A profile assembled by struct literal skips the builders' checks.
+    /// Planning and execution refuse it with a typed error, so no plan
+    /// and no bill is computed from a NaN volume or a negative price.
+    #[test]
+    fn malformed_literal_profiles_fail_at_planning_and_execution() {
+        let fx = fixture();
+        let mut pricing = fx.cloud.pricing.clone();
+        pricing.instance_type.spot_hourly = Cost::from_dollars(-1.0);
+        let bad = [
+            CloudProfile {
+                dataset_gb: f64::NAN,
+                ..fx.cloud.clone()
+            },
+            CloudProfile {
+                pricing,
+                ..fx.cloud.clone()
+            },
+        ];
+        for cloud in &bad {
+            let planned = compile_plan(&fx.spec, &fx.physics, cloud, DEADLINE).err();
+            assert!(
+                matches!(planned, Some(rb_core::RbError::InvalidConfig(_))),
+                "{planned:?}"
+            );
+            let run = Run {
+                cloud,
+                ..fx.run(seeded(1))
+            };
+            let core = rb_exec::ExecutorCore::from_parts(
+                run.executor().unwrap(),
+                run.configs(),
+                RecorderHandle::noop(),
+                SimTime::ZERO,
+            )
+            .err();
+            assert!(
+                matches!(core, Some(rb_core::RbError::InvalidConfig(_))),
+                "{core:?}"
+            );
+        }
+    }
+
     #[test]
     fn run_configs_follow_the_sampling_contract() {
         // The salt is a compatibility contract: pinned fixtures and the
@@ -689,9 +734,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(jobs.len(), 3);
+        let outcome = compile_plan(&fx.spec, &fx.physics, &fx.cloud, DEADLINE).unwrap();
         for (k, job) in jobs.iter().enumerate() {
-            assert_eq!(job.executor.options().seed, job_seed(17, k));
-            assert_eq!(job.configs, fx.run(seeded(job_seed(17, k))).configs());
+            let run = Run {
+                plan: &outcome.plan,
+                ..fx.run(seeded(job_seed(17, k)))
+            };
+            assert_eq!(job.configs, run.configs());
+            assert_eq!(
+                format!("{:?}", job.executor),
+                format!("{:?}", run.executor().unwrap()),
+                "job {k}"
+            );
         }
 
         let group = hyperband_group_jobs(
@@ -711,8 +765,6 @@ mod tests {
         let specs = hyperband_1_9_3();
         assert_eq!(group.len(), specs.len());
         for (i, (job, spec)) in group.iter().zip(&specs).enumerate() {
-            assert_eq!(job.executor.spec(), spec);
-            assert_eq!(job.executor.options().seed, job_seed(5, i));
             // Each bracket's job runs the plan a fresh simulator selects
             // for it under the full deadline.
             let sim = Simulator::new(fx.physics.clone(), fx.cloud.clone());
@@ -861,7 +913,7 @@ mod tests {
         assert_eq!(report.trace, plain.trace);
         // The summary is a faithful rollup of the report.
         assert_eq!(summary.jct, plain.jct);
-        assert_eq!(summary.total_cost(), plain.total_cost());
+        assert_eq!(summary.compute_cost + summary.data_cost, plain.total_cost());
         assert_eq!(summary.stages, plain.stages.len());
         assert_eq!(summary.trace_events, log.events.len());
         assert!(!log.events.is_empty());

@@ -60,16 +60,6 @@ impl AnalyticScaling {
         }
     }
 
-    /// The architecture descriptor.
-    pub fn arch(&self) -> &ModelArch {
-        &self.arch
-    }
-
-    /// GPUs per machine assumed by the bandwidth model.
-    pub fn node_gpus(&self) -> u32 {
-        self.node_gpus
-    }
-
     /// Number of gradient-accumulation micro-steps on `gpus` GPUs.
     pub fn microsteps(&self, gpus: u32) -> u32 {
         let per_gpu = self.batch_size.div_ceil(gpus);

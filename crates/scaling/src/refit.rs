@@ -68,16 +68,6 @@ impl RefitScaling {
             comm_factor: comm_factor.clamp(lo, hi),
         }
     }
-
-    /// The compute-share factor α.
-    pub fn compute_factor(&self) -> f64 {
-        self.compute_factor
-    }
-
-    /// The communication-share factor β.
-    pub fn comm_factor(&self) -> f64 {
-        self.comm_factor
-    }
 }
 
 impl ScalingModel for RefitScaling {
@@ -234,7 +224,10 @@ mod tests {
     fn comm_free_model_degenerates_to_scalar() {
         // IdealScaling has no comm term, so the default components put
         // everything in compute; the fit must not blow up.
-        let ideal: SharedScaling = Arc::new(crate::rescale::IdealScaling::new(8.0, 512));
+        let ideal: SharedScaling = Arc::new(crate::rescale::IdealScaling {
+            base_secs: 8.0,
+            batch: 512,
+        });
         let obs: Vec<LatencyObservation> = [1u32, 2, 4]
             .iter()
             .map(|&g| LatencyObservation {
@@ -271,8 +264,8 @@ mod tests {
     #[test]
     fn factors_are_clamped() {
         let refit = RefitScaling::new(base(), 1e6, 1e-9);
-        assert_eq!(refit.compute_factor(), FACTOR_CLAMP.1);
-        assert_eq!(refit.comm_factor(), FACTOR_CLAMP.0);
+        assert_eq!(refit.compute_factor, FACTOR_CLAMP.1);
+        assert_eq!(refit.comm_factor, FACTOR_CLAMP.0);
     }
 
     #[test]

@@ -67,14 +67,6 @@ pub struct IdealScaling {
     pub batch: u32,
 }
 
-impl IdealScaling {
-    /// Creates an ideal scaler with the given single-GPU latency.
-    pub fn new(base_secs: f64, batch: u32) -> Self {
-        assert!(base_secs > 0.0, "latency must be positive");
-        IdealScaling { base_secs, batch }
-    }
-}
-
 impl ScalingModel for IdealScaling {
     fn iter_latency_secs(&self, gpus: u32, _placement: PlacementQuality) -> f64 {
         assert!(gpus > 0, "cannot train on zero GPUs");
@@ -95,7 +87,10 @@ mod tests {
 
     #[test]
     fn ideal_scaling_is_exactly_linear() {
-        let m = IdealScaling::new(8.0, 512);
+        let m = IdealScaling {
+            base_secs: 8.0,
+            batch: 512,
+        };
         for g in [1, 2, 4, 8] {
             assert!((m.speedup(g, PlacementQuality::Packed) - f64::from(g)).abs() < 1e-12);
         }

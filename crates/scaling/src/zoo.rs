@@ -130,13 +130,6 @@ pub const ZOO: &[ModelArch] = &[
     VIT_B16,
 ];
 
-/// Looks up an architecture by name. A user entry point for a caller
-/// that names models as text; library code uses the constants, so only
-/// tests call it.
-pub fn lookup(name: &str) -> Option<&'static ModelArch> {
-    ZOO.iter().find(|m| m.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,14 +137,6 @@ mod tests {
     #[test]
     fn grad_bytes_is_four_bytes_per_param() {
         assert!((RESNET50.grad_bytes() - 25.6e6 * 4.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn zoo_lookup_round_trips() {
-        for m in ZOO {
-            assert_eq!(lookup(m.name).unwrap(), m);
-        }
-        assert!(lookup("AlexNet").is_none());
     }
 
     #[test]

@@ -164,16 +164,6 @@ impl TuningService {
         Ok(TuningService { tenants, options })
     }
 
-    /// The tenant list.
-    pub fn tenants(&self) -> &[TenantSpec] {
-        &self.tenants
-    }
-
-    /// The service options.
-    pub fn options(&self) -> &ServeOptions {
-        &self.options
-    }
-
     /// Runs a workload to completion without observability.
     ///
     /// # Errors

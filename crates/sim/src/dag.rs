@@ -606,7 +606,16 @@ mod tests {
     use std::sync::Arc;
 
     fn model() -> ModelProfile {
-        ModelProfile::from_scaling("ideal", Arc::new(IdealScaling::new(4.0, 512)), 1, 0.0, 0.0)
+        ModelProfile::from_scaling(
+            "ideal",
+            Arc::new(IdealScaling {
+                base_secs: 4.0,
+                batch: 512,
+            }),
+            1,
+            0.0,
+            0.0,
+        )
     }
 
     fn cloud_1gpu() -> CloudProfile {
@@ -749,8 +758,10 @@ mod tests {
         // SCALE hands over when the slowest requested instance arrives:
         // the first provider delay of a stream is shared, so eight
         // requests are never handed over before one.
-        let cloud =
-            cloud_1gpu().with_provision_delay_dist(Distribution::lognormal_from_moments(10.0, 5.0));
+        let cloud = CloudProfile {
+            provision_delay: Distribution::lognormal_from_moments(10.0, 5.0),
+            ..cloud_1gpu()
+        };
         let t = template(&cloud);
         let (mut one, mut eight) = (0.0, 0.0);
         for seed in 0..500 {
@@ -770,9 +781,11 @@ mod tests {
     fn one_draw_parallel_stage_equals_the_per_trial_loop() {
         use rb_scaling::{zoo::RESNET50, AnalyticScaling};
         let spec = ExperimentSpec::from_stages(&[(16, 4), (8, 8), (3, 16), (1, 64)]).unwrap();
-        let lognormal = CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
-            .with_provision_delay_dist(Distribution::lognormal_from_moments(30.0, 15.0))
-            .with_init_latency_dist(Distribution::lognormal_from_moments(20.0, 8.0));
+        let lognormal = CloudProfile {
+            provision_delay: Distribution::lognormal_from_moments(30.0, 15.0),
+            init_latency: Distribution::lognormal_from_moments(20.0, 8.0),
+            ..CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
+        };
         let mut compared = 0;
         for noise in [0.0, 0.3, 0.7] {
             for (ty, gpg) in [(P3_2XLARGE, 1), (P3_8XLARGE, 4)] {
@@ -897,10 +910,11 @@ mod tests {
                 let constant = CloudProfile::new(CloudPricing::on_demand(ty.clone()))
                     .with_provision_delay(SimDuration::from_secs(30))
                     .with_init_latency(SimDuration::from_secs(20));
-                let lognormal = constant
-                    .clone()
-                    .with_provision_delay_dist(Distribution::lognormal_from_moments(30.0, 15.0))
-                    .with_init_latency_dist(Distribution::lognormal_from_moments(20.0, 8.0));
+                let lognormal = CloudProfile {
+                    provision_delay: Distribution::lognormal_from_moments(30.0, 15.0),
+                    init_latency: Distribution::lognormal_from_moments(20.0, 8.0),
+                    ..constant.clone()
+                };
                 for cloud in [constant, lognormal] {
                     for per_function in [false, true] {
                         let cloud = if per_function {

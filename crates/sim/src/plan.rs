@@ -129,13 +129,6 @@ impl AllocationPlan {
         })
     }
 
-    /// True when the plan allocates the same amount to every stage.
-    /// Public for tests: `rb-planner`'s `static_plans_are_flat` and this
-    /// module's `flat_plan_is_static` read it; no library code calls it.
-    pub fn is_static(&self) -> bool {
-        self.gpus_per_stage.windows(2).all(|w| w[0] == w[1])
-    }
-
     /// Checks structural validity against `spec`: one entry per stage and
     /// every entry positive. (Fairness is *not* required — uneven static
     /// allocations simply leave GPUs idle; see
@@ -321,12 +314,6 @@ mod tests {
     #[test]
     fn decrement_at_one_is_none() {
         assert_eq!(AllocationPlan::decrement_fair(1, 10), None);
-    }
-
-    #[test]
-    fn flat_plan_is_static() {
-        assert!(AllocationPlan::flat(24, 4).is_static());
-        assert!(!AllocationPlan::new(vec![32, 16, 8, 8]).is_static());
     }
 
     #[test]

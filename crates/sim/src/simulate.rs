@@ -514,7 +514,7 @@ impl Simulator {
         &self.config
     }
 
-    /// Number of predictions currently memoized. Public because the
+    /// Number of predictions currently memoized. A test oracle: the
     /// plan-cache tests in `crates/sim/tests/engine.rs` (clone sharing,
     /// detachment, batch dedupe) have no other view of the cache; no
     /// library code calls it.
@@ -954,9 +954,9 @@ impl Simulator {
     }
 
     /// Explains a plan stage by stage: mean duration and cost per stage
-    /// across the Monte-Carlo samples. A user entry point for attributing
-    /// a plan's predicted cost; no library code calls it, and the
-    /// Algorithm 1 oracle checks every stage of it.
+    /// across the Monte-Carlo samples. Kept as the entry point for
+    /// attributing a plan's predicted cost per stage: no library code
+    /// calls it yet, and the Algorithm 1 oracle checks every stage of it.
     ///
     /// Runs the same billing walk over the same loaded plan as
     /// [`Simulator::predict`]. A stage's cost is the instance charges of
@@ -1026,7 +1026,10 @@ mod tests {
     fn ideal_model(noise: f64) -> ModelProfile {
         ModelProfile::from_scaling(
             "ideal",
-            Arc::new(IdealScaling::new(4.0, 512)),
+            Arc::new(IdealScaling {
+                base_secs: 4.0,
+                batch: 512,
+            }),
             1,
             0.0,
             noise,
@@ -1200,8 +1203,16 @@ mod tests {
         let cloud = CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
             .with_provision_delay(SimDuration::from_secs(0))
             .with_init_latency(SimDuration::from_secs(0));
-        let model =
-            ModelProfile::from_scaling("tiny", Arc::new(IdealScaling::new(5.0, 1)), 1, 0.0, 0.0);
+        let model = ModelProfile::from_scaling(
+            "tiny",
+            Arc::new(IdealScaling {
+                base_secs: 5.0,
+                batch: 1,
+            }),
+            1,
+            0.0,
+            0.0,
+        );
         let s = Simulator::new(model, cloud).with_config(SimConfig {
             samples: 1,
             seed: 0,

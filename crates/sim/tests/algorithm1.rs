@@ -326,10 +326,12 @@ fn case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan) {
         pricing = pricing.with_per_function_billing();
     }
     let (provision, init, noise) = latencies(c);
-    let cloud = CloudProfile::new(pricing)
-        .with_provision_delay_dist(provision)
-        .with_init_latency_dist(init)
-        .with_dataset_gb(f64::from(pick(1, 200)));
+    let cloud = CloudProfile {
+        provision_delay: provision,
+        init_latency: init,
+        ..CloudProfile::new(pricing)
+    }
+    .with_dataset_gb(f64::from(pick(1, 200)));
     let scaling = Arc::new(AnalyticScaling::for_arch(&RESNET50, 512, gpg));
     let model = ModelProfile::from_scaling("rn50", scaling, 10, 2.0, noise);
     let sim = Simulator::new(model, cloud).with_config(SimConfig {
@@ -465,8 +467,16 @@ fn sync_depends_on_every_train_in_stage() {
 /// The hand-checked 4 → 2 → 1 trial job: 1-GPU instances, SCALE 10 s,
 /// INIT 20 s, TRAIN 40 s on one GPU, SYNC 1 s, no noise.
 fn deterministic(gpus: Vec<u32>) -> (Dag, Simulator) {
-    let model =
-        ModelProfile::from_scaling("ideal", Arc::new(IdealScaling::new(4.0, 512)), 1, 0.0, 0.0);
+    let model = ModelProfile::from_scaling(
+        "ideal",
+        Arc::new(IdealScaling {
+            base_secs: 4.0,
+            batch: 512,
+        }),
+        1,
+        0.0,
+        0.0,
+    );
     let cloud = CloudProfile::new(CloudPricing::on_demand(P3_2XLARGE))
         .with_provision_delay(SimDuration::from_secs(10))
         .with_init_latency(SimDuration::from_secs(20));

@@ -302,9 +302,11 @@ fn sharing_case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan, u32) {
     let cloud = CloudProfile::new(pricing);
     let (cloud, noise) = match (c / 4) % 3 {
         0 => (
-            cloud
-                .with_provision_delay_dist(lognormal)
-                .with_init_latency_dist(Distribution::lognormal_from_moments(20.0, 8.0)),
+            CloudProfile {
+                provision_delay: lognormal,
+                init_latency: Distribution::lognormal_from_moments(20.0, 8.0),
+                ..cloud
+            },
             0.5,
         ),
         1 => (
@@ -314,9 +316,10 @@ fn sharing_case(c: u64) -> (Simulator, ExperimentSpec, AllocationPlan, u32) {
             0.5,
         ),
         _ => (
-            cloud
-                .with_provision_delay_dist(lognormal)
-                .with_init_latency(SimDuration::from_secs(20)),
+            CloudProfile {
+                provision_delay: lognormal,
+                ..cloud.with_init_latency(SimDuration::from_secs(20))
+            },
             0.0,
         ),
     };

@@ -60,16 +60,6 @@ pub const RTE: Dataset = Dataset {
     num_classes: 2,
 };
 
-/// All dataset descriptors.
-pub const DATASETS: &[Dataset] = &[CIFAR10, CIFAR100, IMAGENET, RTE];
-
-/// Looks up a dataset by name. A user entry point for a caller that
-/// names datasets as text; library code uses the constants, so only
-/// tests call it.
-pub fn lookup(name: &str) -> Option<&'static Dataset> {
-    DATASETS.iter().find(|d| d.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,13 +75,5 @@ mod tests {
     fn imagenet_ingress_matches_paper_example() {
         // §6.1.2: 150 GB at $0.01/GB = $1.50 per instance.
         assert!((IMAGENET.size_gb * 0.01 - 1.50).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lookup_round_trips() {
-        for d in DATASETS {
-            assert_eq!(lookup(d.name).unwrap(), d);
-        }
-        assert!(lookup("MNIST").is_none());
     }
 }

@@ -108,23 +108,15 @@ impl TaskModel {
         acc.clamp(chance, self.peak_acc + self.schedule_bonus)
     }
 
-    /// The effective convergence half-life of a configuration, in work
-    /// units. A test oracle: trials evaluate through
-    /// [`TaskModel::curve`], so no library code calls it; the task tests
-    /// check with it that a worse learning rate converges slower.
-    pub fn halflife(&self, config: &Config) -> f64 {
-        self.halflife_at(self.lr_decades(config))
-    }
-
-    /// [`TaskModel::halflife`] given the configuration's
-    /// [`TaskModel::lr_decades`].
+    /// The effective convergence half-life, in work units, of a
+    /// configuration [`TaskModel::lr_decades`] away from `lr_opt`.
     fn halflife_at(&self, d_lr: f64) -> f64 {
         self.halflife_iters * (1.0 + self.convergence_slowdown * d_lr.abs())
     }
 
     /// The learning curve of one configuration: every per-config
-    /// constant of [`TaskModel::accuracy`] resolved once, so a trial that
-    /// evaluates after every work unit redoes no configuration lookups.
+    /// constant resolved once, so a trial that evaluates after every work
+    /// unit redoes no configuration lookups.
     pub fn curve(&self, config: &Config) -> Curve {
         let d_lr = self.lr_decades(config);
         Curve {
@@ -134,20 +126,6 @@ impl TaskModel {
             shape_p: self.shape_p,
             noise_std: self.eval_noise_std,
         }
-    }
-
-    /// Noise-free validation accuracy after `iters` work units. A test
-    /// oracle: trials evaluate through [`TaskModel::curve`], so no library
-    /// code calls it; the task tests and `tests/plan_fidelity.rs` read
-    /// the noise-free curve with it.
-    pub fn clean_accuracy(&self, config: &Config, iters: u64) -> f64 {
-        self.curve(config).clean(iters)
-    }
-
-    /// Observed validation accuracy after `iters` work units: the clean
-    /// curve plus evaluation noise, deterministic in `(trial_seed, iters)`.
-    pub fn accuracy(&self, config: &Config, iters: u64, trial_seed: u64) -> f64 {
-        self.curve(config).accuracy(iters, trial_seed)
     }
 }
 
@@ -283,28 +261,6 @@ pub fn bert_rte() -> TaskModel {
     }
 }
 
-/// ResNet-50 on ImageNet — the Fig. 10a large-dataset workload. A user
-/// entry point: no `repro` artifact runs it, and only the task tests
-/// read it.
-pub fn resnet50_imagenet() -> TaskModel {
-    TaskModel {
-        name: "ResNet-50 / ImageNet",
-        dataset: crate::dataset::IMAGENET,
-        arch: zoo::RESNET50,
-        peak_acc: 0.765,
-        lr_opt: 0.4,
-        lr_sensitivity: 0.05,
-        wd_opt: 1e-4,
-        wd_sensitivity: 0.01,
-        halflife_iters: 25.0,
-        shape_p: 1.2,
-        convergence_slowdown: 0.4,
-        schedule_bonus: 0.012,
-        eval_noise_std: 0.004,
-        samples_per_iter: 1_281_167,
-    }
-}
-
 /// ResNet-50 on CIFAR-10 — the workhorse of the simulated cost experiments
 /// (Figs. 9–12), where one spec "iteration" is a fixed block of samples
 /// rather than an epoch.
@@ -343,7 +299,7 @@ mod tests {
         let cfg = good_cfg(&t);
         let mut prev = 0.0;
         for iters in [0, 1, 2, 4, 8, 16, 32, 64] {
-            let a = t.clean_accuracy(&cfg, iters);
+            let a = t.curve(&cfg).clean(iters);
             assert!(a >= prev, "accuracy dipped at {iters}");
             prev = a;
         }
@@ -353,8 +309,8 @@ mod tests {
     fn accuracy_starts_at_chance_and_approaches_asymptote() {
         let t = resnet101_cifar10();
         let cfg = good_cfg(&t);
-        assert_eq!(t.clean_accuracy(&cfg, 0), 0.1);
-        let near = t.clean_accuracy(&cfg, 10_000);
+        assert_eq!(t.curve(&cfg).clean(0), 0.1);
+        let near = t.curve(&cfg).clean(10_000);
         assert!((near - t.asymptotic_accuracy(&cfg)).abs() < 0.01);
     }
 
@@ -382,7 +338,7 @@ mod tests {
         let t = resnet101_cifar10();
         let near = good_cfg(&t);
         let far = Config::new().with_f64("lr", t.lr_opt / 100.0);
-        assert!(t.halflife(&far) > t.halflife(&near));
+        assert!(t.curve(&far).h > t.curve(&near).h);
     }
 
     #[test]
@@ -390,7 +346,7 @@ mod tests {
         // Under the 50-epoch SHA budget the best configuration should land
         // in the high-80s/low-90s, matching Table 2's 88–92% band.
         let t = resnet101_cifar10();
-        let a50 = t.clean_accuracy(&good_cfg(&t), 50);
+        let a50 = t.curve(&good_cfg(&t)).clean(50);
         assert!((0.87..0.94).contains(&a50), "a50 = {a50}");
     }
 
@@ -398,21 +354,21 @@ mod tests {
     fn evaluation_noise_is_deterministic_and_bounded() {
         let t = resnet101_cifar10();
         let cfg = good_cfg(&t);
-        let a1 = t.accuracy(&cfg, 10, 7);
-        let a2 = t.accuracy(&cfg, 10, 7);
+        let a1 = t.curve(&cfg).accuracy(10, 7);
+        let a2 = t.curve(&cfg).accuracy(10, 7);
         assert_eq!(a1, a2);
         // Different seeds give different observations.
-        let a3 = t.accuracy(&cfg, 10, 8);
+        let a3 = t.curve(&cfg).accuracy(10, 8);
         assert_ne!(a1, a3);
         // Noise stays near the clean curve.
-        let clean = t.clean_accuracy(&cfg, 10);
+        let clean = t.curve(&cfg).clean(10);
         assert!((a1 - clean).abs() < 6.0 * t.eval_noise_std);
     }
 
     #[test]
     fn noise_free_at_zero_iters() {
         let t = resnet101_cifar10();
-        assert_eq!(t.accuracy(&good_cfg(&t), 0, 3), 0.1);
+        assert_eq!(t.curve(&good_cfg(&t)).accuracy(0, 3), 0.1);
     }
 
     #[test]
@@ -444,7 +400,6 @@ mod tests {
             resnet101_cifar10(),
             resnet152_cifar100(),
             bert_rte(),
-            resnet50_imagenet(),
             resnet50_cifar10(),
         ] {
             let chance = t.dataset.chance_accuracy();
@@ -548,7 +503,7 @@ mod tests {
                             "{} {cfg:?} iters={iters} seed={seed}",
                             t.name
                         );
-                        assert_eq!(t.accuracy(cfg, iters, seed).to_bits(), want.to_bits());
+                        assert_eq!(t.curve(cfg).accuracy(iters, seed).to_bits(), want.to_bits());
                     }
                 }
             }
